@@ -5,9 +5,10 @@ timestamps appear anywhere, and --json renders exactly the payload behind
 the text output, so identical invocations produce identical bytes.
 
 Exit codes: 0 success, 2 malformed input (bad JSON, bad fields, dangling
-references, unreadable files), 3 mathematical validation or hypothesis
-failure (Jacobi, d^2 != 0, non-automorphisms, solver bounds, inconsistent
-check data), 4 internal audit failure in the spectral engine.
+references, unreadable files, bad EQSS_* environment values), 3 mathematical
+validation or hypothesis failure (Jacobi, d^2 != 0, non-automorphisms, solver
+bounds, inconsistent check data), 4 internal audit failure in the spectral
+engine.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .documents import (
 from .library import builtin_text
 from .linalg import GroupBoundError
 from .obstructions import (
+    DEFAULT_DIM_CAP,
     gysin_assemble,
     s3_check_4manifold,
     s3_check_5manifold,
@@ -54,8 +56,18 @@ EXIT_AUDIT = 4
 GROUP_BOUND_DEFAULT = 10000
 
 
-def _group_bound() -> int:
-    return int(os.environ.get("EQSS_GROUP_BOUND", GROUP_BOUND_DEFAULT))
+def _env_count(name: str, default: int) -> int:
+    """A nonnegative integer setting from the environment, else the default."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise DocumentError(f"{name} must be a nonnegative integer, got {raw!r}")
+    return value
 
 
 def _load_text(spec: str) -> str:
@@ -135,7 +147,7 @@ def _cmd_cohomology(args, inputs: dict):
                     f"automorphism '{name}' acts on '{aut.algebra.name}', not '{g.name}'"
                 )
             gens.append(restricted_action(model, aut))
-        inv = invariant_cohomology(res, gens, bound=_group_bound())
+        inv = invariant_cohomology(res, gens, bound=args.group_bound)
         results["invariants"] = names
         results["invariant_dims"] = list(inv.dims)
         lines.append(f"invariants under {', '.join(names)}: {_dims_text(inv.dims)}")
@@ -242,7 +254,7 @@ def _cmd_obstruct_gysin(args, inputs: dict):
         split=args.split,
         oriented=args.oriented,
     )
-    solutions = solve_les(problem)
+    solutions = solve_les(problem, cap=args.solver_cap)
     results = {
         "check": "gysin",
         "problem": problem.as_dict(),
@@ -270,7 +282,7 @@ def _cmd_obstruct_wang(args, inputs: dict):
     }
     lines = [f"check wang at codimension {args.codim}"] + _verdict_lines(verdict)
     if verdict.problem is not None:
-        solutions = solve_les(verdict.problem)
+        solutions = solve_les(verdict.problem, cap=args.solver_cap)
         results["solutions"] = [s.as_dict() for s in solutions]
         results["solution_count"] = len(solutions)
         lines.extend(_solution_lines(solutions, verdict.problem))
@@ -366,6 +378,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(args_list)
     inputs: dict[str, str] = {}
     try:
+        args.group_bound = _env_count("EQSS_GROUP_BOUND", GROUP_BOUND_DEFAULT)
+        args.solver_cap = _env_count("EQSS_SOLVER_CAP", DEFAULT_DIM_CAP)
         results, lines = args.handler(args, inputs)
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)

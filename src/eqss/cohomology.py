@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .forms import ExteriorForm, ce_complex, induced_on_forms, multi_indices, relative_subcomplex, wedge
+from .forms import (
+    ExteriorForm,
+    ce_complex,
+    differential_images,
+    multi_indices,
+    pull_back,
+    relative_subcomplex,
+    wedge,
+)
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from .linalg import (
     RationalMatrix,
@@ -161,19 +169,30 @@ class RelativeModel:
 
 
 def relative_model(g: LieAlgebra, h: Subalgebra | None = None) -> RelativeModel:
+    """The complex C(g, h) = (Lambda(g/h)*)^h in the basis of its forms.
+
+    For h = 0 this is the full Chevalley-Eilenberg complex with identity
+    bases.  Otherwise the small complex of `relative_subcomplex` is built
+    without the full one: d of each basis form is computed from the
+    structure constants over its nonzero monomials, and looking it up in the
+    next degree's basis doubles as the closure check.  Algebras that fail
+    the Jacobi identity are refused in both cases.
+    """
     if h is None:
         h = Subalgebra(g, SubspaceBasis.zero(g.dim), name="0")
+    if h.algebra != g:
+        raise ValueError("subalgebra belongs to a different algebra")
+    if h.dim == 0:
+        cx = absolute_complex(g)
+        return RelativeModel(g, h, cx, tuple(SubspaceBasis.full(d) for d in cx.dims))
     spaces = relative_subcomplex(g, h)
-    ce = ce_complex(g)
-    n = g.dim
     diffs = []
-    for k in range(n):
-        d_k = ce.differential(k)
+    for k in range(g.dim):
         cols = []
-        for v in spaces[k].vectors:
-            w = d_k.apply(v)
+        for w in differential_images(g, k, spaces[k].vectors):
             coords = spaces[k + 1].coordinates(w)
-            assert coords is not None  # closure was checked when spaces were built
+            if coords is None:
+                raise AssertionError("relative subcomplex is not closed under d")
             cols.append(coords)
         diffs.append(RationalMatrix.from_columns(cols, spaces[k + 1].dim))
     cx = GradedComplex.create(tuple(s.dim for s in spaces), diffs)
@@ -187,17 +206,16 @@ def lie_cohomology(g: LieAlgebra, h: Subalgebra | None = None) -> CohomologyResu
 def restricted_action(model: RelativeModel, aut: LieAutomorphism) -> list[RationalMatrix]:
     """Per-degree matrices of the form pullback on the model's complex.
 
-    Fails if the automorphism does not preserve the relative subcomplex
-    (i.e. does not normalize the subalgebra pair in the right way).
+    Only the model's basis forms are pulled back.  Fails if the automorphism
+    does not preserve the relative subcomplex (i.e. does not normalize the
+    subalgebra pair in the right way).
     """
     if aut.algebra != model.algebra:
         raise ValueError("automorphism belongs to a different algebra")
     out = []
     for k, basis in enumerate(model.bases):
-        amb = induced_on_forms(aut, k, check=False)
         cols = []
-        for v in basis.vectors:
-            w = amb.apply(v)
+        for w in pull_back(aut, k, basis.vectors):
             coords = basis.coordinates(w)
             if coords is None:
                 raise ValueError(

@@ -22,8 +22,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, jacobi_check
-from .linalg import RationalMatrix, SubspaceBasis, as_vector, kernel_basis
+from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, jacobi_check, sparse_brackets
+from .linalg import RationalMatrix, SubspaceBasis, Vector, as_vector, kernel_basis
 
 __all__ = [
     "CeComplex",
@@ -33,9 +33,11 @@ __all__ = [
     "ce_complex",
     "contract",
     "contract_matrix",
+    "differential_images",
     "form_from_terms",
     "induced_on_forms",
     "multi_indices",
+    "pull_back",
     "relative_subcomplex",
     "render_form",
     "wedge",
@@ -230,20 +232,34 @@ class CeComplex:
 
 _CE_CACHE: dict[LieAlgebra, CeComplex] = {}
 
+# A sparse form: monomial index tuple -> coefficient.
+_Terms = dict[tuple[int, ...], Fraction]
 
-def _generator_images(g: LieAlgebra) -> list[list[tuple[tuple[int, int], Fraction]]]:
-    """For each generator k (1-based), the terms of d e^k = -sum c^k_ij e^i^e^j."""
-    out: list[list[tuple[tuple[int, int], Fraction]]] = [[] for _ in range(g.dim + 1)]
-    for (i, j), coeffs in g.brackets:
-        for k, c in enumerate(coeffs, start=1):
-            if c:
+
+def _require_jacobi(g: LieAlgebra) -> None:
+    report = jacobi_check(g)
+    if not report.ok:
+        raise ValueError(
+            f"algebra {g.name} violates the Jacobi identity at basis triple {report.witness}"
+        )
+
+
+def _generator_images(n: int, table) -> list[list[tuple[tuple[int, int], Fraction]]]:
+    """For each generator k (1-based), the terms of d e^k = -sum c^k_ij e^i^e^j.
+
+    `table` maps pairs i < j to the sparse (k, c) terms of [e_i, e_j].
+    """
+    out: list[list[tuple[tuple[int, int], Fraction]]] = [[] for _ in range(n + 1)]
+    for (i, j), terms in sorted(table.items()):
+        if i < j:
+            for k, c in terms:
                 out[k].append(((i, j), -c))
     return out
 
 
-def _d_column(g: LieAlgebra, dgen, idx: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+def _d_column(dgen, idx: tuple[int, ...]) -> _Terms:
     """d(e^idx) as a dict target-index -> coefficient (antiderivation rule)."""
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: _Terms = {}
     for r, gen in enumerate(idx):
         rest = idx[:r] + idx[r + 1 :]
         slot_sign = -1 if r % 2 else 1
@@ -265,32 +281,22 @@ def ce_complex(g: LieAlgebra) -> CeComplex:
     cached = _CE_CACHE.get(g)
     if cached is not None:
         return cached
-    report = jacobi_check(g)
-    if not report.ok:
-        raise ValueError(
-            f"algebra {g.name} violates the Jacobi identity at basis triple {report.witness}"
-        )
+    _require_jacobi(g)
     n = g.dim
-    dgen = _generator_images(g)
-    col_dicts: list[list[dict[tuple[int, ...], Fraction]]] = []
+    dgen = _generator_images(n, sparse_brackets(g))
+    col_dicts: list[list[_Terms]] = []
     mats = []
     for k in range(n):
         src = multi_indices(n, k)
         tgt_pos = _index_position(n, k + 1)
-        cols = [_d_column(g, dgen, idx) for idx in src]
+        cols = [_d_column(dgen, idx) for idx in src]
         col_dicts.append(cols)
-        dense = []
-        for col in cols:
-            v = [Fraction(0)] * len(tgt_pos)
-            for t, c in col.items():
-                v[tgt_pos[t]] = c
-            dense.append(v)
-        mats.append(RationalMatrix.from_columns(dense, len(tgt_pos)))
+        mats.append(RationalMatrix.from_columns([_dense(col, tgt_pos) for col in cols], len(tgt_pos)))
     # d^2 = 0, composed at the level of column dictionaries
     for k in range(n - 1):
         nxt = {idx: col for idx, col in zip(multi_indices(n, k + 1), col_dicts[k + 1])}
         for col in col_dicts[k]:
-            acc: dict[tuple[int, ...], Fraction] = {}
+            acc: _Terms = {}
             for t, c in col.items():
                 for u, c2 in nxt[t].items():
                     acc[u] = acc.get(u, Fraction(0)) + c * c2
@@ -301,91 +307,181 @@ def ce_complex(g: LieAlgebra) -> CeComplex:
     return result
 
 
-def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
-    """Per-degree bases of {w : iota_X w = 0 and iota_X dw = 0 for X in h}.
+def _dense(terms: _Terms, pos: dict[tuple[int, ...], int]) -> list[Fraction]:
+    v = [Fraction(0)] * len(pos)
+    for t, c in terms.items():
+        v[pos[t]] = c
+    return v
 
-    Constraints are imposed one at a time on a shrinking candidate space: the
-    plain contractions first (cheap, and they cut the dimension down fast),
-    then the contractions of dw.  Closure under d is asserted afterwards (it
-    holds identically).
+
+def _images(vectors: Sequence[Sequence], monomials, pos, terms_of) -> list[Vector]:
+    """Dense images of vectors over `monomials` under the map idx -> terms_of(idx).
+
+    Only the monomials a vector actually uses are mapped.
+    """
+    out = []
+    for vec in vectors:
+        acc: _Terms = {}
+        for a, idx in zip(vec, monomials):
+            if a:
+                for t, c in terms_of(idx).items():
+                    acc[t] = acc.get(t, Fraction(0)) + a * c
+        out.append(tuple(_dense(acc, pos)))
+    return out
+
+
+def differential_images(g: LieAlgebra, degree: int, vectors: Sequence[Sequence]) -> list[Vector]:
+    """d of each degree-k form vector, built sparsely from the structure constants.
+
+    No CE matrix is formed.  The caller is responsible for the Jacobi check.
+    """
+    n = g.dim
+    dgen = _generator_images(n, sparse_brackets(g))
+    return _images(
+        vectors, multi_indices(n, degree), _index_position(n, degree + 1),
+        lambda idx: _d_column(dgen, idx),
+    )
+
+
+def _wedge_images(images: Sequence[dict[int, Fraction]], idx: tuple[int, ...], memo: dict) -> _Terms:
+    """images[j_1] ^ ... ^ images[j_k] for idx = (j_1, ..., j_k), memoized on prefixes.
+
+    images[j] is the 1-form sum_i a_i e^i, given as {i: a_i}; the result is
+    a sparse k-form in the monomial basis.
+    """
+    got = memo.get(idx)
+    if got is not None:
+        return got
+    got = {}
+    if not idx:
+        got[()] = Fraction(1)
+    else:
+        for t, c in _wedge_images(images, idx[:-1], memo).items():
+            for i, a in images[idx[-1]].items():
+                srt = sort_sign(t + (i,))
+                if srt is None:
+                    continue
+                tt, sign = srt
+                val = got.get(tt, Fraction(0)) + sign * a * c
+                if val:
+                    got[tt] = val
+                else:
+                    got.pop(tt, None)
+    memo[idx] = got
+    return got
+
+
+def _adapted_basis(g: LieAlgebra, h: Subalgebra):
+    """Generator images in a basis f adapted to h, plus the 1-forms f^c.
+
+    f_p is the echelon basis vector of h with pivot p, and f_c = e_c at every
+    other column c; the change of basis T is unit lower triangular.  Returns
+    (pivot set, d on the generators f^c off the pivots, {c: f^c in the e^i}).
+    """
+    n = g.dim
+    cols: dict[int, dict[int, Fraction]] = {i: {i: Fraction(1)} for i in range(1, n + 1)}
+    pivots = []
+    for b in h.basis.vectors:
+        terms = {j: a for j, a in enumerate(b, start=1) if a}
+        p = min(terms)
+        pivots.append(p)
+        cols[p] = terms
+    pivset = frozenset(pivots)
+    # f^c = e^c - sum_b b[c] e^{p(b)}: T^{-1} x keeps x_p and subtracts the b-parts
+    duals = {c: {c: Fraction(1)} for c in range(1, n + 1) if c not in pivset}
+    for p in pivots:
+        for c, a in cols[p].items():
+            if c != p:
+                duals[c][p] = -a
+    table = sparse_brackets(g)
+    adapted = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            x: dict[int, Fraction] = {}
+            for a, xa in cols[i].items():
+                for b, yb in cols[j].items():
+                    for k, c in table.get((a, b), ()):
+                        x[k] = x.get(k, Fraction(0)) + xa * yb * c
+            # the f^c-coordinates of x; the pivot ones are never differentiated
+            y = {}
+            for c, dual in duals.items():
+                v = sum((a * x[t] for t, a in dual.items() if t in x), Fraction(0))
+                if v:
+                    y[c] = v
+            if y:
+                adapted[(i, j)] = tuple(sorted(y.items()))
+    return pivset, _generator_images(n, adapted), duals
+
+
+def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
+    """Per-degree bases of C(g, h) = (Lambda(g/h)*)^h inside the k-forms on g.
+
+    These are the forms w with iota_X w = 0 and iota_X dw = 0 for X in h.
+    In a basis f adapted to h (the echelon basis of h at its pivot columns,
+    unit vectors elsewhere) the first condition leaves exactly the monomials
+    in the f^c that avoid the pivots, at most C(dim g - dim h, k) of them,
+    so only those are differentiated.  The kernel of iota_{f_p} o d over the
+    pivots p is then carried back to the monomials in the e^i.  No form
+    outside Lambda(g/h)* is ever built.
     """
     if h.algebra != g:
         raise ValueError("subalgebra belongs to a different algebra")
+    _require_jacobi(g)
     n = g.dim
-    ce = ce_complex(g)
+    pivset, dgen, duals = _adapted_basis(g, h)
+    free = sorted(duals)
+    images = [duals.get(j, {}) for j in range(n + 1)]
+    memo: dict = {}
     spaces: list[SubspaceBasis] = []
     for k in range(n + 1):
-        dim_k = len(multi_indices(n, k))
-        if h.basis.dim == 0 or k == 0:
-            # no contraction conditions in degree 0 (d on degree 0 is zero)
-            spaces.append(SubspaceBasis.full(dim_k))
+        ambient = len(multi_indices(n, k))
+        horizontal = list(combinations(free, k))
+        if not horizontal:
+            spaces.append(SubspaceBasis.zero(ambient))
             continue
-        cand = SubspaceBasis.full(dim_k)
-        d_k = ce.differential(k)
-        for use_d in (False, True):
-            if use_d and k == n:
-                break
-            for x in h.basis.vectors:
-                if cand.dim == 0:
-                    break
-                cols = []
-                for b in cand.vectors:
-                    if use_d:
-                        w = ExteriorForm(n, k + 1, d_k.apply(b))
-                    else:
-                        w = ExteriorForm(n, k, b)
-                    cols.append(contract(x, w).coeffs)
-                constraint = RationalMatrix.from_columns(cols, len(cols[0]))
-                y = kernel_basis(constraint)
-                if y.dim == cand.dim:
-                    continue
-                if cand.dim == dim_k:
-                    cand = y
-                    continue
-                lifted = []
-                for yv in y.vectors:
-                    out = [Fraction(0)] * dim_k
-                    for c, bv in zip(yv, cand.vectors):
-                        if c:
-                            for i, a in enumerate(bv):
-                                if a:
-                                    out[i] += c * a
-                    lifted.append(out)
-                cand = SubspaceBasis.span(lifted, dim_k)
-        spaces.append(cand)
-    for k in range(n):
-        d_k = ce.differential(k)
-        for v in spaces[k].vectors:
-            if not spaces[k + 1].contains(d_k.apply(v)):
-                raise AssertionError("relative subcomplex is not closed under d")
+        # one column per horizontal monomial: iota_{f_j} d(f^idx), keyed (j, monomial)
+        cols: list[dict[tuple[int, tuple[int, ...]], Fraction]] = []
+        for idx in horizontal:
+            col: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+            for t, c in _d_column(dgen, idx).items():
+                for r, j in enumerate(t):
+                    if j in pivset:
+                        key = (j, t[:r] + t[r + 1 :])
+                        col[key] = col.get(key, Fraction(0)) + (-c if r % 2 else c)
+            cols.append(col)
+        keys = sorted({key for col in cols for key in col})
+        constraint = RationalMatrix(
+            tuple(tuple(col.get(key, Fraction(0)) for col in cols) for key in keys),
+            len(horizontal),
+        )
+        lifted = _images(
+            kernel_basis(constraint).vectors, horizontal, _index_position(n, k),
+            lambda idx: _wedge_images(images, idx, memo),
+        )
+        spaces.append(SubspaceBasis.span(lifted, ambient))
     return spaces
 
 
-def _pullback_matrix(nmat: RationalMatrix, n: int, degree: int) -> RationalMatrix:
-    tgt_pos = _index_position(n, degree)
-    cols = []
-    for idx in multi_indices(n, degree):
-        # wedge together the image 1-forms, one generator at a time
-        acc: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-        for j in idx:
-            new: dict[tuple[int, ...], Fraction] = {}
-            for t, c in acc.items():
-                for i in range(n):
-                    a = nmat.rows[i][j - 1]
-                    if not a:
-                        continue
-                    srt = sort_sign(t + (i + 1,))
-                    if srt is None:
-                        continue
-                    tt, sign = srt
-                    new[tt] = new.get(tt, Fraction(0)) + sign * a * c
-            acc = new
-        v = [Fraction(0)] * len(tgt_pos)
-        for t, c in acc.items():
-            if c:
-                v[tgt_pos[t]] = c
-        cols.append(v)
-    return RationalMatrix.from_columns(cols, len(tgt_pos))
+def _dual_images(aut: LieAutomorphism) -> list[dict[int, Fraction]]:
+    """images[j] = the pullback of e^j, the j-th column of the inverse transpose."""
+    nmat = aut.matrix.inverse().transpose()
+    n = aut.algebra.dim
+    return [{}] + [
+        {i + 1: nmat.rows[i][j - 1] for i in range(n) if nmat.rows[i][j - 1]} for j in range(1, n + 1)
+    ]
+
+
+def pull_back(aut: LieAutomorphism, degree: int, vectors: Sequence[Sequence]) -> list[Vector]:
+    """The pullback of each degree-k form vector under the automorphism."""
+    n = aut.algebra.dim
+    if degree < 0 or degree > n:
+        raise ValueError("degree out of range")
+    images = _dual_images(aut)
+    memo: dict = {}
+    return _images(
+        vectors, multi_indices(n, degree), _index_position(n, degree),
+        lambda idx: _wedge_images(images, idx, memo),
+    )
 
 
 def induced_on_forms(aut: LieAutomorphism, degree: int, check: bool = True) -> RationalMatrix:
@@ -399,12 +495,19 @@ def induced_on_forms(aut: LieAutomorphism, degree: int, check: bool = True) -> R
     n = g.dim
     if degree < 0 or degree > n:
         raise ValueError("degree out of range")
-    nmat = aut.matrix.inverse().transpose()
-    mat = _pullback_matrix(nmat, n, degree)
+    mat = _pullback_matrix(aut, degree)
     if check and degree < n:
         ce = ce_complex(g)
         lhs = ce.differential(degree).mul(mat)
-        rhs = _pullback_matrix(nmat, n, degree + 1).mul(ce.differential(degree))
+        rhs = _pullback_matrix(aut, degree + 1).mul(ce.differential(degree))
         if lhs != rhs:
             raise AssertionError("induced action does not commute with the differential")
     return mat
+
+
+def _pullback_matrix(aut: LieAutomorphism, degree: int) -> RationalMatrix:
+    images = _dual_images(aut)
+    memo: dict = {}
+    pos = _index_position(aut.algebra.dim, degree)
+    cols = [_dense(_wedge_images(images, idx, memo), pos) for idx in pos]
+    return RationalMatrix.from_columns(cols, len(pos))

@@ -40,6 +40,7 @@ __all__ = [
     "jacobi_check",
     "normalizer",
     "so_algebra",
+    "sparse_brackets",
     "su2",
     "u_algebra",
 ]
@@ -105,18 +106,31 @@ class JacobiReport:
     jacobiator: Vector | None = None
 
 
+def sparse_brackets(g: LieAlgebra) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+    """Nonzero [e_i, e_j] for ordered pairs i != j, as (k, c) terms (1-based)."""
+    out = {}
+    for (i, j), coeffs in g.brackets:
+        terms = tuple((k, c) for k, c in enumerate(coeffs, start=1) if c)
+        out[(i, j)] = terms
+        out[(j, i)] = tuple((k, -c) for k, c in terms)
+    return out
+
+
 def jacobi_check(g: LieAlgebra) -> JacobiReport:
     """First basis triple (i,j,k) violating Jacobi, if any."""
     n = g.dim
-    units = [tuple(Fraction(1 if t == s else 0) for t in range(n)) for s in range(n)]
+    table = sparse_brackets(g)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
-                a = bracket(g, bracket(g, units[i - 1], units[j - 1]), units[k - 1])
-                b = bracket(g, bracket(g, units[j - 1], units[k - 1]), units[i - 1])
-                c = bracket(g, bracket(g, units[k - 1], units[i - 1]), units[j - 1])
-                total = tuple(x + y + z for x, y, z in zip(a, b, c))
-                if any(total):
+                # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
+                acc: dict[int, Fraction] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in table.get((a, b), ()):
+                        for t, y in table.get((m, c), ()):
+                            acc[t] = acc.get(t, 0) + x * y
+                if any(acc.values()):
+                    total = tuple(Fraction(acc.get(t, 0)) for t in range(1, n + 1))
                     return JacobiReport(False, (i, j, k), total)
     return JacobiReport(True)
 

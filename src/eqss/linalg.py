@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -221,7 +222,10 @@ def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[lis
             d = x.denominator
             if d != 1:
                 den = den * d // gcd(den, d)
-        ints = [int(x * den) for x in row]
+        if den == 1:
+            ints = [x.numerator for x in row]
+        else:
+            ints = [x.numerator * (den // x.denominator) for x in row]
         g = 0
         for v in ints:
             if v:
@@ -321,7 +325,8 @@ class SubspaceBasis:
 
     @classmethod
     def full(cls, ambient: int) -> "SubspaceBasis":
-        return cls.span([_unit(ambient, i) for i in range(ambient)], ambient)
+        # the unit vectors are already in reduced echelon form
+        return cls(ambient, tuple(_unit(ambient, i) for i in range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -330,18 +335,25 @@ class SubspaceBasis:
     def matrix(self) -> RationalMatrix:
         return RationalMatrix(self.vectors, self.ambient)
 
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]:
+        """(pivot column, nonzero entries) of each basis vector."""
+        out = []
+        for row in self.vectors:
+            nz = tuple((j, a) for j, a in enumerate(row) if a)
+            out.append((nz[0][0], nz))
+        return tuple(out)
+
     def reduce(self, vec: Sequence) -> Vector:
         """Subtract the projection onto this basis using pivot elimination."""
         v = list(as_vector(vec))
         if len(v) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        for row in self.vectors:
-            p = _pivot(row)
-            if p is not None and v[p]:
-                c = v[p]
-                for j in range(p, self.ambient):
-                    if row[j]:
-                        v[j] -= c * row[j]
+        for p, nz in self._sparse_rows:
+            c = v[p]
+            if c:
+                for j, a in nz:
+                    v[j] -= c * a
         return tuple(v)
 
     def contains(self, vec: Sequence) -> bool:
@@ -351,18 +363,16 @@ class SubspaceBasis:
         return all(self.contains(v) for v in other.vectors)
 
     def coordinates(self, vec: Sequence) -> Vector | None:
-        """Coefficients of vec in this basis, or None if vec is outside."""
-        cols = list(self.vectors)
-        return solve(RationalMatrix.from_columns(cols, self.ambient), vec) if cols else (
-            None if any(as_vector(vec)) else ()
-        )
+        """Coefficients of vec in this basis, or None if vec is outside.
 
-
-def _pivot(row: Vector) -> int | None:
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return None
+        The basis is in reduced echelon form, so the only candidate
+        coefficients are vec's entries at the pivot columns; vec lies in the
+        span iff subtracting that combination (which `reduce` does) leaves zero.
+        """
+        v = as_vector(vec)
+        if any(self.reduce(v)):
+            return None
+        return tuple(v[p] for p, _ in self._sparse_rows)
 
 
 def _unit(n: int, i: int) -> Vector:

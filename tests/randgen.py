@@ -91,6 +91,11 @@ def random_unimodular(rng, n):
 
 def transported_algebra(rng, g):
     """The same algebra in a random basis: [x,y]_new = T^{-1}[Tx, Ty]."""
+    return transported_pair(rng, g, ())[0]
+
+
+def transported_pair(rng, g, vectors):
+    """transported_algebra, plus the given vectors in the new coordinates T^{-1}v."""
     t = random_unimodular(rng, g.dim)
     tinv = t.inverse()
     table = {}
@@ -98,7 +103,8 @@ def transported_algebra(rng, g):
         for j in range(i + 1, g.dim + 1):
             br = bracket(g, t.column(i - 1), t.column(j - 1))
             table[(i, j)] = tinv.apply(br)
-    return LieAlgebra.from_brackets(f"{g.name}-transported", g.dim, table)
+    g2 = LieAlgebra.from_brackets(f"{g.name}-transported", g.dim, table)
+    return g2, [tinv.apply(v) for v in vectors]
 
 
 def random_two_step_nilpotent(rng, max_dim=6):

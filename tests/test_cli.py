@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from eqss import cli
 
 
@@ -235,3 +237,29 @@ def test_group_bound_env_is_honored(monkeypatch, capsys):
         "su2_reflection",
     )
     assert code == 3 and "bound" in err
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("EQSS_SOLVER_CAP", "abc"),
+        ("EQSS_SOLVER_CAP", "-1"),
+        ("EQSS_GROUP_BOUND", "abc"),
+        ("EQSS_GROUP_BOUND", "-1"),
+        ("EQSS_GROUP_BOUND", "2.5"),
+    ],
+)
+def test_exit_2_on_malformed_environment(monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "obstruct", "s3-4m", "--betti", "1,0,3,0,1")
+    assert code == 2 and out == ""
+    assert name in err and "nonnegative integer" in err
+
+
+def test_solver_cap_env_is_honored(monkeypatch, capsys):
+    # the circle bundle over a base with dims (1, 1) needs M1 = 2
+    argv = ("obstruct", "gysin", "--l", "1", "--basic", "1,1")
+    monkeypatch.setenv("EQSS_SOLVER_CAP", "1")
+    assert run_json(capsys, *argv)["results"]["solution_count"] == 0
+    monkeypatch.setenv("EQSS_SOLVER_CAP", "2")
+    assert run_json(capsys, *argv)["results"]["solution_count"] == 1

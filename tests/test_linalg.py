@@ -168,3 +168,12 @@ def test_coordinates_in_basis():
     recon = [sum(ci * vi for ci, vi in zip(c, col)) for col in zip(*b.vectors)]
     assert recon == [2, 3, 5]
     assert b.coordinates([1, 0, 0]) is None
+
+
+def test_coordinates_reject_ragged_vectors():
+    b = SubspaceBasis.span([[1, 0, 1], [0, 1, 1]], 3)
+    for basis in (b, SubspaceBasis.zero(3)):
+        with pytest.raises(ValueError, match="length"):
+            basis.coordinates([1, 0])
+        with pytest.raises(ValueError, match="length"):
+            basis.coordinates([0, 0, 0, 0])
