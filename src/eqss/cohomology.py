@@ -3,6 +3,7 @@
 Covers the absolute complex of a Lie algebra, the relative complex of a
 pair (algebra, subalgebra), induced actions of finite automorphism groups on
 cohomology, invariant subspaces, and the cup product on absolute cohomology.
+Every complex is a `linalg.GradedComplex`, re-exported here.
 
 Representatives are chosen canonically: in each degree the cocycle space is
 complemented against the coboundary space in echelon form, so equal inputs
@@ -12,25 +13,26 @@ always produce identical representative vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .forms import (
     ExteriorForm,
     ce_complex,
     differential_images,
-    multi_indices,
     pull_back,
     relative_subcomplex,
     wedge,
 )
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from .linalg import (
+    GradedComplex,
     RationalMatrix,
     SubspaceBasis,
     Vector,
     as_vector,
+    combine,
     complement_in,
+    enumerate_group,
     fixed_subspace,
     image_basis,
     kernel_basis,
@@ -41,7 +43,6 @@ __all__ = [
     "CohomologyResult",
     "GradedComplex",
     "RelativeModel",
-    "absolute_complex",
     "check_chain_map",
     "action_on_cohomology",
     "cohomology",
@@ -52,51 +53,6 @@ __all__ = [
     "relative_model",
     "restricted_action",
 ]
-
-
-@dataclass(frozen=True)
-class GradedComplex:
-    """A cochain complex of rational spaces in degrees 0..top.
-
-    differentials[k] maps degree k into degree k+1; d^2 = 0 is enforced
-    at construction.
-    """
-
-    dims: tuple[int, ...]
-    differentials: tuple[RationalMatrix, ...]
-
-    @classmethod
-    def create(cls, dims: Sequence[int], differentials: Sequence[RationalMatrix]) -> "GradedComplex":
-        ds = tuple(int(d) for d in dims)
-        if not ds or any(d < 0 for d in ds):
-            raise ValueError("degree dimensions must be a nonempty list of nonnegative ints")
-        diffs = tuple(differentials)
-        if len(diffs) != len(ds) - 1:
-            raise ValueError(f"expected {len(ds) - 1} differentials, got {len(diffs)}")
-        for k, m in enumerate(diffs):
-            if m.shape != (ds[k + 1], ds[k]):
-                raise ValueError(
-                    f"differential {k} has shape {m.shape}, expected {(ds[k + 1], ds[k])}"
-                )
-        for k in range(len(diffs) - 1):
-            if not diffs[k + 1].mul(diffs[k]).is_zero():
-                raise ValueError(f"d^2 != 0 between degrees {k} and {k + 2}")
-        return cls(ds, diffs)
-
-    @property
-    def top(self) -> int:
-        return len(self.dims) - 1
-
-    def dim(self, k: int) -> int:
-        return self.dims[k] if 0 <= k <= self.top else 0
-
-    def differential(self, k: int) -> RationalMatrix:
-        if 0 <= k < len(self.differentials):
-            return self.differentials[k]
-        return RationalMatrix.zeros(self.dim(k + 1), self.dim(k))
-
-    def euler_characteristic(self) -> int:
-        return sum(d if k % 2 == 0 else -d for k, d in enumerate(self.dims))
 
 
 @dataclass(frozen=True)
@@ -146,13 +102,6 @@ def cohomology(cx: GradedComplex) -> CohomologyResult:
     return CohomologyResult(cx, tuple(dims), tuple(reps), tuple(cocycles), tuple(coboundaries))
 
 
-def absolute_complex(g: LieAlgebra) -> GradedComplex:
-    ce = ce_complex(g)
-    n = g.dim
-    dims = [len(multi_indices(n, k)) for k in range(n + 1)]
-    return GradedComplex(tuple(dims), ce.differentials)
-
-
 @dataclass(frozen=True)
 class RelativeModel:
     """The relative complex of a pair, with its embedding into the forms.
@@ -183,7 +132,7 @@ def relative_model(g: LieAlgebra, h: Subalgebra | None = None) -> RelativeModel:
     if h.algebra != g:
         raise ValueError("subalgebra belongs to a different algebra")
     if h.dim == 0:
-        cx = absolute_complex(g)
+        cx = ce_complex(g)
         return RelativeModel(g, h, cx, tuple(SubspaceBasis.full(d) for d in cx.dims))
     spaces = relative_subcomplex(g, h)
     diffs = []
@@ -249,6 +198,14 @@ def action_on_cohomology(result: CohomologyResult, maps: Sequence[RationalMatrix
     return out
 
 
+def _fixed_in_degree(gens: Sequence[RationalMatrix], dim: int, bound: int) -> SubspaceBasis:
+    """Fixed subspace of one degree, after checking that the group is finite."""
+    if not gens:
+        return SubspaceBasis.full(dim)
+    enumerate_group(gens, bound=bound)  # raises GroupBoundError past the bound
+    return fixed_subspace(gens)
+
+
 @dataclass(frozen=True)
 class InvariantCohomology:
     dims: tuple[int, ...]
@@ -262,14 +219,10 @@ def invariant_cohomology(
 ) -> InvariantCohomology:
     """Fixed part of cohomology under the finite group the generators produce."""
     acts = [action_on_cohomology(result, maps) for maps in generators]
-    dims = []
-    bases = []
-    for k in range(result.complex.top + 1):
-        gens_k = [a[k] for a in acts]
-        fixed = fixed_subspace(gens_k, bound=bound) if gens_k else SubspaceBasis.full(result.dims[k])
-        dims.append(fixed.dim)
-        bases.append(fixed)
-    return InvariantCohomology(tuple(dims), tuple(bases))
+    bases = tuple(
+        _fixed_in_degree([a[k] for a in acts], result.dims[k], bound) for k in range(result.complex.top + 1)
+    )
+    return InvariantCohomology(tuple(b.dim for b in bases), bases)
 
 
 def fixed_subcomplex(
@@ -284,10 +237,9 @@ def fixed_subcomplex(
     """
     for maps in generators:
         check_chain_map(cx, maps)
-    spaces = []
-    for k in range(cx.top + 1):
-        gens_k = [maps[k] for maps in generators]
-        spaces.append(fixed_subspace(gens_k, bound=bound) if gens_k else SubspaceBasis.full(cx.dims[k]))
+    spaces = [
+        _fixed_in_degree([maps[k] for maps in generators], cx.dims[k], bound) for k in range(cx.top + 1)
+    ]
     diffs = []
     for k in range(cx.top):
         d_k = cx.differential(k)
@@ -313,27 +265,20 @@ def cup_product(
 
     u_class and v_class are coordinates over the representative bases of
     H^p and H^q; the result is given over the basis of H^{p+q}.  Degrees
-    beyond the algebra dimension give the empty (zero) space.
+    beyond the algebra dimension give the empty (zero) space; negative
+    degrees are refused.
     """
-    n = g.dim
-    if result.complex.dims != tuple(len(multi_indices(n, k)) for k in range(n + 1)):
+    dims = ce_complex(g).dims
+    if result.complex.dims != dims:
         raise ValueError("cup product needs the absolute complex of the algebra")
-    if p + q > n:
+    if p < 0 or q < 0:
+        raise ValueError(f"cup product of a class in negative degree {min(p, q)}")
+    if p + q > g.dim:
         return ()
-    u = _combine(result.representatives[p], u_class, len(multi_indices(n, p)))
-    v = _combine(result.representatives[q], v_class, len(multi_indices(n, q)))
-    w = wedge(ExteriorForm(n, p, u), ExteriorForm(n, q, v))
-    return result.express(p + q, w.coeffs)
-
-
-def _combine(vectors: Sequence[Vector], coeffs: Sequence, ambient: int) -> tuple[Fraction, ...]:
-    cs = as_vector(coeffs)
-    if len(cs) != len(vectors):
-        raise ValueError(f"expected {len(vectors)} class coordinates, got {len(cs)}")
-    out = [Fraction(0)] * ambient
-    for c, vec in zip(cs, vectors):
-        if c:
-            for i, a in enumerate(vec):
-                if a:
-                    out[i] += c * a
-    return tuple(out)
+    forms = []
+    for k, coords in ((p, u_class), (q, v_class)):
+        cs, reps = as_vector(coords), result.representatives[k]
+        if len(cs) != len(reps):
+            raise ValueError(f"expected {len(reps)} class coordinates, got {len(cs)}")
+        forms.append(ExteriorForm(g.dim, k, combine(cs, reps, dims[k])))
+    return result.express(p + q, wedge(*forms).coeffs)

@@ -10,8 +10,10 @@ iota_{e_j} (e^{i_1} ^ ... ^ e^{i_k}) = (-1)^{r-1} e^{i_1} ^ ... e^{i_r} hat
 The differential is fixed on generators by d e^k = - sum_{i<j} c^k_{ij}
 e^i ^ e^j and extended as an antiderivation; equivalently it is the evaluation
 formula whose sum runs over pairs 0 <= i < j <= n of argument slots.  With
-this indexing d^2 = 0 is an identity (it is rechecked at construction and a
-failure aborts, since it would mean corrupted structure constants).
+this indexing d^2 = 0 is an identity (it is rechecked sparsely at
+construction and a failure aborts, since it would mean corrupted structure
+constants).  `ce_complex` returns the full complex as a `GradedComplex`, the
+same type as every other complex, and keeps the last few in a bounded cache.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from itertools import combinations
 from typing import Sequence
 
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, jacobi_check, sparse_brackets
-from .linalg import RationalMatrix, SubspaceBasis, Vector, as_vector, kernel_basis
+from .linalg import GradedComplex, RationalMatrix, SubspaceBasis, Vector, as_vector, kernel_basis
 
 __all__ = [
-    "CeComplex",
     "ContractionError",
     "ExteriorForm",
     "basis_form",
@@ -209,29 +210,6 @@ def render_form(form: ExteriorForm, labels: Sequence[str] | None = None) -> str:
 # Chevalley-Eilenberg complex
 
 
-@dataclass(frozen=True)
-class CeComplex:
-    """Full exterior complex of an algebra with trivial coefficients.
-
-    differentials[k] maps degree k to degree k+1 (k = 0..dim-1); the top
-    differential is the zero map and is not stored.
-    """
-
-    algebra: LieAlgebra
-    differentials: tuple[RationalMatrix, ...]
-
-    def space_dim(self, k: int) -> int:
-        return len(multi_indices(self.algebra.dim, k))
-
-    def differential(self, k: int) -> RationalMatrix:
-        n = self.algebra.dim
-        if 0 <= k < n:
-            return self.differentials[k]
-        return RationalMatrix.zeros(self.space_dim(k + 1), self.space_dim(k))
-
-
-_CE_CACHE: dict[LieAlgebra, CeComplex] = {}
-
 # A sparse form: monomial index tuple -> coefficient.
 _Terms = dict[tuple[int, ...], Fraction]
 
@@ -276,11 +254,13 @@ def _d_column(dgen, idx: tuple[int, ...]) -> _Terms:
     return acc
 
 
-def ce_complex(g: LieAlgebra) -> CeComplex:
-    """Build (and cache) the full complex; validates Jacobi and d^2 = 0."""
-    cached = _CE_CACHE.get(g)
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=32)
+def ce_complex(g: LieAlgebra) -> GradedComplex:
+    """Build (and cache) the full complex; validates Jacobi and d^2 = 0.
+
+    differentials[k] maps degree k to degree k+1 (k = 0..dim-1); the top
+    differential is the zero map and is not stored.
+    """
     _require_jacobi(g)
     n = g.dim
     dgen = _generator_images(n, sparse_brackets(g))
@@ -302,9 +282,7 @@ def ce_complex(g: LieAlgebra) -> CeComplex:
                     acc[u] = acc.get(u, Fraction(0)) + c * c2
             if any(acc.values()):
                 raise AssertionError(f"d^2 != 0 in degree {k} for {g.name}")
-    result = CeComplex(g, tuple(mats))
-    _CE_CACHE[g] = result
-    return result
+    return GradedComplex(tuple(len(multi_indices(n, k)) for k in range(n + 1)), tuple(mats))
 
 
 def _dense(terms: _Terms, pos: dict[tuple[int, ...], int]) -> list[Fraction]:

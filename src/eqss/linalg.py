@@ -1,10 +1,13 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and the one cochain complex type.
 
 Everything downstream (cochain complexes, spectral sequence pages, fixed
 subspaces of finite group actions) reduces to ranks, kernels and canonical
 subspace bases computed here.  All arithmetic is exact: entries are
 ``fractions.Fraction`` and elimination is done by integer cross-multiplication
-after clearing denominators, so no tolerance ever enters.
+after clearing denominators, so no tolerance ever enters.  `GradedComplex`
+holds every complex the engine builds (Chevalley-Eilenberg, relative, fixed,
+product and twisted), and `combine` turns coordinates over a list of
+basis vectors back into a vector.
 
 Canonical form: every subspace is represented by the reduced row echelon
 basis of its span (pivot entries 1, zeros above and below pivots, pivots in
@@ -21,9 +24,11 @@ from math import gcd
 from typing import Iterable, Sequence
 
 __all__ = [
+    "GradedComplex",
     "GroupBoundError",
     "RationalMatrix",
     "SubspaceBasis",
+    "combine",
     "complement_in",
     "enumerate_group",
     "fixed_subspace",
@@ -289,6 +294,63 @@ def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[lis
     return out, tuple(pivots)
 
 
+@dataclass(frozen=True)
+class GradedComplex:
+    """A cochain complex of rational spaces in degrees 0..top.
+
+    differentials[k] maps degree k into degree k+1.  `create` checks the
+    shapes and d^2 = 0 densely; a builder that checks d^2 = 0 another way
+    calls the constructor directly.
+    """
+
+    dims: tuple[int, ...]
+    differentials: tuple[RationalMatrix, ...]
+
+    @classmethod
+    def create(cls, dims: Sequence[int], differentials: Sequence[RationalMatrix]) -> "GradedComplex":
+        ds = tuple(int(d) for d in dims)
+        if not ds or any(d < 0 for d in ds):
+            raise ValueError("degree dimensions must be a nonempty list of nonnegative ints")
+        diffs = tuple(differentials)
+        if len(diffs) != len(ds) - 1:
+            raise ValueError(f"expected {len(ds) - 1} differentials, got {len(diffs)}")
+        for k, m in enumerate(diffs):
+            if m.shape != (ds[k + 1], ds[k]):
+                raise ValueError(
+                    f"differential {k} has shape {m.shape}, expected {(ds[k + 1], ds[k])}"
+                )
+        for k in range(len(diffs) - 1):
+            if not diffs[k + 1].mul(diffs[k]).is_zero():
+                raise ValueError(f"d^2 != 0 between degrees {k} and {k + 2}")
+        return cls(ds, diffs)
+
+    @property
+    def top(self) -> int:
+        return len(self.dims) - 1
+
+    def dim(self, k: int) -> int:
+        return self.dims[k] if 0 <= k <= self.top else 0
+
+    def differential(self, k: int) -> RationalMatrix:
+        if 0 <= k < len(self.differentials):
+            return self.differentials[k]
+        return RationalMatrix.zeros(self.dim(k + 1), self.dim(k))
+
+    def euler_characteristic(self) -> int:
+        return sum(d if k % 2 == 0 else -d for k, d in enumerate(self.dims))
+
+
+def combine(coeffs: Sequence, vectors: Sequence[Sequence[Fraction]], ambient: int) -> Vector:
+    """sum_i coeffs[i] * vectors[i] in Q^ambient; needs one coefficient per vector."""
+    out = [Fraction(0)] * ambient
+    for c, vec in zip(coeffs, vectors, strict=True):
+        if c:
+            for i, a in enumerate(vec):
+                if a:
+                    out[i] += c * a
+    return tuple(out)
+
+
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     red, pivots = _rref_rows(m.rows, m.ncols)
     return RationalMatrix(tuple(tuple(r) for r in red), m.ncols), pivots
@@ -456,8 +518,9 @@ def complement_in(space: SubspaceBasis, sub: SubspaceBasis) -> SubspaceBasis:
 def enumerate_group(generators: Sequence[RationalMatrix], bound: int = 10000) -> list[RationalMatrix]:
     """All elements of the matrix group generated by `generators` (BFS).
 
-    Raises GroupBoundError if the closure exceeds `bound` elements: the
-    averaging and fixed-subspace operations only make sense for finite groups.
+    Raises GroupBoundError if the closure exceeds `bound` elements.  This is
+    the finiteness check for group actions; fixed subspaces need only the
+    generators.
     """
     if not generators:
         raise ValueError("no generators")
@@ -484,21 +547,20 @@ def enumerate_group(generators: Sequence[RationalMatrix], bound: int = 10000) ->
     return list(seen.values())
 
 
-def fixed_subspace(maps: Sequence[RationalMatrix], bound: int = 10000) -> SubspaceBasis:
+def fixed_subspace(maps: Sequence[RationalMatrix]) -> SubspaceBasis:
     """{v : M v = v for every M in the group generated by `maps`}.
 
-    Computed as the kernel of the stacked (M_i - I) over the enumerated group
-    closure.  The closure enumeration doubles as a finiteness check.
+    The kernel of the stacked (M_i - I) over the generators alone: a vector
+    fixed by the generators is fixed by every product of them.  Whether the
+    group is finite is `enumerate_group`'s question, not this one's.
     """
     if not maps:
         raise ValueError("no maps")
     n = maps[0].ncols
-    group = enumerate_group(maps, bound=bound)
-    rows: list[Vector] = []
+    if any(m.shape != (n, n) for m in maps):
+        raise ValueError("maps must be square matrices of equal size")
     ident = RationalMatrix.identity(n)
-    for m in group:
-        diff = m.sub(ident)
-        rows.extend(r for r in diff.rows if any(r))
+    rows = [r for m in maps for r in m.sub(ident).rows if any(r)]
     if not rows:
         return SubspaceBasis.full(n)
     return kernel_basis(RationalMatrix(tuple(rows), n))

@@ -25,12 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import GradedComplex, RelativeModel, check_chain_map, relative_model, restricted_action
+from .cohomology import RelativeModel, check_chain_map, relative_model, restricted_action
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from .linalg import (
+    GradedComplex,
     RationalMatrix,
     SubspaceBasis,
     Vector,
+    combine,
     complement_in,
     enumerate_group,
     fixed_subspace,
@@ -364,22 +366,9 @@ class _ZChain:
             w = d_n.apply(b)
             cols.append([w[i] for i in rows])
         small = kernel_basis(RationalMatrix.from_columns(cols, len(rows)))
-        cur = SubspaceBasis.span(_lift_combos(small, prev.vectors, cx.dim(n)), cx.dim(n))
+        cur = SubspaceBasis.span([combine(y, prev.vectors, cx.dim(n)) for y in small.vectors], cx.dim(n))
         self._memo[key] = cur
         return cur
-
-
-def _lift_combos(small: SubspaceBasis, basis_vectors, amb: int) -> list[list[Fraction]]:
-    lifted = []
-    for yv in small.vectors:
-        acc = [Fraction(0)] * amb
-        for c, b in zip(yv, basis_vectors):
-            if c:
-                for i, a in enumerate(b):
-                    if a:
-                        acc[i] += c * a
-        lifted.append(acc)
-    return lifted
 
 
 def pages_inductive(fc: FilteredComplex, rmax: int | None = None) -> list[dict[tuple[int, int], int]]:
@@ -483,15 +472,9 @@ class ProductComplex(FilteredComplex):
     fastest.  Zero-size blocks are omitted.
     """
 
-    base: GradedComplex = None  # type: ignore[assignment]
-    fiber: RelativeModel = None  # type: ignore[assignment]
-    blocks: tuple[tuple[tuple[int, int, int], ...], ...] = ()
-
-    def block_start(self, n: int, p: int) -> int | None:
-        for bp, _, start in self.blocks[n]:
-            if bp == p:
-                return start
-        return None
+    base: GradedComplex
+    fiber: RelativeModel
+    blocks: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 def _effective_top(cx: GradedComplex) -> int:
@@ -528,12 +511,7 @@ def product_model(base: GradedComplex, g: LieAlgebra, h: Subalgebra | None = Non
         dims.append(start)
         blocks_all.append(tuple(blocks))
 
-    def locate(n, p):
-        for bp, bq, bstart in blocks_all[n]:
-            if bp == p:
-                return bstart
-        return None
-
+    starts = [{p: start for p, _, start in blocks} for blocks in blocks_all]
     diffs = []
     for n in range(top):
         cols = []
@@ -543,17 +521,17 @@ def product_model(base: GradedComplex, g: LieAlgebra, h: Subalgebra | None = Non
             d_base = base.differential(p)
             d_fib = fcx.differential(q)
             sign = Fraction(-1 if p % 2 else 1)
+            t1 = starts[n + 1].get(p + 1)
+            t2 = starts[n + 1].get(p)
             for i in range(bdim):
                 for j in range(fdim):
                     col = [Fraction(0)] * dims[n + 1]
-                    t1 = locate(n + 1, p + 1)
                     if t1 is not None:
                         f1 = fcx.dims[q]
                         for i2 in range(base.dims[p + 1]):
                             c = d_base.rows[i2][i]
                             if c:
                                 col[t1 + i2 * f1 + j] += c
-                    t2 = locate(n + 1, p)
                     if t2 is not None:
                         f2 = fcx.dims[q + 1]
                         for j2 in range(fcx.dims[q + 1]):
@@ -639,12 +617,13 @@ class DeckAction:
 def invariant_filtered_complex(
     fc: FilteredComplex,
     action: DeckAction,
-    bound: int = 10000,
 ) -> tuple[FilteredComplex, tuple[tuple[Vector, ...], ...]]:
     """Fixed subcomplex of a deck action, with a weight-adapted basis.
 
     Returns the restricted filtered complex and, per degree, the embedding
-    vectors identifying its basis inside the original complex.
+    vectors identifying its basis inside the original complex.  The action
+    was checked to be finite when it was created, so only its generators
+    are used here.
     """
     cx = fc.complex
     maxw = fc.max_weight
@@ -653,7 +632,7 @@ def invariant_filtered_complex(
     embeddings = []
     for n in range(cx.top + 1):
         gens_n = [maps[n] for maps in action.generators]
-        fix = fixed_subspace(gens_n, bound=bound) if gens_n else SubspaceBasis.full(cx.dims[n])
+        fix = fixed_subspace(gens_n) if gens_n else SubspaceBasis.full(cx.dims[n])
         adapted: list[tuple[int, Vector]] = []
         prev = SubspaceBasis.zero(cx.dims[n])
         for p in range(maxw, -1, -1):
@@ -687,7 +666,6 @@ def twist_by_deck(
     fc: FilteredComplex,
     base_action: Sequence[RationalMatrix],
     coeff_action: LieAutomorphism,
-    bound: int = 10000,
 ) -> FilteredComplex:
     """Invariant subcomplex under the diagonal action base (x) induced-on-forms.
 
@@ -701,6 +679,6 @@ def twist_by_deck(
     check_chain_map(fc.base, base_maps)
     fiber_maps = restricted_action(fc.fiber, coeff_action)
     total = product_action(fc, base_maps, fiber_maps)
-    deck = DeckAction.create(fc, [total], bound=bound)
-    new_fc, _ = invariant_filtered_complex(fc, deck, bound=bound)
+    deck = DeckAction.create(fc, [total])
+    new_fc, _ = invariant_filtered_complex(fc, deck)
     return new_fc

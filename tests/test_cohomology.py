@@ -5,7 +5,6 @@ import pytest
 
 from eqss.cohomology import (
     GradedComplex,
-    absolute_complex,
     action_on_cohomology,
     cohomology,
     cup_product,
@@ -15,7 +14,7 @@ from eqss.cohomology import (
     relative_model,
     restricted_action,
 )
-from eqss.forms import ExteriorForm, wedge
+from eqss.forms import ExteriorForm, ce_complex, wedge
 from eqss.liealg import (
     LieAutomorphism,
     abelian,
@@ -24,7 +23,7 @@ from eqss.liealg import (
     su2,
     u_algebra,
 )
-from eqss.linalg import RationalMatrix
+from eqss.linalg import GroupBoundError, RationalMatrix
 
 
 def test_absolute_cohomology_su2():
@@ -71,7 +70,36 @@ def test_euler_characteristic_matches_cohomology():
 
 def test_trivial_subalgebra_matches_absolute():
     g = u_algebra(2)
-    assert lie_cohomology(g, None).dims == cohomology(absolute_complex(g)).dims
+    assert lie_cohomology(g, None).dims == cohomology(ce_complex(g)).dims
+
+
+@pytest.mark.parametrize(
+    "make, rank, betti",
+    [
+        (su2, 1, (1, 0, 0, 1)),
+        (lambda: so_algebra(3), 1, (1, 0, 0, 1)),
+        (lambda: so_algebra(4), 2, (1, 0, 0, 2, 0, 0, 1)),
+        (lambda: u_algebra(2), 2, (1, 1, 0, 1, 1)),
+        (lambda: u_algebra(3), 3, (1, 1, 0, 1, 1, 1, 1, 0, 1, 1)),
+        (lambda: so_algebra(5), 2, (1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1)),
+    ],
+    ids=["su2", "so3", "so4", "u2", "u3", "so5"],
+)
+def test_hopf_absolute_cohomology(make, rank, betti):
+    # H(g) of a compact Lie algebra is an exterior algebra on rank-many odd generators
+    dims = lie_cohomology(make()).dims
+    assert dims == betti
+    assert sum(dims) == 2**rank
+    assert dims == dims[::-1]
+
+
+def test_invariants_check_that_the_group_is_finite():
+    shear = RationalMatrix.from_rows([[1, 1], [0, 1]])
+    cx = GradedComplex.create((2,), [])
+    with pytest.raises(GroupBoundError):
+        invariant_cohomology(cohomology(cx), [[shear]], bound=50)
+    with pytest.raises(GroupBoundError):
+        fixed_subcomplex(cx, [[shear]], bound=50)
 
 
 def test_express_classes():
@@ -186,6 +214,17 @@ def test_cup_product_unit():
     res = lie_cohomology(g)
     assert cup_product(g, res, 0, (1,), 3, (1,)) == (Fraction(1),)
     assert cup_product(g, res, 3, (1,), 3, (1,)) == ()
+
+
+def test_cup_product_rejects_negative_degrees():
+    g = su2()
+    res = lie_cohomology(g)
+    with pytest.raises(ValueError, match="negative degree -1"):
+        cup_product(g, res, -1, [1], 3, [1])
+    with pytest.raises(ValueError, match="negative degree -1"):
+        cup_product(g, res, -1, [], 3, [1])
+    with pytest.raises(ValueError, match="negative degree -2"):
+        cup_product(g, res, 0, [1], -2, [1])
 
 
 def test_cup_product_representative_independence():

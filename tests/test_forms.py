@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from eqss.forms import (
-    CeComplex,
     ContractionError,
     ExteriorForm,
     basis_form,
@@ -27,7 +26,7 @@ from eqss.liealg import (
     su2,
     u_algebra,
 )
-from eqss.linalg import RationalMatrix, as_fraction
+from eqss.linalg import GradedComplex, RationalMatrix, as_fraction
 
 
 def det(rows):
@@ -69,7 +68,7 @@ def d_oracle(g: LieAlgebra, form: ExteriorForm, vectors) -> Fraction:
     return total
 
 
-def apply_d(ce: CeComplex, form: ExteriorForm) -> ExteriorForm:
+def apply_d(ce: GradedComplex, form: ExteriorForm) -> ExteriorForm:
     out = ce.differential(form.degree).apply(form.coeffs)
     return ExteriorForm(form.dim, form.degree + 1, out)
 
@@ -220,6 +219,15 @@ def test_ce_complex_rejects_non_jacobi():
     )
     with pytest.raises(ValueError, match="Jacobi"):
         ce_complex(bad)
+
+
+def test_ce_complex_cache_is_bounded():
+    g = su2()
+    assert ce_complex(g) is ce_complex(g)
+    for i in range(40):
+        ce_complex(LieAlgebra.from_brackets(f"line{i}", 1, {}))
+    info = ce_complex.cache_info()
+    assert info.maxsize == 32 and info.currsize <= 32
 
 
 def test_relative_subcomplex_su2_axis():

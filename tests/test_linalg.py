@@ -138,6 +138,15 @@ def test_fixed_subspace_matches_generator_kernel_randomized():
         assert fixed_subspace([g]) == expect
 
 
+def test_fixed_subspace_needs_only_the_generators():
+    # the shear generates an infinite group; its fixed line is found without enumerating it
+    assert fixed_subspace([M([[1, 1], [0, 1]])]) == SubspaceBasis.span([[1, 0]], 2)
+    with pytest.raises(ValueError, match="square"):
+        fixed_subspace([M([[1, 0]])])
+    with pytest.raises(ValueError, match="equal size"):
+        fixed_subspace([M([[1]]), RationalMatrix.identity(2)])
+
+
 def test_enumerate_group_and_bound():
     rot4 = M([[0, -1], [1, 0]])
     assert len(enumerate_group([rot4])) == 4

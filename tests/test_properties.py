@@ -71,8 +71,8 @@ def test_ce_differential_is_a_wedge_antiderivation():
         ce = ce_complex(g)
         p = rng.randint(0, n - 1)
         q = rng.randint(0, n - p - 1)
-        a = form_from_vector(n, p, random_vector(rng, ce.space_dim(p)))
-        b = form_from_vector(n, q, random_vector(rng, ce.space_dim(q)))
+        a = form_from_vector(n, p, random_vector(rng, ce.dim(p)))
+        b = form_from_vector(n, q, random_vector(rng, ce.dim(q)))
         da = form_from_vector(n, p + 1, ce.differential(p).apply(a.coeffs))
         db = form_from_vector(n, q + 1, ce.differential(q).apply(b.coeffs))
         lhs = ce.differential(p + q).apply(wedge(a, b).coeffs)
@@ -158,13 +158,13 @@ def test_cup_product_is_representative_independent():
         v = random_vector(rng, res.dims[q])
         base = cup_product(g, res, p, u, q, v)
         # shift the degree-p representative by an exact form; the class is equal
-        rep = [Fraction(0)] * ce.space_dim(p)
+        rep = [Fraction(0)] * ce.dim(p)
         for c, vec in zip(u, res.representatives[p]):
             for i, a in enumerate(vec):
                 rep[i] += c * a
-        shift = ce.differential(p - 1).apply(random_vector(rng, ce.space_dim(p - 1)))
+        shift = ce.differential(p - 1).apply(random_vector(rng, ce.dim(p - 1)))
         shifted = [a + b for a, b in zip(rep, shift)]
-        vrep = [Fraction(0)] * ce.space_dim(q)
+        vrep = [Fraction(0)] * ce.dim(q)
         for c, vec in zip(v, res.representatives[q]):
             for i, a in enumerate(vec):
                 vrep[i] += c * a
