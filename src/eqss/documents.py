@@ -101,6 +101,14 @@ def _expect_name(entry: dict, where: str) -> str:
     return name
 
 
+def _expect_ref(entry: dict, key: str, table: dict, kind: str, where: str) -> str:
+    """entry[key], which must be a string naming an entry of table."""
+    ref = entry[key]
+    _expect(isinstance(ref, str), f"{where}.{key}: expected a string")
+    _expect(ref in table, f"{where}: {kind} '{ref}' not in the document")
+    return ref
+
+
 def _fields(entry: dict, required: Sequence[str], optional: Sequence[str], where: str) -> None:
     for key in required:
         _expect(key in entry, f"{where}: missing field '{key}'")
@@ -227,9 +235,7 @@ def parse_document(text: str) -> InputDocument:
         where = f"subalgebras[{k}]"
         name = _expect_name(entry, where)
         _fields(entry, ("name", "parent", "basis"), (), where)
-        parent = entry["parent"]
-        _expect(parent in algebras, f"{where}: parent algebra '{parent}' not in the document")
-        g = algebras[parent]
+        g = algebras[_expect_ref(entry, "parent", algebras, "parent algebra", where)]
         vecs = [
             _parse_vector(v, g.dim, f"{where}.basis[{t}]")
             for t, v in enumerate(_expect_list(entry["basis"], f"{where}.basis"))
@@ -242,9 +248,7 @@ def parse_document(text: str) -> InputDocument:
         where = f"automorphisms[{k}]"
         name = _expect_name(entry, where)
         _fields(entry, ("name", "algebra", "matrix"), (), where)
-        target = entry["algebra"]
-        _expect(target in algebras, f"{where}: algebra '{target}' not in the document")
-        g = algebras[target]
+        g = algebras[_expect_ref(entry, "algebra", algebras, "algebra", where)]
         m = _parse_matrix(entry["matrix"], g.dim, g.dim, f"{where}.matrix")
         _register(automorphisms, name, LieAutomorphism.create(g, m, name), where)
 
@@ -292,8 +296,7 @@ def parse_document(text: str) -> InputDocument:
         where = f"actions[{k}]"
         name = _expect_name(entry, where)
         _fields(entry, ("name", "complex", "maps"), (), where)
-        target = entry["complex"]
-        _expect(target in complexes, f"{where}: complex '{target}' not in the document")
+        target = _expect_ref(entry, "complex", complexes, "complex", where)
         cx = complexes[target].complex
         raw = _expect_list(entry["maps"], f"{where}.maps")
         _expect(

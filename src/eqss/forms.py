@@ -116,10 +116,6 @@ class ExteriorForm:
         return ExteriorForm(self.dim, self.degree, tuple(f * x for x in self.coeffs))
 
 
-def zero_form(dim: int, degree: int) -> ExteriorForm:
-    return ExteriorForm(dim, degree, tuple(Fraction(0) for _ in multi_indices(dim, degree)))
-
-
 def form_from_terms(dim: int, degree: int, terms: dict) -> ExteriorForm:
     pos = _index_position(dim, degree)
     coeffs = [Fraction(0)] * len(pos)

@@ -61,12 +61,13 @@ class LieAlgebra:
         for (i, j), coeffs in items:
             if not (1 <= i < j <= dim):
                 raise ValueError(f"bracket index pair ({i},{j}) out of range for dim {dim}")
+            if (i, j) in norm:
+                raise ValueError(f"bracket index pair ({i},{j}) is given more than once")
             vec = as_vector(coeffs)
             if len(vec) != dim:
                 raise ValueError(f"bracket [e{i},e{j}] has {len(vec)} coefficients, expected {dim}")
-            if any(vec):
-                norm[(i, j)] = vec
-        return cls(name, dim, tuple(sorted(norm.items())))
+            norm[(i, j)] = vec
+        return cls(name, dim, tuple(sorted((ij, v) for ij, v in norm.items() if any(v))))
 
     def table(self) -> dict[tuple[int, int], Vector]:
         return dict(self.brackets)
@@ -299,13 +300,6 @@ def so_algebra(n: int, name: str | None = None) -> LieAlgebra:
             if any(coeffs):
                 table[(x + 1, y + 1)] = coeffs
     return LieAlgebra.from_brackets(name or f"so{n}", dim, table)
-
-
-def u_basis_labels(n: int) -> list[str]:
-    labels = [f"D{a}" for a in range(1, n + 1)]
-    labels += [f"S{a}{b}" for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    labels += [f"T{a}{b}" for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    return labels
 
 
 def u_algebra(n: int, name: str | None = None) -> LieAlgebra:

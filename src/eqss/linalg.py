@@ -178,11 +178,6 @@ class RationalMatrix:
         f = as_fraction(c)
         return RationalMatrix(tuple(tuple(f * x for x in row) for row in self.rows), self.ncols)
 
-    def stack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column mismatch in stack")
-        return RationalMatrix(self.rows + other.rows, self.ncols)
-
     def inverse(self) -> "RationalMatrix":
         n = self.ncols
         if len(self.rows) != n:
@@ -298,9 +293,10 @@ def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[lis
 class GradedComplex:
     """A cochain complex of rational spaces in degrees 0..top.
 
-    differentials[k] maps degree k into degree k+1.  `create` checks the
-    shapes and d^2 = 0 densely; a builder that checks d^2 = 0 another way
-    calls the constructor directly.
+    differentials[k] maps degree k into degree k+1.  Every instance has
+    d^2 = 0, so consumers never re-check it: `create` checks the shapes and
+    d^2 = 0 densely, and the one direct constructor call, `forms.ce_complex`,
+    checks d^2 = 0 sparsely (tests/test_source_guards.py enforces this).
     """
 
     dims: tuple[int, ...]
@@ -387,8 +383,22 @@ class SubspaceBasis:
 
     @classmethod
     def full(cls, ambient: int) -> "SubspaceBasis":
-        # the unit vectors are already in reduced echelon form
-        return cls(ambient, tuple(_unit(ambient, i) for i in range(ambient)))
+        return cls.coordinate(ambient, range(ambient))
+
+    @classmethod
+    def coordinate(cls, ambient: int, indices: Sequence[int]) -> "SubspaceBasis":
+        """Span of the unit vectors at strictly increasing indices, which are
+        already in reduced echelon form."""
+        idx = tuple(indices)
+        if idx != tuple(sorted(set(idx))) or not all(0 <= i < ambient for i in idx):
+            raise ValueError(f"coordinate indices {idx} are not increasing in range({ambient})")
+        zero, one = Fraction(0), Fraction(1)
+        vecs = []
+        for i in idx:
+            v = [zero] * ambient
+            v[i] = one
+            vecs.append(tuple(v))
+        return cls(ambient, tuple(vecs))
 
     @property
     def dim(self) -> int:
@@ -435,10 +445,6 @@ class SubspaceBasis:
         if any(self.reduce(v)):
             return None
         return tuple(v[p] for p, _ in self._sparse_rows)
-
-
-def _unit(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:

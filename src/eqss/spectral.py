@@ -2,7 +2,9 @@
 
 A filtration is given by a nonnegative weight per basis vector; F^p is
 spanned by the vectors of weight >= p, and the differential must not lower
-weight.  Pages are computed from the closed-form quotient
+weight.  FilteredComplex checks this when it is constructed, so every page
+and audit below takes its input as valid.  Pages are computed from the
+closed-form quotient
 
     E_r^{p,q} = Z_r^{p,q} / (Z_r^{p,q} cap (F^{p+1} + d F^{p-r+1})),
     Z_r^{p,q} = {a in F^p C^{p+q} : da in F^{p+r} C^{p+q+1}},
@@ -14,9 +16,11 @@ dimensions across p+q = n must sum to dim H^n computed directly by ranks.
 An audit failure means an engine bug and raises SpectralAuditError.
 
 The product model builds base tensor relative-Chevalley-Eilenberg complexes
-filtered by base degree, and twist_by_deck cuts out the subcomplex invariant
-under a finite diagonal deck action, inheriting the filtration through a
-weight-adapted basis of the fixed spaces.
+filtered by base degree, with d = d_base (x) 1 + (-1)^p 1 (x) d_fiber
+assembled from Kronecker blocks, and twist_by_deck cuts out the subcomplex
+invariant under a finite diagonal deck action (base map (x) fiber map, the
+same blocks), inheriting the filtration through a weight-adapted basis of
+the fixed spaces.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ __all__ = [
     "PageTable",
     "ProductComplex",
     "SpectralAuditError",
-    "ValidationReport",
     "invariant_filtered_complex",
     "page",
     "pages_inductive",
@@ -60,7 +63,6 @@ __all__ = [
     "product_model",
     "run_to_stabilization",
     "twist_by_deck",
-    "validate",
 ]
 
 
@@ -72,20 +74,54 @@ class SpectralAuditError(RuntimeError):
     """Convergence bookkeeping failed; this signals an engine bug."""
 
 
+def _lowered_weight(
+    m: RationalMatrix, src: Sequence[int], tgt: Sequence[int]
+) -> tuple[int, int] | None:
+    """First (j, i), column by column, where m sends source vector j into
+    target vector i of lower weight (tgt[i] < src[j]); None if m never does."""
+    for j, wj in enumerate(src):
+        for i, wi in enumerate(tgt):
+            if wi < wj and m.rows[i][j]:
+                return j, i
+    return None
+
+
 @dataclass(frozen=True)
 class FilteredComplex:
-    """A cochain complex with a basis-adapted decreasing filtration."""
+    """A cochain complex with a basis-adapted decreasing filtration.
+
+    Construction checks the filtration (one nonnegative weight per basis
+    vector, and d never lowers weight) and raises FilteredComplexError, so
+    every instance is valid.  d^2 = 0 is an invariant of GradedComplex.
+    """
 
     complex: GradedComplex
     weights: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        cx, ws = self.complex, self.weights
+        if len(ws) != cx.top + 1:
+            raise FilteredComplexError(f"expected weights for {cx.top + 1} degrees, got {len(ws)}")
+        for n, degree_ws in enumerate(ws):
+            if len(degree_ws) != cx.dims[n]:
+                raise FilteredComplexError(
+                    f"degree {n} has {cx.dims[n]} basis vectors but {len(degree_ws)} weights"
+                )
+            if any(w < 0 for w in degree_ws):
+                raise FilteredComplexError(f"negative filtration weight in degree {n}")
+        for n in range(cx.top):
+            hit = _lowered_weight(cx.differential(n), ws[n], ws[n + 1])
+            if hit is not None:
+                j, i = hit
+                raise FilteredComplexError(
+                    f"differential lowers filtration: degree {n} vector {j} "
+                    f"(weight {ws[n][j]}) hits degree {n + 1} vector {i} "
+                    f"(weight {ws[n + 1][i]})"
+                )
+
     @classmethod
     def create(cls, cx: GradedComplex, weights: Sequence[Sequence[int]]) -> "FilteredComplex":
-        fc = cls(cx, tuple(tuple(int(w) for w in ws) for ws in weights))
-        report = validate(fc)
-        if not report.ok:
-            raise FilteredComplexError(report.witness)
-        return fc
+        return cls(cx, tuple(tuple(int(w) for w in ws) for ws in weights))
 
     @property
     def max_weight(self) -> int:
@@ -98,51 +134,7 @@ class FilteredComplex:
         return tuple(i for i, w in enumerate(self.weights[n]) if w >= p)
 
     def level_space(self, n: int, p: int) -> SubspaceBasis:
-        amb = self.complex.dim(n)
-        idx = self.level_indices(n, p)
-        vecs = []
-        for i in idx:
-            v = [Fraction(0)] * amb
-            v[i] = Fraction(1)
-            vecs.append(v)
-        return SubspaceBasis.span(vecs, amb)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    witness: str | None = None
-
-
-def validate(fc: FilteredComplex) -> ValidationReport:
-    """Check d^2 = 0 and that d never lowers filtration weight."""
-    cx = fc.complex
-    ws = fc.weights
-    if len(ws) != cx.top + 1:
-        return ValidationReport(False, f"expected weights for {cx.top + 1} degrees, got {len(ws)}")
-    for n, degree_ws in enumerate(ws):
-        if len(degree_ws) != cx.dims[n]:
-            return ValidationReport(
-                False, f"degree {n} has {cx.dims[n]} basis vectors but {len(degree_ws)} weights"
-            )
-        for w in degree_ws:
-            if w < 0:
-                return ValidationReport(False, f"negative filtration weight in degree {n}")
-    for n in range(cx.top):
-        d = cx.differential(n)
-        for j in range(cx.dims[n]):
-            for i in range(cx.dims[n + 1]):
-                if d.rows[i][j] and ws[n + 1][i] < ws[n][j]:
-                    return ValidationReport(
-                        False,
-                        f"differential lowers filtration: degree {n} vector {j} "
-                        f"(weight {ws[n][j]}) hits degree {n + 1} vector {i} "
-                        f"(weight {ws[n + 1][i]})",
-                    )
-    for n in range(cx.top - 1):
-        if not cx.differential(n + 1).mul(cx.differential(n)).is_zero():
-            return ValidationReport(False, f"d^2 != 0 between degrees {n} and {n + 2}")
-    return ValidationReport(True)
+        return SubspaceBasis.coordinate(self.complex.dim(n), self.level_indices(n, p))
 
 
 @dataclass(frozen=True)
@@ -270,10 +262,7 @@ def _page_from_calc(calc: _Calculator, r: int) -> Page:
 
 
 def page(fc: FilteredComplex, r: int) -> Page:
-    """Closed-form page r; requires a valid filtered complex."""
-    report = validate(fc)
-    if not report.ok:
-        raise FilteredComplexError(report.witness)
+    """Closed-form page r."""
     if r < 0:
         raise ValueError("page index must be nonnegative")
     return _page_from_calc(_Calculator(fc), r)
@@ -301,9 +290,6 @@ def _audit_convergence(fc: FilteredComplex, einf: Page, hdims: tuple[int, ...]) 
 
 def run_to_stabilization(fc: FilteredComplex, max_page: int | None = None) -> PageTable:
     """Compute pages through max weight + 2 (or further) and audit convergence."""
-    report = validate(fc)
-    if not report.ok:
-        raise FilteredComplexError(report.witness)
     calc = _Calculator(fc)
     bound = fc.max_weight + 2
     rmax = max(bound, max_page if max_page is not None else 0)
@@ -380,9 +366,6 @@ def pages_inductive(fc: FilteredComplex, rmax: int | None = None) -> list[dict[t
     must match the next page's presentation.  A mismatch raises
     SpectralAuditError.
     """
-    report = validate(fc)
-    if not report.ok:
-        raise FilteredComplexError(report.witness)
     cx = fc.complex
     maxw = fc.max_weight
     if rmax is None:
@@ -514,42 +497,43 @@ def product_model(base: GradedComplex, g: LieAlgebra, h: Subalgebra | None = Non
     starts = [{p: start for p, _, start in blocks} for blocks in blocks_all]
     diffs = []
     for n in range(top):
-        cols = []
+        rows = [[Fraction(0)] * dims[n] for _ in range(dims[n + 1])]
         for p, q, start in blocks_all[n]:
-            bdim = base.dims[p]
-            fdim = fcx.dims[q]
-            d_base = base.differential(p)
-            d_fib = fcx.differential(q)
-            sign = Fraction(-1 if p % 2 else 1)
             t1 = starts[n + 1].get(p + 1)
+            if t1 is not None:  # d_base (x) 1
+                _add_kron(rows, t1, start, base.differential(p), RationalMatrix.identity(fcx.dims[q]))
             t2 = starts[n + 1].get(p)
-            for i in range(bdim):
-                for j in range(fdim):
-                    col = [Fraction(0)] * dims[n + 1]
-                    if t1 is not None:
-                        f1 = fcx.dims[q]
-                        for i2 in range(base.dims[p + 1]):
-                            c = d_base.rows[i2][i]
-                            if c:
-                                col[t1 + i2 * f1 + j] += c
-                    if t2 is not None:
-                        f2 = fcx.dims[q + 1]
-                        for j2 in range(fcx.dims[q + 1]):
-                            c = d_fib.rows[j2][j]
-                            if c:
-                                col[t2 + i * f2 + j2] += sign * c
-                    cols.append(col)
-        diffs.append(RationalMatrix.from_columns(cols, dims[n + 1]))
+            if t2 is not None:  # (-1)^p 1 (x) d_fiber
+                ident = RationalMatrix.identity(base.dims[p])
+                _add_kron(rows, t2, start, ident, fcx.differential(q), -1 if p % 2 else 1)
+        diffs.append(RationalMatrix.from_rows(rows, dims[n]))
     cx = GradedComplex.create(tuple(dims), diffs)
     weights = tuple(
         tuple(p for p, q, start in blocks_all[n] for _ in range(base.dims[p] * fcx.dims[q]))
         for n in range(top + 1)
     )
-    fc = ProductComplex(cx, weights, base, fiber, tuple(blocks_all))
-    report = validate(fc)
-    if not report.ok:
-        raise FilteredComplexError(report.witness)
-    return fc
+    return ProductComplex(cx, weights, base, fiber, tuple(blocks_all))
+
+
+def _add_kron(
+    rows: list[list[Fraction]],
+    row0: int,
+    col0: int,
+    a: RationalMatrix,
+    b: RationalMatrix,
+    sign: int = 1,
+) -> None:
+    """Add sign * (a (x) b) into rows at offset (row0, col0), b's index fastest."""
+    for i2, arow in enumerate(a.rows):
+        for i, av in enumerate(arow):
+            if not av:
+                continue
+            av = sign * av
+            for j2, brow in enumerate(b.rows):
+                out = rows[row0 + i2 * b.nrows + j2]
+                for j, bv in enumerate(brow):
+                    if bv:
+                        out[col0 + i * b.ncols + j] += av * bv
 
 
 def product_action(
@@ -558,26 +542,12 @@ def product_action(
     fiber_maps: Sequence[RationalMatrix],
 ) -> list[RationalMatrix]:
     """Blockwise tensor action (base map (x) fiber map) on the total complex."""
-    cx = model.complex
     out = []
-    for n in range(cx.top + 1):
-        size = cx.dims[n]
+    for n, size in enumerate(model.complex.dims):
         rows = [[Fraction(0)] * size for _ in range(size)]
         for p, q, start in model.blocks[n]:
-            a = base_maps[p]
-            b = fiber_maps[q]
-            fdim = model.fiber.complex.dims[q]
-            for i2 in range(a.nrows):
-                for i in range(a.ncols):
-                    av = a.rows[i2][i]
-                    if not av:
-                        continue
-                    for j2 in range(b.nrows):
-                        for j in range(b.ncols):
-                            bv = b.rows[j2][j]
-                            if bv:
-                                rows[start + i2 * fdim + j2][start + i * fdim + j] += av * bv
-        out.append(RationalMatrix.from_rows([tuple(r) for r in rows], size))
+            _add_kron(rows, start, start, base_maps[p], fiber_maps[q])
+        out.append(RationalMatrix.from_rows(rows, size))
     return out
 
 
@@ -598,15 +568,14 @@ class DeckAction:
         cx = fc.complex
         for maps in gens:
             check_chain_map(cx, maps)
-            for n, m in enumerate(maps):
-                for j in range(cx.dims[n]):
-                    for i in range(cx.dims[n]):
-                        if m.rows[i][j] and fc.weights[n][i] < fc.weights[n][j]:
-                            raise FilteredComplexError(
-                                f"action lowers filtration in degree {n}: "
-                                f"vector {j} (weight {fc.weights[n][j]}) hits "
-                                f"vector {i} (weight {fc.weights[n][i]})"
-                            )
+            for n, (m, ws) in enumerate(zip(maps, fc.weights)):
+                hit = _lowered_weight(m, ws, ws)
+                if hit is not None:
+                    j, i = hit
+                    raise FilteredComplexError(
+                        f"action lowers filtration in degree {n}: "
+                        f"vector {j} (weight {ws[j]}) hits vector {i} (weight {ws[i]})"
+                    )
         for n in range(cx.top + 1):
             mats = [maps[n] for maps in gens if cx.dims[n]]
             if mats:

@@ -182,6 +182,30 @@ def test_exit_2_on_dangling_names(capsys):
     assert code == 2 and "parent" in err
 
 
+def test_exit_2_on_non_string_references(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "lie_algebras": [{"name": "g", "dim": 1, "brackets": []}],
+                "subalgebras": [{"name": "h", "parent": ["g"], "basis": []}],
+            }
+        )
+    )
+    code, out, err = run(capsys, "cohomology", str(doc), "--algebra", "g")
+    assert code == 2 and out == ""
+    assert "subalgebras[0].parent: expected a string" in err and "Traceback" not in err
+
+
+def test_exit_2_on_repeated_bracket_pairs(tmp_path, capsys):
+    brackets = [[1, 2, [0, 0, 1]], [1, 3, [0, -1, 0]], [2, 3, [1, 0, 0]], [1, 2, [0, 0, 0]]]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"lie_algebras": [{"name": "su2", "dim": 3, "brackets": brackets}]}))
+    code, out, err = run(capsys, "cohomology", str(doc), "--algebra", "su2")
+    assert code == 2 and out == ""
+    assert "(1,2) is given more than once" in err
+
+
 def test_exit_3_on_validation_failures(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text(

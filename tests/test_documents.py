@@ -116,6 +116,24 @@ def test_malformed_documents_raise_document_errors(text):
         parse_document(text)
 
 
+@pytest.mark.parametrize(
+    "section, key, entry",
+    [
+        ("subalgebras", "parent", {"name": "h", "parent": ["g"], "basis": []}),
+        ("automorphisms", "algebra", {"name": "f", "algebra": ["g"], "matrix": [[1]]}),
+        ("actions", "complex", {"name": "a", "complex": {"x": 1}, "maps": [[[1]]]}),
+    ],
+)
+def test_reference_fields_must_be_strings(section, key, entry):
+    text = minimal(
+        lie_algebras=[{"name": "g", "dim": 1, "brackets": []}],
+        complexes=[{"name": "c", "dims": [1], "differentials": []}],
+        **{section: [entry]},
+    )
+    with pytest.raises(DocumentError, match=rf"{section}\[0\]\.{key}: expected a string"):
+        parse_document(text)
+
+
 def su2_entry():
     return {
         "name": "su2",

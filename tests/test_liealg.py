@@ -198,3 +198,11 @@ def test_reflection_signs_normalize_so_pairs():
         sub_idx = [k + 1 for k, (i, j) in enumerate(so_pairs(n)) if j <= l]
         h = coordinate_subalgebra(g, sub_idx, f"so{l}")
         assert LieAutomorphism.create(g, m).preserves(h)
+
+
+def test_from_brackets_rejects_repeated_pairs():
+    table = [((1, 2), [0, 0, 1]), ((1, 3), [0, -1, 0]), ((2, 3), [1, 0, 0])]
+    assert LieAlgebra.from_brackets("su2", 3, table) == su2()
+    for repeat in ([0, 0, 0], [0, 0, 1], [0, 0, 2]):
+        with pytest.raises(ValueError, match=r"\(1,2\) is given more than once"):
+            LieAlgebra.from_brackets("su2", 3, table + [((1, 2), repeat)])

@@ -186,3 +186,21 @@ def test_coordinates_reject_ragged_vectors():
             basis.coordinates([1, 0])
         with pytest.raises(ValueError, match="length"):
             basis.coordinates([0, 0, 0, 0])
+
+
+def test_coordinate_subspace_matches_span_randomized():
+    rng = random.Random(12)
+    for n in range(13):
+        units = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+        assert SubspaceBasis.full(n) == SubspaceBasis.span(units, n)
+        for k in range(n + 1):
+            for _ in range(3):
+                idx = sorted(rng.sample(range(n), k))
+                want = SubspaceBasis.span([units[i] for i in idx], n)
+                assert SubspaceBasis.coordinate(n, idx) == want
+
+
+@pytest.mark.parametrize("idx", [[1, 0], [0, 0], [3], [-1]])
+def test_coordinate_subspace_rejects_unordered_or_out_of_range(idx):
+    with pytest.raises(ValueError, match="increasing"):
+        SubspaceBasis.coordinate(3, idx)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from eqss.spectral import (
     product_model,
     run_to_stabilization,
     twist_by_deck,
-    validate,
 )
 from randgen import random_filtered_complex
 
@@ -43,18 +43,26 @@ def sphere_base(n):
     return GradedComplex.create(tuple(dims), diffs)
 
 
-def test_validate_ok_and_witness():
-    fc = simple_fc((1, 1), [[[0]]], ((0,), (1,)))
-    assert validate(fc).ok
-    bad = FilteredComplex(
-        GradedComplex.create((1, 1), [RationalMatrix.from_rows([[1]])]),
-        ((1,), (0,)),
+def test_construction_checks_the_filtration():
+    cx = GradedComplex.create((1, 1), [RationalMatrix.from_rows([[1]])])
+    assert page(FilteredComplex.create(cx, ((0,), (1,))), 1).dims() == {(0, 0): 1, (1, 0): 1}
+    with pytest.raises(FilteredComplexError, match="expected weights for 2 degrees, got 1"):
+        FilteredComplex.create(cx, ((0,),))
+    with pytest.raises(FilteredComplexError, match="degree 1 has 1 basis vectors but 2 weights"):
+        FilteredComplex.create(cx, ((0,), (1, 1)))
+    with pytest.raises(FilteredComplexError, match="negative filtration weight in degree 0"):
+        FilteredComplex.create(cx, ((-1,), (0,)))
+    lowering = (
+        r"differential lowers filtration: degree 0 vector 0 \(weight 1\) "
+        r"hits degree 1 vector 0 \(weight 0\)"
     )
-    report = validate(bad)
-    assert not report.ok
-    assert "lowers filtration" in report.witness
-    with pytest.raises(FilteredComplexError):
-        page(bad, 1)
+    with pytest.raises(FilteredComplexError, match=lowering):
+        FilteredComplex(cx, ((1,), (0,)))
+    # the product model inherits the check
+    model = product_model(circle_base(), su2())
+    negative = tuple(tuple(-1 for _ in ws) for ws in model.weights)
+    with pytest.raises(FilteredComplexError, match="negative filtration weight in degree 0"):
+        dataclasses.replace(model, weights=negative)
 
 
 def test_two_step_complex_pages():
