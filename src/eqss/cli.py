@@ -76,7 +76,7 @@ def _load_text(spec: str) -> str:
         return builtin_text(spec[len("builtin:"):])
     try:
         return Path(spec).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DocumentError(f"cannot read {spec}: {e}") from None
 
 

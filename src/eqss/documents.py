@@ -68,6 +68,8 @@ def parse_rational(value, where: str) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise DocumentError(f"{where}: {value!r} divides by zero") from None
+        except ValueError as e:  # e.g. more digits than int() converts
+            raise DocumentError(f"{where}: {e}") from None
     if isinstance(value, str):
         raise DocumentError(f"{where}: {value!r} is not a rational p/q")
     raise DocumentError(f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}")
@@ -200,12 +202,23 @@ def _register(table: dict, name: str, value, where: str) -> None:
     table[name] = value
 
 
-def parse_document(text: str) -> InputDocument:
+def _load_object(text: str) -> dict:
+    """The top-level JSON object of a document.
+
+    Every way json.loads can refuse text (syntax, an integer with more digits
+    than int() converts, nesting deeper than the recursion limit) is a
+    malformed document.
+    """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise DocumentError(f"invalid JSON: {e}") from None
     _expect(isinstance(data, dict), "top level must be a JSON object")
+    return data
+
+
+def parse_document(text: str) -> InputDocument:
+    data = _load_object(text)
     for key in data:
         _expect(key in _SECTIONS, f"unknown section '{key}'")
 
@@ -373,11 +386,7 @@ def serialize_document(doc: InputDocument) -> str:
 
 def parse_cup_document(text: str) -> CupForm:
     """{"b2": int, "matrices": [b2 x b2 symmetric matrices...]}"""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"invalid JSON: {e}") from None
-    _expect(isinstance(data, dict), "top level must be a JSON object")
+    data = _load_object(text)
     _fields(data, ("b2", "matrices"), (), "cup document")
     b2 = _expect_int(data["b2"], "b2")
     _expect(b2 >= 0, "b2 must be nonnegative")

@@ -33,11 +33,8 @@ __all__ = [
     "enumerate_group",
     "fixed_subspace",
     "image_basis",
-    "intersect",
     "kernel_basis",
-    "quotient_dim",
     "rank",
-    "rref",
     "solve",
     "subspace_sum",
 ]
@@ -347,11 +344,6 @@ def combine(coeffs: Sequence, vectors: Sequence[Sequence[Fraction]], ambient: in
     return tuple(out)
 
 
-def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    red, pivots = _rref_rows(m.rows, m.ncols)
-    return RationalMatrix(tuple(tuple(r) for r in red), m.ncols), pivots
-
-
 def rank(m: RationalMatrix) -> int:
     """Rank over Q."""
     _, pivots = _rref_rows(m.rows, m.ncols)
@@ -484,29 +476,10 @@ def solve(m: RationalMatrix, b: Sequence) -> Vector | None:
     return tuple(x)
 
 
-def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Intersection via annihilators: V = {x : N_V x = 0} with N_V = ker(V rows)."""
-    if a.ambient != b.ambient:
-        raise ValueError("ambient dimension mismatch")
-    ann_a = kernel_basis(a.matrix()) if a.vectors else SubspaceBasis.full(a.ambient)
-    ann_b = kernel_basis(b.matrix()) if b.vectors else SubspaceBasis.full(b.ambient)
-    stacked = RationalMatrix(ann_a.vectors + ann_b.vectors, a.ambient)
-    if not stacked.rows:
-        return SubspaceBasis.full(a.ambient)
-    return kernel_basis(stacked)
-
-
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient != b.ambient:
         raise ValueError("ambient dimension mismatch")
     return SubspaceBasis.span(a.vectors + b.vectors, a.ambient)
-
-
-def quotient_dim(space: SubspaceBasis, sub: SubspaceBasis) -> int:
-    """dim(space / sub); raises if sub is not contained in space."""
-    if not space.contains_subspace(sub):
-        raise ValueError("quotient by a subspace that is not contained in the space")
-    return space.dim - sub.dim
 
 
 def complement_in(space: SubspaceBasis, sub: SubspaceBasis) -> SubspaceBasis:

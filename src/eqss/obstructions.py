@@ -18,7 +18,6 @@ or "not excluded by this criterion".
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -141,11 +140,12 @@ class LesSolution:
         }
 
 
-def solve_les(problem: LesProblem, cap: int | None = None) -> list[LesSolution]:
+def solve_les(problem: LesProblem, cap: int = DEFAULT_DIM_CAP) -> list[LesSolution]:
     """All nonnegative-integer solutions of the exactness constraints.
 
-    Unknown dimensions range over [0, cap]; cap defaults to 50 and can be
-    overridden by the EQSS_SOLVER_CAP environment variable.  The walk fixes
+    Unknown dimensions range over [0, cap]; cap defaults to DEFAULT_DIM_CAP.
+    The environment is not read here: the command line parses EQSS_SOLVER_CAP
+    and passes it as cap.  The walk fixes
     each arrow rank from the previous one, so a solution is determined by
     its label assignment; solutions come back sorted lexicographically in
     the sorted label order.
@@ -155,8 +155,6 @@ def solve_les(problem: LesProblem, cap: int | None = None) -> list[LesSolution]:
         raise ValueError(
             f"solver bound exceeded: {len(labels)} unknown labels (max {MAX_UNKNOWNS})"
         )
-    if cap is None:
-        cap = int(os.environ.get("EQSS_SOLVER_CAP", DEFAULT_DIM_CAP))
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     terms = problem.terms

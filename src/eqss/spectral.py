@@ -3,14 +3,16 @@
 A filtration is given by a nonnegative weight per basis vector; F^p is
 spanned by the vectors of weight >= p, and the differential must not lower
 weight.  FilteredComplex checks this when it is constructed, so every page
-and audit below takes its input as valid.  Pages are computed from the
-closed-form quotient
+and audit below takes its input as valid.  A page carries the dimension of
+each entry, read off the closed-form quotient
 
-    E_r^{p,q} = Z_r^{p,q} / (Z_r^{p,q} cap (F^{p+1} + d F^{p-r+1})),
+    E_r^{p,q} = Z_r^{p,q} / (Z_r^{p,q} cap D),   D = F^{p+1} + d F^{p-r+1},
     Z_r^{p,q} = {a in F^p C^{p+q} : da in F^{p+r} C^{p+q+1}},
 
-which agrees with the inductive Ker/Im recursion; the recursion is also
-implemented (pages_inductive) as an independent cross-check.  Every
+as dim(Z + D) - dim D, which equals dim Z / (Z cap D) and takes one rank
+count; Z cap D itself is never formed.  This agrees with the inductive Ker/Im
+recursion, which is also implemented (pages_inductive) as an independent
+cross-check that shares none of the closed form's page code.  Every
 stabilization run audits convergence: for each total degree n the E-infinity
 dimensions across p+q = n must sum to dim H^n computed directly by ranks.
 An audit failure means an engine bug and raises SpectralAuditError.
@@ -39,8 +41,6 @@ from .linalg import (
     combine,
     complement_in,
     enumerate_group,
-    fixed_subspace,
-    intersect,
     kernel_basis,
     rank,
     solve,
@@ -142,7 +142,6 @@ class PageEntry:
     p: int
     q: int
     dim: int
-    basis: tuple[Vector, ...]  # cocycle representatives in the ambient degree p+q
 
 
 @dataclass(frozen=True)
@@ -152,12 +151,6 @@ class Page:
 
     def dims(self) -> dict[tuple[int, int], int]:
         return {(e.p, e.q): e.dim for e in self.entries}
-
-    def dim(self, p: int, q: int) -> int:
-        for e in self.entries:
-            if (e.p, e.q) == (p, q):
-                return e.dim
-        return 0
 
     def total_dims(self, top: int) -> tuple[int, ...]:
         sums = [0] * (top + 1)
@@ -179,6 +172,28 @@ class PageTable:
     total_cohomology: tuple[int, ...]
 
 
+def _restricted_kernel(rows: Sequence[Vector], cols: Sequence[int], ambient: int) -> SubspaceBasis:
+    """{x in Q^ambient supported on cols : row . x = 0 for every row}.
+
+    The kernel is taken of the rows restricted to cols, then scattered back.
+    cols must increase (level indices do): scattering a reduced echelon basis
+    into increasing columns keeps it reduced echelon, so the result is the
+    canonical basis without another reduction.
+    """
+    if not rows:
+        return SubspaceBasis.coordinate(ambient, cols)
+    restricted = RationalMatrix(tuple(tuple(row[j] for j in cols) for row in rows), len(cols))
+    small = kernel_basis(restricted)
+    zero = Fraction(0)
+    out = []
+    for v in small.vectors:
+        x = [zero] * ambient
+        for j, c in zip(cols, v):
+            x[j] = c
+        out.append(tuple(x))
+    return SubspaceBasis(ambient, tuple(out))
+
+
 class _Calculator:
     """Memoized closed-form page entries for one filtered complex."""
 
@@ -189,38 +204,16 @@ class _Calculator:
         self._img: dict[tuple[int, int], SubspaceBasis] = {}
 
     def z_space(self, n: int, p: int, r: int) -> SubspaceBasis:
+        """Z_r^p in degree n: F^p vectors whose d has no part of weight < p + r."""
         key = (n, p, r)
         cached = self._z.get(key)
-        if cached is not None:
-            return cached
-        amb = self.cx.dim(n)
-        src = self.fc.level_indices(n, p)
-        if not src:
-            out = SubspaceBasis.zero(amb)
-            self._z[key] = out
-            return out
-        tgt = [
-            i
-            for i, w in enumerate(self.fc.weights[n + 1])
-            if w < p + r
-        ] if n < self.cx.top else []
-        if not tgt:
-            out = self.fc.level_space(n, p)
-        else:
+        if cached is None:
             d = self.cx.differential(n)
-            constraint = RationalMatrix.from_rows(
-                [[d.rows[i][j] for j in src] for i in tgt], len(src)
-            )
-            small = kernel_basis(constraint)
-            lifted = []
-            for v in small.vectors:
-                out_v = [Fraction(0)] * amb
-                for c, j in zip(v, src):
-                    out_v[j] = c
-                lifted.append(out_v)
-            out = SubspaceBasis.span(lifted, amb)
-        self._z[key] = out
-        return out
+            ws = self.fc.weights[n + 1] if n < self.cx.top else ()
+            rows = [d.rows[i] for i, w in enumerate(ws) if w < p + r]
+            cols = self.fc.level_indices(n, p)
+            cached = self._z[key] = _restricted_kernel(rows, cols, self.cx.dim(n))
+        return cached
 
     def image_space(self, n: int, s: int) -> SubspaceBasis:
         """Span of d(F^s C^{n-1}) inside degree n; F^s = F^0 for s <= 0."""
@@ -239,14 +232,13 @@ class _Calculator:
         self._img[key] = out
         return out
 
-    def entry(self, n: int, p: int, r: int) -> tuple[int, tuple[Vector, ...]]:
+    def entry(self, n: int, p: int, r: int) -> int:
+        """dim E_r^{p, n-p} = dim(Z + D) - dim D."""
         z = self.z_space(n, p, r)
         if z.dim == 0:
-            return 0, ()
+            return 0
         den = subspace_sum(self.fc.level_space(n, p + 1), self.image_space(n, p - r + 1))
-        inner = intersect(z, den)
-        reps = complement_in(z, inner)
-        return reps.dim, reps.vectors
+        return subspace_sum(z, den).dim - den.dim
 
 
 def _page_from_calc(calc: _Calculator, r: int) -> Page:
@@ -254,9 +246,9 @@ def _page_from_calc(calc: _Calculator, r: int) -> Page:
     entries = []
     for n in range(fc.complex.top + 1):
         for p in range(fc.max_weight + 1):
-            dim, basis = calc.entry(n, p, r)
+            dim = calc.entry(n, p, r)
             if dim:
-                entries.append(PageEntry(p, n - p, dim, basis))
+                entries.append(PageEntry(p, n - p, dim))
     entries.sort(key=lambda e: (e.p, e.q))
     return Page(r, tuple(entries))
 
@@ -592,7 +584,8 @@ def invariant_filtered_complex(
     Returns the restricted filtered complex and, per degree, the embedding
     vectors identifying its basis inside the original complex.  The action
     was checked to be finite when it was created, so only its generators
-    are used here.
+    are used here: fix cap F^p is the kernel of the stacked (M_i - I)
+    restricted to the columns of F^p.
     """
     cx = fc.complex
     maxw = fc.max_weight
@@ -600,12 +593,12 @@ def invariant_filtered_complex(
     weights = []
     embeddings = []
     for n in range(cx.top + 1):
-        gens_n = [maps[n] for maps in action.generators]
-        fix = fixed_subspace(gens_n) if gens_n else SubspaceBasis.full(cx.dims[n])
+        ident = RationalMatrix.identity(cx.dims[n])
+        rows = [row for maps in action.generators for row in maps[n].sub(ident).rows]
         adapted: list[tuple[int, Vector]] = []
         prev = SubspaceBasis.zero(cx.dims[n])
         for p in range(maxw, -1, -1):
-            cur = intersect(fix, fc.level_space(n, p))
+            cur = _restricted_kernel(rows, fc.level_indices(n, p), cx.dims[n])
             for v in complement_in(cur, prev).vectors:
                 adapted.append((p, v))
             prev = cur

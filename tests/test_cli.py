@@ -173,6 +173,44 @@ def test_exit_2_on_unreadable_and_malformed_input(tmp_path, capsys):
     assert code == 2 and "invalid JSON" in err
 
 
+HUGE = "9" * 5000  # past the 4300-digit limit of int() on decimal strings
+
+
+def algebra_doc(entry: str) -> bytes:
+    algebra = '{"name": "g", "dim": 1, "brackets": [[1, 1, [%s]]]}' % entry
+    return ('{"lie_algebras": [%s]}' % algebra).encode()
+
+
+def cup_doc(entry: str) -> bytes:
+    return ('{"b2": 1, "matrices": [[[%s]]]}' % entry).encode()
+
+
+@pytest.mark.parametrize(
+    "make_doc, argv",
+    [
+        (algebra_doc, ["cohomology", "FILE", "--algebra", "g"]),
+        (cup_doc, ["obstruct", "s3-5m", "--b2", "1", "--cup", "FILE"]),
+    ],
+    ids=["document", "cup document"],
+)
+@pytest.mark.parametrize(
+    "content",
+    [
+        lambda doc: doc('"\xe9"').decode().encode("latin-1"),
+        lambda doc: b"[" * 200_000 + b"]" * 200_000,
+        lambda doc: doc(HUGE),
+        lambda doc: doc(f'"{HUGE}/7"'),
+    ],
+    ids=["not utf-8", "deep nesting", "huge integer", "huge p/q string"],
+)
+def test_exit_2_on_every_malformed_file(tmp_path, capsys, make_doc, argv, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content(make_doc))
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_exit_2_on_dangling_names(capsys):
     code, _, err = run(capsys, "cohomology", "builtin:library", "--algebra", "nope")
     assert code == 2 and "available" in err

@@ -18,6 +18,9 @@ from eqss.library import (
 )
 from eqss.spectral import DeckAction, invariant_filtered_complex
 
+HUGE = "9" * 5000  # past the 4300-digit limit of int() on decimal strings
+DEEP = "[" * 200_000 + "]" * 200_000  # deeper than json.loads can recurse
+
 
 def test_parse_rational_accepts_ints_and_fraction_strings():
     assert parse_rational(3, "x") == Fraction(3)
@@ -26,7 +29,14 @@ def test_parse_rational_accepts_ints_and_fraction_strings():
     assert parse_rational("-7", "x") == Fraction(-7)
 
 
-@pytest.mark.parametrize("bad", [1.5, True, False, "1.5", "a/b", "1/0", None, []])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        1.5, True, False, "1.5", "a/b", "1/0", None, [],
+        pytest.param(HUGE + "/7", id="huge numerator"),
+        pytest.param("1/" + HUGE, id="huge denominator"),
+    ],
+)
 def test_parse_rational_rejects_inexact_and_malformed(bad):
     with pytest.raises(DocumentError):
         parse_rational(bad, "x")
@@ -85,6 +95,11 @@ def minimal(**sections):
     [
         "not json",
         "[]",
+        pytest.param(DEEP, id="deep nesting"),
+        pytest.param(
+            '{"lie_algebras": [{"name": "g", "dim": 1, "brackets": [[1, 1, [%s]]]}]}' % HUGE,
+            id="huge integer",
+        ),
         json.dumps({"mystery": []}),
         minimal(lie_algebras=[{"dim": 1, "brackets": []}]),
         minimal(lie_algebras=[{"name": "g", "dim": 1}]),
@@ -195,8 +210,9 @@ def test_shipped_action_rebuilds_the_twisted_model():
 def test_cup_documents_parse_and_validate():
     cup = parse_cup_document(builtin_text("cup_hyperbolic"))
     assert cup.b2 == 2 and cup.b4 == 1
-    with pytest.raises(DocumentError):
-        parse_cup_document("{}")
+    for text in ("{}", "[]", DEEP, '{"b2": 1, "matrices": [[[%s]]]}' % HUGE):
+        with pytest.raises(DocumentError):
+            parse_cup_document(text)
     with pytest.raises(DocumentError):
         parse_cup_document(json.dumps({"b2": 2, "matrices": [[[1]]]}))
     with pytest.raises(ValueError, match="symmetric") as info:

@@ -62,12 +62,10 @@ def test_repeated_label_used_consistently():
     assert [s.assignments for s in sols] == [{"A": 1}]
 
 
-def test_solver_respects_cap(monkeypatch):
+def test_solver_respects_cap():
     prob = seq("A", 60)
     assert solve_les(prob) == []
     assert len(solve_les(prob, cap=60)) == 1
-    monkeypatch.setenv("EQSS_SOLVER_CAP", "75")
-    assert len(solve_les(prob)) == 1
 
 
 def test_solver_label_bound():

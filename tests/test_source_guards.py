@@ -3,6 +3,10 @@
 FilteredComplex does not recompute d^2 = 0: it is an invariant of every
 GradedComplex, because `GradedComplex.create` checks it densely and the one
 direct constructor call, in `forms.ce_complex`, checks it sparsely.
+
+The inductive pages (`pages_inductive`, `_ZChain`) cross-check the closed
+form, so they must not reach the closed form's code, directly or through a
+module-level helper of `spectral`.
 """
 
 import ast
@@ -58,3 +62,54 @@ def test_guard_sees_aliased_and_qualified_calls():
         "h = GradedComplex.create((1,), ())\n"
     )
     assert direct_constructor_calls(source, "m.py") == {("m.py", "f"), ("m.py", "g")}
+
+
+ORACLE = ("pages_inductive", "_ZChain")
+CLOSED_FORM = {"_Calculator", "_page_from_calc", "_restricted_kernel"}
+
+
+def oracle_reaches(source: str) -> set[str]:
+    """Closed-form names that the oracle definitions reference, following
+    references to the module's other top-level definitions."""
+    tree = ast.parse(source)
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    seen, todo, hits = set(), [name for name in ORACLE if name in defs], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ref in CLOSED_FORM:
+                hits.add(ref)
+            elif ref in defs:
+                todo.append(ref)
+    return hits
+
+
+def test_inductive_pages_share_no_code_with_the_closed_form():
+    source = (Path(eqss.__file__).parent / "spectral.py").read_text()
+    tree = ast.parse(source)
+    top = {getattr(node, "name", None) for node in tree.body}
+    assert set(ORACLE) | CLOSED_FORM <= top
+    assert oracle_reaches(source) == set()
+
+
+def test_oracle_guard_sees_direct_and_indirect_references():
+    source = (
+        "class _Calculator: pass\n"
+        "def _restricted_kernel(rows, cols, n): pass\n"
+        "def helper(fc):\n"
+        "    return _restricted_kernel([], (), 0)\n"
+        "class _ZChain:\n"
+        "    def space(self):\n"
+        "        return helper(self.fc)\n"
+        "def pages_inductive(fc):\n"
+        "    return spectral._Calculator(fc)\n"
+    )
+    assert oracle_reaches(source) == {"_Calculator", "_restricted_kernel"}

@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from eqss.cohomology import GradedComplex, relative_model
+from eqss.cohomology import GradedComplex, relative_model, restricted_action
 from eqss.liealg import LieAutomorphism, coordinate_subalgebra, so_algebra, su2
-from eqss.linalg import GroupBoundError, RationalMatrix, fixed_subspace
+from eqss.library import (
+    builtin_models,
+    double_cover_base,
+    sheet_swap_maps,
+    so_pair,
+    so_pair_reflection,
+)
+from eqss.linalg import GroupBoundError, RationalMatrix, fixed_subspace, kernel_basis
 from eqss.spectral import (
     DeckAction,
     FilteredComplex,
@@ -109,14 +116,29 @@ def test_einf_matches_page_at_stabilization():
         assert table.pages[table.stabilized_at].dims() == table.einf
 
 
+def double_cover_twist(g, h, aut):
+    """The deck-invariant part of (two-sheet circle cover) x (g, h), with the
+    deck group acting by the sheet swap on the base and aut on the fiber."""
+    fc = product_model(double_cover_base(), g, h)
+    return fc, product_action(fc, sheet_swap_maps(), restricted_action(fc.fiber, aut))
+
+
 def test_random_complexes_closed_form_vs_inductive():
     rng = random.Random(103)
-    for _ in range(20):
-        fc, hdims = random_filtered_complex(rng)
+    cases = [random_filtered_complex(rng) for _ in range(20)]
+    # the shipped models and the l = 3 twist, whose cohomology is known only by rank
+    shipped = [entry.filtered() for entry in builtin_models().complexes.values()]
+    g, h = so_pair(3)
+    cover, total = double_cover_twist(g, h, so_pair_reflection(3))
+    twist, _ = invariant_filtered_complex(cover, DeckAction.create(cover, [total]))
+    cases += [(fc, None) for fc in shipped + [twist]]
+    assert len(cases) == 28
+    for fc, hdims in cases:
         table = run_to_stabilization(fc)
         assert table.pages[-1].dims() == table.einf
-        assert table.total_cohomology == hdims
-        assert sum(table.einf.values()) == sum(hdims)
+        if hdims is not None:
+            assert table.total_cohomology == hdims
+            assert sum(table.einf.values()) == sum(hdims)
         inductive = pages_inductive(fc)
         for r, dims in enumerate(inductive):
             assert table.pages[r].dims() == dims, f"page {r} disagrees"
@@ -217,8 +239,6 @@ def test_twist_dims_equal_fixed_subspace_dims():
     fc = product_model(sheet_swap_base(), g, coordinate_subalgebra(g, [3]))
     swap = RationalMatrix.from_rows([[0, 1], [1, 0]])
     reflect = LieAutomorphism.create(g, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
-    from eqss.cohomology import restricted_action
-
     fiber_maps = restricted_action(fc.fiber, reflect)
     total = product_action(fc, [swap, swap], fiber_maps)
     twisted = twist_by_deck(fc, [swap, swap], reflect)
@@ -262,10 +282,30 @@ def test_invariant_complex_weight_adapted_basis():
     assert out.complex.dims == (2,)
     assert out.weights == ((0, 0),)
     assert len(embeddings[0]) == 2
+    # on both double-cover twists, checked without the engine's restricted kernel:
+    # each embedding vector of weight p is fixed and lies in F^p, and the number
+    # of weight >= p equals dim ker [M - I; e_j for weight(j) < p]
+    so3, so2 = so_pair(2)
+    for aut in (so_pair_reflection(2), LieAutomorphism.create(so3, RationalMatrix.identity(3))):
+        fc, total = double_cover_twist(so3, so2, aut)
+        out, embeddings = invariant_filtered_complex(fc, DeckAction.create(fc, [total]))
+        for n, (ws, vecs) in enumerate(zip(out.weights, embeddings)):
+            m, amb = total[n], fc.complex.dims[n]
+            for p, v in zip(ws, vecs):
+                assert m.apply(v) == v
+                assert all(not v[j] for j, w in enumerate(fc.weights[n]) if w < p)
+            for p in range(fc.max_weight + 1):
+                rows = list(m.sub(RationalMatrix.identity(amb)).rows) + [
+                    tuple(int(i == j) for i in range(amb))
+                    for j, w in enumerate(fc.weights[n])
+                    if w < p
+                ]
+                expect = kernel_basis(RationalMatrix.from_rows(rows, amb)).dim
+                assert sum(w >= p for w in ws) == expect
 
 
 def test_audit_failure_raises():
     fc = simple_fc((1, 1), [[[1]]], ((0,), (1,)))
-    fake = Page(9, (PageEntry(0, 0, 1, ()),))
+    fake = Page(9, (PageEntry(0, 0, 1),))
     with pytest.raises(SpectralAuditError, match="convergence audit failed"):
         _audit_convergence(fc, fake, (0, 0))
