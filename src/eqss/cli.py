@@ -155,6 +155,8 @@ def _cmd_cohomology(args, inputs: dict):
 
 
 def _cmd_specseq(args, inputs: dict):
+    if args.max_page is not None and args.max_page < 0:
+        raise DocumentError(f"--max-page must be a nonnegative integer, got {args.max_page}")
     doc = _load_document(args.file, inputs)
     entry = doc.complex_entry(args.complex)
     fc = entry.filtered()

@@ -3,16 +3,17 @@
 A filtration is given by a nonnegative weight per basis vector; F^p is
 spanned by the vectors of weight >= p, and the differential must not lower
 weight.  FilteredComplex checks this when it is constructed, so every page
-and audit below takes its input as valid.  A page carries the dimension of
-each entry, read off the closed-form quotient
+and audit below takes its input as valid.  Pages come in closed form from
+the persistence pairing of the filtration (Edelsbrunner-Letscher-Zomorodian;
+Romero-Rubio-Sergeraert): one column reduction of each d_n, with columns and
+rows ordered by decreasing weight, pairs a source of weight a in degree n
+with a target of weight b >= a in degree n + 1, which d_{b-a} kills.  Then
 
-    E_r^{p,q} = Z_r^{p,q} / (Z_r^{p,q} cap D),   D = F^{p+1} + d F^{p-r+1},
-    Z_r^{p,q} = {a in F^p C^{p+q} : da in F^{p+r} C^{p+q+1}},
+    dim E_r^{p,n-p} = #(degree-n basis vectors of weight p)
+                      - #(those among them in a pair with b - a < r).
 
-as dim(Z + D) - dim D, which equals dim Z / (Z cap D) and takes one rank
-count; Z cap D itself is never formed.  This agrees with the inductive Ker/Im
-recursion, which is also implemented (pages_inductive) as an independent
-cross-check that shares none of the closed form's page code.  Every
+The inductive Ker/Im recursion is also implemented (pages_inductive) as an
+independent cross-check that shares none of the pairing code.  Every
 stabilization run audits convergence: for each total degree n the E-infinity
 dimensions across p+q = n must sum to dim H^n computed directly by ranks.
 An audit failure means an engine bug and raises SpectralAuditError.
@@ -27,6 +28,7 @@ the fixed spaces.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -194,70 +196,56 @@ def _restricted_kernel(rows: Sequence[Vector], cols: Sequence[int], ambient: int
     return SubspaceBasis(ambient, tuple(out))
 
 
-class _Calculator:
-    """Memoized closed-form page entries for one filtered complex."""
+def _pairs(fc: FilteredComplex) -> list[tuple[int, int, int]]:
+    """Persistence pairs (n, a, b): one column reduction per differential.
 
-    def __init__(self, fc: FilteredComplex):
-        self.fc = fc
-        self.cx = fc.complex
-        self._z: dict[tuple[int, int, int], SubspaceBasis] = {}
-        self._img: dict[tuple[int, int], SubspaceBasis] = {}
-
-    def z_space(self, n: int, p: int, r: int) -> SubspaceBasis:
-        """Z_r^p in degree n: F^p vectors whose d has no part of weight < p + r."""
-        key = (n, p, r)
-        cached = self._z.get(key)
-        if cached is None:
-            d = self.cx.differential(n)
-            ws = self.fc.weights[n + 1] if n < self.cx.top else ()
-            rows = [d.rows[i] for i, w in enumerate(ws) if w < p + r]
-            cols = self.fc.level_indices(n, p)
-            cached = self._z[key] = _restricted_kernel(rows, cols, self.cx.dim(n))
-        return cached
-
-    def image_space(self, n: int, s: int) -> SubspaceBasis:
-        """Span of d(F^s C^{n-1}) inside degree n; F^s = F^0 for s <= 0."""
-        s = max(s, 0)
-        key = (n, s)
-        cached = self._img.get(key)
-        if cached is not None:
-            return cached
-        amb = self.cx.dim(n)
-        if n - 1 < 0:
-            out = SubspaceBasis.zero(amb)
-        else:
-            d = self.cx.differential(n - 1)
-            cols = [d.column(j) for j in self.fc.level_indices(n - 1, s)]
-            out = SubspaceBasis.span(cols, amb)
-        self._img[key] = out
-        return out
-
-    def entry(self, n: int, p: int, r: int) -> int:
-        """dim E_r^{p, n-p} = dim(Z + D) - dim D."""
-        z = self.z_space(n, p, r)
-        if z.dim == 0:
-            return 0
-        den = subspace_sum(self.fc.level_space(n, p + 1), self.image_space(n, p - r + 1))
-        return subspace_sum(z, den).dim - den.dim
+    The columns of d_n and its rows are ordered by decreasing weight, and
+    columns are reduced left to right by adding only earlier columns, which
+    lie in F^a, so each reduced column is d of a chain of weight a.  Its pivot
+    is its lowest-weight nonzero row, of weight b >= a, and d_{b-a} kills the
+    pair: source in degree n, target in degree n + 1.
+    """
+    cx, ws = fc.complex, fc.weights
+    out = []
+    for n in range(cx.top):
+        d = cx.differential(n)
+        rows = sorted(range(cx.dims[n + 1]), key=lambda i: -ws[n + 1][i])
+        by_pivot: dict[int, dict[int, Fraction]] = {}
+        for j in sorted(range(cx.dims[n]), key=lambda j: -ws[n][j]):
+            col = {k: d.rows[i][j] for k, i in enumerate(rows) if d.rows[i][j]}
+            while col:
+                low = max(col)
+                other = by_pivot.get(low)
+                if other is None:
+                    by_pivot[low] = col
+                    out.append((n, ws[n][j], ws[n + 1][rows[low]]))
+                    break
+                f = col[low] / other[low]
+                for k, v in other.items():
+                    x = col.get(k, 0) - f * v
+                    if x:
+                        col[k] = x
+                    else:
+                        del col[k]
+    return out
 
 
-def _page_from_calc(calc: _Calculator, r: int) -> Page:
-    fc = calc.fc
-    entries = []
-    for n in range(fc.complex.top + 1):
-        for p in range(fc.max_weight + 1):
-            dim = calc.entry(n, p, r)
-            if dim:
-                entries.append(PageEntry(p, n - p, dim))
-    entries.sort(key=lambda e: (e.p, e.q))
-    return Page(r, tuple(entries))
+def _page_from_pairs(fc: FilteredComplex, pairs: list[tuple[int, int, int]], r: int) -> Page:
+    """dim E_r^{p, n-p}: the degree-n basis vectors of weight p, less those in
+    a pair whose gap b - a is below r (killed by d_0, ..., d_{r-1})."""
+    dims = Counter((p, n) for n, ws in enumerate(fc.weights) for p in ws)
+    for n, a, b in pairs:
+        if b - a < r:
+            dims[(a, n)] -= 1
+            dims[(b, n + 1)] -= 1
+    return Page(r, tuple(PageEntry(p, n - p, dim) for (p, n), dim in sorted(dims.items()) if dim))
 
 
 def page(fc: FilteredComplex, r: int) -> Page:
-    """Closed-form page r."""
+    """Page r, read off the persistence pairs of the filtration."""
     if r < 0:
         raise ValueError("page index must be nonnegative")
-    return _page_from_calc(_Calculator(fc), r)
+    return _page_from_pairs(fc, _pairs(fc), r)
 
 
 def _total_cohomology(cx: GradedComplex) -> tuple[int, ...]:
@@ -282,10 +270,10 @@ def _audit_convergence(fc: FilteredComplex, einf: Page, hdims: tuple[int, ...]) 
 
 def run_to_stabilization(fc: FilteredComplex, max_page: int | None = None) -> PageTable:
     """Compute pages through max weight + 2 (or further) and audit convergence."""
-    calc = _Calculator(fc)
+    pairs = _pairs(fc)
     bound = fc.max_weight + 2
     rmax = max(bound, max_page if max_page is not None else 0)
-    pages = tuple(_page_from_calc(calc, r) for r in range(rmax + 1))
+    pages = tuple(_page_from_pairs(fc, pairs, r) for r in range(rmax + 1))
     einf_page = pages[fc.max_weight + 1]
     # dimensions must be non-increasing in r, and stable past the bound
     seen: dict[tuple[int, int], int] = {}

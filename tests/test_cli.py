@@ -285,6 +285,14 @@ def test_gysin_argument_validation(capsys):
     assert code == 2 and "comma-separated integers" in err
 
 
+def test_exit_2_on_negative_max_page(capsys):
+    code, out, err = run(
+        capsys, "specseq", "builtin:models", "--complex", "s1_x_su2", "--max-page", "-3"
+    )
+    assert code == 2 and out == ""
+    assert "--max-page" in err and "Traceback" not in err
+
+
 def test_group_bound_env_is_honored(monkeypatch, capsys):
     monkeypatch.setenv("EQSS_GROUP_BOUND", "1")
     code, _, err = run(

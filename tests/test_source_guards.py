@@ -5,8 +5,8 @@ GradedComplex, because `GradedComplex.create` checks it densely and the one
 direct constructor call, in `forms.ce_complex`, checks it sparsely.
 
 The inductive pages (`pages_inductive`, `_ZChain`) cross-check the closed
-form, so they must not reach the closed form's code, directly or through a
-module-level helper of `spectral`.
+form (pages read off the persistence pairs), so they must not reach the
+closed form's code, directly or through a module-level helper of `spectral`.
 """
 
 import ast
@@ -65,7 +65,7 @@ def test_guard_sees_aliased_and_qualified_calls():
 
 
 ORACLE = ("pages_inductive", "_ZChain")
-CLOSED_FORM = {"_Calculator", "_page_from_calc", "_restricted_kernel"}
+CLOSED_FORM = {"_pairs", "_page_from_pairs", "_restricted_kernel"}
 
 
 def oracle_reaches(source: str) -> set[str]:
@@ -102,7 +102,7 @@ def test_inductive_pages_share_no_code_with_the_closed_form():
 
 def test_oracle_guard_sees_direct_and_indirect_references():
     source = (
-        "class _Calculator: pass\n"
+        "def _pairs(fc): pass\n"
         "def _restricted_kernel(rows, cols, n): pass\n"
         "def helper(fc):\n"
         "    return _restricted_kernel([], (), 0)\n"
@@ -110,6 +110,6 @@ def test_oracle_guard_sees_direct_and_indirect_references():
         "    def space(self):\n"
         "        return helper(self.fc)\n"
         "def pages_inductive(fc):\n"
-        "    return spectral._Calculator(fc)\n"
+        "    return spectral._pairs(fc)\n"
     )
-    assert oracle_reaches(source) == {"_Calculator", "_restricted_kernel"}
+    assert oracle_reaches(source) == {"_pairs", "_restricted_kernel"}

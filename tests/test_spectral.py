@@ -126,13 +126,16 @@ def double_cover_twist(g, h, aut):
 def test_random_complexes_closed_form_vs_inductive():
     rng = random.Random(103)
     cases = [random_filtered_complex(rng) for _ in range(20)]
+    # wider weights, so that differentials longer than d_3 occur
+    cases += [random_filtered_complex(rng, max_weight=5) for _ in range(10)]
+    assert any(page(fc, 4).dims() != page(fc, 5).dims() for fc, _ in cases)
     # the shipped models and the l = 3 twist, whose cohomology is known only by rank
     shipped = [entry.filtered() for entry in builtin_models().complexes.values()]
     g, h = so_pair(3)
     cover, total = double_cover_twist(g, h, so_pair_reflection(3))
     twist, _ = invariant_filtered_complex(cover, DeckAction.create(cover, [total]))
     cases += [(fc, None) for fc in shipped + [twist]]
-    assert len(cases) == 28
+    assert len(cases) == 38
     for fc, hdims in cases:
         table = run_to_stabilization(fc)
         assert table.pages[-1].dims() == table.einf
