@@ -137,8 +137,12 @@ def _cmd_cohomology(args, inputs: dict):
         for v in reps:
             lines.append(f"  degree {k} class: {_vector_text(v)}")
 
-    if args.invariants:
+    if args.invariants is not None:
         names = [n for n in args.invariants.split(",") if n]
+        if not names:
+            raise DocumentError(
+                f"--invariants: expected automorphism names, got {args.invariants!r}"
+            )
         gens = []
         for name in names:
             aut = doc.automorphism(name)
@@ -196,11 +200,18 @@ def _verdict_lines(verdict) -> list[str]:
     return lines
 
 
-def _solution_lines(solutions, problem) -> list[str]:
+def _solve_lines(problem, total, args, results: dict) -> list[str]:
+    """Solve the sequence into results; with given totals, say whether they are admitted."""
+    solutions = solve_les(problem, cap=args.solver_cap)
+    results["solutions"] = [s.as_dict() for s in solutions]
+    results["solution_count"] = len(solutions)
     lines = [f"sequence: {problem.render()}", f"solutions: {len(solutions)}"]
     for sol in solutions:
         assigned = ", ".join(f"{k}={v}" for k, v in sorted(sol.assignments.items()))
         lines.append(f"  {assigned or 'all terms known'}; ranks {list(sol.map_ranks)}")
+    if total is not None:
+        results["admitted"] = bool(solutions)
+        lines.append(f"given totals admitted: {'yes' if solutions else 'no'}")
     return lines
 
 
@@ -256,18 +267,8 @@ def _cmd_obstruct_gysin(args, inputs: dict):
         split=args.split,
         oriented=args.oriented,
     )
-    solutions = solve_les(problem, cap=args.solver_cap)
-    results = {
-        "check": "gysin",
-        "problem": problem.as_dict(),
-        "solutions": [s.as_dict() for s in solutions],
-        "solution_count": len(solutions),
-    }
-    lines = [problem.description] + _solution_lines(solutions, problem)
-    if total is not None:
-        results["admitted"] = bool(solutions)
-        lines.append(f"given totals admitted: {'yes' if solutions else 'no'}")
-    return results, lines
+    results = {"check": "gysin", "problem": problem.as_dict()}
+    return results, [problem.description] + _solve_lines(problem, total, args, results)
 
 
 def _cmd_obstruct_wang(args, inputs: dict):
@@ -284,13 +285,7 @@ def _cmd_obstruct_wang(args, inputs: dict):
     }
     lines = [f"check wang at codimension {args.codim}"] + _verdict_lines(verdict)
     if verdict.problem is not None:
-        solutions = solve_les(verdict.problem, cap=args.solver_cap)
-        results["solutions"] = [s.as_dict() for s in solutions]
-        results["solution_count"] = len(solutions)
-        lines.extend(_solution_lines(solutions, verdict.problem))
-        if total is not None:
-            results["admitted"] = bool(solutions)
-            lines.append(f"given totals admitted: {'yes' if solutions else 'no'}")
+        lines += _solve_lines(verdict.problem, total, args, results)
     return results, lines
 
 

@@ -5,9 +5,12 @@ pair (algebra, subalgebra), induced actions of finite automorphism groups on
 cohomology, invariant subspaces, and the cup product on absolute cohomology.
 Every complex is a `linalg.GradedComplex`, re-exported here.
 
-Representatives are chosen canonically: in each degree the cocycle space is
-complemented against the coboundary space in echelon form, so equal inputs
-always produce identical representative vectors.
+Representatives are chosen canonically: in degree k they are the reduced
+echelon basis of the cocycles that vanish at the pivots of the coboundary
+space im d_{k-1}, that is, the kernel of d_k restricted to the other
+columns.  This is the canonical complement of the coboundaries in the
+cocycles, so equal inputs always produce identical representative vectors,
+and a class is read off a cocycle by reducing it by the coboundaries.
 """
 
 from __future__ import annotations
@@ -31,12 +34,10 @@ from .linalg import (
     Vector,
     as_vector,
     combine,
-    complement_in,
     enumerate_group,
     fixed_subspace,
     image_basis,
-    kernel_basis,
-    solve,
+    restricted_kernel,
 )
 
 __all__ = [
@@ -62,44 +63,36 @@ class CohomologyResult:
     complex: GradedComplex
     dims: tuple[int, ...]
     representatives: tuple[tuple[Vector, ...], ...]
-    cocycles: tuple[SubspaceBasis, ...]
     coboundaries: tuple[SubspaceBasis, ...]
 
     def express(self, k: int, vec: Sequence) -> Vector:
-        """Coordinates of a cocycle's class in the representative basis."""
+        """Coordinates of a cocycle's class in the representative basis.
+
+        Reducing a cocycle by the coboundaries leaves a cocycle that vanishes
+        at their pivots, a combination of the representatives alone.
+        """
         v = as_vector(vec)
         if k < 0 or k > self.complex.top:
             if any(v):
                 raise ValueError("nonzero vector in a degree outside the complex")
             return ()
-        if not self.cocycles[k].contains(v):
+        reps = SubspaceBasis(self.complex.dims[k], self.representatives[k])
+        coords = reps.coordinates(self.coboundaries[k].reduce(v))
+        if coords is None:
             raise ValueError(f"vector is not a cocycle in degree {k}")
-        reps = self.representatives[k]
-        cols = list(reps) + list(self.coboundaries[k].vectors)
-        if not cols:
-            return ()
-        coords = solve(RationalMatrix.from_columns(cols, self.complex.dims[k]), v)
-        assert coords is not None  # reps + coboundaries span the cocycles
-        return coords[: len(reps)]
+        return coords
 
 
 def cohomology(cx: GradedComplex) -> CohomologyResult:
-    dims = []
     reps = []
-    cocycles = []
     coboundaries = []
     for k in range(cx.top + 1):
-        z = kernel_basis(cx.differential(k))
         b = image_basis(cx.differential(k - 1))
-        rep = complement_in(z, b)
-        d_k = cx.differential(k)
-        for v in rep.vectors:
-            assert not any(d_k.apply(v)), "representative is not a cocycle"
-        dims.append(rep.dim)
-        reps.append(rep.vectors)
-        cocycles.append(z)
+        taken = set(b.pivots)
+        cols = [j for j in range(cx.dims[k]) if j not in taken]
+        reps.append(restricted_kernel(cx.differential(k).rows, cols, cx.dims[k]).vectors)
         coboundaries.append(b)
-    return CohomologyResult(cx, tuple(dims), tuple(reps), tuple(cocycles), tuple(coboundaries))
+    return CohomologyResult(cx, tuple(len(r) for r in reps), tuple(reps), tuple(coboundaries))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,19 @@
 Everything downstream (cochain complexes, spectral sequence pages, fixed
 subspaces of finite group actions) reduces to ranks, kernels and canonical
 subspace bases computed here.  All arithmetic is exact: entries are
-``fractions.Fraction`` and elimination is done by integer cross-multiplication
-after clearing denominators, so no tolerance ever enters.  `GradedComplex`
+``fractions.Fraction``, so no tolerance ever enters.  `GradedComplex`
 holds every complex the engine builds (Chevalley-Eilenberg, relative, fixed,
 product and twisted), and `combine` turns coordinates over a list of
 basis vectors back into a vector.
+
+One elimination serves the whole engine: `insert` adds a sparse vector to an
+echelon basis keyed by pivot.  The vector is cleared of denominators and
+made primitive by its gcd, then reduced by the stored vector at its lowest
+nonzero index until that index is free, and stored there.  A rank counts the
+pivots; reduced echelon form is insertion plus back substitution; a kernel
+is one elimination with the columns reversed (`restricted_kernel`); and the
+persistence pairs of a filtration are the pivots of its differential's
+columns (`spectral._pairs`).
 
 Canonical form: every subspace is represented by the reduced row echelon
 basis of its span (pivot entries 1, zeros above and below pivots, pivots in
@@ -20,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -33,17 +41,15 @@ __all__ = [
     "enumerate_group",
     "fixed_subspace",
     "image_basis",
+    "insert",
     "kernel_basis",
     "rank",
+    "restricted_kernel",
     "solve",
     "subspace_sum",
 ]
 
 Vector = tuple[Fraction, ...]
-
-# Entries larger than this trigger a gcd renormalisation of the row during
-# elimination; keeps integer growth bounded without paying gcd on every step.
-_GCD_THRESHOLD = 1 << 64
 
 
 class GroupBoundError(RuntimeError):
@@ -171,10 +177,6 @@ class RationalMatrix:
             self.ncols,
         )
 
-    def scale(self, c) -> "RationalMatrix":
-        f = as_fraction(c)
-        return RationalMatrix(tuple(tuple(f * x for x in row) for row in self.rows), self.ncols)
-
     def inverse(self) -> "RationalMatrix":
         n = self.ncols
         if len(self.rows) != n:
@@ -187,103 +189,81 @@ class RationalMatrix:
         return RationalMatrix(tuple(tuple(red[i][n:]) for i in range(n)), n)
 
 
-def _reduce_row(row: list[int], start: int, ncols: int) -> None:
-    big = 0
-    for j in range(start, ncols):
-        a = row[j]
-        if a > big:
-            big = a
-        elif -a > big:
-            big = -a
-    if big > _GCD_THRESHOLD:
-        g = 0
-        for x in row:
-            if x:
-                g = gcd(g, x)
-        if g > 1:
-            for j in range(start, ncols):
-                row[j] //= g
+def insert(basis: dict[int, dict[int, int]], entries: Iterable[tuple[int, Fraction]]) -> int | None:
+    """Insert a sparse rational vector into a pivot-keyed echelon basis.
+
+    basis maps each pivot to the stored integer vector whose lowest nonzero
+    index it is.  The vector is scaled to a primitive integer dict, reduced
+    by the stored vector at its lowest nonzero index until that index is
+    free, and stored there.  Returns the pivot, or None if the vector
+    reduces to zero (it lay in the span).
+    """
+    nonzero = [(k, x) for k, x in entries if x]
+    den = lcm(*(x.denominator for _, x in nonzero))
+    v = _primitive({k: x.numerator * (den // x.denominator) for k, x in nonzero})
+    while v:
+        p = min(v)
+        w = basis.get(p)
+        if w is None:
+            basis[p] = v
+            return p
+        v = _eliminate(v, w, p)
+    return None
+
+
+def _primitive(v: dict[int, int]) -> dict[int, int]:
+    g = gcd(*v.values())
+    return v if g == 1 else {k: x // g for k, x in v.items()}
+
+
+def _eliminate(v: dict[int, int], w: dict[int, int], p: int) -> dict[int, int]:
+    """The primitive integer combination of v and w that is zero at p."""
+    g = gcd(w[p], v[p])
+    a, b = w[p] // g, v[p] // g
+    out = {k: a * x for k, x in v.items()} if a != 1 else dict(v)
+    for k, x in w.items():
+        y = out.get(k, 0) - b * x
+        if y:
+            out[k] = y
+        else:
+            del out[k]
+    return _primitive(out) if out else out
+
+
+def _back_substitute(basis: dict[int, dict[int, int]]) -> None:
+    """Clear every stored vector at the other pivots (reduced echelon form).
+
+    Higher pivots are cleared first; a cleared vector is zero at every pivot
+    but its own, so eliminating with it never brings back another pivot.
+    """
+    for p in sorted(basis, reverse=True):
+        v = basis[p]
+        for q in sorted(k for k in v if k != p and k in basis):
+            v = _eliminate(v, basis[q], q)
+        basis[p] = v
+
+
+def _echelon(rows: Iterable[Sequence[Fraction]]) -> dict[int, dict[int, int]]:
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        insert(basis, enumerate(row))
+    return basis
 
 
 def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """Reduced row echelon form. Returns (pivot rows as Fractions, pivot columns).
-
-    Each input row is scaled to integers (this leaves the row space and the
-    solution set of the homogeneous system unchanged); elimination uses
-    integer cross-multiplication with occasional gcd renormalisation.
-    """
-    mat: list[list[int]] = []
-    for row in rows:
-        den = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        if den == 1:
-            ints = [x.numerator for x in row]
-        else:
-            ints = [x.numerator * (den // x.denominator) for x in row]
-        g = 0
-        for v in ints:
-            if v:
-                g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        if g:
-            mat.append(ints)
-    pivots: list[int] = []
-    nrows = len(mat)
-    rr = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(rr, nrows):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[rr], mat[pr] = mat[pr], mat[rr]
-        prow = mat[rr]
-        pv = prow[c]
-        # rows below rr have zero entries in every column before c
-        for i in range(rr + 1, nrows):
-            row = mat[i]
-            v = row[c]
-            if not v:
-                continue
-            for j in range(c, ncols):
-                a = row[j]
-                b = prow[j]
-                if a or b:
-                    row[j] = pv * a - v * b
-            _reduce_row(row, c, ncols)
-        pivots.append(c)
-        rr += 1
-        if rr == nrows:
-            break
-    # back substitution: clear entries above each pivot
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        prow = mat[k]
-        pv = prow[c]
-        for i in range(k):
-            row = mat[i]
-            v = row[c]
-            if not v:
-                continue
-            start = pivots[i]
-            for j in range(start, ncols):
-                a = row[j]
-                b = prow[j]
-                if a or b:
-                    row[j] = pv * a - v * b
-            _reduce_row(row, start, ncols)
+    """Reduced row echelon form. Returns (pivot rows as Fractions, pivot columns)."""
+    basis = _echelon(rows)
+    _back_substitute(basis)
+    pivots = tuple(sorted(basis))
+    zero = Fraction(0)
     out = []
-    for i, c in enumerate(pivots):
-        row = mat[i]
-        pv = row[c]
-        out.append([Fraction(x, pv) for x in row])
-    return out, tuple(pivots)
+    for p in pivots:
+        w = basis[p]
+        row = [zero] * ncols
+        for k, x in w.items():
+            row[k] = Fraction(x, w[p])
+        out.append(row)
+    return out, pivots
 
 
 @dataclass(frozen=True)
@@ -345,9 +325,8 @@ def combine(coeffs: Sequence, vectors: Sequence[Sequence[Fraction]], ambient: in
 
 
 def rank(m: RationalMatrix) -> int:
-    """Rank over Q."""
-    _, pivots = _rref_rows(m.rows, m.ncols)
-    return len(pivots)
+    """Rank over Q: the number of pivots the rows take, with no back substitution."""
+    return len(_echelon(m.rows))
 
 
 @dataclass(frozen=True)
@@ -408,6 +387,10 @@ class SubspaceBasis:
             out.append((nz[0][0], nz))
         return tuple(out)
 
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(p for p, _ in self._sparse_rows)
+
     def reduce(self, vec: Sequence) -> Vector:
         """Subtract the projection onto this basis using pivot elimination."""
         v = list(as_vector(vec))
@@ -436,24 +419,41 @@ class SubspaceBasis:
         v = as_vector(vec)
         if any(self.reduce(v)):
             return None
-        return tuple(v[p] for p, _ in self._sparse_rows)
+        return tuple(v[p] for p in self.pivots)
+
+
+def restricted_kernel(rows: Iterable[Sequence[Fraction]], cols: Sequence[int], ambient: int) -> SubspaceBasis:
+    """Canonical basis of {x in Q^ambient supported on cols : row . x = 0 for every row}.
+
+    cols must increase.  The rows restricted to cols are eliminated once,
+    with cols reversed.  The solution at each free column then has its other
+    entries at later columns, all of them pivots, so read back in the
+    original order the solutions are already the reduced echelon basis.
+    """
+    last = len(cols) - 1
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        insert(basis, ((last - k, row[j]) for k, j in enumerate(cols)))
+    _back_substitute(basis)
+    one = Fraction(1)
+    solutions = {f: {cols[last - f]: one} for f in range(last, -1, -1) if f not in basis}
+    for p, w in basis.items():
+        for f, x in w.items():
+            if f != p:
+                solutions[f][cols[last - p]] = Fraction(-x, w[p])
+    zero = Fraction(0)
+    out = []
+    for sol in solutions.values():
+        x = [zero] * ambient
+        for j, c in sol.items():
+            x[j] = c
+        out.append(tuple(x))
+    return SubspaceBasis(ambient, tuple(out))
 
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of {x : m x = 0}."""
-    red, pivots = _rref_rows(m.rows, m.ncols)
-    n = m.ncols
-    pivset = set(pivots)
-    gens = []
-    for f in range(n):
-        if f in pivset:
-            continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        gens.append(v)
-    return SubspaceBasis.span(gens, n)
+    return restricted_kernel(m.rows, range(m.ncols), m.ncols)
 
 
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
@@ -539,7 +539,4 @@ def fixed_subspace(maps: Sequence[RationalMatrix]) -> SubspaceBasis:
     if any(m.shape != (n, n) for m in maps):
         raise ValueError("maps must be square matrices of equal size")
     ident = RationalMatrix.identity(n)
-    rows = [r for m in maps for r in m.sub(ident).rows if any(r)]
-    if not rows:
-        return SubspaceBasis.full(n)
-    return kernel_basis(RationalMatrix(tuple(rows), n))
+    return restricted_kernel([r for m in maps for r in m.sub(ident).rows], range(n), n)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cohomology import invariant_cohomology, lie_cohomology, relative_model, restricted_action
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, coordinate_subalgebra, su2
@@ -283,6 +283,25 @@ def _two_row_gap(g: LieAlgebra, h: Subalgebra | None) -> int:
     return nonzero[1]
 
 
+def _total_terms(total_dims: Sequence[int] | None, n: int) -> Callable[[int], Term]:
+    """H^k(M) as a sequence term: the given total dims, which must cover
+    degrees 0..n, else the unknowns M0..Mn; zero outside 0..n."""
+    total = None
+    if total_dims is not None:
+        total = _check_dims(total_dims, "total dims")
+        if len(total) != n + 1:
+            raise ValueError(
+                f"total dims must cover degrees 0..{n}, got {len(total)} entries"
+            )
+
+    def m_term(k: int) -> Term:
+        if not 0 <= k <= n:
+            return Term.known(0)
+        return Term.known(total[k]) if total is not None else Term.unknown(f"M{k}")
+
+    return m_term
+
+
 def gysin_assemble(
     l: int | None = None,
     basic_dims: Sequence[int] | None = None,
@@ -322,21 +341,10 @@ def gysin_assemble(
         raise ValueError("the splitting constraint applies to even gaps only")
     bt = len(basic) - 1
     n = bt + l
-    total: tuple[int, ...] | None = None
-    if total_dims is not None:
-        total = _check_dims(total_dims, "total dims")
-        if len(total) != n + 1:
-            raise ValueError(
-                f"total dims must cover degrees 0..{n}, got {len(total)} entries"
-            )
+    m_term = _total_terms(total_dims, n)
 
     def b_term(j: int) -> Term:
         return Term.known(basic[j] if 0 <= j <= bt else 0)
-
-    def m_term(k: int) -> Term:
-        if not 0 <= k <= n:
-            return Term.known(0)
-        return Term.known(total[k]) if total is not None else Term.unknown(f"M{k}")
 
     terms: list[Term] = []
     forced: list[int] = []
@@ -408,21 +416,10 @@ def wang_check(
     gap = codim - 1
     s = len(gh) - 1
     n = codim + s
-    total: tuple[int, ...] | None = None
-    if total_dims is not None:
-        total = _check_dims(total_dims, "total dims")
-        if len(total) != n + 1:
-            raise ValueError(
-                f"total dims must cover degrees 0..{n}, got {len(total)} entries"
-            )
+    m_term = _total_terms(total_dims, n)
 
     def g_term(j: int) -> Term:
         return Term.known(gh[j] if 0 <= j <= s else 0)
-
-    def m_term(k: int) -> Term:
-        if not 0 <= k <= n:
-            return Term.known(0)
-        return Term.known(total[k]) if total is not None else Term.unknown(f"M{k}")
 
     terms: list[Term] = []
     for k in range(-1, n + 1):

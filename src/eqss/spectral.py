@@ -43,8 +43,10 @@ from .linalg import (
     combine,
     complement_in,
     enumerate_group,
+    insert,
     kernel_basis,
     rank,
+    restricted_kernel,
     solve,
     subspace_sum,
 )
@@ -53,6 +55,7 @@ __all__ = [
     "DeckAction",
     "FilteredComplex",
     "FilteredComplexError",
+    "MAX_PAGES",
     "Page",
     "PageEntry",
     "PageTable",
@@ -66,6 +69,11 @@ __all__ = [
     "run_to_stabilization",
     "twist_by_deck",
 ]
+
+
+# run_to_stabilization builds max(max weight + 2, max_page) + 1 pages; the
+# shipped models need at most 10.
+MAX_PAGES = 1000
 
 
 class FilteredComplexError(ValueError):
@@ -174,59 +182,26 @@ class PageTable:
     total_cohomology: tuple[int, ...]
 
 
-def _restricted_kernel(rows: Sequence[Vector], cols: Sequence[int], ambient: int) -> SubspaceBasis:
-    """{x in Q^ambient supported on cols : row . x = 0 for every row}.
-
-    The kernel is taken of the rows restricted to cols, then scattered back.
-    cols must increase (level indices do): scattering a reduced echelon basis
-    into increasing columns keeps it reduced echelon, so the result is the
-    canonical basis without another reduction.
-    """
-    if not rows:
-        return SubspaceBasis.coordinate(ambient, cols)
-    restricted = RationalMatrix(tuple(tuple(row[j] for j in cols) for row in rows), len(cols))
-    small = kernel_basis(restricted)
-    zero = Fraction(0)
-    out = []
-    for v in small.vectors:
-        x = [zero] * ambient
-        for j, c in zip(cols, v):
-            x[j] = c
-        out.append(tuple(x))
-    return SubspaceBasis(ambient, tuple(out))
-
-
 def _pairs(fc: FilteredComplex) -> list[tuple[int, int, int]]:
     """Persistence pairs (n, a, b): one column reduction per differential.
 
-    The columns of d_n and its rows are ordered by decreasing weight, and
-    columns are reduced left to right by adding only earlier columns, which
-    lie in F^a, so each reduced column is d of a chain of weight a.  Its pivot
-    is its lowest-weight nonzero row, of weight b >= a, and d_{b-a} kills the
-    pair: source in degree n, target in degree n + 1.
+    The columns of d_n are inserted in order of decreasing weight into one
+    echelon basis whose indices are the rows in order of increasing weight.
+    A column is reduced only by earlier columns, which lie in F^a, so it
+    stays d of a chain of weight a.  Its pivot, the lowest index, is its
+    lowest-weight nonzero row, of weight b >= a, and d_{b-a} kills the pair:
+    source in degree n, target in degree n + 1.
     """
     cx, ws = fc.complex, fc.weights
     out = []
     for n in range(cx.top):
         d = cx.differential(n)
-        rows = sorted(range(cx.dims[n + 1]), key=lambda i: -ws[n + 1][i])
-        by_pivot: dict[int, dict[int, Fraction]] = {}
+        rows = sorted(range(cx.dims[n + 1]), key=lambda i: ws[n + 1][i])
+        basis: dict[int, dict[int, int]] = {}
         for j in sorted(range(cx.dims[n]), key=lambda j: -ws[n][j]):
-            col = {k: d.rows[i][j] for k, i in enumerate(rows) if d.rows[i][j]}
-            while col:
-                low = max(col)
-                other = by_pivot.get(low)
-                if other is None:
-                    by_pivot[low] = col
-                    out.append((n, ws[n][j], ws[n + 1][rows[low]]))
-                    break
-                f = col[low] / other[low]
-                for k, v in other.items():
-                    x = col.get(k, 0) - f * v
-                    if x:
-                        col[k] = x
-                    else:
-                        del col[k]
+            low = insert(basis, ((k, d.rows[i][j]) for k, i in enumerate(rows)))
+            if low is not None:
+                out.append((n, ws[n][j], ws[n + 1][rows[low]]))
     return out
 
 
@@ -269,10 +244,14 @@ def _audit_convergence(fc: FilteredComplex, einf: Page, hdims: tuple[int, ...]) 
 
 
 def run_to_stabilization(fc: FilteredComplex, max_page: int | None = None) -> PageTable:
-    """Compute pages through max weight + 2 (or further) and audit convergence."""
+    """Compute pages through max weight + 2 (or further) and audit convergence.
+
+    Refuses, before building any page, to build more than MAX_PAGES pages.
+    """
+    rmax = max(fc.max_weight + 2, max_page if max_page is not None else 0)
+    if rmax + 1 > MAX_PAGES:
+        raise ValueError(f"{rmax + 1} pages requested, more than the limit of {MAX_PAGES}")
     pairs = _pairs(fc)
-    bound = fc.max_weight + 2
-    rmax = max(bound, max_page if max_page is not None else 0)
     pages = tuple(_page_from_pairs(fc, pairs, r) for r in range(rmax + 1))
     einf_page = pages[fc.max_weight + 1]
     # dimensions must be non-increasing in r, and stable past the bound
@@ -300,7 +279,7 @@ class _ZChain:
     """Memoized spaces Z_s^p(n) = {a in F^p C^n : da in F^{p+s}}.
 
     Built by refining Z_{s-1} with one weight level of constraints at a
-    time, so the construction never touches the closed-form window kernel.
+    time, so the construction shares nothing with the persistence pairs.
     """
 
     def __init__(self, fc: FilteredComplex):
@@ -572,8 +551,10 @@ def invariant_filtered_complex(
     Returns the restricted filtered complex and, per degree, the embedding
     vectors identifying its basis inside the original complex.  The action
     was checked to be finite when it was created, so only its generators
-    are used here: fix cap F^p is the kernel of the stacked (M_i - I)
-    restricted to the columns of F^p.
+    are used here.  Weight by weight from the top, the new basis vectors of
+    weight p are the kernel of the stacked (M_i - I) on the columns of F^p
+    outside the pivots already taken: the canonical complement of
+    fix cap F^{p+1} in fix cap F^p.
     """
     cx = fc.complex
     maxw = fc.max_weight
@@ -584,12 +565,12 @@ def invariant_filtered_complex(
         ident = RationalMatrix.identity(cx.dims[n])
         rows = [row for maps in action.generators for row in maps[n].sub(ident).rows]
         adapted: list[tuple[int, Vector]] = []
-        prev = SubspaceBasis.zero(cx.dims[n])
+        taken: set[int] = set()
         for p in range(maxw, -1, -1):
-            cur = _restricted_kernel(rows, fc.level_indices(n, p), cx.dims[n])
-            for v in complement_in(cur, prev).vectors:
-                adapted.append((p, v))
-            prev = cur
+            cols = [j for j in fc.level_indices(n, p) if j not in taken]
+            new = restricted_kernel(rows, cols, cx.dims[n])
+            taken.update(new.pivots)
+            adapted.extend((p, v) for v in new.vectors)
         adapted.sort(key=lambda t: t[0])
         dims.append(len(adapted))
         weights.append(tuple(p for p, _ in adapted))

@@ -293,6 +293,33 @@ def test_exit_2_on_negative_max_page(capsys):
     assert "--max-page" in err and "Traceback" not in err
 
 
+def test_exit_3_on_a_page_count_past_the_limit(tmp_path, capsys):
+    from eqss.spectral import MAX_PAGES
+
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        '{"complexes": [{"name": "c", "dims": [1], "differentials": [],'
+        ' "filtration": [[100000000]]}]}'
+    )
+    code, out, err = run(capsys, "specseq", str(doc), "--complex", "c")
+    assert code == 3 and out == ""
+    assert f"100000003 pages requested, more than the limit of {MAX_PAGES}" in err
+
+    code, out, err = run(
+        capsys, "specseq", "builtin:models", "--complex", "s1_x_su2", "--max-page", "100000000"
+    )
+    assert code == 3 and out == ""
+    assert f"100000001 pages requested, more than the limit of {MAX_PAGES}" in err
+
+
+def test_exit_2_on_an_empty_invariants_list(capsys):
+    code, out, err = run(
+        capsys, "cohomology", "builtin:library", "--algebra", "so4", "--invariants", ","
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --invariants") and "Traceback" not in err
+
+
 def test_group_bound_env_is_honored(monkeypatch, capsys):
     monkeypatch.setenv("EQSS_GROUP_BOUND", "1")
     code, _, err = run(

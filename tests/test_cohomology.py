@@ -23,7 +23,18 @@ from eqss.liealg import (
     su2,
     u_algebra,
 )
-from eqss.linalg import GroupBoundError, RationalMatrix
+from eqss.library import so_pair
+from eqss.linalg import (
+    GroupBoundError,
+    RationalMatrix,
+    SubspaceBasis,
+    combine,
+    complement_in,
+    image_basis,
+    kernel_basis,
+    solve,
+)
+from randgen import random_filtered_complex
 
 
 def test_absolute_cohomology_su2():
@@ -244,3 +255,45 @@ def test_cup_product_rejects_relative_complex():
     res = lie_cohomology(g, coordinate_subalgebra(g, [3]))
     with pytest.raises(ValueError, match="absolute"):
         cup_product(g, res, 0, (1,), 2, (1,))
+
+
+def complement_cohomology(cx):
+    """Per degree (Z, B, representatives) as they were built before the
+    restricted kernel: Z = ker d_k, B = im d_{k-1}, reps = complement_in(Z, B)."""
+    out = []
+    for k in range(cx.top + 1):
+        z = kernel_basis(cx.differential(k))
+        b = image_basis(cx.differential(k - 1))
+        out.append((z, b, complement_in(z, b)))
+    return out
+
+
+def solve_express(z, b, reps, v):
+    """Class coordinates by solving [reps | B] x = v, as express did before."""
+    if not z.contains(v):
+        raise ValueError("not a cocycle")
+    cols = list(reps.vectors) + list(b.vectors)
+    if not cols:
+        return ()
+    return solve(RationalMatrix.from_columns(cols, z.ambient), v)[: reps.dim]
+
+
+def test_restricted_kernel_classes_match_the_cocycle_complement():
+    rng = random.Random(41)
+    cases = [random_filtered_complex(rng)[0].complex for _ in range(60)]
+    cases += [relative_model(g).complex for g in (su2(), so_algebra(4), u_algebra(2), u_algebra(3))]
+    cases += [relative_model(*so_pair(l)).complex for l in (2, 3, 4)]
+    for cx in cases:
+        res = cohomology(cx)
+        for k, (z, b, reps) in enumerate(complement_cohomology(cx)):
+            assert res.representatives[k] == reps.vectors
+            assert res.coboundaries[k] == b
+            for _ in range(3):
+                cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in z.vectors]
+                v = combine(cs, z.vectors, cx.dims[k])
+                assert res.express(k, v) == solve_express(z, b, reps, v)
+            units = SubspaceBasis.full(cx.dims[k]).vectors
+            outside = next((e for e in units if not z.contains(e)), None)
+            if outside is not None:
+                with pytest.raises(ValueError, match="not a cocycle"):
+                    res.express(k, outside)

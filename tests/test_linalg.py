@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,7 +13,9 @@ from eqss.linalg import (
     fixed_subspace,
     image_basis,
     kernel_basis,
+    _rref_rows,
     rank,
+    restricted_kernel,
     solve,
     subspace_sum,
 )
@@ -185,3 +188,148 @@ def test_coordinate_subspace_matches_span_randomized():
 def test_coordinate_subspace_rejects_unordered_or_out_of_range(idx):
     with pytest.raises(ValueError, match="increasing"):
         SubspaceBasis.coordinate(3, idx)
+
+
+# The dense integer elimination that `_rref_rows` replaced, kept as an
+# independent reference: row swaps, cross-multiplication below each pivot,
+# then back substitution, with a gcd renormalisation of large rows.
+_BIG = 1 << 64
+
+
+def _dense_renormalise(row, start, ncols):
+    if max((abs(a) for a in row[start:]), default=0) > _BIG:
+        g = 0
+        for x in row:
+            g = gcd(g, x)
+        if g > 1:
+            for j in range(start, ncols):
+                row[j] //= g
+
+
+def dense_rref(rows, ncols):
+    mat = []
+    for row in rows:
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        if g:
+            mat.append([v // g for v in ints])
+    pivots, nrows, rr = [], len(mat), 0
+    for c in range(ncols):
+        pr = next((i for i in range(rr, nrows) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[rr], mat[pr] = mat[pr], mat[rr]
+        prow, pv = mat[rr], mat[rr][c]
+        for i in range(rr + 1, nrows):
+            row, v = mat[i], mat[i][c]
+            if v:
+                for j in range(c, ncols):
+                    row[j] = pv * row[j] - v * prow[j]
+                _dense_renormalise(row, c, ncols)
+        pivots.append(c)
+        rr += 1
+        if rr == nrows:
+            break
+    for k in range(len(pivots) - 1, -1, -1):
+        c, prow = pivots[k], mat[k]
+        pv = prow[c]
+        for i in range(k):
+            row, v = mat[i], mat[i][c]
+            if v:
+                for j in range(pivots[i], ncols):
+                    row[j] = pv * row[j] - v * prow[j]
+                _dense_renormalise(row, pivots[i], ncols)
+    return [[Fraction(x, mat[i][c]) for x in mat[i]] for i, c in enumerate(pivots)], tuple(pivots)
+
+
+def dense_span(vectors, n):
+    red, _ = dense_rref(vectors, n)
+    return SubspaceBasis(n, tuple(tuple(r) for r in red))
+
+
+def dense_kernel(m):
+    red, pivots = dense_rref(m.rows, m.ncols)
+    gens = []
+    for f in (f for f in range(m.ncols) if f not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        gens.append(v)
+    return dense_span(gens, m.ncols)
+
+
+def dense_solve(m, b):
+    red, pivots = dense_rref([list(row) + [b[i]] for i, row in enumerate(m.rows)], m.ncols + 1)
+    if m.ncols in pivots:
+        return None
+    x = [Fraction(0)] * m.ncols
+    for i, p in enumerate(pivots):
+        x[p] = red[i][m.ncols]
+    return tuple(x)
+
+
+def dense_inverse(m):
+    n = m.ncols
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.rows)]
+    red, pivots = dense_rref(aug, 2 * n)
+    if pivots != tuple(range(n)):
+        return None
+    return RationalMatrix(tuple(tuple(r[n:]) for r in red), n)
+
+
+def random_matrices(rng, count):
+    """Random rational matrices: empty, zero, rank-deficient, wide, tall and
+    square, sparse and dense, with entries of up to 40 bits."""
+    def entry(density, bits):
+        if rng.random() >= density:
+            return Fraction(0)
+        return Fraction(rng.randint(-(1 << bits), 1 << bits), rng.choice([1, 1, 2, 3, 7, 12]))
+
+    for i in range(count):
+        shape = i % 6
+        nr, nc = [(0, rng.randint(1, 6)), (rng.randint(1, 5), rng.randint(1, 6)),
+                  (rng.randint(1, 4), rng.randint(5, 9)), (rng.randint(5, 9), rng.randint(1, 4)),
+                  (rng.randint(1, 6), 0), (n := rng.randint(1, 6), n)][shape]
+        density, bits = rng.choice([0.3, 0.6, 1.0]), rng.choice([2, 2, 8, 40])
+        rows = [[entry(density, bits) for _ in range(nc)] for _ in range(nr)]
+        if shape == 1:  # zero rows and a repeated combination make it rank-deficient
+            rows.append([Fraction(0)] * nc)
+            rows.append([2 * a - b / 3 for a, b in zip(rows[0], rows[-2])])
+        yield RationalMatrix(tuple(tuple(r) for r in rows), nc)
+
+
+def test_pivot_insertion_matches_dense_elimination_randomized():
+    rng = random.Random(31)
+    for m in random_matrices(rng, 600):
+        red, pivots = dense_rref(m.rows, m.ncols)
+        assert _rref_rows(m.rows, m.ncols) == (red, pivots)
+        assert rank(m) == len(pivots)
+        assert kernel_basis(m) == dense_kernel(m)
+        assert SubspaceBasis.span(m.rows, m.ncols) == dense_span(m.rows, m.ncols)
+        assert image_basis(m) == dense_span(m.columns(), m.nrows)
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m.nrows)]
+        assert solve(m, b) == dense_solve(m, b)
+        reachable = m.apply([Fraction(rng.randint(-3, 3)) for _ in range(m.ncols)])
+        assert solve(m, reachable) == dense_solve(m, reachable)
+        if m.nrows == m.ncols and m.ncols:
+            want = dense_inverse(m)
+            if want is None:
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+            else:
+                assert m.inverse() == want
+
+
+def test_restricted_kernel_is_the_kernel_on_the_columns():
+    rng = random.Random(32)
+    for m in random_matrices(rng, 300):
+        cols = sorted(rng.sample(range(m.ncols), rng.randint(0, m.ncols)))
+        forced = [tuple(Fraction(int(i == j)) for i in range(m.ncols)) for j in range(m.ncols) if j not in cols]
+        want = dense_kernel(RationalMatrix(m.rows + tuple(forced), m.ncols))
+        assert restricted_kernel(m.rows, cols, m.ncols) == want

@@ -65,7 +65,7 @@ def test_guard_sees_aliased_and_qualified_calls():
 
 
 ORACLE = ("pages_inductive", "_ZChain")
-CLOSED_FORM = {"_pairs", "_page_from_pairs", "_restricted_kernel"}
+CLOSED_FORM = {"_pairs", "_page_from_pairs"}
 
 
 def oracle_reaches(source: str) -> set[str]:
@@ -103,13 +103,13 @@ def test_inductive_pages_share_no_code_with_the_closed_form():
 def test_oracle_guard_sees_direct_and_indirect_references():
     source = (
         "def _pairs(fc): pass\n"
-        "def _restricted_kernel(rows, cols, n): pass\n"
+        "def _page_from_pairs(fc, pairs, r): pass\n"
         "def helper(fc):\n"
-        "    return _restricted_kernel([], (), 0)\n"
+        "    return _page_from_pairs(fc, [], 0)\n"
         "class _ZChain:\n"
         "    def space(self):\n"
         "        return helper(self.fc)\n"
         "def pages_inductive(fc):\n"
         "    return spectral._pairs(fc)\n"
     )
-    assert oracle_reaches(source) == {"_pairs", "_restricted_kernel"}
+    assert oracle_reaches(source) == {"_pairs", "_page_from_pairs"}

@@ -13,7 +13,14 @@ from eqss.library import (
     so_pair,
     so_pair_reflection,
 )
-from eqss.linalg import GroupBoundError, RationalMatrix, fixed_subspace, kernel_basis
+from eqss.linalg import (
+    GroupBoundError,
+    RationalMatrix,
+    SubspaceBasis,
+    complement_in,
+    fixed_subspace,
+    kernel_basis,
+)
 from eqss.spectral import (
     DeckAction,
     FilteredComplex,
@@ -305,6 +312,43 @@ def test_invariant_complex_weight_adapted_basis():
                 ]
                 expect = kernel_basis(RationalMatrix.from_rows(rows, amb)).dim
                 assert sum(w >= p for w in ws) == expect
+
+
+def complement_chain_basis(fc, action):
+    """Per degree the (weight, vector) pairs of the weight-adapted basis as
+    built before: fix cap F^p as a kernel restricted to the level indices,
+    complemented against fix cap F^{p+1}, from the top weight down."""
+    out = []
+    for n, amb in enumerate(fc.complex.dims):
+        ident = RationalMatrix.identity(amb)
+        rows = [row for maps in action.generators for row in maps[n].sub(ident).rows]
+        adapted, prev = [], SubspaceBasis.zero(amb)
+        for p in range(fc.max_weight, -1, -1):
+            cols = fc.level_indices(n, p)
+            small = kernel_basis(RationalMatrix(tuple(tuple(r[j] for j in cols) for r in rows), len(cols)))
+            vecs = []
+            for v in small.vectors:
+                x = [Fraction(0)] * amb
+                for j, c in zip(cols, v):
+                    x[j] = c
+                vecs.append(tuple(x))
+            cur = SubspaceBasis(amb, tuple(vecs))
+            adapted += [(p, v) for v in complement_in(cur, prev).vectors]
+            prev = cur
+        out.append(sorted(adapted, key=lambda t: t[0]))
+    return out
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_weight_adapted_basis_matches_the_complement_chain(l):
+    g, h = so_pair(l)
+    for aut in (so_pair_reflection(l), LieAutomorphism.create(g, RationalMatrix.identity(g.dim))):
+        fc, total = double_cover_twist(g, h, aut)
+        action = DeckAction.create(fc, [total])
+        out, embeddings = invariant_filtered_complex(fc, action)
+        for n, adapted in enumerate(complement_chain_basis(fc, action)):
+            assert out.weights[n] == tuple(p for p, _ in adapted)
+            assert embeddings[n] == tuple(v for _, v in adapted)
 
 
 def test_audit_failure_raises():
