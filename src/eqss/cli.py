@@ -35,7 +35,7 @@ from .documents import (
     render_rational,
 )
 from .library import builtin_text
-from .linalg import GroupBoundError
+from .linalg import GROUP_BOUND, GroupBoundError
 from .obstructions import (
     DEFAULT_DIM_CAP,
     gysin_assemble,
@@ -52,8 +52,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_AUDIT = 4
-
-GROUP_BOUND_DEFAULT = 10000
 
 
 def _env_count(name: str, default: int) -> int:
@@ -375,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(args_list)
     inputs: dict[str, str] = {}
     try:
-        args.group_bound = _env_count("EQSS_GROUP_BOUND", GROUP_BOUND_DEFAULT)
+        args.group_bound = _env_count("EQSS_GROUP_BOUND", GROUP_BOUND)
         args.solver_cap = _env_count("EQSS_SOLVER_CAP", DEFAULT_DIM_CAP)
         results, lines = args.handler(args, inputs)
     except DocumentError as e:

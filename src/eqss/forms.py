@@ -33,10 +33,8 @@ __all__ = [
     "basis_form",
     "ce_complex",
     "contract",
-    "contract_matrix",
     "differential_images",
     "form_from_terms",
-    "induced_on_forms",
     "multi_indices",
     "pull_back",
     "relative_subcomplex",
@@ -134,10 +132,6 @@ def basis_form(dim: int, indices: Sequence[int]) -> ExteriorForm:
     return form_from_terms(dim, len(tuple(indices)), {tuple(indices): 1})
 
 
-def form_from_vector(dim: int, degree: int, vec: Sequence) -> ExteriorForm:
-    return ExteriorForm(dim, degree, as_vector(vec))
-
-
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     if a.dim != b.dim:
         raise ValueError("wedge of forms on different algebras")
@@ -172,14 +166,6 @@ def contract(x: Sequence, form: ExteriorForm) -> ExteriorForm:
                 sign = -1 if r % 2 else 1
                 coeffs[pos[target]] += sign * xv[j - 1] * c
     return ExteriorForm(form.dim, form.degree - 1, tuple(coeffs))
-
-
-def contract_matrix(dim: int, x: Sequence, degree: int) -> RationalMatrix:
-    """Matrix of iota_x from degree `degree` to degree-1 monomial bases."""
-    cols = []
-    for idx in multi_indices(dim, degree):
-        cols.append(contract(x, basis_form(dim, idx)).coeffs)
-    return RationalMatrix.from_columns(cols, len(multi_indices(dim, degree - 1)))
 
 
 def render_form(form: ExteriorForm, labels: Sequence[str] | None = None) -> str:
@@ -456,32 +442,3 @@ def pull_back(aut: LieAutomorphism, degree: int, vectors: Sequence[Sequence]) ->
         vectors, multi_indices(n, degree), _index_position(n, degree),
         lambda idx: _wedge_images(images, idx, memo),
     )
-
-
-def induced_on_forms(aut: LieAutomorphism, degree: int, check: bool = True) -> RationalMatrix:
-    """Pullback action on degree-k forms: Lambda^k of the inverse transpose.
-
-    Functorial (induced(ab) = induced(a) induced(b)) and commutes with the
-    differential; the commutation is verified for the requested degree unless
-    check is False.
-    """
-    g = aut.algebra
-    n = g.dim
-    if degree < 0 or degree > n:
-        raise ValueError("degree out of range")
-    mat = _pullback_matrix(aut, degree)
-    if check and degree < n:
-        ce = ce_complex(g)
-        lhs = ce.differential(degree).mul(mat)
-        rhs = _pullback_matrix(aut, degree + 1).mul(ce.differential(degree))
-        if lhs != rhs:
-            raise AssertionError("induced action does not commute with the differential")
-    return mat
-
-
-def _pullback_matrix(aut: LieAutomorphism, degree: int) -> RationalMatrix:
-    images = _dual_images(aut)
-    memo: dict = {}
-    pos = _index_position(aut.algebra.dim, degree)
-    cols = [_dense(_wedge_images(images, idx, memo), pos) for idx in pos]
-    return RationalMatrix.from_columns(cols, len(pos))

@@ -32,6 +32,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
+    "GROUP_BOUND",
     "GradedComplex",
     "GroupBoundError",
     "RationalMatrix",
@@ -50,6 +51,9 @@ __all__ = [
 ]
 
 Vector = tuple[Fraction, ...]
+
+# The most elements enumerate_group builds before it calls a group infinite.
+GROUP_BOUND = 10000
 
 
 class GroupBoundError(RuntimeError):
@@ -457,8 +461,9 @@ def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
 
 
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
-    """Canonical basis of the column span of m."""
-    return SubspaceBasis.span([m.column(j) for j in range(m.ncols)], m.nrows)
+    """Canonical basis of the column span of m; its entries are already exact."""
+    red, _ = _rref_rows(zip(*m.rows), m.nrows)
+    return SubspaceBasis(m.nrows, tuple(tuple(r) for r in red))
 
 
 def solve(m: RationalMatrix, b: Sequence) -> Vector | None:
@@ -494,7 +499,7 @@ def complement_in(space: SubspaceBasis, sub: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis.span([v for v in reduced if any(v)], space.ambient)
 
 
-def enumerate_group(generators: Sequence[RationalMatrix], bound: int = 10000) -> list[RationalMatrix]:
+def enumerate_group(generators: Sequence[RationalMatrix], bound: int = GROUP_BOUND) -> list[RationalMatrix]:
     """All elements of the matrix group generated by `generators` (BFS).
 
     Raises GroupBoundError if the closure exceeds `bound` elements.  This is

@@ -50,6 +50,9 @@ __all__ = [
 DEFAULT_DIM_CAP = 50
 MAX_UNKNOWNS = 12
 DEFAULT_NORMAL_HEIGHT = 5
+# The most normals null_hyperplane_search tries: every one at b2 = 5 (78,721
+# normals, 8.9 s); b2 = 6 has 877,240.
+MAX_NORMALS = 80_000
 
 NOT_EXCLUDED = "not excluded by this criterion"
 
@@ -107,11 +110,7 @@ class LesProblem:
             raise ValueError("period must be positive")
 
     def labels(self) -> tuple[str, ...]:
-        seen = []
-        for t in self.terms:
-            if t.label is not None and t.label not in seen:
-                seen.append(t.label)
-        return tuple(sorted(seen))
+        return tuple(sorted({t.label for t in self.terms if t.label is not None}))
 
     def render(self) -> str:
         return "0 -> " + " -> ".join(t.render() for t in self.terms) + " -> 0"
@@ -151,10 +150,7 @@ def solve_les(problem: LesProblem, cap: int = DEFAULT_DIM_CAP) -> list[LesSoluti
     the sorted label order.
     """
     labels = problem.labels()
-    if len(labels) > MAX_UNKNOWNS:
-        raise ValueError(
-            f"solver bound exceeded: {len(labels)} unknown labels (max {MAX_UNKNOWNS})"
-        )
+    _check_unknowns(len(labels))
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     terms = problem.terms
@@ -196,6 +192,11 @@ def solve_les(problem: LesProblem, cap: int = DEFAULT_DIM_CAP) -> list[LesSoluti
     for sol in solutions:
         assert verify_exactness(problem, sol)
     return solutions
+
+
+def _check_unknowns(count: int) -> None:
+    if count > MAX_UNKNOWNS:
+        raise ValueError(f"solver bound exceeded: {count} unknown labels (max {MAX_UNKNOWNS})")
 
 
 def verify_exactness(problem: LesProblem, solution: LesSolution) -> bool:
@@ -342,6 +343,8 @@ def gysin_assemble(
     bt = len(basic) - 1
     n = bt + l
     m_term = _total_terms(total_dims, n)
+    if total_dims is None:
+        _check_unknowns(n + 1)  # the labels M0..Mn, before any term is built
 
     def b_term(j: int) -> Term:
         return Term.known(basic[j] if 0 <= j <= bt else 0)
@@ -584,7 +587,8 @@ def null_hyperplane_search(
     Exact decision for b2 <= 2 (case analysis of lines, including
     irrational ones); for b2 >= 3 a bounded search over primitive integer
     normals of height <= `height`, whose failure is reported as
-    "bounded-search" and never as a definitive no.
+    "bounded-search" and never as a definitive no.  A search that would try
+    more than MAX_NORMALS normals raises ValueError at the limit.
     """
     b2 = cup.b2
     if b2 < 1:
@@ -639,7 +643,11 @@ def null_hyperplane_search(
         else:
             note = "every null line of the first form fails another cup matrix"
         return NullSearchResult(False, None, "exact", note)
-    for normal in _primitive_normals(b2, height):
+    for count, normal in enumerate(_primitive_normals(b2, height)):
+        if count == MAX_NORMALS:
+            raise ValueError(
+                f"the null hyperplane search for b2 = {b2} passed the limit of {MAX_NORMALS} normals"
+            )
         w = kernel_basis(RationalMatrix.from_rows([[Fraction(x) for x in normal]]))
         if _is_null_subspace(cup, w.vectors):
             return NullSearchResult(True, w, "exact", f"normal {normal}")

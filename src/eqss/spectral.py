@@ -22,8 +22,9 @@ The product model builds base tensor relative-Chevalley-Eilenberg complexes
 filtered by base degree, with d = d_base (x) 1 + (-1)^p 1 (x) d_fiber
 assembled from Kronecker blocks, and twist_by_deck cuts out the subcomplex
 invariant under a finite diagonal deck action (base map (x) fiber map, the
-same blocks), inheriting the filtration through a weight-adapted basis of
-the fixed spaces.
+same blocks).  With each degree's basis in weight order every F^p is a tail
+of the coordinates, so the reduced echelon basis of the fixed space is
+weight-adapted: each vector takes the weight of its pivot.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from .linalg import (
     combine,
     complement_in,
     enumerate_group,
+    fixed_subspace,
     insert,
     kernel_basis,
     rank,
-    restricted_kernel,
     solve,
     subspace_sum,
 )
@@ -521,7 +522,6 @@ class DeckAction:
         cls,
         fc: FilteredComplex,
         generators: Sequence[Sequence[RationalMatrix]],
-        bound: int = 10000,
     ) -> "DeckAction":
         gens = tuple(tuple(maps) for maps in generators)
         cx = fc.complex
@@ -538,8 +538,12 @@ class DeckAction:
         for n in range(cx.top + 1):
             mats = [maps[n] for maps in gens if cx.dims[n]]
             if mats:
-                enumerate_group(mats, bound=bound)  # raises if not finite within bound
+                enumerate_group(mats)  # raises GroupBoundError past linalg.GROUP_BOUND
         return cls(gens)
+
+
+def _permuted(m: RationalMatrix, rows: Sequence[int], cols: Sequence[int]) -> RationalMatrix:
+    return RationalMatrix(tuple(tuple(m.rows[i][j] for j in cols) for i in rows), len(cols))
 
 
 def invariant_filtered_complex(
@@ -551,46 +555,38 @@ def invariant_filtered_complex(
     Returns the restricted filtered complex and, per degree, the embedding
     vectors identifying its basis inside the original complex.  The action
     was checked to be finite when it was created, so only its generators
-    are used here.  Weight by weight from the top, the new basis vectors of
-    weight p are the kernel of the stacked (M_i - I) on the columns of F^p
-    outside the pivots already taken: the canonical complement of
-    fix cap F^{p+1} in fix cap F^p.
+    are used here.  Each degree's basis is put in weight order by a stable
+    sort (the identity for every ProductComplex), so every F^p is a tail of
+    the coordinates.  The reduced echelon basis of the fixed space meets
+    every tail in a sub-basis: a fixed vector in F^p has coefficient zero on
+    each basis vector whose pivot lies before the tail.  So each basis
+    vector takes the weight of its pivot, the basis is already in weight
+    order, and d restricts by reading coordinates at the pivots.
     """
     cx = fc.complex
-    maxw = fc.max_weight
-    dims = []
-    weights = []
-    embeddings = []
-    for n in range(cx.top + 1):
-        ident = RationalMatrix.identity(cx.dims[n])
-        rows = [row for maps in action.generators for row in maps[n].sub(ident).rows]
-        adapted: list[tuple[int, Vector]] = []
-        taken: set[int] = set()
-        for p in range(maxw, -1, -1):
-            cols = [j for j in fc.level_indices(n, p) if j not in taken]
-            new = restricted_kernel(rows, cols, cx.dims[n])
-            taken.update(new.pivots)
-            adapted.extend((p, v) for v in new.vectors)
-        adapted.sort(key=lambda t: t[0])
-        dims.append(len(adapted))
-        weights.append(tuple(p for p, _ in adapted))
-        embeddings.append(tuple(v for _, v in adapted))
+    orders = [sorted(range(d), key=ws.__getitem__) for d, ws in zip(cx.dims, fc.weights)]
+    spaces = [
+        fixed_subspace([_permuted(maps[n], order, order) for maps in action.generators])
+        if action.generators else SubspaceBasis.full(len(order))
+        for n, order in enumerate(orders)
+    ]
     diffs = []
     for n in range(cx.top):
-        d_n = cx.differential(n)
-        emb_next = RationalMatrix.from_columns(list(embeddings[n + 1]), cx.dim(n + 1))
-        cols = []
-        for v in embeddings[n]:
-            coords = solve(emb_next, d_n.apply(v))
-            if coords is None:
-                raise FilteredComplexError(
-                    f"fixed spaces are not closed under the differential at degree {n}"
-                )
-            cols.append(coords)
-        diffs.append(RationalMatrix.from_columns(cols, dims[n + 1]))
-    new_cx = GradedComplex.create(tuple(dims), diffs)
-    new_fc = FilteredComplex.create(new_cx, weights)
-    return new_fc, tuple(embeddings)
+        d_n = _permuted(cx.differential(n), orders[n + 1], orders[n])
+        cols = [spaces[n + 1].coordinates(d_n.apply(v)) for v in spaces[n].vectors]
+        if None in cols:
+            raise FilteredComplexError(
+                f"fixed spaces are not closed under the differential at degree {n}"
+            )
+        diffs.append(RationalMatrix.from_columns(cols, spaces[n + 1].dim))
+    new_cx = GradedComplex.create(tuple(s.dim for s in spaces), diffs)
+    weights = [tuple(ws[order[p]] for p in s.pivots) for ws, order, s in zip(fc.weights, orders, spaces)]
+    # back to the original coordinates: entry k of a vector sits at order[k]
+    embeddings = tuple(
+        tuple(tuple(x for _, x in sorted(zip(order, v))) for v in s.vectors)
+        for order, s in zip(orders, spaces)
+    )
+    return FilteredComplex.create(new_cx, weights), embeddings
 
 
 def twist_by_deck(

@@ -1,0 +1,47 @@
+"""Dense matrices of operations on forms, used only as test oracles.
+
+The engine works on sparse forms and never builds these matrices: the
+pullback of every basis form under an automorphism, the matrix of a
+contraction, and a form wrapped around a coefficient vector.
+"""
+
+from typing import Sequence
+
+from eqss.forms import ExteriorForm, basis_form, ce_complex, contract, multi_indices, pull_back
+from eqss.liealg import LieAutomorphism
+from eqss.linalg import RationalMatrix, SubspaceBasis, as_vector
+
+
+def form_from_vector(dim: int, degree: int, vec: Sequence) -> ExteriorForm:
+    return ExteriorForm(dim, degree, as_vector(vec))
+
+
+def contract_matrix(dim: int, x: Sequence, degree: int) -> RationalMatrix:
+    """Matrix of iota_x from degree `degree` to degree-1 monomial bases."""
+    cols = [contract(x, basis_form(dim, idx)).coeffs for idx in multi_indices(dim, degree)]
+    return RationalMatrix.from_columns(cols, len(multi_indices(dim, degree - 1)))
+
+
+def _pullback_matrix(aut: LieAutomorphism, degree: int) -> RationalMatrix:
+    size = len(multi_indices(aut.algebra.dim, degree))
+    return RationalMatrix.from_columns(pull_back(aut, degree, SubspaceBasis.full(size).vectors), size)
+
+
+def induced_on_forms(aut: LieAutomorphism, degree: int, check: bool = True) -> RationalMatrix:
+    """Pullback action on degree-k forms: Lambda^k of the inverse transpose.
+
+    Functorial (induced(ab) = induced(a) induced(b)) and commutes with the
+    differential; the commutation is verified for the requested degree unless
+    check is False.
+    """
+    n = aut.algebra.dim
+    if degree < 0 or degree > n:
+        raise ValueError("degree out of range")
+    mat = _pullback_matrix(aut, degree)
+    if check and degree < n:
+        ce = ce_complex(aut.algebra)
+        lhs = ce.differential(degree).mul(mat)
+        rhs = _pullback_matrix(aut, degree + 1).mul(ce.differential(degree))
+        if lhs != rhs:
+            raise AssertionError("induced action does not commute with the differential")
+    return mat

@@ -360,3 +360,65 @@ def test_solver_cap_env_is_honored(monkeypatch, capsys):
     assert run_json(capsys, *argv)["results"]["solution_count"] == 0
     monkeypatch.setenv("EQSS_SOLVER_CAP", "2")
     assert run_json(capsys, *argv)["results"]["solution_count"] == 1
+
+
+def test_exit_3_on_an_oversized_lie_algebra(tmp_path, capsys):
+    from eqss.cohomology import MAX_FORM_ENTRIES
+
+    def document(dim, sub=None):
+        entries = {"lie_algebras": [{"name": "a", "dim": dim, "brackets": []}]}
+        if sub is not None:
+            entries["subalgebras"] = [{"name": "b", "parent": "a", "basis": [sub]}]
+        path = tmp_path / f"a{dim}.json"
+        path.write_text(json.dumps(entries))
+        return str(path)
+
+    # the absolute route's dense differentials hold sum_k C(n,k) C(n,k+1) entries
+    for dim, size in ((18, 8597496600), (30, 114449595062769120)):
+        code, out, err = run(capsys, "cohomology", document(dim), "--algebra", "a")
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert (
+            f"the absolute complex of a (dim {dim}) needs {size} form entries,"
+            f" more than the limit of {MAX_FORM_ENTRIES}" in err
+        )
+    # the relative route indexes all 2^n monomials
+    doc = document(22, [1] + [0] * 21)
+    code, out, err = run(capsys, "cohomology", doc, "--algebra", "a", "--relative", "b")
+    assert code == 3 and out == ""
+    assert "relative complex of a (dim 22) needs 4194304 form entries" in err
+
+
+def test_exit_3_on_an_open_gysin_problem_past_the_unknown_limit(capsys):
+    from eqss.obstructions import MAX_UNKNOWNS
+
+    # the labels M0..M(l+1) are refused before any term is built
+    for l in (100000, 1000000000):
+        code, out, err = run(capsys, "obstruct", "gysin", "--l", str(l), "--basic", "1,1")
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert f"solver bound exceeded: {l + 2} unknown labels (max {MAX_UNKNOWNS})" in err
+    code, out, err = run(
+        capsys, "obstruct", "gysin", "--l", "1000000000", "--basic", "1,1", "--total", "1,1"
+    )
+    assert code == 3 and out == ""
+    assert "total dims must cover degrees 0..1000000001, got 2 entries" in err
+
+
+def test_exit_3_when_the_normal_search_passes_its_limit(monkeypatch, tmp_path, capsys):
+    from eqss import obstructions
+
+    monkeypatch.setattr(obstructions, "MAX_NORMALS", 100)
+    definite = tmp_path / "definite.json"
+    definite.write_text(json.dumps({"b2": 6, "matrices": [
+        [[7 if i == j else 0 for j in range(6)] for i in range(6)]
+    ]}))
+    code, out, err = run(capsys, "obstruct", "s3-5m", "--b2", "6", "--cup", str(definite))
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert "the null hyperplane search for b2 = 6 passed the limit of 100 normals" in err
+    # e1 e6^T + e6 e1^T vanishes on the hyperplane x6 = 0, the first normal tried
+    null = tmp_path / "null.json"
+    null.write_text(json.dumps({"b2": 6, "matrices": [
+        [[int({i, j} == {0, 5}) for j in range(6)] for i in range(6)]
+    ]}))
+    report = run_json(capsys, "obstruct", "s3-5m", "--b2", "6", "--cup", str(null))
+    assert report["results"]["verdict"]["excluded"] is False
+    assert report["results"]["verdict"]["completeness"] == "exact"

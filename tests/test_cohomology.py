@@ -8,7 +8,6 @@ from eqss.cohomology import (
     action_on_cohomology,
     cohomology,
     cup_product,
-    fixed_subcomplex,
     invariant_cohomology,
     lie_cohomology,
     relative_model,
@@ -34,6 +33,7 @@ from eqss.linalg import (
     kernel_basis,
     solve,
 )
+from eqss.spectral import DeckAction, FilteredComplex, invariant_filtered_complex
 from randgen import random_filtered_complex
 
 
@@ -110,7 +110,7 @@ def test_invariants_check_that_the_group_is_finite():
     with pytest.raises(GroupBoundError):
         invariant_cohomology(cohomology(cx), [[shear]], bound=50)
     with pytest.raises(GroupBoundError):
-        fixed_subcomplex(cx, [[shear]], bound=50)
+        DeckAction.create(FilteredComplex.create(cx, [[0, 0]]), [[shear]])
 
 
 def test_express_classes():
@@ -167,8 +167,9 @@ def test_invariants_agree_with_fixed_subcomplex():
     res = cohomology(model.complex)
     aut = LieAutomorphism.create(g, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
     maps = restricted_action(model, aut)
-    fixed_cx, _ = fixed_subcomplex(model.complex, [maps])
-    assert cohomology(fixed_cx).dims == invariant_cohomology(res, [maps]).dims
+    fc = FilteredComplex.create(model.complex, [[0] * d for d in model.complex.dims])
+    fixed, _ = invariant_filtered_complex(fc, DeckAction.create(fc, [maps]))
+    assert cohomology(fixed.complex).dims == invariant_cohomology(res, [maps]).dims
 
 
 def test_invariants_without_generators_are_everything():
@@ -297,3 +298,23 @@ def test_restricted_kernel_classes_match_the_cocycle_complement():
             if outside is not None:
                 with pytest.raises(ValueError, match="not a cocycle"):
                     res.express(k, outside)
+
+
+def test_form_entry_limit_is_exact_at_the_boundary(monkeypatch):
+    from eqss import cohomology as module
+
+    # so(7)/so(6) indexes 2^21 monomials and must stay within the limit
+    assert 2**21 <= module.MAX_FORM_ENTRIES
+    g = so_algebra(5)  # its dense differentials hold 167,960 entries
+    assert sum(d.nrows * d.ncols for d in ce_complex(g).differentials) == 167960
+    monkeypatch.setattr(module, "MAX_FORM_ENTRIES", 167960)
+    relative_model(g)
+    monkeypatch.setattr(module, "MAX_FORM_ENTRIES", 167959)
+    with pytest.raises(ValueError, match="absolute complex of so5 \\(dim 10\\) needs 167960 form entries"):
+        relative_model(g)
+    pair = so_pair(3)  # dim 6: 64 monomials
+    monkeypatch.setattr(module, "MAX_FORM_ENTRIES", 64)
+    relative_model(*pair)
+    monkeypatch.setattr(module, "MAX_FORM_ENTRIES", 63)
+    with pytest.raises(ValueError, match="relative complex of so4 \\(dim 6\\) needs 64 form entries"):
+        relative_model(*pair)

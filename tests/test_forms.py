@@ -9,9 +9,7 @@ from eqss.forms import (
     basis_form,
     ce_complex,
     contract,
-    contract_matrix,
     form_from_terms,
-    induced_on_forms,
     multi_indices,
     relative_subcomplex,
     render_form,
@@ -27,6 +25,8 @@ from eqss.liealg import (
     u_algebra,
 )
 from eqss.linalg import GradedComplex, RationalMatrix, as_fraction
+
+from form_oracles import contract_matrix, induced_on_forms
 
 
 def det(rows):

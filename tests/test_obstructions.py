@@ -333,3 +333,16 @@ def test_verdict_serialization():
 def test_problem_render():
     prob = seq("A", 2, "A")
     assert prob.render() == "0 -> ?A -> 2 -> ?A -> 0"
+
+
+def test_normal_limit_covers_every_normal_at_b2_5():
+    # answers for b2 <= 5 search every normal of the default height
+    from eqss.obstructions import DEFAULT_NORMAL_HEIGHT, MAX_NORMALS, _primitive_normals
+
+    assert sum(1 for _ in _primitive_normals(5, DEFAULT_NORMAL_HEIGHT)) == 78721 <= MAX_NORMALS
+
+
+def test_labels_are_sorted_and_distinct_in_linear_time():
+    terms = [Term.unknown(f"x{i % 50000}") for i in range(100000)] + [Term.known(1)]
+    labels = LesProblem(tuple(terms)).labels()
+    assert len(labels) == 50000 and list(labels) == sorted(labels)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from eqss.cohomology import cohomology, cup_product, relative_model
-from eqss.forms import ce_complex, contract, form_from_vector, wedge
+from eqss.forms import ce_complex, contract, wedge
 from eqss.liealg import bracket, jacobi_check, su2, so_algebra
 from eqss.linalg import (
     RationalMatrix,
@@ -17,6 +17,7 @@ from eqss.linalg import (
     solve,
 )
 
+from form_oracles import form_from_vector
 from randgen import random_two_step_nilpotent, transported_algebra
 
 INSTANCES = 100

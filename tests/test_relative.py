@@ -12,11 +12,12 @@ from fractions import Fraction
 import pytest
 
 from eqss.cohomology import action_on_cohomology, cohomology, relative_model, restricted_action
-from eqss.forms import ExteriorForm, ce_complex, contract, contract_matrix, multi_indices, relative_subcomplex
+from eqss.forms import ExteriorForm, ce_complex, contract, multi_indices, relative_subcomplex
 from eqss.library import builtin_library, so_pair, so_pair_reflection
 from eqss.liealg import LieAlgebra, Subalgebra, so_algebra, su2, u_algebra
 from eqss.linalg import RationalMatrix, SubspaceBasis, kernel_basis
 
+from form_oracles import contract_matrix
 from randgen import transported_pair
 
 

@@ -20,6 +20,8 @@ from eqss.linalg import (
     complement_in,
     fixed_subspace,
     kernel_basis,
+    restricted_kernel,
+    solve,
 )
 from eqss.spectral import (
     DeckAction,
@@ -37,6 +39,8 @@ from eqss.spectral import (
     run_to_stabilization,
     twist_by_deck,
 )
+from eqss.documents import parse_document
+from eqss.library import builtin_text
 from randgen import random_filtered_complex
 
 
@@ -280,7 +284,7 @@ def test_deck_action_validation():
     shear = RationalMatrix.from_rows([[1, 1], [0, 1]])
     fc0 = simple_fc((2,), [], ((0, 0),))
     with pytest.raises(GroupBoundError):
-        DeckAction.create(fc0, [[shear]], bound=50)
+        DeckAction.create(fc0, [[shear]])
 
 
 def test_invariant_complex_weight_adapted_basis():
@@ -349,6 +353,129 @@ def test_weight_adapted_basis_matches_the_complement_chain(l):
         for n, adapted in enumerate(complement_chain_basis(fc, action)):
             assert out.weights[n] == tuple(p for p, _ in adapted)
             assert embeddings[n] == tuple(v for _, v in adapted)
+
+
+def per_weight_invariant_complex(fc, action):
+    """The fixed subcomplex as built before the weight-order basis: weight by
+    weight from the top, the kernel of the stacked (M_i - I) on the columns
+    of F^p off the pivots already taken, and d restricted by solving against
+    the embedding vectors."""
+    cx = fc.complex
+    weights, embeddings = [], []
+    for n in range(cx.top + 1):
+        ident = RationalMatrix.identity(cx.dims[n])
+        rows = [row for maps in action.generators for row in maps[n].sub(ident).rows]
+        adapted, taken = [], set()
+        for p in range(fc.max_weight, -1, -1):
+            cols = [j for j in fc.level_indices(n, p) if j not in taken]
+            new = restricted_kernel(rows, cols, cx.dims[n])
+            taken.update(new.pivots)
+            adapted.extend((p, v) for v in new.vectors)
+        adapted.sort(key=lambda t: t[0])
+        weights.append(tuple(p for p, _ in adapted))
+        embeddings.append(tuple(v for _, v in adapted))
+    diffs = []
+    for n in range(cx.top):
+        emb_next = RationalMatrix.from_columns(list(embeddings[n + 1]), cx.dims[n + 1])
+        cols = [solve(emb_next, cx.differential(n).apply(v)) for v in embeddings[n]]
+        diffs.append(RationalMatrix.from_columns(cols, len(embeddings[n + 1])))
+    new_cx = GradedComplex.create(tuple(len(e) for e in embeddings), diffs)
+    return FilteredComplex.create(new_cx, weights), tuple(embeddings)
+
+
+def deck_cases():
+    """(fc, action maps): the l = 2, 3, 4 twists with the reflection and the
+    identity, and the shipped antipodal deck action."""
+    out = []
+    for l in (2, 3, 4):
+        g, h = so_pair(l)
+        for aut in (so_pair_reflection(l), LieAutomorphism.create(g, RationalMatrix.identity(g.dim))):
+            out.append(double_cover_twist(g, h, aut))
+    doc = parse_document(builtin_text("models"))
+    act = doc.action("antipodal_deck")
+    out.append((doc.complex_entry(act.complex_name).filtered(), act.maps))
+    return out
+
+
+def _permuted(m, rows, cols):
+    return RationalMatrix(tuple(tuple(m.rows[i][j] for j in cols) for i in rows), len(cols))
+
+
+def test_weight_order_basis_matches_the_per_weight_construction():
+    for fc, maps in deck_cases():
+        action = DeckAction.create(fc, [maps])
+        out, embeddings = invariant_filtered_complex(fc, action)
+        ref, ref_embeddings = per_weight_invariant_complex(fc, action)
+        assert out == ref
+        assert embeddings == ref_embeddings
+
+
+def mixed_weight_cases():
+    """Twists whose degrees mix two weights: the circle double cover times
+    su2 (reflection and identity) and times so4 (a sign automorphism)."""
+    g = su2()
+    out = [
+        double_cover_twist(g, None, LieAutomorphism.create(g, rows))
+        for rows in ([[1, 0, 0], [0, -1, 0], [0, 0, -1]], RationalMatrix.identity(3))
+    ]
+    g = so_algebra(4)
+    # eps_i eps_j on the lex pairs (i, j), eps = (1, 1, -1, -1)
+    signs = [1, -1, -1, -1, -1, 1]
+    out.append(double_cover_twist(g, None, LieAutomorphism.create(g, [
+        [signs[i] if i == j else 0 for j in range(6)] for i in range(6)
+    ])))
+    return out
+
+
+def weight_mixing_involutions(rng, count):
+    """Complexes with zero differential and random weights, with the
+    involution T D T^-1: D = diag(+-1) and T unit triangular in weight order,
+    so the action mixes weights without lowering them."""
+    out = []
+    for _ in range(count):
+        dims = (rng.randint(2, 6), rng.randint(2, 6))
+        weights = [[rng.randint(0, 3) for _ in range(d)] for d in dims]
+        maps = []
+        for d, ws in zip(dims, weights):
+            t = RationalMatrix.from_rows([
+                [int(i == j) or (rng.randint(-2, 2) if ws[i] > ws[j] else 0) for j in range(d)]
+                for i in range(d)
+            ])
+            diag = RationalMatrix.from_rows([[rng.choice((1, -1)) * (i == j) for j in range(d)] for i in range(d)])
+            maps.append(t.mul(diag).mul(t.inverse()))
+        cx = GradedComplex.create(dims, [RationalMatrix.zeros(dims[1], dims[0])])
+        out.append((FilteredComplex.create(cx, weights), maps))
+    return out
+
+
+def test_weight_order_basis_on_permuted_bases():
+    # with each degree's basis shuffled the weights are not monotone, so the
+    # two bases differ, but they are both weight-adapted bases of one filtration
+    rng = random.Random(811)
+    shuffled_weights = 0
+    for fc, maps in deck_cases() + mixed_weight_cases() + weight_mixing_involutions(rng, 30):
+        cx = fc.complex
+        orders = [rng.sample(range(d), d) for d in cx.dims]
+        weights = [[fc.weights[n][i] for i in order] for n, order in enumerate(orders)]
+        shuffled_weights += any(ws != sorted(ws) for ws in weights)
+        diffs = [_permuted(cx.differential(n), orders[n + 1], orders[n]) for n in range(cx.top)]
+        shuffled = FilteredComplex.create(GradedComplex.create(cx.dims, diffs), weights)
+        action = DeckAction.create(shuffled, [[_permuted(m, o, o) for m, o in zip(maps, orders)]])
+        out, embeddings = invariant_filtered_complex(shuffled, action)
+        ref, ref_embeddings = per_weight_invariant_complex(shuffled, action)
+        assert out.complex.dims == ref.complex.dims
+        assert [sorted(ws) for ws in out.weights] == [sorted(ws) for ws in ref.weights]
+        got, want = run_to_stabilization(out), run_to_stabilization(ref)
+        assert [pg.dims() for pg in got.pages] == [pg.dims() for pg in want.pages]
+        assert got.total_cohomology == want.total_cohomology
+        for n, amb in enumerate(cx.dims):
+            for p in range(fc.max_weight + 2):
+                spans = [
+                    SubspaceBasis.span([v for w, v in zip(ws[n], vs[n]) if w >= p], amb)
+                    for ws, vs in ((out.weights, embeddings), (ref.weights, ref_embeddings))
+                ]
+                assert spans[0] == spans[1]
+    assert shuffled_weights >= 30  # the mixed-weight twists and most involutions
 
 
 def test_audit_failure_raises():
