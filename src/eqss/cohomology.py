@@ -101,7 +101,7 @@ def cohomology(cx: GradedComplex) -> CohomologyResult:
         b = image_basis(cx.differential(k - 1))
         taken = set(b.pivots)
         cols = [j for j in range(cx.dims[k]) if j not in taken]
-        reps.append(restricted_kernel(cx.differential(k).rows, cols, cx.dims[k]).vectors)
+        reps.append(restricted_kernel(cx.differential(k), cols).vectors)
         coboundaries.append(b)
     return CohomologyResult(cx, tuple(len(r) for r in reps), tuple(reps), tuple(coboundaries))
 
@@ -134,7 +134,9 @@ def relative_model(g: LieAlgebra, h: Subalgebra | None = None) -> RelativeModel:
     Before any form is enumerated, the size of the route is checked against
     MAX_FORM_ENTRIES: the absolute route's dense differentials hold
     sum_k C(n,k) C(n,k+1) entries, and the relative route indexes all 2^n
-    monomials of the n-dimensional algebra.
+    monomials of the n-dimensional algebra; then, with m = dim g - dim h,
+    its dense kernel vectors and their lifts to the forms on g hold at most
+    sum_k C(m,k) C(n,k) = C(n+m, m) entries.
     """
     if h is None:
         h = Subalgebra(g, SubspaceBasis.zero(g.dim), name="0")
@@ -149,6 +151,12 @@ def relative_model(g: LieAlgebra, h: Subalgebra | None = None) -> RelativeModel:
         raise ValueError(
             f"the {route} complex of {g.name} (dim {n}) needs {size} form entries,"
             f" more than the limit of {MAX_FORM_ENTRIES}"
+        )
+    m = n - h.dim
+    if h.dim and comb(n + m, m) > MAX_FORM_ENTRIES:
+        raise ValueError(
+            f"the relative complex of {g.name} (dim {n}) over a subalgebra of codimension {m}"
+            f" needs {comb(n + m, m)} kernel and lift entries, more than the limit of {MAX_FORM_ENTRIES}"
         )
     if h.dim == 0:
         cx = ce_complex(g)

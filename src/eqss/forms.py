@@ -10,10 +10,11 @@ iota_{e_j} (e^{i_1} ^ ... ^ e^{i_k}) = (-1)^{r-1} e^{i_1} ^ ... e^{i_r} hat
 The differential is fixed on generators by d e^k = - sum_{i<j} c^k_{ij}
 e^i ^ e^j and extended as an antiderivation; equivalently it is the evaluation
 formula whose sum runs over pairs 0 <= i < j <= n of argument slots.  With
-this indexing d^2 = 0 is an identity (it is rechecked sparsely at
-construction and a failure aborts, since it would mean corrupted structure
-constants).  `ce_complex` returns the full complex as a `GradedComplex`, the
-same type as every other complex, and keeps the last few in a bounded cache.
+this indexing d^2 = 0 is an identity (`GradedComplex.create` rechecks it,
+and a failure aborts, since it would mean corrupted structure constants).
+`ce_complex` returns the full complex as a `GradedComplex`, the same type as
+every other complex, with each column read straight off `_d_column`, and
+keeps the last few in a bounded cache.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def _d_column(dgen, idx: tuple[int, ...]) -> _Terms:
 
 @lru_cache(maxsize=32)
 def ce_complex(g: LieAlgebra) -> GradedComplex:
-    """Build (and cache) the full complex; validates Jacobi and d^2 = 0.
+    """Build (and cache) the full complex; validates Jacobi (`create` checks d^2 = 0).
 
     differentials[k] maps degree k to degree k+1 (k = 0..dim-1); the top
     differential is the zero map and is not stored.
@@ -246,32 +247,12 @@ def ce_complex(g: LieAlgebra) -> GradedComplex:
     _require_jacobi(g)
     n = g.dim
     dgen = _generator_images(n, sparse_brackets(g))
-    col_dicts: list[list[_Terms]] = []
     mats = []
     for k in range(n):
-        src = multi_indices(n, k)
-        tgt_pos = _index_position(n, k + 1)
-        cols = [_d_column(dgen, idx) for idx in src]
-        col_dicts.append(cols)
-        mats.append(RationalMatrix.from_columns([_dense(col, tgt_pos) for col in cols], len(tgt_pos)))
-    # d^2 = 0, composed at the level of column dictionaries
-    for k in range(n - 1):
-        nxt = {idx: col for idx, col in zip(multi_indices(n, k + 1), col_dicts[k + 1])}
-        for col in col_dicts[k]:
-            acc: _Terms = {}
-            for t, c in col.items():
-                for u, c2 in nxt[t].items():
-                    acc[u] = acc.get(u, Fraction(0)) + c * c2
-            if any(acc.values()):
-                raise AssertionError(f"d^2 != 0 in degree {k} for {g.name}")
-    return GradedComplex(tuple(len(multi_indices(n, k)) for k in range(n + 1)), tuple(mats))
-
-
-def _dense(terms: _Terms, pos: dict[tuple[int, ...], int]) -> list[Fraction]:
-    v = [Fraction(0)] * len(pos)
-    for t, c in terms.items():
-        v[pos[t]] = c
-    return v
+        pos = _index_position(n, k + 1)
+        cols = (_d_column(dgen, idx).items() for idx in multi_indices(n, k))
+        mats.append(RationalMatrix.from_entries(len(pos), (((pos[t], c) for t, c in col) for col in cols)))
+    return GradedComplex.create(tuple(len(multi_indices(n, k)) for k in range(n + 1)), mats)
 
 
 def _images(vectors: Sequence[Sequence], monomials, pos, terms_of) -> list[Vector]:
@@ -286,7 +267,10 @@ def _images(vectors: Sequence[Sequence], monomials, pos, terms_of) -> list[Vecto
             if a:
                 for t, c in terms_of(idx).items():
                     acc[t] = acc.get(t, Fraction(0)) + a * c
-        out.append(tuple(_dense(acc, pos)))
+        v = [Fraction(0)] * len(pos)
+        for t, c in acc.items():
+            v[pos[t]] = c
+        out.append(tuple(v))
     return out
 
 
@@ -409,10 +393,9 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
                         key = (j, t[:r] + t[r + 1 :])
                         col[key] = col.get(key, Fraction(0)) + (-c if r % 2 else c)
             cols.append(col)
-        keys = sorted({key for col in cols for key in col})
-        constraint = RationalMatrix(
-            tuple(tuple(col.get(key, Fraction(0)) for col in cols) for key in keys),
-            len(horizontal),
+        row_of = {key: r for r, key in enumerate(sorted({key for col in cols for key in col}))}
+        constraint = RationalMatrix.from_entries(
+            len(row_of), (((row_of[key], x) for key, x in col.items()) for col in cols)
         )
         lifted = _images(
             kernel_basis(constraint).vectors, horizontal, _index_position(n, k),
@@ -425,10 +408,7 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
 def _dual_images(aut: LieAutomorphism) -> list[dict[int, Fraction]]:
     """images[j] = the pullback of e^j, the j-th column of the inverse transpose."""
     nmat = aut.matrix.inverse().transpose()
-    n = aut.algebra.dim
-    return [{}] + [
-        {i + 1: nmat.rows[i][j - 1] for i in range(n) if nmat.rows[i][j - 1]} for j in range(1, n + 1)
-    ]
+    return [{}] + [{i + 1: x for i, x in col} for col in nmat.entries]
 
 
 def pull_back(aut: LieAutomorphism, degree: int, vectors: Sequence[Sequence]) -> list[Vector]:

@@ -69,21 +69,6 @@ class LieAlgebra:
             norm[(i, j)] = vec
         return cls(name, dim, tuple(sorted((ij, v) for ij, v in norm.items() if any(v))))
 
-    def table(self) -> dict[tuple[int, int], Vector]:
-        return dict(self.brackets)
-
-    def structure(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] for any ordered pair, using antisymmetry."""
-        if i == j:
-            return tuple(Fraction(0) for _ in range(self.dim))
-        tab = self.table()
-        if i < j:
-            return tab.get((i, j), tuple(Fraction(0) for _ in range(self.dim)))
-        v = tab.get((j, i))
-        if v is None:
-            return tuple(Fraction(0) for _ in range(self.dim))
-        return tuple(-x for x in v)
-
 
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     """[x, y] extended bilinearly from the structure constants."""
@@ -186,7 +171,7 @@ def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:
     hb = h.basis
     if hb.dim == 0:
         return SubspaceBasis.full(n)
-    ann = kernel_basis(hb.matrix())
+    ann = kernel_basis(RationalMatrix.from_rows(hb.vectors, n))
     rows = []
     units = [tuple(Fraction(1 if t == s else 0) for t in range(n)) for s in range(n)]
     for v in hb.vectors:
@@ -196,7 +181,7 @@ def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:
             rows.append(row)
     if not rows:
         return SubspaceBasis.full(n)
-    result = kernel_basis(RationalMatrix(tuple(rows), n))
+    result = kernel_basis(RationalMatrix.from_rows(rows, n))
     assert result.contains_subspace(hb), "normalizer must contain the subalgebra"
     return result
 
@@ -223,17 +208,24 @@ class LieAutomorphism:
 
 
 def is_automorphism(g: LieAlgebra, m: RationalMatrix) -> bool:
-    """Invertible and [m e_i, m e_j] = m [e_i, e_j] for all i < j."""
-    if m.shape != (g.dim, g.dim):
+    """Invertible and [m e_i, m e_j] = m [e_i, e_j] for all i < j, both sides
+    summed over the nonzeros of m's columns and of `sparse_brackets`."""
+    n = g.dim
+    if m.shape != (n, n) or rank(m) != n:
         return False
-    if rank(m) != g.dim:
-        return False
-    cols = m.columns()
-    for i in range(1, g.dim + 1):
-        for j in range(i + 1, g.dim + 1):
-            lhs = bracket(g, cols[i - 1], cols[j - 1])
-            rhs = m.apply(g.structure(i, j))
-            if lhs != rhs:
+    table = sparse_brackets(g)
+    cols = [tuple((a + 1, x) for a, x in col) for col in m.entries]
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc: dict[int, Fraction] = {}
+            for a, x in cols[i]:
+                for b, y in cols[j]:
+                    for k, c in table.get((a, b), ()):
+                        acc[k] = acc[k] + x * y * c if k in acc else x * y * c
+            for k, c in table.get((i + 1, j + 1), ()):
+                for r, z in cols[k - 1]:
+                    acc[r] = acc[r] - c * z if r in acc else -c * z
+            if any(acc.values()):
                 return False
     return True
 

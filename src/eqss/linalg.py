@@ -3,19 +3,21 @@
 Everything downstream (cochain complexes, spectral sequence pages, fixed
 subspaces of finite group actions) reduces to ranks, kernels and canonical
 subspace bases computed here.  All arithmetic is exact: entries are
-``fractions.Fraction``, so no tolerance ever enters.  `GradedComplex`
-holds every complex the engine builds (Chevalley-Eilenberg, relative, fixed,
-product and twisted), and `combine` turns coordinates over a list of
-basis vectors back into a vector.
+``fractions.Fraction``, so no tolerance ever enters.  A `RationalMatrix`
+keeps only its nonzero entries, column by column; subspace bases are dense.
+`GradedComplex` holds every complex the engine builds (Chevalley-Eilenberg,
+relative, fixed, product and twisted), and `combine` turns coordinates over
+a list of basis vectors back into a vector.
 
 One elimination serves the whole engine: `insert` adds a sparse vector to an
 echelon basis keyed by pivot.  The vector is cleared of denominators and
 made primitive by its gcd, then reduced by the stored vector at its lowest
-nonzero index until that index is free, and stored there.  A rank counts the
-pivots; reduced echelon form is insertion plus back substitution; a kernel
-is one elimination with the columns reversed (`restricted_kernel`); and the
-persistence pairs of a filtration are the pivots of its differential's
-columns (`spectral._pairs`).
+nonzero index until that index is free, and stored there.  A matrix column
+is already such a vector.  A rank counts the pivots; reduced echelon form is
+insertion plus back substitution; a kernel is one elimination of the rows
+with the columns reversed (`restricted_kernel`); and the persistence pairs
+of a filtration are the pivots of its differential's columns
+(`spectral._pairs`).
 
 Canonical form: every subspace is represented by the reduced row echelon
 basis of its span (pivot entries 1, zeros above and below pivots, pivots in
@@ -75,122 +77,136 @@ def as_vector(entries: Sequence) -> Vector:
     return tuple(as_fraction(x) for x in entries)
 
 
+def _uniform(vectors: Sequence[Sequence], length: int | None, kind: str) -> tuple[list[Vector], int]:
+    """The vectors as Fractions, and their common length: given, or read off the first."""
+    conv = [as_vector(v) for v in vectors]
+    width = len(conv[0]) if conv else length
+    if width is None:
+        raise ValueError(f"an empty matrix needs an explicit {kind} length")
+    if length not in (None, width) or any(len(v) != width for v in conv):
+        raise ValueError(f"ragged {kind}s")
+    return conv, width
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense matrix of exact rationals, stored as a tuple of row tuples."""
+    """Sparse matrix of exact rationals, stored column by column.
 
-    rows: tuple[Vector, ...]
-    ncols: int
+    entries[j] holds the nonzero entries of column j as (row, value) pairs
+    in increasing row order.  No zero is stored, so the form is canonical:
+    == and hash mean matrix equality.  The constructor takes that form as
+    given; `from_entries` builds it from pairs in any order.  `rows`,
+    `column` and `columns` are dense views.
+    """
+
+    nrows: int
+    entries: tuple[tuple[tuple[int, Fraction], ...], ...]
+
+    @classmethod
+    def from_entries(cls, nrows: int, columns: Iterable[Iterable[tuple[int, Fraction]]]) -> "RationalMatrix":
+        """From each column's (row, Fraction) pairs, rows distinct and in any
+        order; zero values are dropped."""
+        return cls(nrows, tuple(tuple(sorted((i, x) for i, x in col if x)) for col in columns))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ncols: int | None = None) -> "RationalMatrix":
-        conv = tuple(as_vector(r) for r in rows)
-        if conv:
-            width = len(conv[0])
-            if any(len(r) != width for r in conv):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError("ncols does not match row width")
-            ncols = width
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return cls(conv, ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        zero = Fraction(0)
-        return cls(tuple(tuple(zero for _ in range(ncols)) for _ in range(nrows)), ncols)
+        conv, ncols = _uniform(rows, ncols, "row")
+        return cls(len(conv), tuple(tuple((i, r[j]) for i, r in enumerate(conv) if r[j]) for j in range(ncols)))
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: int | None = None) -> "RationalMatrix":
-        conv = [as_vector(c) for c in cols]
-        if conv:
-            nrows = len(conv[0])
-        elif nrows is None:
-            raise ValueError("empty matrix needs an explicit row count")
-        return cls(tuple(tuple(c[i] for c in conv) for i in range(nrows)), len(conv))
+        conv, nrows = _uniform(cols, nrows, "column")
+        return cls(nrows, tuple(tuple((i, x) for i, x in enumerate(c) if x) for c in conv))
+
+    @classmethod
+    def identity(cls, n: int) -> "RationalMatrix":
+        one = Fraction(1)
+        return cls(n, tuple(((j, one),) for j in range(n)))
+
+    @classmethod
+    def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
+        return cls(nrows, ((),) * ncols)
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    def ncols(self) -> int:
+        return len(self.entries)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.ncols)
+        return (self.nrows, len(self.entries))
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        return tuple(zip(*self.columns())) if self.entries else ((),) * self.nrows
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
+        out = [Fraction(0)] * self.nrows
+        for i, x in self.entries[j]:
+            out[i] = x
+        return tuple(out)
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(self.column(j) for j in range(self.ncols)), len(self.rows))
+        out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.nrows)]
+        for j, col in enumerate(self.entries):
+            for i, x in col:
+                out[i].append((j, x))
+        return RationalMatrix(self.ncols, tuple(map(tuple, out)))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(self.entries)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        zero = Fraction(0)
         out = []
-        for row in self.rows:
-            acc = [zero] * other.ncols
-            for k, a in enumerate(row):
-                if a:
-                    orow = other.rows[k]
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return RationalMatrix(tuple(out), other.ncols)
+        for col in other.entries:
+            acc: dict[int, Fraction] = {}
+            for k, b in col:
+                for i, a in self.entries[k]:
+                    acc[i] = acc[i] + a * b if i in acc else a * b
+            out.append(acc.items())
+        return RationalMatrix.from_entries(self.nrows, out)
 
     def apply(self, vec: Sequence) -> Vector:
         v = as_vector(vec)
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        zero = Fraction(0)
-        out = []
-        for row in self.rows:
-            s = zero
-            for a, b in zip(row, v):
-                if a and b:
-                    s += a * b
-            out.append(s)
+        out = [Fraction(0)] * self.nrows
+        for b, col in zip(v, self.entries):
+            if b:
+                for i, a in col:
+                    out[i] += a * b
         return tuple(out)
 
     def add(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            self.ncols,
-        )
+        return self._plus(other, 1)
 
     def sub(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return RationalMatrix(
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            self.ncols,
-        )
+        out = []
+        for a, b in zip(self.entries, other.entries):
+            acc = dict(a)
+            for i, x in b:
+                acc[i] = acc[i] + sign * x if i in acc else sign * x
+            out.append(acc.items())
+        return RationalMatrix.from_entries(self.nrows, out)
 
     def inverse(self) -> "RationalMatrix":
         n = self.ncols
-        if len(self.rows) != n:
+        if self.nrows != n:
             raise ValueError("inverse of a non-square matrix")
-        aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        red, pivots = _rref_rows(aug, 2 * n)
+        aug = (r + ((n + i, Fraction(1)),) for i, r in enumerate(self.transpose().entries))
+        red, pivots = _reduced(_echelon(aug), 2 * n)
         if list(pivots) != list(range(n)):
             raise ValueError("matrix is singular")
-        return RationalMatrix(tuple(tuple(red[i][n:]) for i in range(n)), n)
+        return RationalMatrix.from_rows([r[n:] for r in red], n)
 
 
 def insert(basis: dict[int, dict[int, int]], entries: Iterable[tuple[int, Fraction]]) -> int | None:
@@ -247,16 +263,21 @@ def _back_substitute(basis: dict[int, dict[int, int]]) -> None:
         basis[p] = v
 
 
-def _echelon(rows: Iterable[Sequence[Fraction]]) -> dict[int, dict[int, int]]:
+def _echelon(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> dict[int, dict[int, int]]:
+    """The pivot-keyed echelon basis of sparse rows given as (index, value) pairs."""
     basis: dict[int, dict[int, int]] = {}
     for row in rows:
-        insert(basis, enumerate(row))
+        insert(basis, row)
     return basis
 
 
 def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """Reduced row echelon form. Returns (pivot rows as Fractions, pivot columns)."""
-    basis = _echelon(rows)
+    """Reduced row echelon form of dense rows. Returns (pivot rows as Fractions, pivot columns)."""
+    return _reduced(_echelon(map(enumerate, rows)), ncols)
+
+
+def _reduced(basis: dict[int, dict[int, int]], ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Back substitution on an echelon basis; (pivot rows as Fractions, pivot columns)."""
     _back_substitute(basis)
     pivots = tuple(sorted(basis))
     zero = Fraction(0)
@@ -275,9 +296,9 @@ class GradedComplex:
     """A cochain complex of rational spaces in degrees 0..top.
 
     differentials[k] maps degree k into degree k+1.  Every instance has
-    d^2 = 0, so consumers never re-check it: `create` checks the shapes and
-    d^2 = 0 densely, and the one direct constructor call, `forms.ce_complex`,
-    checks d^2 = 0 sparsely (tests/test_source_guards.py enforces this).
+    d^2 = 0, so consumers never re-check it: `create`, the only constructor
+    the engine calls (tests/test_source_guards.py), checks the shapes and
+    makes the one d^2 = 0 check, a sparse product.
     """
 
     dims: tuple[int, ...]
@@ -329,8 +350,8 @@ def combine(coeffs: Sequence, vectors: Sequence[Sequence[Fraction]], ambient: in
 
 
 def rank(m: RationalMatrix) -> int:
-    """Rank over Q: the number of pivots the rows take, with no back substitution."""
-    return len(_echelon(m.rows))
+    """Rank over Q: the number of pivots the columns take, with no back substitution."""
+    return len(_echelon(m.entries))
 
 
 @dataclass(frozen=True)
@@ -379,9 +400,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
-    def matrix(self) -> RationalMatrix:
-        return RationalMatrix(self.vectors, self.ambient)
-
     @cached_property
     def _sparse_rows(self) -> tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]:
         """(pivot column, nonzero entries) of each basis vector."""
@@ -426,18 +444,17 @@ class SubspaceBasis:
         return tuple(v[p] for p in self.pivots)
 
 
-def restricted_kernel(rows: Iterable[Sequence[Fraction]], cols: Sequence[int], ambient: int) -> SubspaceBasis:
-    """Canonical basis of {x in Q^ambient supported on cols : row . x = 0 for every row}.
+def restricted_kernel(m: RationalMatrix, cols: Sequence[int]) -> SubspaceBasis:
+    """Canonical basis of {x in Q^ncols supported on cols : m x = 0}.
 
-    cols must increase.  The rows restricted to cols are eliminated once,
-    with cols reversed.  The solution at each free column then has its other
-    entries at later columns, all of them pivots, so read back in the
+    cols must increase.  The rows of m restricted to cols are eliminated
+    once, with cols reversed.  The solution at each free column then has its
+    other entries at later columns, all of them pivots, so read back in the
     original order the solutions are already the reduced echelon basis.
     """
-    last = len(cols) - 1
-    basis: dict[int, dict[int, int]] = {}
-    for row in rows:
-        insert(basis, ((last - k, row[j]) for k, j in enumerate(cols)))
+    last, ambient = len(cols) - 1, m.ncols
+    index = {j: last - k for k, j in enumerate(cols)}
+    basis = _echelon(((index[j], x) for j, x in row if j in index) for row in m.transpose().entries)
     _back_substitute(basis)
     one = Fraction(1)
     solutions = {f: {cols[last - f]: one} for f in range(last, -1, -1) if f not in basis}
@@ -457,12 +474,12 @@ def restricted_kernel(rows: Iterable[Sequence[Fraction]], cols: Sequence[int], a
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of {x : m x = 0}."""
-    return restricted_kernel(m.rows, range(m.ncols), m.ncols)
+    return restricted_kernel(m, range(m.ncols))
 
 
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
-    """Canonical basis of the column span of m; its entries are already exact."""
-    red, _ = _rref_rows(zip(*m.rows), m.nrows)
+    """Canonical basis of the column span of m."""
+    red, _ = _reduced(_echelon(m.entries), m.nrows)
     return SubspaceBasis(m.nrows, tuple(tuple(r) for r in red))
 
 
@@ -471,8 +488,8 @@ def solve(m: RationalMatrix, b: Sequence) -> Vector | None:
     bv = as_vector(b)
     if len(bv) != m.nrows:
         raise ValueError("rhs length does not match row count")
-    aug = [list(row) + [bv[i]] for i, row in enumerate(m.rows)]
-    red, pivots = _rref_rows(aug, m.ncols + 1)
+    n = m.ncols
+    red, pivots = _reduced(_echelon(r + ((n, bv[i]),) for i, r in enumerate(m.transpose().entries)), n + 1)
     if m.ncols in pivots:
         return None
     x = [Fraction(0)] * m.ncols
@@ -513,22 +530,22 @@ def enumerate_group(generators: Sequence[RationalMatrix], bound: int = GROUP_BOU
         if g.shape != (n, n):
             raise ValueError("generators must be square matrices of equal size")
     ident = RationalMatrix.identity(n)
-    seen = {ident.rows: ident}
+    seen = {ident: None}  # insertion order is the order of discovery
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
             for g in generators:
                 prod = m.mul(g)
-                if prod.rows not in seen:
+                if prod not in seen:
                     if len(seen) >= bound:
                         raise GroupBoundError(
                             f"group closure exceeded the bound of {bound} elements"
                         )
-                    seen[prod.rows] = prod
+                    seen[prod] = None
                     nxt.append(prod)
         frontier = nxt
-    return list(seen.values())
+    return list(seen)
 
 
 def fixed_subspace(maps: Sequence[RationalMatrix]) -> SubspaceBasis:
@@ -544,4 +561,5 @@ def fixed_subspace(maps: Sequence[RationalMatrix]) -> SubspaceBasis:
     if any(m.shape != (n, n) for m in maps):
         raise ValueError("maps must be square matrices of equal size")
     ident = RationalMatrix.identity(n)
-    return restricted_kernel([r for m in maps for r in m.sub(ident).rows], range(n), n)
+    rows = tuple(r for m in maps for r in m.sub(ident).transpose().entries)
+    return restricted_kernel(RationalMatrix(n, rows).transpose(), range(n))

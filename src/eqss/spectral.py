@@ -90,9 +90,9 @@ def _lowered_weight(
 ) -> tuple[int, int] | None:
     """First (j, i), column by column, where m sends source vector j into
     target vector i of lower weight (tgt[i] < src[j]); None if m never does."""
-    for j, wj in enumerate(src):
-        for i, wi in enumerate(tgt):
-            if wi < wj and m.rows[i][j]:
+    for j, (wj, col) in enumerate(zip(src, m.entries)):
+        for i, _ in col:
+            if tgt[i] < wj:
                 return j, i
     return None
 
@@ -198,9 +198,10 @@ def _pairs(fc: FilteredComplex) -> list[tuple[int, int, int]]:
     for n in range(cx.top):
         d = cx.differential(n)
         rows = sorted(range(cx.dims[n + 1]), key=lambda i: ws[n + 1][i])
+        index = {i: k for k, i in enumerate(rows)}
         basis: dict[int, dict[int, int]] = {}
         for j in sorted(range(cx.dims[n]), key=lambda j: -ws[n][j]):
-            low = insert(basis, ((k, d.rows[i][j]) for k, i in enumerate(rows)))
+            low = insert(basis, ((index[i], x) for i, x in d.entries[j]))
             if low is not None:
                 out.append((n, ws[n][j], ws[n + 1][rows[low]]))
     return out
@@ -457,16 +458,16 @@ def product_model(base: GradedComplex, g: LieAlgebra, h: Subalgebra | None = Non
     starts = [{p: start for p, _, start in blocks} for blocks in blocks_all]
     diffs = []
     for n in range(top):
-        rows = [[Fraction(0)] * dims[n] for _ in range(dims[n + 1])]
+        cols: list[dict[int, Fraction]] = [{} for _ in range(dims[n])]
         for p, q, start in blocks_all[n]:
             t1 = starts[n + 1].get(p + 1)
             if t1 is not None:  # d_base (x) 1
-                _add_kron(rows, t1, start, base.differential(p), RationalMatrix.identity(fcx.dims[q]))
+                _add_kron(cols, t1, start, base.differential(p), RationalMatrix.identity(fcx.dims[q]))
             t2 = starts[n + 1].get(p)
             if t2 is not None:  # (-1)^p 1 (x) d_fiber
                 ident = RationalMatrix.identity(base.dims[p])
-                _add_kron(rows, t2, start, ident, fcx.differential(q), -1 if p % 2 else 1)
-        diffs.append(RationalMatrix.from_rows(rows, dims[n]))
+                _add_kron(cols, t2, start, ident, fcx.differential(q), -1 if p % 2 else 1)
+        diffs.append(RationalMatrix.from_entries(dims[n + 1], (col.items() for col in cols)))
     cx = GradedComplex.create(tuple(dims), diffs)
     weights = tuple(
         tuple(p for p, q, start in blocks_all[n] for _ in range(base.dims[p] * fcx.dims[q]))
@@ -476,24 +477,22 @@ def product_model(base: GradedComplex, g: LieAlgebra, h: Subalgebra | None = Non
 
 
 def _add_kron(
-    rows: list[list[Fraction]],
+    cols: list[dict[int, Fraction]],
     row0: int,
     col0: int,
     a: RationalMatrix,
     b: RationalMatrix,
     sign: int = 1,
 ) -> None:
-    """Add sign * (a (x) b) into rows at offset (row0, col0), b's index fastest."""
-    for i2, arow in enumerate(a.rows):
-        for i, av in enumerate(arow):
-            if not av:
-                continue
-            av = sign * av
-            for j2, brow in enumerate(b.rows):
-                out = rows[row0 + i2 * b.nrows + j2]
-                for j, bv in enumerate(brow):
-                    if bv:
-                        out[col0 + i * b.ncols + j] += av * bv
+    """Add sign * (a (x) b) into sparse columns at offset (row0, col0), b's index fastest."""
+    for i, acol in enumerate(a.entries):
+        for j, bcol in enumerate(b.entries):
+            out = cols[col0 + i * b.ncols + j]
+            for i2, av in acol:
+                r = row0 + i2 * b.nrows
+                for j2, bv in bcol:
+                    x = sign * av * bv
+                    out[r + j2] = out[r + j2] + x if r + j2 in out else x
 
 
 def product_action(
@@ -504,10 +503,10 @@ def product_action(
     """Blockwise tensor action (base map (x) fiber map) on the total complex."""
     out = []
     for n, size in enumerate(model.complex.dims):
-        rows = [[Fraction(0)] * size for _ in range(size)]
+        cols: list[dict[int, Fraction]] = [{} for _ in range(size)]
         for p, q, start in model.blocks[n]:
-            _add_kron(rows, start, start, base_maps[p], fiber_maps[q])
-        out.append(RationalMatrix.from_rows(rows, size))
+            _add_kron(cols, start, start, base_maps[p], fiber_maps[q])
+        out.append(RationalMatrix.from_entries(size, (col.items() for col in cols)))
     return out
 
 
@@ -543,7 +542,9 @@ class DeckAction:
 
 
 def _permuted(m: RationalMatrix, rows: Sequence[int], cols: Sequence[int]) -> RationalMatrix:
-    return RationalMatrix(tuple(tuple(m.rows[i][j] for j in cols) for i in rows), len(cols))
+    """m with its rows and columns put in the given orders (permutations)."""
+    index = {i: k for k, i in enumerate(rows)}
+    return RationalMatrix.from_entries(len(rows), (((index[i], x) for i, x in m.entries[j]) for j in cols))
 
 
 def invariant_filtered_complex(

@@ -388,6 +388,19 @@ def test_exit_3_on_an_oversized_lie_algebra(tmp_path, capsys):
     assert "relative complex of a (dim 22) needs 4194304 form entries" in err
 
 
+def test_exit_3_on_a_relative_route_past_the_lift_limit(tmp_path, capsys):
+    # abelian dim 16 over a line: its 2^16 monomials are within the limit, but
+    # the kernel and its lift would hold C(31, 15) entries
+    path = tmp_path / "a16.json"
+    path.write_text(json.dumps({
+        "lie_algebras": [{"name": "a", "dim": 16, "brackets": []}],
+        "subalgebras": [{"name": "b", "parent": "a", "basis": [[1] + [0] * 15]}],
+    }))
+    code, out, err = run(capsys, "cohomology", str(path), "--algebra", "a", "--relative", "b")
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert "over a subalgebra of codimension 15 needs 300540195 kernel and lift entries" in err
+
+
 def test_exit_3_on_an_open_gysin_problem_past_the_unknown_limit(capsys):
     from eqss.obstructions import MAX_UNKNOWNS
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -312,9 +313,35 @@ def test_form_entry_limit_is_exact_at_the_boundary(monkeypatch):
     monkeypatch.setattr(module, "MAX_FORM_ENTRIES", 167959)
     with pytest.raises(ValueError, match="absolute complex of so5 \\(dim 10\\) needs 167960 form entries"):
         relative_model(g)
-    pair = so_pair(3)  # dim 6: 64 monomials
-    monkeypatch.setattr(module, "MAX_FORM_ENTRIES", 64)
+    pair = so_pair(4)  # dim 10: 1024 monomials (and C(14, 4) = 1001 kernel and lift entries)
+    monkeypatch.setattr(module, "MAX_FORM_ENTRIES", 1024)
     relative_model(*pair)
+    monkeypatch.setattr(module, "MAX_FORM_ENTRIES", 1023)
+    with pytest.raises(ValueError, match="relative complex of so5 \\(dim 10\\) needs 1024 form entries"):
+        relative_model(*pair)
+
+
+def test_relative_lift_limit_is_exact_at_the_boundary(monkeypatch):
+    from eqss import cohomology as module
+
+    # with m = dim g - dim h, the kernel vectors and their lifts hold at most
+    # sum_k C(m,k) C(n,k) entries, which is C(n+m, m) by Vandermonde
+    for n in range(10):
+        for m in range(n + 1):
+            assert sum(comb(m, k) * comb(n, k) for k in range(m + 1)) == comb(n + m, m)
+    # so(7)/so(6) has codimension 6 in dim 21 and must stay within the limit
+    assert comb(27, 6) == 296010 <= module.MAX_FORM_ENTRIES
+    pair = so_pair(3)  # dim 6, codimension 3: 2^6 = 64 monomials, C(9, 3) = 84 entries
+    monkeypatch.setattr(module, "MAX_FORM_ENTRIES", 84)
+    relative_model(*pair)
+    monkeypatch.setattr(module, "MAX_FORM_ENTRIES", 83)
+    with pytest.raises(
+        ValueError,
+        match="relative complex of so4 \\(dim 6\\) over a subalgebra of codimension 3"
+        " needs 84 kernel and lift entries, more than the limit of 83",
+    ):
+        relative_model(*pair)
+    # the 2^n check comes first, with its own message
     monkeypatch.setattr(module, "MAX_FORM_ENTRIES", 63)
     with pytest.raises(ValueError, match="relative complex of so4 \\(dim 6\\) needs 64 form entries"):
         relative_model(*pair)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -206,3 +207,119 @@ def test_from_brackets_rejects_repeated_pairs():
     for repeat in ([0, 0, 0], [0, 0, 1], [0, 0, 2]):
         with pytest.raises(ValueError, match=r"\(1,2\) is given more than once"):
             LieAlgebra.from_brackets("su2", 3, table + [((1, 2), repeat)])
+
+
+def dense_rank(rows):
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def dense_is_automorphism(g, m):
+    """The definition on dense rows: m is invertible and [m e_i, m e_j] = m [e_i, e_j]."""
+    n = g.dim
+    rows = m.rows
+    if m.shape != (n, n) or dense_rank(rows) != n:
+        return False
+    cols = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
+
+    def image(v):
+        return tuple(sum((rows[i][k] * v[k] for k in range(n)), Fraction(0)) for i in range(n))
+
+    return all(
+        bracket(g, cols[i], cols[j]) == image(bracket(g, unit(n, i), unit(n, j)))
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+def so_conjugation(n, perm, signs):
+    """Conjugation of so(n) by the signed permutation matrix e_i -> signs[i] e_perm[i]."""
+    from eqss.liealg import so_pairs
+
+    pairs = so_pairs(n)
+    index = {p: k for k, p in enumerate(pairs)}
+    cols = []
+    for i, j in pairs:
+        a, b, c = perm[i - 1] + 1, perm[j - 1] + 1, signs[i - 1] * signs[j - 1]
+        if a > b:
+            a, b, c = b, a, -c
+        cols.append([c if k == index[(a, b)] else 0 for k in range(len(pairs))])
+    return RationalMatrix.from_columns(cols)
+
+
+def exp_ad(g, x):
+    """exp(ad x) for a two-step nilpotent algebra, where (ad x)^3 = 0."""
+    ad = RationalMatrix.from_columns([bracket(g, x, unit(g.dim, j)) for j in range(g.dim)])
+    n = g.dim
+    half = RationalMatrix.from_rows([[Fraction(1, 2) if i == j else 0 for j in range(n)] for i in range(n)])
+    return RationalMatrix.identity(g.dim).add(ad).add(half.mul(ad.mul(ad)))
+
+
+def transported_with(rng, g, auts):
+    """g in a random basis T (randgen.transported_pair), with each automorphism A as T^-1 A T."""
+    from randgen import transported_pair
+
+    n = g.dim
+    vecs = [unit(n, j) for j in range(n)] + [c for a in auts for c in a.columns()]
+    g2, out = transported_pair(rng, g, vecs)
+    t = RationalMatrix.from_columns(out[:n]).inverse()
+    return g2, [RationalMatrix.from_columns(out[n * (k + 1):n * (k + 2)]).mul(t) for k in range(len(auts))]
+
+
+def test_is_automorphism_matches_the_dense_definition_randomized():
+    from randgen import random_two_step_nilpotent
+
+    rng = random.Random(8123)
+    accepted = rejected = 0
+    for trial in range(16):
+        kind = trial % 4
+        if kind == 0:
+            g = su2()
+            auts = [RationalMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
+                    RationalMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])]
+        elif kind in (1, 2):
+            n = 3 + kind
+            g = so_algebra(n)
+            auts = []
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                auts.append(so_conjugation(n, perm, [rng.choice([1, -1]) for _ in range(n)]))
+        else:
+            g = random_two_step_nilpotent(rng)
+            auts = [exp_ad(g, [rng.randint(-2, 2) for _ in range(g.dim)]) for _ in range(2)]
+        g2, auts2 = transported_with(rng, g, auts)
+        n = g2.dim
+        for m in auts2:
+            assert is_automorphism(g2, m) and dense_is_automorphism(g2, m)
+            accepted += 1
+            i, j = rng.randrange(n), rng.randrange(n)
+            bump = RationalMatrix.from_rows([[rng.choice([1, -1, 2]) if (a, b) == (i, j) else 0
+                                              for b in range(n)] for a in range(n)])
+            cols = m.columns()
+            cols[j] = cols[i] if i != j else [0] * n
+            for bad in (m.add(bump), m.add(m), RationalMatrix.from_columns(cols), bump):
+                got = is_automorphism(g2, bad)
+                assert got == dense_is_automorphism(g2, bad)
+                rejected += not got
+    assert accepted == 32 and rejected >= 100
+    # diagonal scalings of su2, plain and transported, fail at single pairs
+    # of basis vectors, e.g. diag(2, 2, 1) only at (e1, e2)
+    g = su2()
+    for diag in itertools.product((1, -1, 2), repeat=3):
+        d = RationalMatrix.from_rows([[diag[i] if i == j else 0 for j in range(3)] for i in range(3)])
+        g2, (d2,) = transported_with(rng, g, [d])
+        for alg, m in ((g, d), (g2, d2)):
+            assert is_automorphism(alg, m) == dense_is_automorphism(alg, m)
+        assert is_automorphism(g, d) == (diag[0] * diag[1] == diag[2] and diag[1] * diag[2] == diag[0]
+                                         and diag[2] * diag[0] == diag[1])

@@ -280,7 +280,7 @@ def dense_inverse(m):
     red, pivots = dense_rref(aug, 2 * n)
     if pivots != tuple(range(n)):
         return None
-    return RationalMatrix(tuple(tuple(r[n:]) for r in red), n)
+    return RationalMatrix.from_rows(tuple(tuple(r[n:]) for r in red), n)
 
 
 def random_matrices(rng, count):
@@ -301,7 +301,7 @@ def random_matrices(rng, count):
         if shape == 1:  # zero rows and a repeated combination make it rank-deficient
             rows.append([Fraction(0)] * nc)
             rows.append([2 * a - b / 3 for a, b in zip(rows[0], rows[-2])])
-        yield RationalMatrix(tuple(tuple(r) for r in rows), nc)
+        yield RationalMatrix.from_rows(tuple(tuple(r) for r in rows), nc)
 
 
 def test_pivot_insertion_matches_dense_elimination_randomized():
@@ -331,5 +331,126 @@ def test_restricted_kernel_is_the_kernel_on_the_columns():
     for m in random_matrices(rng, 300):
         cols = sorted(rng.sample(range(m.ncols), rng.randint(0, m.ncols)))
         forced = [tuple(Fraction(int(i == j)) for i in range(m.ncols)) for j in range(m.ncols) if j not in cols]
-        want = dense_kernel(RationalMatrix(m.rows + tuple(forced), m.ncols))
-        assert restricted_kernel(m.rows, cols, m.ncols) == want
+        want = dense_kernel(RationalMatrix.from_rows(m.rows + tuple(forced), m.ncols))
+        assert restricted_kernel(m, cols) == want
+
+
+# Dense references for the sparse RationalMatrix: plain lists of rows.
+def dense_mul(a, b, ncols):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(ncols)] for row in a]
+
+
+def dense_transpose(a, ncols):
+    return [[row[j] for row in a] for j in range(ncols)]
+
+
+def as_rows(rows):
+    return tuple(tuple(r) for r in rows)
+
+
+def canonical(m):
+    """m as stored: per column, increasing distinct rows in range and nonzero Fractions."""
+    for col in m.entries:
+        assert [i for i, _ in col] == sorted({i for i, _ in col}) and all(0 <= i < m.nrows for i, _ in col)
+        assert all(isinstance(x, Fraction) and x for _, x in col)
+    return m
+
+
+def test_sparse_matrix_matches_dense_reference_randomized():
+    rng = random.Random(33)
+    mats = list(random_matrices(rng, 300))
+    for m in mats:
+        rows, nr, nc = [list(r) for r in m.rows], m.nrows, m.ncols
+        assert m.shape == (len(rows), nc) and len(canonical(m).entries) == nc
+        assert RationalMatrix.from_rows(rows, nc) == m
+        assert RationalMatrix.from_columns(m.columns(), nr) == m
+        assert [list(c) for c in m.columns()] == dense_transpose(rows, nc)
+        assert all(m.column(j) == tuple(r[j] for r in rows) for j in range(nc))
+        assert canonical(m.transpose()).rows == as_rows(dense_transpose(rows, nc))
+        assert m.transpose() == RationalMatrix.from_rows(dense_transpose(rows, nc), nr)
+        assert m.is_zero() == (not any(x for r in rows for x in r))
+        v = [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(nc)]
+        assert m.apply(v) == tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows)
+        other = next(o for o in rng.sample(mats, len(mats)) if o.nrows == nc)
+        assert canonical(m.mul(other)).rows == as_rows(dense_mul(rows, other.rows, other.ncols))
+        same = next((o for o in rng.sample(mats, len(mats)) if o.shape == m.shape), m)
+        pairs = list(zip(rows, same.rows))
+        assert canonical(m.add(same)).rows == as_rows([[a + b for a, b in zip(r, s)] for r, s in pairs])
+        assert canonical(m.sub(same)).rows == as_rows([[a - b for a, b in zip(r, s)] for r, s in pairs])
+        assert m.sub(m).is_zero() and m.sub(m) == RationalMatrix.zeros(nr, nc)
+        if nr == nc and nc and dense_inverse(m) is not None:
+            assert canonical(m.inverse()).rows == dense_inverse(m).rows
+            assert m.mul(m.inverse()) == RationalMatrix.identity(nc)
+    # == and hash are matrix equality: equal entries however they were built
+    for m in mats:
+        twin = RationalMatrix.from_columns(list(m.columns()), m.nrows)
+        assert twin == m and hash(twin) == hash(m)
+        assert RationalMatrix.from_entries(m.nrows, [reversed(col) for col in m.entries]) == m
+        if not m.is_zero():
+            j = next(j for j, col in enumerate(m.entries) if col)
+            cols = m.columns()
+            cols[j] = tuple(2 * x for x in cols[j])
+            assert RationalMatrix.from_columns(cols, m.nrows) != m
+
+
+def test_sparse_matrix_shapes_and_ragged_input():
+    for nr, nc in ((0, 3), (3, 0), (0, 0), (2, 3)):
+        z = RationalMatrix.zeros(nr, nc)
+        assert z.shape == (nr, nc) and z.is_zero()
+        assert z.rows == ((Fraction(0),) * nc,) * nr
+        assert z.columns() == [(Fraction(0),) * nr] * nc
+        assert z.transpose() == RationalMatrix.zeros(nc, nr)
+        assert RationalMatrix.from_rows(z.rows, nc) == z
+        assert RationalMatrix.from_columns(z.columns(), nr) == z
+        assert z.apply([1] * nc) == (Fraction(0),) * nr
+        assert z.mul(RationalMatrix.zeros(nc, 2)) == RationalMatrix.zeros(nr, 2)
+        assert rank(z) == 0 and kernel_basis(z) == SubspaceBasis.full(nc)
+        assert image_basis(z) == SubspaceBasis.zero(nr)
+    # an all-zero column between nonzero ones is stored empty
+    m = M([[1, 0, 2], [0, 0, 3]])
+    assert m.entries == (((0, Fraction(1)),), (), ((0, Fraction(2)), (1, Fraction(3))))
+    assert m.column(1) == (Fraction(0), Fraction(0))
+    with pytest.raises(ValueError, match="ragged rows"):
+        M([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged columns"):
+        RationalMatrix.from_columns([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        M([[1, 2]], ncols=3)
+    with pytest.raises(ValueError, match="ragged columns"):
+        RationalMatrix.from_columns([[1, 2]], nrows=3)
+    with pytest.raises(ValueError, match="explicit row length"):
+        M([])
+    with pytest.raises(ValueError, match="explicit column length"):
+        RationalMatrix.from_columns([])
+    with pytest.raises(ValueError, match="shape"):
+        m.mul(m)
+    with pytest.raises(ValueError, match="shape"):
+        m.add(m.transpose())
+    with pytest.raises(ValueError, match="length"):
+        m.apply([1, 2])
+
+
+def test_enumerate_group_order_with_a_repeated_generator():
+    def dense_bfs(gens):
+        # the breadth-first closure keyed on dense rows
+        n = gens[0].ncols
+        ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+        seen, frontier = {ident: None}, [ident]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in gens:
+                    prod = as_rows(dense_mul(a, g.rows, n))
+                    if prod not in seen:
+                        seen[prod] = None
+                        nxt.append(prod)
+            frontier = nxt
+        return list(seen)
+
+    rot = M([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    flip = M([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    swap = M([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    for gens in ([rot, flip, rot], [rot, rot], [flip, swap, flip, rot], [swap, swap, swap]):
+        group = enumerate_group(gens)
+        assert [g.rows for g in group] == dense_bfs(gens)
+        assert len(set(group)) == len(group)

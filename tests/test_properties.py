@@ -132,8 +132,9 @@ def test_group_averaging_projector_is_idempotent():
         gens = [signed_permutation(rng, n) for _ in range(rng.randint(1, 2))]
         group = enumerate_group(gens)
         card = Fraction(1, len(group))
+        dense = [g.rows for g in group]
         rows = [
-            tuple(card * sum(g.rows[i][j] for g in group) for j in range(n))
+            tuple(card * sum(g[i][j] for g in dense) for j in range(n))
             for i in range(n)
         ]
         proj = RationalMatrix.from_rows(rows, n)

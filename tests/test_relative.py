@@ -35,7 +35,7 @@ def oracle_subcomplex(g, h):
                 d_cols = ce.differential(k).columns()
                 cols = [contract(x, ExteriorForm(n, k + 1, c)).coeffs for c in d_cols]
                 rows.extend(RationalMatrix.from_columns(cols, size).rows)
-        spaces.append(kernel_basis(RationalMatrix(tuple(rows), size)) if rows else SubspaceBasis.full(size))
+        spaces.append(kernel_basis(RationalMatrix.from_rows(tuple(rows), size)) if rows else SubspaceBasis.full(size))
     return spaces
 
 

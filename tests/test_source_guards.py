@@ -1,8 +1,9 @@
 """Source-level guards for invariants the engine relies on without re-checking.
 
 FilteredComplex does not recompute d^2 = 0: it is an invariant of every
-GradedComplex, because `GradedComplex.create` checks it densely and the one
-direct constructor call, in `forms.ce_complex`, checks it sparsely.
+GradedComplex, because `GradedComplex.create` is the only constructor the
+engine calls and makes the one d^2 = 0 check.  No direct GradedComplex(...)
+call is allowed anywhere.
 
 The inductive pages (`pages_inductive`, `_ZChain`) cross-check the closed
 form (pages read off the persistence pairs), so they must not reach the
@@ -15,7 +16,7 @@ from pathlib import Path
 import eqss
 
 SOURCES = sorted(Path(eqss.__file__).parent.glob("*.py"))
-ALLOWED = {("forms.py", "ce_complex")}
+ALLOWED: set[tuple[str, str | None]] = set()
 
 
 def direct_constructor_calls(source: str, module: str) -> set[tuple[str, str | None]]:

@@ -329,7 +329,7 @@ def complement_chain_basis(fc, action):
         adapted, prev = [], SubspaceBasis.zero(amb)
         for p in range(fc.max_weight, -1, -1):
             cols = fc.level_indices(n, p)
-            small = kernel_basis(RationalMatrix(tuple(tuple(r[j] for j in cols) for r in rows), len(cols)))
+            small = kernel_basis(RationalMatrix.from_rows(tuple(tuple(r[j] for j in cols) for r in rows), len(cols)))
             vecs = []
             for v in small.vectors:
                 x = [Fraction(0)] * amb
@@ -368,7 +368,7 @@ def per_weight_invariant_complex(fc, action):
         adapted, taken = [], set()
         for p in range(fc.max_weight, -1, -1):
             cols = [j for j in fc.level_indices(n, p) if j not in taken]
-            new = restricted_kernel(rows, cols, cx.dims[n])
+            new = restricted_kernel(RationalMatrix.from_rows(rows, cx.dims[n]), cols)
             taken.update(new.pivots)
             adapted.extend((p, v) for v in new.vectors)
         adapted.sort(key=lambda t: t[0])
@@ -398,7 +398,8 @@ def deck_cases():
 
 
 def _permuted(m, rows, cols):
-    return RationalMatrix(tuple(tuple(m.rows[i][j] for j in cols) for i in rows), len(cols))
+    dense = m.rows
+    return RationalMatrix.from_rows(tuple(tuple(dense[i][j] for j in cols) for i in rows), len(cols))
 
 
 def test_weight_order_basis_matches_the_per_weight_construction():
