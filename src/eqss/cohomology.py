@@ -37,7 +37,6 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     as_vector,
-    combine,
     enumerate_group,
     fixed_subspace,
     image_basis,
@@ -59,51 +58,68 @@ __all__ = [
     "restricted_action",
 ]
 
-# The largest route size relative_model accepts.  Measured with Python 3.11
-# on 2 vCPUs: the absolute complex of an abelian algebra of dim 12 (2,496,144
-# entries) takes 6.7 s and 112 MB, of dim 13 (9,657,700) 25 s and 371 MB; the
-# relative complex of so(7)/so(6) (2^21 = 2,097,152 monomials) takes 2.9 s
-# and 455 MB.
+# The largest route size relative_model accepts, in the units of its checks:
+# entries of dense differentials on the absolute route; monomials of Lambda(g),
+# then entries of a dense kernel and lift, on the relative one.  Forms and
+# bases are sparse, so every count is an upper bound on what a route holds.
+# Measured in process with Python 3.11 on 2 vCPUs: so(6) absolute (145,422,675
+# entries, refused) takes 23 s and 86 MB, so(7)/so(6) (2^21 monomials) 0.15 s
+# and 17 MB, and so(9)/so(8) (2^36, refused) 1.0 s and 18 MB.
 MAX_FORM_ENTRIES = 3_000_000
 
 
 @dataclass(frozen=True)
 class CohomologyResult:
-    """Cohomology of a GradedComplex with canonical representative cocycles."""
+    """Cohomology of a GradedComplex with canonical representative cocycles.
+
+    classes[k] is the basis of representatives in degree k, and
+    `representatives` is its dense view.
+    """
 
     complex: GradedComplex
-    dims: tuple[int, ...]
-    representatives: tuple[tuple[Vector, ...], ...]
+    classes: tuple[SubspaceBasis, ...]
     coboundaries: tuple[SubspaceBasis, ...]
 
-    def express(self, k: int, vec: Sequence) -> Vector:
-        """Coordinates of a cocycle's class in the representative basis.
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(c.dim for c in self.classes)
+
+    @property
+    def representatives(self) -> tuple[tuple[Vector, ...], ...]:
+        return tuple(c.vectors for c in self.classes)
+
+    def express_columns(self, k: int, m: RationalMatrix) -> RationalMatrix:
+        """Coordinates of the class of each cocycle column of m in the
+        representative basis of H^k.
 
         Reducing a cocycle by the coboundaries leaves a cocycle that vanishes
         at their pivots, a combination of the representatives alone.
         """
+        coords = self.classes[k].coordinate_matrix(self.coboundaries[k].reduce(m))
+        if coords is None:
+            raise ValueError(f"vector is not a cocycle in degree {k}")
+        return coords
+
+    def express(self, k: int, vec: Sequence) -> Vector:
+        """Coordinates of a cocycle's class in the representative basis."""
         v = as_vector(vec)
         if k < 0 or k > self.complex.top:
             if any(v):
                 raise ValueError("nonzero vector in a degree outside the complex")
             return ()
-        reps = SubspaceBasis(self.complex.dims[k], self.representatives[k])
-        coords = reps.coordinates(self.coboundaries[k].reduce(v))
-        if coords is None:
-            raise ValueError(f"vector is not a cocycle in degree {k}")
-        return coords
+        return self.express_columns(k, RationalMatrix.from_columns([v])).column(0)
 
 
 def cohomology(cx: GradedComplex) -> CohomologyResult:
-    reps = []
+    classes = []
     coboundaries = []
     for k in range(cx.top + 1):
         b = image_basis(cx.differential(k - 1))
         taken = set(b.pivots)
         cols = [j for j in range(cx.dims[k]) if j not in taken]
-        reps.append(restricted_kernel(cx.differential(k), cols).vectors)
+        classes.append(restricted_kernel(cx.differential(k), cols))
         coboundaries.append(b)
-    return CohomologyResult(cx, tuple(len(r) for r in reps), tuple(reps), tuple(coboundaries))
+    return CohomologyResult(cx, tuple(classes), tuple(coboundaries))
 
 
 @dataclass(frozen=True)
@@ -127,16 +143,18 @@ def relative_model(g: LieAlgebra, h: Subalgebra | None = None) -> RelativeModel:
     For h = 0 this is the full Chevalley-Eilenberg complex with identity
     bases.  Otherwise the small complex of `relative_subcomplex` is built
     without the full one: d of each basis form is computed from the
-    structure constants over its nonzero monomials, and looking it up in the
-    next degree's basis doubles as the closure check.  Algebras that fail
-    the Jacobi identity are refused in both cases.
+    structure constants over its nonzero monomials, and reading its
+    coordinates in the next degree's basis doubles as the closure check.
+    Algebras that fail the Jacobi identity are refused in both cases.
 
-    Before any form is enumerated, the size of the route is checked against
-    MAX_FORM_ENTRIES: the absolute route's dense differentials hold
-    sum_k C(n,k) C(n,k+1) entries, and the relative route indexes all 2^n
-    monomials of the n-dimensional algebra; then, with m = dim g - dim h,
-    its dense kernel vectors and their lifts to the forms on g hold at most
-    sum_k C(m,k) C(n,k) = C(n+m, m) entries.
+    Before any form is built, the size of the route is checked against
+    MAX_FORM_ENTRIES.  The absolute route counts the sum_k C(n,k) C(n,k+1)
+    entries of its differentials as dense matrices.  The relative route
+    counts the 2^n monomials of the n-dimensional algebra, and then, with
+    m = dim g - dim h, the sum_k C(m,k) C(n,k) = C(n+m, m) entries of a
+    kernel over the horizontal monomials and its lift to the forms on g,
+    as dense vectors.  It holds its forms sparsely and converts monomials
+    and positions by arithmetic, so both of its counts are upper bounds.
     """
     if h is None:
         h = Subalgebra(g, SubspaceBasis.zero(g.dim), name="0")
@@ -162,15 +180,10 @@ def relative_model(g: LieAlgebra, h: Subalgebra | None = None) -> RelativeModel:
         cx = ce_complex(g)
         return RelativeModel(g, h, cx, tuple(SubspaceBasis.full(d) for d in cx.dims))
     spaces = relative_subcomplex(g, h)
-    diffs = []
-    for k in range(g.dim):
-        cols = []
-        for w in differential_images(g, k, spaces[k].vectors):
-            coords = spaces[k + 1].coordinates(w)
-            if coords is None:
-                raise AssertionError("relative subcomplex is not closed under d")
-            cols.append(coords)
-        diffs.append(RationalMatrix.from_columns(cols, spaces[k + 1].dim))
+    images = differential_images(g, [s.matrix for s in spaces[:-1]])
+    diffs = [s.coordinate_matrix(m) for s, m in zip(spaces[1:], images)]
+    if None in diffs:
+        raise AssertionError("relative subcomplex is not closed under d")
     cx = GradedComplex.create(tuple(s.dim for s in spaces), diffs)
     return RelativeModel(g, h, cx, tuple(spaces))
 
@@ -190,15 +203,10 @@ def restricted_action(model: RelativeModel, aut: LieAutomorphism) -> list[Ration
         raise ValueError("automorphism belongs to a different algebra")
     out = []
     for k, basis in enumerate(model.bases):
-        cols = []
-        for w in pull_back(aut, k, basis.vectors):
-            coords = basis.coordinates(w)
-            if coords is None:
-                raise ValueError(
-                    f"automorphism does not preserve the relative subcomplex in degree {k}"
-                )
-            cols.append(coords)
-        out.append(RationalMatrix.from_columns(cols, basis.dim))
+        m = basis.coordinate_matrix(pull_back(aut, k, basis.matrix))
+        if m is None:
+            raise ValueError(f"automorphism does not preserve the relative subcomplex in degree {k}")
+        out.append(m)
     return out
 
 
@@ -218,11 +226,8 @@ def action_on_cohomology(result: CohomologyResult, maps: Sequence[RationalMatrix
     """Induced action on each H^k of a chain map given degreewise."""
     cx = result.complex
     check_chain_map(cx, maps)
-    out = []
-    for k in range(cx.top + 1):
-        cols = [result.express(k, maps[k].apply(rep)) for rep in result.representatives[k]]
-        out.append(RationalMatrix.from_columns(cols, result.dims[k]))
-    return out
+    pairs = enumerate(zip(maps, result.classes))
+    return [result.express_columns(k, m.mul(reps.matrix)) for k, (m, reps) in pairs]
 
 
 @dataclass(frozen=True)
@@ -271,8 +276,8 @@ def cup_product(
         return ()
     forms = []
     for k, coords in ((p, u_class), (q, v_class)):
-        cs, reps = as_vector(coords), result.representatives[k]
-        if len(cs) != len(reps):
-            raise ValueError(f"expected {len(reps)} class coordinates, got {len(cs)}")
-        forms.append(ExteriorForm(g.dim, k, combine(cs, reps, dims[k])))
+        cs, reps = as_vector(coords), result.classes[k]
+        if len(cs) != reps.dim:
+            raise ValueError(f"expected {reps.dim} class coordinates, got {len(cs)}")
+        forms.append(ExteriorForm(g.dim, k, reps.matrix.apply(cs)))
     return result.express(p + q, wedge(*forms).coeffs)

@@ -15,6 +15,12 @@ and a failure aborts, since it would mean corrupted structure constants).
 `ce_complex` returns the full complex as a `GradedComplex`, the same type as
 every other complex, with each column read straight off `_d_column`, and
 keeps the last few in a bounded cache.
+
+Forms handed between engine calls are the columns of a `RationalMatrix`,
+indexed by monomial position.  `differential_images`, `pull_back` and the
+relative lift convert between a monomial and its position by binomial
+arithmetic (`_rank`, `_unrank`), so they touch only the monomials a form
+uses; only code that enumerates a whole degree builds a table of them.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, jacobi_check, sparse_brackets
-from .linalg import GradedComplex, RationalMatrix, SubspaceBasis, Vector, as_vector, kernel_basis
+from .linalg import GradedComplex, RationalMatrix, SubspaceBasis, as_vector, image_basis, kernel_basis
 
 __all__ = [
     "ContractionError",
@@ -48,7 +55,6 @@ class ContractionError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
 def multi_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Lexicographic strictly increasing index tuples of the given degree."""
     if degree < 0 or degree > dim:
@@ -56,9 +62,30 @@ def multi_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(1, dim + 1), degree))
 
 
-@lru_cache(maxsize=None)
 def _index_position(dim: int, degree: int) -> dict[tuple[int, ...], int]:
     return {idx: p for p, idx in enumerate(multi_indices(dim, degree))}
+
+
+def _rank(dim: int, idx: tuple[int, ...]) -> int:
+    """Position of the monomial idx among those of its degree, in lexicographic order.
+
+    The monomials after idx are counted by the combinatorial number system:
+    sum_r C(dim - i_r, k - r) over the entries i_r, r = 0..k-1.
+    """
+    k = len(idx)
+    return comb(dim, k) - 1 - sum(comb(dim - i, k - r) for r, i in enumerate(idx))
+
+
+def _unrank(dim: int, degree: int, pos: int) -> tuple[int, ...]:
+    """The monomial at position pos of the given degree, inverse to `_rank`."""
+    x, c, out = comb(dim, degree) - 1 - pos, dim, []
+    for m in range(degree, 0, -1):
+        c -= 1
+        while comb(c, m) > x:
+            c -= 1
+        x -= comb(c, m)
+        out.append(dim - c)
+    return tuple(out)
 
 
 def sort_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
@@ -89,7 +116,7 @@ class ExteriorForm:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        expected = len(multi_indices(self.dim, self.degree))
+        expected = comb(self.dim, self.degree) if self.degree >= 0 else 0
         if len(self.coeffs) != expected:
             raise ValueError(
                 f"degree-{self.degree} form on dim {self.dim} needs "
@@ -100,8 +127,7 @@ class ExteriorForm:
         return not any(self.coeffs)
 
     def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        idx = multi_indices(self.dim, self.degree)
-        return [(idx[p], c) for p, c in enumerate(self.coeffs) if c]
+        return [(_unrank(self.dim, self.degree, p), c) for p, c in enumerate(self.coeffs) if c]
 
     def add(self, other: "ExteriorForm") -> "ExteriorForm":
         if (self.dim, self.degree) != (other.dim, other.degree):
@@ -139,15 +165,14 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     degree = a.degree + b.degree
     if degree > a.dim:
         return ExteriorForm(a.dim, degree, ())
-    pos = _index_position(a.dim, degree)
-    coeffs = [Fraction(0)] * len(pos)
+    coeffs = [Fraction(0)] * comb(a.dim, degree)
     for ia, ca in a.terms():
         for ib, cb in b.terms():
             srt = sort_sign(ia + ib)
             if srt is None:
                 continue
             idx, sign = srt
-            coeffs[pos[idx]] += sign * ca * cb
+            coeffs[_rank(a.dim, idx)] += sign * ca * cb
     return ExteriorForm(a.dim, degree, tuple(coeffs))
 
 
@@ -158,14 +183,13 @@ def contract(x: Sequence, form: ExteriorForm) -> ExteriorForm:
     xv = as_vector(x)
     if len(xv) != form.dim:
         raise ValueError("vector length does not match form dimension")
-    pos = _index_position(form.dim, form.degree - 1)
-    coeffs = [Fraction(0)] * len(pos)
+    coeffs = [Fraction(0)] * comb(form.dim, form.degree - 1)
     for idx, c in form.terms():
         for r, j in enumerate(idx):
             if xv[j - 1]:
                 target = idx[:r] + idx[r + 1 :]
                 sign = -1 if r % 2 else 1
-                coeffs[pos[target]] += sign * xv[j - 1] * c
+                coeffs[_rank(form.dim, target)] += sign * xv[j - 1] * c
     return ExteriorForm(form.dim, form.degree - 1, tuple(coeffs))
 
 
@@ -252,39 +276,38 @@ def ce_complex(g: LieAlgebra) -> GradedComplex:
         pos = _index_position(n, k + 1)
         cols = (_d_column(dgen, idx).items() for idx in multi_indices(n, k))
         mats.append(RationalMatrix.from_entries(len(pos), (((pos[t], c) for t, c in col) for col in cols)))
-    return GradedComplex.create(tuple(len(multi_indices(n, k)) for k in range(n + 1)), mats)
+    return GradedComplex.create(tuple(comb(n, k) for k in range(n + 1)), mats)
 
 
-def _images(vectors: Sequence[Sequence], monomials, pos, terms_of) -> list[Vector]:
-    """Dense images of vectors over `monomials` under the map idx -> terms_of(idx).
+def _images(m: RationalMatrix, monomial, dim: int, degree: int, terms_of) -> RationalMatrix:
+    """The columns of m, forms over the monomials monomial(i), mapped by
+    idx -> terms_of(idx) into the forms of the given degree on Q^dim,
+    indexed by position.
 
-    Only the monomials a vector actually uses are mapped.
+    Only the monomials a column actually uses are mapped.
     """
     out = []
-    for vec in vectors:
+    for col in m.entries:
         acc: _Terms = {}
-        for a, idx in zip(vec, monomials):
-            if a:
-                for t, c in terms_of(idx).items():
-                    acc[t] = acc.get(t, Fraction(0)) + a * c
-        v = [Fraction(0)] * len(pos)
-        for t, c in acc.items():
-            v[pos[t]] = c
-        out.append(tuple(v))
-    return out
+        for i, a in col:
+            for t, c in terms_of(monomial(i)).items():
+                acc[t] = acc[t] + a * c if t in acc else a * c
+        out.append([(_rank(dim, t), c) for t, c in acc.items()])
+    return RationalMatrix.from_entries(comb(dim, degree), out)
 
 
-def differential_images(g: LieAlgebra, degree: int, vectors: Sequence[Sequence]) -> list[Vector]:
-    """d of each degree-k form vector, built sparsely from the structure constants.
+def differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> list[RationalMatrix]:
+    """d of each column of forms[k], a degree-k form, for every k, built
+    sparsely from the structure constants.
 
     No CE matrix is formed.  The caller is responsible for the Jacobi check.
     """
     n = g.dim
     dgen = _generator_images(n, sparse_brackets(g))
-    return _images(
-        vectors, multi_indices(n, degree), _index_position(n, degree + 1),
-        lambda idx: _d_column(dgen, idx),
-    )
+    return [
+        _images(m, lambda i, k=k: _unrank(n, k, i), n, k + 1, lambda idx: _d_column(dgen, idx))
+        for k, m in enumerate(forms)
+    ]
 
 
 def _wedge_images(images: Sequence[dict[int, Fraction]], idx: tuple[int, ...], memo: dict) -> _Terms:
@@ -325,8 +348,8 @@ def _adapted_basis(g: LieAlgebra, h: Subalgebra):
     n = g.dim
     cols: dict[int, dict[int, Fraction]] = {i: {i: Fraction(1)} for i in range(1, n + 1)}
     pivots = []
-    for b in h.basis.vectors:
-        terms = {j: a for j, a in enumerate(b, start=1) if a}
+    for b in h.basis.matrix.entries:
+        terms = {j + 1: a for j, a in b}
         p = min(terms)
         pivots.append(p)
         cols[p] = terms
@@ -378,10 +401,9 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
     memo: dict = {}
     spaces: list[SubspaceBasis] = []
     for k in range(n + 1):
-        ambient = len(multi_indices(n, k))
         horizontal = list(combinations(free, k))
         if not horizontal:
-            spaces.append(SubspaceBasis.zero(ambient))
+            spaces.append(SubspaceBasis.zero(comb(n, k)))
             continue
         # one column per horizontal monomial: iota_{f_j} d(f^idx), keyed (j, monomial)
         cols: list[dict[tuple[int, tuple[int, ...]], Fraction]] = []
@@ -397,11 +419,9 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
         constraint = RationalMatrix.from_entries(
             len(row_of), (((row_of[key], x) for key, x in col.items()) for col in cols)
         )
-        lifted = _images(
-            kernel_basis(constraint).vectors, horizontal, _index_position(n, k),
-            lambda idx: _wedge_images(images, idx, memo),
-        )
-        spaces.append(SubspaceBasis.span(lifted, ambient))
+        lifted = _images(kernel_basis(constraint).matrix, horizontal.__getitem__, n, k,
+                         lambda idx: _wedge_images(images, idx, memo))
+        spaces.append(image_basis(lifted))
     return spaces
 
 
@@ -411,14 +431,12 @@ def _dual_images(aut: LieAutomorphism) -> list[dict[int, Fraction]]:
     return [{}] + [{i + 1: x for i, x in col} for col in nmat.entries]
 
 
-def pull_back(aut: LieAutomorphism, degree: int, vectors: Sequence[Sequence]) -> list[Vector]:
-    """The pullback of each degree-k form vector under the automorphism."""
+def pull_back(aut: LieAutomorphism, degree: int, m: RationalMatrix) -> RationalMatrix:
+    """The pullback of each column of m, a degree-k form, under the automorphism."""
     n = aut.algebra.dim
     if degree < 0 or degree > n:
         raise ValueError("degree out of range")
     images = _dual_images(aut)
     memo: dict = {}
-    return _images(
-        vectors, multi_indices(n, degree), _index_position(n, degree),
-        lambda idx: _wedge_images(images, idx, memo),
-    )
+    return _images(m, lambda i: _unrank(n, degree, i), n, degree,
+                   lambda idx: _wedge_images(images, idx, memo))

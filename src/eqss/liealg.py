@@ -171,7 +171,7 @@ def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:
     hb = h.basis
     if hb.dim == 0:
         return SubspaceBasis.full(n)
-    ann = kernel_basis(RationalMatrix.from_rows(hb.vectors, n))
+    ann = kernel_basis(hb.matrix.transpose())
     rows = []
     units = [tuple(Fraction(1 if t == s else 0) for t in range(n)) for s in range(n)]
     for v in hb.vectors:
@@ -204,7 +204,7 @@ class LieAutomorphism:
         return cls(g, m, name)
 
     def preserves(self, h: Subalgebra) -> bool:
-        return all(h.basis.contains(self.matrix.apply(v)) for v in h.basis.vectors)
+        return h.basis.coordinate_matrix(self.matrix.mul(h.basis.matrix)) is not None
 
 
 def is_automorphism(g: LieAlgebra, m: RationalMatrix) -> bool:

@@ -4,10 +4,11 @@ Everything downstream (cochain complexes, spectral sequence pages, fixed
 subspaces of finite group actions) reduces to ranks, kernels and canonical
 subspace bases computed here.  All arithmetic is exact: entries are
 ``fractions.Fraction``, so no tolerance ever enters.  A `RationalMatrix`
-keeps only its nonzero entries, column by column; subspace bases are dense.
-`GradedComplex` holds every complex the engine builds (Chevalley-Eilenberg,
-relative, fixed, product and twisted), and `combine` turns coordinates over
-a list of basis vectors back into a vector.
+keeps only its nonzero entries, column by column, and a `SubspaceBasis` is
+the matrix whose columns are its reduced echelon basis, so a linear map acts
+on a whole basis by `RationalMatrix.mul`, and coordinates over a basis are
+combined back into vectors the same way.  `GradedComplex` holds every complex
+the engine builds (Chevalley-Eilenberg, relative, fixed, product and twisted).
 
 One elimination serves the whole engine: `insert` adds a sparse vector to an
 echelon basis keyed by pivot.  The vector is cleared of denominators and
@@ -19,17 +20,16 @@ with the columns reversed (`restricted_kernel`); and the persistence pairs
 of a filtration are the pivots of its differential's columns
 (`spectral._pairs`).
 
-Canonical form: every subspace is represented by the reduced row echelon
-basis of its span (pivot entries 1, zeros above and below pivots, pivots in
-increasing column order).  Reduced echelon form is unique for a given row
-space, which makes subspace equality a tuple comparison.
+Canonical form: every subspace is represented by the reduced echelon basis
+of its span (pivot entries 1, zeros at the other pivots, pivots increasing).
+Reduced echelon form is unique for a given span, which makes subspace
+equality a matrix comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -39,7 +39,6 @@ __all__ = [
     "GroupBoundError",
     "RationalMatrix",
     "SubspaceBasis",
-    "combine",
     "complement_in",
     "enumerate_group",
     "fixed_subspace",
@@ -56,6 +55,8 @@ Vector = tuple[Fraction, ...]
 
 # The most elements enumerate_group builds before it calls a group infinite.
 GROUP_BOUND = 10000
+
+_ZERO = Fraction(0)  # immutable, so one zero fills every dense vector
 
 
 class GroupBoundError(RuntimeError):
@@ -140,7 +141,7 @@ class RationalMatrix:
         return tuple(zip(*self.columns())) if self.entries else ((),) * self.nrows
 
     def column(self, j: int) -> Vector:
-        out = [Fraction(0)] * self.nrows
+        out = [_ZERO] * self.nrows
         for i, x in self.entries[j]:
             out[i] = x
         return tuple(out)
@@ -174,7 +175,7 @@ class RationalMatrix:
         v = as_vector(vec)
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        out = [Fraction(0)] * self.nrows
+        out = [_ZERO] * self.nrows
         for b, col in zip(v, self.entries):
             if b:
                 for i, a in col:
@@ -203,10 +204,12 @@ class RationalMatrix:
         if self.nrows != n:
             raise ValueError("inverse of a non-square matrix")
         aug = (r + ((n + i, Fraction(1)),) for i, r in enumerate(self.transpose().entries))
-        red, pivots = _reduced(_echelon(aug), 2 * n)
-        if list(pivots) != list(range(n)):
+        red = _subspace(_echelon(aug), 2 * n)
+        if red.pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return RationalMatrix.from_rows([r[n:] for r in red], n)
+        # column i of red is row i of [I | inverse]
+        rows = tuple(tuple((k - n, x) for k, x in col if k >= n) for col in red.matrix.entries)
+        return RationalMatrix(n, rows).transpose()
 
 
 def insert(basis: dict[int, dict[int, int]], entries: Iterable[tuple[int, Fraction]]) -> int | None:
@@ -271,24 +274,13 @@ def _echelon(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> dict[int, dict[i
     return basis
 
 
-def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """Reduced row echelon form of dense rows. Returns (pivot rows as Fractions, pivot columns)."""
-    return _reduced(_echelon(map(enumerate, rows)), ncols)
-
-
-def _reduced(basis: dict[int, dict[int, int]], ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """Back substitution on an echelon basis; (pivot rows as Fractions, pivot columns)."""
+def _subspace(basis: dict[int, dict[int, int]], ambient: int) -> "SubspaceBasis":
+    """The reduced echelon basis of an echelon basis's span: back
+    substitution, then each vector divided by its pivot entry."""
     _back_substitute(basis)
-    pivots = tuple(sorted(basis))
-    zero = Fraction(0)
-    out = []
-    for p in pivots:
-        w = basis[p]
-        row = [zero] * ncols
-        for k, x in w.items():
-            row[k] = Fraction(x, w[p])
-        out.append(row)
-    return out, pivots
+    return SubspaceBasis(RationalMatrix(ambient, tuple(
+        tuple((k, Fraction(x, w[p])) for k, x in sorted(w.items())) for p, w in sorted(basis.items())
+    )))
 
 
 @dataclass(frozen=True)
@@ -338,17 +330,6 @@ class GradedComplex:
         return sum(d if k % 2 == 0 else -d for k, d in enumerate(self.dims))
 
 
-def combine(coeffs: Sequence, vectors: Sequence[Sequence[Fraction]], ambient: int) -> Vector:
-    """sum_i coeffs[i] * vectors[i] in Q^ambient; needs one coefficient per vector."""
-    out = [Fraction(0)] * ambient
-    for c, vec in zip(coeffs, vectors, strict=True):
-        if c:
-            for i, a in enumerate(vec):
-                if a:
-                    out[i] += c * a
-    return tuple(out)
-
-
 def rank(m: RationalMatrix) -> int:
     """Rank over Q: the number of pivots the columns take, with no back substitution."""
     return len(_echelon(m.entries))
@@ -356,30 +337,28 @@ def rank(m: RationalMatrix) -> int:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """A subspace of Q^n held in canonical (reduced echelon) basis form.
+    """A subspace of Q^n, held as the matrix whose columns are its reduced
+    echelon basis in increasing pivot order.
 
-    Two SubspaceBasis objects are equal iff they describe the same subspace.
+    The constructor takes the matrix as given, like RationalMatrix's;
+    `span`, `image_basis` and the kernels build it.  Two SubspaceBasis
+    objects are equal iff they describe the same subspace.  `vectors` is a
+    dense view of the columns.
     """
 
-    ambient: int
-    vectors: tuple[Vector, ...]
+    matrix: RationalMatrix
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence], ambient: int) -> "SubspaceBasis":
-        conv = [as_vector(v) for v in vectors]
-        for v in conv:
-            if len(v) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
-        red, _ = _rref_rows(conv, ambient)
-        return cls(ambient, tuple(tuple(r) for r in red))
+        return image_basis(RationalMatrix.from_columns(vectors, ambient))
 
     @classmethod
     def zero(cls, ambient: int) -> "SubspaceBasis":
-        return cls(ambient, ())
+        return cls(RationalMatrix.zeros(ambient, 0))
 
     @classmethod
     def full(cls, ambient: int) -> "SubspaceBasis":
-        return cls.coordinate(ambient, range(ambient))
+        return cls(RationalMatrix.identity(ambient))
 
     @classmethod
     def coordinate(cls, ambient: int, indices: Sequence[int]) -> "SubspaceBasis":
@@ -388,60 +367,53 @@ class SubspaceBasis:
         idx = tuple(indices)
         if idx != tuple(sorted(set(idx))) or not all(0 <= i < ambient for i in idx):
             raise ValueError(f"coordinate indices {idx} are not increasing in range({ambient})")
-        zero, one = Fraction(0), Fraction(1)
-        vecs = []
-        for i in idx:
-            v = [zero] * ambient
-            v[i] = one
-            vecs.append(tuple(v))
-        return cls(ambient, tuple(vecs))
+        return cls(RationalMatrix(ambient, tuple(((i, Fraction(1)),) for i in idx)))
+
+    @property
+    def ambient(self) -> int:
+        return self.matrix.nrows
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
-
-    @cached_property
-    def _sparse_rows(self) -> tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]:
-        """(pivot column, nonzero entries) of each basis vector."""
-        out = []
-        for row in self.vectors:
-            nz = tuple((j, a) for j, a in enumerate(row) if a)
-            out.append((nz[0][0], nz))
-        return tuple(out)
+        return self.matrix.ncols
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self._sparse_rows)
+        return tuple(col[0][0] for col in self.matrix.entries)
 
-    def reduce(self, vec: Sequence) -> Vector:
-        """Subtract the projection onto this basis using pivot elimination."""
-        v = list(as_vector(vec))
-        if len(v) != self.ambient:
+    @property
+    def vectors(self) -> tuple[Vector, ...]:
+        return tuple(self.matrix.columns())
+
+    def _at_pivots(self, m: RationalMatrix) -> RationalMatrix:
+        """The entries of m's columns at the pivots, which are their
+        coordinates in this basis if they lie in the subspace."""
+        if m.nrows != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        for p, nz in self._sparse_rows:
-            c = v[p]
-            if c:
-                for j, a in nz:
-                    v[j] -= c * a
-        return tuple(v)
+        index = {p: i for i, p in enumerate(self.pivots)}
+        return RationalMatrix(self.dim, tuple(tuple((index[i], x) for i, x in c if i in index) for c in m.entries))
 
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
+    def reduce(self, m: RationalMatrix) -> RationalMatrix:
+        """Each column of m less its combination of the basis at the pivots:
+        zero at every pivot, and zero iff the column lies in the subspace."""
+        return m.sub(self.matrix.mul(self._at_pivots(m)))
 
-    def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(v) for v in other.vectors)
+    def coordinate_matrix(self, m: RationalMatrix) -> RationalMatrix | None:
+        """The coordinates of every column of m in this basis, one column
+        each, or None if some column lies outside the subspace."""
+        coords = self._at_pivots(m)
+        return coords if self.matrix.mul(coords) == m else None
 
     def coordinates(self, vec: Sequence) -> Vector | None:
-        """Coefficients of vec in this basis, or None if vec is outside.
+        """Coefficients of vec in this basis, or None if vec is outside."""
+        coords = self.coordinate_matrix(RationalMatrix.from_columns([vec]))
+        return None if coords is None else coords.column(0)
 
-        The basis is in reduced echelon form, so the only candidate
-        coefficients are vec's entries at the pivot columns; vec lies in the
-        span iff subtracting that combination (which `reduce` does) leaves zero.
-        """
-        v = as_vector(vec)
-        if any(self.reduce(v)):
-            return None
-        return tuple(v[p] for p in self.pivots)
+    def contains(self, vec: Sequence) -> bool:
+        return self.coordinates(vec) is not None
+
+    def contains_subspace(self, other: "SubspaceBasis") -> bool:
+        return self.coordinate_matrix(other.matrix) is not None
 
 
 def restricted_kernel(m: RationalMatrix, cols: Sequence[int]) -> SubspaceBasis:
@@ -462,14 +434,7 @@ def restricted_kernel(m: RationalMatrix, cols: Sequence[int]) -> SubspaceBasis:
         for f, x in w.items():
             if f != p:
                 solutions[f][cols[last - p]] = Fraction(-x, w[p])
-    zero = Fraction(0)
-    out = []
-    for sol in solutions.values():
-        x = [zero] * ambient
-        for j, c in sol.items():
-            x[j] = c
-        out.append(tuple(x))
-    return SubspaceBasis(ambient, tuple(out))
+    return SubspaceBasis(RationalMatrix(ambient, tuple(tuple(sorted(sol.items())) for sol in solutions.values())))
 
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
@@ -479,8 +444,7 @@ def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
 
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of the column span of m."""
-    red, _ = _reduced(_echelon(m.entries), m.nrows)
-    return SubspaceBasis(m.nrows, tuple(tuple(r) for r in red))
+    return _subspace(_echelon(m.entries), m.nrows)
 
 
 def solve(m: RationalMatrix, b: Sequence) -> Vector | None:
@@ -489,19 +453,21 @@ def solve(m: RationalMatrix, b: Sequence) -> Vector | None:
     if len(bv) != m.nrows:
         raise ValueError("rhs length does not match row count")
     n = m.ncols
-    red, pivots = _reduced(_echelon(r + ((n, bv[i]),) for i, r in enumerate(m.transpose().entries)), n + 1)
-    if m.ncols in pivots:
+    red = _subspace(_echelon(r + ((n, bv[i]),) for i, r in enumerate(m.transpose().entries)), n + 1)
+    if n in red.pivots:
         return None
-    x = [Fraction(0)] * m.ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][m.ncols]
+    # a pivot's solution entry is its vector's entry at index n, the last one
+    x = [_ZERO] * n
+    for p, col in zip(red.pivots, red.matrix.entries):
+        if col[-1][0] == n:
+            x[p] = col[-1][1]
     return tuple(x)
 
 
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient != b.ambient:
         raise ValueError("ambient dimension mismatch")
-    return SubspaceBasis.span(a.vectors + b.vectors, a.ambient)
+    return image_basis(RationalMatrix(a.ambient, a.matrix.entries + b.matrix.entries))
 
 
 def complement_in(space: SubspaceBasis, sub: SubspaceBasis) -> SubspaceBasis:
@@ -512,8 +478,7 @@ def complement_in(space: SubspaceBasis, sub: SubspaceBasis) -> SubspaceBasis:
     """
     if not space.contains_subspace(sub):
         raise ValueError("complement of a subspace that is not contained in the space")
-    reduced = [sub.reduce(v) for v in space.vectors]
-    return SubspaceBasis.span([v for v in reduced if any(v)], space.ambient)
+    return image_basis(sub.reduce(space.matrix))
 
 
 def enumerate_group(generators: Sequence[RationalMatrix], bound: int = GROUP_BOUND) -> list[RationalMatrix]:

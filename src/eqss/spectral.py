@@ -41,10 +41,10 @@ from .linalg import (
     RationalMatrix,
     SubspaceBasis,
     Vector,
-    combine,
     complement_in,
     enumerate_group,
     fixed_subspace,
+    image_basis,
     insert,
     kernel_basis,
     rank,
@@ -307,13 +307,12 @@ class _ZChain:
         if prev.dim == 0 or not rows or p + s - 1 < 0:
             self._memo[key] = prev
             return prev
-        d_n = cx.differential(n)
-        cols = []
-        for b in prev.vectors:
-            w = d_n.apply(b)
-            cols.append([w[i] for i in rows])
-        small = kernel_basis(RationalMatrix.from_columns(cols, len(rows)))
-        cur = SubspaceBasis.span([combine(y, prev.vectors, cx.dim(n)) for y in small.vectors], cx.dim(n))
+        # d of prev's basis, read on the rows of weight p + s - 1 (in increasing order)
+        index = {i: k for k, i in enumerate(rows)}
+        images = cx.differential(n).mul(prev.matrix).entries
+        on_rows = tuple(tuple((index[i], x) for i, x in col if i in index) for col in images)
+        small = kernel_basis(RationalMatrix(len(rows), on_rows))
+        cur = image_basis(prev.matrix.mul(small.matrix))
         self._memo[key] = cur
         return cur
 
@@ -341,10 +340,7 @@ def pages_inductive(fc: FilteredComplex, rmax: int | None = None) -> list[dict[t
         if n > 0:
             src = zc.space(n - 1, p - r + 1, r - 1)
             if src.dim:
-                d_prev = cx.differential(n - 1)
-                den = subspace_sum(
-                    den, SubspaceBasis.span([d_prev.apply(b) for b in src.vectors], cx.dim(n))
-                )
+                den = subspace_sum(den, image_basis(cx.differential(n - 1).mul(src.matrix)))
         if not num.contains_subspace(den):
             raise SpectralAuditError(f"denominator escaped the numerator at (n,p,r)=({n},{p},{r})")
         return num, den
@@ -373,13 +369,10 @@ def pages_inductive(fc: FilteredComplex, rmax: int | None = None) -> list[dict[t
             if treps is None:
                 continue
             tden = pairs[(n + 1, p + r)][1]
-            solver = RationalMatrix.from_columns(
-                list(treps.vectors) + list(tden.vectors), cx.dim(n + 1)
-            )
-            d_n = cx.differential(n)
+            solver = RationalMatrix(cx.dim(n + 1), treps.matrix.entries + tden.matrix.entries)
             cols = []
-            for b in reps.vectors:
-                coords = solve(solver, d_n.apply(b))
+            for b in cx.differential(n).mul(reps.matrix).columns():
+                coords = solve(solver, b)
                 if coords is None:
                     raise SpectralAuditError("differential left the page presentation")
                 cols.append(coords[: treps.dim])
@@ -574,12 +567,11 @@ def invariant_filtered_complex(
     diffs = []
     for n in range(cx.top):
         d_n = _permuted(cx.differential(n), orders[n + 1], orders[n])
-        cols = [spaces[n + 1].coordinates(d_n.apply(v)) for v in spaces[n].vectors]
-        if None in cols:
+        diffs.append(spaces[n + 1].coordinate_matrix(d_n.mul(spaces[n].matrix)))
+        if diffs[-1] is None:
             raise FilteredComplexError(
                 f"fixed spaces are not closed under the differential at degree {n}"
             )
-        diffs.append(RationalMatrix.from_columns(cols, spaces[n + 1].dim))
     new_cx = GradedComplex.create(tuple(s.dim for s in spaces), diffs)
     weights = [tuple(ws[order[p]] for p in s.pivots) for ws, order, s in zip(fc.weights, orders, spaces)]
     # back to the original coordinates: entry k of a vector sits at order[k]

@@ -9,7 +9,7 @@ from typing import Sequence
 
 from eqss.forms import ExteriorForm, basis_form, ce_complex, contract, multi_indices, pull_back
 from eqss.liealg import LieAutomorphism
-from eqss.linalg import RationalMatrix, SubspaceBasis, as_vector
+from eqss.linalg import RationalMatrix, as_vector
 
 
 def form_from_vector(dim: int, degree: int, vec: Sequence) -> ExteriorForm:
@@ -24,7 +24,7 @@ def contract_matrix(dim: int, x: Sequence, degree: int) -> RationalMatrix:
 
 def _pullback_matrix(aut: LieAutomorphism, degree: int) -> RationalMatrix:
     size = len(multi_indices(aut.algebra.dim, degree))
-    return RationalMatrix.from_columns(pull_back(aut, degree, SubspaceBasis.full(size).vectors), size)
+    return pull_back(aut, degree, RationalMatrix.identity(size))
 
 
 def induced_on_forms(aut: LieAutomorphism, degree: int, check: bool = True) -> RationalMatrix:

@@ -28,7 +28,6 @@ from eqss.linalg import (
     GroupBoundError,
     RationalMatrix,
     SubspaceBasis,
-    combine,
     complement_in,
     image_basis,
     kernel_basis,
@@ -292,7 +291,7 @@ def test_restricted_kernel_classes_match_the_cocycle_complement():
             assert res.coboundaries[k] == b
             for _ in range(3):
                 cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in z.vectors]
-                v = combine(cs, z.vectors, cx.dims[k])
+                v = z.matrix.apply(cs)
                 assert res.express(k, v) == solve_express(z, b, reps, v)
             units = SubspaceBasis.full(cx.dims[k]).vectors
             outside = next((e for e in units if not z.contains(e)), None)

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from eqss.forms import (
     ContractionError,
     ExteriorForm,
+    _rank,
+    _unrank,
     basis_form,
     ce_complex,
     contract,
@@ -87,6 +90,28 @@ def test_multi_indices_lex_order():
     assert multi_indices(4, 2) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     assert multi_indices(3, 0) == ((),)
     assert multi_indices(3, 4) == ()
+
+
+def test_rank_and_unrank_match_the_monomial_table():
+    for n in range(11):
+        for k in range(n + 1):
+            table = multi_indices(n, k)
+            assert len(table) == comb(n, k)
+            for p, idx in enumerate(table):
+                assert _rank(n, idx) == p
+                assert _unrank(n, k, p) == idx
+    # round trips at dim 36 (so9), where a table of all 2^36 monomials is out of reach
+    rng = random.Random(89)
+    for _ in range(400):
+        k = rng.randint(0, 36)
+        idx = tuple(sorted(rng.sample(range(1, 37), k)))
+        p = _rank(36, idx)
+        assert 0 <= p < comb(36, k)
+        assert _unrank(36, k, p) == idx
+        q = rng.randrange(comb(36, k))
+        assert _rank(36, _unrank(36, k, q)) == q
+    assert _unrank(36, 18, 0) == tuple(range(1, 19))
+    assert _unrank(36, 18, comb(36, 18) - 1) == tuple(range(19, 37))
 
 
 def test_wedge_basics():

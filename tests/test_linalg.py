@@ -13,7 +13,6 @@ from eqss.linalg import (
     fixed_subspace,
     image_basis,
     kernel_basis,
-    _rref_rows,
     rank,
     restricted_kernel,
     solve,
@@ -190,7 +189,7 @@ def test_coordinate_subspace_rejects_unordered_or_out_of_range(idx):
         SubspaceBasis.coordinate(3, idx)
 
 
-# The dense integer elimination that `_rref_rows` replaced, kept as an
+# The dense integer elimination that `insert` replaced, kept as an
 # independent reference: row swaps, cross-multiplication below each pivot,
 # then back substitution, with a gcd renormalisation of large rows.
 _BIG = 1 << 64
@@ -249,7 +248,7 @@ def dense_rref(rows, ncols):
 
 def dense_span(vectors, n):
     red, _ = dense_rref(vectors, n)
-    return SubspaceBasis(n, tuple(tuple(r) for r in red))
+    return SubspaceBasis(RationalMatrix.from_columns(red, n))
 
 
 def dense_kernel(m):
@@ -304,14 +303,47 @@ def random_matrices(rng, count):
         yield RationalMatrix.from_rows(tuple(tuple(r) for r in rows), nc)
 
 
+def dense_reduce(basis_rows, pivots, v):
+    """v less its combination of reduced echelon rows at their pivots."""
+    v = list(v)
+    for row, p in zip(basis_rows, pivots):
+        c = v[p]
+        v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+def check_subspace_operations(rng, s, rows, n):
+    """subspace_sum, complement_in, contains_subspace and coordinate_matrix
+    of s = span(rows) against dense eliminations."""
+    extra = [[Fraction(rng.randint(-2, 2), rng.choice([1, 3])) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    total = subspace_sum(s, SubspaceBasis.span(extra, n))
+    assert total == dense_span(list(rows) + extra, n)
+    assert total.contains_subspace(s)
+    assert s.contains_subspace(total) == (len(dense_rref(list(rows) + extra, n)[1]) == s.dim)
+    red, pivots = dense_rref(rows, n)
+    left = [w for w in (dense_reduce(red, pivots, v) for v in total.vectors) if any(w)]
+    assert complement_in(total, s) == dense_span(left, n)
+    # coordinates of random combinations, then of a column outside s
+    coeffs = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in red] for _ in range(rng.randint(0, 3))]
+    cols = [[sum((c * row[j] for c, row in zip(cs, red)), Fraction(0)) for j in range(n)] for cs in coeffs]
+    want = RationalMatrix.from_columns(coeffs, len(red))
+    assert s.coordinate_matrix(RationalMatrix.from_columns(cols, n)) == want
+    outside = next((e for e in SubspaceBasis.full(n).vectors
+                    if len(dense_rref(list(rows) + [e], n)[1]) > len(pivots)), None)
+    if outside is not None:
+        assert s.coordinate_matrix(RationalMatrix.from_columns(cols + [outside], n)) is None
+        assert not s.contains_subspace(SubspaceBasis.span([outside], n))
+
+
 def test_pivot_insertion_matches_dense_elimination_randomized():
     rng = random.Random(31)
     for m in random_matrices(rng, 600):
-        red, pivots = dense_rref(m.rows, m.ncols)
-        assert _rref_rows(m.rows, m.ncols) == (red, pivots)
+        _, pivots = dense_rref(m.rows, m.ncols)
         assert rank(m) == len(pivots)
         assert kernel_basis(m) == dense_kernel(m)
-        assert SubspaceBasis.span(m.rows, m.ncols) == dense_span(m.rows, m.ncols)
+        row_space = SubspaceBasis.span(m.rows, m.ncols)
+        assert row_space == dense_span(m.rows, m.ncols)
+        check_subspace_operations(rng, row_space, m.rows, m.ncols)
         assert image_basis(m) == dense_span(m.columns(), m.nrows)
         b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m.nrows)]
         assert solve(m, b) == dense_solve(m, b)

@@ -7,10 +7,12 @@ from the horizontal monomials of a basis adapted to h.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from eqss import cohomology as cohomology_module, forms
 from eqss.cohomology import action_on_cohomology, cohomology, relative_model, restricted_action
 from eqss.forms import ExteriorForm, ce_complex, contract, multi_indices, relative_subcomplex
 from eqss.library import builtin_library, so_pair, so_pair_reflection
@@ -106,3 +108,35 @@ def test_so6_so5_is_the_5_sphere_with_reflection_acting_trivially():
     assert res.dims == (1, 0, 0, 0, 0, 1) + (0,) * 10
     acts = action_on_cohomology(res, restricted_action(model, so_pair_reflection(5)))
     assert acts[5] == RationalMatrix.from_rows([[1]])
+
+
+def test_sphere_ladder_sign_law_from_l5_to_l8(monkeypatch):
+    # (so(l+1), so(l)) is the l-sphere, and the normalizer reflection acts on
+    # H^l by (-1)^(l+1); so8/so7 (dim 28) and so9/so8 (dim 36) pass the 2^n
+    # check only with the limit raised
+    budget, start = 10.0, time.perf_counter()
+    for l in (5, 6, 7, 8):
+        if l >= 7:
+            monkeypatch.setattr(cohomology_module, "MAX_FORM_ENTRIES", 2 ** (l * (l + 1) // 2))
+        g, h = so_pair(l)
+        model = relative_model(g, h)
+        res = cohomology(model.complex)
+        assert res.dims == tuple(int(k in (0, l)) for k in range(g.dim + 1)), l
+        acts = action_on_cohomology(res, restricted_action(model, so_pair_reflection(l)))
+        assert acts[l] == RationalMatrix.from_rows([[(-1) ** (l + 1)]]), l
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget, f"the l = 5..8 ladder took {elapsed:.2f}s, budget {budget}s"
+
+
+def test_relative_route_never_enumerates_the_forms_on_g(monkeypatch):
+    g, h = so_pair(6)  # so7/so6: Lambda(g) has 2^21 monomials
+    aut = so_pair_reflection(6)
+
+    def refuse(*args):
+        raise AssertionError(f"a table of monomials was built: {args}")
+
+    monkeypatch.setattr(forms, "multi_indices", refuse)
+    monkeypatch.setattr(forms, "_index_position", refuse)
+    model = relative_model(g, h)
+    assert cohomology(model.complex).dims == (1, 0, 0, 0, 0, 0, 1) + (0,) * 15
+    assert [m.shape for m in restricted_action(model, aut)] == [(d, d) for d in model.complex.dims]

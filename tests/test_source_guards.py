@@ -8,6 +8,11 @@ call is allowed anywhere.
 The inductive pages (`pages_inductive`, `_ZChain`) cross-check the closed
 form (pages read off the persistence pairs), so they must not reach the
 closed form's code, directly or through a module-level helper of `spectral`.
+
+No cache in the engine is unbounded (`functools.cache` or
+`lru_cache(maxsize=None)`): such a cache keeps, for the life of the process,
+every table it was ever asked for, as the monomial tables of Lambda(g) once
+did.  Bounded caches, such as `ce_complex`'s, are allowed.
 """
 
 import ast
@@ -114,3 +119,47 @@ def test_oracle_guard_sees_direct_and_indirect_references():
         "    return spectral._pairs(fc)\n"
     )
     assert oracle_reaches(source) == {"_pairs", "_page_from_pairs"}
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Lines that use functools.cache or lru_cache(maxsize=None), imported
+    or qualified, as a decorator or as a call."""
+    tree = ast.parse(source)
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                hits.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if getattr(node.value, "id", None) == "functools":
+                hits.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "lru_cache":
+                size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+                if size and isinstance(size[0], ast.Constant) and size[0].value is None:
+                    hits.add(node.lineno)
+    return sorted(hits)
+
+
+def test_no_unbounded_caches_in_the_engine():
+    found = {path.name: unbounded_caches(path.read_text()) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_cache_guard_sees_every_spelling():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache, cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(): pass\n"
+        "@functools.lru_cache(None)\n"
+        "def b(): pass\n"
+        "@functools.cache\n"
+        "def c(): pass\n"
+        "@lru_cache(maxsize=32)\n"
+        "def d(): pass\n"
+        "@lru_cache\n"
+        "def e(): pass\n"
+    )
+    assert unbounded_caches(source) == [2, 3, 5, 7]

@@ -336,7 +336,7 @@ def complement_chain_basis(fc, action):
                 for j, c in zip(cols, v):
                     x[j] = c
                 vecs.append(tuple(x))
-            cur = SubspaceBasis(amb, tuple(vecs))
+            cur = SubspaceBasis(RationalMatrix.from_columns(vecs, amb))
             adapted += [(p, v) for v in complement_in(cur, prev).vectors]
             prev = cur
         out.append(sorted(adapted, key=lambda t: t[0]))
