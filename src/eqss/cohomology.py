@@ -17,7 +17,7 @@ and a class is read off a cocycle by reducing it by the coboundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
 
@@ -37,9 +37,9 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     as_vector,
+    echelon,
     enumerate_group,
     fixed_subspace,
-    image_basis,
     restricted_kernel,
 )
 
@@ -73,16 +73,34 @@ class CohomologyResult:
     """Cohomology of a GradedComplex with canonical representative cocycles.
 
     classes[k] is the basis of representatives in degree k, and
-    `representatives` is its dense view.
+    `representatives` is its dense view.  The representatives need only the
+    pivots of the coboundaries, so `cohomology` keeps echelons[k], the
+    `echelon` basis of the columns of d_{k-1}, and `coboundary(k)` turns it
+    (in place) into the reduced echelon basis the first time a class is
+    expressed in degree k, then keeps that.
     """
 
     complex: GradedComplex
     classes: tuple[SubspaceBasis, ...]
-    coboundaries: tuple[SubspaceBasis, ...]
+    echelons: tuple[dict[int, dict[int, int]], ...] = field(compare=False, repr=False)
+    _coboundaries: dict[int, SubspaceBasis] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.classes)
+
+    def coboundary(self, k: int) -> SubspaceBasis:
+        """The reduced echelon basis of im d_{k-1}, built once."""
+        got = self._coboundaries.get(k)
+        if got is None:
+            got = self._coboundaries[k] = SubspaceBasis.from_echelon(self.echelons[k], self.complex.dims[k])
+        return got
+
+    @property
+    def coboundaries(self) -> tuple[SubspaceBasis, ...]:
+        return tuple(self.coboundary(k) for k in range(self.complex.top + 1))
 
     @property
     def representatives(self) -> tuple[tuple[Vector, ...], ...]:
@@ -95,7 +113,7 @@ class CohomologyResult:
         Reducing a cocycle by the coboundaries leaves a cocycle that vanishes
         at their pivots, a combination of the representatives alone.
         """
-        coords = self.classes[k].coordinate_matrix(self.coboundaries[k].reduce(m))
+        coords = self.classes[k].coordinate_matrix(self.coboundary(k).reduce(m))
         if coords is None:
             raise ValueError(f"vector is not a cocycle in degree {k}")
         return coords
@@ -112,14 +130,13 @@ class CohomologyResult:
 
 def cohomology(cx: GradedComplex) -> CohomologyResult:
     classes = []
-    coboundaries = []
+    echelons = []
     for k in range(cx.top + 1):
-        b = image_basis(cx.differential(k - 1))
-        taken = set(b.pivots)
-        cols = [j for j in range(cx.dims[k]) if j not in taken]
+        b = echelon(cx.differential(k - 1).entries)
+        cols = [j for j in range(cx.dims[k]) if j not in b]
         classes.append(restricted_kernel(cx.differential(k), cols))
-        coboundaries.append(b)
-    return CohomologyResult(cx, tuple(classes), tuple(coboundaries))
+        echelons.append(b)
+    return CohomologyResult(cx, tuple(classes), tuple(echelons))
 
 
 @dataclass(frozen=True)
@@ -202,8 +219,9 @@ def restricted_action(model: RelativeModel, aut: LieAutomorphism) -> list[Ration
     if aut.algebra != model.algebra:
         raise ValueError("automorphism belongs to a different algebra")
     out = []
-    for k, basis in enumerate(model.bases):
-        m = basis.coordinate_matrix(pull_back(aut, k, basis.matrix))
+    images = pull_back(aut, [basis.matrix for basis in model.bases])
+    for k, (basis, image) in enumerate(zip(model.bases, images)):
+        m = basis.coordinate_matrix(image)
         if m is None:
             raise ValueError(f"automorphism does not preserve the relative subcomplex in degree {k}")
         out.append(m)

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .cohomology import GradedComplex
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
-from .linalg import RationalMatrix
+from .linalg import Rational, RationalMatrix, as_fraction
 from .obstructions import CupForm
 from .spectral import FilteredComplex
 
@@ -56,16 +56,17 @@ class DocumentError(ValueError):
 _RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
 
 
-def parse_rational(value, where: str) -> Fraction:
-    """JSON integer or "p/q" string; anything else (floats, decimal strings,
-    booleans) is rejected because the format is exact by contract."""
+def parse_rational(value, where: str) -> Rational:
+    """JSON integer or "p/q" string, under the number rule of `linalg`;
+    anything else (floats, decimal strings, booleans) is rejected because
+    the format is exact by contract."""
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str) and _RATIONAL.match(value):
         try:
-            return Fraction(value)
+            return as_fraction(Fraction(value))
         except ZeroDivisionError:
             raise DocumentError(f"{where}: {value!r} divides by zero") from None
         except ValueError as e:  # e.g. more digits than int() converts
@@ -75,7 +76,7 @@ def parse_rational(value, where: str) -> Fraction:
     raise DocumentError(f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}")
 
 
-def render_rational(x: Fraction):
+def render_rational(x: Rational):
     if x.denominator == 1:
         return int(x)
     return f"{x.numerator}/{x.denominator}"
@@ -119,7 +120,7 @@ def _fields(entry: dict, required: Sequence[str], optional: Sequence[str], where
         _expect(key in allowed, f"{where}: unknown field '{key}'")
 
 
-def _parse_vector(value, length: int, where: str) -> tuple[Fraction, ...]:
+def _parse_vector(value, length: int, where: str) -> tuple[Rational, ...]:
     row = _expect_list(value, where)
     _expect(len(row) == length, f"{where}: expected {length} entries, got {len(row)}")
     return tuple(parse_rational(v, f"{where}[{k}]") for k, v in enumerate(row))

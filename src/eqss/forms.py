@@ -21,19 +21,33 @@ indexed by monomial position.  `differential_images`, `pull_back` and the
 relative lift convert between a monomial and its position by binomial
 arithmetic (`_rank`, `_unrank`), so they touch only the monomials a form
 uses; only code that enumerates a whole degree builds a table of them.
+
+Coefficients follow the number rule of `linalg` (an int when integral, a
+Fraction otherwise).  Every sum starts from the int 0 and a sign is applied
+by negation, never by multiplying with -1, so integral structure constants
+give differentials and pullbacks computed in int arithmetic throughout;
+`wedge`, `contract` and `form_from_terms` return coefficients under the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Sequence
 
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, jacobi_check, sparse_brackets
-from .linalg import GradedComplex, RationalMatrix, SubspaceBasis, as_vector, image_basis, kernel_basis
+from .linalg import (
+    GradedComplex,
+    Rational,
+    RationalMatrix,
+    SubspaceBasis,
+    as_fraction,
+    as_vector,
+    image_basis,
+    kernel_basis,
+)
 
 __all__ = [
     "ContractionError",
@@ -113,7 +127,7 @@ class ExteriorForm:
 
     dim: int
     degree: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
 
     def __post_init__(self):
         expected = comb(self.dim, self.degree) if self.degree >= 0 else 0
@@ -126,24 +140,24 @@ class ExteriorForm:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def terms(self) -> list[tuple[tuple[int, ...], Rational]]:
         return [(_unrank(self.dim, self.degree, p), c) for p, c in enumerate(self.coeffs) if c]
 
     def add(self, other: "ExteriorForm") -> "ExteriorForm":
         if (self.dim, self.degree) != (other.dim, other.degree):
             raise ValueError("form shape mismatch")
         return ExteriorForm(
-            self.dim, self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.dim, self.degree, as_vector(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def scale(self, c) -> "ExteriorForm":
-        f = Fraction(c) if not isinstance(c, Fraction) else c
-        return ExteriorForm(self.dim, self.degree, tuple(f * x for x in self.coeffs))
+        f = as_fraction(c)
+        return ExteriorForm(self.dim, self.degree, as_vector(f * x for x in self.coeffs))
 
 
 def form_from_terms(dim: int, degree: int, terms: dict) -> ExteriorForm:
     pos = _index_position(dim, degree)
-    coeffs = [Fraction(0)] * len(pos)
+    coeffs = [0] * len(pos)
     for raw_idx, c in terms.items():
         srt = sort_sign(tuple(raw_idx))
         if srt is None:
@@ -151,8 +165,9 @@ def form_from_terms(dim: int, degree: int, terms: dict) -> ExteriorForm:
         idx, sign = srt
         if idx not in pos:
             raise ValueError(f"index tuple {raw_idx} out of range for dim {dim}")
-        coeffs[pos[idx]] += sign * (c if isinstance(c, Fraction) else Fraction(c))
-    return ExteriorForm(dim, degree, tuple(coeffs))
+        c = as_fraction(c)
+        coeffs[pos[idx]] += c if sign > 0 else -c
+    return ExteriorForm(dim, degree, as_vector(coeffs))
 
 
 def basis_form(dim: int, indices: Sequence[int]) -> ExteriorForm:
@@ -165,15 +180,15 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     degree = a.degree + b.degree
     if degree > a.dim:
         return ExteriorForm(a.dim, degree, ())
-    coeffs = [Fraction(0)] * comb(a.dim, degree)
+    coeffs = [0] * comb(a.dim, degree)
     for ia, ca in a.terms():
         for ib, cb in b.terms():
             srt = sort_sign(ia + ib)
             if srt is None:
                 continue
             idx, sign = srt
-            coeffs[_rank(a.dim, idx)] += sign * ca * cb
-    return ExteriorForm(a.dim, degree, tuple(coeffs))
+            coeffs[_rank(a.dim, idx)] += ca * cb if sign > 0 else -(ca * cb)
+    return ExteriorForm(a.dim, degree, as_vector(coeffs))
 
 
 def contract(x: Sequence, form: ExteriorForm) -> ExteriorForm:
@@ -183,14 +198,13 @@ def contract(x: Sequence, form: ExteriorForm) -> ExteriorForm:
     xv = as_vector(x)
     if len(xv) != form.dim:
         raise ValueError("vector length does not match form dimension")
-    coeffs = [Fraction(0)] * comb(form.dim, form.degree - 1)
+    coeffs = [0] * comb(form.dim, form.degree - 1)
     for idx, c in form.terms():
         for r, j in enumerate(idx):
             if xv[j - 1]:
                 target = idx[:r] + idx[r + 1 :]
-                sign = -1 if r % 2 else 1
-                coeffs[_rank(form.dim, target)] += sign * xv[j - 1] * c
-    return ExteriorForm(form.dim, form.degree - 1, tuple(coeffs))
+                coeffs[_rank(form.dim, target)] += -(xv[j - 1] * c) if r % 2 else xv[j - 1] * c
+    return ExteriorForm(form.dim, form.degree - 1, as_vector(coeffs))
 
 
 def render_form(form: ExteriorForm, labels: Sequence[str] | None = None) -> str:
@@ -218,7 +232,7 @@ def render_form(form: ExteriorForm, labels: Sequence[str] | None = None) -> str:
 
 
 # A sparse form: monomial index tuple -> coefficient.
-_Terms = dict[tuple[int, ...], Fraction]
+_Terms = dict[tuple[int, ...], Rational]
 
 
 def _require_jacobi(g: LieAlgebra) -> None:
@@ -229,12 +243,12 @@ def _require_jacobi(g: LieAlgebra) -> None:
         )
 
 
-def _generator_images(n: int, table) -> list[list[tuple[tuple[int, int], Fraction]]]:
+def _generator_images(n: int, table) -> list[list[tuple[tuple[int, int], Rational]]]:
     """For each generator k (1-based), the terms of d e^k = -sum c^k_ij e^i^e^j.
 
     `table` maps pairs i < j to the sparse (k, c) terms of [e_i, e_j].
     """
-    out: list[list[tuple[tuple[int, int], Fraction]]] = [[] for _ in range(n + 1)]
+    out: list[list[tuple[tuple[int, int], Rational]]] = [[] for _ in range(n + 1)]
     for (i, j), terms in sorted(table.items()):
         if i < j:
             for k, c in terms:
@@ -253,7 +267,7 @@ def _d_column(dgen, idx: tuple[int, ...]) -> _Terms:
             if srt is None:
                 continue
             target, sign = srt
-            val = acc.get(target, Fraction(0)) + slot_sign * sign * c
+            val = acc.get(target, 0) + (c if slot_sign == sign else -c)
             if val:
                 acc[target] = val
             elif target in acc:
@@ -310,7 +324,7 @@ def differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> list[
     ]
 
 
-def _wedge_images(images: Sequence[dict[int, Fraction]], idx: tuple[int, ...], memo: dict) -> _Terms:
+def _wedge_images(images: Sequence[dict[int, Rational]], idx: tuple[int, ...], memo: dict) -> _Terms:
     """images[j_1] ^ ... ^ images[j_k] for idx = (j_1, ..., j_k), memoized on prefixes.
 
     images[j] is the 1-form sum_i a_i e^i, given as {i: a_i}; the result is
@@ -321,7 +335,7 @@ def _wedge_images(images: Sequence[dict[int, Fraction]], idx: tuple[int, ...], m
         return got
     got = {}
     if not idx:
-        got[()] = Fraction(1)
+        got[()] = 1
     else:
         for t, c in _wedge_images(images, idx[:-1], memo).items():
             for i, a in images[idx[-1]].items():
@@ -329,7 +343,7 @@ def _wedge_images(images: Sequence[dict[int, Fraction]], idx: tuple[int, ...], m
                 if srt is None:
                     continue
                 tt, sign = srt
-                val = got.get(tt, Fraction(0)) + sign * a * c
+                val = got.get(tt, 0) + (a * c if sign > 0 else -(a * c))
                 if val:
                     got[tt] = val
                 else:
@@ -346,7 +360,7 @@ def _adapted_basis(g: LieAlgebra, h: Subalgebra):
     (pivot set, d on the generators f^c off the pivots, {c: f^c in the e^i}).
     """
     n = g.dim
-    cols: dict[int, dict[int, Fraction]] = {i: {i: Fraction(1)} for i in range(1, n + 1)}
+    cols: dict[int, dict[int, Rational]] = {i: {i: 1} for i in range(1, n + 1)}
     pivots = []
     for b in h.basis.matrix.entries:
         terms = {j + 1: a for j, a in b}
@@ -355,7 +369,7 @@ def _adapted_basis(g: LieAlgebra, h: Subalgebra):
         cols[p] = terms
     pivset = frozenset(pivots)
     # f^c = e^c - sum_b b[c] e^{p(b)}: T^{-1} x keeps x_p and subtracts the b-parts
-    duals = {c: {c: Fraction(1)} for c in range(1, n + 1) if c not in pivset}
+    duals = {c: {c: 1} for c in range(1, n + 1) if c not in pivset}
     for p in pivots:
         for c, a in cols[p].items():
             if c != p:
@@ -364,15 +378,15 @@ def _adapted_basis(g: LieAlgebra, h: Subalgebra):
     adapted = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            x: dict[int, Fraction] = {}
+            x: dict[int, Rational] = {}
             for a, xa in cols[i].items():
                 for b, yb in cols[j].items():
                     for k, c in table.get((a, b), ()):
-                        x[k] = x.get(k, Fraction(0)) + xa * yb * c
+                        x[k] = x.get(k, 0) + xa * yb * c
             # the f^c-coordinates of x; the pivot ones are never differentiated
             y = {}
             for c, dual in duals.items():
-                v = sum((a * x[t] for t, a in dual.items() if t in x), Fraction(0))
+                v = as_fraction(sum(a * x[t] for t, a in dual.items() if t in x))
                 if v:
                     y[c] = v
             if y:
@@ -406,14 +420,14 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
             spaces.append(SubspaceBasis.zero(comb(n, k)))
             continue
         # one column per horizontal monomial: iota_{f_j} d(f^idx), keyed (j, monomial)
-        cols: list[dict[tuple[int, tuple[int, ...]], Fraction]] = []
+        cols: list[dict[tuple[int, tuple[int, ...]], Rational]] = []
         for idx in horizontal:
-            col: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+            col: dict[tuple[int, tuple[int, ...]], Rational] = {}
             for t, c in _d_column(dgen, idx).items():
                 for r, j in enumerate(t):
                     if j in pivset:
                         key = (j, t[:r] + t[r + 1 :])
-                        col[key] = col.get(key, Fraction(0)) + (-c if r % 2 else c)
+                        col[key] = col.get(key, 0) + (-c if r % 2 else c)
             cols.append(col)
         row_of = {key: r for r, key in enumerate(sorted({key for col in cols for key in col}))}
         constraint = RationalMatrix.from_entries(
@@ -425,18 +439,25 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
     return spaces
 
 
-def _dual_images(aut: LieAutomorphism) -> list[dict[int, Fraction]]:
+def _dual_images(aut: LieAutomorphism) -> list[dict[int, Rational]]:
     """images[j] = the pullback of e^j, the j-th column of the inverse transpose."""
     nmat = aut.matrix.inverse().transpose()
     return [{}] + [{i + 1: x for i, x in col} for col in nmat.entries]
 
 
-def pull_back(aut: LieAutomorphism, degree: int, m: RationalMatrix) -> RationalMatrix:
-    """The pullback of each column of m, a degree-k form, under the automorphism."""
+def pull_back(aut: LieAutomorphism, forms: Sequence[RationalMatrix]) -> list[RationalMatrix]:
+    """The pullback of each column of forms[k], a degree-k form, under the
+    automorphism, for every k.
+
+    The automorphism is inverted once, and the wedge products of the dual
+    images are shared across the degrees.
+    """
     n = aut.algebra.dim
-    if degree < 0 or degree > n:
+    if len(forms) > n + 1:
         raise ValueError("degree out of range")
     images = _dual_images(aut)
     memo: dict = {}
-    return _images(m, lambda i: _unrank(n, degree, i), n, degree,
-                   lambda idx: _wedge_images(images, idx, memo))
+    return [
+        _images(m, lambda i, k=k: _unrank(n, k, i), n, k, lambda idx: _wedge_images(images, idx, memo))
+        for k, m in enumerate(forms)
+    ]

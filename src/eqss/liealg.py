@@ -15,10 +15,10 @@ can drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import (
+    Rational,
     RationalMatrix,
     SubspaceBasis,
     Vector,
@@ -33,7 +33,6 @@ __all__ = [
     "LieAutomorphism",
     "Subalgebra",
     "abelian",
-    "bracket",
     "coordinate_subalgebra",
     "is_automorphism",
     "is_subalgebra",
@@ -70,21 +69,6 @@ class LieAlgebra:
         return cls(name, dim, tuple(sorted((ij, v) for ij, v in norm.items() if any(v))))
 
 
-def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
-    """[x, y] extended bilinearly from the structure constants."""
-    xv, yv = as_vector(x), as_vector(y)
-    if len(xv) != g.dim or len(yv) != g.dim:
-        raise ValueError("vector length does not match algebra dimension")
-    acc = [Fraction(0)] * g.dim
-    for (i, j), coeffs in g.brackets:
-        c = xv[i - 1] * yv[j - 1] - xv[j - 1] * yv[i - 1]
-        if c:
-            for k, ck in enumerate(coeffs):
-                if ck:
-                    acc[k] += c * ck
-    return tuple(acc)
-
-
 @dataclass(frozen=True)
 class JacobiReport:
     ok: bool
@@ -92,7 +76,7 @@ class JacobiReport:
     jacobiator: Vector | None = None
 
 
-def sparse_brackets(g: LieAlgebra) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+def sparse_brackets(g: LieAlgebra) -> dict[tuple[int, int], tuple[tuple[int, Rational], ...]]:
     """Nonzero [e_i, e_j] for ordered pairs i != j, as (k, c) terms (1-based)."""
     out = {}
     for (i, j), coeffs in g.brackets:
@@ -100,6 +84,19 @@ def sparse_brackets(g: LieAlgebra) -> dict[tuple[int, int], tuple[tuple[int, Fra
         out[(i, j)] = terms
         out[(j, i)] = tuple((k, -c) for k, c in terms)
     return out
+
+
+def _bracket_terms(
+    table, x: Iterable[tuple[int, Rational]], y: Sequence[tuple[int, Rational]]
+) -> dict[int, Rational]:
+    """[x, y] for x and y given by their nonzero (k, c) terms (1-based),
+    summed over the nonzero brackets of `table` (`sparse_brackets`)."""
+    acc: dict[int, Rational] = {}
+    for a, xa in x:
+        for b, yb in y:
+            for k, c in table.get((a, b), ()):
+                acc[k] = acc[k] + xa * yb * c if k in acc else xa * yb * c
+    return acc
 
 
 def jacobi_check(g: LieAlgebra) -> JacobiReport:
@@ -110,13 +107,13 @@ def jacobi_check(g: LieAlgebra) -> JacobiReport:
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
                 # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, Rational] = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, x in table.get((a, b), ()):
                         for t, y in table.get((m, c), ()):
                             acc[t] = acc.get(t, 0) + x * y
                 if any(acc.values()):
-                    total = tuple(Fraction(acc.get(t, 0)) for t in range(1, n + 1))
+                    total = as_vector(acc.get(t, 0) for t in range(1, n + 1))
                     return JacobiReport(False, (i, j, k), total)
     return JacobiReport(True)
 
@@ -151,37 +148,47 @@ def coordinate_subalgebra(g: LieAlgebra, indices: Sequence[int], name: str = "")
     return Subalgebra.span(g, vecs, name)
 
 
+def _terms(col: Iterable[tuple[int, Rational]]) -> tuple[tuple[int, Rational], ...]:
+    """A matrix column's entries with 1-based indices, as `sparse_brackets` keys them."""
+    return tuple((i + 1, x) for i, x in col)
+
+
 def is_subalgebra(g: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
+    """Whether the span of vectors is closed under the bracket: every
+    bracket of two basis vectors, summed over `sparse_brackets`, has
+    coordinates in the span."""
     span = SubspaceBasis.span(vectors, g.dim)
-    vecs = span.vectors
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            if not span.contains(bracket(g, vecs[a], vecs[b])):
-                return False
-    return True
+    table = sparse_brackets(g)
+    cols = [_terms(col) for col in span.matrix.entries]
+    brackets = (
+        _bracket_terms(table, cols[a], cols[b]).items()
+        for a in range(len(cols)) for b in range(a + 1, len(cols))
+    )
+    m = RationalMatrix.from_entries(g.dim, (((k - 1, c) for k, c in br) for br in brackets))
+    return span.coordinate_matrix(m) is not None
 
 
 def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:
     """{x : [x, h] is contained in h}, as a subspace of g.
 
-    Linear in x: with N the annihilator of span(h), the conditions are
-    N . [e_i, v_a] summed against the coordinates of x.
+    Linear in x: with the rows of N spanning the annihilator of span(h),
+    the conditions are N ad(v) x = 0 for each basis vector v of h, where
+    column i of ad(v) is [e_i, v], summed over `sparse_brackets`.
     """
     n = g.dim
     hb = h.basis
     if hb.dim == 0:
         return SubspaceBasis.full(n)
-    ann = kernel_basis(hb.matrix.transpose())
-    rows = []
-    units = [tuple(Fraction(1 if t == s else 0) for t in range(n)) for s in range(n)]
-    for v in hb.vectors:
-        images = [bracket(g, units[i], v) for i in range(n)]
-        for y in ann.vectors:
-            row = tuple(sum(yk * img[k] for k, yk in enumerate(y) if yk) for img in images)
-            rows.append(row)
-    if not rows:
-        return SubspaceBasis.full(n)
-    result = kernel_basis(RationalMatrix.from_rows(rows, n))
+    table = sparse_brackets(g)
+    ann = kernel_basis(hb.matrix.transpose()).matrix.transpose()
+    rows = []  # the conditions, each a column of n entries
+    for v in hb.matrix.entries:
+        terms = _terms(v)
+        ad = RationalMatrix.from_entries(n, (
+            ((k - 1, c) for k, c in _bracket_terms(table, ((i, 1),), terms).items()) for i in range(1, n + 1)
+        ))
+        rows.extend(ann.mul(ad).transpose().entries)
+    result = kernel_basis(RationalMatrix(n, tuple(rows)).transpose())
     assert result.contains_subspace(hb), "normalizer must contain the subalgebra"
     return result
 
@@ -214,14 +221,10 @@ def is_automorphism(g: LieAlgebra, m: RationalMatrix) -> bool:
     if m.shape != (n, n) or rank(m) != n:
         return False
     table = sparse_brackets(g)
-    cols = [tuple((a + 1, x) for a, x in col) for col in m.entries]
+    cols = [_terms(col) for col in m.entries]
     for i in range(n):
         for j in range(i + 1, n):
-            acc: dict[int, Fraction] = {}
-            for a, x in cols[i]:
-                for b, y in cols[j]:
-                    for k, c in table.get((a, b), ()):
-                        acc[k] = acc[k] + x * y * c if k in acc else x * y * c
+            acc = _bracket_terms(table, cols[i], cols[j])
             for k, c in table.get((i + 1, j + 1), ()):
                 for r, z in cols[k - 1]:
                     acc[r] = acc[r] - c * z if r in acc else -c * z
@@ -279,7 +282,7 @@ def so_algebra(n: int, name: str | None = None) -> LieAlgebra:
                     terms[(c, b)] = terms.get((c, b), 0) - s1 * s2
         # terms is the full (skew) commutator matrix; the A_ab coordinate is
         # its upper entry, so read a < b only
-        coeffs = [Fraction(0)] * dim
+        coeffs = [0] * dim
         for (a, b), c in terms.items():
             if c and a < b:
                 coeffs[index[(a, b)]] += c
@@ -302,13 +305,13 @@ def u_algebra(n: int, name: str | None = None) -> LieAlgebra:
 
     # a basis element is a complex matrix: dict (a,b) -> (re, im)
     def dmat(a):
-        return {(a, a): (Fraction(0), Fraction(1))}
+        return {(a, a): (0, 1)}
 
     def smat(a, b):
-        return {(a, b): (Fraction(1), Fraction(0)), (b, a): (Fraction(-1), Fraction(0))}
+        return {(a, b): (1, 0), (b, a): (-1, 0)}
 
     def tmat(a, b):
-        return {(a, b): (Fraction(0), Fraction(1)), (b, a): (Fraction(0), Fraction(1))}
+        return {(a, b): (0, 1), (b, a): (0, 1)}
 
     basis = [dmat(a) for a in range(1, n + 1)]
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
@@ -321,7 +324,7 @@ def u_algebra(n: int, name: str | None = None) -> LieAlgebra:
         for (a, b), (re1, im1) in x.items():
             for (c, d), (re2, im2) in y.items():
                 if b == c:
-                    re, im = out.get((a, d), (Fraction(0), Fraction(0)))
+                    re, im = out.get((a, d), (0, 0))
                     out[(a, d)] = (re + re1 * re2 - im1 * im2, im + re1 * im2 + im1 * re2)
         return out
 
@@ -329,8 +332,8 @@ def u_algebra(n: int, name: str | None = None) -> LieAlgebra:
         xy, yx = cmul(x, y), cmul(y, x)
         out = {}
         for key in set(xy) | set(yx):
-            r1, i1 = xy.get(key, (Fraction(0), Fraction(0)))
-            r2, i2 = yx.get(key, (Fraction(0), Fraction(0)))
+            r1, i1 = xy.get(key, (0, 0))
+            r2, i2 = yx.get(key, (0, 0))
             re, im = r1 - r2, i1 - i2
             if re or im:
                 out[key] = (re, im)
@@ -338,13 +341,13 @@ def u_algebra(n: int, name: str | None = None) -> LieAlgebra:
 
     def coordinates(z):
         # skew-Hermitian: diagonal purely imaginary, z_ba = -conj(z_ab)
-        coeffs = [Fraction(0)] * dim
+        coeffs = [0] * dim
         for a in range(1, n + 1):
-            re, im = z.get((a, a), (Fraction(0), Fraction(0)))
+            re, im = z.get((a, a), (0, 0))
             assert re == 0, "commutator left the skew-Hermitian space"
             coeffs[a - 1] = im
         for k, (a, b) in enumerate(pairs):
-            re, im = z.get((a, b), (Fraction(0), Fraction(0)))
+            re, im = z.get((a, b), (0, 0))
             coeffs[n + k] = re
             coeffs[n + len(pairs) + k] = im
         return coeffs

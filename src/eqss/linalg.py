@@ -2,13 +2,20 @@
 
 Everything downstream (cochain complexes, spectral sequence pages, fixed
 subspaces of finite group actions) reduces to ranks, kernels and canonical
-subspace bases computed here.  All arithmetic is exact: entries are
-``fractions.Fraction``, so no tolerance ever enters.  A `RationalMatrix`
-keeps only its nonzero entries, column by column, and a `SubspaceBasis` is
-the matrix whose columns are its reduced echelon basis, so a linear map acts
-on a whole basis by `RationalMatrix.mul`, and coordinates over a basis are
-combined back into vectors the same way.  `GradedComplex` holds every complex
-the engine builds (Chevalley-Eilenberg, relative, fixed, product and twisted).
+subspace bases computed here.  All arithmetic is exact, so no tolerance
+ever enters, and every stored rational follows one number rule: an ``int``
+when integral, a ``fractions.Fraction`` otherwise.  `as_fraction` applies it
+where values enter and `RationalMatrix.from_entries` where entries are made,
+so integral matrices (every Chevalley-Eilenberg differential of integral
+structure constants) multiply in ``int`` arithmetic.  ``Fraction(3) == 3``
+and the two hash alike, so == and hash are unchanged by the rule.
+
+A `RationalMatrix` keeps only its nonzero entries, column by column, and a
+`SubspaceBasis` is the matrix whose columns are its reduced echelon basis,
+so a linear map acts on a whole basis by `RationalMatrix.mul`, and
+coordinates over a basis are combined back into vectors the same way.
+`GradedComplex` holds every complex the engine builds (Chevalley-Eilenberg,
+relative, fixed, product and twisted).
 
 One elimination serves the whole engine: `insert` adds a sparse vector to an
 echelon basis keyed by pivot.  The vector is cleared of denominators and
@@ -40,6 +47,7 @@ __all__ = [
     "RationalMatrix",
     "SubspaceBasis",
     "complement_in",
+    "echelon",
     "enumerate_group",
     "fixed_subspace",
     "image_basis",
@@ -51,26 +59,30 @@ __all__ = [
     "subspace_sum",
 ]
 
-Vector = tuple[Fraction, ...]
+Rational = int | Fraction  # under the number rule: a Fraction is never integral
+Vector = tuple[Rational, ...]
 
 # The most elements enumerate_group builds before it calls a group infinite.
 GROUP_BOUND = 10000
 
-_ZERO = Fraction(0)  # immutable, so one zero fills every dense vector
+_ZERO = 0  # immutable, so one zero fills every dense vector
 
 
 class GroupBoundError(RuntimeError):
     """Raised when a matrix group closure exceeds the configured bound."""
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce int / str ('p/q') / Fraction to Fraction. Floats are rejected."""
-    if isinstance(x, Fraction):
+def as_fraction(x) -> Rational:
+    """Coerce int / str ('p/q') / Fraction to the number rule: an int when
+    integral, a Fraction otherwise.  Floats are rejected."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        return as_fraction(Fraction(x.strip()))
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -79,7 +91,8 @@ def as_vector(entries: Sequence) -> Vector:
 
 
 def _uniform(vectors: Sequence[Sequence], length: int | None, kind: str) -> tuple[list[Vector], int]:
-    """The vectors as Fractions, and their common length: given, or read off the first."""
+    """The vectors under the number rule, and their common length: given,
+    or read off the first."""
     conv = [as_vector(v) for v in vectors]
     width = len(conv[0]) if conv else length
     if width is None:
@@ -94,20 +107,21 @@ class RationalMatrix:
     """Sparse matrix of exact rationals, stored column by column.
 
     entries[j] holds the nonzero entries of column j as (row, value) pairs
-    in increasing row order.  No zero is stored, so the form is canonical:
-    == and hash mean matrix equality.  The constructor takes that form as
-    given; `from_entries` builds it from pairs in any order.  `rows`,
-    `column` and `columns` are dense views.
+    in increasing row order, each value under the number rule.  No zero is
+    stored, so the form is canonical: == and hash mean matrix equality.  The
+    constructor takes that form as given; `from_entries` builds it from
+    pairs in any order and values of either type.  `rows`, `column` and
+    `columns` are dense views.
     """
 
     nrows: int
-    entries: tuple[tuple[tuple[int, Fraction], ...], ...]
+    entries: tuple[tuple[tuple[int, Rational], ...], ...]
 
     @classmethod
-    def from_entries(cls, nrows: int, columns: Iterable[Iterable[tuple[int, Fraction]]]) -> "RationalMatrix":
-        """From each column's (row, Fraction) pairs, rows distinct and in any
-        order; zero values are dropped."""
-        return cls(nrows, tuple(tuple(sorted((i, x) for i, x in col if x)) for col in columns))
+    def from_entries(cls, nrows: int, columns: Iterable[Iterable[tuple[int, Rational]]]) -> "RationalMatrix":
+        """From each column's (row, value) pairs, rows distinct and in any
+        order; zero values are dropped and integral Fractions become ints."""
+        return cls(nrows, tuple(tuple(sorted((i, as_fraction(x)) for i, x in col if x)) for col in columns))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ncols: int | None = None) -> "RationalMatrix":
@@ -121,8 +135,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        one = Fraction(1)
-        return cls(n, tuple(((j, one),) for j in range(n)))
+        return cls(n, tuple(((j, 1),) for j in range(n)))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
@@ -150,7 +163,7 @@ class RationalMatrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "RationalMatrix":
-        out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.nrows)]
+        out: list[list[tuple[int, Rational]]] = [[] for _ in range(self.nrows)]
         for j, col in enumerate(self.entries):
             for i, x in col:
                 out[i].append((j, x))
@@ -164,7 +177,7 @@ class RationalMatrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         out = []
         for col in other.entries:
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Rational] = {}
             for k, b in col:
                 for i, a in self.entries[k]:
                     acc[i] = acc[i] + a * b if i in acc else a * b
@@ -180,22 +193,24 @@ class RationalMatrix:
             if b:
                 for i, a in col:
                     out[i] += a * b
-        return tuple(out)
+        return as_vector(out)
 
     def add(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._plus(other, 1)
+        return self._plus(other, False)
 
     def sub(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._plus(other, -1)
+        return self._plus(other, True)
 
-    def _plus(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+    def _plus(self, other: "RationalMatrix", negate: bool) -> "RationalMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         out = []
         for a, b in zip(self.entries, other.entries):
             acc = dict(a)
             for i, x in b:
-                acc[i] = acc[i] + sign * x if i in acc else sign * x
+                if negate:
+                    x = -x  # keeps the type; -1 * x would take Fraction's mixed-type path
+                acc[i] = acc[i] + x if i in acc else x
             out.append(acc.items())
         return RationalMatrix.from_entries(self.nrows, out)
 
@@ -203,8 +218,8 @@ class RationalMatrix:
         n = self.ncols
         if self.nrows != n:
             raise ValueError("inverse of a non-square matrix")
-        aug = (r + ((n + i, Fraction(1)),) for i, r in enumerate(self.transpose().entries))
-        red = _subspace(_echelon(aug), 2 * n)
+        aug = (r + ((n + i, 1),) for i, r in enumerate(self.transpose().entries))
+        red = SubspaceBasis.from_echelon(echelon(aug), 2 * n)
         if red.pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
         # column i of red is row i of [I | inverse]
@@ -212,7 +227,7 @@ class RationalMatrix:
         return RationalMatrix(n, rows).transpose()
 
 
-def insert(basis: dict[int, dict[int, int]], entries: Iterable[tuple[int, Fraction]]) -> int | None:
+def insert(basis: dict[int, dict[int, int]], entries: Iterable[tuple[int, Rational]]) -> int | None:
     """Insert a sparse rational vector into a pivot-keyed echelon basis.
 
     basis maps each pivot to the stored integer vector whose lowest nonzero
@@ -266,21 +281,20 @@ def _back_substitute(basis: dict[int, dict[int, int]]) -> None:
         basis[p] = v
 
 
-def _echelon(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> dict[int, dict[int, int]]:
-    """The pivot-keyed echelon basis of sparse rows given as (index, value) pairs."""
+def echelon(rows: Iterable[Iterable[tuple[int, Rational]]]) -> dict[int, dict[int, int]]:
+    """The pivot-keyed echelon basis of sparse rows given as (index, value)
+    pairs, before back substitution: its keys are the pivots of the reduced
+    echelon basis of their span (`SubspaceBasis.from_echelon`)."""
     basis: dict[int, dict[int, int]] = {}
     for row in rows:
         insert(basis, row)
     return basis
 
 
-def _subspace(basis: dict[int, dict[int, int]], ambient: int) -> "SubspaceBasis":
-    """The reduced echelon basis of an echelon basis's span: back
-    substitution, then each vector divided by its pivot entry."""
-    _back_substitute(basis)
-    return SubspaceBasis(RationalMatrix(ambient, tuple(
-        tuple((k, Fraction(x, w[p])) for k, x in sorted(w.items())) for p, w in sorted(basis.items())
-    )))
+def _quotient(x: int, y: int) -> Rational:
+    """x / y under the number rule: x // y when y divides x."""
+    q, r = divmod(x, y)
+    return Fraction(x, y) if r else q
 
 
 @dataclass(frozen=True)
@@ -332,7 +346,7 @@ class GradedComplex:
 
 def rank(m: RationalMatrix) -> int:
     """Rank over Q: the number of pivots the columns take, with no back substitution."""
-    return len(_echelon(m.entries))
+    return len(echelon(m.entries))
 
 
 @dataclass(frozen=True)
@@ -353,6 +367,16 @@ class SubspaceBasis:
         return image_basis(RationalMatrix.from_columns(vectors, ambient))
 
     @classmethod
+    def from_echelon(cls, basis: dict[int, dict[int, int]], ambient: int) -> "SubspaceBasis":
+        """The reduced echelon basis of the span of an `echelon` basis: back
+        substitution, which rewrites basis in place, then each vector divided
+        by its pivot entry."""
+        _back_substitute(basis)
+        return cls(RationalMatrix(ambient, tuple(
+            tuple((k, _quotient(x, w[p])) for k, x in sorted(w.items())) for p, w in sorted(basis.items())
+        )))
+
+    @classmethod
     def zero(cls, ambient: int) -> "SubspaceBasis":
         return cls(RationalMatrix.zeros(ambient, 0))
 
@@ -367,7 +391,7 @@ class SubspaceBasis:
         idx = tuple(indices)
         if idx != tuple(sorted(set(idx))) or not all(0 <= i < ambient for i in idx):
             raise ValueError(f"coordinate indices {idx} are not increasing in range({ambient})")
-        return cls(RationalMatrix(ambient, tuple(((i, Fraction(1)),) for i in idx)))
+        return cls(RationalMatrix(ambient, tuple(((i, 1),) for i in idx)))
 
     @property
     def ambient(self) -> int:
@@ -426,14 +450,13 @@ def restricted_kernel(m: RationalMatrix, cols: Sequence[int]) -> SubspaceBasis:
     """
     last, ambient = len(cols) - 1, m.ncols
     index = {j: last - k for k, j in enumerate(cols)}
-    basis = _echelon(((index[j], x) for j, x in row if j in index) for row in m.transpose().entries)
+    basis = echelon(((index[j], x) for j, x in row if j in index) for row in m.transpose().entries)
     _back_substitute(basis)
-    one = Fraction(1)
-    solutions = {f: {cols[last - f]: one} for f in range(last, -1, -1) if f not in basis}
+    solutions = {f: {cols[last - f]: 1} for f in range(last, -1, -1) if f not in basis}
     for p, w in basis.items():
         for f, x in w.items():
             if f != p:
-                solutions[f][cols[last - p]] = Fraction(-x, w[p])
+                solutions[f][cols[last - p]] = _quotient(-x, w[p])
     return SubspaceBasis(RationalMatrix(ambient, tuple(tuple(sorted(sol.items())) for sol in solutions.values())))
 
 
@@ -444,7 +467,7 @@ def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
 
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of the column span of m."""
-    return _subspace(_echelon(m.entries), m.nrows)
+    return SubspaceBasis.from_echelon(echelon(m.entries), m.nrows)
 
 
 def solve(m: RationalMatrix, b: Sequence) -> Vector | None:
@@ -453,7 +476,8 @@ def solve(m: RationalMatrix, b: Sequence) -> Vector | None:
     if len(bv) != m.nrows:
         raise ValueError("rhs length does not match row count")
     n = m.ncols
-    red = _subspace(_echelon(r + ((n, bv[i]),) for i, r in enumerate(m.transpose().entries)), n + 1)
+    rows = (r + ((n, bv[i]),) for i, r in enumerate(m.transpose().entries))
+    red = SubspaceBasis.from_echelon(echelon(rows), n + 1)
     if n in red.pivots:
         return None
     # a pivot's solution entry is its vector's entry at index n, the last one

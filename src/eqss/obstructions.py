@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .cohomology import invariant_cohomology, lie_cohomology, relative_model, restricted_action
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, coordinate_subalgebra, su2
-from .linalg import RationalMatrix, SubspaceBasis, as_fraction, kernel_basis
+from .linalg import Rational, RationalMatrix, SubspaceBasis, as_fraction, kernel_basis
 
 __all__ = [
     "CupForm",
@@ -496,9 +496,9 @@ class CupForm:
         return cls(b2, len(mats), tuple(mats))
 
 
-def _cup_value(mat: RationalMatrix, v: Sequence, w: Sequence) -> Fraction:
+def _cup_value(mat: RationalMatrix, v: Sequence, w: Sequence) -> Rational:
     img = mat.apply(w)
-    return sum((a * b for a, b in zip(v, img)), Fraction(0))
+    return sum(a * b for a, b in zip(v, img))
 
 
 def _is_null_subspace(cup: CupForm, vectors: Sequence[Sequence]) -> bool:

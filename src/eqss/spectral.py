@@ -31,13 +31,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .cohomology import RelativeModel, check_chain_map, relative_model, restricted_action
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from .linalg import (
     GradedComplex,
+    Rational,
     RationalMatrix,
     SubspaceBasis,
     Vector,
@@ -451,7 +451,7 @@ def product_model(base: GradedComplex, g: LieAlgebra, h: Subalgebra | None = Non
     starts = [{p: start for p, _, start in blocks} for blocks in blocks_all]
     diffs = []
     for n in range(top):
-        cols: list[dict[int, Fraction]] = [{} for _ in range(dims[n])]
+        cols: list[dict[int, Rational]] = [{} for _ in range(dims[n])]
         for p, q, start in blocks_all[n]:
             t1 = starts[n + 1].get(p + 1)
             if t1 is not None:  # d_base (x) 1
@@ -470,7 +470,7 @@ def product_model(base: GradedComplex, g: LieAlgebra, h: Subalgebra | None = Non
 
 
 def _add_kron(
-    cols: list[dict[int, Fraction]],
+    cols: list[dict[int, Rational]],
     row0: int,
     col0: int,
     a: RationalMatrix,
@@ -484,7 +484,7 @@ def _add_kron(
             for i2, av in acol:
                 r = row0 + i2 * b.nrows
                 for j2, bv in bcol:
-                    x = sign * av * bv
+                    x = av * bv if sign > 0 else -(av * bv)
                     out[r + j2] = out[r + j2] + x if r + j2 in out else x
 
 
@@ -496,7 +496,7 @@ def product_action(
     """Blockwise tensor action (base map (x) fiber map) on the total complex."""
     out = []
     for n, size in enumerate(model.complex.dims):
-        cols: list[dict[int, Fraction]] = [{} for _ in range(size)]
+        cols: list[dict[int, Rational]] = [{} for _ in range(size)]
         for p, q, start in model.blocks[n]:
             _add_kron(cols, start, start, base_maps[p], fiber_maps[q])
         out.append(RationalMatrix.from_entries(size, (col.items() for col in cols)))

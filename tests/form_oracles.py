@@ -1,15 +1,32 @@
-"""Dense matrices of operations on forms, used only as test oracles.
+"""Dense operations on forms and brackets, used only as test oracles.
 
-The engine works on sparse forms and never builds these matrices: the
-pullback of every basis form under an automorphism, the matrix of a
-contraction, and a form wrapped around a coefficient vector.
+The engine works on sparse forms and sparse structure constants and never
+builds these: the bracket of two dense vectors, the pullback of every basis
+form under an automorphism, the matrix of a contraction, and a form wrapped
+around a coefficient vector.
 """
 
+from math import comb
 from typing import Sequence
 
 from eqss.forms import ExteriorForm, basis_form, ce_complex, contract, multi_indices, pull_back
-from eqss.liealg import LieAutomorphism
-from eqss.linalg import RationalMatrix, as_vector
+from eqss.liealg import LieAlgebra, LieAutomorphism
+from eqss.linalg import RationalMatrix, Vector, as_vector
+
+
+def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
+    """[x, y] extended bilinearly from the dense structure constants."""
+    xv, yv = as_vector(x), as_vector(y)
+    if len(xv) != g.dim or len(yv) != g.dim:
+        raise ValueError("vector length does not match algebra dimension")
+    acc = [0] * g.dim
+    for (i, j), coeffs in g.brackets:
+        c = xv[i - 1] * yv[j - 1] - xv[j - 1] * yv[i - 1]
+        if c:
+            for k, ck in enumerate(coeffs):
+                if ck:
+                    acc[k] += c * ck
+    return as_vector(acc)
 
 
 def form_from_vector(dim: int, degree: int, vec: Sequence) -> ExteriorForm:
@@ -23,8 +40,9 @@ def contract_matrix(dim: int, x: Sequence, degree: int) -> RationalMatrix:
 
 
 def _pullback_matrix(aut: LieAutomorphism, degree: int) -> RationalMatrix:
-    size = len(multi_indices(aut.algebra.dim, degree))
-    return pull_back(aut, degree, RationalMatrix.identity(size))
+    n = aut.algebra.dim
+    forms = [RationalMatrix.zeros(comb(n, k), 0) for k in range(degree)]
+    return pull_back(aut, forms + [RationalMatrix.identity(comb(n, degree))])[degree]
 
 
 def induced_on_forms(aut: LieAutomorphism, degree: int, check: bool = True) -> RationalMatrix:

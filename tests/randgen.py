@@ -10,9 +10,11 @@ of basis.
 from fractions import Fraction
 
 from eqss.cohomology import GradedComplex
-from eqss.liealg import LieAlgebra, bracket
+from eqss.liealg import LieAlgebra
 from eqss.linalg import RationalMatrix
 from eqss.spectral import FilteredComplex
+
+from form_oracles import bracket
 
 
 def random_filtered_complex(rng, max_degrees=4, max_dim=5, max_weight=3):

@@ -21,7 +21,6 @@ from eqss.forms import (
 from eqss.liealg import (
     LieAlgebra,
     LieAutomorphism,
-    bracket,
     coordinate_subalgebra,
     so_algebra,
     su2,
@@ -29,7 +28,7 @@ from eqss.liealg import (
 )
 from eqss.linalg import GradedComplex, RationalMatrix, as_fraction
 
-from form_oracles import contract_matrix, induced_on_forms
+from form_oracles import bracket, contract_matrix, induced_on_forms
 
 
 def det(rows):

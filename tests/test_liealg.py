@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from eqss.linalg import RationalMatrix, SubspaceBasis
+from eqss.linalg import RationalMatrix, SubspaceBasis, kernel_basis
 from eqss.liealg import (
     LieAlgebra,
     LieAutomorphism,
     Subalgebra,
     abelian,
-    bracket,
     coordinate_subalgebra,
     is_automorphism,
     is_subalgebra,
@@ -20,6 +19,9 @@ from eqss.liealg import (
     su2,
     u_algebra,
 )
+
+from form_oracles import bracket
+from randgen import random_two_step_nilpotent, transported_algebra
 
 
 def unit(n, i):
@@ -323,3 +325,48 @@ def test_is_automorphism_matches_the_dense_definition_randomized():
             assert is_automorphism(alg, m) == dense_is_automorphism(alg, m)
         assert is_automorphism(g, d) == (diag[0] * diag[1] == diag[2] and diag[1] * diag[2] == diag[0]
                                          and diag[2] * diag[0] == diag[1])
+
+
+def dense_is_subalgebra(g, vectors):
+    span = SubspaceBasis.span(vectors, g.dim)
+    vecs = span.vectors
+    return all(span.contains(bracket(g, x, y)) for a, x in enumerate(vecs) for y in vecs[a + 1:])
+
+
+def dense_normalizer(g, h):
+    """The kernel of the rows y . [e_i, v], for v in h's basis and y in its annihilator."""
+    n = g.dim
+    ann = kernel_basis(h.basis.matrix.transpose())
+    rows = []
+    for v in h.basis.vectors:
+        images = [bracket(g, unit(n, i), v) for i in range(n)]
+        rows += [[sum(yk * img[k] for k, yk in enumerate(y)) for img in images] for y in ann.vectors]
+    return kernel_basis(RationalMatrix.from_rows(rows, n)) if rows else SubspaceBasis.full(n)
+
+
+def closure(g, vectors):
+    """The subalgebra generated by vectors."""
+    span = SubspaceBasis.span(vectors, g.dim)
+    while True:
+        vecs = span.vectors
+        bigger = SubspaceBasis.span(list(vecs) + [bracket(g, a, b) for a in vecs for b in vecs], g.dim)
+        if bigger == span:
+            return span
+        span = bigger
+
+
+def test_sparse_subalgebra_and_normalizer_match_the_dense_definition_randomized():
+    rng = random.Random(37)
+    algebras = [su2(), so_algebra(4), u_algebra(2), transported_algebra(rng, so_algebra(4)),
+                transported_algebra(rng, u_algebra(2))] + [random_two_step_nilpotent(rng) for _ in range(4)]
+    verdicts = []
+    for g in algebras:
+        for _ in range(8):
+            vecs = [[rng.randint(-2, 2) if rng.random() < 0.5 else 0 for _ in range(g.dim)]
+                    for _ in range(rng.randint(1, 3))]
+            verdicts.append(is_subalgebra(g, vecs))
+            assert verdicts[-1] == dense_is_subalgebra(g, vecs)
+            h = Subalgebra(g, closure(g, vecs))
+            assert is_subalgebra(g, h.basis.vectors)
+            assert normalizer(g, h) == dense_normalizer(g, h)
+    assert True in verdicts and False in verdicts

@@ -1,13 +1,20 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from eqss.cohomology import cohomology, relative_model, restricted_action
+from eqss.forms import ce_complex, contract, form_from_terms, wedge
+from eqss.library import double_cover_base, sheet_swap_maps, so_pair, so_pair_reflection
+from eqss.liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from eqss.linalg import (
     GroupBoundError,
     RationalMatrix,
     SubspaceBasis,
+    as_fraction,
+    as_vector,
     complement_in,
     enumerate_group,
     fixed_subspace,
@@ -18,6 +25,10 @@ from eqss.linalg import (
     solve,
     subspace_sum,
 )
+from eqss.spectral import product_model, twist_by_deck
+
+from form_oracles import bracket
+from randgen import random_unimodular
 
 
 def M(rows, ncols=None):
@@ -380,11 +391,17 @@ def as_rows(rows):
     return tuple(tuple(r) for r in rows)
 
 
+def is_exact(x):
+    """The number rule: an int, or a Fraction that is not integral (no float, no bool)."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def canonical(m):
-    """m as stored: per column, increasing distinct rows in range and nonzero Fractions."""
+    """m as stored: per column, increasing distinct rows in range, and values
+    under the number rule: nonzero ints, or Fractions with denominator > 1."""
     for col in m.entries:
         assert [i for i, _ in col] == sorted({i for i, _ in col}) and all(0 <= i < m.nrows for i, _ in col)
-        assert all(isinstance(x, Fraction) and x for _, x in col)
+        assert all(is_exact(x) and x for _, x in col)
     return m
 
 
@@ -486,3 +503,118 @@ def test_enumerate_group_order_with_a_repeated_generator():
         group = enumerate_group(gens)
         assert [g.rows for g in group] == dense_bfs(gens)
         assert len(set(group)) == len(group)
+
+
+def spelled(rng, x):
+    """The rational x as one of the inputs the engine accepts: an int when
+    integral, a Fraction (integral or not) or a 'p/q' string."""
+    kind = rng.randrange(3)
+    if kind == 0 and x.denominator == 1:
+        return int(x)
+    if kind == 1:
+        return f" {x.numerator}/{x.denominator}"
+    return Fraction(x)
+
+
+def test_mixed_inputs_match_the_dense_fraction_reference_randomized():
+    rng = random.Random(34)
+    mats = list(random_matrices(rng, 200))
+    for m in mats:
+        frac = [[Fraction(x) for x in r] for r in m.rows]
+        a = RationalMatrix.from_rows([[spelled(rng, x) for x in r] for r in frac], m.ncols)
+        assert canonical(a) == m and a.rows == as_rows(frac)
+        v = [spelled(rng, Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))) for _ in range(m.ncols)]
+        got = a.apply(v)
+        assert got == tuple(sum((x * Fraction(y) for x, y in zip(r, v)), Fraction(0)) for r in frac)
+        assert all(is_exact(x) for x in got)
+        other = next(o for o in rng.sample(mats, len(mats)) if o.nrows == m.ncols)
+        b = RationalMatrix.from_columns([[spelled(rng, Fraction(x)) for x in c] for c in other.columns()],
+                                        other.nrows)
+        assert canonical(a.mul(b)).rows == as_rows(dense_mul(frac, other.rows, other.ncols))
+        assert canonical(a.sub(m)).is_zero() and canonical(a.add(m)) == m.add(m)
+        assert canonical(kernel_basis(a).matrix) == dense_kernel(m).matrix
+        assert canonical(image_basis(a).matrix) == dense_span(m.columns(), m.nrows).matrix
+        rhs = [spelled(rng, Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(m.nrows)]
+        x = solve(a, rhs)
+        assert x == dense_solve(m, [Fraction(as_fraction(y)) for y in rhs])
+        assert x is None or all(is_exact(y) for y in x)
+        if m.nrows == m.ncols and m.ncols and dense_inverse(m) is not None:
+            assert canonical(a.inverse()) == dense_inverse(m)
+
+
+def test_number_rule_at_the_boundary():
+    assert [as_fraction(x) for x in (3, Fraction(6, 2), "6/3", " -4/2 ")] == [3, 3, 2, -2]
+    assert all(type(as_fraction(x)) is int for x in (3, Fraction(6, 2), "6/3", True))
+    assert type(as_fraction("1/2")) is Fraction and as_fraction(Fraction(2, 4)) == Fraction(1, 2)
+    for bad in (1.0, 0.5, float("nan")):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            as_fraction(bad)
+        with pytest.raises(TypeError, match="not an exact rational"):
+            as_vector([1, bad])
+        with pytest.raises(TypeError, match="not an exact rational"):
+            RationalMatrix.from_rows([[bad]])
+
+
+def numbers(obj):
+    """Every number reachable from obj through dataclass fields, tuples,
+    lists and dict keys and values."""
+    if isinstance(obj, (int, float, Fraction)):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from numbers(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from numbers(x)
+    elif isinstance(obj, dict):
+        for k, x in obj.items():
+            yield from numbers(k)
+            yield from numbers(x)
+
+
+def transported(rng, g, h, aut):
+    """g, h and aut in a random basis, the columns of t.  det t is not +-1,
+    so fractional structure constants appear."""
+    n = g.dim
+    scale = RationalMatrix.from_entries(n, [[(j, rng.choice((1, 2, 3)))] for j in range(n)])
+    t = random_unimodular(rng, n).mul(scale)
+    tinv = t.inverse()
+    table = {
+        (i, j): tinv.apply(bracket(g, t.column(i - 1), t.column(j - 1)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    }
+    g2 = LieAlgebra.from_brackets(f"{g.name}-scaled", n, table)
+    h2 = Subalgebra.span(g2, [tinv.apply(v) for v in h.basis.vectors])
+    return g2, h2, LieAutomorphism.create(g2, tinv.mul(aut.matrix).mul(t))
+
+
+@pytest.mark.parametrize("case", ["so3/so2", "so5/so4", "so4/so3 scaled"])
+def test_engine_results_obey_the_number_rule(case):
+    l = {"so3/so2": 2, "so5/so4": 4, "so4/so3 scaled": 3}[case]
+    g, h = so_pair(l)
+    aut = so_pair_reflection(l)
+    if case.endswith("scaled"):
+        g, h, aut = transported(random.Random(35), g, h, aut)
+    model = relative_model(g, h)
+    res = cohomology(model.complex)
+    values = list(numbers([ce_complex(g), model, res, res.coboundaries, restricted_action(model, aut)]))
+    assert [x for x in values if not is_exact(x)] == []
+    assert any(type(x) is Fraction for x in values) == case.endswith("scaled")
+
+
+def test_product_and_twist_obey_the_number_rule():
+    g, h = so_pair(2)
+    fc = product_model(double_cover_base(), g, h)
+    twisted = twist_by_deck(fc, sheet_swap_maps(), so_pair_reflection(2))
+    values = list(numbers([fc, twisted]))
+    assert [x for x in values if not is_exact(x)] == []
+    assert any(type(x) is Fraction for x in values)
+
+
+def test_form_operations_obey_the_number_rule():
+    a = form_from_terms(3, 1, {(1,): Fraction(1, 2), (2,): "3/2"})
+    b = form_from_terms(3, 1, {(2,): 2, (3,): Fraction(4, 2)})
+    ab = wedge(a, b)
+    assert ab.coeffs == (1, 1, 3) and contract([2, 0, "1/2"], ab).coeffs == (Fraction(-1, 2), Fraction(1, 2), 2)
+    values = list(numbers([a, b, ab, contract([2, 0, "1/2"], ab), a.add(a), a.scale("2")]))
+    assert [x for x in values if not is_exact(x)] == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from eqss.cohomology import cohomology, cup_product, relative_model
 from eqss.forms import ce_complex, contract, wedge
-from eqss.liealg import bracket, jacobi_check, su2, so_algebra
+from eqss.liealg import jacobi_check, su2, so_algebra
 from eqss.linalg import (
     RationalMatrix,
     enumerate_group,
@@ -17,7 +17,7 @@ from eqss.linalg import (
     solve,
 )
 
-from form_oracles import form_from_vector
+from form_oracles import bracket, form_from_vector
 from randgen import random_two_step_nilpotent, transported_algebra
 
 INSTANCES = 100

@@ -13,6 +13,11 @@ No cache in the engine is unbounded (`functools.cache` or
 `lru_cache(maxsize=None)`): such a cache keeps, for the life of the process,
 every table it was ever asked for, as the monomial tables of Lambda(g) once
 did.  Bounded caches, such as `ce_complex`'s, are allowed.
+
+No engine module divides with `/`: integral entries are Python ints (the
+number rule of `linalg`), and int / int is a float.  Exact quotients are
+`x // y` or `Fraction(x, y)`.  The only true divisions are the path joins
+of `library`.
 """
 
 import ast
@@ -163,3 +168,39 @@ def test_cache_guard_sees_every_spelling():
         "def e(): pass\n"
     )
     assert unbounded_caches(source) == [2, 3, 5, 7]
+
+
+PATH_JOINS = {
+    ("library.py", 'Path(__file__).resolve().parent / "data"'),
+    ("library.py", '_data_dir() / f"{name}.json"'),
+    ("library.py", "directory / name"),
+}
+
+
+def true_divisions(source: str, module: str) -> set[tuple[str, str]]:
+    """(module, source text) of each true division, x / y or x /= y."""
+    return {
+        (module, ast.get_source_segment(source, node))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    }
+
+
+def test_no_true_division_in_the_engine():
+    found = set()
+    for path in SOURCES:
+        found |= true_divisions(path.read_text(), path.name)
+    assert found == PATH_JOINS, f"true divisions: {found - PATH_JOINS}"
+
+
+def test_division_guard_sees_every_spelling():
+    source = (
+        "from fractions import Fraction\n"
+        "def f(x, y):\n"
+        "    a = x / y\n"
+        "    a /= 2\n"
+        "    return a // y + Fraction(x, y) + (x / (y / 2))\n"
+    )
+    assert true_divisions(source, "m.py") == {
+        ("m.py", "x / y"), ("m.py", "a /= 2"), ("m.py", "x / (y / 2)"), ("m.py", "y / 2"),
+    }
