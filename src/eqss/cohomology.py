@@ -62,9 +62,10 @@ __all__ = [
 # entries of dense differentials on the absolute route; monomials of Lambda(g),
 # then entries of a dense kernel and lift, on the relative one.  Forms and
 # bases are sparse, so every count is an upper bound on what a route holds.
-# Measured in process with Python 3.11 on 2 vCPUs: so(6) absolute (145,422,675
-# entries, refused) takes 23 s and 86 MB, so(7)/so(6) (2^21 monomials) 0.15 s
-# and 17 MB, and so(9)/so(8) (2^36, refused) 1.0 s and 18 MB.
+# Measured in process with Python 3.11 on 2 vCPUs, model and cohomology
+# after import: so(6) absolute (145,422,675 entries, refused) takes 8.6 s
+# (1.5 s of it ce_complex) and 60 MB, so(7)/so(6) (2^21 monomials) 0.03 s
+# and 18 MB, and so(9)/so(8) (2^36, refused) 0.07 s and 18 MB.
 MAX_FORM_ENTRIES = 3_000_000
 
 

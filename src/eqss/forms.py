@@ -12,9 +12,13 @@ e^i ^ e^j and extended as an antiderivation; equivalently it is the evaluation
 formula whose sum runs over pairs 0 <= i < j <= n of argument slots.  With
 this indexing d^2 = 0 is an identity (`GradedComplex.create` rechecks it,
 and a failure aborts, since it would mean corrupted structure constants).
+`_d_column` is the one column routine: it peels off the first index,
+d(e^i ^ e^rest) = de^i ^ e^rest - e^i ^ d(e^rest), reads d(e^rest) from a
+memo of the degree below and merges each term into a sorted monomial at a
+bisection point, so no term is sorted.  Every memo lives for one call.
 `ce_complex` returns the full complex as a `GradedComplex`, the same type as
-every other complex, with each column read straight off `_d_column`, and
-keeps the last few in a bounded cache.
+every other complex, built degree by degree with the memo holding at most
+the degree below, and keeps the last few complexes in a bounded cache.
 
 Forms handed between engine calls are the columns of a `RationalMatrix`,
 indexed by monomial position.  `differential_images`, `pull_back` and the
@@ -31,6 +35,7 @@ give differentials and pullbacks computed in int arithmetic throughout;
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -256,23 +261,44 @@ def _generator_images(n: int, table) -> list[list[tuple[tuple[int, int], Rationa
     return out
 
 
-def _d_column(dgen, idx: tuple[int, ...]) -> _Terms:
-    """d(e^idx) as a dict target-index -> coefficient (antiderivation rule)."""
-    acc: _Terms = {}
-    for r, gen in enumerate(idx):
-        rest = idx[:r] + idx[r + 1 :]
-        slot_sign = -1 if r % 2 else 1
-        for (a, b), c in dgen[gen]:
-            srt = sort_sign((a, b) + rest)
-            if srt is None:
+def _d_column(dgen, idx: tuple[int, ...], memo: dict) -> _Terms:
+    """d(e^idx) as a dict target-index -> coefficient, memoized in memo.
+
+    For idx = (i,) + rest the antiderivation rule gives
+    d(e^idx) = de^i ^ e^rest - e^i ^ d(e^rest), with d(e^rest) read back
+    from memo.  rest is sorted, so a generator term e^a ^ e^b (a < b) of
+    de^i merges into it at pa = bisect_left(rest, a) <= pb with sign
+    (-1)^(pa+pb), and e^i goes into a monomial t of d(e^rest) at
+    p = bisect_left(t, i) with sign (-1)^p; a repeated index kills the term.
+    """
+    got = memo.get(idx)
+    if got is not None:
+        return got
+    got = {}
+    if idx:
+        i, rest = idx[0], idx[1:]
+        m = len(rest)
+        for (a, b), c in dgen[i]:
+            pa = bisect_left(rest, a)
+            if pa < m and rest[pa] == a:
                 continue
-            target, sign = srt
-            val = acc.get(target, 0) + (c if slot_sign == sign else -c)
+            pb = bisect_left(rest, b, pa)
+            if pb < m and rest[pb] == b:
+                continue
+            t = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
+            got[t] = -c if (pa + pb) % 2 else c
+        for t, c in _d_column(dgen, rest, memo).items():
+            p = bisect_left(t, i)
+            if p <= m and t[p] == i:  # t has m + 1 entries
+                continue
+            t = t[:p] + (i,) + t[p:]
+            val = got.get(t, 0) + (c if p % 2 else -c)
             if val:
-                acc[target] = val
-            elif target in acc:
-                del acc[target]
-    return acc
+                got[t] = val
+            else:
+                del got[t]
+    memo[idx] = got
+    return got
 
 
 @lru_cache(maxsize=32)
@@ -280,16 +306,27 @@ def ce_complex(g: LieAlgebra) -> GradedComplex:
     """Build (and cache) the full complex; validates Jacobi (`create` checks d^2 = 0).
 
     differentials[k] maps degree k to degree k+1 (k = 0..dim-1); the top
-    differential is the zero map and is not stored.
+    differential is the zero map and is not stored.  The memo of columns
+    holds at most the degree below the one being built and that degree.
     """
     _require_jacobi(g)
     n = g.dim
     dgen = _generator_images(n, sparse_brackets(g))
     mats = []
+    memo: dict = {}
     for k in range(n):
         pos = _index_position(n, k + 1)
-        cols = (_d_column(dgen, idx).items() for idx in multi_indices(n, k))
-        mats.append(RationalMatrix.from_entries(len(pos), (((pos[t], c) for t, c in col) for col in cols)))
+        keys = tuple(pos)
+        degree = multi_indices(n, k)
+
+        def column(idx):
+            col = [(pos[t], c) for t, c in _d_column(dgen, idx, memo).items()]
+            # re-key d(e^idx) by the shared monomials, freeing its own tuples
+            memo[idx] = {keys[p]: c for p, c in col}
+            return col
+
+        mats.append(RationalMatrix.from_entries(len(keys), map(column, degree)))
+        memo = {idx: memo[idx] for idx in degree}
     return GradedComplex.create(tuple(comb(n, k) for k in range(n + 1)), mats)
 
 
@@ -318,8 +355,9 @@ def differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> list[
     """
     n = g.dim
     dgen = _generator_images(n, sparse_brackets(g))
+    memo: dict = {}
     return [
-        _images(m, lambda i, k=k: _unrank(n, k, i), n, k + 1, lambda idx: _d_column(dgen, idx))
+        _images(m, lambda i, k=k: _unrank(n, k, i), n, k + 1, lambda idx: _d_column(dgen, idx, memo))
         for k, m in enumerate(forms)
     ]
 
@@ -339,11 +377,11 @@ def _wedge_images(images: Sequence[dict[int, Rational]], idx: tuple[int, ...], m
     else:
         for t, c in _wedge_images(images, idx[:-1], memo).items():
             for i, a in images[idx[-1]].items():
-                srt = sort_sign(t + (i,))
-                if srt is None:
+                p = bisect_left(t, i)
+                if p < len(t) and t[p] == i:
                     continue
-                tt, sign = srt
-                val = got.get(tt, 0) + (a * c if sign > 0 else -(a * c))
+                tt = t[:p] + (i,) + t[p:]
+                val = got.get(tt, 0) + (-(a * c) if (len(t) - p) % 2 else a * c)
                 if val:
                     got[tt] = val
                 else:
@@ -413,6 +451,7 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
     free = sorted(duals)
     images = [duals.get(j, {}) for j in range(n + 1)]
     memo: dict = {}
+    dmemo: dict = {}
     spaces: list[SubspaceBasis] = []
     for k in range(n + 1):
         horizontal = list(combinations(free, k))
@@ -423,12 +462,13 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
         cols: list[dict[tuple[int, tuple[int, ...]], Rational]] = []
         for idx in horizontal:
             col: dict[tuple[int, tuple[int, ...]], Rational] = {}
-            for t, c in _d_column(dgen, idx).items():
+            for t, c in _d_column(dgen, idx, dmemo).items():
                 for r, j in enumerate(t):
                     if j in pivset:
                         key = (j, t[:r] + t[r + 1 :])
                         col[key] = col.get(key, 0) + (-c if r % 2 else c)
             cols.append(col)
+        dmemo = {idx: dmemo[idx] for idx in horizontal}
         row_of = {key: r for r, key in enumerate(sorted({key for col in cols for key in col}))}
         constraint = RationalMatrix.from_entries(
             len(row_of), (((row_of[key], x) for key, x in col.items()) for col in cols)

@@ -4,13 +4,28 @@ The engine works on sparse forms and sparse structure constants and never
 builds these: the bracket of two dense vectors, the pullback of every basis
 form under an automorphism, the matrix of a contraction, and a form wrapped
 around a coefficient vector.
+
+`slot_d_column` is the Chevalley-Eilenberg column builder the engine used
+before its antiderivation recurrence: one pass per argument slot, sorting
+every term with `sort_sign`.  The slot differentials and images built from
+it are the reference for `ce_complex` and `differential_images`.
 """
 
 from math import comb
 from typing import Sequence
 
-from eqss.forms import ExteriorForm, basis_form, ce_complex, contract, multi_indices, pull_back
-from eqss.liealg import LieAlgebra, LieAutomorphism
+from eqss.forms import (
+    ExteriorForm,
+    _generator_images,
+    _unrank,
+    basis_form,
+    ce_complex,
+    contract,
+    multi_indices,
+    pull_back,
+    sort_sign,
+)
+from eqss.liealg import LieAlgebra, LieAutomorphism, sparse_brackets
 from eqss.linalg import RationalMatrix, Vector, as_vector
 
 
@@ -63,3 +78,52 @@ def induced_on_forms(aut: LieAutomorphism, degree: int, check: bool = True) -> R
         if lhs != rhs:
             raise AssertionError("induced action does not commute with the differential")
     return mat
+
+
+def slot_d_column(dgen, idx: tuple[int, ...]) -> dict[tuple[int, ...], object]:
+    """d(e^idx) as a dict target-index -> coefficient (antiderivation rule)."""
+    acc: dict = {}
+    for r, gen in enumerate(idx):
+        rest = idx[:r] + idx[r + 1 :]
+        slot_sign = -1 if r % 2 else 1
+        for (a, b), c in dgen[gen]:
+            srt = sort_sign((a, b) + rest)
+            if srt is None:
+                continue
+            target, sign = srt
+            val = acc.get(target, 0) + (c if slot_sign == sign else -c)
+            if val:
+                acc[target] = val
+            elif target in acc:
+                del acc[target]
+    return acc
+
+
+def slot_differentials(g: LieAlgebra) -> list[RationalMatrix]:
+    """Every CE differential of g, one `slot_d_column` per monomial."""
+    n = g.dim
+    dgen = _generator_images(n, sparse_brackets(g))
+    mats = []
+    for k in range(n):
+        pos = {t: p for p, t in enumerate(multi_indices(n, k + 1))}
+        cols = (slot_d_column(dgen, idx).items() for idx in multi_indices(n, k))
+        mats.append(RationalMatrix.from_entries(len(pos), (((pos[t], c) for t, c in col) for col in cols)))
+    return mats
+
+
+def slot_differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> list[RationalMatrix]:
+    """d of each column of forms[k], summed over its monomials' slot columns."""
+    n = g.dim
+    dgen = _generator_images(n, sparse_brackets(g))
+    out = []
+    for k, m in enumerate(forms):
+        pos = {t: p for p, t in enumerate(multi_indices(n, k + 1))}
+        cols = []
+        for col in m.entries:
+            acc: dict = {}
+            for i, a in col:
+                for t, c in slot_d_column(dgen, _unrank(n, k, i)).items():
+                    acc[pos[t]] = acc.get(pos[t], 0) + a * c
+            cols.append(acc.items())
+        out.append(RationalMatrix.from_entries(comb(n, k + 1), cols))
+    return out

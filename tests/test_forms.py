@@ -12,15 +12,18 @@ from eqss.forms import (
     basis_form,
     ce_complex,
     contract,
+    differential_images,
     form_from_terms,
     multi_indices,
     relative_subcomplex,
     render_form,
     wedge,
 )
+from eqss.library import so_pair
 from eqss.liealg import (
     LieAlgebra,
     LieAutomorphism,
+    Subalgebra,
     coordinate_subalgebra,
     so_algebra,
     su2,
@@ -28,7 +31,14 @@ from eqss.liealg import (
 )
 from eqss.linalg import GradedComplex, RationalMatrix, as_fraction
 
-from form_oracles import bracket, contract_matrix, induced_on_forms
+from form_oracles import (
+    bracket,
+    contract_matrix,
+    induced_on_forms,
+    slot_differential_images,
+    slot_differentials,
+)
+from randgen import random_two_step_nilpotent, transported_algebra, transported_pair
 
 
 def det(rows):
@@ -220,6 +230,39 @@ def test_differential_matches_direct_evaluation():
             form = rand_form(rng, g.dim, k)
             vectors = [[rand_fraction(rng) for _ in range(g.dim)] for _ in range(k + 1)]
             assert evaluate(apply_d(ce, form), vectors) == d_oracle(g, form, vectors)
+
+
+def test_ce_complex_matches_the_slot_oracle():
+    rng = random.Random(31)
+    algebras = [su2(), so_algebra(4), so_algebra(5), u_algebra(2)]
+    for g in (so_algebra(4), so_algebra(5)):
+        algebras += [transported_algebra(rng, g) for _ in range(3)]
+    algebras += [random_two_step_nilpotent(rng) for _ in range(5)]
+    for g in algebras:
+        assert list(ce_complex(g).differentials) == slot_differentials(g), g.name
+
+
+def test_differential_images_match_the_slot_oracle():
+    # (so5, so4) is symmetric, so d vanishes on its relative forms; random
+    # sparse forms of every degree give images that do not
+    g, h = so_pair(4)
+    n = g.dim
+    for seed in (37, 41):
+        rng = random.Random(seed)
+        g2, vectors = transported_pair(rng, g, h.basis.vectors)
+        relative = [s.matrix for s in relative_subcomplex(g2, Subalgebra.span(g2, vectors))[:-1]]
+        assert sum(m.ncols for m in relative) == 2
+        assert differential_images(g2, relative) == slot_differential_images(g2, relative)
+        sparse = [
+            RationalMatrix.from_entries(comb(n, k), [
+                [(p, rng.choice((-2, -1, 1, Fraction(1, 2)))) for p in rng.sample(range(comb(n, k)), min(4, comb(n, k)))]
+                for _ in range(3)
+            ])
+            for k in range(n)
+        ]
+        images = differential_images(g2, sparse)
+        assert all(not m.is_zero() for m in images[1:-1])
+        assert images == slot_differential_images(g2, sparse)
 
 
 def test_differential_is_antiderivation():

@@ -14,6 +14,11 @@ No cache in the engine is unbounded (`functools.cache` or
 every table it was ever asked for, as the monomial tables of Lambda(g) once
 did.  Bounded caches, such as `ce_complex`'s, are allowed.
 
+No function or lambda in the engine has a mutable default argument.  Such
+a default is one object for every call, so a memo passed that way would
+keep the columns of one algebra and hand them to the next of the same
+dimension; every memo is made afresh inside the call that owns it.
+
 No engine module divides with `/`: integral entries are Python ints (the
 number rule of `linalg`), and int / int is a float.  Exact quotients are
 `x // y` or `Fraction(x, y)`.  The only true divisions are the path joins
@@ -204,3 +209,44 @@ def test_division_guard_sees_every_spelling():
     assert true_divisions(source, "m.py") == {
         ("m.py", "x / y"), ("m.py", "a /= 2"), ("m.py", "x / (y / 2)"), ("m.py", "y / 2"),
     }
+
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp, ast.GeneratorExp)
+MUTABLE_CALLS = {"dict", "list", "set"}
+
+
+def mutable_defaults(source: str) -> list[int]:
+    """Lines of the mutable default arguments of functions and lambdas: a
+    dict, list or set display, a comprehension, or a dict(), list() or
+    set() call, positional or keyword-only."""
+    hits = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for default in node.args.defaults + [d for d in node.args.kw_defaults if d is not None]:
+                call = isinstance(default, ast.Call) and getattr(default.func, "id", None) in MUTABLE_CALLS
+                if call or isinstance(default, MUTABLE_DISPLAYS):
+                    hits.add(default.lineno)
+    return sorted(hits)
+
+
+def test_no_mutable_default_arguments_in_the_engine():
+    found = {path.name: mutable_defaults(path.read_text()) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_mutable_default_guard_sees_every_spelling():
+    source = (
+        "def a(x, memo={}): pass\n"
+        "def b(x=[]): pass\n"
+        "def c(*, x=set()): pass\n"
+        "f = lambda idx, memo=dict(): memo\n"
+        "class K:\n"
+        "    def e(self, x=list()): pass\n"
+        "def g(x={i: i for i in range(3)}):\n"
+        "    def inner(y=[i for i in x]): pass\n"
+        "async def h(x={i for i in ()}, y=(i for i in ())): pass\n"
+        "def ok(x=(), y=None, z=frozenset(), k=0, s='', t=tuple()): pass\n"
+        "g = lambda k=3, m=None: k\n"
+        "d = dict()\n"
+    )
+    assert mutable_defaults(source) == [1, 2, 3, 4, 6, 7, 8, 9]
