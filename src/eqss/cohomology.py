@@ -9,10 +9,11 @@ is a `linalg.GradedComplex`, re-exported here.
 
 Representatives are chosen canonically: in degree k they are the reduced
 echelon basis of the cocycles that vanish at the pivots of the coboundary
-space im d_{k-1}, that is, the kernel of d_k restricted to the other
-columns.  This is the canonical complement of the coboundaries in the
-cocycles, so equal inputs always produce identical representative vectors,
-and a class is read off a cocycle by reducing it by the coboundaries.
+space im d_{k-1}.  This is the canonical complement of the coboundaries in
+the cocycles, so equal inputs always produce identical representative
+vectors, and a class is read off a cocycle by reducing it by the
+coboundaries.  One column elimination of d_k, on the columns off those
+pivots, gives the representatives as its kernel and im d_k as its image.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     as_vector,
-    echelon,
     enumerate_group,
     fixed_subspace,
-    restricted_kernel,
+    kernel_and_image,
 )
 
 __all__ = [
@@ -63,8 +63,8 @@ __all__ = [
 # then entries of a dense kernel and lift, on the relative one.  Forms and
 # bases are sparse, so every count is an upper bound on what a route holds.
 # Measured in process with Python 3.11 on 2 vCPUs, model and cohomology
-# after import: so(6) absolute (145,422,675 entries, refused) takes 8.6 s
-# (1.5 s of it ce_complex) and 60 MB, so(7)/so(6) (2^21 monomials) 0.03 s
+# after import: so(6) absolute (145,422,675 entries, refused) takes 1.2-1.9 s
+# (1.0-1.5 s of it ce_complex) and 52 MB, so(7)/so(6) (2^21 monomials) 0.03 s
 # and 18 MB, and so(9)/so(8) (2^36, refused) 0.07 s and 18 MB.
 MAX_FORM_ENTRIES = 3_000_000
 
@@ -76,9 +76,9 @@ class CohomologyResult:
     classes[k] is the basis of representatives in degree k, and
     `representatives` is its dense view.  The representatives need only the
     pivots of the coboundaries, so `cohomology` keeps echelons[k], the
-    `echelon` basis of the columns of d_{k-1}, and `coboundary(k)` turns it
-    (in place) into the reduced echelon basis the first time a class is
-    expressed in degree k, then keeps that.
+    echelon basis of im d_{k-1} from the pass that gave classes[k-1], and
+    `coboundary(k)` turns it (in place) into the reduced echelon basis the
+    first time a class is expressed in degree k, then keeps that.
     """
 
     complex: GradedComplex
@@ -130,14 +130,14 @@ class CohomologyResult:
 
 
 def cohomology(cx: GradedComplex) -> CohomologyResult:
-    classes = []
-    echelons = []
+    classes, echelons = [], [{}]
     for k in range(cx.top + 1):
-        b = echelon(cx.differential(k - 1).entries)
-        cols = [j for j in range(cx.dims[k]) if j not in b]
-        classes.append(restricted_kernel(cx.differential(k), cols))
-        echelons.append(b)
-    return CohomologyResult(cx, tuple(classes), tuple(echelons))
+        # e_p at a coboundary pivot p is a coboundary less columns off the pivots: those span im d_k
+        cols = [j for j in range(cx.dims[k]) if j not in echelons[k]]
+        kernel, image = kernel_and_image(cx.differential(k), cols)
+        classes.append(kernel)
+        echelons.append(image)
+    return CohomologyResult(cx, tuple(classes), tuple(echelons[:-1]))
 
 
 @dataclass(frozen=True)

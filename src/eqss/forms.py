@@ -57,7 +57,6 @@ from .linalg import (
 __all__ = [
     "ContractionError",
     "ExteriorForm",
-    "basis_form",
     "ce_complex",
     "contract",
     "differential_images",
@@ -65,7 +64,6 @@ __all__ = [
     "multi_indices",
     "pull_back",
     "relative_subcomplex",
-    "render_form",
     "wedge",
 ]
 
@@ -175,10 +173,6 @@ def form_from_terms(dim: int, degree: int, terms: dict) -> ExteriorForm:
     return ExteriorForm(dim, degree, as_vector(coeffs))
 
 
-def basis_form(dim: int, indices: Sequence[int]) -> ExteriorForm:
-    return form_from_terms(dim, len(tuple(indices)), {tuple(indices): 1})
-
-
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     if a.dim != b.dim:
         raise ValueError("wedge of forms on different algebras")
@@ -210,26 +204,6 @@ def contract(x: Sequence, form: ExteriorForm) -> ExteriorForm:
                 target = idx[:r] + idx[r + 1 :]
                 coeffs[_rank(form.dim, target)] += -(xv[j - 1] * c) if r % 2 else xv[j - 1] * c
     return ExteriorForm(form.dim, form.degree - 1, as_vector(coeffs))
-
-
-def render_form(form: ExteriorForm, labels: Sequence[str] | None = None) -> str:
-    if form.is_zero():
-        return "0"
-    names = labels or [f"e{i}" for i in range(1, form.dim + 1)]
-    parts = []
-    for idx, c in form.terms():
-        mono = "^".join(names[i - 1] for i in idx) if idx else "1"
-        if c == 1 and idx:
-            term = mono
-        elif c == -1 and idx:
-            term = f"-{mono}"
-        else:
-            term = f"{c} {mono}" if idx else str(c)
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
 
 
 # ---------------------------------------------------------------------------

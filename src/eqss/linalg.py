@@ -22,10 +22,10 @@ echelon basis keyed by pivot.  The vector is cleared of denominators and
 made primitive by its gcd, then reduced by the stored vector at its lowest
 nonzero index until that index is free, and stored there.  A matrix column
 is already such a vector.  A rank counts the pivots; reduced echelon form is
-insertion plus back substitution; a kernel is one elimination of the rows
-with the columns reversed (`restricted_kernel`); and the persistence pairs
-of a filtration are the pivots of its differential's columns
-(`spectral._pairs`).
+insertion plus back substitution; a kernel and an image are one elimination
+of the columns, each carrying the unit vector that records it
+(`kernel_and_image`); and the persistence pairs of a filtration are the
+pivots of its differential's columns (`spectral._pairs`).
 
 Canonical form: every subspace is represented by the reduced echelon basis
 of its span (pivot entries 1, zeros at the other pivots, pivots increasing).
@@ -52,9 +52,9 @@ __all__ = [
     "fixed_subspace",
     "image_basis",
     "insert",
+    "kernel_and_image",
     "kernel_basis",
     "rank",
-    "restricted_kernel",
     "solve",
     "subspace_sum",
 ]
@@ -440,29 +440,28 @@ class SubspaceBasis:
         return self.coordinate_matrix(other.matrix) is not None
 
 
-def restricted_kernel(m: RationalMatrix, cols: Sequence[int]) -> SubspaceBasis:
-    """Canonical basis of {x in Q^ncols supported on cols : m x = 0}.
+def kernel_and_image(m: RationalMatrix, cols: Sequence[int]) -> tuple[SubspaceBasis, dict[int, dict[int, int]]]:
+    """The canonical basis of {x in Q^ncols supported on cols : m x = 0},
+    and the `echelon` basis of the span of those columns of m; cols increase.
 
-    cols must increase.  The rows of m restricted to cols are eliminated
-    once, with cols reversed.  The solution at each free column then has its
-    other entries at later columns, all of them pivots, so read back in the
-    original order the solutions are already the reduced echelon basis.
+    Each column j in cols, last first, is inserted with the unit entry
+    (nrows + j, 1) that records it.  Only vectors with an image left (pivot
+    below nrows) reduce later ones, so a column whose image reduces to zero
+    is stored at nrows + j with its other entries at later, non-free
+    columns: divided by its pivot entry it is a reduced echelon vector.
     """
-    last, ambient = len(cols) - 1, m.ncols
-    index = {j: last - k for k, j in enumerate(cols)}
-    basis = echelon(((index[j], x) for j, x in row if j in index) for row in m.transpose().entries)
-    _back_substitute(basis)
-    solutions = {f: {cols[last - f]: 1} for f in range(last, -1, -1) if f not in basis}
-    for p, w in basis.items():
-        for f, x in w.items():
-            if f != p:
-                solutions[f][cols[last - p]] = _quotient(-x, w[p])
-    return SubspaceBasis(RationalMatrix(ambient, tuple(tuple(sorted(sol.items())) for sol in solutions.values())))
+    n, basis = m.nrows, {}
+    for j in reversed(cols):
+        insert(basis, m.entries[j] + ((n + j, 1),))
+    kernel = (tuple((k - n, _quotient(x, w[p])) for k, x in sorted(w.items()))
+              for p, w in sorted(basis.items()) if p >= n)
+    image = {p: {k: x for k, x in w.items() if k < n} for p, w in basis.items() if p < n}
+    return SubspaceBasis(RationalMatrix(m.ncols, tuple(kernel))), image
 
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of {x : m x = 0}."""
-    return restricted_kernel(m, range(m.ncols))
+    return kernel_and_image(m, range(m.ncols))[0]
 
 
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
@@ -551,4 +550,4 @@ def fixed_subspace(maps: Sequence[RationalMatrix]) -> SubspaceBasis:
         raise ValueError("maps must be square matrices of equal size")
     ident = RationalMatrix.identity(n)
     rows = tuple(r for m in maps for r in m.sub(ident).transpose().entries)
-    return restricted_kernel(RationalMatrix(n, rows).transpose(), range(n))
+    return kernel_basis(RationalMatrix(n, rows).transpose())

@@ -3,12 +3,17 @@
 The engine works on sparse forms and sparse structure constants and never
 builds these: the bracket of two dense vectors, the pullback of every basis
 form under an automorphism, the matrix of a contraction, and a form wrapped
-around a coefficient vector.
+around a coefficient vector or a single monomial.
 
 `slot_d_column` is the Chevalley-Eilenberg column builder the engine used
 before its antiderivation recurrence: one pass per argument slot, sorting
 every term with `sort_sign`.  The slot differentials and images built from
 it are the reference for `ce_complex` and `differential_images`.
+
+`restricted_kernel` is the kernel the engine took before
+`linalg.kernel_and_image`: one elimination of the rows with the columns
+reversed, then back substitution.  It is the reference for the kernels and
+cohomology representatives of the column elimination.
 """
 
 from math import comb
@@ -18,15 +23,15 @@ from eqss.forms import (
     ExteriorForm,
     _generator_images,
     _unrank,
-    basis_form,
     ce_complex,
     contract,
+    form_from_terms,
     multi_indices,
     pull_back,
     sort_sign,
 )
 from eqss.liealg import LieAlgebra, LieAutomorphism, sparse_brackets
-from eqss.linalg import RationalMatrix, Vector, as_vector
+from eqss.linalg import RationalMatrix, SubspaceBasis, Vector, _back_substitute, _quotient, as_vector, echelon
 
 
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
@@ -46,6 +51,10 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
 
 def form_from_vector(dim: int, degree: int, vec: Sequence) -> ExteriorForm:
     return ExteriorForm(dim, degree, as_vector(vec))
+
+
+def basis_form(dim: int, indices: Sequence[int]) -> ExteriorForm:
+    return form_from_terms(dim, len(tuple(indices)), {tuple(indices): 1})
 
 
 def contract_matrix(dim: int, x: Sequence, degree: int) -> RationalMatrix:
@@ -127,3 +136,23 @@ def slot_differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> 
             cols.append(acc.items())
         out.append(RationalMatrix.from_entries(comb(n, k + 1), cols))
     return out
+
+
+def restricted_kernel(m: RationalMatrix, cols: Sequence[int]) -> SubspaceBasis:
+    """Canonical basis of {x in Q^ncols supported on cols : m x = 0}.
+
+    cols must increase.  The rows of m restricted to cols are eliminated
+    once, with cols reversed.  The solution at each free column then has its
+    other entries at later columns, all of them pivots, so read back in the
+    original order the solutions are already the reduced echelon basis.
+    """
+    last, ambient = len(cols) - 1, m.ncols
+    index = {j: last - k for k, j in enumerate(cols)}
+    basis = echelon(((index[j], x) for j, x in row if j in index) for row in m.transpose().entries)
+    _back_substitute(basis)
+    solutions = {f: {cols[last - f]: 1} for f in range(last, -1, -1) if f not in basis}
+    for p, w in basis.items():
+        for f, x in w.items():
+            if f != p:
+                solutions[f][cols[last - p]] = _quotient(-x, w[p])
+    return SubspaceBasis(RationalMatrix(ambient, tuple(tuple(sorted(sol.items())) for sol in solutions.values())))

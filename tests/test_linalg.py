@@ -19,15 +19,15 @@ from eqss.linalg import (
     enumerate_group,
     fixed_subspace,
     image_basis,
+    kernel_and_image,
     kernel_basis,
     rank,
-    restricted_kernel,
     solve,
     subspace_sum,
 )
 from eqss.spectral import product_model, twist_by_deck
 
-from form_oracles import bracket
+from form_oracles import bracket, restricted_kernel
 from randgen import random_unimodular
 
 
@@ -375,7 +375,11 @@ def test_restricted_kernel_is_the_kernel_on_the_columns():
         cols = sorted(rng.sample(range(m.ncols), rng.randint(0, m.ncols)))
         forced = [tuple(Fraction(int(i == j)) for i in range(m.ncols)) for j in range(m.ncols) if j not in cols]
         want = dense_kernel(RationalMatrix.from_rows(m.rows + tuple(forced), m.ncols))
-        assert restricted_kernel(m, cols) == want
+        kernel, image = kernel_and_image(m, cols)
+        assert kernel == want == restricted_kernel(m, cols)
+        span = dense_span([m.column(j) for j in cols], m.nrows)
+        assert sorted(image) == list(span.pivots)
+        assert SubspaceBasis.from_echelon(image, m.nrows) == span
 
 
 # Dense references for the sparse RationalMatrix: plain lists of rows.

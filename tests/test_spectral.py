@@ -19,8 +19,8 @@ from eqss.linalg import (
     SubspaceBasis,
     complement_in,
     fixed_subspace,
+    kernel_and_image,
     kernel_basis,
-    restricted_kernel,
     solve,
 )
 from eqss.spectral import (
@@ -368,7 +368,7 @@ def per_weight_invariant_complex(fc, action):
         adapted, taken = [], set()
         for p in range(fc.max_weight, -1, -1):
             cols = [j for j in fc.level_indices(n, p) if j not in taken]
-            new = restricted_kernel(RationalMatrix.from_rows(rows, cx.dims[n]), cols)
+            new, _ = kernel_and_image(RationalMatrix.from_rows(rows, cx.dims[n]), cols)
             taken.update(new.pivots)
             adapted.extend((p, v) for v in new.vectors)
         adapted.sort(key=lambda t: t[0])
