@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .cohomology import invariant_cohomology, lie_cohomology, relative_model, restricted_action
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, coordinate_subalgebra, su2
-from .linalg import Rational, RationalMatrix, SubspaceBasis, as_fraction, kernel_basis
+from .linalg import RationalMatrix, SubspaceBasis, as_fraction, kernel_basis
 
 __all__ = [
     "CupForm",
@@ -49,9 +49,9 @@ __all__ = [
 
 DEFAULT_DIM_CAP = 50
 MAX_UNKNOWNS = 12
-DEFAULT_NORMAL_HEIGHT = 5
+NORMAL_HEIGHT = 5
 # The most normals null_hyperplane_search tries: every one at b2 = 5 (78,721
-# normals, 8.9 s); b2 = 6 has 877,240.
+# normals, 0.9 s in process); b2 = 6 has 877,240.
 MAX_NORMALS = 80_000
 
 NOT_EXCLUDED = "not excluded by this criterion"
@@ -496,18 +496,20 @@ class CupForm:
         return cls(b2, len(mats), tuple(mats))
 
 
-def _cup_value(mat: RationalMatrix, v: Sequence, w: Sequence) -> Rational:
-    img = mat.apply(w)
-    return sum(a * b for a, b in zip(v, img))
+def _vanishes_on(rows: Sequence[Sequence], n: Sequence) -> bool:
+    """Whether the symmetric form with these rows vanishes on n.x = 0 (n != 0).
 
-
-def _is_null_subspace(cup: CupForm, vectors: Sequence[Sequence]) -> bool:
-    for mat in cup.matrices:
-        for i, v in enumerate(vectors):
-            for w in vectors[i:]:
-                if _cup_value(mat, v, w) != 0:
-                    return False
-    return True
+    With q the first index where n_q != 0 and r = rows[q], the vectors
+    n_q e_j - n_j e_q span the hyperplane, and the form takes
+    n_q^2 Q_ij + Q_qq n_i n_j - n_q (n_i r_j + r_i n_j) on the pair (i, j).
+    """
+    q = next(i for i, x in enumerate(n) if x)
+    nq, r = n[q], rows[q]
+    return all(
+        nq * nq * row[j] + r[q] * n[i] * n[j] == nq * (n[i] * r[j] + r[i] * n[j])
+        for i, row in enumerate(rows)
+        for j in range(i, len(n))
+    )
 
 
 @dataclass
@@ -527,106 +529,52 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
     return None
 
 
-def _qmul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction], d: Fraction):
-    # (p1 + q1 sqrt(d)) (p2 + q2 sqrt(d))
-    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
-
-
-def _null_line_candidates_2d(q: RationalMatrix) -> tuple[Fraction, list]:
-    """Root lines of a nonzero binary quadratic form, over Q(sqrt(disc)).
-
-    Returns (disc, candidates); each candidate is a pair of (rational,
-    sqrt-coefficient) components.  Empty list when disc < 0.
-    """
-    a = q.column(0)[0]
-    b = q.column(1)[0]
-    c = q.column(1)[1]
-    disc = b * b - a * c
-    if disc < 0:
-        return disc, []
-    zero = Fraction(0)
-    one = Fraction(1)
-    if a != 0:
-        return disc, [
-            (((-b), one), (a, zero)),
-            (((-b), -one), (a, zero)),
-        ]
-    if b != 0:
-        return disc, [
-            ((one, zero), (zero, zero)),
-            ((-c, zero), (2 * b, zero)),
-        ]
-    # a = b = 0, c != 0: the form is c y^2
-    return disc, [((one, zero), (zero, zero))]
-
-
 def _primitive_normals(b2: int, height: int):
     """Primitive integer normals, deduped up to sign, by increasing height."""
     for h in range(1, height + 1):
         for cand in product(range(-h, h + 1), repeat=b2):
-            if max(abs(x) for x in cand) != h:
-                continue
-            nz = [x for x in cand if x]
-            if nz[0] < 0:
-                continue
-            g = 0
-            for x in nz:
-                g = gcd(g, abs(x))
-            if g != 1:
-                continue
-            yield cand
+            if max(map(abs, cand)) == h and next(x for x in cand if x) > 0 and gcd(*cand) == 1:
+                yield cand
 
 
-def null_hyperplane_search(
-    cup: CupForm,
-    candidate_normal: Sequence | None = None,
-    height: int = DEFAULT_NORMAL_HEIGHT,
-) -> NullSearchResult:
+def null_hyperplane_search(cup: CupForm) -> NullSearchResult:
     """Look for a hyperplane of H^2 on which every cup matrix vanishes.
 
-    Exact decision for b2 <= 2 (case analysis of lines, including
-    irrational ones); for b2 >= 3 a bounded search over primitive integer
-    normals of height <= `height`, whose failure is reported as
-    "bounded-search" and never as a definitive no.  A search that would try
-    more than MAX_NORMALS normals raises ValueError at the limit.
+    Every test is one rational identity per pair of coordinates
+    (`_vanishes_on`); only a hyperplane that is found gets a basis.
+    Exact decision for b2 <= 2: at b2 = 2 the null lines of the first
+    nonzero form (a, b; b, c) are rational when b^2 - ac is a rational
+    square, and each is tested; otherwise they are irrational, and they are
+    null for every form iff every form is a rational multiple of the first.
+    For b2 >= 3 a bounded search over primitive integer normals of height
+    <= NORMAL_HEIGHT, whose failure is reported as "bounded-search" and
+    never as a definitive no.  A search that would try more than
+    MAX_NORMALS normals raises ValueError at the limit.
     """
     b2 = cup.b2
     if b2 < 1:
         raise ValueError("the search needs b2 >= 1")
-    if candidate_normal is not None:
-        normal = [as_fraction(a) for a in candidate_normal]
-        if len(normal) != b2 or all(a == 0 for a in normal):
-            raise ValueError("candidate normal must be a nonzero vector of length b2")
-        w = kernel_basis(RationalMatrix.from_rows([normal]))
-        if _is_null_subspace(cup, w.vectors):
-            return NullSearchResult(True, w, "exact", "user-supplied normal verified")
     if b2 == 1:
         return NullSearchResult(
             True, SubspaceBasis.zero(1), "exact", "the zero subspace is the only hyperplane"
         )
+    forms = [m.rows for m in cup.matrices]
     if b2 == 2:
         first = next((m for m in cup.matrices if not m.is_zero()), None)
         if first is None:
             w = SubspaceBasis.span([[Fraction(1), Fraction(0)]], 2)
             return NullSearchResult(True, w, "exact", "all cup matrices vanish")
-        disc, candidates = _null_line_candidates_2d(first)
-        for cand in candidates:
-            ok = True
-            for mat in cup.matrices:
-                rows = [mat.column(j) for j in range(2)]  # symmetric, columns = rows
-                acc = (Fraction(0), Fraction(0))
-                for i in range(2):
-                    for j in range(2):
-                        term = _qmul(cand[i], cand[j], disc)
-                        coef = rows[i][j]
-                        acc = (acc[0] + coef * term[0], acc[1] + coef * term[1])
-                if acc != (Fraction(0), Fraction(0)):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            root = _fraction_sqrt(disc)
-            if root is None and any(c[1] != 0 for c in cand):
+        (a, b), (_, c) = first.rows
+        disc = b * b - a * c
+        if disc < 0:
+            note = "the first nonzero form is definite (negative discriminant)"
+            return NullSearchResult(False, None, "exact", note)
+        root = _fraction_sqrt(disc)
+        if root is None:
+            # a rational form null on an irrational line is null on its
+            # conjugate too, and two distinct null lines fix it up to scale
+            if all(a * f[0][1] == b * f[0][0] and a * f[1][1] == c * f[0][0]
+                   and b * f[1][1] == c * f[0][1] for f in forms):
                 return NullSearchResult(
                     True,
                     None,
@@ -634,29 +582,34 @@ def null_hyperplane_search(
                     "a real null line exists but its coordinates are irrational"
                     f" (discriminant {disc} is not a rational square)",
                 )
-            vec = [c[0] + c[1] * (root if root is not None else 0) for c in cand]
-            w = SubspaceBasis.span([vec], 2)
-            if w.dim == 1 and _is_null_subspace(cup, w.vectors):
-                return NullSearchResult(True, w, "exact")
-        if not candidates:
-            note = "the first nonzero form is definite (negative discriminant)"
-        else:
-            note = "every null line of the first form fails another cup matrix"
+            lines = []
+        elif a != 0:
+            lines = [(-b + root, a), (-b - root, a)]
+        elif b != 0:
+            lines = [(1, 0), (-c, 2 * b)]
+        else:  # the form is c y^2
+            lines = [(1, 0)]
+        for x, y in lines:
+            if all(_vanishes_on(f, (y, -x)) for f in forms):
+                return NullSearchResult(True, SubspaceBasis.span([[x, y]], 2), "exact")
+        note = "every null line of the first form fails another cup matrix"
         return NullSearchResult(False, None, "exact", note)
-    for count, normal in enumerate(_primitive_normals(b2, height)):
+    for count, normal in enumerate(_primitive_normals(b2, NORMAL_HEIGHT)):
         if count == MAX_NORMALS:
             raise ValueError(
                 f"the null hyperplane search for b2 = {b2} passed the limit of {MAX_NORMALS} normals"
             )
-        w = kernel_basis(RationalMatrix.from_rows([[Fraction(x) for x in normal]]))
-        if _is_null_subspace(cup, w.vectors):
-            return NullSearchResult(True, w, "exact", f"normal {normal}")
-    return NullSearchResult(
-        False,
-        None,
-        "bounded-search",
-        f"no rational null hyperplane with integer normal of height <= {height}",
-    )
+        if all(_vanishes_on(f, normal) for f in forms):
+            break
+    else:
+        return NullSearchResult(
+            False,
+            None,
+            "bounded-search",
+            f"no rational null hyperplane with integer normal of height <= {NORMAL_HEIGHT}",
+        )
+    w = kernel_basis(RationalMatrix.from_rows([normal]))
+    return NullSearchResult(True, w, "exact", f"normal {normal}")
 
 
 def s3_check_5manifold(

@@ -14,6 +14,10 @@ it are the reference for `ce_complex` and `differential_images`.
 `linalg.kernel_and_image`: one elimination of the rows with the columns
 reversed, then back substitution.  It is the reference for the kernels and
 cohomology representatives of the column elimination.
+
+`form_vanishes_on_hyperplane` is the test the cup-null hyperplane search
+made for every normal before `obstructions._vanishes_on`: a kernel basis of
+the normal, then the form on each pair of basis vectors.
 """
 
 from math import comb
@@ -31,7 +35,16 @@ from eqss.forms import (
     sort_sign,
 )
 from eqss.liealg import LieAlgebra, LieAutomorphism, sparse_brackets
-from eqss.linalg import RationalMatrix, SubspaceBasis, Vector, _back_substitute, _quotient, as_vector, echelon
+from eqss.linalg import (
+    RationalMatrix,
+    SubspaceBasis,
+    Vector,
+    _back_substitute,
+    _quotient,
+    as_vector,
+    echelon,
+    kernel_basis,
+)
 
 
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
@@ -156,3 +169,13 @@ def restricted_kernel(m: RationalMatrix, cols: Sequence[int]) -> SubspaceBasis:
             if f != p:
                 solutions[f][cols[last - p]] = _quotient(-x, w[p])
     return SubspaceBasis(RationalMatrix(ambient, tuple(tuple(sorted(sol.items())) for sol in solutions.values())))
+
+
+def form_vanishes_on_hyperplane(m: RationalMatrix, normal: Sequence) -> bool:
+    """Whether the symmetric m vanishes on {x : normal . x = 0}, pair by pair."""
+    vectors = kernel_basis(RationalMatrix.from_rows([normal])).vectors
+    return all(
+        sum(a * b for a, b in zip(v, m.apply(w))) == 0
+        for i, v in enumerate(vectors)
+        for w in vectors[i:]
+    )

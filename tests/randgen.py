@@ -122,3 +122,25 @@ def random_two_step_nilpotent(rng, max_dim=6):
                     vec[t - 1] = rng.randint(-2, 2)
                 table[(i, j)] = vec
     return LieAlgebra.from_brackets("two-step", n, table)
+
+
+def random_rational(rng, fractions=False, span=3):
+    """A small int, or with fractions=True sometimes a Fraction."""
+    if fractions and rng.random() < 0.4:
+        return Fraction(rng.randint(-span, span), rng.randint(1, span))
+    return rng.randint(-span, span)
+
+
+def random_symmetric(rng, n, fractions=False):
+    """A symmetric n x n matrix of `random_rational` entries."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = random_rational(rng, fractions)
+    return m
+
+
+def form_null_on(rng, normal, fractions=False):
+    """n u^T + u n^T for a random u: it vanishes on the hyperplane n . x = 0."""
+    u = [random_rational(rng, fractions) for _ in normal]
+    return [[a * y + x * b for b, y in zip(normal, u)] for a, x in zip(normal, u)]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -86,6 +87,64 @@ def test_obstruct_5manifold_cup_examples(capsys):
         )
         outcomes[name] = report["results"]["verdict"]["excluded"]
     assert outcomes == {"cup_line": False, "cup_hyperbolic": False, "cup_definite": True}
+
+
+def test_obstruct_5manifold_finds_a_line_of_two_forms(tmp_path, capsys):
+    # the discriminant of the first form is 1; both forms vanish on x = -y
+    doc = tmp_path / "cup.json"
+    doc.write_text(json.dumps({"b2": 2, "matrices": [[[-4, -3], [-3, -2]], [[1, 0], [0, -1]]]}))
+    report = run_json(capsys, "obstruct", "s3-5m", "--b2", "2", "--cup", str(doc))
+    verdict = report["results"]["verdict"]
+    assert verdict["excluded"] is False and verdict["completeness"] == "exact"
+    assert verdict["witness"] == [["1", "-1"]]
+
+
+def random_cup_text(rng, b2):
+    """A cup document with b2 <= 3 that may be malformed in one of several ways."""
+    def entry():
+        roll = rng.random()
+        if roll < 0.6:
+            return rng.randint(-3, 3)
+        if roll < 0.9:
+            return f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}"
+        return rng.choice([1.5, "x", None, True, [1], "1/0", "1/2/3", 10**400])
+
+    def matrix(n):
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.8:  # mostly symmetric
+            for i in range(n):
+                for j in range(i):
+                    m[i][j] = m[j][i]
+        if n and rng.random() < 0.1:
+            m[rng.randrange(n)].pop()
+        return m
+
+    sizes = [b2 if rng.random() < 0.85 else rng.randint(0, 4) for _ in range(rng.randint(0, 3))]
+    doc = {"b2": b2 if rng.random() < 0.9 else rng.choice([-1, "2", 1.0]), "matrices": [matrix(n) for n in sizes]}
+    if rng.random() < 0.05:
+        doc["extra"] = 1
+    if rng.random() < 0.05:
+        del doc["matrices"]
+    text = json.dumps(doc)
+    if rng.random() < 0.1:
+        text = text[: rng.randrange(len(text))]
+    return text
+
+
+def test_obstruct_5manifold_fuzz_exits_cleanly(tmp_path, capsys):
+    rng = random.Random(1405)
+    doc = tmp_path / "cup.json"
+    codes = set()
+    for _ in range(200):
+        b2 = rng.randint(0, 3)
+        doc.write_text(random_cup_text(rng, b2))
+        flag = ["--sphere-hyperplane"] if rng.random() < 0.1 else []
+        given = b2 if rng.random() < 0.8 else rng.randint(-1, 4)
+        code, out, err = run(capsys, "obstruct", "s3-5m", "--b2", str(given), "--cup", str(doc), *flag)
+        assert code in (0, 2, 3) and "Traceback" not in err
+        assert (out == "") == (code != 0)
+        codes.add(code)
+    assert codes == {0, 2, 3}
 
 
 def test_obstruct_5manifold_flag_short_circuits(capsys):

@@ -5,6 +5,7 @@ Wang membership examples are cross-checked against Kunneth dimensions of
 the corresponding product models.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,11 @@ from eqss.obstructions import (
     verify_exactness,
     wang_check,
 )
+from eqss.obstructions import _primitive_normals, _vanishes_on
 from eqss.spectral import product_model, run_to_stabilization
+
+from form_oracles import form_vanishes_on_hyperplane
+from randgen import form_null_on, random_symmetric
 
 
 def seq(*entries):
@@ -229,12 +234,31 @@ def test_null_search_definite():
     assert result.completeness == "exact"
 
 
+def assert_null_witness(cup, result):
+    assert result.found and result.completeness == "exact"
+    vecs = result.hyperplane.vectors
+    assert len(vecs) == cup.b2 - 1
+    for mat in cup.matrices:
+        for v in vecs:
+            for w in vecs:
+                assert sum(a * b for a, b in zip(v, mat.apply(w))) == 0
+
+
 def test_null_search_irrational_line():
     # x^2 - 2 y^2 factors over R but not over Q
-    result = null_hyperplane_search(q22([[1, 0], [0, -2]]))
+    pell = [[1, 0], [0, -2]]
+    result = null_hyperplane_search(q22(pell))
     assert result.found
     assert result.hyperplane is None
     assert "irrational" in result.note
+    # a multiple of the form keeps both irrational null lines
+    scaled = [[Fraction(-3, 2) * x for x in row] for row in pell]
+    result = null_hyperplane_search(CupForm.create(2, [pell, scaled]))
+    assert result.found and result.hyperplane is None
+    assert "irrational" in result.note
+    # 2xy is null only on the axes, which are not null for x^2 - 2 y^2
+    result = null_hyperplane_search(CupForm.create(2, [pell, [[0, 1], [1, 0]]]))
+    assert not result.found and result.completeness == "exact"
 
 
 def test_null_search_two_forms():
@@ -247,6 +271,32 @@ def test_null_search_two_forms():
     )
     result = null_hyperplane_search(blocked)
     assert not result.found and result.completeness == "exact"
+    # the first form's discriminant is a rational square (1, then 0)
+    for mats, line in (
+        ([[[-4, -3], [-3, -2]], [[1, 0], [0, -1]]], (1, -1)),
+        ([[[1, -1], [-1, 1]], [[-1, -1], [-1, 3]]], (1, 1)),
+    ):
+        cup = CupForm.create(2, mats)
+        result = null_hyperplane_search(cup)
+        assert_null_witness(cup, result)
+        assert result.hyperplane.vectors == (line,)
+
+
+def test_vanishes_on_matches_the_kernel_oracle():
+    rng = random.Random(14)
+    seen = set()
+    for b2 in range(2, 6):
+        normals = list(_primitive_normals(b2, 2))
+        for fractions in (False, True):
+            mats = [random_symmetric(rng, b2, fractions) for _ in range(2)]
+            mats.append(form_null_on(rng, rng.choice(normals), fractions))
+            for rows in mats:
+                m = RationalMatrix.from_rows(rows)
+                for normal in normals:
+                    expected = form_vanishes_on_hyperplane(m, normal)
+                    assert _vanishes_on(m.rows, normal) is expected, (rows, normal)
+                    seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_null_search_bounded():
@@ -260,8 +310,8 @@ def test_null_search_bounded():
 
 def test_null_search_candidate_and_reverify():
     cup = CupForm.create(3, [[[0, 0, 0], [0, 0, 0], [0, 0, 1]]])
-    result = null_hyperplane_search(cup, candidate_normal=[0, 0, 1])
-    assert result.found
+    result = null_hyperplane_search(cup)
+    assert result.found and result.note == "normal (0, 0, 1)"
     vecs = result.hyperplane.vectors
     for i, v in enumerate(vecs):
         for w in vecs[i:]:
@@ -337,9 +387,9 @@ def test_problem_render():
 
 def test_normal_limit_covers_every_normal_at_b2_5():
     # answers for b2 <= 5 search every normal of the default height
-    from eqss.obstructions import DEFAULT_NORMAL_HEIGHT, MAX_NORMALS, _primitive_normals
+    from eqss.obstructions import MAX_NORMALS, NORMAL_HEIGHT
 
-    assert sum(1 for _ in _primitive_normals(5, DEFAULT_NORMAL_HEIGHT)) == 78721 <= MAX_NORMALS
+    assert sum(1 for _ in _primitive_normals(5, NORMAL_HEIGHT)) == 78721 <= MAX_NORMALS
 
 
 def test_labels_are_sorted_and_distinct_in_linear_time():

@@ -16,9 +16,10 @@ from eqss.linalg import (
     rank,
     solve,
 )
+from eqss.obstructions import CupForm, null_hyperplane_search
 
 from form_oracles import bracket, form_from_vector
-from randgen import random_two_step_nilpotent, transported_algebra
+from randgen import form_null_on, random_rational, random_symmetric, random_two_step_nilpotent, transported_algebra
 
 INSTANCES = 100
 
@@ -173,3 +174,41 @@ def test_cup_product_is_representative_independent():
         product = wedge(form_from_vector(g.dim, p, shifted), form_from_vector(g.dim, q, vrep))
         assert res.express(p + q, product.coeffs) == base
         done += 1
+
+
+def test_binary_null_search_is_exact():
+    # b2 = 2: an exclusion leaves no small integer line null for every form,
+    # and a witness line is null for every form
+    rng = random.Random(8014)
+    lines = [(x, y) for x in range(-6, 7) for y in range(-6, 7) if math.gcd(x, y) == 1]
+    outcomes = {"excluded": 0, "witness": 0, "irrational": 0}
+    for _ in range(3 * INSTANCES):
+        fractions = rng.random() < 0.5
+        roll = rng.random()
+        if roll < 0.4:
+            x, y = rng.choice(lines)
+            mats = [form_null_on(rng, (y, -x), fractions) for _ in range(rng.randint(1, 3))]
+        elif roll < 0.6:
+            base = random_symmetric(rng, 2, fractions)
+            mats = [[[c * a for a in row] for row in base] for c in (1, random_rational(rng, fractions))]
+        else:
+            mats = [random_symmetric(rng, 2, fractions) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.3:
+            mats.append(random_symmetric(rng, 2, fractions))
+        cup = CupForm.create(2, mats)
+        result = null_hyperplane_search(cup)
+        assert result.completeness == "exact"
+
+        def null_everywhere(v):
+            return all(sum(a * b for a, b in zip(v, m.apply(v))) == 0 for m in cup.matrices)
+
+        if not result.found:
+            outcomes["excluded"] += 1
+            assert not any(null_everywhere(v) for v in lines), mats
+        elif result.hyperplane is None:
+            outcomes["irrational"] += 1
+        else:
+            outcomes["witness"] += 1
+            (v,) = result.hyperplane.vectors
+            assert null_everywhere(v), mats
+    assert min(outcomes.values()) >= 10, outcomes
