@@ -167,23 +167,29 @@ def relative_model(g: LieAlgebra, h: Subalgebra | None = None) -> RelativeModel:
 
     Before any form is built, the size of the route is checked against
     MAX_FORM_ENTRIES.  The absolute route counts the sum_k C(n,k) C(n,k+1)
-    entries of its differentials as dense matrices.  The relative route
-    counts the 2^n monomials of the n-dimensional algebra, and then, with
-    m = dim g - dim h, the sum_k C(m,k) C(n,k) = C(n+m, m) entries of a
-    kernel over the horizontal monomials and its lift to the forms on g,
-    as dense vectors.  It holds its forms sparsely and converts monomials
-    and positions by arithmetic, so both of its counts are upper bounds.
+    = C(2n, n-1) entries (Vandermonde) of its differentials as dense
+    matrices.  The relative route counts the 2^n monomials of the
+    n-dimensional algebra, and then, with m = dim g - dim h, the
+    sum_k C(m,k) C(n,k) = C(n+m, m) entries of a kernel over the horizontal
+    monomials and its lift to the forms on g, as dense vectors.  It holds
+    its forms sparsely and converts monomials and positions by arithmetic,
+    so both of its counts are upper bounds.  Both first counts are at least
+    2^n, so past dim 64 that bound names the size: the count itself may have
+    more digits than an int converts to a string.
     """
     if h is None:
         h = Subalgebra(g, SubspaceBasis.zero(g.dim), name="0")
     if h.algebra != g:
         raise ValueError("subalgebra belongs to a different algebra")
     n = g.dim
-    if h.dim:
-        route, size = "relative", 2**n
+    route = "relative" if h.dim else "absolute"
+    if n > 64:  # both counts are at least 2^n: refuse without forming either
+        size = f"at least 2^{n}"
+    elif h.dim:
+        size = 2**n
     else:
-        route, size = "absolute", sum(comb(n, k) * comb(n, k + 1) for k in range(n))
-    if size > MAX_FORM_ENTRIES:
+        size = comb(2 * n, n - 1) if n else 0
+    if n > 64 or size > MAX_FORM_ENTRIES:
         raise ValueError(
             f"the {route} complex of {g.name} (dim {n}) needs {size} form entries,"
             f" more than the limit of {MAX_FORM_ENTRIES}"

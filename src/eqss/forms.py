@@ -42,7 +42,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, jacobi_check, sparse_brackets
+from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, bracket_terms, jacobi_check, sparse_brackets
 from .linalg import (
     GradedComplex,
     Rational,
@@ -372,29 +372,24 @@ def _adapted_basis(g: LieAlgebra, h: Subalgebra):
     (pivot set, d on the generators f^c off the pivots, {c: f^c in the e^i}).
     """
     n = g.dim
-    cols: dict[int, dict[int, Rational]] = {i: {i: 1} for i in range(1, n + 1)}
+    cols: dict[int, tuple[tuple[int, Rational], ...]] = {i: ((i, 1),) for i in range(1, n + 1)}
     pivots = []
     for b in h.basis.matrix.entries:
-        terms = {j + 1: a for j, a in b}
-        p = min(terms)
+        p = b[0][0] + 1  # entries increase by row, so the first is the pivot
         pivots.append(p)
-        cols[p] = terms
+        cols[p] = tuple((j + 1, a) for j, a in b)
     pivset = frozenset(pivots)
     # f^c = e^c - sum_b b[c] e^{p(b)}: T^{-1} x keeps x_p and subtracts the b-parts
     duals = {c: {c: 1} for c in range(1, n + 1) if c not in pivset}
     for p in pivots:
-        for c, a in cols[p].items():
+        for c, a in cols[p]:
             if c != p:
                 duals[c][p] = -a
     table = sparse_brackets(g)
     adapted = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            x: dict[int, Rational] = {}
-            for a, xa in cols[i].items():
-                for b, yb in cols[j].items():
-                    for k, c in table.get((a, b), ()):
-                        x[k] = x.get(k, 0) + xa * yb * c
+            x = bracket_terms(table, cols[i], cols[j])
             # the f^c-coordinates of x; the pivot ones are never differentiated
             y = {}
             for c, dual in duals.items():

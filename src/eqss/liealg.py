@@ -7,9 +7,11 @@ i < j half.  The Jacobi identity is a checkable property, not an assumption:
 layer refuses algebras that fail it.
 
 Constructors for the shipped families build structure constants from honest
-matrix representations (commutators of A_ij = E_ij - E_ji for so(n), of a
-skew-Hermitian basis embedded over Q(i) for u(n)), so no hand-derived sign
-can drift.
+matrix representations, so no hand-derived sign can drift.  One exact route
+serves them all: `_matrix_algebra` reads the commutators of rational basis
+matrices in the echelon basis of their span and maps the coordinates back
+to the given basis.  so(n) is spanned by A_ij = E_ij - E_ji; u(n) by a
+skew-Hermitian basis, realified inside so(2n).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     as_vector,
+    image_basis,
     kernel_basis,
     rank,
 )
@@ -33,6 +36,7 @@ __all__ = [
     "LieAutomorphism",
     "Subalgebra",
     "abelian",
+    "bracket_terms",
     "coordinate_subalgebra",
     "is_automorphism",
     "is_subalgebra",
@@ -86,7 +90,7 @@ def sparse_brackets(g: LieAlgebra) -> dict[tuple[int, int], tuple[tuple[int, Rat
     return out
 
 
-def _bracket_terms(
+def bracket_terms(
     table, x: Iterable[tuple[int, Rational]], y: Sequence[tuple[int, Rational]]
 ) -> dict[int, Rational]:
     """[x, y] for x and y given by their nonzero (k, c) terms (1-based),
@@ -161,7 +165,7 @@ def is_subalgebra(g: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
     table = sparse_brackets(g)
     cols = [_terms(col) for col in span.matrix.entries]
     brackets = (
-        _bracket_terms(table, cols[a], cols[b]).items()
+        bracket_terms(table, cols[a], cols[b]).items()
         for a in range(len(cols)) for b in range(a + 1, len(cols))
     )
     m = RationalMatrix.from_entries(g.dim, (((k - 1, c) for k, c in br) for br in brackets))
@@ -185,7 +189,7 @@ def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:
     for v in hb.matrix.entries:
         terms = _terms(v)
         ad = RationalMatrix.from_entries(n, (
-            ((k - 1, c) for k, c in _bracket_terms(table, ((i, 1),), terms).items()) for i in range(1, n + 1)
+            ((k - 1, c) for k, c in bracket_terms(table, ((i, 1),), terms).items()) for i in range(1, n + 1)
         ))
         rows.extend(ann.mul(ad).transpose().entries)
     result = kernel_basis(RationalMatrix(n, tuple(rows)).transpose())
@@ -224,7 +228,7 @@ def is_automorphism(g: LieAlgebra, m: RationalMatrix) -> bool:
     cols = [_terms(col) for col in m.entries]
     for i in range(n):
         for j in range(i + 1, n):
-            acc = _bracket_terms(table, cols[i], cols[j])
+            acc = bracket_terms(table, cols[i], cols[j])
             for k, c in table.get((i + 1, j + 1), ()):
                 for r, z in cols[k - 1]:
                     acc[r] = acc[r] - c * z if r in acc else -c * z
@@ -257,6 +261,44 @@ def so_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+def _commutator(x: dict, y: dict) -> dict:
+    """xy - yx for matrices given as {(row, col): entry}."""
+    out: dict = {}
+    for sign, a, b in ((1, x, y), (-1, y, x)):
+        for (i, k), u in a.items():
+            for (l, j), v in b.items():
+                if k == l:
+                    out[(i, j)] = out.get((i, j), 0) + sign * u * v
+    return out
+
+
+def _matrix_algebra(name: str, basis: Sequence[dict]) -> LieAlgebra:
+    """The Lie algebra spanned by linearly independent rational matrices,
+    each given as {(row, col): entry}, in that basis.
+
+    Each matrix is flattened to a sparse column, and the commutator of two
+    basis matrices is read in the echelon basis of their span, then mapped
+    back to the given basis; a commutator outside the span is refused.
+    """
+    size = 1 + max((max(ij) for m in basis for ij in m), default=0)
+
+    def flat(ms):
+        cols = ([(i * size + j, x) for (i, j), x in m.items()] for m in ms)
+        return RationalMatrix.from_entries(size * size, cols)
+
+    given = flat(basis)
+    span = image_basis(given)
+    to_basis = span.coordinate_matrix(given).inverse()
+    pairs = [(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))]
+    coords = span.coordinate_matrix(flat(_commutator(basis[a], basis[b]) for a, b in pairs))
+    if coords is None:
+        raise ValueError(f"the matrices of {name} are not closed under the commutator")
+    table = to_basis.mul(coords)
+    return LieAlgebra.from_brackets(name, len(basis), {
+        (a + 1, b + 1): table.column(k) for k, (a, b) in enumerate(pairs) if table.entries[k]
+    })
+
+
 def so_algebra(n: int, name: str | None = None) -> LieAlgebra:
     """so(n) in the basis A_ij = E_ij - E_ji, ordered lexicographically.
 
@@ -265,97 +307,22 @@ def so_algebra(n: int, name: str | None = None) -> LieAlgebra:
     """
     if n < 2:
         return abelian(0, name or f"so{n}")
-    pairs = so_pairs(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    dim = len(pairs)
-
-    def commute(p, q):
-        # [A_ij, A_kl] via matrix entries of the commutator, which is skew:
-        # (E_ij - E_ji)(E_kl - E_lk) - (E_kl - E_lk)(E_ij - E_ji)
-        (i, j), (k, l) = p, q
-        terms = {}
-        for (a, b, s1) in [(i, j, 1), (j, i, -1)]:
-            for (c, d, s2) in [(k, l, 1), (l, k, -1)]:
-                if b == c:
-                    terms[(a, d)] = terms.get((a, d), 0) + s1 * s2
-                if d == a:
-                    terms[(c, b)] = terms.get((c, b), 0) - s1 * s2
-        # terms is the full (skew) commutator matrix; the A_ab coordinate is
-        # its upper entry, so read a < b only
-        coeffs = [0] * dim
-        for (a, b), c in terms.items():
-            if c and a < b:
-                coeffs[index[(a, b)]] += c
-        return coeffs
-
-    table = {}
-    for x in range(dim):
-        for y in range(x + 1, dim):
-            coeffs = commute(pairs[x], pairs[y])
-            if any(coeffs):
-                table[(x + 1, y + 1)] = coeffs
-    return LieAlgebra.from_brackets(name or f"so{n}", dim, table)
+    return _matrix_algebra(name or f"so{n}", [{(i, j): 1, (j, i): -1} for i, j in so_pairs(n)])
 
 
 def u_algebra(n: int, name: str | None = None) -> LieAlgebra:
     """u(n) in the skew-Hermitian basis D_a = iE_aa, S_ab = E_ab - E_ba,
-    T_ab = i(E_ab + E_ba); entries computed over Q(i)."""
+    T_ab = i(E_ab + E_ba), realified inside so(2n).  Realification maps
+    commutators to commutators, so the structure constants are those of the
+    complex matrices."""
     if n < 1:
         raise ValueError("u(n) needs n >= 1")
 
-    # a basis element is a complex matrix: dict (a,b) -> (re, im)
-    def dmat(a):
-        return {(a, a): (0, 1)}
+    def block(a, b, x, y):  # x + iy at (a, b) as [[x, -y], [y, x]] at rows 2a, 2a+1, columns 2b, 2b+1
+        return {(2 * a, 2 * b): x, (2 * a, 2 * b + 1): -y, (2 * a + 1, 2 * b): y, (2 * a + 1, 2 * b + 1): x}
 
-    def smat(a, b):
-        return {(a, b): (1, 0), (b, a): (-1, 0)}
-
-    def tmat(a, b):
-        return {(a, b): (0, 1), (b, a): (0, 1)}
-
-    basis = [dmat(a) for a in range(1, n + 1)]
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    basis += [smat(a, b) for a, b in pairs]
-    basis += [tmat(a, b) for a, b in pairs]
-    dim = len(basis)
-
-    def cmul(x, y):
-        out = {}
-        for (a, b), (re1, im1) in x.items():
-            for (c, d), (re2, im2) in y.items():
-                if b == c:
-                    re, im = out.get((a, d), (0, 0))
-                    out[(a, d)] = (re + re1 * re2 - im1 * im2, im + re1 * im2 + im1 * re2)
-        return out
-
-    def commutator(x, y):
-        xy, yx = cmul(x, y), cmul(y, x)
-        out = {}
-        for key in set(xy) | set(yx):
-            r1, i1 = xy.get(key, (0, 0))
-            r2, i2 = yx.get(key, (0, 0))
-            re, im = r1 - r2, i1 - i2
-            if re or im:
-                out[key] = (re, im)
-        return out
-
-    def coordinates(z):
-        # skew-Hermitian: diagonal purely imaginary, z_ba = -conj(z_ab)
-        coeffs = [0] * dim
-        for a in range(1, n + 1):
-            re, im = z.get((a, a), (0, 0))
-            assert re == 0, "commutator left the skew-Hermitian space"
-            coeffs[a - 1] = im
-        for k, (a, b) in enumerate(pairs):
-            re, im = z.get((a, b), (0, 0))
-            coeffs[n + k] = re
-            coeffs[n + len(pairs) + k] = im
-        return coeffs
-
-    table = {}
-    for x in range(dim):
-        for y in range(x + 1, dim):
-            coeffs = coordinates(commutator(basis[x], basis[y]))
-            if any(coeffs):
-                table[(x + 1, y + 1)] = coeffs
-    return LieAlgebra.from_brackets(name or f"u{n}", dim, table)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    basis = [block(a, a, 0, 1) for a in range(n)]
+    basis += [{**block(a, b, 1, 0), **block(b, a, -1, 0)} for a, b in pairs]
+    basis += [{**block(a, b, 0, 1), **block(b, a, 0, 1)} for a, b in pairs]
+    return _matrix_algebra(name or f"u{n}", basis)

@@ -256,22 +256,8 @@ def run_to_stabilization(fc: FilteredComplex, max_page: int | None = None) -> Pa
     pairs = _pairs(fc)
     pages = tuple(_page_from_pairs(fc, pairs, r) for r in range(rmax + 1))
     einf_page = pages[fc.max_weight + 1]
-    # dimensions must be non-increasing in r, and stable past the bound
-    seen: dict[tuple[int, int], int] = {}
-    for pg in pages:
-        cur = pg.dims()
-        for key, d in seen.items():
-            if cur.get(key, 0) > d:
-                raise SpectralAuditError(
-                    f"page dimensions increased at (p,q)={key} on page {pg.r}"
-                )
-        seen = cur
-    for r in range(fc.max_weight + 1, rmax + 1):
-        if pages[r].dims() != einf_page.dims():
-            raise SpectralAuditError(f"page {r} differs from the stabilized page")
-    stabilized_at = fc.max_weight + 1
-    while stabilized_at > 0 and pages[stabilized_at - 1].dims() == einf_page.dims():
-        stabilized_at -= 1
+    # page r is E-infinity exactly when every pair's gap b - a is below r
+    stabilized_at = max((b - a + 1 for _, a, b in pairs), default=0)
     hdims = _total_cohomology(fc.complex)
     _audit_convergence(fc, einf_page, hdims)
     return PageTable(fc, pages, stabilized_at, einf_page.dims(), hdims)

@@ -18,6 +18,12 @@ cohomology representatives of the column elimination.
 `form_vanishes_on_hyperplane` is the test the cup-null hyperplane search
 made for every normal before `obstructions._vanishes_on`: a kernel basis of
 the normal, then the form on each pair of basis vectors.
+
+`so_algebra_by_hand` and `u_algebra_over_gaussians` are the constructors
+`liealg` had before `liealg._matrix_algebra`: so(n) with its own sign
+bookkeeping for the commutators of E_ij - E_ji, read off the upper entries,
+and u(n) with its own arithmetic in Q(i) held as (re, im) pairs.  They are
+the reference for `so_algebra` and `u_algebra`.
 """
 
 from math import comb
@@ -34,7 +40,7 @@ from eqss.forms import (
     pull_back,
     sort_sign,
 )
-from eqss.liealg import LieAlgebra, LieAutomorphism, sparse_brackets
+from eqss.liealg import LieAlgebra, LieAutomorphism, abelian, so_pairs, sparse_brackets
 from eqss.linalg import (
     RationalMatrix,
     SubspaceBasis,
@@ -179,3 +185,107 @@ def form_vanishes_on_hyperplane(m: RationalMatrix, normal: Sequence) -> bool:
         for i, v in enumerate(vectors)
         for w in vectors[i:]
     )
+
+
+def so_algebra_by_hand(n: int, name: str | None = None) -> LieAlgebra:
+    """so(n) in the basis A_ij = E_ij - E_ji, ordered lexicographically.
+
+    For n = 3 this differs from the cross-product basis by signs; use su2()
+    (or the shipped so3 alias) when the cross-product convention is wanted.
+    """
+    if n < 2:
+        return abelian(0, name or f"so{n}")
+    pairs = so_pairs(n)
+    index = {p: k for k, p in enumerate(pairs)}
+    dim = len(pairs)
+
+    def commute(p, q):
+        # [A_ij, A_kl] via matrix entries of the commutator, which is skew:
+        # (E_ij - E_ji)(E_kl - E_lk) - (E_kl - E_lk)(E_ij - E_ji)
+        (i, j), (k, l) = p, q
+        terms = {}
+        for (a, b, s1) in [(i, j, 1), (j, i, -1)]:
+            for (c, d, s2) in [(k, l, 1), (l, k, -1)]:
+                if b == c:
+                    terms[(a, d)] = terms.get((a, d), 0) + s1 * s2
+                if d == a:
+                    terms[(c, b)] = terms.get((c, b), 0) - s1 * s2
+        # terms is the full (skew) commutator matrix; the A_ab coordinate is
+        # its upper entry, so read a < b only
+        coeffs = [0] * dim
+        for (a, b), c in terms.items():
+            if c and a < b:
+                coeffs[index[(a, b)]] += c
+        return coeffs
+
+    table = {}
+    for x in range(dim):
+        for y in range(x + 1, dim):
+            coeffs = commute(pairs[x], pairs[y])
+            if any(coeffs):
+                table[(x + 1, y + 1)] = coeffs
+    return LieAlgebra.from_brackets(name or f"so{n}", dim, table)
+
+
+def u_algebra_over_gaussians(n: int, name: str | None = None) -> LieAlgebra:
+    """u(n) in the skew-Hermitian basis D_a = iE_aa, S_ab = E_ab - E_ba,
+    T_ab = i(E_ab + E_ba); entries computed over Q(i)."""
+    if n < 1:
+        raise ValueError("u(n) needs n >= 1")
+
+    # a basis element is a complex matrix: dict (a,b) -> (re, im)
+    def dmat(a):
+        return {(a, a): (0, 1)}
+
+    def smat(a, b):
+        return {(a, b): (1, 0), (b, a): (-1, 0)}
+
+    def tmat(a, b):
+        return {(a, b): (0, 1), (b, a): (0, 1)}
+
+    basis = [dmat(a) for a in range(1, n + 1)]
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    basis += [smat(a, b) for a, b in pairs]
+    basis += [tmat(a, b) for a, b in pairs]
+    dim = len(basis)
+
+    def cmul(x, y):
+        out = {}
+        for (a, b), (re1, im1) in x.items():
+            for (c, d), (re2, im2) in y.items():
+                if b == c:
+                    re, im = out.get((a, d), (0, 0))
+                    out[(a, d)] = (re + re1 * re2 - im1 * im2, im + re1 * im2 + im1 * re2)
+        return out
+
+    def commutator(x, y):
+        xy, yx = cmul(x, y), cmul(y, x)
+        out = {}
+        for key in set(xy) | set(yx):
+            r1, i1 = xy.get(key, (0, 0))
+            r2, i2 = yx.get(key, (0, 0))
+            re, im = r1 - r2, i1 - i2
+            if re or im:
+                out[key] = (re, im)
+        return out
+
+    def coordinates(z):
+        # skew-Hermitian: diagonal purely imaginary, z_ba = -conj(z_ab)
+        coeffs = [0] * dim
+        for a in range(1, n + 1):
+            re, im = z.get((a, a), (0, 0))
+            assert re == 0, "commutator left the skew-Hermitian space"
+            coeffs[a - 1] = im
+        for k, (a, b) in enumerate(pairs):
+            re, im = z.get((a, b), (0, 0))
+            coeffs[n + k] = re
+            coeffs[n + len(pairs) + k] = im
+        return coeffs
+
+    table = {}
+    for x in range(dim):
+        for y in range(x + 1, dim):
+            coeffs = coordinates(commutator(basis[x], basis[y]))
+            if any(coeffs):
+                table[(x + 1, y + 1)] = coeffs
+    return LieAlgebra.from_brackets(name or f"u{n}", dim, table)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -445,6 +446,29 @@ def test_exit_3_on_an_oversized_lie_algebra(tmp_path, capsys):
     code, out, err = run(capsys, "cohomology", doc, "--algebra", "a", "--relative", "b")
     assert code == 3 and out == ""
     assert "relative complex of a (dim 22) needs 4194304 form entries" in err
+
+
+def test_exit_3_fast_on_a_huge_lie_algebra(tmp_path, capsys):
+    from eqss.cohomology import MAX_FORM_ENTRIES
+
+    # both counts are at least 2^n: past dim 64 neither is formed, nor printed
+    # (2^20000 has more digits than int-to-str conversion allows)
+    for dim, relative in ((10_000, False), (1_000_000, False), (20_000, True)):
+        doc = {"lie_algebras": [{"name": "a", "dim": dim, "brackets": []}]}
+        argv = ["cohomology", str(tmp_path / "a.json"), "--algebra", "a"]
+        if relative:
+            doc["subalgebras"] = [{"name": "b", "parent": "a", "basis": [[1] + [0] * (dim - 1)]}]
+            argv += ["--relative", "b"]
+        (tmp_path / "a.json").write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == "" and "Traceback" not in err
+        route = "relative" if relative else "absolute"
+        assert (
+            f"the {route} complex of a (dim {dim}) needs at least 2^{dim} form entries,"
+            f" more than the limit of {MAX_FORM_ENTRIES}" in err
+        )
 
 
 def test_exit_3_on_a_relative_route_past_the_lift_limit(tmp_path, capsys):

@@ -9,6 +9,7 @@ from eqss.liealg import (
     LieAlgebra,
     LieAutomorphism,
     Subalgebra,
+    _matrix_algebra,
     abelian,
     coordinate_subalgebra,
     is_automorphism,
@@ -20,7 +21,7 @@ from eqss.liealg import (
     u_algebra,
 )
 
-from form_oracles import bracket
+from form_oracles import bracket, so_algebra_by_hand, u_algebra_over_gaussians
 from randgen import random_two_step_nilpotent, transported_algebra
 
 
@@ -54,6 +55,23 @@ def test_bracket_is_cross_product_randomized():
 def test_jacobi_holds_for_shipped_algebras():
     for g in [su2(), abelian(4), so_algebra(3), so_algebra(4), so_algebra(5), u_algebra(2), u_algebra(3)]:
         assert jacobi_check(g).ok, g.name
+
+
+def test_matrix_constructors_match_the_hand_built_ones():
+    for n in range(14):
+        assert so_algebra(n) == so_algebra_by_hand(n), n
+    for n in range(1, 6):
+        assert u_algebra(n) == u_algebra_over_gaussians(n), n
+
+
+def test_matrix_algebra_reads_brackets_in_the_given_basis():
+    # sl(2) in the basis E_12, E_21, H = E_11 - E_22: [E, F] = H, [H, E] = 2E, [H, F] = -2F
+    e, f, h = {(1, 2): 1}, {(2, 1): 1}, {(1, 1): 1, (2, 2): -1}
+    g = _matrix_algebra("sl2", [e, f, h])
+    assert dict(g.brackets) == {(1, 2): (0, 0, 1), (1, 3): (-2, 0, 0), (2, 3): (0, 2, 0)}
+    # [E_12, E_21] = E_11 - E_22 leaves the span of E_12 and E_21
+    with pytest.raises(ValueError, match="not closed under the commutator"):
+        _matrix_algebra("open", [e, f])
 
 
 def test_jacobi_violation_witness():

@@ -125,6 +125,8 @@ def test_einf_matches_page_at_stabilization():
         fc, _ = random_filtered_complex(rng)
         table = run_to_stabilization(fc)
         assert table.pages[table.stabilized_at].dims() == table.einf
+        if table.stabilized_at > 0:
+            assert table.pages[table.stabilized_at - 1].dims() != table.einf
 
 
 def double_cover_twist(g, h, aut):
