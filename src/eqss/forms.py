@@ -12,13 +12,16 @@ e^i ^ e^j and extended as an antiderivation; equivalently it is the evaluation
 formula whose sum runs over pairs 0 <= i < j <= n of argument slots.  With
 this indexing d^2 = 0 is an identity (`GradedComplex.create` rechecks it,
 and a failure aborts, since it would mean corrupted structure constants).
-`_d_column` is the one column routine: it peels off the first index,
-d(e^i ^ e^rest) = de^i ^ e^rest - e^i ^ d(e^rest), reads d(e^rest) from a
-memo of the degree below and merges each term into a sorted monomial at a
-bisection point, so no term is sorted.  Every memo lives for one call.
-`ce_complex` returns the full complex as a `GradedComplex`, the same type as
-every other complex, built degree by degree with the memo holding at most
-the degree below, and keeps the last few complexes in a bounded cache.
+Inside the module a monomial is the int mask sum_r 1 << (i_r - 1); index
+tuples appear only at the public boundary (`multi_indices`, `terms`,
+`form_from_terms`; `_mask` and `_indices` convert).  A repeated index is a
+nonzero `&`, and the sign of merging index i into t is the parity of the
+indices of t it passes, a `bit_count`.  `_d_column` is the one column
+routine: it peels off the lowest index, d(e^i ^ e^rest) = de^i ^ e^rest -
+e^i ^ d(e^rest), reading d(e^rest) from a memo of the degree below; every
+memo lives for one call.  `ce_complex` returns a `GradedComplex`, the type
+of every complex, built degree by degree through one mask -> position table
+per degree (`_positions`), and keeps the last few in a bounded cache.
 
 Forms handed between engine calls are the columns of a `RationalMatrix`,
 indexed by monomial position.  `differential_images`, `pull_back` and the
@@ -35,7 +38,6 @@ give differentials and pullbacks computed in int arithmetic throughout;
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -79,49 +81,45 @@ def multi_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(1, dim + 1), degree))
 
 
-def _index_position(dim: int, degree: int) -> dict[tuple[int, ...], int]:
-    return {idx: p for p, idx in enumerate(multi_indices(dim, degree))}
+def _mask(idx: Sequence[int]) -> int:
+    return sum(1 << (i - 1) for i in idx)
 
 
-def _rank(dim: int, idx: tuple[int, ...]) -> int:
-    """Position of the monomial idx among those of its degree, in lexicographic order.
+def _indices(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
 
-    The monomials after idx are counted by the combinatorial number system:
-    sum_r C(dim - i_r, k - r) over the entries i_r, r = 0..k-1.
+
+def _positions(dim: int, degree: int) -> dict[int, int]:
+    """Mask -> position for every monomial of the degree, in position order."""
+    return {sum(c): p for p, c in enumerate(combinations([1 << i for i in range(dim)], degree))}
+
+
+def _rank(dim: int, mask: int) -> int:
+    """Position of the monomial mask among those of its degree, in lexicographic order.
+
+    The monomials after it are counted by the combinatorial number system:
+    sum_r C(dim - i_r, k - r) over its indices i_r, r = 0..k-1.
     """
-    k = len(idx)
-    return comb(dim, k) - 1 - sum(comb(dim - i, k - r) for r, i in enumerate(idx))
+    k = mask.bit_count()
+    out, r = comb(dim, k) - 1, 0
+    while mask:
+        low = mask & -mask
+        out -= comb(dim - low.bit_length(), k - r)
+        mask ^= low
+        r += 1
+    return out
 
 
-def _unrank(dim: int, degree: int, pos: int) -> tuple[int, ...]:
-    """The monomial at position pos of the given degree, inverse to `_rank`."""
-    x, c, out = comb(dim, degree) - 1 - pos, dim, []
+def _unrank(dim: int, degree: int, pos: int) -> int:
+    """The mask of the monomial at position pos of the given degree, inverse to `_rank`."""
+    x, c, out = comb(dim, degree) - 1 - pos, dim, 0
     for m in range(degree, 0, -1):
         c -= 1
         while comb(c, m) > x:
             c -= 1
         x -= comb(c, m)
-        out.append(dim - c)
-    return tuple(out)
-
-
-def sort_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
-    """Sorted tuple and permutation sign, or None on a repeated index."""
-    lst = list(seq)
-    sign = 1
-    # insertion sort; inversion count gives the parity
-    for i in range(1, len(lst)):
-        x = lst[i]
-        j = i - 1
-        while j >= 0 and lst[j] > x:
-            lst[j + 1] = lst[j]
-            j -= 1
-            sign = -sign
-        lst[j + 1] = x
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return None
-    return tuple(lst), sign
+        out |= 1 << (dim - c - 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ class ExteriorForm:
         return not any(self.coeffs)
 
     def terms(self) -> list[tuple[tuple[int, ...], Rational]]:
-        return [(_unrank(self.dim, self.degree, p), c) for p, c in enumerate(self.coeffs) if c]
+        return [(_indices(_unrank(self.dim, self.degree, p)), c) for p, c in enumerate(self.coeffs) if c]
 
     def add(self, other: "ExteriorForm") -> "ExteriorForm":
         if (self.dim, self.degree) != (other.dim, other.degree):
@@ -159,17 +157,20 @@ class ExteriorForm:
 
 
 def form_from_terms(dim: int, degree: int, terms: dict) -> ExteriorForm:
-    pos = _index_position(dim, degree)
-    coeffs = [0] * len(pos)
+    coeffs = [0] * (comb(dim, degree) if degree >= 0 else 0)
     for raw_idx, c in terms.items():
-        srt = sort_sign(tuple(raw_idx))
-        if srt is None:
-            raise ValueError(f"repeated index in {raw_idx}")
-        idx, sign = srt
-        if idx not in pos:
+        m = odd = 0
+        for i in raw_idx:
+            if not 1 <= i <= dim:
+                raise ValueError(f"index tuple {raw_idx} out of range for dim {dim}")
+            if m >> (i - 1) & 1:
+                raise ValueError(f"repeated index in {raw_idx}")
+            odd ^= (m >> i).bit_count() & 1  # sorting i past the earlier indices above it
+            m |= 1 << (i - 1)
+        if m.bit_count() != degree:
             raise ValueError(f"index tuple {raw_idx} out of range for dim {dim}")
         c = as_fraction(c)
-        coeffs[pos[idx]] += c if sign > 0 else -c
+        coeffs[_rank(dim, m)] += -c if odd else c
     return ExteriorForm(dim, degree, as_vector(coeffs))
 
 
@@ -179,14 +180,18 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     degree = a.degree + b.degree
     if degree > a.dim:
         return ExteriorForm(a.dim, degree, ())
-    coeffs = [0] * comb(a.dim, degree)
-    for ia, ca in a.terms():
-        for ib, cb in b.terms():
-            srt = sort_sign(ia + ib)
-            if srt is None:
-                continue
-            idx, sign = srt
-            coeffs[_rank(a.dim, idx)] += ca * cb if sign > 0 else -(ca * cb)
+    n = a.dim
+    coeffs = [0] * comb(n, degree)
+    terms_a = [(_unrank(n, a.degree, p), c) for p, c in enumerate(a.coeffs) if c]
+    for p, cb in enumerate(b.coeffs):
+        if cb:
+            mb = _unrank(n, b.degree, p)
+            indices_b = _indices(mb)
+            for ma, ca in terms_a:
+                if not ma & mb:
+                    # sorting a's indices then b's: each index i of b passes those of a above it
+                    odd = sum((ma >> i).bit_count() for i in indices_b) & 1
+                    coeffs[_rank(n, ma | mb)] += -(ca * cb) if odd else ca * cb
     return ExteriorForm(a.dim, degree, as_vector(coeffs))
 
 
@@ -202,7 +207,7 @@ def contract(x: Sequence, form: ExteriorForm) -> ExteriorForm:
         for r, j in enumerate(idx):
             if xv[j - 1]:
                 target = idx[:r] + idx[r + 1 :]
-                coeffs[_rank(form.dim, target)] += -(xv[j - 1] * c) if r % 2 else xv[j - 1] * c
+                coeffs[_rank(form.dim, _mask(target))] += -(xv[j - 1] * c) if r % 2 else xv[j - 1] * c
     return ExteriorForm(form.dim, form.degree - 1, as_vector(coeffs))
 
 
@@ -210,8 +215,8 @@ def contract(x: Sequence, form: ExteriorForm) -> ExteriorForm:
 # Chevalley-Eilenberg complex
 
 
-# A sparse form: monomial index tuple -> coefficient.
-_Terms = dict[tuple[int, ...], Rational]
+# A sparse form: monomial mask -> coefficient.
+_Terms = dict[int, Rational]
 
 
 def _require_jacobi(g: LieAlgebra) -> None:
@@ -222,56 +227,50 @@ def _require_jacobi(g: LieAlgebra) -> None:
         )
 
 
-def _generator_images(n: int, table) -> list[list[tuple[tuple[int, int], Rational]]]:
+def _generator_images(n: int, table) -> list[list[tuple[int, int, Rational]]]:
     """For each generator k (1-based), the terms of d e^k = -sum c^k_ij e^i^e^j.
 
-    `table` maps pairs i < j to the sparse (k, c) terms of [e_i, e_j].
+    `table` maps pairs i < j to the sparse (k, c) terms of [e_i, e_j]; each
+    term is (mask of e^i^e^j, mask of the indices strictly between i and j, -c).
     """
-    out: list[list[tuple[tuple[int, int], Rational]]] = [[] for _ in range(n + 1)]
-    for (i, j), terms in sorted(table.items()):
+    out: list[list[tuple[int, int, Rational]]] = [[] for _ in range(n + 1)]
+    for (i, j), terms in table.items():
         if i < j:
+            ab, between = 1 << (i - 1) | 1 << (j - 1), (1 << (j - 1)) - (1 << i)
             for k, c in terms:
-                out[k].append(((i, j), -c))
+                out[k].append((ab, between, -c))
     return out
 
 
-def _d_column(dgen, idx: tuple[int, ...], memo: dict) -> _Terms:
-    """d(e^idx) as a dict target-index -> coefficient, memoized in memo.
+def _d_column(dgen, m: int, memo: dict) -> _Terms:
+    """d of the monomial m as a dict target mask -> coefficient, memoized in memo.
 
-    For idx = (i,) + rest the antiderivation rule gives
-    d(e^idx) = de^i ^ e^rest - e^i ^ d(e^rest), with d(e^rest) read back
-    from memo.  rest is sorted, so a generator term e^a ^ e^b (a < b) of
-    de^i merges into it at pa = bisect_left(rest, a) <= pb with sign
-    (-1)^(pa+pb), and e^i goes into a monomial t of d(e^rest) at
-    p = bisect_left(t, i) with sign (-1)^p; a repeated index kills the term.
+    For m = e^i ^ e^rest with i its lowest index the antiderivation rule
+    gives d(e^m) = de^i ^ e^rest - e^i ^ d(e^rest), with d(e^rest) read back
+    from memo.  A generator term e^a ^ e^b (a < b) of de^i merges into rest
+    with the sign of the indices of rest strictly between a and b, and e^i
+    goes into a monomial t of d(e^rest) with the sign of the indices of t
+    below i; a repeated index kills the term.
     """
-    got = memo.get(idx)
+    got = memo.get(m)
     if got is not None:
         return got
     got = {}
-    if idx:
-        i, rest = idx[0], idx[1:]
-        m = len(rest)
-        for (a, b), c in dgen[i]:
-            pa = bisect_left(rest, a)
-            if pa < m and rest[pa] == a:
-                continue
-            pb = bisect_left(rest, b, pa)
-            if pb < m and rest[pb] == b:
-                continue
-            t = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
-            got[t] = -c if (pa + pb) % 2 else c
+    if m:
+        bit = m & -m
+        rest, below = m ^ bit, bit - 1
+        for ab, between, c in dgen[bit.bit_length()]:
+            if not rest & ab:
+                got[rest | ab] = -c if (rest & between).bit_count() & 1 else c
         for t, c in _d_column(dgen, rest, memo).items():
-            p = bisect_left(t, i)
-            if p <= m and t[p] == i:  # t has m + 1 entries
-                continue
-            t = t[:p] + (i,) + t[p:]
-            val = got.get(t, 0) + (c if p % 2 else -c)
-            if val:
-                got[t] = val
-            else:
-                del got[t]
-    memo[idx] = got
+            if not t & bit:
+                t |= bit
+                val = got.get(t, 0) + (c if (t & below).bit_count() & 1 else -c)
+                if val:
+                    got[t] = val
+                else:
+                    del got[t]
+    memo[m] = got
     return got
 
 
@@ -282,31 +281,29 @@ def ce_complex(g: LieAlgebra) -> GradedComplex:
     differentials[k] maps degree k to degree k+1 (k = 0..dim-1); the top
     differential is the zero map and is not stored.  The memo of columns
     holds at most the degree below the one being built and that degree.
+    Columns are sorted once; only non-int constants can sum to an integral Fraction.
     """
     _require_jacobi(g)
     n = g.dim
     dgen = _generator_images(n, sparse_brackets(g))
-    mats = []
-    memo: dict = {}
+    exact = all(type(c) is int for terms in dgen for _, _, c in terms)
+    mats, memo, degree = [], {}, _positions(n, 0)
     for k in range(n):
-        pos = _index_position(n, k + 1)
-        keys = tuple(pos)
-        degree = multi_indices(n, k)
-
-        def column(idx):
-            col = [(pos[t], c) for t, c in _d_column(dgen, idx, memo).items()]
-            # re-key d(e^idx) by the shared monomials, freeing its own tuples
-            memo[idx] = {keys[p]: c for p, c in col}
-            return col
-
-        mats.append(RationalMatrix.from_entries(len(keys), map(column, degree)))
-        memo = {idx: memo[idx] for idx in degree}
+        pos = _positions(n, k + 1)
+        cols = []
+        for m in degree:
+            d = _d_column(dgen, m, memo)
+            col = sorted(zip(map(pos.__getitem__, d), d.values()))
+            cols.append(tuple(col) if exact else tuple((p, as_fraction(c)) for p, c in col))
+        mats.append(RationalMatrix(len(pos), tuple(cols)))
+        memo = {m: memo[m] for m in degree}
+        degree = pos
     return GradedComplex.create(tuple(comb(n, k) for k in range(n + 1)), mats)
 
 
 def _images(m: RationalMatrix, monomial, dim: int, degree: int, terms_of) -> RationalMatrix:
-    """The columns of m, forms over the monomials monomial(i), mapped by
-    idx -> terms_of(idx) into the forms of the given degree on Q^dim,
+    """The columns of m, forms over the monomial masks monomial(i), mapped by
+    mask -> terms_of(mask) into the forms of the given degree on Q^dim,
     indexed by position.
 
     Only the monomials a column actually uses are mapped.
@@ -331,45 +328,49 @@ def differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> list[
     dgen = _generator_images(n, sparse_brackets(g))
     memo: dict = {}
     return [
-        _images(m, lambda i, k=k: _unrank(n, k, i), n, k + 1, lambda idx: _d_column(dgen, idx, memo))
+        _images(m, lambda i, k=k: _unrank(n, k, i), n, k + 1, lambda t: _d_column(dgen, t, memo))
         for k, m in enumerate(forms)
     ]
 
 
-def _wedge_images(images: Sequence[dict[int, Rational]], idx: tuple[int, ...], memo: dict) -> _Terms:
-    """images[j_1] ^ ... ^ images[j_k] for idx = (j_1, ..., j_k), memoized on prefixes.
+def _wedge_images(images: Sequence[dict[int, Rational]], m: int, memo: dict) -> _Terms:
+    """images[j_1] ^ ... ^ images[j_k] for the mask m of j_1 < ... < j_k,
+    memoized on prefixes.
 
     images[j] is the 1-form sum_i a_i e^i, given as {i: a_i}; the result is
-    a sparse k-form in the monomial basis.
+    a sparse k-form in the monomial basis.  e^i goes last into a monomial t,
+    with the sign of the indices of t above i.
     """
-    got = memo.get(idx)
+    got = memo.get(m)
     if got is not None:
         return got
     got = {}
-    if not idx:
-        got[()] = 1
+    if not m:
+        got[0] = 1
     else:
-        for t, c in _wedge_images(images, idx[:-1], memo).items():
-            for i, a in images[idx[-1]].items():
-                p = bisect_left(t, i)
-                if p < len(t) and t[p] == i:
+        top = m.bit_length()
+        for t, c in _wedge_images(images, m ^ 1 << (top - 1), memo).items():
+            for i, a in images[top].items():
+                bit = 1 << (i - 1)
+                if t & bit:
                     continue
-                tt = t[:p] + (i,) + t[p:]
-                val = got.get(tt, 0) + (-(a * c) if (len(t) - p) % 2 else a * c)
+                tt = t | bit
+                val = got.get(tt, 0) + (-(a * c) if (t >> i).bit_count() & 1 else a * c)
                 if val:
                     got[tt] = val
                 else:
                     got.pop(tt, None)
-    memo[idx] = got
+    memo[m] = got
     return got
 
 
 def _adapted_basis(g: LieAlgebra, h: Subalgebra):
-    """Generator images in a basis f adapted to h, plus the 1-forms f^c.
+    """Brackets in a basis f adapted to h, plus the 1-forms f^c.
 
     f_p is the echelon basis vector of h with pivot p, and f_c = e_c at every
     other column c; the change of basis T is unit lower triangular.  Returns
-    (pivot set, d on the generators f^c off the pivots, {c: f^c in the e^i}).
+    (pivot set, the f^c-terms off the pivots of [f_i, f_j] for i < j, as
+    `_generator_images` takes them, {c: f^c in the e^i}).
     """
     n = g.dim
     cols: dict[int, tuple[tuple[int, Rational], ...]] = {i: ((i, 1),) for i in range(1, n + 1)}
@@ -398,7 +399,7 @@ def _adapted_basis(g: LieAlgebra, h: Subalgebra):
                     y[c] = v
             if y:
                 adapted[(i, j)] = tuple(sorted(y.items()))
-    return pivset, _generator_images(n, adapted), duals
+    return pivset, adapted, duals
 
 
 def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
@@ -416,34 +417,36 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
         raise ValueError("subalgebra belongs to a different algebra")
     _require_jacobi(g)
     n = g.dim
-    pivset, dgen, duals = _adapted_basis(g, h)
-    free = sorted(duals)
+    pivset, adapted, duals = _adapted_basis(g, h)
+    dgen = _generator_images(n, adapted)
+    pivots, free = _mask(pivset), [1 << (c - 1) for c in sorted(duals)]
     images = [duals.get(j, {}) for j in range(n + 1)]
     memo: dict = {}
     dmemo: dict = {}
     spaces: list[SubspaceBasis] = []
     for k in range(n + 1):
-        horizontal = list(combinations(free, k))
+        horizontal = [sum(c) for c in combinations(free, k)]
         if not horizontal:
             spaces.append(SubspaceBasis.zero(comb(n, k)))
             continue
-        # one column per horizontal monomial: iota_{f_j} d(f^idx), keyed (j, monomial)
-        cols: list[dict[tuple[int, tuple[int, ...]], Rational]] = []
-        for idx in horizontal:
-            col: dict[tuple[int, tuple[int, ...]], Rational] = {}
-            for t, c in _d_column(dgen, idx, dmemo).items():
-                for r, j in enumerate(t):
-                    if j in pivset:
-                        key = (j, t[:r] + t[r + 1 :])
-                        col[key] = col.get(key, 0) + (-c if r % 2 else c)
+        # one column per horizontal monomial: iota_{f_j} d(f^m), one row per
+        # (pivot j, monomial), numbered as first seen; the kernel ignores row order
+        row_of: dict[int, int] = {}
+        cols = []
+        for m in horizontal:
+            col = []
+            for t, c in _d_column(dgen, m, dmemo).items():
+                x = t & pivots
+                while x:
+                    bit = x & -x
+                    x ^= bit
+                    row = row_of.setdefault(t ^ bit | bit << n, len(row_of))
+                    col.append((row, -c if (t & (bit - 1)).bit_count() & 1 else c))
             cols.append(col)
-        dmemo = {idx: dmemo[idx] for idx in horizontal}
-        row_of = {key: r for r, key in enumerate(sorted({key for col in cols for key in col}))}
-        constraint = RationalMatrix.from_entries(
-            len(row_of), (((row_of[key], x) for key, x in col.items()) for col in cols)
-        )
+        dmemo = {m: dmemo[m] for m in horizontal}
+        constraint = RationalMatrix.from_entries(len(row_of), cols)
         lifted = _images(kernel_basis(constraint).matrix, horizontal.__getitem__, n, k,
-                         lambda idx: _wedge_images(images, idx, memo))
+                         lambda m: _wedge_images(images, m, memo))
         spaces.append(image_basis(lifted))
     return spaces
 
@@ -467,6 +470,6 @@ def pull_back(aut: LieAutomorphism, forms: Sequence[RationalMatrix]) -> list[Rat
     images = _dual_images(aut)
     memo: dict = {}
     return [
-        _images(m, lambda i, k=k: _unrank(n, k, i), n, k, lambda idx: _wedge_images(images, idx, memo))
+        _images(m, lambda i, k=k: _unrank(n, k, i), n, k, lambda t: _wedge_images(images, t, memo))
         for k, m in enumerate(forms)
     ]

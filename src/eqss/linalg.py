@@ -175,14 +175,7 @@ class RationalMatrix:
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = []
-        for col in other.entries:
-            acc: dict[int, Rational] = {}
-            for k, b in col:
-                for i, a in self.entries[k]:
-                    acc[i] = acc[i] + a * b if i in acc else a * b
-            out.append(acc.items())
-        return RationalMatrix.from_entries(self.nrows, out)
+        return RationalMatrix.from_entries(self.nrows, (acc.items() for acc in _product_columns(self, other)))
 
     def apply(self, vec: Sequence) -> Vector:
         v = as_vector(vec)
@@ -225,6 +218,21 @@ class RationalMatrix:
         # column i of red is row i of [I | inverse]
         rows = tuple(tuple((k - n, x) for k, x in col if k >= n) for col in red.matrix.entries)
         return RationalMatrix(n, rows).transpose()
+
+
+def _product_columns(a: RationalMatrix, b: RationalMatrix) -> Iterable[dict[int, Rational]]:
+    """Each column of a b in turn as row -> exact sum, zero sums kept."""
+    for col in b.entries:
+        acc: dict[int, Rational] = {}
+        for k, y in col:
+            for i, x in a.entries[k]:
+                acc[i] = acc[i] + x * y if i in acc else x * y
+        yield acc
+
+
+def _product_is_zero(a: RationalMatrix, b: RationalMatrix) -> bool:
+    """Whether a b = 0, decided column by column without building the product."""
+    return not any(any(acc.values()) for acc in _product_columns(a, b))
 
 
 def insert(basis: dict[int, dict[int, int]], entries: Iterable[tuple[int, Rational]]) -> int | None:
@@ -304,7 +312,7 @@ class GradedComplex:
     differentials[k] maps degree k into degree k+1.  Every instance has
     d^2 = 0, so consumers never re-check it: `create`, the only constructor
     the engine calls (tests/test_source_guards.py), checks the shapes and
-    makes the one d^2 = 0 check, a sparse product.
+    makes the one d^2 = 0 check (`_product_is_zero`).
     """
 
     dims: tuple[int, ...]
@@ -324,7 +332,7 @@ class GradedComplex:
                     f"differential {k} has shape {m.shape}, expected {(ds[k + 1], ds[k])}"
                 )
         for k in range(len(diffs) - 1):
-            if not diffs[k + 1].mul(diffs[k]).is_zero():
+            if not _product_is_zero(diffs[k + 1], diffs[k]):
                 raise ValueError(f"d^2 != 0 between degrees {k} and {k + 2}")
         return cls(ds, diffs)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 from itertools import product
 from math import gcd, isqrt
 from typing import Callable, Sequence
@@ -530,11 +531,19 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
 
 
 def _primitive_normals(b2: int, height: int):
-    """Primitive integer normals, deduped up to sign, by increasing height."""
+    """Primitive integer normals, deduped up to sign, by increasing height h:
+    the shell max |x_i| = h in lexicographic order, so no cube is walked.
+    After z zeros and a first nonzero x > 0 the rest is free if x = h, else
+    the sorted merge of blocks by the position p of its first entry of size h."""
     for h in range(1, height + 1):
-        for cand in product(range(-h, h + 1), repeat=b2):
-            if max(map(abs, cand)) == h and next(x for x in cand if x) > 0 and gcd(*cand) == 1:
-                yield cand
+        inner, full = range(1 - h, h), range(-h, h + 1)
+        for z in range(b2 - 1, -1, -1):
+            k = b2 - z - 1
+            for x in range(1, h + 1):
+                blocks = (product(*[inner] * p, (-h, h), *[full] * (k - p - 1)) for p in range(k))
+                for t in product(full, repeat=k) if x == h else merge(*blocks):
+                    if gcd(x, *t) == 1:
+                        yield (0,) * z + (x,) + t
 
 
 def null_hyperplane_search(cup: CupForm) -> NullSearchResult:

@@ -8,7 +8,14 @@ around a coefficient vector or a single monomial.
 `slot_d_column` is the Chevalley-Eilenberg column builder the engine used
 before its antiderivation recurrence: one pass per argument slot, sorting
 every term with `sort_sign`.  The slot differentials and images built from
-it are the reference for `ce_complex` and `differential_images`.
+it are the reference for `ce_complex` and `differential_images`.  Like the
+engine before it keyed monomials by bit masks, these oracles hold monomials
+as index tuples and rank them with `tuple_rank`.
+
+`slot_relative_subcomplex` is the route `relative_subcomplex` took on index
+tuples: slot columns of the horizontal monomials in the adapted basis, the
+kernel of their pivot contractions, and a lift that sorts every wedge term
+(`lift_by_sorting`, which is also the reference for `pull_back`).
 
 `restricted_kernel` is the kernel the engine took before
 `linalg.kernel_and_image`: one elimination of the rows with the columns
@@ -19,6 +26,10 @@ cohomology representatives of the column elimination.
 made for every normal before `obstructions._vanishes_on`: a kernel basis of
 the normal, then the form on each pair of basis vectors.
 
+`cube_normals` is the normal generator the cup-null hyperplane search had
+before `obstructions._primitive_normals` walked only the shell of each
+height: every tuple of the cube, kept when it lies on the shell.
+
 `so_algebra_by_hand` and `u_algebra_over_gaussians` are the constructors
 `liealg` had before `liealg._matrix_algebra`: so(n) with its own sign
 bookkeeping for the commutators of E_ij - E_ji, read off the upper entries,
@@ -26,19 +37,19 @@ and u(n) with its own arithmetic in Q(i) held as (re, im) pairs.  They are
 the reference for `so_algebra` and `u_algebra`.
 """
 
-from math import comb
+from itertools import combinations, product
+from math import comb, gcd
 from typing import Sequence
 
 from eqss.forms import (
     ExteriorForm,
-    _generator_images,
-    _unrank,
+    _adapted_basis,
+    _dual_images,
     ce_complex,
     contract,
     form_from_terms,
     multi_indices,
     pull_back,
-    sort_sign,
 )
 from eqss.liealg import LieAlgebra, LieAutomorphism, abelian, so_pairs, sparse_brackets
 from eqss.linalg import (
@@ -49,6 +60,7 @@ from eqss.linalg import (
     _quotient,
     as_vector,
     echelon,
+    image_basis,
     kernel_basis,
 )
 
@@ -108,6 +120,54 @@ def induced_on_forms(aut: LieAutomorphism, degree: int, check: bool = True) -> R
     return mat
 
 
+def sort_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
+    """Sorted tuple and permutation sign, or None on a repeated index."""
+    lst = list(seq)
+    sign = 1
+    # insertion sort; inversion count gives the parity
+    for i in range(1, len(lst)):
+        x = lst[i]
+        j = i - 1
+        while j >= 0 and lst[j] > x:
+            lst[j + 1] = lst[j]
+            j -= 1
+            sign = -sign
+        lst[j + 1] = x
+    for a, b in zip(lst, lst[1:]):
+        if a == b:
+            return None
+    return tuple(lst), sign
+
+
+def tuple_rank(dim: int, idx: tuple[int, ...]) -> int:
+    """Position of the monomial idx among those of its degree, in lexicographic order."""
+    k = len(idx)
+    return comb(dim, k) - 1 - sum(comb(dim - i, k - r) for r, i in enumerate(idx))
+
+
+def tuple_unrank(dim: int, degree: int, pos: int) -> tuple[int, ...]:
+    """The monomial at position pos of the given degree, inverse to `tuple_rank`."""
+    x, c, out = comb(dim, degree) - 1 - pos, dim, []
+    for m in range(degree, 0, -1):
+        c -= 1
+        while comb(c, m) > x:
+            c -= 1
+        x -= comb(c, m)
+        out.append(dim - c)
+    return tuple(out)
+
+
+def generator_images(n: int, table) -> list[list[tuple[tuple[int, int], object]]]:
+    """For each generator k (1-based), d e^k = -sum_{i<j} c^k_ij e^i^e^j as
+    ((i, j), -c) terms, from the (k, c) terms of [e_i, e_j] in table."""
+    out: list = [[] for _ in range(n + 1)]
+    for (i, j), terms in table.items():
+        if i < j:
+            for k, c in terms:
+                out[k].append(((i, j), -c))
+    return out
+
+
 def slot_d_column(dgen, idx: tuple[int, ...]) -> dict[tuple[int, ...], object]:
     """d(e^idx) as a dict target-index -> coefficient (antiderivation rule)."""
     acc: dict = {}
@@ -130,7 +190,7 @@ def slot_d_column(dgen, idx: tuple[int, ...]) -> dict[tuple[int, ...], object]:
 def slot_differentials(g: LieAlgebra) -> list[RationalMatrix]:
     """Every CE differential of g, one `slot_d_column` per monomial."""
     n = g.dim
-    dgen = _generator_images(n, sparse_brackets(g))
+    dgen = generator_images(n, sparse_brackets(g))
     mats = []
     for k in range(n):
         pos = {t: p for p, t in enumerate(multi_indices(n, k + 1))}
@@ -142,19 +202,85 @@ def slot_differentials(g: LieAlgebra) -> list[RationalMatrix]:
 def slot_differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> list[RationalMatrix]:
     """d of each column of forms[k], summed over its monomials' slot columns."""
     n = g.dim
-    dgen = _generator_images(n, sparse_brackets(g))
+    dgen = generator_images(n, sparse_brackets(g))
     out = []
     for k, m in enumerate(forms):
+        monomials = multi_indices(n, k)
         pos = {t: p for p, t in enumerate(multi_indices(n, k + 1))}
         cols = []
         for col in m.entries:
             acc: dict = {}
             for i, a in col:
-                for t, c in slot_d_column(dgen, _unrank(n, k, i)).items():
+                for t, c in slot_d_column(dgen, monomials[i]).items():
                     acc[pos[t]] = acc.get(pos[t], 0) + a * c
             cols.append(acc.items())
         out.append(RationalMatrix.from_entries(comb(n, k + 1), cols))
     return out
+
+
+def lift_by_sorting(m: RationalMatrix, monomial, images, dim: int, degree: int) -> RationalMatrix:
+    """The columns of m, forms over the monomials monomial(i), with each monomial
+    e^{j_1} ^ ... ^ e^{j_k} replaced by images[j_1] ^ ... ^ images[j_k].
+
+    images[j] is a 1-form {i: a_i}; each product is built on its prefix,
+    sorting every new term with `sort_sign`.
+    """
+    memo: dict = {(): {(): 1}}
+
+    def wedge_of(idx):
+        if idx not in memo:
+            acc: dict = {}
+            for t, c in wedge_of(idx[:-1]).items():
+                for i, a in images[idx[-1]].items():
+                    srt = sort_sign(t + (i,))
+                    if srt is not None:
+                        acc[srt[0]] = acc.get(srt[0], 0) + (a * c if srt[1] > 0 else -(a * c))
+            memo[idx] = acc
+        return memo[idx]
+
+    cols = []
+    for col in m.entries:
+        acc: dict = {}
+        for i, a in col:
+            for t, c in wedge_of(monomial(i)).items():
+                acc[tuple_rank(dim, t)] = acc.get(tuple_rank(dim, t), 0) + a * c
+        cols.append(acc.items())
+    return RationalMatrix.from_entries(comb(dim, degree), cols)
+
+
+def sorted_pull_back(aut: LieAutomorphism, forms: Sequence[RationalMatrix]) -> list[RationalMatrix]:
+    """The pullback of each column of forms[k] by `lift_by_sorting` over the
+    images of the e^j."""
+    n = aut.algebra.dim
+    images = _dual_images(aut)
+    return [lift_by_sorting(m, lambda i, k=k: tuple_unrank(n, k, i), images, n, k) for k, m in enumerate(forms)]
+
+
+def slot_relative_subcomplex(g: LieAlgebra, h) -> list[SubspaceBasis]:
+    """C(g, h) on index tuples: in the basis adapted to h, the kernel of
+    iota_{f_p} o d over the pivots p on the horizontal monomials, with rows
+    keyed (p, monomial) in sorted order, lifted to the e^i by sorting."""
+    n = g.dim
+    pivset, adapted, duals = _adapted_basis(g, h)
+    dgen = generator_images(n, adapted)
+    images = [duals.get(j, {}) for j in range(n + 1)]
+    spaces = []
+    for k in range(n + 1):
+        horizontal = list(combinations(sorted(duals), k))
+        cols = []
+        for idx in horizontal:
+            col: dict = {}
+            for t, c in slot_d_column(dgen, idx).items():
+                for r, j in enumerate(t):
+                    if j in pivset:
+                        key = (j, t[:r] + t[r + 1 :])
+                        col[key] = col.get(key, 0) + (-c if r % 2 else c)
+            cols.append(col)
+        row_of = {key: r for r, key in enumerate(sorted({key for col in cols for key in col}))}
+        constraint = RationalMatrix.from_entries(len(row_of), [[(row_of[key], x) for key, x in col.items()] for col in cols])
+        lifted = lift_by_sorting(kernel_basis(constraint).matrix, horizontal.__getitem__, images, n, k)
+        spaces.append(image_basis(lifted))
+    return spaces
 
 
 def restricted_kernel(m: RationalMatrix, cols: Sequence[int]) -> SubspaceBasis:
@@ -185,6 +311,16 @@ def form_vanishes_on_hyperplane(m: RationalMatrix, normal: Sequence) -> bool:
         for i, v in enumerate(vectors)
         for w in vectors[i:]
     )
+
+
+def cube_normals(b2: int, height: int):
+    """Primitive integer normals, deduped up to sign, by increasing height:
+    the tuples of [-h, h]^b2 with max |x_i| = h, first nonzero entry
+    positive and gcd 1, in lexicographic order for h = 1..height."""
+    for h in range(1, height + 1):
+        for cand in product(range(-h, h + 1), repeat=b2):
+            if max(map(abs, cand)) == h and next(x for x in cand if x) > 0 and gcd(*cand) == 1:
+                yield cand
 
 
 def so_algebra_by_hand(n: int, name: str | None = None) -> LieAlgebra:

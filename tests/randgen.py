@@ -10,7 +10,7 @@ of basis.
 from fractions import Fraction
 
 from eqss.cohomology import GradedComplex
-from eqss.liealg import LieAlgebra
+from eqss.liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from eqss.linalg import RationalMatrix
 from eqss.spectral import FilteredComplex
 
@@ -107,6 +107,21 @@ def transported_pair(rng, g, vectors):
             table[(i, j)] = tinv.apply(br)
     g2 = LieAlgebra.from_brackets(f"{g.name}-transported", g.dim, table)
     return g2, [tinv.apply(v) for v in vectors]
+
+
+def change_basis(g, h, aut, t, name):
+    """g, the subalgebra h and the automorphism aut in the basis of the
+    columns of the invertible t: brackets T^{-1}[Tx, Ty], vectors T^{-1}v
+    and the matrix T^{-1} A T."""
+    n = g.dim
+    tinv = t.inverse()
+    table = {
+        (i, j): tinv.apply(bracket(g, t.column(i - 1), t.column(j - 1)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    }
+    g2 = LieAlgebra.from_brackets(name, n, table)
+    h2 = Subalgebra.span(g2, [tinv.apply(v) for v in h.basis.vectors])
+    return g2, h2, LieAutomorphism.create(g2, tinv.mul(aut.matrix).mul(t))
 
 
 def random_two_step_nilpotent(rng, max_dim=6):

@@ -5,7 +5,9 @@ in canonical and non-canonical forms ("6", "-4/2", "2/6").  Their canonical
 serialization must be a fixed point of parse-then-serialize.  Mutated
 documents (a node replaced by junk or deleted, or the text cut short) go
 through `eqss cohomology` and `eqss specseq`, which must exit 0, 2 or 3,
-never raise, and write to stdout only on success.
+never raise, and write to stdout only on success.  Cup documents get the
+same two tests: a round trip through `cup_to_dict`, and mutated documents
+through `eqss obstruct s3-5m`.
 
 The runs are derandomized, so every run tests the same examples.
 """
@@ -18,7 +20,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eqss import cli
-from eqss.documents import parse_document, serialize_document
+from eqss.documents import cup_to_dict, parse_cup_document, parse_document, serialize_document
 
 FUZZ = settings(
     derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -116,10 +118,20 @@ def paths(node, path=()):
 
 
 @st.composite
-def mutated_texts(draw):
-    """A valid document, in two of three cases with one node replaced or
-    deleted, and in one of ten with its text cut."""
-    doc = draw(documents())
+def cup_documents(draw):
+    """A cup document with b2 <= 3 and up to three symmetric matrices, each
+    entry above the diagonal spelled once and mirrored."""
+    b2 = draw(st.integers(0, 3))
+    matrices = []
+    for _ in range(draw(st.integers(0, 3))):
+        upper = {(i, j): draw(RATIONALS) for i in range(b2) for j in range(i, b2)}
+        matrices.append([[upper[min(i, j), max(i, j)] for j in range(b2)] for i in range(b2)])
+    return {"b2": b2, "matrices": matrices}
+
+
+def mutate(draw, doc):
+    """The text of doc, in two of three cases with one node replaced or
+    deleted, and in one of ten cut."""
     targets = list(paths(doc))[1:]
     if targets and draw(st.integers(0, 2)):
         *parent, key = draw(st.sampled_from(targets))
@@ -133,7 +145,26 @@ def mutated_texts(draw):
     text = json.dumps(doc)
     if not draw(st.integers(0, 9)):
         text = text[: draw(st.integers(0, len(text) - 1))]
-    return doc, text
+    return text
+
+
+@st.composite
+def mutated_texts(draw):
+    doc = draw(documents())
+    return doc, mutate(draw, doc)
+
+
+@st.composite
+def mutated_cup_texts(draw):
+    return mutate(draw, draw(cup_documents()))
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def names(doc, section):
@@ -167,8 +198,25 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, case, data):
         argv = ["specseq", str(path), "--complex=" + data.draw(st.sampled_from(names(doc, "complexes")))]
         if data.draw(st.booleans()):
             argv.append(f"--max-page={data.draw(st.sampled_from([0, 3, 10**9]))}")
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
-    assert (out.getvalue() == "") == (code != 0)
+    code, out, err = run_cli(argv)
+    assert code in (0, 2, 3) and "Traceback" not in err
+    assert (out == "") == (code != 0)
+
+
+@FUZZ
+@given(cup_documents())
+def test_cup_documents_round_trip(doc):
+    cup = parse_cup_document(json.dumps(doc))
+    once = cup_to_dict(cup)
+    assert parse_cup_document(json.dumps(once)) == cup
+    assert cup_to_dict(parse_cup_document(json.dumps(once))) == once
+
+
+@FUZZ
+@given(mutated_cup_texts(), st.integers(0, 3), st.sampled_from([[], ["--sphere-hyperplane"], ["--json"]]))
+def test_mutated_cup_documents_exit_cleanly(tmp_path_factory, text, b2, flags):
+    path = tmp_path_factory.getbasetemp() / "cup.json"
+    path.write_text(text)
+    code, out, err = run_cli(["obstruct", "s3-5m", "--b2", str(b2), "--cup", str(path), *flags])
+    assert code in (0, 2, 3) and "Traceback" not in err
+    assert (out == "") == (code != 0)

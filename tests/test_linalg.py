@@ -8,8 +8,8 @@ import pytest
 from eqss.cohomology import cohomology, relative_model, restricted_action
 from eqss.forms import ce_complex, contract, form_from_terms, wedge
 from eqss.library import double_cover_base, sheet_swap_maps, so_pair, so_pair_reflection
-from eqss.liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from eqss.linalg import (
+    GradedComplex,
     GroupBoundError,
     RationalMatrix,
     SubspaceBasis,
@@ -27,8 +27,8 @@ from eqss.linalg import (
 )
 from eqss.spectral import product_model, twist_by_deck
 
-from form_oracles import bracket, restricted_kernel
-from randgen import random_unimodular
+from form_oracles import restricted_kernel
+from randgen import change_basis, random_unimodular
 
 
 def M(rows, ncols=None):
@@ -546,6 +546,25 @@ def test_mixed_inputs_match_the_dense_fraction_reference_randomized():
             assert canonical(a.inverse()) == dense_inverse(m)
 
 
+def test_create_finds_d_squared_nonzero_in_the_last_column_only():
+    d0 = M([[1, 0, 1], [-1, 0, 0]])
+    d1 = M([[1, 1]])
+    assert d1.mul(d0) == M([[0, 0, 1]])
+    with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees 0 and 2"):
+        GradedComplex.create((3, 2, 1), [d0, d1])
+    # the same product one degree up
+    with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees 1 and 3"):
+        GradedComplex.create((1, 3, 2, 1), [M([[0], [0], [0]]), d0, d1])
+
+
+def test_create_accepts_fraction_terms_that_cancel_only_in_the_sum():
+    # 1/2 + 1/3 - 5/6 and 1 + 1 - 2 in both rows: every term and partial sum is nonzero
+    d0 = M([[1, 2], [1, 3], [1, Fraction(12, 5)]])
+    d1 = M([[Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)], [Fraction(-1, 2), Fraction(-1, 3), Fraction(5, 6)]])
+    cx = GradedComplex.create((2, 3, 2), [d0, d1])
+    assert cx.differentials == (d0, d1) and d1.mul(d0).is_zero()
+
+
 def test_number_rule_at_the_boundary():
     assert [as_fraction(x) for x in (3, Fraction(6, 2), "6/3", " -4/2 ")] == [3, 3, 2, -2]
     assert all(type(as_fraction(x)) is int for x in (3, Fraction(6, 2), "6/3", True))
@@ -581,15 +600,7 @@ def transported(rng, g, h, aut):
     so fractional structure constants appear."""
     n = g.dim
     scale = RationalMatrix.from_entries(n, [[(j, rng.choice((1, 2, 3)))] for j in range(n)])
-    t = random_unimodular(rng, n).mul(scale)
-    tinv = t.inverse()
-    table = {
-        (i, j): tinv.apply(bracket(g, t.column(i - 1), t.column(j - 1)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1)
-    }
-    g2 = LieAlgebra.from_brackets(f"{g.name}-scaled", n, table)
-    h2 = Subalgebra.span(g2, [tinv.apply(v) for v in h.basis.vectors])
-    return g2, h2, LieAutomorphism.create(g2, tinv.mul(aut.matrix).mul(t))
+    return change_basis(g, h, aut, random_unimodular(rng, n).mul(scale), f"{g.name}-scaled")
 
 
 @pytest.mark.parametrize("case", ["so3/so2", "so5/so4", "so4/so3 scaled"])

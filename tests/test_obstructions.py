@@ -31,7 +31,7 @@ from eqss.obstructions import (
 from eqss.obstructions import _primitive_normals, _vanishes_on
 from eqss.spectral import product_model, run_to_stabilization
 
-from form_oracles import form_vanishes_on_hyperplane
+from form_oracles import cube_normals, form_vanishes_on_hyperplane
 from randgen import form_null_on, random_symmetric
 
 
@@ -390,6 +390,18 @@ def test_normal_limit_covers_every_normal_at_b2_5():
     from eqss.obstructions import MAX_NORMALS, NORMAL_HEIGHT
 
     assert sum(1 for _ in _primitive_normals(5, NORMAL_HEIGHT)) == 78721 <= MAX_NORMALS
+
+
+def test_shell_walk_yields_the_cube_filter_sequence():
+    # the same normals in the same order as filtering the whole cube
+    from eqss.obstructions import NORMAL_HEIGHT
+
+    counts = []
+    for b2 in range(1, 6):
+        normals = list(_primitive_normals(b2, NORMAL_HEIGHT))
+        assert normals == list(cube_normals(b2, NORMAL_HEIGHT)), b2
+        counts.append(len(normals))
+    assert counts == [1, 40, 577, 6928, 78721]
 
 
 def test_labels_are_sorted_and_distinct_in_linear_time():

@@ -9,18 +9,33 @@ from the horizontal monomials of a basis adapted to h.
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from eqss import cohomology as cohomology_module, forms
 from eqss.cohomology import action_on_cohomology, cohomology, relative_model, restricted_action
-from eqss.forms import ExteriorForm, ce_complex, contract, multi_indices, relative_subcomplex
+from eqss.forms import (
+    ExteriorForm,
+    ce_complex,
+    contract,
+    differential_images,
+    multi_indices,
+    pull_back,
+    relative_subcomplex,
+)
 from eqss.library import builtin_library, so_pair, so_pair_reflection
-from eqss.liealg import LieAlgebra, Subalgebra, so_algebra, su2, u_algebra
+from eqss.liealg import LieAlgebra, LieAutomorphism, Subalgebra, so_algebra, su2, u_algebra
 from eqss.linalg import RationalMatrix, SubspaceBasis, kernel_basis
 
-from form_oracles import contract_matrix
-from randgen import transported_pair
+from form_oracles import (
+    contract_matrix,
+    slot_differential_images,
+    slot_differentials,
+    slot_relative_subcomplex,
+    sorted_pull_back,
+)
+from randgen import change_basis, random_unimodular, transported_pair
 
 
 def oracle_subcomplex(g, h):
@@ -136,7 +151,69 @@ def test_relative_route_never_enumerates_the_forms_on_g(monkeypatch):
         raise AssertionError(f"a table of monomials was built: {args}")
 
     monkeypatch.setattr(forms, "multi_indices", refuse)
-    monkeypatch.setattr(forms, "_index_position", refuse)
+    monkeypatch.setattr(forms, "_positions", refuse)
     model = relative_model(g, h)
     assert cohomology(model.complex).dims == (1, 0, 0, 0, 0, 0, 1) + (0,) * 15
     assert [m.shape for m in restricted_action(model, aut)] == [(d, d) for d in model.complex.dims]
+
+
+def test_relative_bases_match_the_tuple_route_on_the_sphere_ladder():
+    # the bases of the route on index tuples, in the coordinate basis and in a random one
+    for l in range(2, 9):
+        g, h = so_pair(l)
+        assert relative_subcomplex(g, h) == slot_relative_subcomplex(g, h), l
+        g2, h2 = in_random_basis(random.Random(l), g, h)
+        assert relative_subcomplex(g2, h2) == slot_relative_subcomplex(g2, h2), l
+
+
+def scaled(n, factors):
+    return RationalMatrix.from_entries(n, [[(j, c)] for j, c in enumerate(factors)])
+
+
+def fraction_case(case):
+    """A pair and an automorphism whose structure constants include
+    non-integral Fractions."""
+    if case == "half scaling":  # d(e^2 ^ e^3) = -e^123 sums two halves
+        g = LieAlgebra.from_brackets(case, 3, {(1, 2): [0, Fraction(1, 2), 0], (1, 3): [0, 0, Fraction(1, 2)]})
+        return g, Subalgebra.span(g, [[1, 0, 0]]), LieAutomorphism.create(g, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    l = {"so3/so2": 2, "so4/so3": 3, "so5/so4": 4}[case.split()[0]]
+    g, h = so_pair(l)
+    n, rng = g.dim, random.Random(l)
+    if case.endswith("doubled"):  # e_1 scaled by 2
+        t = scaled(n, [2] + [1] * (n - 1))
+    else:
+        t = random_unimodular(rng, n).mul(scaled(n, [rng.choice((1, 2, 3)) for _ in range(n)]))
+    return change_basis(g, h, so_pair_reflection(l), t, case)
+
+
+def sparse_forms(rng, n):
+    """Three random sparse forms of every degree below n."""
+    return [
+        RationalMatrix.from_entries(comb(n, k), [
+            [(p, rng.choice((-2, 1, Fraction(1, 2), Fraction(-4, 3)))) for p in rng.sample(range(comb(n, k)), min(4, comb(n, k)))]
+            for _ in range(3)
+        ])
+        for k in range(n)
+    ]
+
+
+@pytest.mark.parametrize("case", ["half scaling", "so3/so2 scaled", "so4/so3 doubled", "so4/so3 scaled", "so5/so4 doubled"])
+def test_mask_kernel_matches_the_oracles_on_fraction_constants(case):
+    g, h, aut = fraction_case(case)
+    assert any(type(c) is Fraction for _, coeffs in g.brackets for c in coeffs)
+    ce = ce_complex(g)
+    assert list(ce.differentials) == slot_differentials(g)
+    spaces = relative_subcomplex(g, h)
+    assert spaces == slot_relative_subcomplex(g, h)
+    if g.dim <= 6:  # the dense contraction oracle on so5 takes seconds
+        assert spaces == oracle_subcomplex(g, h)
+    forms = [s.matrix for s in spaces]
+    sparse = sparse_forms(random.Random(g.dim), g.dim)
+    images = differential_images(g, forms[:-1]) + differential_images(g, sparse)
+    assert images == slot_differential_images(g, forms[:-1]) + slot_differential_images(g, sparse)
+    assert any(not m.is_zero() for m in images)
+    pulled = pull_back(aut, forms) + pull_back(aut, sparse)
+    assert pulled == sorted_pull_back(aut, forms) + sorted_pull_back(aut, sparse)
+    values = [x for m in (*ce.differentials, *forms, *images, *pulled) for col in m.entries for _, x in col]
+    assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values)
+    assert any(type(x) is Fraction for x in values)
