@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
 
-from .forms import (
-    ExteriorForm,
-    ce_complex,
-    differential_images,
-    pull_back,
-    relative_subcomplex,
-    wedge,
-)
+from .forms import ce_complex, differential_images, pull_back, relative_subcomplex, wedge
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from .linalg import (
     GROUP_BOUND,
@@ -292,17 +285,18 @@ def cup_product(
     beyond the algebra dimension give the empty (zero) space; negative
     degrees are refused.
     """
-    dims = ce_complex(g).dims
-    if result.complex.dims != dims:
+    n = g.dim
+    if result.complex.dims != tuple(comb(n, k) for k in range(n + 1)):
         raise ValueError("cup product needs the absolute complex of the algebra")
     if p < 0 or q < 0:
         raise ValueError(f"cup product of a class in negative degree {min(p, q)}")
-    if p + q > g.dim:
+    if p + q > n:
         return ()
     forms = []
     for k, coords in ((p, u_class), (q, v_class)):
-        cs, reps = as_vector(coords), result.classes[k]
-        if len(cs) != reps.dim:
-            raise ValueError(f"expected {reps.dim} class coordinates, got {len(cs)}")
-        forms.append(ExteriorForm(g.dim, k, reps.matrix.apply(cs)))
-    return result.express(p + q, wedge(*forms).coeffs)
+        cs, reps = RationalMatrix.from_columns([coords]), result.classes[k]
+        if cs.nrows != reps.dim:
+            raise ValueError(f"expected {reps.dim} class coordinates, got {cs.nrows}")
+        forms.append(reps.matrix.mul(cs))
+    u, v = forms
+    return result.express_columns(p + q, wedge(n, p, u.entries[0], q, v)).column(0)

@@ -12,9 +12,7 @@ e^i ^ e^j and extended as an antiderivation; equivalently it is the evaluation
 formula whose sum runs over pairs 0 <= i < j <= n of argument slots.  With
 this indexing d^2 = 0 is an identity (`GradedComplex.create` rechecks it,
 and a failure aborts, since it would mean corrupted structure constants).
-Inside the module a monomial is the int mask sum_r 1 << (i_r - 1); index
-tuples appear only at the public boundary (`multi_indices`, `terms`,
-`form_from_terms`; `_mask` and `_indices` convert).  A repeated index is a
+A monomial is the int mask sum_r 1 << (i_r - 1).  A repeated index is a
 nonzero `&`, and the sign of merging index i into t is the parity of the
 indices of t it passes, a `bit_count`.  `_d_column` is the one column
 routine: it peels off the lowest index, d(e^i ^ e^rest) = de^i ^ e^rest -
@@ -23,22 +21,21 @@ memo lives for one call.  `ce_complex` returns a `GradedComplex`, the type
 of every complex, built degree by degree through one mask -> position table
 per degree (`_positions`), and keeps the last few in a bounded cache.
 
-Forms handed between engine calls are the columns of a `RationalMatrix`,
-indexed by monomial position.  `differential_images`, `pull_back` and the
-relative lift convert between a monomial and its position by binomial
-arithmetic (`_rank`, `_unrank`), so they touch only the monomials a form
-uses; only code that enumerates a whole degree builds a table of them.
+Forms are the columns of a `RationalMatrix` everywhere, indexed by
+monomial position, and every routine that maps forms (`differential_images`,
+`pull_back`, `wedge` and the relative lift) goes through `_images`.  They
+convert between a monomial and its position by binomial arithmetic (`_rank`,
+`_unrank`), so they touch only the monomials a form uses; only code that
+enumerates a whole degree builds a table of them.
 
 Coefficients follow the number rule of `linalg` (an int when integral, a
 Fraction otherwise).  Every sum starts from the int 0 and a sign is applied
 by negation, never by multiplying with -1, so integral structure constants
-give differentials and pullbacks computed in int arithmetic throughout;
-`wedge`, `contract` and `form_from_terms` return coefficients under the rule.
+give differentials and pullbacks computed in int arithmetic throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -51,38 +48,17 @@ from .linalg import (
     RationalMatrix,
     SubspaceBasis,
     as_fraction,
-    as_vector,
     image_basis,
     kernel_basis,
 )
 
 __all__ = [
-    "ContractionError",
-    "ExteriorForm",
     "ce_complex",
-    "contract",
     "differential_images",
-    "form_from_terms",
-    "multi_indices",
     "pull_back",
     "relative_subcomplex",
     "wedge",
 ]
-
-
-class ContractionError(ValueError):
-    pass
-
-
-def multi_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """Lexicographic strictly increasing index tuples of the given degree."""
-    if degree < 0 or degree > dim:
-        return ()
-    return tuple(combinations(range(1, dim + 1), degree))
-
-
-def _mask(idx: Sequence[int]) -> int:
-    return sum(1 << (i - 1) for i in idx)
 
 
 def _indices(mask: int) -> tuple[int, ...]:
@@ -122,95 +98,6 @@ def _unrank(dim: int, degree: int, pos: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ExteriorForm:
-    """An element of Lambda^degree of the dual of Q^dim."""
-
-    dim: int
-    degree: int
-    coeffs: tuple[Rational, ...]
-
-    def __post_init__(self):
-        expected = comb(self.dim, self.degree) if self.degree >= 0 else 0
-        if len(self.coeffs) != expected:
-            raise ValueError(
-                f"degree-{self.degree} form on dim {self.dim} needs "
-                f"{expected} coefficients, got {len(self.coeffs)}"
-            )
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def terms(self) -> list[tuple[tuple[int, ...], Rational]]:
-        return [(_indices(_unrank(self.dim, self.degree, p)), c) for p, c in enumerate(self.coeffs) if c]
-
-    def add(self, other: "ExteriorForm") -> "ExteriorForm":
-        if (self.dim, self.degree) != (other.dim, other.degree):
-            raise ValueError("form shape mismatch")
-        return ExteriorForm(
-            self.dim, self.degree, as_vector(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def scale(self, c) -> "ExteriorForm":
-        f = as_fraction(c)
-        return ExteriorForm(self.dim, self.degree, as_vector(f * x for x in self.coeffs))
-
-
-def form_from_terms(dim: int, degree: int, terms: dict) -> ExteriorForm:
-    coeffs = [0] * (comb(dim, degree) if degree >= 0 else 0)
-    for raw_idx, c in terms.items():
-        m = odd = 0
-        for i in raw_idx:
-            if not 1 <= i <= dim:
-                raise ValueError(f"index tuple {raw_idx} out of range for dim {dim}")
-            if m >> (i - 1) & 1:
-                raise ValueError(f"repeated index in {raw_idx}")
-            odd ^= (m >> i).bit_count() & 1  # sorting i past the earlier indices above it
-            m |= 1 << (i - 1)
-        if m.bit_count() != degree:
-            raise ValueError(f"index tuple {raw_idx} out of range for dim {dim}")
-        c = as_fraction(c)
-        coeffs[_rank(dim, m)] += -c if odd else c
-    return ExteriorForm(dim, degree, as_vector(coeffs))
-
-
-def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
-    if a.dim != b.dim:
-        raise ValueError("wedge of forms on different algebras")
-    degree = a.degree + b.degree
-    if degree > a.dim:
-        return ExteriorForm(a.dim, degree, ())
-    n = a.dim
-    coeffs = [0] * comb(n, degree)
-    terms_a = [(_unrank(n, a.degree, p), c) for p, c in enumerate(a.coeffs) if c]
-    for p, cb in enumerate(b.coeffs):
-        if cb:
-            mb = _unrank(n, b.degree, p)
-            indices_b = _indices(mb)
-            for ma, ca in terms_a:
-                if not ma & mb:
-                    # sorting a's indices then b's: each index i of b passes those of a above it
-                    odd = sum((ma >> i).bit_count() for i in indices_b) & 1
-                    coeffs[_rank(n, ma | mb)] += -(ca * cb) if odd else ca * cb
-    return ExteriorForm(a.dim, degree, as_vector(coeffs))
-
-
-def contract(x: Sequence, form: ExteriorForm) -> ExteriorForm:
-    """Interior product iota_x; errors on degree-0 input."""
-    if form.degree == 0:
-        raise ContractionError("cannot contract a degree-0 form")
-    xv = as_vector(x)
-    if len(xv) != form.dim:
-        raise ValueError("vector length does not match form dimension")
-    coeffs = [0] * comb(form.dim, form.degree - 1)
-    for idx, c in form.terms():
-        for r, j in enumerate(idx):
-            if xv[j - 1]:
-                target = idx[:r] + idx[r + 1 :]
-                coeffs[_rank(form.dim, _mask(target))] += -(xv[j - 1] * c) if r % 2 else xv[j - 1] * c
-    return ExteriorForm(form.dim, form.degree - 1, as_vector(coeffs))
-
-
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg complex
 
@@ -219,7 +106,9 @@ def contract(x: Sequence, form: ExteriorForm) -> ExteriorForm:
 _Terms = dict[int, Rational]
 
 
+@lru_cache(maxsize=32)
 def _require_jacobi(g: LieAlgebra) -> None:
+    """Refuse g unless it satisfies the Jacobi identity; a passing verdict is cached."""
     report = jacobi_check(g)
     if not report.ok:
         raise ValueError(
@@ -333,6 +222,27 @@ def differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> list[
     ]
 
 
+def wedge(dim: int, p: int, a: Sequence[tuple[int, Rational]], q: int, b: RationalMatrix) -> RationalMatrix:
+    """a ^ w for each column w of b: a is one p-form column, as its
+    (position, value) entries, and b holds q-forms on Q^dim.
+
+    The products are (p+q)-forms, the zero space when p + q > dim.  A
+    monomial ma of a that misses mb goes to ma | mb; sorting a's indices
+    then b's, each index i of mb passes the indices of ma above it.
+    """
+    terms = [(_unrank(dim, p, i), c) for i, c in a]
+
+    def times(mb: int) -> _Terms:
+        indices_b = _indices(mb)
+        got: _Terms = {}
+        for ma, c in terms:
+            if not ma & mb:
+                got[ma | mb] = -c if sum((ma >> i).bit_count() for i in indices_b) & 1 else c
+        return got
+
+    return _images(b, lambda i: _unrank(dim, q, i), dim, p + q, times)
+
+
 def _wedge_images(images: Sequence[dict[int, Rational]], m: int, memo: dict) -> _Terms:
     """images[j_1] ^ ... ^ images[j_k] for the mask m of j_1 < ... < j_k,
     memoized on prefixes.
@@ -419,7 +329,7 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
     n = g.dim
     pivset, adapted, duals = _adapted_basis(g, h)
     dgen = _generator_images(n, adapted)
-    pivots, free = _mask(pivset), [1 << (c - 1) for c in sorted(duals)]
+    pivots, free = sum(1 << (p - 1) for p in pivset), [1 << (c - 1) for c in sorted(duals)]
     images = [duals.get(j, {}) for j in range(n + 1)]
     memo: dict = {}
     dmemo: dict = {}

@@ -5,6 +5,14 @@ builds these: the bracket of two dense vectors, the pullback of every basis
 form under an automorphism, the matrix of a contraction, and a form wrapped
 around a coefficient vector or a single monomial.
 
+`ExteriorForm` is the dense form type the engine had before every form
+became a sparse `RationalMatrix` column: a degree and all C(dim, degree)
+coefficients in monomial order.  With it came index tuples as the public
+monomial (`multi_indices`, `form_from_terms`, `_mask`), the interior
+product `contract` (and `ContractionError`), and `dense_wedge`, the wedge
+that `cohomology.cup_product` took before `forms.wedge` wedged columns.
+They are the reference for `forms.wedge` and for the sign conventions.
+
 `slot_d_column` is the Chevalley-Eilenberg column builder the engine used
 before its antiderivation recurrence: one pass per argument slot, sorting
 every term with `sort_sign`.  The slot differentials and images built from
@@ -37,32 +45,130 @@ and u(n) with its own arithmetic in Q(i) held as (re, im) pairs.  They are
 the reference for `so_algebra` and `u_algebra`.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, gcd
 from typing import Sequence
 
-from eqss.forms import (
-    ExteriorForm,
-    _adapted_basis,
-    _dual_images,
-    ce_complex,
-    contract,
-    form_from_terms,
-    multi_indices,
-    pull_back,
-)
+from eqss.forms import _adapted_basis, _dual_images, _indices, _rank, _unrank, ce_complex, pull_back
 from eqss.liealg import LieAlgebra, LieAutomorphism, abelian, so_pairs, sparse_brackets
 from eqss.linalg import (
+    Rational,
     RationalMatrix,
     SubspaceBasis,
     Vector,
     _back_substitute,
     _quotient,
+    as_fraction,
     as_vector,
     echelon,
     image_basis,
     kernel_basis,
 )
+
+
+class ContractionError(ValueError):
+    pass
+
+
+def multi_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Lexicographic strictly increasing index tuples of the given degree."""
+    if degree < 0 or degree > dim:
+        return ()
+    return tuple(combinations(range(1, dim + 1), degree))
+
+
+def _mask(idx: Sequence[int]) -> int:
+    return sum(1 << (i - 1) for i in idx)
+
+
+@dataclass(frozen=True)
+class ExteriorForm:
+    """An element of Lambda^degree of the dual of Q^dim."""
+
+    dim: int
+    degree: int
+    coeffs: tuple[Rational, ...]
+
+    def __post_init__(self):
+        expected = comb(self.dim, self.degree) if self.degree >= 0 else 0
+        if len(self.coeffs) != expected:
+            raise ValueError(
+                f"degree-{self.degree} form on dim {self.dim} needs "
+                f"{expected} coefficients, got {len(self.coeffs)}"
+            )
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def terms(self) -> list[tuple[tuple[int, ...], Rational]]:
+        return [(_indices(_unrank(self.dim, self.degree, p)), c) for p, c in enumerate(self.coeffs) if c]
+
+    def add(self, other: "ExteriorForm") -> "ExteriorForm":
+        if (self.dim, self.degree) != (other.dim, other.degree):
+            raise ValueError("form shape mismatch")
+        return ExteriorForm(
+            self.dim, self.degree, as_vector(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def scale(self, c) -> "ExteriorForm":
+        f = as_fraction(c)
+        return ExteriorForm(self.dim, self.degree, as_vector(f * x for x in self.coeffs))
+
+
+def form_from_terms(dim: int, degree: int, terms: dict) -> ExteriorForm:
+    coeffs = [0] * (comb(dim, degree) if degree >= 0 else 0)
+    for raw_idx, c in terms.items():
+        m = odd = 0
+        for i in raw_idx:
+            if not 1 <= i <= dim:
+                raise ValueError(f"index tuple {raw_idx} out of range for dim {dim}")
+            if m >> (i - 1) & 1:
+                raise ValueError(f"repeated index in {raw_idx}")
+            odd ^= (m >> i).bit_count() & 1  # sorting i past the earlier indices above it
+            m |= 1 << (i - 1)
+        if m.bit_count() != degree:
+            raise ValueError(f"index tuple {raw_idx} out of range for dim {dim}")
+        c = as_fraction(c)
+        coeffs[_rank(dim, m)] += -c if odd else c
+    return ExteriorForm(dim, degree, as_vector(coeffs))
+
+
+def dense_wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
+    if a.dim != b.dim:
+        raise ValueError("wedge of forms on different algebras")
+    degree = a.degree + b.degree
+    if degree > a.dim:
+        return ExteriorForm(a.dim, degree, ())
+    n = a.dim
+    coeffs = [0] * comb(n, degree)
+    terms_a = [(_unrank(n, a.degree, p), c) for p, c in enumerate(a.coeffs) if c]
+    for p, cb in enumerate(b.coeffs):
+        if cb:
+            mb = _unrank(n, b.degree, p)
+            indices_b = _indices(mb)
+            for ma, ca in terms_a:
+                if not ma & mb:
+                    # sorting a's indices then b's: each index i of b passes those of a above it
+                    odd = sum((ma >> i).bit_count() for i in indices_b) & 1
+                    coeffs[_rank(n, ma | mb)] += -(ca * cb) if odd else ca * cb
+    return ExteriorForm(a.dim, degree, as_vector(coeffs))
+
+
+def contract(x: Sequence, form: ExteriorForm) -> ExteriorForm:
+    """Interior product iota_x; errors on degree-0 input."""
+    if form.degree == 0:
+        raise ContractionError("cannot contract a degree-0 form")
+    xv = as_vector(x)
+    if len(xv) != form.dim:
+        raise ValueError("vector length does not match form dimension")
+    coeffs = [0] * comb(form.dim, form.degree - 1)
+    for idx, c in form.terms():
+        for r, j in enumerate(idx):
+            if xv[j - 1]:
+                target = idx[:r] + idx[r + 1 :]
+                coeffs[_rank(form.dim, _mask(target))] += -(xv[j - 1] * c) if r % 2 else xv[j - 1] * c
+    return ExteriorForm(form.dim, form.degree - 1, as_vector(coeffs))
 
 
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:

@@ -14,7 +14,7 @@ from eqss.cohomology import (
     relative_model,
     restricted_action,
 )
-from eqss.forms import ExteriorForm, ce_complex, wedge
+from eqss.forms import ce_complex
 from eqss.liealg import (
     LieAutomorphism,
     abelian,
@@ -33,7 +33,7 @@ from eqss.linalg import (
     solve,
 )
 from eqss.spectral import DeckAction, FilteredComplex, invariant_filtered_complex
-from form_oracles import restricted_kernel
+from form_oracles import ExteriorForm, dense_wedge, restricted_kernel
 from randgen import random_filtered_complex, random_two_step_nilpotent, transported_algebra
 
 
@@ -253,9 +253,24 @@ def test_cup_product_representative_independence():
     u = res.representatives[1][0]
     w = res.representatives[3][0]
     shifted = tuple(a + b for a, b in zip(w, res.coboundaries[3].vectors[0]))
-    prod = wedge(ExteriorForm(4, 1, u), ExteriorForm(4, 3, w))
-    prod_shifted = wedge(ExteriorForm(4, 1, u), ExteriorForm(4, 3, shifted))
+    prod = dense_wedge(ExteriorForm(4, 1, u), ExteriorForm(4, 3, w))
+    prod_shifted = dense_wedge(ExteriorForm(4, 1, u), ExteriorForm(4, 3, shifted))
     assert res.express(4, prod.coeffs) == res.express(4, prod_shifted.coeffs)
+
+
+def test_cup_product_matches_the_dense_route():
+    rng = random.Random(53)
+    for g in (su2(), so_algebra(4), u_algebra(2), abelian(4)):
+        g = transported_algebra(rng, g)
+        res = lie_cohomology(g)
+        n = g.dim
+        for p in range(n + 1):
+            for q in range(n + 1):
+                u, v = ([Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(res.dims[k])] for k in (p, q))
+                dense = [ExteriorForm(n, k, res.classes[k].matrix.apply(c)) for k, c in ((p, u), (q, v))]
+                want = res.express(p + q, dense_wedge(*dense).coeffs)
+                got = cup_product(g, res, p, u, q, v)
+                assert got == want and list(map(type, got)) == list(map(type, want)), (g.name, p, q)
 
 
 def test_cup_product_rejects_relative_complex():

@@ -5,18 +5,12 @@ from math import comb
 import pytest
 
 from eqss.forms import (
-    ContractionError,
-    ExteriorForm,
     _indices,
-    _mask,
     _positions,
     _rank,
     _unrank,
     ce_complex,
-    contract,
     differential_images,
-    form_from_terms,
-    multi_indices,
     relative_subcomplex,
     wedge,
 )
@@ -33,10 +27,17 @@ from eqss.liealg import (
 from eqss.linalg import GradedComplex, RationalMatrix, as_fraction
 
 from form_oracles import (
+    ContractionError,
+    ExteriorForm,
+    _mask,
     basis_form,
     bracket,
+    contract,
     contract_matrix,
+    dense_wedge,
+    form_from_terms,
     induced_on_forms,
+    multi_indices,
     slot_differential_images,
     slot_differentials,
 )
@@ -130,12 +131,37 @@ def test_rank_and_unrank_match_the_monomial_table():
 def test_wedge_basics():
     e1 = basis_form(3, [1])
     e2 = basis_form(3, [2])
-    assert wedge(e1, e1).is_zero()
-    assert wedge(e1, e2).terms() == [((1, 2), Fraction(1))]
-    assert wedge(e2, e1).terms() == [((1, 2), Fraction(-1))]
+    assert dense_wedge(e1, e1).is_zero()
+    assert dense_wedge(e1, e2).terms() == [((1, 2), Fraction(1))]
+    assert dense_wedge(e2, e1).terms() == [((1, 2), Fraction(-1))]
     # degree overflow collapses to the zero space
     top = basis_form(3, [1, 2, 3])
-    assert wedge(top, e1).coeffs == ()
+    assert dense_wedge(top, e1).coeffs == ()
+
+
+def random_sparse_forms(rng, dim, k, ncols, pool):
+    """ncols k-forms on Q^dim with up to 4 monomials each, coefficients drawn from pool."""
+    size = comb(dim, k)
+    return RationalMatrix.from_entries(size, [
+        [(i, rng.choice(pool)) for i in rng.sample(range(size), min(rng.randint(0, 4), size))] for _ in range(ncols)
+    ])
+
+
+def test_wedge_matches_the_dense_oracle():
+    rng = random.Random(43)
+    pools = {"int": (-2, -1, 1, 3), "fraction": (Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), 2, -3)}
+    for dim in range(8):
+        for p in range(dim + 1):
+            for q in range(dim + 1):
+                for pool in pools.values():
+                    a, b = random_sparse_forms(rng, dim, p, 1, pool), random_sparse_forms(rng, dim, q, 3, pool)
+                    got = wedge(dim, p, a.entries[0], q, b)
+                    dense_a = ExteriorForm(dim, p, a.column(0))
+                    want = [dense_wedge(dense_a, ExteriorForm(dim, q, col)).coeffs for col in b.columns()]
+                    assert got.shape == (comb(dim, p + q), 3)
+                    assert got.columns() == want, (dim, p, q)
+                    for col in got.entries:
+                        assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1) for _, x in col)
 
 
 def test_form_from_terms_sorts_with_sign():
@@ -155,11 +181,11 @@ def test_wedge_graded_commutative_and_associative():
         a = rand_form(rng, dim, p)
         b = rand_form(rng, dim, q)
         c = rand_form(rng, dim, r)
-        ab = wedge(a, b)
-        ba = wedge(b, a)
+        ab = dense_wedge(a, b)
+        ba = dense_wedge(b, a)
         sign = -1 if (p * q) % 2 else 1
         assert ab.coeffs == ba.scale(sign).coeffs
-        assert wedge(ab, c).coeffs == wedge(a, wedge(b, c)).coeffs
+        assert dense_wedge(ab, c).coeffs == dense_wedge(a, dense_wedge(b, c)).coeffs
 
 
 def test_contract_antiderivation():
@@ -171,9 +197,9 @@ def test_contract_antiderivation():
         a = rand_form(rng, dim, p)
         b = rand_form(rng, dim, q)
         x = [rand_fraction(rng) for _ in range(dim)]
-        lhs = contract(x, wedge(a, b))
+        lhs = contract(x, dense_wedge(a, b))
         sign = -1 if p % 2 else 1
-        rhs = wedge(contract(x, a), b).add(wedge(a, contract(x, b)).scale(sign))
+        rhs = dense_wedge(contract(x, a), b).add(dense_wedge(a, contract(x, b)).scale(sign))
         assert lhs.coeffs == rhs.coeffs
 
 
@@ -278,9 +304,9 @@ def test_differential_is_antiderivation():
         q = rng.randint(0, 2)
         a = rand_form(rng, g.dim, p)
         b = rand_form(rng, g.dim, q)
-        lhs = apply_d(ce, wedge(a, b))
+        lhs = apply_d(ce, dense_wedge(a, b))
         sign = -1 if p % 2 else 1
-        rhs = wedge(apply_d(ce, a), b).add(wedge(a, apply_d(ce, b)).scale(sign))
+        rhs = dense_wedge(apply_d(ce, a), b).add(dense_wedge(a, apply_d(ce, b)).scale(sign))
         assert lhs.coeffs == rhs.coeffs
 
 

@@ -19,6 +19,10 @@ a default is one object for every call, so a memo passed that way would
 keep the columns of one algebra and hand them to the next of the same
 dimension; every memo is made afresh inside the call that owns it.
 
+No engine module builds a list (or tuple) sized by a binomial,
+`[x] * comb(...)` or `[x] * (comb(...) ...)`: that is a dense form over
+every monomial of a degree, and forms are sparse columns everywhere.
+
 No engine module divides with `/`: integral entries are Python ints (the
 number rule of `linalg`), and int / int is a float.  Exact quotients are
 `x // y` or `Fraction(x, y)`.  The only true divisions are the path joins
@@ -250,3 +254,48 @@ def test_mutable_default_guard_sees_every_spelling():
         "d = dict()\n"
     )
     assert mutable_defaults(source) == [1, 2, 3, 4, 6, 7, 8, 9]
+
+
+def comb_sized_lists(source: str) -> list[int]:
+    """Lines that multiply a list or tuple display by an expression calling
+    comb (imported, aliased or qualified), on either side."""
+    tree = ast.parse(source)
+    names = {"comb"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "comb" and alias.asname
+    }
+
+    def calls_comb(node: ast.AST) -> bool:
+        calls = (n.func for n in ast.walk(node) if isinstance(n, ast.Call))
+        return any((f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in names for f in calls)
+
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            for seq, size in ((node.left, node.right), (node.right, node.left)):
+                if isinstance(seq, (ast.List, ast.Tuple)) and calls_comb(size):
+                    hits.add(node.lineno)
+    return sorted(hits)
+
+
+def test_no_comb_sized_lists_in_the_engine():
+    found = {path.name: comb_sized_lists(path.read_text()) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_comb_sized_list_guard_sees_every_spelling():
+    source = (
+        "import math\n"
+        "from math import comb, comb as C\n"
+        "a = [0] * comb(4, 2)\n"
+        "b = [0] * (comb(4, 2) if k >= 0 else 0)\n"
+        "c = math.comb(4, 2) * [None]\n"
+        "d = (0,) * C(4, 2)\n"
+        "e = [0] * (comb(4, 2) - 1)\n"
+        "f = [0] * n + [1] * 2\n"
+        "g = comb(4, 2) * 3\n"
+    )
+    assert comb_sized_lists(source) == [3, 4, 5, 6, 7]
