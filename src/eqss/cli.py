@@ -1,5 +1,8 @@
 """Command line entry point: cohomology, spectral pages, exclusion checks.
 
+Each handler imports the engine it runs, so the obstruct checks start
+without the Lie algebra, form and spectral modules.
+
 Reports are deterministic.  Every input file is hashed into the report, no
 timestamps appear anywhere, and --json renders exactly the payload behind
 the text output, so identical invocations produce identical bytes.
@@ -14,27 +17,13 @@ engine.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .cohomology import (
-    cohomology,
-    invariant_cohomology,
-    relative_model,
-    restricted_action,
-)
-from .documents import (
-    DocumentError,
-    InputDocument,
-    parse_cup_document,
-    parse_document,
-    render_rational,
-)
-from .library import builtin_text
+from .errors import DocumentError, SpectralAuditError
 from .linalg import GROUP_BOUND, GroupBoundError
 from .obstructions import (
     DEFAULT_DIM_CAP,
@@ -44,7 +33,6 @@ from .obstructions import (
     solve_les,
     wang_check,
 )
-from .spectral import SpectralAuditError, run_to_stabilization
 
 __all__ = ["main"]
 
@@ -68,32 +56,31 @@ def _env_count(name: str, default: int) -> int:
     return value
 
 
-def _load_text(spec: str) -> str:
-    """File contents for a path or builtin:NAME, exactly as hashed."""
+def _load_text(spec: str, inputs: dict) -> str:
+    """File contents for a path or builtin:NAME; their sha256 goes into inputs."""
+    import hashlib
+
     if spec.startswith("builtin:"):
-        return builtin_text(spec[len("builtin:"):])
-    try:
-        return Path(spec).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise DocumentError(f"cannot read {spec}: {e}") from None
+        from .documents import builtin_text
+
+        text = builtin_text(spec[len("builtin:"):])
+    else:
+        try:
+            text = Path(spec).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            raise DocumentError(f"cannot read {spec}: {e}") from None
+    inputs[spec] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _load_document(spec: str, inputs: dict):
+    from .documents import parse_document
+
+    return parse_document(_load_text(spec, inputs))
 
 
-def _load_document(spec: str, inputs: dict) -> InputDocument:
-    text = _load_text(spec)
-    inputs[spec] = _sha256(text)
-    return parse_document(text)
-
-
-def _vector_text(vec) -> str:
-    return "[" + ", ".join(str(render_rational(c)) for c in vec) + "]"
-
-
-def _dims_text(dims) -> str:
-    return "[" + ", ".join(str(d) for d in dims) + "]"
+def _list_text(values) -> str:
+    return "[" + ", ".join(str(v) for v in values) + "]"
 
 
 def _csv_ints(text: str, what: str) -> list[int]:
@@ -108,6 +95,9 @@ def _csv_ints(text: str, what: str) -> list[int]:
 
 
 def _cmd_cohomology(args, inputs: dict):
+    from .cohomology import cohomology, invariant_cohomology, relative_model, restricted_action
+    from .documents import render_rational
+
     doc = _load_document(args.file, inputs)
     g = doc.algebra(args.algebra)
     h = None
@@ -119,21 +109,22 @@ def _cmd_cohomology(args, inputs: dict):
             )
     model = relative_model(g, h)
     res = cohomology(model.complex)
+    representatives = [
+        [[render_rational(c) for c in v] for v in reps] for reps in res.representatives
+    ]
 
     results = {
         "algebra": g.name,
         "relative": args.relative,
         "complex_dims": list(model.complex.dims),
         "dims": list(res.dims),
-        "representatives": [
-            [[render_rational(c) for c in v] for v in reps] for reps in res.representatives
-        ],
+        "representatives": representatives,
     }
     title = f"cohomology of {g.name}" if h is None else f"cohomology of ({g.name}, {args.relative})"
-    lines = [title, f"dims by degree: {_dims_text(res.dims)}"]
-    for k, reps in enumerate(res.representatives):
+    lines = [title, f"dims by degree: {_list_text(res.dims)}"]
+    for k, reps in enumerate(representatives):
         for v in reps:
-            lines.append(f"  degree {k} class: {_vector_text(v)}")
+            lines.append(f"  degree {k} class: {_list_text(v)}")
 
     if args.invariants is not None:
         names = [n for n in args.invariants.split(",") if n]
@@ -152,11 +143,13 @@ def _cmd_cohomology(args, inputs: dict):
         inv = invariant_cohomology(res, gens, bound=args.group_bound)
         results["invariants"] = names
         results["invariant_dims"] = list(inv.dims)
-        lines.append(f"invariants under {', '.join(names)}: {_dims_text(inv.dims)}")
+        lines.append(f"invariants under {', '.join(names)}: {_list_text(inv.dims)}")
     return results, lines
 
 
 def _cmd_specseq(args, inputs: dict):
+    from .spectral import run_to_stabilization
+
     if args.max_page is not None and args.max_page < 0:
         raise DocumentError(f"--max-page must be a nonnegative integer, got {args.max_page}")
     doc = _load_document(args.file, inputs)
@@ -184,7 +177,7 @@ def _cmd_specseq(args, inputs: dict):
     for pg in table.pages:
         cells = "  ".join(f"({p},{q})={d}" for p, q, d in entries(pg.dims())) or "0"
         lines.append(f"  E_{pg.r}: {cells}")
-    lines.append(f"limit totals by degree: {_dims_text(table.total_cohomology)}")
+    lines.append(f"limit totals by degree: {_list_text(table.total_cohomology)}")
     lines.append("audit: ok (limit totals match the cohomology of the complex)")
     return results, lines
 
@@ -221,9 +214,9 @@ def _cmd_obstruct_s3_4m(args, inputs: dict):
 
 
 def _cmd_obstruct_s3_5m(args, inputs: dict):
-    text = _load_text(args.cup)
-    inputs[args.cup] = _sha256(text)
-    cup = parse_cup_document(text)
+    from .documents import parse_cup_document
+
+    cup = parse_cup_document(_load_text(args.cup, inputs))
     verdict = s3_check_5manifold(args.b2, cup, args.sphere_hyperplane)
     results = {
         "check": "s3-5m",

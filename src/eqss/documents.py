@@ -26,19 +26,24 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
-from .cohomology import GradedComplex
-from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
-from .linalg import Rational, RationalMatrix, as_fraction
+from .errors import DocumentError
+from .linalg import GradedComplex, Rational, RationalMatrix, as_fraction
 from .obstructions import CupForm
-from .spectral import FilteredComplex
+
+if TYPE_CHECKING:
+    from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
+    from .spectral import FilteredComplex
 
 __all__ = [
     "ActionEntry",
     "ComplexEntry",
     "DocumentError",
     "InputDocument",
+    "builtin_names",
+    "builtin_text",
     "cup_to_dict",
     "document_to_dict",
     "parse_cup_document",
@@ -47,10 +52,6 @@ __all__ = [
     "render_rational",
     "serialize_document",
 ]
-
-
-class DocumentError(ValueError):
-    """The document text or structure is malformed, or a reference dangles."""
 
 
 _RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
@@ -146,6 +147,8 @@ class ComplexEntry:
     weights: tuple[tuple[int, ...], ...] | None = None
 
     def filtered(self) -> FilteredComplex:
+        from .spectral import FilteredComplex
+
         if self.weights is None:
             raise ValueError(f"complex '{self.name}' has no filtration")
         return FilteredComplex.create(self.complex, self.weights)
@@ -219,6 +222,8 @@ def _load_object(text: str) -> dict:
 
 
 def parse_document(text: str) -> InputDocument:
+    from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
+
     data = _load_object(text)
     for key in data:
         _expect(key in _SECTIONS, f"unknown section '{key}'")
@@ -400,3 +405,25 @@ def parse_cup_document(text: str) -> CupForm:
 
 def cup_to_dict(cup: CupForm) -> dict:
     return {"b2": cup.b2, "matrices": [_matrix_rows(m) for m in cup.matrices]}
+
+
+# ---------------------------------------------------------------------------
+# the shipped documents, read as builtin:NAME (built by `library`)
+
+
+def builtin_names() -> list[str]:
+    return sorted(p.stem for p in _data_dir().iterdir() if p.suffix == ".json")
+
+
+def _data_dir() -> Path:
+    return Path(__file__).resolve().parent / "data"
+
+
+def builtin_text(name: str) -> str:
+    """Shipped bytes for builtin:NAME, exactly as hashed into reports.  Only
+    a shipped name resolves: NAME is never joined onto a path unchecked."""
+    names = builtin_names()
+    if name not in names:
+        known = ", ".join(names) or "none"
+        raise DocumentError(f"no builtin document '{name}' (available: {known})")
+    return (_data_dir() / f"{name}.json").read_text(encoding="utf-8")

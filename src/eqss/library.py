@@ -1,9 +1,9 @@
 """Shipped corpus: algebra library, prebuilt filtered models, cup examples.
 
 Command-line file arguments of the form builtin:NAME resolve to the JSON
-files under eqss/data.  Everything in that directory is rebuilt here from
-the engine itself, so a test can insist the shipped bytes match a fresh
-regeneration byte for byte.
+files under eqss/data (`documents.builtin_text`, re-exported here).
+Everything in that directory is rebuilt here from the engine itself, so a
+test can insist the shipped bytes match a fresh regeneration byte for byte.
 """
 
 from __future__ import annotations
@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .cohomology import GradedComplex, restricted_action
+from .cohomology import restricted_action
 from .documents import (
     ActionEntry,
     ComplexEntry,
-    DocumentError,
     InputDocument,
+    _data_dir,
+    builtin_names,
+    builtin_text,
     cup_to_dict,
     serialize_document,
 )
@@ -30,7 +32,7 @@ from .liealg import (
     su2,
     u_algebra,
 )
-from .linalg import RationalMatrix
+from .linalg import GradedComplex, RationalMatrix
 from .obstructions import CupForm
 from .spectral import product_action, product_model, twist_by_deck
 
@@ -202,23 +204,6 @@ def render_all() -> dict[str, str]:
     for name, cup in builtin_cups().items():
         out[f"{name}.json"] = json.dumps(cup_to_dict(cup), indent=2, sort_keys=True) + "\n"
     return out
-
-
-def builtin_names() -> list[str]:
-    return sorted(p.stem for p in _data_dir().iterdir() if p.suffix == ".json")
-
-
-def _data_dir() -> Path:
-    return Path(__file__).resolve().parent / "data"
-
-
-def builtin_text(name: str) -> str:
-    """Shipped bytes for builtin:NAME, exactly as hashed into reports."""
-    path = _data_dir() / f"{name}.json"
-    if not path.is_file():
-        known = ", ".join(builtin_names()) or "none"
-        raise DocumentError(f"no builtin document '{name}' (available: {known})")
-    return path.read_text(encoding="utf-8")
 
 
 def regenerate(dest: Path | None = None) -> list[Path]:

@@ -23,11 +23,12 @@ from fractions import Fraction
 from heapq import merge
 from itertools import product
 from math import gcd, isqrt
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .cohomology import invariant_cohomology, lie_cohomology, relative_model, restricted_action
-from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, coordinate_subalgebra, su2
 from .linalg import RationalMatrix, SubspaceBasis, as_fraction, kernel_basis
+
+if TYPE_CHECKING:
+    from .liealg import LieAlgebra, Subalgebra
 
 __all__ = [
     "CupForm",
@@ -275,6 +276,8 @@ def _check_dims(dims: Sequence[int], what: str) -> tuple[int, ...]:
 
 def _two_row_gap(g: LieAlgebra, h: Subalgebra | None) -> int:
     """The l with H^i(g,h) = k for i in {0, l} and 0 elsewhere, or raise."""
+    from .cohomology import lie_cohomology
+
     dims = lie_cohomology(g, h).dims
     nonzero = [i for i, d in enumerate(dims) if d]
     hname = h.name if h is not None and h.name else "h"
@@ -711,6 +714,9 @@ def su2_orbit_table() -> tuple[OrbitType, ...]:
 
 
 def _orbit_cohomology(g: LieAlgebra, entry: OrbitType) -> tuple[int, ...]:
+    from .cohomology import invariant_cohomology, lie_cohomology, relative_model, restricted_action
+    from .liealg import LieAutomorphism, Subalgebra, coordinate_subalgebra
+
     if entry.isotropy_dim == 0:
         return lie_cohomology(g).dims
     if entry.isotropy_dim == g.dim:
@@ -732,6 +738,8 @@ def _orbit_cohomology(g: LieAlgebra, entry: OrbitType) -> tuple[int, ...]:
 
 def orbit_table_verify(table: Sequence[OrbitType] | None = None) -> Verdict:
     """Cross-check the orbit table against the cohomology engine."""
+    from .liealg import su2
+
     if table is None:
         table = su2_orbit_table()
     if not table:

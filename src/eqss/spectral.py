@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cohomology import RelativeModel, check_chain_map, relative_model, restricted_action
+from .errors import SpectralAuditError
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from .linalg import (
     GradedComplex,
@@ -79,10 +80,6 @@ MAX_PAGES = 1000
 
 class FilteredComplexError(ValueError):
     pass
-
-
-class SpectralAuditError(RuntimeError):
-    """Convergence bookkeeping failed; this signals an engine bug."""
 
 
 def _lowered_weight(

@@ -1,9 +1,12 @@
 import json
+import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
+import eqss
 from eqss import cli
 
 
@@ -233,6 +236,18 @@ def test_exit_2_on_unreadable_and_malformed_input(tmp_path, capsys):
     assert code == 2 and "invalid JSON" in err
 
 
+def test_exit_2_on_a_builtin_name_outside_the_corpus(tmp_path, capsys):
+    data = Path(eqss.__file__).resolve().parent / "data"
+    evil = tmp_path / "evil"
+    evil.with_suffix(".json").write_text(
+        json.dumps({"lie_algebras": [{"name": "su2", "dim": 1, "brackets": []}]})
+    )
+    for name in (os.path.relpath(evil, data), str(evil), "../data/library", "library.json", ""):
+        code, out, err = run(capsys, "cohomology", f"builtin:{name}", "--algebra", "su2")
+        assert (code, out) == (2, ""), name
+        assert err.startswith(f"error: no builtin document '{name}' (available: cup_definite,")
+
+
 HUGE = "9" * 5000  # past the 4300-digit limit of int() on decimal strings
 
 
@@ -326,12 +341,14 @@ def test_exit_3_on_validation_failures(tmp_path, capsys):
 
 
 def test_exit_4_on_internal_audit_failure(monkeypatch, capsys):
+    from eqss import spectral
     from eqss.spectral import SpectralAuditError
 
     def explode(fc, max_page=None):
         raise SpectralAuditError("synthetic failure")
 
-    monkeypatch.setattr(cli, "run_to_stabilization", explode)
+    # the specseq handler imports run_to_stabilization from spectral when it runs
+    monkeypatch.setattr(spectral, "run_to_stabilization", explode)
     code, _, err = run(capsys, "specseq", "builtin:models", "--complex", "s1_x_su2")
     assert code == 4 and "synthetic failure" in err
 

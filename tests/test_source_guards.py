@@ -23,14 +23,27 @@ No engine module builds a list (or tuple) sized by a binomial,
 `[x] * comb(...)` or `[x] * (comb(...) ...)`: that is a dense form over
 every monomial of a degree, and forms are sparse columns everywhere.
 
+The commands that need no engine load none: the modules `cli`,
+`documents` and `obstructions` import neither `forms`, `cohomology`,
+`spectral` nor `library` when they are imported, and `obstructions` not
+`liealg` either; each handler imports the engine it runs.  So `obstruct
+s3-4m`, `gysin --l` and `wang` load only `cli`, `errors`, `linalg` and
+`obstructions`, and `s3-5m` adds `documents`.
+
 No engine module divides with `/`: integral entries are Python ints (the
 number rule of `linalg`), and int / int is a float.  Exact quotients are
 `x // y` or `Fraction(x, y)`.  The only true divisions are the path joins
-of `library`.
+of `documents` and `library`.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import eqss
 
@@ -180,8 +193,8 @@ def test_cache_guard_sees_every_spelling():
 
 
 PATH_JOINS = {
-    ("library.py", 'Path(__file__).resolve().parent / "data"'),
-    ("library.py", '_data_dir() / f"{name}.json"'),
+    ("documents.py", 'Path(__file__).resolve().parent / "data"'),
+    ("documents.py", '_data_dir() / f"{name}.json"'),
     ("library.py", "directory / name"),
 }
 
@@ -299,3 +312,120 @@ def test_comb_sized_list_guard_sees_every_spelling():
         "g = comb(4, 2) * 3\n"
     )
     assert comb_sized_lists(source) == [3, 4, 5, 6, 7]
+
+
+ENGINE = {"forms", "cohomology", "spectral", "library"}
+LIGHT_MODULES = {
+    "cli.py": ENGINE,
+    "documents.py": ENGINE,
+    "obstructions.py": ENGINE | {"liealg"},
+}
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (test.id if isinstance(test, ast.Name) else getattr(test, "attr", None)) == "TYPE_CHECKING"
+
+
+def module_level_imports(source: str) -> set[str]:
+    """The eqss modules a module imports when it is itself imported: relative
+    or absolute, `from .m import x`, `from . import m` or `import eqss.m`,
+    anywhere but inside a function or an `if TYPE_CHECKING:` block."""
+    found = set()
+
+    def visit(body: list[ast.stmt]) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level or module.split(".")[0] == "eqss":
+                    module = module if node.level else module.removeprefix("eqss").lstrip(".")
+                    if module:
+                        found.add(module.split(".")[0])
+                    else:
+                        found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                found.update(
+                    alias.name.split(".")[1] for alias in node.names if alias.name.startswith("eqss.")
+                )
+            if isinstance(node, ast.If) and _is_type_checking(node.test):
+                visit(node.orelse)
+                continue
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, field, []))
+
+    visit(ast.parse(source).body)
+    return found
+
+
+def test_light_modules_import_no_engine_at_module_level():
+    root = Path(eqss.__file__).parent
+    found = {name: module_level_imports((root / name).read_text()) & banned
+             for name, banned in LIGHT_MODULES.items()}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_import_layer_guard_sees_every_spelling():
+    source = (
+        "import typing\n"
+        "from typing import TYPE_CHECKING\n"
+        "from .forms import ce_complex\n"
+        "from . import cohomology, linalg\n"
+        "import eqss.spectral as sp, json\n"
+        "import eqss_other\n"
+        "from eqss_other import x\n"
+        "from eqss.library import builtin_text\n"
+        "from eqss import liealg\n"
+        "try:\n"
+        "    from .errors import DocumentError\n"
+        "except ImportError:\n"
+        "    from .fallback import DocumentError\n"
+        "if TYPE_CHECKING:\n"
+        "    from .documents import InputDocument\n"
+        "if typing.TYPE_CHECKING:\n"
+        "    from .obstructions import CupForm\n"
+        "else:\n"
+        "    from .trace import span\n"
+        "class K:\n"
+        "    from .klass import attribute\n"
+        "def f():\n"
+        "    from .deferred import g\n"
+        "async def h():\n"
+        "    import eqss.deferred_too\n"
+    )
+    assert module_level_imports(source) == {
+        "forms", "cohomology", "linalg", "spectral", "library", "liealg",
+        "errors", "fallback", "trace", "klass",
+    }
+
+
+PURE = ["eqss", "eqss.cli", "eqss.errors", "eqss.linalg", "eqss.obstructions"]
+LIGHT_COMMANDS = [
+    pytest.param(["obstruct", "s3-4m", "--betti", "1,0,3,0,1"], 0, PURE, id="s3-4m"),
+    pytest.param(["obstruct", "s3-5m", "--b2", "2", "--cup", "builtin:cup_definite"], 0,
+                 sorted(PURE + ["eqss.documents"]), id="s3-5m"),
+    pytest.param(["obstruct", "gysin", "--l", "3", "--basic", "1,1", "--total", "1,1,0,1,1"], 0,
+                 PURE, id="gysin --l"),
+    pytest.param(["obstruct", "wang", "--codim", "3", "--gh", "1,0,0,1", "--total",
+                  "1,0,0,2,0,0,1", "--simply-connected", "--oriented"], 0, PURE, id="wang"),
+    pytest.param(["obstruct", "gysin", "--l", "3", "--total", "1,1"], 2, PURE, id="gysin exit 2"),
+    pytest.param(["obstruct", "s3-4m", "--betti", "2,0,3,0,1"], 3, PURE, id="s3-4m exit 3"),
+]
+LOADED = (
+    "import contextlib, io, json, sys\n"
+    "from eqss import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'eqss')]))\n"
+)
+
+
+@pytest.mark.parametrize("argv, code, modules", LIGHT_COMMANDS)
+def test_light_commands_load_only_their_layer(argv, code, modules):
+    src = str(Path(eqss.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("EQSS_")}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code, modules]
