@@ -5,7 +5,7 @@ pair (algebra, subalgebra), induced actions of finite automorphism groups on
 cohomology, invariants of cohomology, and the cup product on absolute
 cohomology.  The restrict-first route to invariants is
 `spectral.invariant_filtered_complex` on the zero filtration.  Every complex
-is a `linalg.GradedComplex`, re-exported here.
+is a `linalg.GradedComplex`, re-exported here with `check_chain_map`.
 
 Representatives are chosen canonically: in degree k they are the reduced
 echelon basis of the cocycles that vanish at the pivots of the coboundary
@@ -31,6 +31,7 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     as_vector,
+    check_chain_map,
     enumerate_group,
     fixed_subspace,
     kernel_and_image,
@@ -226,18 +227,6 @@ def restricted_action(model: RelativeModel, aut: LieAutomorphism) -> list[Ration
             raise ValueError(f"automorphism does not preserve the relative subcomplex in degree {k}")
         out.append(m)
     return out
-
-
-def check_chain_map(cx: GradedComplex, maps: Sequence[RationalMatrix]) -> None:
-    if len(maps) != cx.top + 1:
-        raise ValueError(f"expected {cx.top + 1} degree maps, got {len(maps)}")
-    for k, m in enumerate(maps):
-        if m.shape != (cx.dims[k], cx.dims[k]):
-            raise ValueError(f"degree-{k} map has shape {m.shape}, expected square {cx.dims[k]}")
-    for k in range(cx.top):
-        d_k = cx.differential(k)
-        if maps[k + 1].mul(d_k) != d_k.mul(maps[k]):
-            raise ValueError(f"maps do not commute with the differential at degree {k}")
 
 
 def action_on_cohomology(result: CohomologyResult, maps: Sequence[RationalMatrix]) -> list[RationalMatrix]:

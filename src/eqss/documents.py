@@ -222,11 +222,11 @@ def _load_object(text: str) -> dict:
 
 
 def parse_document(text: str) -> InputDocument:
-    from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
-
     data = _load_object(text)
     for key in data:
         _expect(key in _SECTIONS, f"unknown section '{key}'")
+    if any(data.get(section) for section in _SECTIONS[:3]):  # a complex alone needs no Lie algebra
+        from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 
     algebras: dict[str, LieAlgebra] = {}
     for k, entry in enumerate(_entries(data, "lie_algebras")):

@@ -41,7 +41,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, bracket_terms, jacobi_check, sparse_brackets
+from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, bracket_terms, jacobi_check
 from .linalg import (
     GradedComplex,
     Rational,
@@ -119,15 +119,15 @@ def _require_jacobi(g: LieAlgebra) -> None:
 def _generator_images(n: int, table) -> list[list[tuple[int, int, Rational]]]:
     """For each generator k (1-based), the terms of d e^k = -sum c^k_ij e^i^e^j.
 
-    `table` maps pairs i < j to the sparse (k, c) terms of [e_i, e_j]; each
-    term is (mask of e^i^e^j, mask of the indices strictly between i and j, -c).
+    `table` lists ((i, j), the (k, c) terms of [e_i, e_j]) for pairs i < j,
+    as `LieAlgebra.table` does; each term is (mask of e^i^e^j, mask of the
+    indices strictly between i and j, -c).
     """
     out: list[list[tuple[int, int, Rational]]] = [[] for _ in range(n + 1)]
-    for (i, j), terms in table.items():
-        if i < j:
-            ab, between = 1 << (i - 1) | 1 << (j - 1), (1 << (j - 1)) - (1 << i)
-            for k, c in terms:
-                out[k].append((ab, between, -c))
+    for (i, j), terms in table:
+        ab, between = 1 << (i - 1) | 1 << (j - 1), (1 << (j - 1)) - (1 << i)
+        for k, c in terms:
+            out[k].append((ab, between, -c))
     return out
 
 
@@ -174,7 +174,7 @@ def ce_complex(g: LieAlgebra) -> GradedComplex:
     """
     _require_jacobi(g)
     n = g.dim
-    dgen = _generator_images(n, sparse_brackets(g))
+    dgen = _generator_images(n, g.table)
     exact = all(type(c) is int for terms in dgen for _, _, c in terms)
     mats, memo, degree = [], {}, _positions(n, 0)
     for k in range(n):
@@ -214,7 +214,7 @@ def differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> list[
     No CE matrix is formed.  The caller is responsible for the Jacobi check.
     """
     n = g.dim
-    dgen = _generator_images(n, sparse_brackets(g))
+    dgen = _generator_images(n, g.table)
     memo: dict = {}
     return [
         _images(m, lambda i, k=k: _unrank(n, k, i), n, k + 1, lambda t: _d_column(dgen, t, memo))
@@ -296,11 +296,10 @@ def _adapted_basis(g: LieAlgebra, h: Subalgebra):
         for c, a in cols[p]:
             if c != p:
                 duals[c][p] = -a
-    table = sparse_brackets(g)
-    adapted = {}
+    adapted = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            x = bracket_terms(table, cols[i], cols[j])
+            x = bracket_terms(g, cols[i], cols[j])
             # the f^c-coordinates of x; the pivot ones are never differentiated
             y = {}
             for c, dual in duals.items():
@@ -308,7 +307,7 @@ def _adapted_basis(g: LieAlgebra, h: Subalgebra):
                 if v:
                     y[c] = v
             if y:
-                adapted[(i, j)] = tuple(sorted(y.items()))
+                adapted.append(((i, j), tuple(sorted(y.items()))))
     return pivset, adapted, duals
 
 

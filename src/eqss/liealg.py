@@ -1,22 +1,23 @@
 """Finite-dimensional Lie algebras over Q given by structure constants.
 
-An algebra is the data of a dimension n and the coefficient vectors of
-[e_i, e_j] for 1 <= i < j <= n; antisymmetry is enforced by storing only the
-i < j half.  The Jacobi identity is a checkable property, not an assumption:
-`jacobi_check` reports the first violating basis triple, and the cohomology
-layer refuses algebras that fail it.
+An algebra is the data of a dimension n and the nonzero (k, c) terms of
+[e_i, e_j] for 1 <= i < j <= n, which every consumer reads; antisymmetry is
+enforced by storing only the i < j half.  The Jacobi identity is a checkable
+property, not an assumption: `jacobi_check` reports the first violating
+basis triple, and the cohomology layer refuses algebras that fail it.
 
 Constructors for the shipped families build structure constants from honest
 matrix representations, so no hand-derived sign can drift.  One exact route
 serves them all: `_matrix_algebra` reads the commutators of rational basis
 matrices in the echelon basis of their span and maps the coordinates back
-to the given basis.  so(n) is spanned by A_ij = E_ij - E_ji; u(n) by a
-skew-Hermitian basis, realified inside so(2n).
+to the given basis, as terms.  so(n) is spanned by A_ij = E_ij - E_ji; u(n)
+by a skew-Hermitian basis, realified inside so(2n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -43,7 +44,6 @@ __all__ = [
     "jacobi_check",
     "normalizer",
     "so_algebra",
-    "sparse_brackets",
     "su2",
     "u_algebra",
 ]
@@ -51,11 +51,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Lie algebra structure constants; brackets holds ((i, j), [e_i,e_j])."""
+    """Structure constants, stored once as sparse terms.
+
+    table holds ((i, j), ((k, c), ...)) for each pair i < j with
+    [e_i, e_j] != 0, pairs increasing: the nonzero terms only, k 1-based and
+    increasing, c under the number rule of `linalg`.  The form is canonical,
+    so == and hash mean equal names and brackets.  The constructor takes it
+    as given; `from_brackets` validates dense vectors, the document format,
+    and `brackets` is that dense view, built on each read.
+    """
 
     name: str
     dim: int
-    brackets: tuple[tuple[tuple[int, int], Vector], ...]
+    table: tuple[tuple[tuple[int, int], tuple[tuple[int, Rational], ...]], ...]
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, table: dict | Sequence) -> "LieAlgebra":
@@ -69,8 +77,20 @@ class LieAlgebra:
             vec = as_vector(coeffs)
             if len(vec) != dim:
                 raise ValueError(f"bracket [e{i},e{j}] has {len(vec)} coefficients, expected {dim}")
-            norm[(i, j)] = vec
-        return cls(name, dim, tuple(sorted((ij, v) for ij, v in norm.items() if any(v))))
+            norm[(i, j)] = tuple((k, c) for k, c in enumerate(vec, start=1) if c)
+        return cls(name, dim, tuple(sorted((ij, t) for ij, t in norm.items() if t)))
+
+    @property
+    def brackets(self) -> tuple[tuple[tuple[int, int], Vector], ...]:
+        cols = RationalMatrix(self.dim, tuple(tuple((k - 1, c) for k, c in t) for _, t in self.table))
+        return tuple(zip((ij for ij, _ in self.table), cols.columns()))
+
+    @cached_property
+    def _lookup(self) -> dict[tuple[int, int], tuple[tuple[int, Rational], ...]]:
+        """The terms of [e_i, e_j] for both orders of every nonzero pair."""
+        out = dict(self.table)
+        out.update(((j, i), tuple((k, -c) for k, c in t)) for (i, j), t in self.table)
+        return out
 
 
 @dataclass(frozen=True)
@@ -80,22 +100,12 @@ class JacobiReport:
     jacobiator: Vector | None = None
 
 
-def sparse_brackets(g: LieAlgebra) -> dict[tuple[int, int], tuple[tuple[int, Rational], ...]]:
-    """Nonzero [e_i, e_j] for ordered pairs i != j, as (k, c) terms (1-based)."""
-    out = {}
-    for (i, j), coeffs in g.brackets:
-        terms = tuple((k, c) for k, c in enumerate(coeffs, start=1) if c)
-        out[(i, j)] = terms
-        out[(j, i)] = tuple((k, -c) for k, c in terms)
-    return out
-
-
 def bracket_terms(
-    table, x: Iterable[tuple[int, Rational]], y: Sequence[tuple[int, Rational]]
+    g: LieAlgebra, x: Iterable[tuple[int, Rational]], y: Sequence[tuple[int, Rational]]
 ) -> dict[int, Rational]:
     """[x, y] for x and y given by their nonzero (k, c) terms (1-based),
-    summed over the nonzero brackets of `table` (`sparse_brackets`)."""
-    acc: dict[int, Rational] = {}
+    summed over the nonzero brackets of g."""
+    table, acc = g._lookup, {}
     for a, xa in x:
         for b, yb in y:
             for k, c in table.get((a, b), ()):
@@ -105,8 +115,7 @@ def bracket_terms(
 
 def jacobi_check(g: LieAlgebra) -> JacobiReport:
     """First basis triple (i,j,k) violating Jacobi, if any."""
-    n = g.dim
-    table = sparse_brackets(g)
+    n, table = g.dim, g._lookup
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
@@ -132,10 +141,7 @@ class Subalgebra:
 
     @classmethod
     def span(cls, g: LieAlgebra, vectors: Sequence[Sequence], name: str = "") -> "Subalgebra":
-        b = SubspaceBasis.span(vectors, g.dim)
-        if not is_subalgebra(g, b.vectors):
-            raise ValueError(f"span is not closed under the bracket ({name or 'subalgebra'})")
-        return cls(g, b, name)
+        return _closed_span(g, SubspaceBasis.span(vectors, g.dim), name)
 
     @property
     def dim(self) -> int:
@@ -144,32 +150,34 @@ class Subalgebra:
 
 def coordinate_subalgebra(g: LieAlgebra, indices: Sequence[int], name: str = "") -> Subalgebra:
     """Subalgebra spanned by the 1-based basis elements in `indices`."""
-    vecs = []
     for i in indices:
         if not 1 <= i <= g.dim:
             raise ValueError(f"basis index {i} out of range")
-        vecs.append([1 if t == i - 1 else 0 for t in range(g.dim)])
-    return Subalgebra.span(g, vecs, name)
+    return _closed_span(g, SubspaceBasis.coordinate(g.dim, sorted({i - 1 for i in indices})), name)
 
 
 def _terms(col: Iterable[tuple[int, Rational]]) -> tuple[tuple[int, Rational], ...]:
-    """A matrix column's entries with 1-based indices, as `sparse_brackets` keys them."""
+    """A matrix column's entries with 1-based indices, as `LieAlgebra.table` keys them."""
     return tuple((i + 1, x) for i, x in col)
 
 
-def is_subalgebra(g: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
-    """Whether the span of vectors is closed under the bracket: every
-    bracket of two basis vectors, summed over `sparse_brackets`, has
-    coordinates in the span."""
-    span = SubspaceBasis.span(vectors, g.dim)
-    table = sparse_brackets(g)
+def _closed(g: LieAlgebra, span: SubspaceBasis) -> bool:
+    """Whether every bracket of two basis vectors of span has coordinates in span."""
     cols = [_terms(col) for col in span.matrix.entries]
-    brackets = (
-        bracket_terms(table, cols[a], cols[b]).items()
-        for a in range(len(cols)) for b in range(a + 1, len(cols))
-    )
+    brackets = (bracket_terms(g, x, y).items() for a, x in enumerate(cols) for y in cols[a + 1:])
     m = RationalMatrix.from_entries(g.dim, (((k - 1, c) for k, c in br) for br in brackets))
     return span.coordinate_matrix(m) is not None
+
+
+def _closed_span(g: LieAlgebra, span: SubspaceBasis, name: str) -> Subalgebra:
+    if not _closed(g, span):
+        raise ValueError(f"span is not closed under the bracket ({name or 'subalgebra'})")
+    return Subalgebra(g, span, name)
+
+
+def is_subalgebra(g: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
+    """Whether the span of vectors is closed under the bracket."""
+    return _closed(g, SubspaceBasis.span(vectors, g.dim))
 
 
 def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:
@@ -177,23 +185,22 @@ def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:
 
     Linear in x: with the rows of N spanning the annihilator of span(h),
     the conditions are N ad(v) x = 0 for each basis vector v of h, where
-    column i of ad(v) is [e_i, v], summed over `sparse_brackets`.
+    column i of ad(v) is [e_i, v], by `bracket_terms`.
     """
-    n = g.dim
-    hb = h.basis
+    n, hb = g.dim, h.basis
     if hb.dim == 0:
         return SubspaceBasis.full(n)
-    table = sparse_brackets(g)
     ann = kernel_basis(hb.matrix.transpose()).matrix.transpose()
     rows = []  # the conditions, each a column of n entries
     for v in hb.matrix.entries:
         terms = _terms(v)
         ad = RationalMatrix.from_entries(n, (
-            ((k - 1, c) for k, c in bracket_terms(table, ((i, 1),), terms).items()) for i in range(1, n + 1)
+            ((k - 1, c) for k, c in bracket_terms(g, ((i, 1),), terms).items()) for i in range(1, n + 1)
         ))
         rows.extend(ann.mul(ad).transpose().entries)
     result = kernel_basis(RationalMatrix(n, tuple(rows)).transpose())
-    assert result.contains_subspace(hb), "normalizer must contain the subalgebra"
+    if not result.contains_subspace(hb):
+        raise AssertionError("normalizer must contain the subalgebra")
     return result
 
 
@@ -220,16 +227,15 @@ class LieAutomorphism:
 
 def is_automorphism(g: LieAlgebra, m: RationalMatrix) -> bool:
     """Invertible and [m e_i, m e_j] = m [e_i, e_j] for all i < j, both sides
-    summed over the nonzeros of m's columns and of `sparse_brackets`."""
+    summed over the nonzeros of m's columns and of the brackets."""
     n = g.dim
     if m.shape != (n, n) or rank(m) != n:
         return False
-    table = sparse_brackets(g)
     cols = [_terms(col) for col in m.entries]
     for i in range(n):
         for j in range(i + 1, n):
-            acc = bracket_terms(table, cols[i], cols[j])
-            for k, c in table.get((i + 1, j + 1), ()):
+            acc = bracket_terms(g, cols[i], cols[j])
+            for k, c in g._lookup.get((i + 1, j + 1), ()):
                 for r, z in cols[k - 1]:
                     acc[r] = acc[r] - c * z if r in acc else -c * z
             if any(acc.values()):
@@ -273,30 +279,30 @@ def _commutator(x: dict, y: dict) -> dict:
 
 
 def _matrix_algebra(name: str, basis: Sequence[dict]) -> LieAlgebra:
-    """The Lie algebra spanned by linearly independent rational matrices,
+    """The Lie algebra spanned by linearly independent integer matrices,
     each given as {(row, col): entry}, in that basis.
 
-    Each matrix is flattened to a sparse column, and the commutator of two
-    basis matrices is read in the echelon basis of their span, then mapped
-    back to the given basis; a commutator outside the span is refused.
+    Each matrix is flattened to a sparse column of ints (so under the number
+    rule), and the commutator of two basis matrices is read in the echelon
+    basis of their span, then mapped back to the given basis; a commutator
+    outside the span is refused.
     """
     size = 1 + max((max(ij) for m in basis for ij in m), default=0)
 
     def flat(ms):
-        cols = ([(i * size + j, x) for (i, j), x in m.items()] for m in ms)
-        return RationalMatrix.from_entries(size * size, cols)
+        cols = (tuple(sorted((i * size + j, x) for (i, j), x in m.items() if x)) for m in ms)
+        return RationalMatrix(size * size, tuple(cols))
 
     given = flat(basis)
     span = image_basis(given)
-    to_basis = span.coordinate_matrix(given).inverse()
     pairs = [(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))]
     coords = span.coordinate_matrix(flat(_commutator(basis[a], basis[b]) for a, b in pairs))
     if coords is None:
         raise ValueError(f"the matrices of {name} are not closed under the commutator")
-    table = to_basis.mul(coords)
-    return LieAlgebra.from_brackets(name, len(basis), {
-        (a + 1, b + 1): table.column(k) for k, (a, b) in enumerate(pairs) if table.entries[k]
-    })
+    if span.matrix != given:  # so(n)'s basis is already its span's echelon basis
+        coords = span.coordinate_matrix(given).inverse().mul(coords)
+    table = coords.entries
+    return LieAlgebra(name, len(basis), tuple(((a + 1, b + 1), _terms(t)) for (a, b), t in zip(pairs, table) if t))
 
 
 def so_algebra(n: int, name: str | None = None) -> LieAlgebra:

@@ -46,6 +46,7 @@ __all__ = [
     "GroupBoundError",
     "RationalMatrix",
     "SubspaceBasis",
+    "check_chain_map",
     "complement_in",
     "echelon",
     "enumerate_group",
@@ -350,6 +351,19 @@ class GradedComplex:
 
     def euler_characteristic(self) -> int:
         return sum(d if k % 2 == 0 else -d for k, d in enumerate(self.dims))
+
+
+def check_chain_map(cx: GradedComplex, maps: Sequence[RationalMatrix]) -> None:
+    """Refuse maps unless they are one square matrix per degree of cx commuting with d."""
+    if len(maps) != cx.top + 1:
+        raise ValueError(f"expected {cx.top + 1} degree maps, got {len(maps)}")
+    for k, m in enumerate(maps):
+        if m.shape != (cx.dims[k], cx.dims[k]):
+            raise ValueError(f"degree-{k} map has shape {m.shape}, expected square {cx.dims[k]}")
+    for k in range(cx.top):
+        d_k = cx.differential(k)
+        if maps[k + 1].mul(d_k) != d_k.mul(maps[k]):
+            raise ValueError(f"maps do not commute with the differential at degree {k}")
 
 
 def rank(m: RationalMatrix) -> int:

@@ -192,7 +192,8 @@ def solve_les(problem: LesProblem, cap: int = DEFAULT_DIM_CAP) -> list[LesSoluti
     walk(0, 0)
     solutions.sort(key=lambda s: tuple(s.assignments[name] for name in labels))
     for sol in solutions:
-        assert verify_exactness(problem, sol)
+        if not verify_exactness(problem, sol):
+            raise AssertionError(f"solver returned a solution that fails the exactness check: {sol}")
     return solutions
 
 

@@ -31,17 +31,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .cohomology import RelativeModel, check_chain_map, relative_model, restricted_action
 from .errors import SpectralAuditError
-from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from .linalg import (
     GradedComplex,
     Rational,
     RationalMatrix,
     SubspaceBasis,
     Vector,
+    check_chain_map,
     complement_in,
     enumerate_group,
     fixed_subspace,
@@ -52,6 +51,10 @@ from .linalg import (
     solve,
     subspace_sum,
 )
+
+if TYPE_CHECKING:
+    from .cohomology import RelativeModel
+    from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 
 __all__ = [
     "DeckAction",
@@ -410,6 +413,8 @@ def product_model(base: GradedComplex, g: LieAlgebra, h: Subalgebra | None = Non
 
     d(b (x) w) = d_base(b) (x) w + (-1)^p b (x) d(w) on base degree p.
     """
+    from .cohomology import relative_model
+
     fiber = relative_model(g, h)
     fcx = fiber.complex
     btop = _effective_top(base)
@@ -576,6 +581,8 @@ def twist_by_deck(
     (otherwise it does not act on the relative complex), and the base action
     must commute with the base differential.
     """
+    from .cohomology import restricted_action
+
     if not isinstance(fc, ProductComplex):
         raise TypeError("twist_by_deck needs the ProductComplex built by product_model")
     base_maps = list(base_action)

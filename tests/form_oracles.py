@@ -43,6 +43,11 @@ height: every tuple of the cube, kept when it lies on the shell.
 bookkeeping for the commutators of E_ij - E_ji, read off the upper entries,
 and u(n) with its own arithmetic in Q(i) held as (re, im) pairs.  They are
 the reference for `so_algebra` and `u_algebra`.
+
+`sparse_brackets` is the (k, c) table every consumer rebuilt from the dense
+bracket vectors before `LieAlgebra` stored its structure constants as
+sparse terms.  It reads only the dense `brackets` view, so it is the
+reference for `LieAlgebra.table`, and the slot differentials read it.
 """
 
 from dataclasses import dataclass
@@ -51,7 +56,7 @@ from math import comb, gcd
 from typing import Sequence
 
 from eqss.forms import _adapted_basis, _dual_images, _indices, _rank, _unrank, ce_complex, pull_back
-from eqss.liealg import LieAlgebra, LieAutomorphism, abelian, so_pairs, sparse_brackets
+from eqss.liealg import LieAlgebra, LieAutomorphism, abelian, so_pairs
 from eqss.linalg import (
     Rational,
     RationalMatrix,
@@ -171,6 +176,16 @@ def contract(x: Sequence, form: ExteriorForm) -> ExteriorForm:
     return ExteriorForm(form.dim, form.degree - 1, as_vector(coeffs))
 
 
+def sparse_brackets(g: LieAlgebra) -> dict[tuple[int, int], tuple[tuple[int, Rational], ...]]:
+    """Nonzero [e_i, e_j] for ordered pairs i != j, as (k, c) terms (1-based)."""
+    out = {}
+    for (i, j), coeffs in g.brackets:
+        terms = tuple((k, c) for k, c in enumerate(coeffs, start=1) if c)
+        out[(i, j)] = terms
+        out[(j, i)] = tuple((k, -c) for k, c in terms)
+    return out
+
+
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     """[x, y] extended bilinearly from the dense structure constants."""
     xv, yv = as_vector(x), as_vector(y)
@@ -265,9 +280,10 @@ def tuple_unrank(dim: int, degree: int, pos: int) -> tuple[int, ...]:
 
 def generator_images(n: int, table) -> list[list[tuple[tuple[int, int], object]]]:
     """For each generator k (1-based), d e^k = -sum_{i<j} c^k_ij e^i^e^j as
-    ((i, j), -c) terms, from the (k, c) terms of [e_i, e_j] in table."""
+    ((i, j), -c) terms, from the ((i, j), (k, c) terms of [e_i, e_j]) items
+    of table."""
     out: list = [[] for _ in range(n + 1)]
-    for (i, j), terms in table.items():
+    for (i, j), terms in table:
         if i < j:
             for k, c in terms:
                 out[k].append(((i, j), -c))
@@ -296,7 +312,7 @@ def slot_d_column(dgen, idx: tuple[int, ...]) -> dict[tuple[int, ...], object]:
 def slot_differentials(g: LieAlgebra) -> list[RationalMatrix]:
     """Every CE differential of g, one `slot_d_column` per monomial."""
     n = g.dim
-    dgen = generator_images(n, sparse_brackets(g))
+    dgen = generator_images(n, sparse_brackets(g).items())
     mats = []
     for k in range(n):
         pos = {t: p for p, t in enumerate(multi_indices(n, k + 1))}
@@ -308,7 +324,7 @@ def slot_differentials(g: LieAlgebra) -> list[RationalMatrix]:
 def slot_differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> list[RationalMatrix]:
     """d of each column of forms[k], summed over its monomials' slot columns."""
     n = g.dim
-    dgen = generator_images(n, sparse_brackets(g))
+    dgen = generator_images(n, sparse_brackets(g).items())
     out = []
     for k, m in enumerate(forms):
         monomials = multi_indices(n, k)

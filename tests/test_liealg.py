@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from eqss.liealg import (
     u_algebra,
 )
 
-from form_oracles import bracket, so_algebra_by_hand, u_algebra_over_gaussians
+from form_oracles import bracket, so_algebra_by_hand, sparse_brackets, u_algebra_over_gaussians
 from randgen import random_two_step_nilpotent, transported_algebra
 
 
@@ -227,6 +228,66 @@ def test_from_brackets_rejects_repeated_pairs():
     for repeat in ([0, 0, 0], [0, 0, 1], [0, 0, 2]):
         with pytest.raises(ValueError, match=r"\(1,2\) is given more than once"):
             LieAlgebra.from_brackets("su2", 3, table + [((1, 2), repeat)])
+
+
+def dense_sources():
+    """(algebra, the dense bracket vectors it was built from or must equal):
+    so(n) and u(n) against their hand-built constructors, the shipped
+    library, and random bases, unimodular and rescaled (Fraction constants)."""
+    from eqss.documents import builtin_text, parse_document
+
+    rng = random.Random(19)
+    cases = [(so_algebra(n), so_algebra_by_hand(n).brackets) for n in range(14)]
+    cases += [(u_algebra(n), u_algebra_over_gaussians(n).brackets) for n in range(1, 6)]
+    library = parse_document(builtin_text("library")).algebras
+    cases += [(g, g.brackets) for g in library.values()]
+    for g in [su2(), so_algebra(4), u_algebra(2), *library.values()]:
+        for scale in (1, 2, 3):
+            p = RationalMatrix.from_rows(
+                [[scale if a == b else rng.randint(-1, 1) * (a < b) for b in range(g.dim)] for a in range(g.dim)]
+            )
+            cols, pinv = p.columns(), p.inverse()
+            table = {
+                (i, j): pinv.apply(bracket(g, cols[i - 1], cols[j - 1]))
+                for i in range(1, g.dim + 1) for j in range(i + 1, g.dim + 1)
+            }
+            cases.append((LieAlgebra.from_brackets(f"{g.name}/{scale}", g.dim, table), table.items()))
+    cases += [(g, g.brackets) for g in (transported_algebra(rng, so_algebra(5)), random_two_step_nilpotent(rng))]
+    return cases
+
+
+def test_stored_table_matches_the_sparse_brackets_oracle():
+    """The table is the (k, c) table every consumer used to rebuild from the
+    dense vectors: i < j, pairs and k increasing, nonzero constants only,
+    each an int when integral; the lookup serves both orders."""
+    fractions = 0
+    for g, dense in dense_sources():
+        oracle = sparse_brackets(types.SimpleNamespace(brackets=dense))
+        assert g.table == tuple(sorted((ij, t) for ij, t in oracle.items() if ij[0] < ij[1] and t)), g.name
+        assert g._lookup == {ij: t for ij, t in oracle.items() if t}, g.name
+        constants = [c for _, terms in g.table for _, c in terms]
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in constants), g.name
+        fractions += any(type(c) is Fraction for c in constants)
+    assert fractions >= 6
+
+
+def test_dense_view_round_trips_through_from_brackets():
+    for g, _ in dense_sources():
+        again = LieAlgebra.from_brackets(g.name, g.dim, g.brackets)
+        assert again == g and hash(again) == hash(g) and again.table == g.table, g.name
+
+
+def test_parsed_library_algebras_equal_and_hash_like_their_constructors():
+    from eqss.documents import builtin_text, parse_document
+    from eqss.forms import ce_complex
+
+    doc = parse_document(builtin_text("library"))
+    built = {"su2": su2(), "so3": so_algebra(3), "so4": so_algebra(4), "so5": so_algebra(5), "u2": u_algebra(2)}
+    assert doc.algebras == built
+    for name, g in built.items():
+        assert hash(doc.algebras[name]) == hash(g), name
+        assert ce_complex(doc.algebras[name]) is ce_complex(g), name  # one lru_cache entry
+    assert doc.subalgebras["so4_in_so5"].algebra == so_algebra(5)
 
 
 def dense_rank(rows):

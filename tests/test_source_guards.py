@@ -28,7 +28,14 @@ The commands that need no engine load none: the modules `cli`,
 `spectral` nor `library` when they are imported, and `obstructions` not
 `liealg` either; each handler imports the engine it runs.  So `obstruct
 s3-4m`, `gysin --l` and `wang` load only `cli`, `errors`, `linalg` and
-`obstructions`, and `s3-5m` adds `documents`.
+`obstructions`, and `s3-5m` adds `documents`.  `spectral` imports no Lie
+algebra module when it is imported (`product_model` and `twist_by_deck`
+import `cohomology` when called), so `specseq` adds `documents` and
+`spectral` and nothing of the Lie algebra engine.
+
+No engine module states a safety check as a bare `assert`: `python -O`
+drops those, so each check raises AssertionError explicitly, and a run
+under -O still refuses what it refuses.
 
 No engine module divides with `/`: integral entries are Python ints (the
 number rule of `linalg`), and int / int is a float.  Exact quotients are
@@ -319,6 +326,7 @@ LIGHT_MODULES = {
     "cli.py": ENGINE,
     "documents.py": ENGINE,
     "obstructions.py": ENGINE | {"liealg"},
+    "spectral.py": {"forms", "cohomology", "liealg", "library"},
 }
 
 
@@ -410,6 +418,8 @@ LIGHT_COMMANDS = [
                   "1,0,0,2,0,0,1", "--simply-connected", "--oriented"], 0, PURE, id="wang"),
     pytest.param(["obstruct", "gysin", "--l", "3", "--total", "1,1"], 2, PURE, id="gysin exit 2"),
     pytest.param(["obstruct", "s3-4m", "--betti", "2,0,3,0,1"], 3, PURE, id="s3-4m exit 3"),
+    pytest.param(["specseq", "builtin:models", "--complex", "s1_x_su2"], 0,
+                 sorted(PURE + ["eqss.documents", "eqss.spectral"]), id="specseq"),
 ]
 LOADED = (
     "import contextlib, io, json, sys\n"
@@ -429,3 +439,56 @@ def test_light_commands_load_only_their_layer(argv, code, modules):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [code, modules]
+
+
+def bare_asserts(source: str) -> list[int]:
+    """Lines of the assert statements, which python -O removes."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_no_bare_asserts_in_the_engine():
+    found = {path.name: bare_asserts(path.read_text()) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_assert_guard_sees_every_spelling():
+    source = (
+        "assert True\n"
+        "def f(x):\n"
+        "    assert x, 'message'\n"
+        "    if not x:\n"
+        "        raise AssertionError('kept under -O')\n"
+        "class K:\n"
+        "    def g(self):\n"
+        "        assert (self, 1)\n"
+    )
+    assert bare_asserts(source) == [1, 3, 8]
+
+
+BROKEN_CHECK = (
+    "import sys\n"
+    "from eqss import liealg, linalg, obstructions\n"
+    "assert not __debug__, 'run under python -O'\n"
+    "obstructions.verify_exactness = lambda problem, solution: False\n"
+    "linalg.SubspaceBasis.contains_subspace = lambda self, other: False\n"
+    "g, term = liealg.su2(), obstructions.Term\n"
+    "checks = {\n"
+    "    'solve_les': lambda: obstructions.solve_les(obstructions.LesProblem((term.unknown('A'), term.known(3)))),\n"
+    "    'normalizer': lambda: liealg.normalizer(g, liealg.coordinate_subalgebra(g, [3])),\n"
+    "}\n"
+    "try:\n"
+    "    print('passed', checks[sys.argv[1]]())\n"
+    "except AssertionError as e:\n"
+    "    print('refused:', e)\n"
+)
+
+
+@pytest.mark.parametrize("check", ["solve_les", "normalizer"])
+def test_safety_checks_hold_under_python_O(check):
+    """With the check made to fail, the call still refuses under -O."""
+    src = str(Path(eqss.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_CHECK, check], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused:"), proc.stdout
