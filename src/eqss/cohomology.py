@@ -18,7 +18,6 @@ pivots, gives the representatives as its kernel and im d_k as its image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
 
@@ -36,6 +35,7 @@ from .linalg import (
     fixed_subspace,
     kernel_and_image,
 )
+from .records import FrozenRecord, set_fields
 
 __all__ = [
     "CohomologyResult",
@@ -63,8 +63,7 @@ __all__ = [
 MAX_FORM_ENTRIES = 3_000_000
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(FrozenRecord):
     """Cohomology of a GradedComplex with canonical representative cocycles.
 
     classes[k] is the basis of representatives in degree k, and
@@ -72,15 +71,16 @@ class CohomologyResult:
     pivots of the coboundaries, so `cohomology` keeps echelons[k], the
     echelon basis of im d_{k-1} from the pass that gave classes[k-1], and
     `coboundary(k)` turns it (in place) into the reduced echelon basis the
-    first time a class is expressed in degree k, then keeps that.
+    first time a class is expressed in degree k, then keeps that.  Only
+    complex and classes take part in == and hash.
     """
 
-    complex: GradedComplex
-    classes: tuple[SubspaceBasis, ...]
-    echelons: tuple[dict[int, dict[int, int]], ...] = field(compare=False, repr=False)
-    _coboundaries: dict[int, SubspaceBasis] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    __slots__ = ("complex", "classes", "echelons", "_coboundaries")
+    _fields = ("complex", "classes")
+
+    def __init__(self, complex: GradedComplex, classes: tuple[SubspaceBasis, ...],
+                 echelons: tuple[dict[int, dict[int, int]], ...]) -> None:
+        set_fields(self, complex=complex, classes=classes, echelons=echelons, _coboundaries={})
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -134,8 +134,7 @@ def cohomology(cx: GradedComplex) -> CohomologyResult:
     return CohomologyResult(cx, tuple(classes), tuple(echelons[:-1]))
 
 
-@dataclass(frozen=True)
-class RelativeModel:
+class RelativeModel(FrozenRecord):
     """The relative complex of a pair, with its embedding into the forms.
 
     bases[k] identifies degree k of the abstract complex with a subspace of
@@ -143,10 +142,11 @@ class RelativeModel:
     complex with identity embeddings.
     """
 
-    algebra: LieAlgebra
-    subalgebra: Subalgebra
-    complex: GradedComplex
-    bases: tuple[SubspaceBasis, ...]
+    __slots__ = ("algebra", "subalgebra", "complex", "bases")
+
+    def __init__(self, algebra: LieAlgebra, subalgebra: Subalgebra, complex: GradedComplex,
+                 bases: tuple[SubspaceBasis, ...]) -> None:
+        set_fields(self, algebra=algebra, subalgebra=subalgebra, complex=complex, bases=bases)
 
 
 def relative_model(g: LieAlgebra, h: Subalgebra | None = None) -> RelativeModel:
@@ -237,10 +237,11 @@ def action_on_cohomology(result: CohomologyResult, maps: Sequence[RationalMatrix
     return [result.express_columns(k, m.mul(reps.matrix)) for k, (m, reps) in pairs]
 
 
-@dataclass(frozen=True)
-class InvariantCohomology:
-    dims: tuple[int, ...]
-    bases: tuple[SubspaceBasis, ...]  # inside each H^k in representative coordinates
+class InvariantCohomology(FrozenRecord):
+    __slots__ = ("dims", "bases")
+
+    def __init__(self, dims: tuple[int, ...], bases: tuple[SubspaceBasis, ...]) -> None:
+        set_fields(self, dims=dims, bases=bases)  # bases[k] inside H^k, in representative coordinates
 
 
 def invariant_cohomology(

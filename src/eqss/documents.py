@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -32,6 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 from .errors import DocumentError
 from .linalg import GradedComplex, Rational, RationalMatrix, as_fraction
 from .obstructions import CupForm
+from .records import FrozenRecord, set_fields
 
 if TYPE_CHECKING:
     from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
@@ -138,13 +138,14 @@ def _matrix_rows(m: RationalMatrix) -> list:
     return [[render_rational(x) for x in row] for row in m.rows]
 
 
-@dataclass(frozen=True)
-class ComplexEntry:
+class ComplexEntry(FrozenRecord):
     """A named cochain complex, optionally carrying filtration weights."""
 
-    name: str
-    complex: GradedComplex
-    weights: tuple[tuple[int, ...], ...] | None = None
+    __slots__ = ("name", "complex", "weights")
+
+    def __init__(self, name: str, complex: GradedComplex,
+                 weights: tuple[tuple[int, ...], ...] | None = None) -> None:
+        set_fields(self, name=name, complex=complex, weights=weights)
 
     def filtered(self) -> FilteredComplex:
         from .spectral import FilteredComplex
@@ -154,23 +155,26 @@ class ComplexEntry:
         return FilteredComplex.create(self.complex, self.weights)
 
 
-@dataclass(frozen=True)
-class ActionEntry:
+class ActionEntry(FrozenRecord):
     """Per-degree square matrices on a named complex (chain-map checks are
     left to the consumer)."""
 
-    name: str
-    complex_name: str
-    maps: tuple[RationalMatrix, ...]
+    __slots__ = ("name", "complex_name", "maps")
+
+    def __init__(self, name: str, complex_name: str, maps: tuple[RationalMatrix, ...]) -> None:
+        set_fields(self, name=name, complex_name=complex_name, maps=maps)
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    algebras: dict[str, LieAlgebra]
-    subalgebras: dict[str, Subalgebra]
-    automorphisms: dict[str, LieAutomorphism]
-    complexes: dict[str, ComplexEntry]
-    actions: dict[str, ActionEntry]
+class InputDocument(FrozenRecord):
+    """The five sections of a document, each by entry name."""
+
+    __slots__ = ("algebras", "subalgebras", "automorphisms", "complexes", "actions")
+
+    def __init__(self, algebras: dict[str, LieAlgebra], subalgebras: dict[str, Subalgebra],
+                 automorphisms: dict[str, LieAutomorphism], complexes: dict[str, ComplexEntry],
+                 actions: dict[str, ActionEntry]) -> None:
+        set_fields(self, algebras=algebras, subalgebras=subalgebras, automorphisms=automorphisms,
+                   complexes=complexes, actions=actions)
 
     def _lookup(self, table: dict, kind: str, name: str):
         if name not in table:

@@ -16,8 +16,6 @@ by a skew-Hermitian basis, realified inside so(2n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -30,6 +28,7 @@ from .linalg import (
     kernel_basis,
     rank,
 )
+from .records import FrozenRecord, set_field, set_fields
 
 __all__ = [
     "JacobiReport",
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(FrozenRecord):
     """Structure constants, stored once as sparse terms.
 
     table holds ((i, j), ((k, c), ...)) for each pair i < j with
@@ -61,9 +59,16 @@ class LieAlgebra:
     and `brackets` is that dense view, built on each read.
     """
 
-    name: str
-    dim: int
-    table: tuple[tuple[tuple[int, int], tuple[tuple[int, Rational], ...]], ...]
+    __slots__ = ("name", "dim", "table", "_both_orders")
+
+    def __init__(self, name: str, dim: int, table: tuple) -> None:
+        set_field(self, "name", name)
+        set_field(self, "dim", dim)
+        set_field(self, "table", table)
+        set_field(self, "_both_orders", None)
+
+    def _key(self) -> tuple:
+        return (self.name, self.dim, self.table)
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, table: dict | Sequence) -> "LieAlgebra":
@@ -85,19 +90,23 @@ class LieAlgebra:
         cols = RationalMatrix(self.dim, tuple(tuple((k - 1, c) for k, c in t) for _, t in self.table))
         return tuple(zip((ij for ij, _ in self.table), cols.columns()))
 
-    @cached_property
+    @property
     def _lookup(self) -> dict[tuple[int, int], tuple[tuple[int, Rational], ...]]:
-        """The terms of [e_i, e_j] for both orders of every nonzero pair."""
-        out = dict(self.table)
-        out.update(((j, i), tuple((k, -c) for k, c in t)) for (i, j), t in self.table)
+        """The terms of [e_i, e_j] for both orders of every nonzero pair, built once."""
+        out = self._both_orders
+        if out is None:
+            out = dict(self.table)
+            out.update(((j, i), tuple((k, -c) for k, c in t)) for (i, j), t in self.table)
+            set_field(self, "_both_orders", out)
         return out
 
 
-@dataclass(frozen=True)
-class JacobiReport:
-    ok: bool
-    witness: tuple[int, int, int] | None = None
-    jacobiator: Vector | None = None
+class JacobiReport(FrozenRecord):
+    __slots__ = ("ok", "witness", "jacobiator")
+
+    def __init__(self, ok: bool, witness: tuple[int, int, int] | None = None,
+                 jacobiator: Vector | None = None) -> None:
+        set_fields(self, ok=ok, witness=witness, jacobiator=jacobiator)
 
 
 def bracket_terms(
@@ -131,13 +140,13 @@ def jacobi_check(g: LieAlgebra) -> JacobiReport:
     return JacobiReport(True)
 
 
-@dataclass(frozen=True)
-class Subalgebra:
+class Subalgebra(FrozenRecord):
     """A subalgebra of `algebra` spanned by `basis` (canonical form)."""
 
-    algebra: LieAlgebra
-    basis: SubspaceBasis
-    name: str = ""
+    __slots__ = ("algebra", "basis", "name")
+
+    def __init__(self, algebra: LieAlgebra, basis: SubspaceBasis, name: str = "") -> None:
+        set_fields(self, algebra=algebra, basis=basis, name=name)
 
     @classmethod
     def span(cls, g: LieAlgebra, vectors: Sequence[Sequence], name: str = "") -> "Subalgebra":
@@ -204,13 +213,13 @@ def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:
     return result
 
 
-@dataclass(frozen=True)
-class LieAutomorphism:
+class LieAutomorphism(FrozenRecord):
     """An invertible bracket-preserving linear map, columns = images of e_j."""
 
-    algebra: LieAlgebra
-    matrix: RationalMatrix
-    name: str = ""
+    __slots__ = ("algebra", "matrix", "name")
+
+    def __init__(self, algebra: LieAlgebra, matrix: RationalMatrix, name: str = "") -> None:
+        set_fields(self, algebra=algebra, matrix=matrix, name=name)
 
     @classmethod
     def create(cls, g: LieAlgebra, matrix, name: str = "") -> "LieAutomorphism":

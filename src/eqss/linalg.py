@@ -35,10 +35,11 @@ equality a matrix comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+from .records import FrozenRecord, set_field
 
 __all__ = [
     "GROUP_BOUND",
@@ -103,8 +104,7 @@ def _uniform(vectors: Sequence[Sequence], length: int | None, kind: str) -> tupl
     return conv, width
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(FrozenRecord):
     """Sparse matrix of exact rationals, stored column by column.
 
     entries[j] holds the nonzero entries of column j as (row, value) pairs
@@ -115,8 +115,14 @@ class RationalMatrix:
     `columns` are dense views.
     """
 
-    nrows: int
-    entries: tuple[tuple[tuple[int, Rational], ...], ...]
+    __slots__ = ("nrows", "entries")
+
+    def __init__(self, nrows: int, entries: tuple[tuple[tuple[int, Rational], ...], ...]) -> None:
+        set_field(self, "nrows", nrows)
+        set_field(self, "entries", entries)
+
+    def _key(self) -> tuple:
+        return (self.nrows, self.entries)
 
     @classmethod
     def from_entries(cls, nrows: int, columns: Iterable[Iterable[tuple[int, Rational]]]) -> "RationalMatrix":
@@ -306,8 +312,7 @@ def _quotient(x: int, y: int) -> Rational:
     return Fraction(x, y) if r else q
 
 
-@dataclass(frozen=True)
-class GradedComplex:
+class GradedComplex(FrozenRecord):
     """A cochain complex of rational spaces in degrees 0..top.
 
     differentials[k] maps degree k into degree k+1.  Every instance has
@@ -316,8 +321,14 @@ class GradedComplex:
     makes the one d^2 = 0 check (`_product_is_zero`).
     """
 
-    dims: tuple[int, ...]
-    differentials: tuple[RationalMatrix, ...]
+    __slots__ = ("dims", "differentials")
+
+    def __init__(self, dims: tuple[int, ...], differentials: tuple[RationalMatrix, ...]) -> None:
+        set_field(self, "dims", dims)
+        set_field(self, "differentials", differentials)
+
+    def _key(self) -> tuple:
+        return (self.dims, self.differentials)
 
     @classmethod
     def create(cls, dims: Sequence[int], differentials: Sequence[RationalMatrix]) -> "GradedComplex":
@@ -371,8 +382,7 @@ def rank(m: RationalMatrix) -> int:
     return len(echelon(m.entries))
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(FrozenRecord):
     """A subspace of Q^n, held as the matrix whose columns are its reduced
     echelon basis in increasing pivot order.
 
@@ -382,7 +392,13 @@ class SubspaceBasis:
     dense view of the columns.
     """
 
-    matrix: RationalMatrix
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: RationalMatrix) -> None:
+        set_field(self, "matrix", matrix)
+
+    def _key(self) -> tuple:
+        return (self.matrix,)
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence], ambient: int) -> "SubspaceBasis":

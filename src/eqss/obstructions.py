@@ -18,7 +18,6 @@ or "not excluded by this criterion".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
 from itertools import product
@@ -26,6 +25,7 @@ from math import gcd, isqrt
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .linalg import RationalMatrix, SubspaceBasis, as_fraction, kernel_basis
+from .records import FrozenRecord, Record, set_fields
 
 if TYPE_CHECKING:
     from .liealg import LieAlgebra, Subalgebra
@@ -59,12 +59,13 @@ MAX_NORMALS = 80_000
 NOT_EXCLUDED = "not excluded by this criterion"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(FrozenRecord):
     """One entry of an exact sequence: a known dimension or a labeled unknown."""
 
-    dim: int | None = None
-    label: str | None = None
+    __slots__ = ("dim", "label")
+
+    def __init__(self, dim: int | None = None, label: str | None = None) -> None:
+        set_fields(self, dim=dim, label=label)
 
     @classmethod
     def known(cls, dim: int) -> "Term":
@@ -87,8 +88,7 @@ class Term:
         return str(self.dim) if self.is_known else f"?{self.label}"
 
 
-@dataclass(frozen=True)
-class LesProblem:
+class LesProblem(FrozenRecord):
     """A finite exact sequence flanked by zeros on both sides.
 
     terms is the expansion of a pattern of `period` slots per degree over
@@ -96,20 +96,19 @@ class LesProblem:
     arrow i joins terms[i] to terms[i+1].
     """
 
-    terms: tuple[Term, ...]
-    period: int = 1
-    degree_range: tuple[int, int] = (0, 0)
-    forced_zero_ranks: tuple[int, ...] = ()
-    description: str = ""
+    __slots__ = ("terms", "period", "degree_range", "forced_zero_ranks", "description")
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple[Term, ...], period: int = 1, degree_range: tuple[int, int] = (0, 0),
+                 forced_zero_ranks: tuple[int, ...] = (), description: str = "") -> None:
+        if not terms:
             raise ValueError("an exact-sequence problem needs at least one term")
-        for i in self.forced_zero_ranks:
-            if not 0 <= i < len(self.terms) - 1:
+        for i in forced_zero_ranks:
+            if not 0 <= i < len(terms) - 1:
                 raise ValueError(f"forced arrow index {i} out of range")
-        if self.period < 1:
+        if period < 1:
             raise ValueError("period must be positive")
+        set_fields(self, terms=terms, period=period, degree_range=degree_range,
+                   forced_zero_ranks=forced_zero_ranks, description=description)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted({t.label for t in self.terms if t.label is not None}))
@@ -129,10 +128,12 @@ class LesProblem:
         }
 
 
-@dataclass
-class LesSolution:
-    assignments: dict[str, int]
-    map_ranks: tuple[int, ...]
+class LesSolution(Record):
+    __slots__ = ("assignments", "map_ranks")
+
+    def __init__(self, assignments: dict[str, int], map_ranks: tuple[int, ...]) -> None:
+        self.assignments = assignments
+        self.map_ranks = map_ranks
 
     def as_dict(self) -> dict:
         return {
@@ -231,17 +232,21 @@ def verify_exactness(problem: LesProblem, solution: LesSolution) -> bool:
     return True
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     """Outcome of a checker; exclusion claims carry the theorem applied."""
 
-    excluded: bool
-    verdict: str
-    reason: str
-    citation: str = ""
-    completeness: str = ""
-    problem: LesProblem | None = None
-    witness: object | None = None
+    __slots__ = ("excluded", "verdict", "reason", "citation", "completeness", "problem", "witness")
+
+    def __init__(self, excluded: bool, verdict: str, reason: str, citation: str = "",
+                 completeness: str = "", problem: LesProblem | None = None,
+                 witness: object | None = None) -> None:
+        self.excluded = excluded
+        self.verdict = verdict
+        self.reason = reason
+        self.citation = citation
+        self.completeness = completeness
+        self.problem = problem
+        self.witness = witness
 
     def as_dict(self) -> dict:
         out = {
@@ -474,13 +479,13 @@ def s3_check_4manifold(betti: Sequence[int]) -> Verdict:
     )
 
 
-@dataclass(frozen=True)
-class CupForm:
+class CupForm(FrozenRecord):
     """The cup product H^2 x H^2 -> H^4 as b4 symmetric b2 x b2 matrices."""
 
-    b2: int
-    b4: int
-    matrices: tuple[RationalMatrix, ...]
+    __slots__ = ("b2", "b4", "matrices")
+
+    def __init__(self, b2: int, b4: int, matrices: tuple[RationalMatrix, ...]) -> None:
+        set_fields(self, b2=b2, b4=b4, matrices=matrices)
 
     @classmethod
     def create(cls, b2: int, matrices: Sequence) -> "CupForm":
@@ -517,12 +522,15 @@ def _vanishes_on(rows: Sequence[Sequence], n: Sequence) -> bool:
     )
 
 
-@dataclass
-class NullSearchResult:
-    found: bool
-    hyperplane: SubspaceBasis | None
-    completeness: str  # "exact" or "bounded-search"
-    note: str = ""
+class NullSearchResult(Record):
+    __slots__ = ("found", "hyperplane", "completeness", "note")
+
+    def __init__(self, found: bool, hyperplane: SubspaceBasis | None, completeness: str,
+                 note: str = "") -> None:
+        self.found = found
+        self.hyperplane = hyperplane
+        self.completeness = completeness  # "exact" or "bounded-search"
+        self.note = note
 
 
 def _fraction_sqrt(f: Fraction) -> Fraction | None:
@@ -690,16 +698,16 @@ def s3_check_5manifold(
     )
 
 
-@dataclass(frozen=True)
-class OrbitType:
-    """One orbit type of an SU(2)-style action, with its expected cohomology."""
+class OrbitType(FrozenRecord):
+    """One orbit type of an SU(2)-style action, with its expected cohomology;
+    antipodal_invariants: quotient by the normalizer's two components."""
 
-    orbit: str
-    isotropy: str
-    orbit_dim: int
-    isotropy_dim: int
-    cohomology: tuple[int, ...]
-    antipodal_invariants: bool = False  # quotient by the normalizer's two components
+    __slots__ = ("orbit", "isotropy", "orbit_dim", "isotropy_dim", "cohomology", "antipodal_invariants")
+
+    def __init__(self, orbit: str, isotropy: str, orbit_dim: int, isotropy_dim: int,
+                 cohomology: tuple[int, ...], antipodal_invariants: bool = False) -> None:
+        set_fields(self, orbit=orbit, isotropy=isotropy, orbit_dim=orbit_dim, isotropy_dim=isotropy_dim,
+                   cohomology=cohomology, antipodal_invariants=antipodal_invariants)
 
 
 def su2_orbit_table() -> tuple[OrbitType, ...]:

@@ -30,7 +30,6 @@ weight-adapted: each vector takes the weight of its pivot.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import SpectralAuditError
@@ -51,6 +50,7 @@ from .linalg import (
     solve,
     subspace_sum,
 )
+from .records import FrozenRecord, set_fields
 
 if TYPE_CHECKING:
     from .cohomology import RelativeModel
@@ -97,8 +97,7 @@ def _lowered_weight(
     return None
 
 
-@dataclass(frozen=True)
-class FilteredComplex:
+class FilteredComplex(FrozenRecord):
     """A cochain complex with a basis-adapted decreasing filtration.
 
     Construction checks the filtration (one nonnegative weight per basis
@@ -106,11 +105,11 @@ class FilteredComplex:
     every instance is valid.  d^2 = 0 is an invariant of GradedComplex.
     """
 
-    complex: GradedComplex
-    weights: tuple[tuple[int, ...], ...]
+    __slots__ = ("complex", "weights")
 
-    def __post_init__(self) -> None:
-        cx, ws = self.complex, self.weights
+    def __init__(self, complex: GradedComplex, weights: tuple[tuple[int, ...], ...]) -> None:
+        set_fields(self, complex=complex, weights=weights)
+        cx, ws = complex, weights
         if len(ws) != cx.top + 1:
             raise FilteredComplexError(f"expected weights for {cx.top + 1} degrees, got {len(ws)}")
         for n, degree_ws in enumerate(ws):
@@ -148,17 +147,18 @@ class FilteredComplex:
         return SubspaceBasis.coordinate(self.complex.dim(n), self.level_indices(n, p))
 
 
-@dataclass(frozen=True)
-class PageEntry:
-    p: int
-    q: int
-    dim: int
+class PageEntry(FrozenRecord):
+    __slots__ = ("p", "q", "dim")
+
+    def __init__(self, p: int, q: int, dim: int) -> None:
+        set_fields(self, p=p, q=q, dim=dim)
 
 
-@dataclass(frozen=True)
-class Page:
-    r: int
-    entries: tuple[PageEntry, ...]
+class Page(FrozenRecord):
+    __slots__ = ("r", "entries")
+
+    def __init__(self, r: int, entries: tuple[PageEntry, ...]) -> None:
+        set_fields(self, r=r, entries=entries)
 
     def dims(self) -> dict[tuple[int, int], int]:
         return {(e.p, e.q): e.dim for e in self.entries}
@@ -172,15 +172,15 @@ class Page:
         return tuple(sums)
 
 
-@dataclass(frozen=True)
-class PageTable:
+class PageTable(FrozenRecord):
     """All pages up to the stabilization bound, with E-infinity summary."""
 
-    filtered: FilteredComplex
-    pages: tuple[Page, ...]
-    stabilized_at: int
-    einf: dict
-    total_cohomology: tuple[int, ...]
+    __slots__ = ("filtered", "pages", "stabilized_at", "einf", "total_cohomology")
+
+    def __init__(self, filtered: FilteredComplex, pages: tuple[Page, ...], stabilized_at: int,
+                 einf: dict, total_cohomology: tuple[int, ...]) -> None:
+        set_fields(self, filtered=filtered, pages=pages, stabilized_at=stabilized_at, einf=einf,
+                   total_cohomology=total_cohomology)
 
 
 def _pairs(fc: FilteredComplex) -> list[tuple[int, int, int]]:
@@ -386,7 +386,6 @@ def _pair_dims(pairs) -> dict[tuple[int, int], int]:
 # Product models and deck twists
 
 
-@dataclass(frozen=True)
 class ProductComplex(FilteredComplex):
     """Base tensor relative-complex total complex, filtered by base degree.
 
@@ -395,9 +394,12 @@ class ProductComplex(FilteredComplex):
     fastest.  Zero-size blocks are omitted.
     """
 
-    base: GradedComplex
-    fiber: RelativeModel
-    blocks: tuple[tuple[tuple[int, int, int], ...], ...]
+    __slots__ = ("base", "fiber", "blocks")
+
+    def __init__(self, complex: GradedComplex, weights: tuple[tuple[int, ...], ...],
+                 base: GradedComplex, fiber: RelativeModel, blocks: tuple) -> None:
+        super().__init__(complex, weights)
+        set_fields(self, base=base, fiber=fiber, blocks=blocks)
 
 
 def _effective_top(cx: GradedComplex) -> int:
@@ -491,11 +493,13 @@ def product_action(
     return out
 
 
-@dataclass(frozen=True)
-class DeckAction:
+class DeckAction(FrozenRecord):
     """A finite group acting on a filtered complex, one matrix per degree."""
 
-    generators: tuple[tuple[RationalMatrix, ...], ...]
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: tuple[tuple[RationalMatrix, ...], ...]) -> None:
+        set_fields(self, generators=generators)
 
     @classmethod
     def create(

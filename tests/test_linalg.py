@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -25,6 +24,7 @@ from eqss.linalg import (
     solve,
     subspace_sum,
 )
+from eqss.records import Record
 from eqss.spectral import product_model, twist_by_deck
 
 from form_oracles import restricted_kernel
@@ -579,13 +579,15 @@ def test_number_rule_at_the_boundary():
 
 
 def numbers(obj):
-    """Every number reachable from obj through dataclass fields, tuples,
-    lists and dict keys and values."""
+    """Every number reachable from obj through the slots of records (caches
+    included), tuples, lists and dict keys and values.  Any other type but
+    str and None is an error, so no field can be skipped unseen."""
     if isinstance(obj, (int, float, Fraction)):
         yield obj
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from numbers(getattr(obj, f.name))
+    elif isinstance(obj, Record):
+        for cls in type(obj).__mro__:
+            for name in cls.__dict__.get("__slots__", ()):
+                yield from numbers(getattr(obj, name))
     elif isinstance(obj, (tuple, list)):
         for x in obj:
             yield from numbers(x)
@@ -593,6 +595,20 @@ def numbers(obj):
         for k, x in obj.items():
             yield from numbers(k)
             yield from numbers(x)
+    elif not (obj is None or isinstance(obj, str)):
+        raise TypeError(f"numbers() does not know {type(obj).__name__}")
+
+
+def test_number_walk_sees_every_slot_and_refuses_unknown_types():
+    m = RationalMatrix(2, ((), ((0, 0.5), (1, Fraction(1, 3)))))
+    assert list(numbers(m)) == [2, 0, 0.5, 1, Fraction(1, 3)]
+    res = cohomology(GradedComplex.create((1, 1), (RationalMatrix.zeros(1, 1),)))
+    before = list(numbers(res))
+    res.coboundary(1)  # fills the cache slot, which the walk reads too
+    assert len(list(numbers(res))) > len(before)
+    for unknown in (object(), range(3), frozenset({1}), b"1"):
+        with pytest.raises(TypeError, match="does not know"):
+            list(numbers([1, unknown]))
 
 
 def transported(rng, g, h, aut):

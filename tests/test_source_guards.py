@@ -27,11 +27,13 @@ The commands that need no engine load none: the modules `cli`,
 `documents` and `obstructions` import neither `forms`, `cohomology`,
 `spectral` nor `library` when they are imported, and `obstructions` not
 `liealg` either; each handler imports the engine it runs.  So `obstruct
-s3-4m`, `gysin --l` and `wang` load only `cli`, `errors`, `linalg` and
-`obstructions`, and `s3-5m` adds `documents`.  `spectral` imports no Lie
-algebra module when it is imported (`product_model` and `twist_by_deck`
-import `cohomology` when called), so `specseq` adds `documents` and
-`spectral` and nothing of the Lie algebra engine.
+s3-4m`, `gysin --l` and `wang` load only `cli`, `errors`, `linalg`,
+`obstructions` and `records`, and `s3-5m` adds `documents`.  `spectral`
+imports no Lie algebra module when it is imported (`product_model` and
+`twist_by_deck` import `cohomology` when called), so `specseq` adds
+`documents` and `spectral` and nothing of the Lie algebra engine.  The
+records are plain `__slots__` classes, so no command of the README, heavy
+or light, imports `dataclasses` or, through it, `inspect`.
 
 No engine module states a safety check as a bare `assert`: `python -O`
 drops those, so each check raises AssertionError explicitly, and a run
@@ -53,6 +55,8 @@ from pathlib import Path
 import pytest
 
 import eqss
+
+from ladder import readme_commands
 
 SOURCES = sorted(Path(eqss.__file__).parent.glob("*.py"))
 ALLOWED: set[tuple[str, str | None]] = set()
@@ -407,7 +411,7 @@ def test_import_layer_guard_sees_every_spelling():
     }
 
 
-PURE = ["eqss", "eqss.cli", "eqss.errors", "eqss.linalg", "eqss.obstructions"]
+PURE = ["eqss", "eqss.cli", "eqss.errors", "eqss.linalg", "eqss.obstructions", "eqss.records"]
 LIGHT_COMMANDS = [
     pytest.param(["obstruct", "s3-4m", "--betti", "1,0,3,0,1"], 0, PURE, id="s3-4m"),
     pytest.param(["obstruct", "s3-5m", "--b2", "2", "--cup", "builtin:cup_definite"], 0,
@@ -426,19 +430,32 @@ LOADED = (
     "from eqss import cli\n"
     "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
     "    code = cli.main(sys.argv[1:])\n"
-    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'eqss')]))\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'eqss'),\n"
+    "                  [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))\n"
 )
 
 
-@pytest.mark.parametrize("argv, code, modules", LIGHT_COMMANDS)
-def test_light_commands_load_only_their_layer(argv, code, modules):
+def loaded(argv: list[str]) -> list:
+    """[exit code, the eqss modules loaded, which of dataclasses and inspect
+    are loaded] after `cli.main(argv)` in a fresh interpreter."""
     src = str(Path(eqss.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if not k.startswith("EQSS_")}
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [code, modules]
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv, code, modules", LIGHT_COMMANDS)
+def test_light_commands_load_only_their_layer(argv, code, modules):
+    assert loaded(argv) == [code, modules, []]
+
+
+@pytest.mark.parametrize("argv", readme_commands(Path(__file__).resolve().parents[1] / "README.md"), ids=" ".join)
+def test_readme_commands_never_import_dataclasses(argv):
+    code, _, heavy = loaded(argv)
+    assert (code, heavy) == (0, [])
 
 
 def bare_asserts(source: str) -> list[int]:
