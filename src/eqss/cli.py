@@ -90,6 +90,14 @@ def _csv_ints(text: str, what: str) -> list[int]:
         raise DocumentError(f"{what}: expected comma-separated integers, got {text!r}") from None
 
 
+def _subalgebra_of(doc, g, name: str):
+    """The document's subalgebra of that name, refused unless its parent is g."""
+    h = doc.subalgebra(name)
+    if h.algebra != g:
+        raise DocumentError(f"subalgebra '{name}' has parent '{h.algebra.name}', not '{g.name}'")
+    return h
+
+
 # ---------------------------------------------------------------------------
 # commands; each returns (results dict, human-readable lines)
 
@@ -100,13 +108,7 @@ def _cmd_cohomology(args, inputs: dict):
 
     doc = _load_document(args.file, inputs)
     g = doc.algebra(args.algebra)
-    h = None
-    if args.relative is not None:
-        h = doc.subalgebra(args.relative)
-        if h.algebra != g:
-            raise DocumentError(
-                f"subalgebra '{args.relative}' has parent '{h.algebra.name}', not '{g.name}'"
-            )
+    h = None if args.relative is None else _subalgebra_of(doc, g, args.relative)
     model = relative_model(g, h)
     res = cohomology(model.complex)
     representatives = [
@@ -241,12 +243,7 @@ def _cmd_obstruct_gysin(args, inputs: dict):
         if len(names) != 2:
             raise DocumentError("--pair expects ALGEBRA,SUBALGEBRA")
         g = doc.algebra(names[0])
-        h = doc.subalgebra(names[1])
-        if h.algebra != g:
-            raise DocumentError(
-                f"subalgebra '{names[1]}' has parent '{h.algebra.name}', not '{g.name}'"
-            )
-        pair = (g, h)
+        pair = (g, _subalgebra_of(doc, g, names[1]))
 
     basic = _csv_ints(args.basic, "--basic")
     total = _csv_ints(args.total, "--total") if args.total else None

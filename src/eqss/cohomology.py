@@ -153,10 +153,10 @@ def relative_model(g: LieAlgebra, h: Subalgebra | None = None) -> RelativeModel:
     """The complex C(g, h) = (Lambda(g/h)*)^h in the basis of its forms.
 
     For h = 0 this is the full Chevalley-Eilenberg complex with identity
-    bases.  Otherwise the small complex of `relative_subcomplex` is built
-    without the full one: d of each basis form is computed from the
-    structure constants over its nonzero monomials, and reading its
-    coordinates in the next degree's basis doubles as the closure check.
+    bases.  Otherwise the small complex is built without the full one: its
+    bases are the kernel of h's isotropy action (`relative_subcomplex`, no
+    d), then d is computed once, on those forms, from the structure
+    constants; reading it in the next degree's basis is the closure check.
     Algebras that fail the Jacobi identity are refused in both cases.
 
     Before any form is built, the size of the route is checked against

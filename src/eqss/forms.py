@@ -17,9 +17,11 @@ nonzero `&`, and the sign of merging index i into t is the parity of the
 indices of t it passes, a `bit_count`.  `_d_column` is the one column
 routine: it peels off the lowest index, d(e^i ^ e^rest) = de^i ^ e^rest -
 e^i ^ d(e^rest), reading d(e^rest) from a memo of the degree below; every
-memo lives for one call.  `ce_complex` returns a `GradedComplex`, the type
-of every complex, built degree by degree through one mask -> position table
-per degree (`_positions`), and keeps the last few in a bounded cache.
+memo lives for one call.  `relative_subcomplex` differentiates nothing (it
+takes the kernel of h's isotropy action), so d is built once per route.
+`ce_complex` returns a `GradedComplex`, the type of every complex, built
+degree by degree through one mask -> position table per degree
+(`_positions`), and keeps the last few in a bounded cache.
 
 Forms are the columns of a `RationalMatrix` everywhere, indexed by
 monomial position, and every routine that maps forms (`differential_images`,
@@ -274,85 +276,78 @@ def _wedge_images(images: Sequence[dict[int, Rational]], m: int, memo: dict) -> 
     return got
 
 
-def _adapted_basis(g: LieAlgebra, h: Subalgebra):
-    """Brackets in a basis f adapted to h, plus the 1-forms f^c.
+def _isotropy_action(g: LieAlgebra, h: Subalgebra):
+    """The action of h on the 1-forms of g/h, plus those 1-forms.
 
     f_p is the echelon basis vector of h with pivot p, and f_c = e_c at every
-    other column c; the change of basis T is unit lower triangular.  Returns
-    (pivot set, the f^c-terms off the pivots of [f_i, f_j] for i < j, as
-    `_generator_images` takes them, {c: f^c in the e^i}).
+    other column c, the free ones; the dual 1-form f^c = e^c - sum_p f_p[c]
+    e^p vanishes on h.  L_{f_p} f^c = sum_a v f^a over the free a, with
+    v = -f^c([f_p, f_a]), so only the brackets of h with the free e_a are
+    taken.  Returns ({bit of c: its terms (p << dim g, bit of a, the bits
+    strictly between a and c, v)}, {c: f^c in the e^i}).
     """
     n = g.dim
-    cols: dict[int, tuple[tuple[int, Rational], ...]] = {i: ((i, 1),) for i in range(1, n + 1)}
-    pivots = []
-    for b in h.basis.matrix.entries:
-        p = b[0][0] + 1  # entries increase by row, so the first is the pivot
-        pivots.append(p)
-        cols[p] = tuple((j + 1, a) for j, a in b)
-    pivset = frozenset(pivots)
-    # f^c = e^c - sum_b b[c] e^{p(b)}: T^{-1} x keeps x_p and subtracts the b-parts
-    duals = {c: {c: 1} for c in range(1, n + 1) if c not in pivset}
-    for p in pivots:
-        for c, a in cols[p]:
-            if c != p:
-                duals[c][p] = -a
-    adapted = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            x = bracket_terms(g, cols[i], cols[j])
-            # the f^c-coordinates of x; the pivot ones are never differentiated
-            y = {}
+    # entries increase by row, so the first is the pivot
+    pivots = {b[0][0] + 1: tuple((j + 1, a) for j, a in b) for b in h.basis.matrix.entries}
+    duals = {c: {c: 1} for c in range(1, n + 1) if c not in pivots}
+    for p, f in pivots.items():
+        for c, a in f[1:]:
+            duals[c][p] = -a
+    action: dict[int, list] = {}
+    for p, f in pivots.items():
+        for a in duals:
+            x = bracket_terms(g, f, ((a, 1),))
             for c, dual in duals.items():
-                v = as_fraction(sum(a * x[t] for t, a in dual.items() if t in x))
+                v = as_fraction(-sum(b * x[t] for t, b in dual.items() if t in x))
                 if v:
-                    y[c] = v
-            if y:
-                adapted.append(((i, j), tuple(sorted(y.items()))))
-    return pivset, adapted, duals
+                    lo, hi = sorted((a, c))
+                    between = (1 << (hi - 1)) - (1 << lo)
+                    action.setdefault(1 << (c - 1), []).append((p << n, 1 << (a - 1), between, v))
+    return action, duals
 
 
 def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
     """Per-degree bases of C(g, h) = (Lambda(g/h)*)^h inside the k-forms on g.
 
-    These are the forms w with iota_X w = 0 and iota_X dw = 0 for X in h.
+    These are the horizontal forms w (iota_X w = 0 for X in h) killed by
+    the isotropy action of h, since iota_X dw = L_X w for a horizontal w.
     In a basis f adapted to h (the echelon basis of h at its pivot columns,
-    unit vectors elsewhere) the first condition leaves exactly the monomials
-    in the f^c that avoid the pivots, at most C(dim g - dim h, k) of them,
-    so only those are differentiated.  The kernel of iota_{f_p} o d over the
-    pivots p is then carried back to the monomials in the e^i.  No form
-    outside Lambda(g/h)* is ever built.
+    unit vectors elsewhere) the horizontal k-forms are spanned by the
+    monomials m in the free f^c, at most C(dim g - dim h, k) of them.  The
+    derivation L_{f_p} moves f^c to f^a in place, past the indices of m
+    strictly between a and c; the a = c terms keep m.  The kernel of the
+    stacked L_{f_p} is carried back to the monomials in the e^i.
     """
     if h.algebra != g:
         raise ValueError("subalgebra belongs to a different algebra")
     _require_jacobi(g)
     n = g.dim
-    pivset, adapted, duals = _adapted_basis(g, h)
-    dgen = _generator_images(n, adapted)
-    pivots, free = sum(1 << (p - 1) for p in pivset), [1 << (c - 1) for c in sorted(duals)]
+    action, duals = _isotropy_action(g, h)
+    free = [1 << (c - 1) for c in sorted(duals)]
     images = [duals.get(j, {}) for j in range(n + 1)]
     memo: dict = {}
-    dmemo: dict = {}
     spaces: list[SubspaceBasis] = []
     for k in range(n + 1):
         horizontal = [sum(c) for c in combinations(free, k)]
         if not horizontal:
             spaces.append(SubspaceBasis.zero(comb(n, k)))
             continue
-        # one column per horizontal monomial: iota_{f_j} d(f^m), one row per
-        # (pivot j, monomial), numbered as first seen; the kernel ignores row order
+        # one column per horizontal monomial: L_{f_p} f^m, one row per
+        # (pivot p, monomial), numbered as first seen; the kernel ignores row order
         row_of: dict[int, int] = {}
         cols = []
         for m in horizontal:
-            col = []
-            for t, c in _d_column(dgen, m, dmemo).items():
-                x = t & pivots
-                while x:
-                    bit = x & -x
-                    x ^= bit
-                    row = row_of.setdefault(t ^ bit | bit << n, len(row_of))
-                    col.append((row, -c if (t & (bit - 1)).bit_count() & 1 else c))
+            col, stay = [], {}
+            for c, terms in action.items():
+                if m & c:
+                    for key, a, between, v in terms:
+                        if a == c:  # the only terms of a column that share a target
+                            stay[key] = stay.get(key, 0) + v
+                        elif not m & a:
+                            row = row_of.setdefault(key | m ^ c | a, len(row_of))
+                            col.append((row, -v if (m & between).bit_count() & 1 else v))
+            col += [(row_of.setdefault(key | m, len(row_of)), v) for key, v in stay.items()]
             cols.append(col)
-        dmemo = {m: dmemo[m] for m in horizontal}
         constraint = RationalMatrix.from_entries(len(row_of), cols)
         lifted = _images(kernel_basis(constraint).matrix, horizontal.__getitem__, n, k,
                          lambda m: _wedge_images(images, m, memo))

@@ -723,7 +723,7 @@ def su2_orbit_table() -> tuple[OrbitType, ...]:
 
 
 def _orbit_cohomology(g: LieAlgebra, entry: OrbitType) -> tuple[int, ...]:
-    from .cohomology import invariant_cohomology, lie_cohomology, relative_model, restricted_action
+    from .cohomology import cohomology, invariant_cohomology, lie_cohomology, relative_model, restricted_action
     from .liealg import LieAutomorphism, Subalgebra, coordinate_subalgebra
 
     if entry.isotropy_dim == 0:
@@ -734,7 +734,7 @@ def _orbit_cohomology(g: LieAlgebra, entry: OrbitType) -> tuple[int, ...]:
     if entry.isotropy_dim == 1:
         h = coordinate_subalgebra(g, [3], name="e3")
         model = relative_model(g, h)
-        result = lie_cohomology(g, h)
+        result = cohomology(model.complex)
         if not entry.antipodal_invariants:
             return result.dims
         refl = LieAutomorphism.create(

@@ -23,7 +23,10 @@ as index tuples and rank them with `tuple_rank`.
 `slot_relative_subcomplex` is the route `relative_subcomplex` took on index
 tuples: slot columns of the horizontal monomials in the adapted basis, the
 kernel of their pivot contractions, and a lift that sorts every wedge term
-(`lift_by_sorting`, which is also the reference for `pull_back`).
+(`lift_by_sorting`, which is also the reference for `pull_back`).  Its
+`_adapted_basis`, the whole bracket table of g in a basis adapted to h, is
+what `relative_subcomplex` differentiated before it took the kernel of the
+isotropy action of h; the two routes build their constraints independently.
 
 `restricted_kernel` is the kernel the engine took before
 `linalg.kernel_and_image`: one elimination of the rows with the columns
@@ -55,8 +58,8 @@ from itertools import combinations, product
 from math import comb, gcd
 from typing import Sequence
 
-from eqss.forms import _adapted_basis, _dual_images, _indices, _rank, _unrank, ce_complex, pull_back
-from eqss.liealg import LieAlgebra, LieAutomorphism, abelian, so_pairs
+from eqss.forms import _dual_images, _indices, _rank, _unrank, ce_complex, pull_back
+from eqss.liealg import LieAlgebra, LieAutomorphism, Subalgebra, abelian, bracket_terms, so_pairs
 from eqss.linalg import (
     Rational,
     RationalMatrix,
@@ -376,6 +379,43 @@ def sorted_pull_back(aut: LieAutomorphism, forms: Sequence[RationalMatrix]) -> l
     n = aut.algebra.dim
     images = _dual_images(aut)
     return [lift_by_sorting(m, lambda i, k=k: tuple_unrank(n, k, i), images, n, k) for k, m in enumerate(forms)]
+
+
+def _adapted_basis(g: LieAlgebra, h: Subalgebra):
+    """Brackets in a basis f adapted to h, plus the 1-forms f^c.
+
+    f_p is the echelon basis vector of h with pivot p, and f_c = e_c at every
+    other column c; the change of basis T is unit lower triangular.  Returns
+    (pivot set, the f^c-terms off the pivots of [f_i, f_j] for i < j, as
+    `_generator_images` takes them, {c: f^c in the e^i}).
+    """
+    n = g.dim
+    cols: dict[int, tuple[tuple[int, Rational], ...]] = {i: ((i, 1),) for i in range(1, n + 1)}
+    pivots = []
+    for b in h.basis.matrix.entries:
+        p = b[0][0] + 1  # entries increase by row, so the first is the pivot
+        pivots.append(p)
+        cols[p] = tuple((j + 1, a) for j, a in b)
+    pivset = frozenset(pivots)
+    # f^c = e^c - sum_b b[c] e^{p(b)}: T^{-1} x keeps x_p and subtracts the b-parts
+    duals = {c: {c: 1} for c in range(1, n + 1) if c not in pivset}
+    for p in pivots:
+        for c, a in cols[p]:
+            if c != p:
+                duals[c][p] = -a
+    adapted = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            x = bracket_terms(g, cols[i], cols[j])
+            # the f^c-coordinates of x; the pivot ones are never differentiated
+            y = {}
+            for c, dual in duals.items():
+                v = as_fraction(sum(a * x[t] for t, a in dual.items() if t in x))
+                if v:
+                    y[c] = v
+            if y:
+                adapted.append(((i, j), tuple(sorted(y.items()))))
+    return pivset, adapted, duals
 
 
 def slot_relative_subcomplex(g: LieAlgebra, h) -> list[SubspaceBasis]:

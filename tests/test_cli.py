@@ -295,6 +295,20 @@ def test_exit_2_on_dangling_names(capsys):
     assert code == 2 and "parent" in err
 
 
+def test_exit_2_on_a_subalgebra_of_another_algebra(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "lie_algebras": [{"name": "a", "dim": 2, "brackets": []}, {"name": "b", "dim": 2, "brackets": []}],
+        "subalgebras": [{"name": "h", "parent": "b", "basis": [[1, 0]]}],
+    }))
+    for argv in (
+        ["cohomology", str(doc), "--algebra", "a", "--relative", "h"],
+        ["obstruct", "gysin", "--pair", "a,h", "--file", str(doc), "--basic", "1,1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: subalgebra 'h' has parent 'b', not 'a'\n"), argv
+
+
 def test_exit_2_on_non_string_references(tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text(

@@ -17,7 +17,9 @@ from eqss import cohomology as cohomology_module, forms
 from eqss.cohomology import action_on_cohomology, cohomology, relative_model, restricted_action
 from eqss.forms import ce_complex, differential_images, pull_back, relative_subcomplex
 from eqss.library import builtin_library, so_pair, so_pair_reflection
-from eqss.liealg import LieAlgebra, LieAutomorphism, Subalgebra, so_algebra, su2, u_algebra
+from eqss.liealg import (
+    LieAlgebra, LieAutomorphism, Subalgebra, coordinate_subalgebra, so_algebra, so_pairs, su2, u_algebra,
+)
 from eqss.linalg import RationalMatrix, SubspaceBasis, kernel_basis
 
 from form_oracles import (
@@ -30,7 +32,7 @@ from form_oracles import (
     slot_relative_subcomplex,
     sorted_pull_back,
 )
-from randgen import change_basis, random_unimodular, transported_pair
+from randgen import change_basis, random_two_step_nilpotent, random_unimodular, transported_pair
 
 
 def oracle_subcomplex(g, h):
@@ -90,15 +92,19 @@ def test_so5_so4_in_random_bases_is_the_4_sphere():
 
 
 def test_random_lines_match_oracle():
-    # every line is a subalgebra; a random one is in no special position
+    # every line is a subalgebra; a random one is in no special position, and
+    # in a two-step nilpotent algebra the pair is not reductive
     rng = random.Random(71)
-    for g in (su2(), u_algebra(2), so_algebra(4)):
+    nilpotent = [random_two_step_nilpotent(random.Random(seed)) for seed in (3, 5, 7)]
+    for g in (su2(), u_algebra(2), so_algebra(4), *nilpotent):
         for _ in range(3):
             x = [0] * g.dim
             while not any(x):
                 x = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(g.dim)]
             h = Subalgebra.span(g, [x], "line")
-            assert relative_subcomplex(g, h) == oracle_subcomplex(g, h), (g.name, x)
+            spaces = relative_subcomplex(g, h)
+            assert spaces == oracle_subcomplex(g, h), (g.name, x)
+            assert spaces == slot_relative_subcomplex(g, h), (g.name, x)
 
 
 def test_relative_model_rejects_non_jacobi():
@@ -149,6 +155,51 @@ def test_relative_route_never_enumerates_the_forms_on_g(monkeypatch):
     model = relative_model(g, h)
     assert cohomology(model.complex).dims == (1, 0, 0, 0, 0, 0, 1) + (0,) * 15
     assert [m.shape for m in restricted_action(model, aut)] == [(d, d) for d in model.complex.dims]
+
+
+def test_relative_route_differentiates_nothing(monkeypatch):
+    # C(g, h) is the kernel of the isotropy action; d is built only later, on its bases
+    g, h = so_pair(4)
+    pairs = [(g, h), in_random_basis(random.Random(73), g, h)]
+    expected = [slot_relative_subcomplex(g2, h2) for g2, h2 in pairs]
+
+    def refuse(*args):
+        raise AssertionError("relative_subcomplex built a differential")
+
+    monkeypatch.setattr(forms, "_d_column", refuse)
+    monkeypatch.setattr(forms, "_generator_images", refuse)
+    assert [relative_subcomplex(g2, h2) for g2, h2 in pairs] == expected
+
+
+def so_coordinate_pair(n, name, *, circle):
+    """so(n) over its coordinate so(n-2), and with circle over so(n-2) + so(2)."""
+    g = so_algebra(n)
+    indices = [k + 1 for k, (i, j) in enumerate(so_pairs(n)) if j <= n - 2 or circle and i == n - 1]
+    return g, coordinate_subalgebra(g, indices, name)
+
+
+def stiefel_betti(n):
+    """V(n, 2) is rationally S^(2n-3) for odd n and S^(n-2) x S^(n-1) for even n."""
+    return dict.fromkeys((0, 2 * n - 3) if n % 2 else (0, n - 2, n - 1, 2 * n - 3), 1)
+
+
+def grassmannian_betti(n):
+    """The oriented 2-plane Grassmannian of R^n has the Betti numbers of the
+    quadric of complex dimension n - 2: one in each even degree up to
+    2(n - 2), and two in the middle degree when n is even."""
+    return {2 * i: 1 + (2 * i == n - 2) for i in range(n - 1)}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_stiefel_and_grassmannian_pairs_match_the_tuple_route(monkeypatch, n):
+    # so7/so5 has codimension 11, which the lift limit refuses
+    monkeypatch.setattr(cohomology_module, "MAX_FORM_ENTRIES", 10**9)
+    stiefel = so_coordinate_pair(n, f"V({n},2)", circle=False)
+    grassmannian = so_coordinate_pair(n, f"G2(R^{n})", circle=True)
+    for (g, h), betti in ((stiefel, stiefel_betti(n)), (grassmannian, grassmannian_betti(n))):
+        assert relative_subcomplex(g, h) == slot_relative_subcomplex(g, h), h.name
+        dims = cohomology(relative_model(g, h).complex).dims
+        assert dims == tuple(betti.get(k, 0) for k in range(g.dim + 1)), h.name
 
 
 def test_relative_bases_match_the_tuple_route_on_the_sphere_ladder():
