@@ -17,11 +17,12 @@ nonzero `&`, and the sign of merging index i into t is the parity of the
 indices of t it passes, a `bit_count`.  `_d_column` is the one column
 routine: it peels off the lowest index, d(e^i ^ e^rest) = de^i ^ e^rest -
 e^i ^ d(e^rest), reading d(e^rest) from a memo of the degree below; every
-memo lives for one call.  `relative_subcomplex` differentiates nothing (it
-takes the kernel of h's isotropy action), so d is built once per route.
-`ce_complex` returns a `GradedComplex`, the type of every complex, built
-degree by degree through one mask -> position table per degree
-(`_positions`), and keeps the last few in a bounded cache.
+memo lives for one call.  It also decides the Jacobi identity, as
+d(d e^k) = 0 on the generators (`_jacobi_witness`).  `relative_subcomplex`
+differentiates nothing (it takes the kernel of h's isotropy action), so d
+is built once per route.  `ce_complex` returns a `GradedComplex`, the type
+of every complex, built degree by degree through one mask -> position
+table per degree (`_positions`), and keeps the last few in a bounded cache.
 
 Forms are the columns of a `RationalMatrix` everywhere, indexed by
 monomial position, and every routine that maps forms (`differential_images`,
@@ -43,7 +44,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, bracket_terms, jacobi_check
+from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, bracket_terms
 from .linalg import (
     GradedComplex,
     Rational,
@@ -108,16 +109,6 @@ def _unrank(dim: int, degree: int, pos: int) -> int:
 _Terms = dict[int, Rational]
 
 
-@lru_cache(maxsize=32)
-def _require_jacobi(g: LieAlgebra) -> None:
-    """Refuse g unless it satisfies the Jacobi identity; a passing verdict is cached."""
-    report = jacobi_check(g)
-    if not report.ok:
-        raise ValueError(
-            f"algebra {g.name} violates the Jacobi identity at basis triple {report.witness}"
-        )
-
-
 def _generator_images(n: int, table) -> list[list[tuple[int, int, Rational]]]:
     """For each generator k (1-based), the terms of d e^k = -sum c^k_ij e^i^e^j.
 
@@ -163,6 +154,32 @@ def _d_column(dgen, m: int, memo: dict) -> _Terms:
                     del got[t]
     memo[m] = got
     return got
+
+
+def _jacobi_witness(g: LieAlgebra) -> tuple[int, ...] | None:
+    """The least basis triple (i, j, l) at which g breaks the Jacobi identity, or None.
+
+    Jacobi is d(d e^k) = 0 for every k: the coefficient of e^i ^ e^j ^ e^l
+    in d(d e^k) is, up to sign, the k-th coordinate of the Jacobiator of
+    e_i, e_j, e_l (Chevalley-Eilenberg).  So the failing triples are the
+    monomials left in sum c d(e^a ^ e^b) over the terms of each d e^k.
+    """
+    dgen, memo, failing = _generator_images(g.dim, g.table), {}, set()
+    for terms in dgen:
+        acc: _Terms = {}
+        for ab, _, c in terms:
+            for t, x in _d_column(dgen, ab, memo).items():
+                acc[t] = acc.get(t, 0) + c * x
+        failing.update(t for t, x in acc.items() if x)
+    return min(map(_indices, failing), default=None)
+
+
+@lru_cache(maxsize=32)
+def _require_jacobi(g: LieAlgebra) -> None:
+    """Refuse g unless it satisfies the Jacobi identity; a passing verdict is cached."""
+    witness = _jacobi_witness(g)
+    if witness is not None:
+        raise ValueError(f"algebra {g.name} violates the Jacobi identity at basis triple {witness}")
 
 
 @lru_cache(maxsize=32)

@@ -3,8 +3,8 @@
 An algebra is the data of a dimension n and the nonzero (k, c) terms of
 [e_i, e_j] for 1 <= i < j <= n, which every consumer reads; antisymmetry is
 enforced by storing only the i < j half.  The Jacobi identity is a checkable
-property, not an assumption: `jacobi_check` reports the first violating
-basis triple, and the cohomology layer refuses algebras that fail it.
+property, not an assumption: `forms` decides it as d^2 = 0 on the 1-forms
+and refuses an algebra that fails it, naming the least violating triple.
 
 Constructors for the shipped families build structure constants from honest
 matrix representations, so no hand-derived sign can drift.  One exact route
@@ -31,7 +31,6 @@ from .linalg import (
 from .records import FrozenRecord, set_field, set_fields
 
 __all__ = [
-    "JacobiReport",
     "LieAlgebra",
     "LieAutomorphism",
     "Subalgebra",
@@ -40,7 +39,6 @@ __all__ = [
     "coordinate_subalgebra",
     "is_automorphism",
     "is_subalgebra",
-    "jacobi_check",
     "normalizer",
     "so_algebra",
     "su2",
@@ -101,14 +99,6 @@ class LieAlgebra(FrozenRecord):
         return out
 
 
-class JacobiReport(FrozenRecord):
-    __slots__ = ("ok", "witness", "jacobiator")
-
-    def __init__(self, ok: bool, witness: tuple[int, int, int] | None = None,
-                 jacobiator: Vector | None = None) -> None:
-        set_fields(self, ok=ok, witness=witness, jacobiator=jacobiator)
-
-
 def bracket_terms(
     g: LieAlgebra, x: Iterable[tuple[int, Rational]], y: Sequence[tuple[int, Rational]]
 ) -> dict[int, Rational]:
@@ -120,24 +110,6 @@ def bracket_terms(
             for k, c in table.get((a, b), ()):
                 acc[k] = acc[k] + xa * yb * c if k in acc else xa * yb * c
     return acc
-
-
-def jacobi_check(g: LieAlgebra) -> JacobiReport:
-    """First basis triple (i,j,k) violating Jacobi, if any."""
-    n, table = g.dim, g._lookup
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
-                acc: dict[int, Rational] = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, x in table.get((a, b), ()):
-                        for t, y in table.get((m, c), ()):
-                            acc[t] = acc.get(t, 0) + x * y
-                if any(acc.values()):
-                    total = as_vector(acc.get(t, 0) for t in range(1, n + 1))
-                    return JacobiReport(False, (i, j, k), total)
-    return JacobiReport(True)
 
 
 class Subalgebra(FrozenRecord):

@@ -161,36 +161,28 @@ def solve_les(problem: LesProblem, cap: int = DEFAULT_DIM_CAP) -> list[LesSoluti
     forced = frozenset(problem.forced_zero_ranks)
     solutions: list[LesSolution] = []
     assign: dict[str, int] = {}
-    ranks: list[int] = []
 
-    def walk(i: int, incoming: int) -> None:
+    def walk(i: int, incoming: int, ranks: list[int]) -> None:
+        # a known or assigned term forces the rank out of it, so only a
+        # fresh unknown branches: the recursion is at most one level per label
+        while i < m and (terms[i].is_known or terms[i].label in assign):
+            t = terms[i]
+            incoming = (t.dim if t.is_known else assign[t.label]) - incoming
+            if incoming < 0 or (incoming and i in forced):
+                return
+            ranks.append(incoming)
+            i += 1
         if i == m:
             if incoming == 0:
                 solutions.append(LesSolution(dict(assign), tuple(ranks[:-1])))
             return
-        t = terms[i]
-        if t.is_known:
-            choices = [t.dim]
-        elif t.label in assign:
-            choices = [assign[t.label]]
-        else:
-            choices = range(incoming, cap + 1)
-        for v in choices:
-            out = v - incoming
-            if out < 0:
-                continue
-            if i in forced and out != 0:
-                continue
-            fresh = t.label is not None and t.label not in assign
-            if fresh:
-                assign[t.label] = v
-            ranks.append(out)
-            walk(i + 1, out)
-            ranks.pop()
-            if fresh:
-                del assign[t.label]
+        label = terms[i].label
+        for v in range(incoming, (min(cap, incoming) if i in forced else cap) + 1):
+            assign[label] = v
+            walk(i + 1, v - incoming, ranks + [v - incoming])
+        assign.pop(label, None)
 
-    walk(0, 0)
+    walk(0, 0, [])
     solutions.sort(key=lambda s: tuple(s.assignments[name] for name in labels))
     for sol in solutions:
         if not verify_exactness(problem, sol):
@@ -313,6 +305,17 @@ def _total_terms(total_dims: Sequence[int] | None, n: int) -> Callable[[int], Te
     return m_term
 
 
+def _sequence(n: int, m_term: Callable[[int], Term], x: Callable[[int], Term], y: Callable[[int], Term],
+              description: str, forced: Sequence[int] = ()) -> LesProblem:
+    """The period-3 sequence m_term(k), x(k), y(k) for k = -1..n.
+
+    forced lists the slots 0..2 of each period whose outgoing arrow has rank 0.
+    """
+    terms = tuple(t for k in range(-1, n + 1) for t in (m_term(k), x(k), y(k)))
+    return LesProblem(terms, period=3, degree_range=(-1, n), description=description,
+                      forced_zero_ranks=tuple(b + s for b in range(0, len(terms), 3) for s in forced))
+
+
 def gysin_assemble(
     l: int | None = None,
     basic_dims: Sequence[int] | None = None,
@@ -359,20 +362,8 @@ def gysin_assemble(
     def b_term(j: int) -> Term:
         return Term.known(basic[j] if 0 <= j <= bt else 0)
 
-    terms: list[Term] = []
-    forced: list[int] = []
-    for k in range(-1, n + 1):
-        base = len(terms)
-        terms.extend([m_term(k), b_term(k - l), b_term(k + 1)])
-        if split:
-            forced.append(base + 1)
-    return LesProblem(
-        tuple(terms),
-        period=3,
-        degree_range=(-1, n),
-        forced_zero_ranks=tuple(forced),
-        description=f"Gysin sequence, gap {l}",
-    )
+    return _sequence(n, m_term, lambda k: b_term(k - l), lambda k: b_term(k + 1),
+                     f"Gysin sequence, gap {l}", forced=(1,) if split else ())
 
 
 def wang_check(
@@ -434,15 +425,8 @@ def wang_check(
     def g_term(j: int) -> Term:
         return Term.known(gh[j] if 0 <= j <= s else 0)
 
-    terms: list[Term] = []
-    for k in range(-1, n + 1):
-        terms.extend([m_term(k), g_term(k), g_term(k - gap)])
-    problem = LesProblem(
-        tuple(terms),
-        period=3,
-        degree_range=(-1, n),
-        description=f"Wang sequence, codimension {codim}",
-    )
+    problem = _sequence(n, m_term, g_term, lambda k: g_term(k - gap),
+                        f"Wang sequence, codimension {codim}")
     return Verdict(
         False,
         NOT_EXCLUDED,

@@ -51,6 +51,11 @@ the reference for `so_algebra` and `u_algebra`.
 bracket vectors before `LieAlgebra` stored its structure constants as
 sparse terms.  It reads only the dense `brackets` view, so it is the
 reference for `LieAlgebra.table`, and the slot differentials read it.
+
+`triple_jacobi_witness` is the Jacobi check `liealg.jacobi_check` made
+before `forms` read the Jacobi identity off d(d e^k): the Jacobiator of
+every basis triple in lexicographic order, on the `sparse_brackets` table.
+It is the reference for `forms._jacobi_witness`.
 """
 
 from dataclasses import dataclass
@@ -187,6 +192,23 @@ def sparse_brackets(g: LieAlgebra) -> dict[tuple[int, int], tuple[tuple[int, Rat
         out[(i, j)] = terms
         out[(j, i)] = tuple((k, -c) for k, c in terms)
     return out
+
+
+def triple_jacobi_witness(g: LieAlgebra) -> tuple[int, int, int] | None:
+    """The first basis triple (i, j, k) at which g violates Jacobi, or None."""
+    n, table = g.dim, sparse_brackets(g)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
+                acc: dict[int, Rational] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in table.get((a, b), ()):
+                        for t, y in table.get((m, c), ()):
+                            acc[t] = acc.get(t, 0) + x * y
+                if any(acc.values()):
+                    return (i, j, k)
+    return None
 
 
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:

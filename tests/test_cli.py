@@ -208,6 +208,21 @@ def test_obstruct_wang_verdicts(capsys):
     assert codim3["results"]["solution_count"] == 1
 
 
+def test_obstruct_sequences_of_hundreds_of_terms_exit_cleanly(capsys):
+    # S^400 over a point: H(M) = 1 in degrees 0 and 400
+    total = ",".join(["1"] + ["0"] * 399 + ["1"])
+    code, out, err = run(capsys, "obstruct", "gysin", "--l", "400", "--basic", "1", "--total", total)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "given totals admitted: yes"
+    # codimension 3 over an S^400-like pair: H(M) = 1 in degrees 0, 3, 400 and 403
+    gh = ",".join(["1"] + ["0"] * 399 + ["1"])
+    total = ",".join("1" if k in (0, 3, 400, 403) else "0" for k in range(404))
+    code, out, err = run(capsys, "obstruct", "wang", "--codim", "3", "--gh", gh, "--total", total,
+                         "--simply-connected", "--oriented")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "given totals admitted: yes"
+
+
 def test_reports_are_deterministic(capsys):
     for argv in (
         ("cohomology", "builtin:library", "--algebra", "su2"),
@@ -352,6 +367,20 @@ def test_exit_3_on_validation_failures(tmp_path, capsys):
 
     code, _, err = run(capsys, "obstruct", "wang", "--codim", "2", "--gh", "1,0,0,1")
     assert code == 3 and "simply connected" in err
+
+
+def test_exit_3_names_the_least_triple_that_breaks_jacobi(tmp_path, capsys):
+    # e1 is central and e2, e3, e4 break Jacobi, so the least failing triple is (2, 3, 4)
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps({
+        "lie_algebras": [{"name": "bad", "dim": 4, "brackets": [
+            [2, 3, [0, 0, 0, 1]], [2, 4, [0, 0, 0, 1]], [3, 4, [0, 1, 0, 0]]]}],
+        "subalgebras": [{"name": "center", "parent": "bad", "basis": [[1, 0, 0, 0]]}],
+    }))
+    for relative in ((), ("--relative", "center")):
+        assert run(capsys, "cohomology", str(doc), "--algebra", "bad", *relative) == (
+            3, "", "validation error: algebra bad violates the Jacobi identity at basis triple (2, 3, 4)\n"
+        )
 
 
 def test_exit_4_on_internal_audit_failure(monkeypatch, capsys):

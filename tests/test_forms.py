@@ -6,6 +6,7 @@ import pytest
 
 from eqss.forms import (
     _indices,
+    _jacobi_witness,
     _positions,
     _rank,
     _unrank,
@@ -40,6 +41,7 @@ from form_oracles import (
     multi_indices,
     slot_differential_images,
     slot_differentials,
+    triple_jacobi_witness,
 )
 from randgen import random_two_step_nilpotent, transported_algebra, transported_pair
 
@@ -316,6 +318,43 @@ def test_ce_complex_rejects_non_jacobi():
     )
     with pytest.raises(ValueError, match="Jacobi"):
         ce_complex(bad)
+
+
+def perturbed(rng, g, fractions):
+    """g with one or two structure constants moved by a small nonzero int or Fraction."""
+    table = {ij: list(v) for ij, v in g.brackets}
+    for _ in range(rng.randint(1, 2)):
+        i, j = sorted(rng.sample(range(1, g.dim + 1), 2))
+        delta = rng.choice([-2, -1, 1, 2])
+        table.setdefault((i, j), [0] * g.dim)[rng.randrange(g.dim)] += (
+            Fraction(delta, rng.choice([2, 3])) if fractions else delta
+        )
+    return LieAlgebra.from_brackets(f"{g.name}+", g.dim, table)
+
+
+def test_jacobi_witness_matches_the_triple_loop_on_perturbed_tables():
+    """d(d e^k) = 0 fails at exactly the triples whose Jacobiator is nonzero,
+    so the least monomial left is the triple loop's first witness."""
+    rng = random.Random(2201)
+    families = [su2(), so_algebra(4), so_algebra(5), u_algebra(2), u_algebra(3)]
+    witnesses = []
+    for case in range(400):
+        g = families[case % 5]
+        if case // 5 % 2:
+            g = transported_algebra(rng, g)
+        bad = perturbed(rng, g, fractions=case // 10 % 2)
+        witness = _jacobi_witness(bad)
+        assert witness == triple_jacobi_witness(bad), (case, bad.table)
+        witnesses.append(witness)
+    assert sum(w is not None for w in witnesses) >= 300 and len(set(witnesses)) >= 30
+
+
+def test_jacobi_witness_is_none_on_every_shipped_and_constructed_algebra():
+    from eqss.documents import builtin_text, parse_document
+
+    library = parse_document(builtin_text("library")).algebras.values()
+    for g in [*library, *map(so_algebra, range(13)), *map(u_algebra, range(1, 6))]:
+        assert _jacobi_witness(g) is None, g.name
 
 
 def test_ce_complex_cache_is_bounded():

@@ -7,6 +7,7 @@ the corresponding product models.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -95,6 +96,51 @@ def test_exactness_reverification():
         assert verify_exactness(prob, sol)
         bad = type(sol)(dict(sol.assignments), tuple(r + 1 for r in sol.map_ranks))
         assert not verify_exactness(prob, bad)
+
+
+def test_solver_walks_thousands_of_known_terms():
+    # 0 -> 1 -> 1 -> ... -> 0: the ranks alternate 1, 0 along the whole sequence
+    ones = [1] * 3000
+    (only,) = solve_les(seq(*ones))
+    assert only.assignments == {} and only.map_ranks == (1, 0) * 1499 + (1,)
+    # unknowns at both ends of a long known stretch, as in test_four_term_sequence_two_solutions
+    sols = solve_les(seq("A", *ones[:2998], "B"))
+    assert [s.assignments for s in sols] == [{"A": 0, "B": 0}, {"A": 1, "B": 1}]
+
+
+def brute_force_les(problem, cap):
+    """Every assignment of the labels in [0, cap] whose forced ranks are exact, sorted."""
+    labels = problem.labels()
+    out = []
+    for values in product(range(cap + 1), repeat=len(labels)):
+        assign = dict(zip(labels, values))
+        ranks, incoming = [], 0
+        for i, t in enumerate(problem.terms):
+            incoming = (t.dim if t.is_known else assign[t.label]) - incoming
+            if incoming < 0 or (incoming and i in problem.forced_zero_ranks):
+                break
+            ranks.append(incoming)
+        else:
+            if incoming == 0:
+                out.append((assign, tuple(ranks[:-1])))
+    return out
+
+
+def test_solver_matches_brute_force_on_random_problems():
+    rng = random.Random(2202)
+    found = 0
+    for _ in range(300):
+        m = rng.randint(1, 9)
+        terms = tuple(
+            Term.known(rng.randint(0, 3)) if rng.random() < 0.5 else Term.unknown(rng.choice("ABC"))
+            for _ in range(m)
+        )
+        forced = tuple(i for i in range(m - 1) if rng.random() < 0.25)
+        problem, cap = LesProblem(terms, forced_zero_ranks=forced), rng.randint(0, 4)
+        sols = solve_les(problem, cap=cap)
+        assert [(s.assignments, s.map_ranks) for s in sols] == brute_force_les(problem, cap), problem.render()
+        found += bool(sols)
+    assert found >= 100
 
 
 def test_gysin_s1_times_s3_membership():

@@ -18,7 +18,6 @@ from eqss.cohomology import CohomologyResult, InvariantCohomology, RelativeModel
 from eqss.documents import ActionEntry, ComplexEntry, InputDocument
 from eqss.library import circle_base
 from eqss.liealg import (
-    JacobiReport,
     LieAlgebra,
     LieAutomorphism,
     Subalgebra,
@@ -80,8 +79,6 @@ def cases():
         (GradedComplex, dict(dims=(1, 1), differentials=cx.differentials),
          dict(dims=(2, 2), differentials=cx0.differentials), {}),
         (LieAlgebra, dict(name="su2", dim=3, table=g.table), dict(name="x", dim=4, table=()), {}),
-        (JacobiReport, dict(ok=True, witness=None, jacobiator=None),
-         dict(ok=False, witness=(1, 2, 3), jacobiator=(1, 0, 0)), {}),
         (Subalgebra, dict(algebra=g, basis=h.basis, name="h"), dict(algebra=a3, basis=k.basis, name="k"), {}),
         (LieAutomorphism, dict(algebra=g, matrix=aut.matrix, name="id"),
          dict(algebra=a3, matrix=RationalMatrix.zeros(3, 3), name="x"), {}),
@@ -133,7 +130,7 @@ IDS = [cls.__name__ for cls, *_ in CASES]
 
 
 def test_every_record_class_has_a_case():
-    assert len(CASES) == len(set(IDS)) == 26
+    assert len(CASES) == len(set(IDS)) == 25
 
 
 def hashable(values) -> bool:
@@ -201,7 +198,7 @@ def test_records_of_different_classes_are_never_equal():
     pc = product_model(circle_base(), su2())
     plain = FilteredComplex(pc.complex, pc.weights)
     assert plain != pc and pc != plain
-    assert JacobiReport(True) != (True, None, None)
+    assert PageEntry(0, 1, 2) != (0, 1, 2)
 
 
 def test_repr_names_the_compared_fields_in_order():

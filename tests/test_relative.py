@@ -158,10 +158,13 @@ def test_relative_route_never_enumerates_the_forms_on_g(monkeypatch):
 
 
 def test_relative_route_differentiates_nothing(monkeypatch):
-    # C(g, h) is the kernel of the isotropy action; d is built only later, on its bases
+    # C(g, h) is the kernel of the isotropy action; d is built only later, on its bases.
+    # The Jacobi check reads d(d e^k) through _d_column, so its cached verdict comes first.
     g, h = so_pair(4)
     pairs = [(g, h), in_random_basis(random.Random(73), g, h)]
     expected = [slot_relative_subcomplex(g2, h2) for g2, h2 in pairs]
+    for g2, _ in pairs:
+        forms._require_jacobi(g2)
 
     def refuse(*args):
         raise AssertionError("relative_subcomplex built a differential")
