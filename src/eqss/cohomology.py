@@ -57,9 +57,9 @@ __all__ = [
 # then entries of a dense kernel and lift, on the relative one.  Forms and
 # bases are sparse, so every count is an upper bound on what a route holds.
 # Measured in process with Python 3.11 on 2 vCPUs, model and cohomology
-# after import: so(6) absolute (145,422,675 entries, refused) takes 1.3-1.5 s
-# (0.8-1.1 s of it ce_complex) and 47 MB, so(7)/so(6) (2^21 monomials) 0.02 s
-# and 18 MB, and so(9)/so(8) (2^36, refused) 0.02 s and 18 MB.
+# after import: so(6) absolute (145,422,675 entries, refused) takes 0.8-1.1 s
+# (0.6-0.75 s of it ce_complex) and 45 MB, so(7)/so(6) (2^21 monomials)
+# 0.007 s and 16 MB, and so(9)/so(8) (2^36, refused) 0.007 s and 16 MB.
 MAX_FORM_ENTRIES = 3_000_000
 
 

@@ -124,6 +124,8 @@ def _fields(entry: dict, required: Sequence[str], optional: Sequence[str], where
 def _parse_vector(value, length: int, where: str) -> tuple[Rational, ...]:
     row = _expect_list(value, where)
     _expect(len(row) == length, f"{where}: expected {length} entries, got {len(row)}")
+    if all(type(v) is int for v in row):  # one pass; `type` keeps bool out
+        return tuple(row)
     return tuple(parse_rational(v, f"{where}[{k}]") for k, v in enumerate(row))
 
 

@@ -12,6 +12,8 @@ e^i ^ e^j and extended as an antiderivation; equivalently it is the evaluation
 formula whose sum runs over pairs 0 <= i < j <= n of argument slots.  With
 this indexing d^2 = 0 is an identity (`GradedComplex.create` rechecks it,
 and a failure aborts, since it would mean corrupted structure constants).
+On a unimodular algebra (tr ad x = 0) the wedge pairing makes the complex
+self-dual: `ce_complex` differentiates to the middle, `create` transposes.
 A monomial is the int mask sum_r 1 << (i_r - 1).  A repeated index is a
 nonzero `&`, and the sign of merging index i into t is the parity of the
 indices of t it passes, a `bit_count`.  `_d_column` is the one column
@@ -190,13 +192,17 @@ def ce_complex(g: LieAlgebra) -> GradedComplex:
     differential is the zero map and is not stored.  The memo of columns
     holds at most the degree below the one being built and that degree.
     Columns are sorted once; only non-int constants can sum to an integral Fraction.
+    A unimodular g builds d_k for k < ceil(n/2) only, with the parity of
+    sum i_r - k(k+1)/2, the sign of e^I ^ e^(I^c), per monomial I: da ^ b =
+    (-1)^(k+1) a ^ db when a ^ b has degree n - 1, so `create` transposes the rest.
     """
     _require_jacobi(g)
-    n = g.dim
+    n, unimodular = g.dim, g.unimodular
     dgen = _generator_images(n, g.table)
     exact = all(type(c) is int for terms in dgen for _, _, c in terms)
-    mats, memo, degree = [], {}, _positions(n, 0)
-    for k in range(n):
+    odd = sum(1 << i for i in range(0, n, 2))  # the odd indices 1, 3, ...
+    mats, memo, degree, parities = [], {}, _positions(n, 0), [(0,)]
+    for k in range((n + 1) // 2 if unimodular else n):
         pos = _positions(n, k + 1)
         cols = []
         for m in degree:
@@ -206,7 +212,8 @@ def ce_complex(g: LieAlgebra) -> GradedComplex:
         mats.append(RationalMatrix(len(pos), tuple(cols)))
         memo = {m: memo[m] for m in degree}
         degree = pos
-    return GradedComplex.create(tuple(comb(n, k) for k in range(n + 1)), mats)
+        parities.append(tuple(((m & odd).bit_count() + (k + 1) * (k + 2) // 2) & 1 for m in pos))
+    return GradedComplex.create([comb(n, k) for k in range(n + 1)], mats, duality=parities if unimodular else None)
 
 
 def _images(m: RationalMatrix, monomial, dim: int, degree: int, terms_of) -> RationalMatrix:

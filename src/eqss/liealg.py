@@ -98,6 +98,16 @@ class LieAlgebra(FrozenRecord):
             set_field(self, "_both_orders", out)
         return out
 
+    @property
+    def unimodular(self) -> bool:
+        """Whether tr ad e_i = sum_j c^j_ij is 0 for every i (c^j_ij = -c^j_ji)."""
+        trace = [0] * (self.dim + 1)
+        for (i, j), terms in self.table:
+            for k, c in terms:
+                if k in (i, j):
+                    trace[i + j - k] += c if k == j else -c
+        return not any(trace)
+
 
 def bracket_terms(
     g: LieAlgebra, x: Iterable[tuple[int, Rational]], y: Sequence[tuple[int, Rational]]

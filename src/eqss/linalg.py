@@ -242,6 +242,18 @@ def _product_is_zero(a: RationalMatrix, b: RationalMatrix) -> bool:
     return not any(any(acc.values()) for acc in _product_columns(a, b))
 
 
+def _dual(d: RationalMatrix, domain: Sequence[int], codomain: Sequence[int], odd: int) -> RationalMatrix:
+    """(-1)^odd R S d^T S' R in one pass: x at (i, j) of d goes to
+    (ncols-1-j, nrows-1-i), negated when odd + domain[j] + codomain[i] is odd."""
+    out: list[list[tuple[int, Rational]]] = [[] for _ in range(d.nrows)]
+    top = d.nrows - 1
+    for b, j in enumerate(range(d.ncols - 1, -1, -1)):  # one int object b for a column's entries
+        s = odd + domain[j]
+        for i, x in d.entries[j]:
+            out[top - i].append((b, -x if (s + codomain[i]) & 1 else x))
+    return RationalMatrix(d.ncols, tuple(map(tuple, out)))
+
+
 def insert(basis: dict[int, dict[int, int]], entries: Iterable[tuple[int, Rational]]) -> int | None:
     """Insert a sparse rational vector into a pivot-keyed echelon basis.
 
@@ -331,19 +343,31 @@ class GradedComplex(FrozenRecord):
         return (self.dims, self.differentials)
 
     @classmethod
-    def create(cls, dims: Sequence[int], differentials: Sequence[RationalMatrix]) -> "GradedComplex":
+    def create(cls, dims: Sequence[int], differentials: Sequence[RationalMatrix], *,
+               duality: Sequence[Sequence[int]] | None = None) -> "GradedComplex":
+        """The complex; with duality, one self-dual under a pairing of degree k
+        with top - k (the wedge on a unimodular Lie algebra's forms), from d_k
+        for k < L = ceil(top / 2) and the parity duality[k][I] of the sign S_k
+        of e^I ^ e^(I^c) for k <= L.  It builds d_{top-1-k} = (-1)^(k+1) R S_k
+        d_k^T S_{k+1} R, R reversing positions (I -> I^c), and forms only the
+        products with a given factor: one of two built ones is +-R S (a formed one)^T S R."""
         ds = tuple(int(d) for d in dims)
         if not ds or any(d < 0 for d in ds):
             raise ValueError("degree dimensions must be a nonempty list of nonnegative ints")
-        diffs = tuple(differentials)
-        if len(diffs) != len(ds) - 1:
-            raise ValueError(f"expected {len(ds) - 1} differentials, got {len(diffs)}")
+        diffs, top = tuple(differentials), len(ds) - 1
+        given = top if duality is None else (top + 1) // 2
+        if len(diffs) != given:
+            raise ValueError(f"expected {given} differentials, got {len(diffs)}")
+        if duality is not None and [len(p) for p in duality] != list(ds[:given + 1]):
+            raise ValueError(f"expected parities of the {ds[:given + 1]} monomials of degrees 0..{given}")
         for k, m in enumerate(diffs):
             if m.shape != (ds[k + 1], ds[k]):
                 raise ValueError(
                     f"differential {k} has shape {m.shape}, expected {(ds[k + 1], ds[k])}"
                 )
-        for k in range(len(diffs) - 1):
+        for k in range(top - 1 - given, -1, -1):
+            diffs += (_dual(diffs[k], duality[k], duality[k + 1], k + 1),)
+        for k in range(min(given, top - 1)):
             if not _product_is_zero(diffs[k + 1], diffs[k]):
                 raise ValueError(f"d^2 != 0 between degrees {k} and {k + 2}")
         return cls(ds, diffs)

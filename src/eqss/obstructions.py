@@ -421,6 +421,8 @@ def wang_check(
     s = len(gh) - 1
     n = codim + s
     m_term = _total_terms(total_dims, n)
+    if total_dims is None:
+        _check_unknowns(n + 1)  # the labels M0..Mn, before any term is built
 
     def g_term(j: int) -> Term:
         return Term.known(gh[j] if 0 <= j <= s else 0)

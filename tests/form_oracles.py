@@ -52,6 +52,11 @@ bracket vectors before `LieAlgebra` stored its structure constants as
 sparse terms.  It reads only the dense `brackets` view, so it is the
 reference for `LieAlgebra.table`, and the slot differentials read it.
 
+`all_degrees_differentials` is the loop `ce_complex` ran before it built
+the upper half of a unimodular algebra's complex as the signed transpose of
+the lower half: `forms._d_column` on every monomial of every degree.  It is
+the reference for the transposed half and for the fallback of the others.
+
 `triple_jacobi_witness` is the Jacobi check `liealg.jacobi_check` made
 before `forms` read the Jacobi identity off d(d e^k): the Jacobiator of
 every basis triple in lexicographic order, on the `sparse_brackets` table.
@@ -63,7 +68,17 @@ from itertools import combinations, product
 from math import comb, gcd
 from typing import Sequence
 
-from eqss.forms import _dual_images, _indices, _rank, _unrank, ce_complex, pull_back
+from eqss.forms import (
+    _d_column,
+    _dual_images,
+    _generator_images,
+    _indices,
+    _positions,
+    _rank,
+    _unrank,
+    ce_complex,
+    pull_back,
+)
 from eqss.liealg import LieAlgebra, LieAutomorphism, Subalgebra, abelian, bracket_terms, so_pairs
 from eqss.linalg import (
     Rational,
@@ -209,6 +224,18 @@ def triple_jacobi_witness(g: LieAlgebra) -> tuple[int, int, int] | None:
                 if any(acc.values()):
                     return (i, j, k)
     return None
+
+
+def all_degrees_differentials(g: LieAlgebra) -> list[RationalMatrix]:
+    """d_0 .. d_{n-1} of g, a `_d_column` per monomial of every degree."""
+    n = g.dim
+    dgen, memo = _generator_images(n, g.table), {}
+    mats = []
+    for k in range(n):
+        pos = _positions(n, k + 1)
+        cols = (_d_column(dgen, m, memo).items() for m in _positions(n, k))
+        mats.append(RationalMatrix.from_entries(len(pos), (((pos[t], c) for t, c in col) for col in cols)))
+    return mats
 
 
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:

@@ -91,14 +91,21 @@ def random_unimodular(rng, n):
     return m
 
 
-def transported_algebra(rng, g):
-    """The same algebra in a random basis: [x,y]_new = T^{-1}[Tx, Ty]."""
-    return transported_pair(rng, g, ())[0]
+def transported_algebra(rng, g, t=None):
+    """The same algebra in a random basis (or that of t's columns): [x,y]_new = T^{-1}[Tx, Ty]."""
+    return transported_pair(rng, g, (), t)[0]
 
 
-def transported_pair(rng, g, vectors):
+def rescaled_algebra(rng, g):
+    """g in a random basis scaled by 1, 2 or 3 per vector, so that its
+    structure constants include Fractions."""
+    scale = RationalMatrix.from_entries(g.dim, [[(j, rng.choice((1, 2, 3)))] for j in range(g.dim)])
+    return transported_algebra(rng, g, random_unimodular(rng, g.dim).mul(scale))
+
+
+def transported_pair(rng, g, vectors, t=None):
     """transported_algebra, plus the given vectors in the new coordinates T^{-1}v."""
-    t = random_unimodular(rng, g.dim)
+    t = random_unimodular(rng, g.dim) if t is None else t
     tinv = t.inverse()
     table = {}
     for i in range(1, g.dim + 1):
@@ -137,6 +144,18 @@ def random_two_step_nilpotent(rng, max_dim=6):
                     vec[t - 1] = rng.randint(-2, 2)
                 table[(i, j)] = vec
     return LieAlgebra.from_brackets("two-step", n, table)
+
+
+def random_solvable(rng, max_dim=6, fractions=False):
+    """R e_1 acting on the abelian ideal of e_2..e_n by a random matrix A:
+    [e_1, e_j] = A e_j.  Jacobi holds for every A, and tr ad e_1 = tr A, so
+    the algebra is unimodular exactly when tr A = 0, which half the draws
+    force through the last diagonal entry."""
+    n = rng.randint(2, max_dim)
+    table = {(1, j): [0] + [random_rational(rng, fractions, 2) for _ in range(n - 1)] for j in range(2, n + 1)}
+    if rng.random() < 0.5:
+        table[(1, n)][n - 1] -= sum(table[(1, j)][j - 1] for j in range(2, n + 1))
+    return LieAlgebra.from_brackets("solvable", n, table)
 
 
 def random_rational(rng, fractions=False, span=3):

@@ -559,6 +559,21 @@ def test_exit_3_on_an_open_gysin_problem_past_the_unknown_limit(capsys):
     assert "total dims must cover degrees 0..1000000001, got 2 entries" in err
 
 
+def test_exit_3_on_an_open_wang_problem_past_the_unknown_limit(monkeypatch, capsys):
+    from eqss import obstructions
+
+    def no_sequence(*args, **kwargs):
+        raise AssertionError("the sequence was built")
+
+    # the labels M0..M(s+2) are refused before any term is built
+    monkeypatch.setattr(obstructions, "_sequence", no_sequence)
+    gh = ",".join(["1"] + ["0"] * 99999 + ["1"])
+    code, out, err = run(capsys, "obstruct", "wang", "--codim", "2", "--gh", gh,
+                         "--simply-connected", "--oriented")
+    assert (code, out) == (3, "")
+    assert err == f"validation error: solver bound exceeded: 100003 unknown labels (max {obstructions.MAX_UNKNOWNS})\n"
+
+
 def test_exit_3_when_the_normal_search_passes_its_limit(monkeypatch, tmp_path, capsys):
     from eqss import obstructions
 

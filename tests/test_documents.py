@@ -132,6 +132,35 @@ def test_malformed_documents_raise_document_errors(text):
 
 
 @pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, "expected a rational, got a boolean"),
+        (False, "expected a rational, got a boolean"),
+        (1.0, "expected an integer or 'p/q' string, got float"),
+        ("1/0", "'1/0' divides by zero"),
+    ],
+)
+def test_one_bad_entry_in_an_integer_row_is_named(bad, message):
+    # every other entry is an int, so only the bad one leaves the one-pass read
+    for doc, where in (
+        (minimal(lie_algebras=[{"name": "g", "dim": 3, "brackets": [[1, 2, [0, bad, 1]]]}]),
+         "lie_algebras[0].brackets[0][2][1]"),
+        (minimal(complexes=[{"name": "c", "dims": [1, 2], "differentials": [[[1], [bad]]]}]),
+         "complexes[0].differentials[0][1][0]"),
+    ):
+        with pytest.raises(DocumentError) as err:
+            parse_document(doc)
+        assert str(err.value) == f"{where}: {message}"
+
+
+def test_integer_rows_keep_their_int_entries():
+    doc = parse_document(minimal(lie_algebras=[{"name": "g", "dim": 3, "brackets": [[1, 2, [0, -5, 1]], [1, 3, [0, "1/2", 0]]]}]))
+    table = doc.algebras["g"].table
+    assert table == (((1, 2), ((2, -5), (3, 1))), ((1, 3), ((2, Fraction(1, 2)),)))
+    assert [type(c) for _, terms in table for _, c in terms] == [int, int, Fraction]
+
+
+@pytest.mark.parametrize(
     "section, key, entry",
     [
         ("subalgebras", "parent", {"name": "h", "parent": ["g"], "basis": []}),

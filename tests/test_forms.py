@@ -20,6 +20,7 @@ from eqss.liealg import (
     LieAlgebra,
     LieAutomorphism,
     Subalgebra,
+    abelian,
     coordinate_subalgebra,
     so_algebra,
     su2,
@@ -31,6 +32,7 @@ from form_oracles import (
     ContractionError,
     ExteriorForm,
     _mask,
+    all_degrees_differentials,
     basis_form,
     bracket,
     contract,
@@ -41,9 +43,16 @@ from form_oracles import (
     multi_indices,
     slot_differential_images,
     slot_differentials,
+    sort_sign,
     triple_jacobi_witness,
 )
-from randgen import random_two_step_nilpotent, transported_algebra, transported_pair
+from randgen import (
+    random_solvable,
+    random_two_step_nilpotent,
+    rescaled_algebra,
+    transported_algebra,
+    transported_pair,
+)
 
 
 def det(rows):
@@ -272,6 +281,68 @@ def test_ce_complex_matches_the_slot_oracle():
     algebras += [random_two_step_nilpotent(rng) for _ in range(5)]
     for g in algebras:
         assert list(ce_complex(g).differentials) == slot_differentials(g), g.name
+
+
+def duality_cases():
+    """Unimodular algebras, which take the transposed upper half, and
+    solvable ones, which do not: so(n), u(n), their random and rescaled
+    bases, two-step nilpotent algebras, the library and dims 0, 1 and 2."""
+    from eqss.documents import builtin_text, parse_document
+
+    rng = random.Random(43)
+    cases = [so_algebra(n) for n in range(2, 7)] + [u_algebra(n) for n in range(1, 4)]
+    cases += [abelian(n) for n in range(3)] + list(parse_document(builtin_text("library")).algebras.values())
+    for g in (su2(), so_algebra(4), so_algebra(5), u_algebra(2), u_algebra(3)):
+        cases += [transported_algebra(rng, g), rescaled_algebra(rng, g)]
+    cases += [random_two_step_nilpotent(rng) for _ in range(60)]
+    cases += [random_solvable(rng, fractions=k % 2 == 1) for k in range(40)]
+    return cases
+
+
+def test_ce_complex_matches_the_all_degrees_loop():
+    cases = duality_cases()
+    assert {g.unimodular for g in cases} == {True, False}
+    assert {0, 1, 2, 15} <= {g.dim for g in cases}
+    for g in cases:
+        assert list(ce_complex(g).differentials) == all_degrees_differentials(g), g.name
+
+
+def test_unimodular_is_a_traceless_adjoint_action():
+    rng = random.Random(47)
+    cases = duality_cases() + [random_solvable(rng) for _ in range(40)]
+    for g in cases:
+        units = RationalMatrix.identity(g.dim).columns()
+        traces = [sum(bracket(g, x, y)[j] for j, y in enumerate(units)) for x in units]
+        assert g.unimodular == (traces == [0] * g.dim), g.name
+    assert 10 < sum(g.unimodular for g in cases[-40:]) < 30
+
+
+def wedge_parities(n, top):
+    """p with e^I ^ e^(I^c) = (-1)^p vol for every I of degree 0..top, in position order."""
+    return [
+        tuple(sort_sign(idx + tuple(i for i in range(1, n + 1) if i not in idx))[1] == -1 for idx in multi_indices(n, k))
+        for k in range(top + 1)
+    ]
+
+
+def test_create_builds_the_upper_half_from_the_lower_half():
+    for g in (so_algebra(4), u_algebra(3), random_two_step_nilpotent(random.Random(3), 6), abelian(1), abelian(0)):
+        n, dims = g.dim, ce_complex(g).dims
+        lower = all_degrees_differentials(g)[: (n + 1) // 2]
+        assert GradedComplex.create(dims, lower, duality=wedge_parities(n, (n + 1) // 2)) == ce_complex(g)
+
+
+def test_create_refuses_a_lower_half_that_is_not_self_dual():
+    # r2 + r2 is not unimodular: d e^2 ^ d e^4 = e^1234 is the junction d_2 d_1
+    g = LieAlgebra.from_brackets("r2+r2", 4, {(1, 2): [0, 1, 0, 0], (3, 4): [0, 0, 0, 1]})
+    diffs, dims, parities = all_degrees_differentials(g), ce_complex(g).dims, wedge_parities(4, 2)
+    with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees 1 and 3"):
+        GradedComplex.create(dims, diffs[:2], duality=parities)
+    with pytest.raises(ValueError, match="expected 2 differentials, got 4"):
+        GradedComplex.create(dims, diffs, duality=parities)
+    for wrong in (parities[:2], parities + [(0,) * 4], parities[:2] + [parities[2][1:]]):
+        with pytest.raises(ValueError, match=r"expected parities of the \(1, 4, 6\) monomials of degrees 0..2"):
+            GradedComplex.create(dims, diffs[:2], duality=wrong)
 
 
 def test_differential_images_match_the_slot_oracle():
