@@ -62,6 +62,9 @@ __all__ = [
 # 0.007 s and 16 MB, and so(9)/so(8) (2^36, refused) 0.007 s and 16 MB.
 MAX_FORM_ENTRIES = 3_000_000
 
+# The matrix and the space of a degree of dimension zero, which costs nothing.
+_EMPTY, _NOTHING = RationalMatrix.zeros(0, 0), SubspaceBasis.zero(0)
+
 
 class CohomologyResult(FrozenRecord):
     """Cohomology of a GradedComplex with canonical representative cocycles.
@@ -71,20 +74,18 @@ class CohomologyResult(FrozenRecord):
     pivots of the coboundaries, so `cohomology` keeps echelons[k], the
     echelon basis of im d_{k-1} from the pass that gave classes[k-1], and
     `coboundary(k)` turns it (in place) into the reduced echelon basis the
-    first time a class is expressed in degree k, then keeps that.  Only
-    complex and classes take part in == and hash.
+    first time a class is expressed in degree k, then keeps that.  dims[k]
+    = dim H^k is stored once.  Only complex and classes take part in == and
+    hash.
     """
 
-    __slots__ = ("complex", "classes", "echelons", "_coboundaries")
+    __slots__ = ("complex", "classes", "echelons", "dims", "_coboundaries")
     _fields = ("complex", "classes")
 
     def __init__(self, complex: GradedComplex, classes: tuple[SubspaceBasis, ...],
                  echelons: tuple[dict[int, dict[int, int]], ...]) -> None:
-        set_fields(self, complex=complex, classes=classes, echelons=echelons, _coboundaries={})
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(c.dim for c in self.classes)
+        set_fields(self, complex=complex, classes=classes, echelons=echelons,
+                   dims=tuple(c.dim for c in classes), _coboundaries={})
 
     def coboundary(self, k: int) -> SubspaceBasis:
         """The reduced echelon basis of im d_{k-1}, built once."""
@@ -125,10 +126,13 @@ class CohomologyResult(FrozenRecord):
 
 def cohomology(cx: GradedComplex) -> CohomologyResult:
     classes, echelons = [], [{}]
-    for k in range(cx.top + 1):
-        # e_p at a coboundary pivot p is a coboundary less columns off the pivots: those span im d_k
-        cols = [j for j in range(cx.dims[k]) if j not in echelons[k]]
-        kernel, image = kernel_and_image(cx.differential(k), cols)
+    for k, dim in enumerate(cx.dims):
+        if dim:
+            # e_p at a coboundary pivot p is a coboundary less columns off the pivots: those span im d_k
+            cols = [j for j in range(dim) if j not in echelons[k]]
+            kernel, image = kernel_and_image(cx.differential(k), cols)
+        else:
+            kernel, image = _NOTHING, {}
         classes.append(kernel)
         echelons.append(image)
     return CohomologyResult(cx, tuple(classes), tuple(echelons[:-1]))
@@ -230,11 +234,11 @@ def restricted_action(model: RelativeModel, aut: LieAutomorphism) -> list[Ration
 
 
 def action_on_cohomology(result: CohomologyResult, maps: Sequence[RationalMatrix]) -> list[RationalMatrix]:
-    """Induced action on each H^k of a chain map given degreewise."""
-    cx = result.complex
-    check_chain_map(cx, maps)
+    """Induced action on each H^k of a chain map given degreewise; the 0 x 0
+    matrix where H^k = 0."""
+    check_chain_map(result.complex, maps)
     pairs = enumerate(zip(maps, result.classes))
-    return [result.express_columns(k, m.mul(reps.matrix)) for k, (m, reps) in pairs]
+    return [result.express_columns(k, m.mul(reps.matrix)) if reps.dim else _EMPTY for k, (m, reps) in pairs]
 
 
 class InvariantCohomology(FrozenRecord):
@@ -249,14 +253,18 @@ def invariant_cohomology(
     generators: Sequence[Sequence[RationalMatrix]],
     bound: int = GROUP_BOUND,
 ) -> InvariantCohomology:
-    """Fixed part of cohomology; GroupBoundError if a degree's group passes bound."""
+    """Fixed part of cohomology; GroupBoundError if the group acting on a
+    nonzero H^k passes bound.  A degree with H^k = 0 carries the trivial
+    group, which no bound refuses, so it needs no enumeration."""
     acts = [action_on_cohomology(result, maps) for maps in generators]
     bases = []
     for k, dim in enumerate(result.dims):
         gens = [a[k] for a in acts]
-        if gens:
+        if gens and dim:
             enumerate_group(gens, bound=bound)
-        bases.append(fixed_subspace(gens) if gens else SubspaceBasis.full(dim))
+            bases.append(fixed_subspace(gens))
+        else:
+            bases.append(SubspaceBasis.full(dim))
     return InvariantCohomology(tuple(b.dim for b in bases), tuple(bases))
 
 

@@ -14,6 +14,8 @@ A `RationalMatrix` keeps only its nonzero entries, column by column, and a
 `SubspaceBasis` is the matrix whose columns are its reduced echelon basis,
 so a linear map acts on a whole basis by `RationalMatrix.mul`, and
 coordinates over a basis are combined back into vectors the same way.
+A product, reduction or coordinate matrix with an empty operand or a zero
+basis is answered at once, so degrees of dimension zero cost nothing.
 `GradedComplex` holds every complex the engine builds (Chevalley-Eilenberg,
 relative, fixed, product and twisted).
 
@@ -182,6 +184,8 @@ class RationalMatrix(FrozenRecord):
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        if not (self.nrows and self.entries and other.entries):
+            return RationalMatrix.zeros(self.nrows, other.ncols)
         return RationalMatrix.from_entries(self.nrows, (acc.items() for acc in _product_columns(self, other)))
 
     def apply(self, vec: Sequence) -> Vector:
@@ -389,7 +393,11 @@ class GradedComplex(FrozenRecord):
 
 
 def check_chain_map(cx: GradedComplex, maps: Sequence[RationalMatrix]) -> None:
-    """Refuse maps unless they are one square matrix per degree of cx commuting with d."""
+    """Refuse maps unless they are one square matrix per degree of cx commuting with d.
+
+    Every shape is checked; the commute test runs only where d_k != 0, since
+    both sides are the zero matrix of the same shape where d_k = 0.
+    """
     if len(maps) != cx.top + 1:
         raise ValueError(f"expected {cx.top + 1} degree maps, got {len(maps)}")
     for k, m in enumerate(maps):
@@ -397,7 +405,7 @@ def check_chain_map(cx: GradedComplex, maps: Sequence[RationalMatrix]) -> None:
             raise ValueError(f"degree-{k} map has shape {m.shape}, expected square {cx.dims[k]}")
     for k in range(cx.top):
         d_k = cx.differential(k)
-        if maps[k + 1].mul(d_k) != d_k.mul(maps[k]):
+        if not d_k.is_zero() and maps[k + 1].mul(d_k) != d_k.mul(maps[k]):
             raise ValueError(f"maps do not commute with the differential at degree {k}")
 
 
@@ -476,13 +484,16 @@ class SubspaceBasis(FrozenRecord):
         coordinates in this basis if they lie in the subspace."""
         if m.nrows != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
+        if not (self.matrix.entries and m.entries):
+            return RationalMatrix.zeros(self.dim, m.ncols)
         index = {p: i for i, p in enumerate(self.pivots)}
         return RationalMatrix(self.dim, tuple(tuple((index[i], x) for i, x in c if i in index) for c in m.entries))
 
     def reduce(self, m: RationalMatrix) -> RationalMatrix:
         """Each column of m less its combination of the basis at the pivots:
         zero at every pivot, and zero iff the column lies in the subspace."""
-        return m.sub(self.matrix.mul(self._at_pivots(m)))
+        coords = self._at_pivots(m)
+        return m.sub(self.matrix.mul(coords)) if any(coords.entries) else m
 
     def coordinate_matrix(self, m: RationalMatrix) -> RationalMatrix | None:
         """The coordinates of every column of m in this basis, one column

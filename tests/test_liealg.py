@@ -236,6 +236,33 @@ def test_from_brackets_rejects_repeated_pairs():
             LieAlgebra.from_brackets("su2", 3, table + [((1, 2), repeat)])
 
 
+def test_from_brackets_gives_one_table_for_every_spelling_of_a_row():
+    """An all-int row is kept as it is; a row with a bool, a Fraction or a
+    "p/q" string goes through as_vector, so each spelling gives the table of
+    the int row, with ints wherever a constant is integral."""
+    want = (((1, 2), ((3, 2),)), ((1, 3), ((1, 1), (2, -1))), ((2, 3), ((3, Fraction(1, 2)),)))
+    spellings = {
+        "int": {(1, 2): [0, 0, 2], (1, 3): (1, -1, 0), (2, 3): [0, 0, Fraction(1, 2)]},
+        "bool": {(1, 2): [False, 0, 2], (1, 3): [True, -1, False], (2, 3): [False, 0, Fraction(1, 2)]},
+        "Fraction": {(1, 2): [0, 0, Fraction(2, 1)], (1, 3): [Fraction(1), Fraction(-1), 0],
+                     (2, 3): [Fraction(0), 0, Fraction(1, 2)]},
+        "p/q": {(1, 2): ["0", "0", "4/2"], (1, 3): ["1", " -1/1", "0/3"], (2, 3): ["0", "0", "1/2"]},
+    }
+    for name, table in spellings.items():
+        g = LieAlgebra.from_brackets("x", 3, table)
+        assert g.table == want, name
+        constants = [c for _, terms in g.table for _, c in terms]
+        assert [type(c) for c in constants] == [int, int, int, Fraction], name
+    with pytest.raises(ValueError, match=r"bracket \[e1,e2\] has 2 coefficients, expected 3"):
+        LieAlgebra.from_brackets("x", 3, {(1, 2): [0, 1]})
+    with pytest.raises(ValueError, match=r"bracket \[e1,e2\] has 2 coefficients, expected 3"):
+        LieAlgebra.from_brackets("x", 3, {(1, 2): [True, 1]})
+    with pytest.raises(TypeError, match="not an exact rational: 1.5"):
+        LieAlgebra.from_brackets("x", 3, {(1, 2): [0, 0, 1.5]})
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        LieAlgebra.from_brackets("x", 3, {(1, 2): [0, 0, "one"]})
+
+
 def dense_sources():
     """(algebra, the dense bracket vectors it was built from or must equal):
     so(n) and u(n) against their hand-built constructors, the shipped

@@ -211,6 +211,18 @@ def test_repr_names_the_compared_fields_in_order():
     )
 
 
+def test_cohomology_dims_are_stored_once_and_kept_by_copy_and_pickle():
+    res = cohomology(GradedComplex.create((1, 2, 1, 0), [RationalMatrix.zeros(2, 1), RationalMatrix.from_rows([[1, 0]]),
+                                                          RationalMatrix.zeros(0, 1)]))
+    assert res.dims == (1, 1, 0, 0) and res.dims is res.dims
+    assert "dims" in CohomologyResult.__slots__ and CohomologyResult._fields == ("complex", "classes")
+    for twin in (copy.copy(res), copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
+        assert type(twin) is CohomologyResult and twin == res and hash(twin) == hash(res)
+        assert twin.dims == res.dims == tuple(c.dim for c in twin.classes)
+        assert twin.express(1, [0, 3]) == res.express(1, [0, 3]) == (3,)
+        assert repr(twin) == repr(res) == f"CohomologyResult(complex={res.complex!r}, classes={res.classes!r})"
+
+
 def test_constructor_checks_run_on_every_construction():
     with pytest.raises(ValueError, match="at least one term"):
         LesProblem(())

@@ -205,6 +205,18 @@ def test_stiefel_and_grassmannian_pairs_match_the_tuple_route(monkeypatch, n):
         assert dims == tuple(betti.get(k, 0) for k in range(g.dim + 1)), h.name
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_stiefel_and_grassmannian_pairs_in_random_bases_obey_poincare_duality(n):
+    # both pairs are compact and unimodular, so H(g, h) is a Poincare duality algebra of dimension m = codim
+    rng = random.Random(n)
+    for circle, betti in ((False, stiefel_betti(n)), (True, grassmannian_betti(n))):
+        g, h = so_coordinate_pair(n, f"G2(R^{n})" if circle else f"V({n},2)", circle=circle)
+        g2, h2 = in_random_basis(rng, g, h)
+        dims, m = cohomology(relative_model(g2, h2).complex).dims, g.dim - h.dim
+        assert dims == tuple(betti.get(k, 0) for k in range(g.dim + 1)), h.name
+        assert dims[:m + 1] == dims[m::-1] and dims[m] == 1 and not any(dims[m + 1:]), h.name
+
+
 def test_relative_bases_match_the_tuple_route_on_the_sphere_ladder():
     # the bases of the route on index tuples, in the coordinate basis and in a random one
     for l in range(2, 9):
