@@ -223,8 +223,6 @@ def _images(m: RationalMatrix, monomial, dim: int, degree: int, terms_of) -> Rat
 
     Only the monomials a column actually uses are mapped.
     """
-    if not m.entries:
-        return RationalMatrix(comb(dim, degree), ())
     out = []
     for col in m.entries:
         acc: _Terms = {}

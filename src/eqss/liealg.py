@@ -77,8 +77,7 @@ class LieAlgebra(FrozenRecord):
                 raise ValueError(f"bracket index pair ({i},{j}) out of range for dim {dim}")
             if (i, j) in norm:
                 raise ValueError(f"bracket index pair ({i},{j}) is given more than once")
-            # an all-int row (as `documents` parses one) already obeys the number rule
-            vec = coeffs if all(type(c) is int for c in coeffs) else as_vector(coeffs)
+            vec = as_vector(coeffs)
             if len(vec) != dim:
                 raise ValueError(f"bracket [e{i},e{j}] has {len(vec)} coefficients, expected {dim}")
             norm[(i, j)] = tuple((k, c) for k, c in enumerate(vec, start=1) if c)

@@ -91,7 +91,10 @@ def as_fraction(x) -> Rational:
 
 
 def as_vector(entries: Sequence) -> Vector:
-    return tuple(as_fraction(x) for x in entries)
+    v = tuple(entries)
+    if set(map(type, v)) <= {int}:  # already under the number rule; a bool's type is not int
+        return v
+    return tuple(map(as_fraction, v))
 
 
 def _uniform(vectors: Sequence[Sequence], length: int | None, kind: str) -> tuple[list[Vector], int]:

@@ -237,8 +237,8 @@ def test_from_brackets_rejects_repeated_pairs():
 
 
 def test_from_brackets_gives_one_table_for_every_spelling_of_a_row():
-    """An all-int row is kept as it is; a row with a bool, a Fraction or a
-    "p/q" string goes through as_vector, so each spelling gives the table of
+    """as_vector keeps an all-int row as it is and coerces a row with a
+    bool, a Fraction or a "p/q" string, so each spelling gives the table of
     the int row, with ints wherever a constant is integral."""
     want = (((1, 2), ((3, 2),)), ((1, 3), ((1, 1), (2, -1))), ((2, 3), ((3, Fraction(1, 2)),)))
     spellings = {

@@ -565,6 +565,17 @@ def test_create_accepts_fraction_terms_that_cancel_only_in_the_sum():
     assert cx.differentials == (d0, d1) and d1.mul(d0).is_zero()
 
 
+def test_as_vector_keeps_an_all_int_row_and_coerces_every_other():
+    row = [0, -3, 10**30]
+    kept = as_vector(row)
+    assert kept == (0, -3, 10**30) and all(a is b for a, b in zip(kept, row))
+    assert as_vector(x for x in row) == kept and as_vector(()) == ()
+    for mixed in ([True, -3, 0], [1, Fraction(-6, 2), 0], ["1", "-3", "0/5"], [1, -3, False]):
+        got = as_vector(mixed)
+        assert got == (1, -3, 0) and [type(x) for x in got] == [int, int, int], mixed
+    assert as_vector([0, "1/2"]) == (0, Fraction(1, 2))
+
+
 def test_number_rule_at_the_boundary():
     assert [as_fraction(x) for x in (3, Fraction(6, 2), "6/3", " -4/2 ")] == [3, 3, 2, -2]
     assert all(type(as_fraction(x)) is int for x in (3, Fraction(6, 2), "6/3", True))
