@@ -29,7 +29,6 @@ from .linalg import (
     RationalMatrix,
     SubspaceBasis,
     Vector,
-    as_vector,
     check_chain_map,
     enumerate_group,
     fixed_subspace,
@@ -113,15 +112,6 @@ class CohomologyResult(FrozenRecord):
         if coords is None:
             raise ValueError(f"vector is not a cocycle in degree {k}")
         return coords
-
-    def express(self, k: int, vec: Sequence) -> Vector:
-        """Coordinates of a cocycle's class in the representative basis."""
-        v = as_vector(vec)
-        if k < 0 or k > self.complex.top:
-            if any(v):
-                raise ValueError("nonzero vector in a degree outside the complex")
-            return ()
-        return self.express_columns(k, RationalMatrix.from_columns([v])).column(0)
 
 
 def cohomology(cx: GradedComplex) -> CohomologyResult:

@@ -414,7 +414,7 @@ def cup_to_dict(cup: CupForm) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the shipped documents, read as builtin:NAME (built by `library`)
+# the shipped documents, read as builtin:NAME (built by tools/corpus.py)
 
 
 def builtin_names() -> list[str]:

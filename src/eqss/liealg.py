@@ -38,7 +38,6 @@ __all__ = [
     "bracket_terms",
     "coordinate_subalgebra",
     "is_automorphism",
-    "is_subalgebra",
     "normalizer",
     "so_algebra",
     "su2",
@@ -152,23 +151,15 @@ def _terms(col: Iterable[tuple[int, Rational]]) -> tuple[tuple[int, Rational], .
     return tuple((i + 1, x) for i, x in col)
 
 
-def _closed(g: LieAlgebra, span: SubspaceBasis) -> bool:
-    """Whether every bracket of two basis vectors of span has coordinates in span."""
+def _closed_span(g: LieAlgebra, span: SubspaceBasis, name: str) -> Subalgebra:
+    """The subalgebra spanned by span, if every bracket of two of its basis
+    vectors has coordinates in it."""
     cols = [_terms(col) for col in span.matrix.entries]
     brackets = (bracket_terms(g, x, y).items() for a, x in enumerate(cols) for y in cols[a + 1:])
     m = RationalMatrix.from_entries(g.dim, (((k - 1, c) for k, c in br) for br in brackets))
-    return span.coordinate_matrix(m) is not None
-
-
-def _closed_span(g: LieAlgebra, span: SubspaceBasis, name: str) -> Subalgebra:
-    if not _closed(g, span):
+    if span.coordinate_matrix(m) is None:
         raise ValueError(f"span is not closed under the bracket ({name or 'subalgebra'})")
     return Subalgebra(g, span, name)
-
-
-def is_subalgebra(g: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
-    """Whether the span of vectors is closed under the bracket."""
-    return _closed(g, SubspaceBasis.span(vectors, g.dim))
 
 
 def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:

@@ -504,14 +504,6 @@ class SubspaceBasis(FrozenRecord):
         coords = self._at_pivots(m)
         return coords if self.matrix.mul(coords) == m else None
 
-    def coordinates(self, vec: Sequence) -> Vector | None:
-        """Coefficients of vec in this basis, or None if vec is outside."""
-        coords = self.coordinate_matrix(RationalMatrix.from_columns([vec]))
-        return None if coords is None else coords.column(0)
-
-    def contains(self, vec: Sequence) -> bool:
-        return self.coordinates(vec) is not None
-
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         return self.coordinate_matrix(other.matrix) is not None
 

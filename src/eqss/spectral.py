@@ -67,7 +67,6 @@ __all__ = [
     "ProductComplex",
     "SpectralAuditError",
     "invariant_filtered_complex",
-    "page",
     "pages_inductive",
     "product_action",
     "product_model",
@@ -216,13 +215,6 @@ def _page_from_pairs(fc: FilteredComplex, pairs: list[tuple[int, int, int]], r: 
             dims[(a, n)] -= 1
             dims[(b, n + 1)] -= 1
     return Page(r, tuple(PageEntry(p, n - p, dim) for (p, n), dim in sorted(dims.items()) if dim))
-
-
-def page(fc: FilteredComplex, r: int) -> Page:
-    """Page r, read off the persistence pairs of the filtration."""
-    if r < 0:
-        raise ValueError("page index must be nonnegative")
-    return _page_from_pairs(fc, _pairs(fc), r)
 
 
 def _total_cohomology(cx: GradedComplex) -> tuple[int, ...]:

@@ -120,12 +120,21 @@ def test_invariants_check_that_the_group_is_finite():
         DeckAction.create(FilteredComplex.create(cx, [[0, 0]]), [[shear]])
 
 
+def column(vec):
+    return RationalMatrix.from_columns([vec])
+
+
+def express(res, k, vec):
+    """The class coordinates of one cocycle of degree k, by `express_columns`."""
+    return res.express_columns(k, column(vec)).column(0)
+
+
 def test_express_classes():
     res = lie_cohomology(su2())
-    assert res.express(3, [1]) == (Fraction(1),)
-    assert res.express(0, [Fraction(5)]) == (Fraction(5),)
+    assert express(res, 3, [1]) == (Fraction(1),)
+    assert express(res, 0, [Fraction(5)]) == (Fraction(5),)
     with pytest.raises(ValueError, match="not a cocycle"):
-        res.express(1, [1, 0, 0])  # d e1 = -e2^e3 != 0
+        express(res, 1, [1, 0, 0])  # d e1 = -e2^e3 != 0
 
 
 def test_graded_complex_validation():
@@ -255,7 +264,7 @@ def test_cup_product_representative_independence():
     shifted = tuple(a + b for a, b in zip(w, res.coboundaries[3].vectors[0]))
     prod = dense_wedge(ExteriorForm(4, 1, u), ExteriorForm(4, 3, w))
     prod_shifted = dense_wedge(ExteriorForm(4, 1, u), ExteriorForm(4, 3, shifted))
-    assert res.express(4, prod.coeffs) == res.express(4, prod_shifted.coeffs)
+    assert express(res, 4, prod.coeffs) == express(res, 4, prod_shifted.coeffs)
 
 
 def test_cup_product_matches_the_dense_route():
@@ -268,7 +277,8 @@ def test_cup_product_matches_the_dense_route():
             for q in range(n + 1):
                 u, v = ([Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(res.dims[k])] for k in (p, q))
                 dense = [ExteriorForm(n, k, res.classes[k].matrix.apply(c)) for k, c in ((p, u), (q, v))]
-                want = res.express(p + q, dense_wedge(*dense).coeffs)
+                # the product of degree p + q > n is the empty vector of H^{p+q} = 0
+                want = express(res, p + q, dense_wedge(*dense).coeffs) if p + q <= n else ()
                 got = cup_product(g, res, p, u, q, v)
                 assert got == want and list(map(type, got)) == list(map(type, want)), (g.name, p, q)
 
@@ -294,7 +304,7 @@ def complement_cohomology(cx):
 
 def solve_express(z, b, reps, v):
     """Class coordinates by solving [reps | B] x = v, as express did before."""
-    if not z.contains(v):
+    if z.coordinate_matrix(column(v)) is None:
         raise ValueError("not a cocycle")
     cols = list(reps.vectors) + list(b.vectors)
     if not cols:
@@ -318,12 +328,12 @@ def test_restricted_kernel_classes_match_the_cocycle_complement():
             for _ in range(3):
                 cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in z.vectors]
                 v = z.matrix.apply(cs)
-                assert res.express(k, v) == solve_express(z, b, reps, v)
+                assert express(res, k, v) == solve_express(z, b, reps, v)
             units = SubspaceBasis.full(cx.dims[k]).vectors
-            outside = next((e for e in units if not z.contains(e)), None)
+            outside = next((e for e in units if z.coordinate_matrix(column(e)) is None), None)
             if outside is not None:
                 with pytest.raises(ValueError, match="not a cocycle"):
-                    res.express(k, outside)
+                    express(res, k, outside)
 
 
 def test_form_entry_limit_is_exact_at_the_boundary(monkeypatch):

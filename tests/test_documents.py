@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import eqss
 from eqss.documents import (
     DocumentError,
     parse_cup_document,
@@ -11,12 +15,10 @@ from eqss.documents import (
     render_rational,
     serialize_document,
 )
-from eqss.library import (
-    builtin_names,
-    builtin_text,
-    render_all,
-)
+from eqss.library import builtin_names, builtin_text
 from eqss.spectral import DeckAction, invariant_filtered_complex
+
+from corpus import render_all
 
 HUGE = "9" * 5000  # past the 4300-digit limit of int() on decimal strings
 DEEP = "[" * 200_000 + "]" * 200_000  # deeper than json.loads can recurse
@@ -59,6 +61,16 @@ def test_shipped_data_matches_regeneration():
     assert sorted(rendered) == [f"{n}.json" for n in builtin_names()]
     for fname, text in rendered.items():
         assert builtin_text(fname[: -len(".json")]) == text
+
+
+def test_corpus_script_writes_the_shipped_files(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "tools" / "corpus.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(tmp_path.iterdir())
+    assert proc.stdout.splitlines() == [str(p) for p in written]
+    shipped = Path(eqss.__file__).parent / "data"
+    assert {p.name: p.read_bytes() for p in written} == {p.name: p.read_bytes() for p in shipped.iterdir()}
 
 
 def test_serialization_normalizes_rationals_and_order():

@@ -219,7 +219,8 @@ def test_cohomology_dims_are_stored_once_and_kept_by_copy_and_pickle():
     for twin in (copy.copy(res), copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
         assert type(twin) is CohomologyResult and twin == res and hash(twin) == hash(res)
         assert twin.dims == res.dims == tuple(c.dim for c in twin.classes)
-        assert twin.express(1, [0, 3]) == res.express(1, [0, 3]) == (3,)
+        cocycle = RationalMatrix.from_columns([[0, 3]])
+        assert twin.express_columns(1, cocycle) == res.express_columns(1, cocycle) == RationalMatrix.from_rows([[3]])
         assert repr(twin) == repr(res) == f"CohomologyResult(complex={res.complex!r}, classes={res.classes!r})"
 
 

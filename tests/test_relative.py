@@ -16,7 +16,8 @@ import pytest
 from eqss import cohomology as cohomology_module, forms
 from eqss.cohomology import action_on_cohomology, cohomology, relative_model, restricted_action
 from eqss.forms import ce_complex, differential_images, pull_back, relative_subcomplex
-from eqss.library import builtin_library, so_pair, so_pair_reflection
+from eqss.documents import parse_document
+from eqss.library import builtin_text, so_pair, so_pair_reflection
 from eqss.liealg import (
     LieAlgebra, LieAutomorphism, Subalgebra, coordinate_subalgebra, so_algebra, so_pairs, su2, u_algebra,
 )
@@ -54,7 +55,7 @@ def oracle_subcomplex(g, h):
 
 
 def shipped_pairs():
-    doc = builtin_library()
+    doc = parse_document(builtin_text("library"))
     return [(sub.algebra, sub) for sub in doc.subalgebras.values()]
 
 

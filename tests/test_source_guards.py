@@ -42,7 +42,11 @@ under -O still refuses what it refuses.
 No engine module divides with `/`: integral entries are Python ints (the
 number rule of `linalg`), and int / int is a float.  Exact quotients are
 `x // y` or `Fraction(x, y)`.  The only true divisions are the path joins
-of `documents` and `library`.
+of `documents`.
+
+`library`, which the tests and the corpus build import, loads no form or
+spectral engine.  The benchmark (perfbench/), tools/ladder.py and the
+acceptance tests import only names of eqss that resolve.
 """
 
 import ast
@@ -58,6 +62,7 @@ import eqss
 
 from ladder import readme_commands
 
+ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(Path(eqss.__file__).parent.glob("*.py"))
 ALLOWED: set[tuple[str, str | None]] = set()
 
@@ -206,7 +211,6 @@ def test_cache_guard_sees_every_spelling():
 PATH_JOINS = {
     ("documents.py", 'Path(__file__).resolve().parent / "data"'),
     ("documents.py", '_data_dir() / f"{name}.json"'),
-    ("library.py", "directory / name"),
 }
 
 
@@ -435,16 +439,22 @@ LOADED = (
 )
 
 
-def loaded(argv: list[str]) -> list:
-    """[exit code, the eqss modules loaded, which of dataclasses and inspect
-    are loaded] after `cli.main(argv)` in a fresh interpreter."""
+def run_fresh(*args: str) -> str:
+    """The stdout of `python args` in a fresh interpreter with this
+    checkout's src first on its path and no EQSS_* variables."""
     src = str(Path(eqss.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if not k.startswith("EQSS_")}
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
+    proc = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def loaded(argv: list[str]) -> list:
+    """[exit code, the eqss modules loaded, which of dataclasses and inspect
+    are loaded] after `cli.main(argv)` in a fresh interpreter."""
+    return json.loads(run_fresh("-c", LOADED, *argv))
 
 
 @pytest.mark.parametrize("argv, code, modules", LIGHT_COMMANDS)
@@ -452,10 +462,56 @@ def test_light_commands_load_only_their_layer(argv, code, modules):
     assert loaded(argv) == [code, modules, []]
 
 
-@pytest.mark.parametrize("argv", readme_commands(Path(__file__).resolve().parents[1] / "README.md"), ids=" ".join)
+@pytest.mark.parametrize("argv", readme_commands(ROOT / "README.md"), ids=" ".join)
 def test_readme_commands_never_import_dataclasses(argv):
     code, _, heavy = loaded(argv)
     assert (code, heavy) == (0, [])
+
+
+def test_library_loads_no_form_or_spectral_engine():
+    modules = json.loads(run_fresh("-c", "import json, sys, eqss.library\nprint(json.dumps(sorted(sys.modules)))"))
+    assert "eqss.library" in modules
+    assert {"eqss.forms", "eqss.cohomology", "eqss.spectral"}.isdisjoint(modules)
+
+
+def unresolved_imports(source: str) -> set[str]:
+    """Each `from eqss... import name` (one per name) and `import eqss...`
+    in source, wherever it stands, that fails when run on its own."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "eqss":
+            found.update(f"from {node.module} import {alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(f"import {alias.name}" for alias in node.names if alias.name.split(".")[0] == "eqss")
+    missing = set()
+    for statement in found:
+        try:
+            exec(statement, {})
+        except ImportError:
+            missing.add(statement)
+    return missing
+
+
+def test_import_resolution_guard_sees_every_spelling():
+    source = (
+        "import eqss.cli, eqss.gone, json\n"
+        "import eqss_other\n"
+        "from eqss import cli as c, gone\n"
+        "from eqss.linalg import (rank,\n    gone)\n"
+        "from eqss_other import x\n"
+        "from . import sibling\n"
+        "def f():\n"
+        "    from eqss.cli import main, gone\n"
+    )
+    assert unresolved_imports(source) == {
+        "import eqss.gone", "from eqss import gone", "from eqss.linalg import gone", "from eqss.cli import gone",
+    }
+
+
+@pytest.mark.parametrize("path", [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+                                  ROOT / "tools" / "ladder.py"], ids=lambda path: path.name)
+def test_files_outside_the_package_import_names_that_resolve(path):
+    assert unresolved_imports(path.read_text()) == set()
 
 
 def bare_asserts(source: str) -> list[int]:
@@ -503,9 +559,5 @@ BROKEN_CHECK = (
 @pytest.mark.parametrize("check", ["solve_les", "normalizer"])
 def test_safety_checks_hold_under_python_O(check):
     """With the check made to fail, the call still refuses under -O."""
-    src = str(Path(eqss.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_CHECK, check], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("refused:"), proc.stdout
+    out = run_fresh("-O", "-c", BROKEN_CHECK, check)
+    assert out.startswith("refused:"), out

@@ -4,13 +4,10 @@ from fractions import Fraction
 import pytest
 
 from eqss.cohomology import GradedComplex, relative_model, restricted_action
+from eqss.documents import parse_document
 from eqss.liealg import LieAutomorphism, coordinate_subalgebra, so_algebra, su2
 from eqss.library import (
-    builtin_models,
-    double_cover_base,
-    sheet_swap_maps,
-    so_pair,
-    so_pair_reflection,
+    builtin_text, circle_base, double_cover_base, point_base, sheet_swap_maps, so_pair, so_pair_reflection, sphere_base,
 )
 from eqss.linalg import (
     GroupBoundError,
@@ -31,15 +28,12 @@ from eqss.spectral import (
     Page,
     PageEntry,
     invariant_filtered_complex,
-    page,
     pages_inductive,
     product_action,
     product_model,
     run_to_stabilization,
     twist_by_deck,
 )
-from eqss.documents import parse_document
-from eqss.library import builtin_text
 from randgen import random_filtered_complex
 
 
@@ -50,19 +44,10 @@ def simple_fc(dims, diff_rows, weights):
     return FilteredComplex.create(GradedComplex.create(dims, diffs), weights)
 
 
-def circle_base():
-    return GradedComplex.create((1, 1), [RationalMatrix.zeros(1, 1)])
-
-
-def sphere_base(n):
-    dims = [1] + [0] * (n - 1) + [1]
-    diffs = [RationalMatrix.zeros(dims[k + 1], dims[k]) for k in range(n)]
-    return GradedComplex.create(tuple(dims), diffs)
-
-
 def test_construction_checks_the_filtration():
     cx = GradedComplex.create((1, 1), [RationalMatrix.from_rows([[1]])])
-    assert page(FilteredComplex.create(cx, ((0,), (1,))), 1).dims() == {(0, 0): 1, (1, 0): 1}
+    table = run_to_stabilization(FilteredComplex.create(cx, ((0,), (1,))))
+    assert table.pages[1].dims() == {(0, 0): 1, (1, 0): 1}
     with pytest.raises(FilteredComplexError, match="expected weights for 2 degrees, got 1"):
         FilteredComplex.create(cx, ((0,),))
     with pytest.raises(FilteredComplexError, match="degree 1 has 1 basis vectors but 2 weights"):
@@ -85,17 +70,18 @@ def test_construction_checks_the_filtration():
 def test_two_step_complex_pages():
     # 0 -> Q -> Q -> 0 with d = 1 and weights (0, 1)
     fc = simple_fc((1, 1), [[[1]]], ((0,), (1,)))
-    assert page(fc, 0).dims() == {(0, 0): 1, (1, 0): 1}
-    assert page(fc, 1).dims() == {(0, 0): 1, (1, 0): 1}
-    assert page(fc, 2).dims() == {}
     table = run_to_stabilization(fc)
+    assert table.pages[0].dims() == {(0, 0): 1, (1, 0): 1}
+    assert table.pages[1].dims() == {(0, 0): 1, (1, 0): 1}
+    assert table.pages[2].dims() == {}
     assert table.stabilized_at == 2
     assert table.einf == {}
     assert table.total_cohomology == (0, 0)
     # with both weights 0 the collapse happens on page 1 already
     fc0 = simple_fc((1, 1), [[[1]]], ((0,), (0,)))
-    assert page(fc0, 1).dims() == {}
-    assert run_to_stabilization(fc0).stabilized_at == 1
+    table0 = run_to_stabilization(fc0)
+    assert table0.pages[1].dims() == {}
+    assert table0.stabilized_at == 1
 
 
 def test_trivial_filtration_single_column():
@@ -105,7 +91,7 @@ def test_trivial_filtration_single_column():
     fc = FilteredComplex.create(model.complex, weights)
     table = run_to_stabilization(fc)
     assert table.stabilized_at == 1
-    assert page(fc, 1).dims() == {(0, 0): 1, (0, 3): 1}
+    assert table.pages[1].dims() == {(0, 0): 1, (0, 3): 1}
     assert table.einf == {(0, 0): 1, (0, 3): 1}
     assert table.total_cohomology == (1, 0, 0, 1)
 
@@ -140,9 +126,10 @@ def test_random_complexes_closed_form_vs_inductive():
     cases = [random_filtered_complex(rng) for _ in range(20)]
     # wider weights, so that differentials longer than d_3 occur
     cases += [random_filtered_complex(rng, max_weight=5) for _ in range(10)]
-    assert any(page(fc, 4).dims() != page(fc, 5).dims() for fc, _ in cases)
+    pages = [run_to_stabilization(fc, max_page=5).pages for fc, _ in cases]
+    assert any(p[4].dims() != p[5].dims() for p in pages)
     # the shipped models and the l = 3 twist, whose cohomology is known only by rank
-    shipped = [entry.filtered() for entry in builtin_models().complexes.values()]
+    shipped = [entry.filtered() for entry in parse_document(builtin_text("models")).complexes.values()]
     g, h = so_pair(3)
     cover, total = double_cover_twist(g, h, so_pair_reflection(3))
     twist, _ = invariant_filtered_complex(cover, DeckAction.create(cover, [total]))
@@ -173,9 +160,8 @@ def test_page_dimensions_non_increasing():
 
 
 def test_product_model_point_base_is_absolute_complex():
-    base = GradedComplex.create((1,), [])
     g = su2()
-    fc = product_model(base, g)
+    fc = product_model(point_base(), g)
     model = relative_model(g)
     assert fc.complex.dims == model.complex.dims
     for n in range(fc.complex.top):
@@ -189,7 +175,7 @@ def test_product_model_circle_times_su2():
     table = run_to_stabilization(fc)
     assert table.total_cohomology == (1, 1, 0, 1, 1)
     kunneth = {(0, 0): 1, (0, 3): 1, (1, 0): 1, (1, 3): 1}
-    assert page(fc, 2).dims() == kunneth
+    assert table.pages[2].dims() == kunneth
     assert table.einf == kunneth
     assert table.stabilized_at <= 2
 
@@ -229,16 +215,9 @@ def test_trivial_twist_keeps_complex():
         assert out.complex.differential(n) == fc.complex.differential(n)
 
 
-def sheet_swap_base():
-    # two-sheet circle cover: d(u1) = (v1 - v2)/2, d(u2) = -(v1 - v2)/2
-    h = Fraction(1, 2)
-    d = RationalMatrix.from_rows([[h, -h], [-h, h]])
-    return GradedComplex.create((2, 2), [d])
-
-
 def test_deck_twisted_double_cover():
     g = su2()
-    fc = product_model(sheet_swap_base(), g, coordinate_subalgebra(g, [3]))
+    fc = product_model(double_cover_base(), g, coordinate_subalgebra(g, [3]))
     swap = RationalMatrix.from_rows([[0, 1], [1, 0]])
     reflect = LieAutomorphism.create(g, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
     twisted = twist_by_deck(fc, [swap, swap], reflect)
@@ -251,7 +230,7 @@ def test_deck_twisted_double_cover():
 
 def test_twist_dims_equal_fixed_subspace_dims():
     g = su2()
-    fc = product_model(sheet_swap_base(), g, coordinate_subalgebra(g, [3]))
+    fc = product_model(double_cover_base(), g, coordinate_subalgebra(g, [3]))
     swap = RationalMatrix.from_rows([[0, 1], [1, 0]])
     reflect = LieAutomorphism.create(g, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
     fiber_maps = restricted_action(fc.fiber, reflect)
@@ -271,7 +250,7 @@ def test_twist_rejects_nonpreserving_coefficient_action():
 
 def test_twist_rejects_noncommuting_base_action():
     g = su2()
-    fc = product_model(sheet_swap_base(), g, coordinate_subalgebra(g, [3]))
+    fc = product_model(double_cover_base(), g, coordinate_subalgebra(g, [3]))
     ident = LieAutomorphism.create(g, RationalMatrix.identity(3))
     bad = RationalMatrix.from_rows([[1, 1], [0, 1]])
     with pytest.raises(ValueError, match="commute"):

@@ -17,7 +17,8 @@ import pytest
 
 from eqss.cohomology import cohomology, invariant_cohomology, relative_model, restricted_action
 from eqss.forms import differential_images, pull_back
-from eqss.library import builtin_library
+from eqss.documents import parse_document
+from eqss.library import builtin_text
 from eqss.liealg import LieAutomorphism
 from eqss.linalg import (
     GROUP_BOUND,
@@ -119,7 +120,8 @@ def test_reduce_and_coordinates_equal_the_general_path():
     assert SubspaceBasis.zero(3).reduce(nonzero) == nonzero
 
 
-@pytest.mark.parametrize("s", [SubspaceBasis.zero(3), SubspaceBasis.zero(0), SubspaceBasis.full(2)])
+@pytest.mark.parametrize("s", [SubspaceBasis.zero(3), SubspaceBasis.zero(0), SubspaceBasis.full(2),
+                               SubspaceBasis.span([[1, 0, 1], [0, 1, 1]], 3)])
 @pytest.mark.parametrize("m", [RationalMatrix.zeros(4, 0), RationalMatrix.zeros(1, 2), RationalMatrix.identity(1)])
 def test_empty_operands_still_refuse_an_ambient_mismatch(s, m):
     for op in (s.reduce, s.coordinate_matrix):
@@ -128,7 +130,7 @@ def test_empty_operands_still_refuse_an_ambient_mismatch(s, m):
 
 
 def test_forms_without_columns_map_to_the_empty_forms():
-    doc = builtin_library()
+    doc = parse_document(builtin_text("library"))
     g, aut = doc.algebras["so4"], doc.automorphisms["so4_reflection"]
     n = g.dim
     empty = [RationalMatrix.zeros(comb(n, k), 0) for k in range(n + 1)]
@@ -193,7 +195,7 @@ LIBRARY_PAIRS = [
 
 
 def library_pairs_in_both_bases():
-    doc, rng = builtin_library(), random.Random(83)
+    doc, rng = parse_document(builtin_text("library")), random.Random(83)
     for alg, sub, aut, l in LIBRARY_PAIRS:
         g, h = doc.algebras[alg], doc.subalgebras[sub]
         a = doc.automorphisms[aut] if aut else LieAutomorphism.create(g, RationalMatrix.identity(g.dim), "id")
