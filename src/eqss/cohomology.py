@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
-from .forms import ce_complex, differential_images, pull_back, relative_subcomplex, wedge
+from .forms import ce_complex, pull_back, relative_subcomplex, wedge
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from .linalg import (
     GROUP_BOUND,
@@ -147,11 +147,11 @@ def relative_model(g: LieAlgebra, h: Subalgebra | None = None) -> RelativeModel:
     """The complex C(g, h) = (Lambda(g/h)*)^h in the basis of its forms.
 
     For h = 0 this is the full Chevalley-Eilenberg complex with identity
-    bases.  Otherwise the small complex is built without the full one: its
-    bases are the kernel of h's isotropy action (`relative_subcomplex`, no
-    d), then d is computed once, on those forms, from the structure
-    constants; reading it in the next degree's basis is the closure check.
-    Algebras that fail the Jacobi identity are refused in both cases.
+    bases.  Otherwise the small complex is built without the full one:
+    `relative_subcomplex` gives its bases, the kernel of h's isotropy
+    action, and its d from the bracket of g/h, read in the next degree's
+    basis, which is the closure check.  Algebras that fail the Jacobi
+    identity are refused in both cases.
 
     Before any form is built, the size of the route is checked against
     MAX_FORM_ENTRIES.  The absolute route counts the sum_k C(n,k) C(n,k+1)
@@ -191,9 +191,7 @@ def relative_model(g: LieAlgebra, h: Subalgebra | None = None) -> RelativeModel:
     if h.dim == 0:
         cx = ce_complex(g)
         return RelativeModel(g, h, cx, tuple(SubspaceBasis.full(d) for d in cx.dims))
-    spaces = relative_subcomplex(g, h)
-    images = differential_images(g, [s.matrix for s in spaces[:-1]])
-    diffs = [s.coordinate_matrix(m) for s, m in zip(spaces[1:], images)]
+    spaces, diffs = relative_subcomplex(g, h)
     if None in diffs:
         raise AssertionError("relative subcomplex is not closed under d")
     cx = GradedComplex.create(tuple(s.dim for s in spaces), diffs)

@@ -20,15 +20,15 @@ indices of t it passes, a `bit_count`.  `_d_column` is the one column
 routine: it peels off the lowest index, d(e^i ^ e^rest) = de^i ^ e^rest -
 e^i ^ d(e^rest), reading d(e^rest) from a memo of the degree below; every
 memo lives for one call.  It also decides the Jacobi identity, as
-d(d e^k) = 0 on the generators (`_jacobi_witness`).  `relative_subcomplex`
-differentiates nothing (it takes the kernel of h's isotropy action), so d
-is built once per route.  `ce_complex` returns a `GradedComplex`, the type
-of every complex, built degree by degree through one mask -> position
+d(d e^k) = 0 on the generators (`_jacobi_witness`), and builds d on C(g, h)
+in `relative_subcomplex` from the free part of the bracket (`_free_part`),
+so d is built once per route.  `ce_complex` returns a `GradedComplex`, the
+type of every complex, built degree by degree through one mask -> position
 table per degree (`_positions`), and keeps the last few in a bounded cache.
 
 Forms are the columns of a `RationalMatrix` everywhere, indexed by
-monomial position, and every routine that maps forms (`differential_images`,
-`pull_back`, `wedge` and the relative lift) goes through `_images`.  They
+monomial position, and every routine that maps forms (`pull_back`, `wedge`,
+the relative lift and the relative d) goes through `_images`.  They
 convert between a monomial and its position by binomial arithmetic (`_rank`,
 `_unrank`), so they touch only the monomials a form uses; only code that
 enumerates a whole degree builds a table of them.
@@ -59,7 +59,6 @@ from .linalg import (
 
 __all__ = [
     "ce_complex",
-    "differential_images",
     "pull_back",
     "relative_subcomplex",
     "wedge",
@@ -233,21 +232,6 @@ def _images(m: RationalMatrix, monomial, dim: int, degree: int, terms_of) -> Rat
     return RationalMatrix.from_entries(comb(dim, degree), out)
 
 
-def differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> list[RationalMatrix]:
-    """d of each column of forms[k], a degree-k form, for every k, built
-    sparsely from the structure constants.
-
-    No CE matrix is formed.  The caller is responsible for the Jacobi check.
-    """
-    n = g.dim
-    dgen = _generator_images(n, g.table)
-    memo: dict = {}
-    return [
-        _images(m, lambda i, k=k: _unrank(n, k, i), n, k + 1, lambda t: _d_column(dgen, t, memo))
-        for k, m in enumerate(forms)
-    ]
-
-
 def wedge(dim: int, p: int, a: Sequence[tuple[int, Rational]], q: int, b: RationalMatrix) -> RationalMatrix:
     """a ^ w for each column w of b: a is one p-form column, as its
     (position, value) entries, and b holds q-forms on Q^dim.
@@ -300,6 +284,12 @@ def _wedge_images(images: Sequence[dict[int, Rational]], m: int, memo: dict) -> 
     return got
 
 
+def _free_part(x: dict[int, Rational], duals: dict[int, dict[int, Rational]]) -> list[tuple[int, Rational]]:
+    """The nonzero (c, f^c(x)) over the free c, for x given by its terms in the e_i."""
+    parts = ((c, sum(b * x[t] for t, b in dual.items() if t in x)) for c, dual in duals.items())
+    return [(c, as_fraction(v)) for c, v in parts if v] if x else []
+
+
 def _isotropy_action(g: LieAlgebra, h: Subalgebra):
     """The action of h on the 1-forms of g/h, plus those 1-forms.
 
@@ -320,18 +310,15 @@ def _isotropy_action(g: LieAlgebra, h: Subalgebra):
     action: dict[int, list] = {}
     for p, f in pivots.items():
         for a in duals:
-            x = bracket_terms(g, f, ((a, 1),))
-            for c, dual in duals.items():
-                v = as_fraction(-sum(b * x[t] for t, b in dual.items() if t in x))
-                if v:
-                    lo, hi = sorted((a, c))
-                    between = (1 << (hi - 1)) - (1 << lo)
-                    action.setdefault(1 << (c - 1), []).append((p << n, 1 << (a - 1), between, v))
+            for c, v in _free_part(bracket_terms(g, f, ((a, 1),)), duals):
+                between = (1 << (max(a, c) - 1)) - (1 << min(a, c))
+                action.setdefault(1 << (c - 1), []).append((p << n, 1 << (a - 1), between, -v))
     return action, duals
 
 
-def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
-    """Per-degree bases of C(g, h) = (Lambda(g/h)*)^h inside the k-forms on g.
+def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> tuple[list[SubspaceBasis], list[RationalMatrix | None]]:
+    """Per-degree bases of C(g, h) = (Lambda(g/h)*)^h inside the k-forms on g,
+    and d_k in them (None where an image leaves the next basis).
 
     These are the horizontal forms w (iota_X w = 0 for X in h) killed by
     the isotropy action of h, since iota_X dw = L_X w for a horizontal w.
@@ -340,7 +327,11 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
     monomials m in the free f^c, at most C(dim g - dim h, k) of them.  The
     derivation L_{f_p} moves f^c to f^a in place, past the indices of m
     strictly between a and c; the a = c terms keep m.  The kernel of the
-    stacked L_{f_p} is carried back to the monomials in the e^i.
+    stacked L_{f_p} is carried back to the monomials in the e^i.  A basic
+    form kills h, so on C(g, h) d f^c = -sum_{a<b free} f^c([e_a, e_b]) f^a
+    ^ f^b (Chevalley-Eilenberg, Koszul); as f^m = e^m + terms at h's pivots,
+    a form's f^m-coordinates are its entries at the free m.  Their d is
+    lifted like the kernel and read in the next basis, the closure check.
     """
     if h.algebra != g:
         raise ValueError("subalgebra belongs to a different algebra")
@@ -349,12 +340,13 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
     action, duals = _isotropy_action(g, h)
     free = [1 << (c - 1) for c in sorted(duals)]
     images = [duals.get(j, {}) for j in range(n + 1)]
-    memo: dict = {}
-    spaces: list[SubspaceBasis] = []
+    dgen = _generator_images(n, [(ij, _free_part(dict(t), duals)) for ij, t in g.table if set(ij) <= duals.keys()])
+    memo, dmemo, spaces, diffs, below = {}, {}, [], [], []
     for k in range(n + 1):
         horizontal = [sum(c) for c in combinations(free, k)]
-        if not horizontal:
+        if not horizontal:  # past dim g/h: no forms, and d of the top degree lands on none
             spaces.append(SubspaceBasis.zero(comb(n, k)))
+            diffs.append(RationalMatrix.zeros(0, spaces[-2].dim))
             continue
         # one column per horizontal monomial: L_{f_p} f^m, one row per
         # (pivot p, monomial), numbered as first seen; the kernel ignores row order
@@ -376,7 +368,15 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> list[SubspaceBasis]:
         lifted = _images(kernel_basis(constraint).matrix, horizontal.__getitem__, n, k,
                          lambda m: _wedge_images(images, m, memo))
         spaces.append(image_basis(lifted))
-    return spaces
+        if k:  # d of the degree below, read at its free monomials
+            mask_at = {_rank(n, m): m for m in below}
+            entries = (tuple((p, x) for p, x in col if p in mask_at) for col in spaces[-2].matrix.entries)
+            d = _images(RationalMatrix(comb(n, k - 1), tuple(entries)), mask_at.__getitem__, n, k,
+                        lambda m: _d_column(dgen, m, dmemo))
+            diffs.append(spaces[-1].coordinate_matrix(
+                _images(d, lambda i: _unrank(n, k, i), n, k, lambda m: _wedge_images(images, m, memo))))
+        below = horizontal
+    return spaces, diffs
 
 
 def _dual_images(aut: LieAutomorphism) -> list[dict[int, Rational]]:

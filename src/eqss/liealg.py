@@ -25,7 +25,6 @@ from .linalg import (
     Vector,
     as_vector,
     image_basis,
-    kernel_basis,
     rank,
 )
 from .records import FrozenRecord, set_field, set_fields
@@ -38,7 +37,6 @@ __all__ = [
     "bracket_terms",
     "coordinate_subalgebra",
     "is_automorphism",
-    "normalizer",
     "so_algebra",
     "su2",
     "u_algebra",
@@ -162,30 +160,6 @@ def _closed_span(g: LieAlgebra, span: SubspaceBasis, name: str) -> Subalgebra:
     return Subalgebra(g, span, name)
 
 
-def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:
-    """{x : [x, h] is contained in h}, as a subspace of g.
-
-    Linear in x: with the rows of N spanning the annihilator of span(h),
-    the conditions are N ad(v) x = 0 for each basis vector v of h, where
-    column i of ad(v) is [e_i, v], by `bracket_terms`.
-    """
-    n, hb = g.dim, h.basis
-    if hb.dim == 0:
-        return SubspaceBasis.full(n)
-    ann = kernel_basis(hb.matrix.transpose()).matrix.transpose()
-    rows = []  # the conditions, each a column of n entries
-    for v in hb.matrix.entries:
-        terms = _terms(v)
-        ad = RationalMatrix.from_entries(n, (
-            ((k - 1, c) for k, c in bracket_terms(g, ((i, 1),), terms).items()) for i in range(1, n + 1)
-        ))
-        rows.extend(ann.mul(ad).transpose().entries)
-    result = kernel_basis(RationalMatrix(n, tuple(rows)).transpose())
-    if not result.contains_subspace(hb):
-        raise AssertionError("normalizer must contain the subalgebra")
-    return result
-
-
 class LieAutomorphism(FrozenRecord):
     """An invertible bracket-preserving linear map, columns = images of e_j."""
 
@@ -202,9 +176,6 @@ class LieAutomorphism(FrozenRecord):
         if not is_automorphism(g, m):
             raise ValueError(f"matrix is not a Lie algebra automorphism of {g.name}")
         return cls(g, m, name)
-
-    def preserves(self, h: Subalgebra) -> bool:
-        return h.basis.coordinate_matrix(self.matrix.mul(h.basis.matrix)) is not None
 
 
 def is_automorphism(g: LieAlgebra, m: RationalMatrix) -> bool:

@@ -191,17 +191,6 @@ class RationalMatrix(FrozenRecord):
             return RationalMatrix.zeros(self.nrows, other.ncols)
         return RationalMatrix.from_entries(self.nrows, (acc.items() for acc in _product_columns(self, other)))
 
-    def apply(self, vec: Sequence) -> Vector:
-        v = as_vector(vec)
-        if len(v) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        out = [_ZERO] * self.nrows
-        for b, col in zip(v, self.entries):
-            if b:
-                for i, a in col:
-                    out[i] += a * b
-        return as_vector(out)
-
     def add(self, other: "RationalMatrix") -> "RationalMatrix":
         return self._plus(other, False)
 
@@ -390,9 +379,6 @@ class GradedComplex(FrozenRecord):
         if 0 <= k < len(self.differentials):
             return self.differentials[k]
         return RationalMatrix.zeros(self.dim(k + 1), self.dim(k))
-
-    def euler_characteristic(self) -> int:
-        return sum(d if k % 2 == 0 else -d for k, d in enumerate(self.dims))
 
 
 def check_chain_map(cx: GradedComplex, maps: Sequence[RationalMatrix]) -> None:

@@ -15,8 +15,11 @@ They are the reference for `forms.wedge` and for the sign conventions.
 
 `slot_d_column` is the Chevalley-Eilenberg column builder the engine used
 before its antiderivation recurrence: one pass per argument slot, sorting
-every term with `sort_sign`.  The slot differentials and images built from
-it are the reference for `ce_complex` and `differential_images`.  Like the
+every term with `sort_sign`.  The slot differentials built from it are the
+reference for `ce_complex`.  The slot images, d of forms on all of Lambda
+g*, are the old route of the relative d: before `relative_subcomplex`
+built d from the bracket of g/h, the lifted basis forms of C(g, h) were
+differentiated on Lambda g* and read in the next degree's basis.  Like the
 engine before it keyed monomials by bit masks, these oracles hold monomials
 as index tuples and rank them with `tuple_rank`.
 
@@ -27,6 +30,9 @@ kernel of their pivot contractions, and a lift that sorts every wedge term
 `_adapted_basis`, the whole bracket table of g in a basis adapted to h, is
 what `relative_subcomplex` differentiated before it took the kernel of the
 isotropy action of h; the two routes build their constraints independently.
+
+`apply`, a matrix times a dense vector, and `normalizer`, of a subalgebra,
+were `RationalMatrix.apply` and `liealg.normalizer`; only tests call them.
 
 `restricted_kernel` is the kernel the engine took before
 `linalg.kernel_and_image`: one elimination of the rows with the columns
@@ -251,6 +257,35 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
                 if ck:
                     acc[k] += c * ck
     return as_vector(acc)
+
+
+def apply(m: RationalMatrix, v: Sequence) -> Vector:
+    """m v as a dense vector: the one column of m times the one-column matrix of v."""
+    return m.mul(RationalMatrix.from_columns([v], m.ncols)).column(0)
+
+
+def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:
+    """{x : [x, h] is contained in h}, as a subspace of g.
+
+    Linear in x: with the rows of N spanning the annihilator of span(h),
+    the conditions are N ad(v) x = 0 for each basis vector v of h, where
+    column i of ad(v) is [e_i, v], by `bracket_terms`.
+    """
+    n, hb = g.dim, h.basis
+    if hb.dim == 0:
+        return SubspaceBasis.full(n)
+    ann = kernel_basis(hb.matrix.transpose()).matrix.transpose()
+    rows = []  # the conditions, each a column of n entries
+    for v in hb.matrix.entries:
+        terms = tuple((i + 1, x) for i, x in v)
+        ad = RationalMatrix.from_entries(n, (
+            ((k - 1, c) for k, c in bracket_terms(g, ((i, 1),), terms).items()) for i in range(1, n + 1)
+        ))
+        rows.extend(ann.mul(ad).transpose().entries)
+    result = kernel_basis(RationalMatrix(n, tuple(rows)).transpose())
+    if not result.contains_subspace(hb):
+        raise AssertionError("normalizer must contain the subalgebra")
+    return result
 
 
 def form_from_vector(dim: int, degree: int, vec: Sequence) -> ExteriorForm:
@@ -518,7 +553,7 @@ def form_vanishes_on_hyperplane(m: RationalMatrix, normal: Sequence) -> bool:
     """Whether the symmetric m vanishes on {x : normal . x = 0}, pair by pair."""
     vectors = kernel_basis(RationalMatrix.from_rows([normal])).vectors
     return all(
-        sum(a * b for a, b in zip(v, m.apply(w))) == 0
+        sum(a * b for a, b in zip(v, apply(m, w))) == 0
         for i, v in enumerate(vectors)
         for w in vectors[i:]
     )

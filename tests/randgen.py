@@ -14,7 +14,7 @@ from eqss.liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from eqss.linalg import RationalMatrix
 from eqss.spectral import FilteredComplex
 
-from form_oracles import bracket
+from form_oracles import apply, bracket
 
 
 def random_filtered_complex(rng, max_degrees=4, max_dim=5, max_weight=3):
@@ -111,9 +111,9 @@ def transported_pair(rng, g, vectors, t=None):
     for i in range(1, g.dim + 1):
         for j in range(i + 1, g.dim + 1):
             br = bracket(g, t.column(i - 1), t.column(j - 1))
-            table[(i, j)] = tinv.apply(br)
+            table[(i, j)] = apply(tinv, br)
     g2 = LieAlgebra.from_brackets(f"{g.name}-transported", g.dim, table)
-    return g2, [tinv.apply(v) for v in vectors]
+    return g2, [apply(tinv, v) for v in vectors]
 
 
 def change_basis(g, h, aut, t, name):
@@ -123,11 +123,11 @@ def change_basis(g, h, aut, t, name):
     n = g.dim
     tinv = t.inverse()
     table = {
-        (i, j): tinv.apply(bracket(g, t.column(i - 1), t.column(j - 1)))
+        (i, j): apply(tinv, bracket(g, t.column(i - 1), t.column(j - 1)))
         for i in range(1, n + 1) for j in range(i + 1, n + 1)
     }
     g2 = LieAlgebra.from_brackets(name, n, table)
-    h2 = Subalgebra.span(g2, [tinv.apply(v) for v in h.basis.vectors])
+    h2 = Subalgebra.span(g2, [apply(tinv, v) for v in h.basis.vectors])
     return g2, h2, LieAutomorphism.create(g2, tinv.mul(aut.matrix).mul(t))
 
 

@@ -33,7 +33,7 @@ from eqss.linalg import (
     solve,
 )
 from eqss.spectral import DeckAction, FilteredComplex, invariant_filtered_complex
-from form_oracles import ExteriorForm, dense_wedge, restricted_kernel
+from form_oracles import ExteriorForm, apply, dense_wedge, restricted_kernel
 from randgen import random_filtered_complex, random_two_step_nilpotent, transported_algebra
 
 
@@ -51,7 +51,7 @@ def test_absolute_cohomology_abelian():
 def test_absolute_cohomology_u2():
     res = lie_cohomology(u_algebra(2))
     assert res.dims == (1, 1, 0, 1, 1)
-    assert res.complex.euler_characteristic() == 0
+    assert sum((-1) ** k * d for k, d in enumerate(res.complex.dims)) == 0
 
 
 def test_relative_cohomology_su2_axis():
@@ -76,7 +76,7 @@ def test_euler_characteristic_matches_cohomology():
     for g in (su2(), abelian(4), u_algebra(2), so_algebra(3)):
         res = lie_cohomology(g)
         chi = sum(d if k % 2 == 0 else -d for k, d in enumerate(res.dims))
-        assert chi == res.complex.euler_characteristic()
+        assert chi == sum(d if k % 2 == 0 else -d for k, d in enumerate(res.complex.dims))
 
 
 def test_trivial_subalgebra_matches_absolute():
@@ -276,7 +276,7 @@ def test_cup_product_matches_the_dense_route():
         for p in range(n + 1):
             for q in range(n + 1):
                 u, v = ([Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(res.dims[k])] for k in (p, q))
-                dense = [ExteriorForm(n, k, res.classes[k].matrix.apply(c)) for k, c in ((p, u), (q, v))]
+                dense = [ExteriorForm(n, k, apply(res.classes[k].matrix, c)) for k, c in ((p, u), (q, v))]
                 # the product of degree p + q > n is the empty vector of H^{p+q} = 0
                 want = express(res, p + q, dense_wedge(*dense).coeffs) if p + q <= n else ()
                 got = cup_product(g, res, p, u, q, v)
@@ -327,7 +327,7 @@ def test_restricted_kernel_classes_match_the_cocycle_complement():
             assert res.coboundaries[k] == b
             for _ in range(3):
                 cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in z.vectors]
-                v = z.matrix.apply(cs)
+                v = apply(z.matrix, cs)
                 assert express(res, k, v) == solve_express(z, b, reps, v)
             units = SubspaceBasis.full(cx.dims[k]).vectors
             outside = next((e for e in units if z.coordinate_matrix(column(e)) is None), None)

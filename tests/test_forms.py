@@ -11,15 +11,12 @@ from eqss.forms import (
     _rank,
     _unrank,
     ce_complex,
-    differential_images,
     relative_subcomplex,
     wedge,
 )
-from eqss.library import so_pair
 from eqss.liealg import (
     LieAlgebra,
     LieAutomorphism,
-    Subalgebra,
     abelian,
     coordinate_subalgebra,
     so_algebra,
@@ -33,6 +30,7 @@ from form_oracles import (
     ExteriorForm,
     _mask,
     all_degrees_differentials,
+    apply,
     basis_form,
     bracket,
     contract,
@@ -41,7 +39,6 @@ from form_oracles import (
     form_from_terms,
     induced_on_forms,
     multi_indices,
-    slot_differential_images,
     slot_differentials,
     sort_sign,
     triple_jacobi_witness,
@@ -51,7 +48,6 @@ from randgen import (
     random_two_step_nilpotent,
     rescaled_algebra,
     transported_algebra,
-    transported_pair,
 )
 
 
@@ -95,7 +91,7 @@ def d_oracle(g: LieAlgebra, form: ExteriorForm, vectors) -> Fraction:
 
 
 def apply_d(ce: GradedComplex, form: ExteriorForm) -> ExteriorForm:
-    out = ce.differential(form.degree).apply(form.coeffs)
+    out = apply(ce.differential(form.degree), form.coeffs)
     return ExteriorForm(form.dim, form.degree + 1, out)
 
 
@@ -345,29 +341,6 @@ def test_create_refuses_a_lower_half_that_is_not_self_dual():
             GradedComplex.create(dims, diffs[:2], duality=wrong)
 
 
-def test_differential_images_match_the_slot_oracle():
-    # (so5, so4) is symmetric, so d vanishes on its relative forms; random
-    # sparse forms of every degree give images that do not
-    g, h = so_pair(4)
-    n = g.dim
-    for seed in (37, 41):
-        rng = random.Random(seed)
-        g2, vectors = transported_pair(rng, g, h.basis.vectors)
-        relative = [s.matrix for s in relative_subcomplex(g2, Subalgebra.span(g2, vectors))[:-1]]
-        assert sum(m.ncols for m in relative) == 2
-        assert differential_images(g2, relative) == slot_differential_images(g2, relative)
-        sparse = [
-            RationalMatrix.from_entries(comb(n, k), [
-                [(p, rng.choice((-2, -1, 1, Fraction(1, 2)))) for p in rng.sample(range(comb(n, k)), min(4, comb(n, k)))]
-                for _ in range(3)
-            ])
-            for k in range(n)
-        ]
-        images = differential_images(g2, sparse)
-        assert all(not m.is_zero() for m in images[1:-1])
-        assert images == slot_differential_images(g2, sparse)
-
-
 def test_differential_is_antiderivation():
     rng = random.Random(29)
     g = so_algebra(4)
@@ -440,10 +413,11 @@ def test_ce_complex_cache_is_bounded():
 def test_relative_subcomplex_su2_axis():
     g = su2()
     h = coordinate_subalgebra(g, [3])
-    spaces = relative_subcomplex(g, h)
+    spaces, diffs = relative_subcomplex(g, h)
     assert [s.dim for s in spaces] == [1, 0, 1, 0]
-    # the surviving 2-form is e1^e2
+    # the surviving 2-form is e1^e2, and on the 2-sphere d = 0
     assert spaces[2].vectors == ((Fraction(1), Fraction(0), Fraction(0)),)
+    assert diffs == [RationalMatrix.zeros(b.dim, a.dim) for a, b in zip(spaces, spaces[1:])]
 
 
 def test_relative_subcomplex_su2_axis_oracle():
@@ -461,15 +435,17 @@ def test_relative_subcomplex_su2_axis_oracle():
 def test_relative_subcomplex_so4_so3():
     g = so_algebra(4)
     h = coordinate_subalgebra(g, [1, 2, 4])  # A12, A13, A23 span so(3)
-    spaces = relative_subcomplex(g, h)
+    spaces = relative_subcomplex(g, h)[0]
     assert [s.dim for s in spaces] == [1, 0, 0, 1, 0, 0, 0]
 
 
 def test_relative_subcomplex_trivial_subalgebra_is_everything():
     g = su2()
     h = coordinate_subalgebra(g, [])
-    spaces = relative_subcomplex(g, h)
+    spaces, diffs = relative_subcomplex(g, h)
     assert [s.dim for s in spaces] == [1, 3, 3, 1]
+    # over the zero subalgebra every index is free, and d is the whole CE differential
+    assert diffs == list(ce_complex(g).differentials)
 
 
 def test_induced_on_forms_reflection():
@@ -529,4 +505,4 @@ def test_contract_matrix_agrees_with_contract():
         x = [rand_fraction(rng) for _ in range(dim)]
         m = contract_matrix(dim, x, k)
         form = rand_form(rng, dim, k)
-        assert m.apply(form.coeffs) == contract(x, form).coeffs
+        assert apply(m, form.coeffs) == contract(x, form).coeffs

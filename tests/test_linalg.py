@@ -27,7 +27,7 @@ from eqss.linalg import (
 from eqss.records import Record
 from eqss.spectral import product_model, twist_by_deck
 
-from form_oracles import restricted_kernel
+from form_oracles import apply, restricted_kernel
 from randgen import change_basis, random_unimodular
 
 
@@ -66,13 +66,13 @@ def test_kernel_rank_nullity_randomized():
                for _ in range(nr)])
         assert rank(m) + kernel_basis(m).dim == nc
         for v in kernel_basis(m).vectors:
-            assert not any(m.apply(v))
+            assert not any(apply(m, v))
 
 
 def test_solve_and_inverse():
     m = M([[1, 2], [3, 5]])
     x = solve(m, [5, 13])
-    assert x is not None and m.apply(x) == (Fraction(5), Fraction(13))
+    assert x is not None and apply(m, x) == (Fraction(5), Fraction(13))
     inv = m.inverse()
     assert m.mul(inv) == RationalMatrix.identity(2)
     assert solve(M([[1, 1], [1, 1]]), [0, 1]) is None
@@ -349,7 +349,7 @@ def test_pivot_insertion_matches_dense_elimination_randomized():
         assert image_basis(m) == dense_span(m.columns(), m.nrows)
         b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m.nrows)]
         assert solve(m, b) == dense_solve(m, b)
-        reachable = m.apply([Fraction(rng.randint(-3, 3)) for _ in range(m.ncols)])
+        reachable = apply(m, [Fraction(rng.randint(-3, 3)) for _ in range(m.ncols)])
         assert solve(m, reachable) == dense_solve(m, reachable)
         if m.nrows == m.ncols and m.ncols:
             want = dense_inverse(m)
@@ -414,7 +414,7 @@ def test_sparse_matrix_matches_dense_reference_randomized():
         assert m.transpose() == RationalMatrix.from_rows(dense_transpose(rows, nc), nr)
         assert m.is_zero() == (not any(x for r in rows for x in r))
         v = [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(nc)]
-        assert m.apply(v) == tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows)
+        assert apply(m, v) == tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows)
         other = next(o for o in rng.sample(mats, len(mats)) if o.nrows == nc)
         assert canonical(m.mul(other)).rows == as_rows(dense_mul(rows, other.rows, other.ncols))
         same = next((o for o in rng.sample(mats, len(mats)) if o.shape == m.shape), m)
@@ -446,7 +446,7 @@ def test_sparse_matrix_shapes_and_ragged_input():
         assert z.transpose() == RationalMatrix.zeros(nc, nr)
         assert RationalMatrix.from_rows(z.rows, nc) == z
         assert RationalMatrix.from_columns(z.columns(), nr) == z
-        assert z.apply([1] * nc) == (Fraction(0),) * nr
+        assert apply(z, [1] * nc) == (Fraction(0),) * nr
         assert z.mul(RationalMatrix.zeros(nc, 2)) == RationalMatrix.zeros(nr, 2)
         assert rank(z) == 0 and kernel_basis(z) == SubspaceBasis.full(nc)
         assert image_basis(z) == SubspaceBasis.zero(nr)
@@ -470,8 +470,6 @@ def test_sparse_matrix_shapes_and_ragged_input():
         m.mul(m)
     with pytest.raises(ValueError, match="shape"):
         m.add(m.transpose())
-    with pytest.raises(ValueError, match="length"):
-        m.apply([1, 2])
 
 
 def test_enumerate_group_order_with_a_repeated_generator():
@@ -519,7 +517,7 @@ def test_mixed_inputs_match_the_dense_fraction_reference_randomized():
         a = RationalMatrix.from_rows([[spelled(rng, x) for x in r] for r in frac], m.ncols)
         assert canonical(a) == m and a.rows == as_rows(frac)
         v = [spelled(rng, Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))) for _ in range(m.ncols)]
-        got = a.apply(v)
+        got = apply(a, v)
         assert got == tuple(sum((x * Fraction(y) for x, y in zip(r, v)), Fraction(0)) for r in frac)
         assert all(is_exact(x) for x in got)
         other = next(o for o in rng.sample(mats, len(mats)) if o.nrows == m.ncols)

@@ -18,7 +18,7 @@ from eqss.linalg import (
 )
 from eqss.obstructions import CupForm, null_hyperplane_search
 
-from form_oracles import bracket, contract, dense_wedge, form_from_vector
+from form_oracles import apply, bracket, contract, dense_wedge, form_from_vector
 from randgen import form_null_on, random_rational, random_symmetric, random_two_step_nilpotent, transported_algebra
 
 INSTANCES = 100
@@ -75,9 +75,9 @@ def test_ce_differential_is_a_wedge_antiderivation():
         q = rng.randint(0, n - p - 1)
         a = form_from_vector(n, p, random_vector(rng, ce.dim(p)))
         b = form_from_vector(n, q, random_vector(rng, ce.dim(q)))
-        da = form_from_vector(n, p + 1, ce.differential(p).apply(a.coeffs))
-        db = form_from_vector(n, q + 1, ce.differential(q).apply(b.coeffs))
-        lhs = ce.differential(p + q).apply(dense_wedge(a, b).coeffs)
+        da = form_from_vector(n, p + 1, apply(ce.differential(p), a.coeffs))
+        db = form_from_vector(n, q + 1, apply(ce.differential(q), b.coeffs))
+        lhs = apply(ce.differential(p + q), dense_wedge(a, b).coeffs)
         sign = Fraction((-1) ** p)
         rhs = [
             u + sign * v for u, v in zip(dense_wedge(da, b).coeffs, dense_wedge(a, db).coeffs)
@@ -112,9 +112,9 @@ def test_rank_nullity_and_solve_agree():
         assert r + kernel_basis(m).dim == ncols
         assert image_basis(m).dim == r
         v = random_vector(rng, ncols)
-        b = m.apply(v)
+        b = apply(m, v)
         w = solve(m, b)
-        assert w is not None and m.apply(w) == b
+        assert w is not None and apply(m, w) == b
 
 
 def signed_permutation(rng, n):
@@ -165,7 +165,7 @@ def test_cup_product_is_representative_independent():
         for c, vec in zip(u, res.representatives[p]):
             for i, a in enumerate(vec):
                 rep[i] += c * a
-        shift = ce.differential(p - 1).apply(random_vector(rng, ce.dim(p - 1)))
+        shift = apply(ce.differential(p - 1), random_vector(rng, ce.dim(p - 1)))
         shifted = [a + b for a, b in zip(rep, shift)]
         vrep = [Fraction(0)] * ce.dim(q)
         for c, vec in zip(v, res.representatives[q]):
@@ -200,7 +200,7 @@ def test_binary_null_search_is_exact():
         assert result.completeness == "exact"
 
         def null_everywhere(v):
-            return all(sum(a * b for a, b in zip(v, m.apply(v))) == 0 for m in cup.matrices)
+            return all(sum(a * b for a, b in zip(v, apply(m, v))) == 0 for m in cup.matrices)
 
         if not result.found:
             outcomes["excluded"] += 1

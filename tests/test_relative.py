@@ -15,7 +15,7 @@ import pytest
 
 from eqss import cohomology as cohomology_module, forms
 from eqss.cohomology import action_on_cohomology, cohomology, relative_model, restricted_action
-from eqss.forms import ce_complex, differential_images, pull_back, relative_subcomplex
+from eqss.forms import ce_complex, pull_back, relative_subcomplex
 from eqss.documents import parse_document
 from eqss.library import builtin_text, so_pair, so_pair_reflection
 from eqss.liealg import (
@@ -70,7 +70,7 @@ def test_shipped_pairs_match_oracle_in_coordinate_basis():
         ("su2", "e3"), ("so3", "so2"), ("so4", "so3_in_so4"), ("so5", "so4_in_so5"), ("u2", "u1")
     }
     for g, h in pairs:
-        assert relative_subcomplex(g, h) == oracle_subcomplex(g, h), (g.name, h.name)
+        assert relative_subcomplex(g, h)[0] == oracle_subcomplex(g, h), (g.name, h.name)
 
 
 def test_shipped_pairs_match_oracle_in_random_bases():
@@ -81,7 +81,7 @@ def test_shipped_pairs_match_oracle_in_random_bases():
             continue
         for _ in range(2):
             g2, h2 = in_random_basis(rng, g, h)
-            assert relative_subcomplex(g2, h2) == oracle_subcomplex(g2, h2), (g.name, h.name)
+            assert relative_subcomplex(g2, h2)[0] == oracle_subcomplex(g2, h2), (g.name, h.name)
 
 
 def test_so5_so4_in_random_bases_is_the_4_sphere():
@@ -103,7 +103,7 @@ def test_random_lines_match_oracle():
             while not any(x):
                 x = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(g.dim)]
             h = Subalgebra.span(g, [x], "line")
-            spaces = relative_subcomplex(g, h)
+            spaces = relative_subcomplex(g, h)[0]
             assert spaces == oracle_subcomplex(g, h), (g.name, x)
             assert spaces == slot_relative_subcomplex(g, h), (g.name, x)
 
@@ -158,21 +158,44 @@ def test_relative_route_never_enumerates_the_forms_on_g(monkeypatch):
     assert [m.shape for m in restricted_action(model, aut)] == [(d, d) for d in model.complex.dims]
 
 
-def test_relative_route_differentiates_nothing(monkeypatch):
-    # C(g, h) is the kernel of the isotropy action; d is built only later, on its bases.
-    # The Jacobi check reads d(d e^k) through _d_column, so its cached verdict comes first.
-    g, h = so_pair(4)
-    pairs = [(g, h), in_random_basis(random.Random(73), g, h)]
-    expected = [slot_relative_subcomplex(g2, h2) for g2, h2 in pairs]
-    for g2, _ in pairs:
-        forms._require_jacobi(g2)
+def test_relative_d_reads_only_the_free_part_of_the_bracket(monkeypatch):
+    # d on C(g, h) is built from the bracket of g/h: the table names free indices only, and
+    # _d_column sees horizontal masks only.  The Jacobi check reads all of g through both,
+    # so its cached verdict comes first.  On so(l+1)/so(l) every relative d is zero; in the
+    # coordinate basis the free vectors span the complement p with [p, p] in h, so the
+    # table is empty, while in a random basis they span another complement.
+    rng = random.Random(73)
+    spheres = [so_pair(l) for l in range(2, 7)]
+    stiefel = so_coordinate_pair(5, "V(5,2)", circle=False)
+    cases = [(pair, "coordinate") for pair in spheres] + [(in_random_basis(rng, *p), "random") for p in spheres]
+    cases += [(stiefel, "V(5,2)"), (in_random_basis(rng, *stiefel), "V(5,2)")]
+    for (g, _), _ in cases:
+        forms._require_jacobi(g)
+    tables, masks = [], []
+    generator_images, d_column = forms._generator_images, forms._d_column
 
-    def refuse(*args):
-        raise AssertionError("relative_subcomplex built a differential")
+    def record_table(n, table):
+        tables.append(table)
+        return generator_images(n, table)
 
-    monkeypatch.setattr(forms, "_d_column", refuse)
-    monkeypatch.setattr(forms, "_generator_images", refuse)
-    assert [relative_subcomplex(g2, h2) for g2, h2 in pairs] == expected
+    def record_mask(dgen, m, memo):
+        masks.append(m)
+        return d_column(dgen, m, memo)
+
+    monkeypatch.setattr(forms, "_generator_images", record_table)
+    monkeypatch.setattr(forms, "_d_column", record_mask)
+    expected = {"coordinate": (False, True), "random": (True, True), "V(5,2)": (True, False)}
+    for (g, h), kind in cases:
+        tables.clear()
+        masks.clear()
+        diffs = relative_subcomplex(g, h)[1]
+        pivots = {col[0][0] + 1 for col in h.basis.matrix.entries}
+        assert len(tables) == 1 and masks, h.name
+        assert not any(m >> (p - 1) & 1 for m in masks for p in pivots), h.name
+        named = {x for (i, j), terms in tables[0] for x in (i, j, *(k for k, _ in terms))}
+        assert not named & pivots, h.name
+        has_terms, d_is_zero = any(t for _, t in tables[0]), all(d.is_zero() for d in diffs)
+        assert (has_terms, d_is_zero) == expected[kind], h.name
 
 
 def so_coordinate_pair(n, name, *, circle):
@@ -201,7 +224,7 @@ def test_stiefel_and_grassmannian_pairs_match_the_tuple_route(monkeypatch, n):
     stiefel = so_coordinate_pair(n, f"V({n},2)", circle=False)
     grassmannian = so_coordinate_pair(n, f"G2(R^{n})", circle=True)
     for (g, h), betti in ((stiefel, stiefel_betti(n)), (grassmannian, grassmannian_betti(n))):
-        assert relative_subcomplex(g, h) == slot_relative_subcomplex(g, h), h.name
+        assert relative_subcomplex(g, h)[0] == slot_relative_subcomplex(g, h), h.name
         dims = cohomology(relative_model(g, h).complex).dims
         assert dims == tuple(betti.get(k, 0) for k in range(g.dim + 1)), h.name
 
@@ -222,9 +245,9 @@ def test_relative_bases_match_the_tuple_route_on_the_sphere_ladder():
     # the bases of the route on index tuples, in the coordinate basis and in a random one
     for l in range(2, 9):
         g, h = so_pair(l)
-        assert relative_subcomplex(g, h) == slot_relative_subcomplex(g, h), l
+        assert relative_subcomplex(g, h)[0] == slot_relative_subcomplex(g, h), l
         g2, h2 = in_random_basis(random.Random(l), g, h)
-        assert relative_subcomplex(g2, h2) == slot_relative_subcomplex(g2, h2), l
+        assert relative_subcomplex(g2, h2)[0] == slot_relative_subcomplex(g2, h2), l
 
 
 def scaled(n, factors):
@@ -258,23 +281,61 @@ def sparse_forms(rng, n):
     ]
 
 
-@pytest.mark.parametrize("case", ["half scaling", "so3/so2 scaled", "so4/so3 doubled", "so4/so3 scaled", "so5/so4 doubled"])
+FRACTION_CASES = ["half scaling", "so3/so2 scaled", "so4/so3 doubled", "so4/so3 scaled", "so5/so4 doubled"]
+
+
+@pytest.mark.parametrize("case", FRACTION_CASES)
 def test_mask_kernel_matches_the_oracles_on_fraction_constants(case):
+    # the relative d of these pairs is held against the old route in the differential test below
     g, h, aut = fraction_case(case)
     assert any(type(c) is Fraction for _, coeffs in g.brackets for c in coeffs)
     ce = ce_complex(g)
     assert list(ce.differentials) == slot_differentials(g)
-    spaces = relative_subcomplex(g, h)
+    spaces, diffs = relative_subcomplex(g, h)
     assert spaces == slot_relative_subcomplex(g, h)
     if g.dim <= 6:  # the dense contraction oracle on so5 takes seconds
         assert spaces == oracle_subcomplex(g, h)
     forms = [s.matrix for s in spaces]
     sparse = sparse_forms(random.Random(g.dim), g.dim)
-    images = differential_images(g, forms[:-1]) + differential_images(g, sparse)
-    assert images == slot_differential_images(g, forms[:-1]) + slot_differential_images(g, sparse)
-    assert any(not m.is_zero() for m in images)
     pulled = pull_back(aut, forms) + pull_back(aut, sparse)
     assert pulled == sorted_pull_back(aut, forms) + sorted_pull_back(aut, sparse)
-    values = [x for m in (*ce.differentials, *forms, *images, *pulled) for col in m.entries for _, x in col]
+    values = [x for m in (*ce.differentials, *forms, *diffs, *pulled) for col in m.entries for _, x in col]
     assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values)
     assert any(type(x) is Fraction for x in values)
+
+
+def differential_case(family, n, seed):
+    """A pair of the differential test: so(n+1)/so(n), V(n, 2) or G2(R^n), in
+    the coordinate basis (seed None) or the random basis of the seed; the
+    random line of seed n in a two-step nilpotent algebra; a shipped pair,
+    named by its subalgebra; or a `fraction_case`."""
+    if family == "shipped":
+        return next((g, h) for g, h in shipped_pairs() if h.name == n)
+    if family == "fraction":
+        return fraction_case(n)[:2]
+    if family == "nilpotent line":
+        rng = random.Random(n)
+        g, x = random_two_step_nilpotent(rng), []
+        while not any(x):
+            x = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(g.dim)]
+        return g, Subalgebra.span(g, [x], "line")
+    g, h = so_pair(n) if family == "sphere" else so_coordinate_pair(n, family, circle=family == "grassmannian")
+    return (g, h) if seed is None else in_random_basis(random.Random(seed), g, h)
+
+
+DIFFERENTIAL_CASES = [
+    *(("sphere", l, seed) for l in range(2, 6) for seed in (None, 95, 96, 97)),
+    *((family, 6, seed) for family in ("stiefel", "grassmannian") for seed in (None, 95, 96, 97)),
+    *(("nilpotent line", seed, None) for seed in range(60)),
+    *(("shipped", name, None) for name in ("e3", "so2", "so3_in_so4", "so4_in_so5", "u1")),
+    *(("fraction", case, None) for case in FRACTION_CASES),
+]
+
+
+@pytest.mark.parametrize("family, n, seed", DIFFERENTIAL_CASES)
+def test_relative_differentials_match_the_old_route(family, n, seed):
+    # the old route differentiated the lifted basis forms on all of Lambda g* (here by
+    # the slot oracle) and read the images in the next degree's basis
+    model = relative_model(*differential_case(family, n, seed))
+    images = slot_differential_images(model.algebra, [s.matrix for s in model.bases[:-1]])
+    assert list(model.complex.differentials) == [s.coordinate_matrix(m) for s, m in zip(model.bases[1:], images)]

@@ -540,14 +540,15 @@ def test_assert_guard_sees_every_spelling():
 
 BROKEN_CHECK = (
     "import sys\n"
-    "from eqss import liealg, linalg, obstructions\n"
+    "from eqss import cohomology, liealg, linalg, obstructions\n"
     "assert not __debug__, 'run under python -O'\n"
-    "obstructions.verify_exactness = lambda problem, solution: False\n"
-    "linalg.SubspaceBasis.contains_subspace = lambda self, other: False\n"
     "g, term = liealg.su2(), obstructions.Term\n"
+    "h = liealg.coordinate_subalgebra(g, [3])\n"
+    "obstructions.verify_exactness = lambda problem, solution: False\n"
+    "linalg.SubspaceBasis.coordinate_matrix = lambda self, m: None\n"
     "checks = {\n"
     "    'solve_les': lambda: obstructions.solve_les(obstructions.LesProblem((term.unknown('A'), term.known(3)))),\n"
-    "    'normalizer': lambda: liealg.normalizer(g, liealg.coordinate_subalgebra(g, [3])),\n"
+    "    'relative closure': lambda: cohomology.relative_model(g, h),\n"
     "}\n"
     "try:\n"
     "    print('passed', checks[sys.argv[1]]())\n"
@@ -556,7 +557,7 @@ BROKEN_CHECK = (
 )
 
 
-@pytest.mark.parametrize("check", ["solve_les", "normalizer"])
+@pytest.mark.parametrize("check", ["solve_les", "relative closure"])
 def test_safety_checks_hold_under_python_O(check):
     """With the check made to fail, the call still refuses under -O."""
     out = run_fresh("-O", "-c", BROKEN_CHECK, check)

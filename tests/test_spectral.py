@@ -34,6 +34,7 @@ from eqss.spectral import (
     run_to_stabilization,
     twist_by_deck,
 )
+from form_oracles import apply
 from randgen import random_filtered_complex
 
 
@@ -286,7 +287,7 @@ def test_invariant_complex_weight_adapted_basis():
         for n, (ws, vecs) in enumerate(zip(out.weights, embeddings)):
             m, amb = total[n], fc.complex.dims[n]
             for p, v in zip(ws, vecs):
-                assert m.apply(v) == v
+                assert apply(m, v) == v
                 assert all(not v[j] for j, w in enumerate(fc.weights[n]) if w < p)
             for p in range(fc.max_weight + 1):
                 rows = list(m.sub(RationalMatrix.identity(amb)).rows) + [
@@ -357,7 +358,7 @@ def per_weight_invariant_complex(fc, action):
     diffs = []
     for n in range(cx.top):
         emb_next = RationalMatrix.from_columns(list(embeddings[n + 1]), cx.dims[n + 1])
-        cols = [solve(emb_next, cx.differential(n).apply(v)) for v in embeddings[n]]
+        cols = [solve(emb_next, apply(cx.differential(n), v)) for v in embeddings[n]]
         diffs.append(RationalMatrix.from_columns(cols, len(embeddings[n + 1])))
     new_cx = GradedComplex.create(tuple(len(e) for e in embeddings), diffs)
     return FilteredComplex.create(new_cx, weights), tuple(embeddings)

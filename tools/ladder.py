@@ -1,18 +1,23 @@
 """The eqss ladder: the end-to-end cost of `eqss` commands, process start
-included, on two rungs.
+included, on three rungs.
 
-    python3 tools/ladder.py LABEL [--rung readme|lie] [--runs N] [--src DIR]
+    python3 tools/ladder.py LABEL [--rung readme|lie|pairs] [--runs N] [--src DIR]
                             [--base BASE_LABEL BASE_DIR]
 
 The readme rung (the default) reads the commands from the README's
 "Command line" block (its lines that start with `eqss `) and writes
 bench/BENCH_readme_LABEL.json.  The lie rung runs `eqss cohomology` on
 so(n) absolute for n = 3..6 and on the pairs (so(l+1), so(l)) for
-l = 2..16, and writes bench/BENCH_ladder_LABEL.json.  Its documents are
-written by `documents.serialize_document`, with this checkout's src, into a
-temporary directory (they are not shipped), and the report records each
-one's size and sha256.  A refused input exits 3, so its time is the cost of
-reading, parsing and refusing the document.
+l = 2..16, and writes bench/BENCH_ladder_LABEL.json.  The pairs rung runs
+`eqss cohomology` on (so(l+1), so(l)) for l = 2..6 and on the Stiefel
+manifolds V(n, 2) = so(n)/so(n-2) and the Grassmannians G2(R^n) =
+so(n)/(so(n-2) + so(2)) for n = 4..6, each pair in the basis of the
+columns of an integer matrix of determinant 1 drawn with the seed
+PAIRS_SEED, and writes bench/BENCH_pairs_LABEL.json.  The documents of
+both are written by `documents.serialize_document`, with this checkout's
+src, into a temporary directory (they are not shipped), and the report
+records each one's size and sha256.  A refused input exits 3, so its time
+is the cost of reading, parsing and refusing the document.
 
 Each command runs N times as `python -m eqss.cli ARGS` in a fresh process,
 with DIR (default: this checkout's src) first on PYTHONPATH and no EQSS_*
@@ -40,6 +45,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import shlex
 import statistics
 import subprocess
@@ -58,12 +64,13 @@ def readme_commands(readme: Path) -> list[list[str]]:
     return [shlex.split(line)[1:] for line in block if line.startswith("eqss ")]
 
 
-def write_lie_documents(directory: Path) -> list[tuple[list[str], dict]]:
-    """Write the lie rung's documents into directory with this checkout's
-    src; each case's argv, relative to directory, and the size and sha256
-    of its document."""
-    sys.path.insert(0, str(ROOT / "src"))
-    from eqss.documents import InputDocument, serialize_document
+# The seed of the pairs rung's bases; its documents are the same on every run.
+PAIRS_SEED = 95
+
+
+def lie_cases():
+    """The lie rung's (document, file name, options) cases."""
+    from eqss.documents import InputDocument
     from eqss.library import so_pair
     from eqss.liealg import so_algebra
 
@@ -75,8 +82,67 @@ def write_lie_documents(directory: Path) -> list[tuple[list[str], dict]]:
         g, h = so_pair(l)
         doc = InputDocument({g.name: g}, {h.name: h}, {}, {}, {})
         cases.append((doc, f"so{l + 1}_so{l}.json", ["--algebra", g.name, "--relative", h.name]))
+    return cases
+
+
+def unimodular_columns(rng, n: int) -> list[list[int]]:
+    """The columns of a random integer n x n matrix of determinant 1: the
+    identity after 2n draws of columns i, j, each adding -2..2 times column
+    i to column j when i != j."""
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.randint(-2, 2)
+            cols[j] = [a + c * b for a, b in zip(cols[j], cols[i])]
+    return cols
+
+
+def pairs_cases():
+    """The pairs rung's (document, file name, options) cases: each pair
+    (g, h) carried to the basis of the columns t_i of T, with brackets
+    T^-1 [t_i, t_j] and h spanned by T^-1 v over h's basis vectors v."""
+    from eqss.documents import InputDocument
+    from eqss.library import so_pair
+    from eqss.liealg import LieAlgebra, Subalgebra, bracket_terms, coordinate_subalgebra, so_algebra, so_pairs
+    from eqss.linalg import RationalMatrix
+
+    def so_over(n, circle, name):  # so(n) over so(n-2), or so(n-2) + so(2)
+        g = so_algebra(n)
+        return g, coordinate_subalgebra(g, [k + 1 for k, (i, j) in enumerate(so_pairs(n))
+                                            if j <= n - 2 or circle and i == n - 1], name)
+
+    pairs = [(so_pair(l), f"so{l + 1}_so{l}.json") for l in range(2, 7)]
+    pairs += [(so_over(n, False, f"so{n - 2}"), f"V{n}_2.json") for n in range(4, 7)]
+    pairs += [(so_over(n, True, f"so{n - 2}+so2"), f"G2_R{n}.json") for n in range(4, 7)]
+    cases = []
+    for (g, h), name in pairs:
+        t = RationalMatrix.from_columns(unimodular_columns(random.Random(PAIRS_SEED), g.dim))
+        tinv = t.inverse()
+
+        def back(terms):  # T^-1 x for x given by its (k, c) terms
+            x = RationalMatrix.from_entries(g.dim, [[(k - 1, c) for k, c in terms]])
+            return tinv.mul(x).column(0)
+
+        cols = [tuple((k + 1, c) for k, c in col) for col in t.entries]
+        table = {(i + 1, j + 1): back(bracket_terms(g, cols[i], cols[j]).items())
+                 for i in range(g.dim) for j in range(i + 1, g.dim)}
+        g2 = LieAlgebra.from_brackets(g.name, g.dim, table)
+        h2 = Subalgebra.span(g2, [back((k + 1, c) for k, c in v) for v in h.basis.matrix.entries], h.name)
+        doc = InputDocument({g2.name: g2}, {h2.name: h2}, {}, {}, {})
+        cases.append((doc, name, ["--algebra", g2.name, "--relative", h2.name]))
+    return cases
+
+
+def write_documents(directory: Path, rung: str) -> list[tuple[list[str], dict]]:
+    """Write the lie or pairs rung's documents into directory with this
+    checkout's src; each case's argv, relative to directory, and the size
+    and sha256 of its document."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from eqss.documents import serialize_document
+
     out = []
-    for doc, name, options in cases:
+    for doc, name, options in {"lie": lie_cases, "pairs": pairs_cases}[rung]():
         data = serialize_document(doc).encode("utf-8")
         (directory / name).write_bytes(data)
         facts = {"document_bytes": len(data), "document_sha256": hashlib.sha256(data).hexdigest()}
@@ -138,9 +204,11 @@ def run_once(launcher: subprocess.Popen, argv: list[str], cwd: Path | None = Non
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("label", help="names the output file: bench/BENCH_readme_LABEL.json, "
-                                  "or bench/BENCH_ladder_LABEL.json for the lie rung")
-    p.add_argument("--rung", choices=("readme", "lie"), default="readme",
-                   help="the README commands (default) or the so(n) and (so(l+1), so(l)) ladder")
+                                  "bench/BENCH_ladder_LABEL.json for the lie rung, "
+                                  "or bench/BENCH_pairs_LABEL.json for the pairs rung")
+    p.add_argument("--rung", choices=("readme", "lie", "pairs"), default="readme",
+                   help="the README commands (default), the so(n) and (so(l+1), so(l)) ladder, "
+                        "or the spheres, V(n, 2) and G2(R^n) in a random basis")
     p.add_argument("--runs", type=int, default=15, help="processes per command (default 15)")
     p.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the eqss package")
     p.add_argument("--base", nargs=2, metavar=("BASE_LABEL", "BASE_DIR"),
@@ -155,8 +223,8 @@ def main() -> int:
 
     launchers = [start_launcher(child_env(src)) for _, src in trees]
     with tempfile.TemporaryDirectory() as tmp:
-        if args.rung == "lie":
-            cwd, cases = Path(tmp), write_lie_documents(Path(tmp))
+        if args.rung != "readme":
+            cwd, cases = Path(tmp), write_documents(Path(tmp), args.rung)
         else:
             cwd, cases = None, [(argv, {}) for argv in readme_commands(ROOT / "README.md")]
         runs = {(t, i): [] for t in range(len(trees)) for i in range(len(cases))}
@@ -197,7 +265,7 @@ def main() -> int:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "commands": rows,
         }
-        out = ROOT / "bench" / f"BENCH_{'ladder' if args.rung == 'lie' else 'readme'}_{label}.json"
+        out = ROOT / "bench" / f"BENCH_{'ladder' if args.rung == 'lie' else args.rung}_{label}.json"
         out.parent.mkdir(exist_ok=True)
         out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         print(out)
