@@ -4,11 +4,12 @@ Everything downstream (cochain complexes, spectral sequence pages, fixed
 subspaces of finite group actions) reduces to ranks, kernels and canonical
 subspace bases computed here.  All arithmetic is exact, so no tolerance
 ever enters, and every stored rational follows one number rule: an ``int``
-when integral, a ``fractions.Fraction`` otherwise.  `as_fraction` applies it
-where values enter and `RationalMatrix.from_entries` where entries are made,
-so integral matrices (every Chevalley-Eilenberg differential of integral
-structure constants) multiply in ``int`` arithmetic.  ``Fraction(3) == 3``
-and the two hash alike, so == and hash are unchanged by the rule.
+when integral, a ``fractions.Fraction`` otherwise.  `as_vector` and `insert`
+apply it once per vector: one type scan passes a vector of ints as it is, and
+only any other vector goes through `as_fraction` entry by entry.
+`RationalMatrix.from_entries` calls `as_fraction` per entry, as its columns
+are short.  So integral matrices multiply and eliminate in ``int``
+arithmetic.  ``Fraction(3) == 3`` and the two hash alike.
 
 A `RationalMatrix` keeps only its nonzero entries, column by column, and a
 `SubspaceBasis` is the matrix whose columns are its reduced echelon basis,
@@ -90,11 +91,14 @@ def as_fraction(x) -> Rational:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _all_int(values: Iterable) -> bool:
+    """Whether every value is an int, in one scan at C speed; a bool's type is not int."""
+    return set(map(type, values)) <= {int}
+
+
 def as_vector(entries: Sequence) -> Vector:
     v = tuple(entries)
-    if set(map(type, v)) <= {int}:  # already under the number rule; a bool's type is not int
-        return v
-    return tuple(map(as_fraction, v))
+    return v if _all_int(v) else tuple(map(as_fraction, v))
 
 
 def _uniform(vectors: Sequence[Sequence], length: int | None, kind: str) -> tuple[list[Vector], int]:
@@ -132,7 +136,9 @@ class RationalMatrix(FrozenRecord):
     @classmethod
     def from_entries(cls, nrows: int, columns: Iterable[Iterable[tuple[int, Rational]]]) -> "RationalMatrix":
         """From each column's (row, value) pairs, rows distinct and in any
-        order; zero values are dropped and integral Fractions become ints."""
+        order; zero values are dropped and each value goes through
+        `as_fraction` (most columns hold one or two entries, too few for a
+        type scan to pay)."""
         return cls(nrows, tuple(tuple(sorted((i, as_fraction(x)) for i, x in col if x)) for col in columns))
 
     @classmethod
@@ -254,14 +260,16 @@ def insert(basis: dict[int, dict[int, int]], entries: Iterable[tuple[int, Ration
     """Insert a sparse rational vector into a pivot-keyed echelon basis.
 
     basis maps each pivot to the stored integer vector whose lowest nonzero
-    index it is.  The vector is scaled to a primitive integer dict, reduced
-    by the stored vector at its lowest nonzero index until that index is
-    free, and stored there.  Returns the pivot, or None if the vector
-    reduces to zero (it lay in the span).
+    index it is.  The vector is scaled to a primitive integer dict (clearing
+    denominators only if a value is not an int), reduced by the stored vector
+    at its lowest nonzero index until that index is free, and stored there.
+    Returns the pivot, or None if the vector reduces to zero (it lay in the span).
     """
-    nonzero = [(k, x) for k, x in entries if x]
-    den = lcm(*(x.denominator for _, x in nonzero))
-    v = _primitive({k: x.numerator * (den // x.denominator) for k, x in nonzero})
+    v = {k: x for k, x in entries if x}
+    if not _all_int(v.values()):
+        den = lcm(*(x.denominator for x in v.values()))
+        v = {k: x.numerator * (den // x.denominator) for k, x in v.items()}
+    v = _primitive(v)
     while v:
         p = min(v)
         w = basis.get(p)
@@ -318,6 +326,12 @@ def _quotient(x: int, y: int) -> Rational:
     """x / y under the number rule: x // y when y divides x."""
     q, r = divmod(x, y)
     return Fraction(x, y) if r else q
+
+
+def _reduced(w: dict[int, int], p: int, shift: int = 0) -> tuple[tuple[int, Rational], ...]:
+    """w divided by its pivot entry w[p], unless that is 1, as sorted (index - shift, value) pairs."""
+    pairs = sorted(w.items() if w[p] == 1 else ((k, _quotient(x, w[p])) for k, x in w.items()))
+    return tuple((k - shift, x) for k, x in pairs) if shift else tuple(pairs)
 
 
 class GradedComplex(FrozenRecord):
@@ -431,9 +445,7 @@ class SubspaceBasis(FrozenRecord):
         substitution, which rewrites basis in place, then each vector divided
         by its pivot entry."""
         _back_substitute(basis)
-        return cls(RationalMatrix(ambient, tuple(
-            tuple((k, _quotient(x, w[p])) for k, x in sorted(w.items())) for p, w in sorted(basis.items())
-        )))
+        return cls(RationalMatrix(ambient, tuple(_reduced(w, p) for p, w in sorted(basis.items()))))
 
     @classmethod
     def zero(cls, ambient: int) -> "SubspaceBasis":
@@ -507,8 +519,7 @@ def kernel_and_image(m: RationalMatrix, cols: Sequence[int]) -> tuple[SubspaceBa
     n, basis = m.nrows, {}
     for j in reversed(cols):
         insert(basis, m.entries[j] + ((n + j, 1),))
-    kernel = (tuple((k - n, _quotient(x, w[p])) for k, x in sorted(w.items()))
-              for p, w in sorted(basis.items()) if p >= n)
+    kernel = (_reduced(w, p, n) for p, w in sorted(basis.items()) if p >= n)
     image = {p: {k: x for k, x in w.items() if k < n} for p, w in basis.items() if p < n}
     return SubspaceBasis(RationalMatrix(m.ncols, tuple(kernel))), image
 

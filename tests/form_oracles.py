@@ -409,19 +409,23 @@ def slot_differentials(g: LieAlgebra) -> list[RationalMatrix]:
 
 
 def slot_differential_images(g: LieAlgebra, forms: Sequence[RationalMatrix]) -> list[RationalMatrix]:
-    """d of each column of forms[k], summed over its monomials' slot columns."""
+    """d of each column of forms[k], summed over its monomials' slot columns;
+    each monomial's slot column is computed once per degree."""
     n = g.dim
     dgen = generator_images(n, sparse_brackets(g).items())
     out = []
     for k, m in enumerate(forms):
         monomials = multi_indices(n, k)
         pos = {t: p for p, t in enumerate(multi_indices(n, k + 1))}
+        slot_columns: dict[int, list] = {}
         cols = []
         for col in m.entries:
             acc: dict = {}
             for i, a in col:
-                for t, c in slot_d_column(dgen, monomials[i]).items():
-                    acc[pos[t]] = acc.get(pos[t], 0) + a * c
+                if i not in slot_columns:
+                    slot_columns[i] = [(pos[t], c) for t, c in slot_d_column(dgen, monomials[i]).items()]
+                for p, c in slot_columns[i]:
+                    acc[p] = acc.get(p, 0) + a * c
             cols.append(acc.items())
         out.append(RationalMatrix.from_entries(comb(n, k + 1), cols))
     return out

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from eqss import linalg
 from eqss.cohomology import cohomology, relative_model, restricted_action
 from eqss.forms import ce_complex, wedge
 from eqss.library import double_cover_base, sheet_swap_maps, so_pair, so_pair_reflection
@@ -15,6 +16,7 @@ from eqss.linalg import (
     as_fraction,
     as_vector,
     complement_in,
+    echelon,
     enumerate_group,
     fixed_subspace,
     image_basis,
@@ -563,6 +565,96 @@ def test_as_vector_keeps_an_all_int_row_and_coerces_every_other():
         got = as_vector(mixed)
         assert got == (1, -3, 0) and [type(x) for x in got] == [int, int, int], mixed
     assert as_vector([0, "1/2"]) == (0, Fraction(1, 2))
+
+
+# Values of each number kind the engine accepts; a mix takes each entry's
+# kind at random, so its columns hold one kind, several, or ints and one other.
+NUMBER_KINDS = {
+    "int": lambda rng: rng.randint(-4, 4),
+    "bool": lambda rng: rng.random() < 0.6,
+    "integral Fraction": lambda rng: Fraction(2 * rng.randint(-4, 4), 2),
+    "proper Fraction": lambda rng: Fraction(rng.randint(-4, 4), rng.choice((2, 3, 6))),
+}
+NUMBER_MIXES = [(kind,) for kind in NUMBER_KINDS] + [
+    ("int", "bool"), ("int", "integral Fraction"), ("int", "proper Fraction"), tuple(NUMBER_KINDS)
+]
+
+
+def random_pairs(rng, nrows, kinds):
+    """One column as (row, value) pairs in random order, zeros included."""
+    rows = rng.sample(range(nrows), rng.randint(0, nrows))
+    weights = [8] + [1] * (len(kinds) - 1)  # mostly the first kind: ints with an odd one out
+    return [(i, NUMBER_KINDS[rng.choices(kinds, weights)[0]](rng)) for i in rows]
+
+
+def dense(pairs, n):
+    v = [0] * n
+    for i, x in pairs:
+        v[i] = x
+    return v
+
+
+def fraction_rref(vectors, n):
+    """The reduced echelon basis of the span of dense vectors as sparse
+    columns: Gauss-Jordan elimination in Fraction, each value through `as_fraction`."""
+    rows = {}  # pivot -> reduced row
+    for v in vectors:
+        v = [Fraction(as_fraction(x)) for x in v]
+        for p, row in rows.items():
+            c = v[p]
+            v = [a - c * b for a, b in zip(v, row)]
+        p = next((k for k, x in enumerate(v) if x), None)
+        if p is not None:
+            v = [x / v[p] for x in v]
+            rows = {q: [a - row[p] * b for a, b in zip(row, v)] for q, row in rows.items()}
+            rows[p] = v
+    return tuple(tuple((k, as_fraction(x)) for k, x in enumerate(rows[p]) if x) for p in sorted(rows))
+
+
+def fraction_kernel(m):
+    """The reduced echelon basis of {x : m x = 0}, from the Gauss-Jordan rows of m."""
+    red = [dense(row, m.ncols) for row in fraction_rref(m.rows, m.ncols)]
+    pivots = [next(k for k, x in enumerate(row) if x) for row in red]
+    gens = []
+    for f in (f for f in range(m.ncols) if f not in pivots):
+        v = [0] * m.ncols
+        v[f] = 1
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        gens.append(v)
+    return fraction_rref(gens, m.ncols)
+
+
+# pivot entries 1, -1 and 3 in both reduced-echelon reads: from_echelon of
+# one stored vector, and the kernel vector of each one-row matrix
+PIVOT_COLUMNS = [[(0, 1), (2, 3)], [(0, -1), (2, 3)], [(1, 3), (2, 1)], [(1, Fraction(-3)), (2, Fraction(1, 2))]]
+PIVOT_ROWS = [[1, 1], [1, -1], [2, 3], [Fraction(4, 2), Fraction(-9, 3)]]
+
+
+@pytest.mark.parametrize("kinds", NUMBER_MIXES, ids="+".join)
+def test_number_rule_fast_lane_matches_the_general_path(kinds, monkeypatch):
+    # from_entries, echelon (insert), from_echelon and kernel_and_image against
+    # as_fraction per entry and elimination in Fraction; every stored value obeys the rule
+    seen = {False: set(), True: set()}  # pivot entries divided out, by whether the read is a kernel's
+    reduced = linalg._reduced
+    monkeypatch.setattr(linalg, "_reduced", lambda w, p, shift=0: seen[shift > 0].add(w[p]) or reduced(w, p, shift))
+    rng = random.Random(36)
+    cases = [(3, [col]) for col in PIVOT_COLUMNS] + [(1, [[(0, a)], [(0, b)]]) for a, b in PIVOT_ROWS]
+    cases += [(nr, [random_pairs(rng, nr, kinds) for _ in range(rng.randint(1, 6))])
+              for nr in (rng.randint(1, 6) for _ in range(150))]
+    for nrows, cols in cases:
+        m = RationalMatrix.from_entries(nrows, cols)
+        assert canonical(m).entries == tuple(tuple(sorted((i, as_fraction(x)) for i, x in c if x)) for c in cols)
+        basis = echelon(cols)
+        assert all(type(x) is int for w in basis.values() for x in w.values())
+        assert all(min(w) == p and gcd(*w.values()) == 1 for p, w in basis.items())
+        span = fraction_rref([dense(c, nrows) for c in cols], nrows)
+        assert canonical(SubspaceBasis.from_echelon(basis, nrows).matrix).entries == span
+        kernel, image = kernel_and_image(m, range(m.ncols))
+        assert canonical(kernel.matrix).entries == fraction_kernel(m)
+        assert SubspaceBasis.from_echelon(image, nrows).matrix.entries == span
+    for entries in seen.values():
+        assert {1, -1, 3} <= entries
 
 
 def test_number_rule_at_the_boundary():
