@@ -60,7 +60,6 @@ __all__ = [
     "kernel_and_image",
     "kernel_basis",
     "rank",
-    "solve",
     "subspace_sum",
 ]
 
@@ -532,24 +531,6 @@ def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of the column span of m."""
     return SubspaceBasis.from_echelon(echelon(m.entries), m.nrows)
-
-
-def solve(m: RationalMatrix, b: Sequence) -> Vector | None:
-    """One exact solution of m x = b (free variables set to 0), or None."""
-    bv = as_vector(b)
-    if len(bv) != m.nrows:
-        raise ValueError("rhs length does not match row count")
-    n = m.ncols
-    rows = (r + ((n, bv[i]),) for i, r in enumerate(m.transpose().entries))
-    red = SubspaceBasis.from_echelon(echelon(rows), n + 1)
-    if n in red.pivots:
-        return None
-    # a pivot's solution entry is its vector's entry at index n, the last one
-    x = [_ZERO] * n
-    for p, col in zip(red.pivots, red.matrix.entries):
-        if col[-1][0] == n:
-            x[p] = col[-1][1]
-    return tuple(x)
 
 
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:

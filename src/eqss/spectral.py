@@ -13,7 +13,9 @@ with a target of weight b >= a in degree n + 1, which d_{b-a} kills.  Then
                       - #(those among them in a pair with b - a < r).
 
 The inductive Ker/Im recursion is also implemented (pages_inductive) as an
-independent cross-check that shares none of the pairing code.  Every
+independent cross-check that shares none of the pairing code: E_r^p is
+Z_r^p / (Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1}), each distinct presentation is
+built once, and each d_r is ranked by one elimination.  Every
 stabilization run audits convergence: for each total degree n the E-infinity
 dimensions across p+q = n must sum to dim H^n computed directly by ranks.
 An audit failure means an engine bug and raises SpectralAuditError.
@@ -47,7 +49,6 @@ from .linalg import (
     insert,
     kernel_basis,
     rank,
-    solve,
     subspace_sum,
 )
 from .records import FrozenRecord, set_fields
@@ -260,6 +261,8 @@ class _ZChain:
 
     Built by refining Z_{s-1} with one weight level of constraints at a
     time, so the construction shares nothing with the persistence pairs.
+    A level that constrains nothing gives back Z_{s-1} itself, with no
+    elimination; no level past the top weight constrains anything.
     """
 
     def __init__(self, fc: FilteredComplex):
@@ -290,7 +293,7 @@ class _ZChain:
         images = cx.differential(n).mul(prev.matrix).entries
         on_rows = tuple(tuple((index[i], x) for i, x in col if i in index) for col in images)
         small = kernel_basis(RationalMatrix(len(rows), on_rows))
-        cur = image_basis(prev.matrix.mul(small.matrix))
+        cur = prev if small.dim == prev.dim else image_basis(prev.matrix.mul(small.matrix))
         self._memo[key] = cur
         return cur
 
@@ -298,77 +301,72 @@ class _ZChain:
 def pages_inductive(fc: FilteredComplex, rmax: int | None = None) -> list[dict[tuple[int, int], int]]:
     """Page dimensions by the Ker/Im recursion, for cross-checking.
 
-    Each E_r entry is presented as N/D with N = Z_r + Z_{r-1}^{p+1} and
-    D = Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1}; on that presentation d_r is
-    well defined, and the dimensions predicted by rank counting of d_r
-    must match the next page's presentation.  A mismatch raises
-    SpectralAuditError.
+    E_r in degree n and filtration p is presented as N/D with N = Z_r^p,
+    D = Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1}, and representatives of N mod D.
+    N needs no Z_{r-1}^{p+1} summand: F^{p+1} lies in F^p and both ask
+    da in F^{p+r}, so Z_{r-1}^{p+1} lies in Z_r^p, as do the cocycles
+    d Z_{r-1}^{p-r+1} of F^p; the audit that D lies in N checks this.  The
+    Z spaces stop changing a few pages in, so each distinct presentation
+    is built once per call.  d of the representatives must lie in the
+    target's N', and rank d_r = dim(d(reps) + D') - dim D', one
+    elimination.  The dimensions predicted by rank counting must match
+    the next page's presentation.  A failed audit raises SpectralAuditError.
     """
     cx = fc.complex
     maxw = fc.max_weight
     if rmax is None:
         rmax = maxw + 2
     zc = _ZChain(fc)
+    built: dict[tuple, tuple] = {}
 
-    def pair(n: int, p: int, r: int) -> tuple[SubspaceBasis, SubspaceBasis]:
+    def presented(num: SubspaceBasis, den: SubspaceBasis) -> tuple:
+        return num, den, complement_in(num, den) if num.dim > den.dim else None
+
+    def presentation(n: int, p: int, r: int) -> tuple:
         if r == 0:
-            return fc.level_space(n, p), fc.level_space(n, p + 1)
-        num = subspace_sum(zc.space(n, p, r), zc.space(n, p + 1, r - 1))
-        den = zc.space(n, p + 1, r - 1)
-        if n > 0:
-            src = zc.space(n - 1, p - r + 1, r - 1)
+            return presented(fc.level_space(n, p), fc.level_space(n, p + 1))
+        key = (n, zc.space(n, p, r), zc.space(n, p + 1, r - 1), zc.space(n - 1, p - r + 1, r - 1))
+        got = built.get(key)
+        if got is None:
+            _, num, den, src = key
             if src.dim:
                 den = subspace_sum(den, image_basis(cx.differential(n - 1).mul(src.matrix)))
-        if not num.contains_subspace(den):
-            raise SpectralAuditError(f"denominator escaped the numerator at (n,p,r)=({n},{p},{r})")
-        return num, den
+            if not num.contains_subspace(den):
+                raise SpectralAuditError(f"denominator escaped the numerator at (n,p,r)=({n},{p},{r})")
+            got = built[key] = presented(num, den)
+        return got
 
     out: list[dict[tuple[int, int], int]] = []
     predicted: dict[tuple[int, int], int] | None = None
-    pairs: dict[tuple[int, int], tuple[SubspaceBasis, SubspaceBasis]] = {}
     for r in range(rmax + 1):
-        pairs = {
-            (n, p): pair(n, p, r) for n in range(cx.top + 1) for p in range(maxw + 1)
-        }
-        dims_r = _pair_dims(pairs)
+        pres = {(n, p): presentation(n, p, r) for n in range(cx.top + 1) for p in range(maxw + 1)}
+        dims_r = _quotient_dims(pres, {}, r)
         if predicted is not None and dims_r != predicted:
-            raise SpectralAuditError(
-                f"Ker/Im step prediction disagrees with the page {r} presentation"
-            )
+            raise SpectralAuditError(f"Ker/Im step prediction disagrees with the page {r} presentation")
         out.append(dims_r)
         if r == rmax:
             break
-        reps_map = {
-            key: complement_in(num, den) for key, (num, den) in pairs.items() if num.dim > den.dim
-        }
         ranks: dict[tuple[int, int], int] = {}
-        for (n, p), reps in reps_map.items():
-            treps = reps_map.get((n + 1, p + r))
-            if treps is None:
+        for (n, p), (_, _, reps) in pres.items():
+            target = pres.get((n + 1, p + r))
+            if reps is None or target is None or target[2] is None:
                 continue
-            tden = pairs[(n + 1, p + r)][1]
-            solver = RationalMatrix(cx.dim(n + 1), treps.matrix.entries + tden.matrix.entries)
-            cols = []
-            for b in cx.differential(n).mul(reps.matrix).columns():
-                coords = solve(solver, b)
-                if coords is None:
-                    raise SpectralAuditError("differential left the page presentation")
-                cols.append(coords[: treps.dim])
-            m = rank(RationalMatrix.from_columns(cols, treps.dim))
+            tnum, tden, _ = target
+            img = cx.differential(n).mul(reps.matrix)
+            if tnum.coordinate_matrix(img) is None:
+                raise SpectralAuditError("differential left the page presentation")
+            m = rank(RationalMatrix(img.nrows, tden.matrix.entries + img.entries)) - tden.dim
             if m:
                 ranks[(n, p)] = m
-        predicted = {}
-        for (n, p), (num, den) in pairs.items():
-            nxt = num.dim - den.dim - ranks.get((n, p), 0) - ranks.get((n - 1, p - r), 0)
-            if nxt:
-                predicted[(p, n - p)] = nxt
+        predicted = _quotient_dims(pres, ranks, r)
     return out
 
 
-def _pair_dims(pairs) -> dict[tuple[int, int], int]:
+def _quotient_dims(pres: dict, ranks: dict[tuple[int, int], int], r: int) -> dict[tuple[int, int], int]:
+    """dim N/D at each (p, q), less the ranks of d_r out of it and into it."""
     dims = {}
-    for (n, p), (num, den) in pairs.items():
-        d = num.dim - den.dim
+    for (n, p), (num, den, _) in pres.items():
+        d = num.dim - den.dim - ranks.get((n, p), 0) - ranks.get((n - 1, p - r), 0)
         if d:
             dims[(p, n - p)] = d
     return dims

@@ -31,8 +31,9 @@ kernel of their pivot contractions, and a lift that sorts every wedge term
 what `relative_subcomplex` differentiated before it took the kernel of the
 isotropy action of h; the two routes build their constraints independently.
 
-`apply`, a matrix times a dense vector, and `normalizer`, of a subalgebra,
-were `RationalMatrix.apply` and `liealg.normalizer`; only tests call them.
+`apply`, a matrix times a dense vector, `normalizer`, of a subalgebra, and
+`solve`, one exact solution of m x = b, were `RationalMatrix.apply`,
+`liealg.normalizer` and `linalg.solve`; only tests call them.
 
 `restricted_kernel` is the kernel the engine took before
 `linalg.kernel_and_image`: one elimination of the rows with the columns
@@ -262,6 +263,24 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
 def apply(m: RationalMatrix, v: Sequence) -> Vector:
     """m v as a dense vector: the one column of m times the one-column matrix of v."""
     return m.mul(RationalMatrix.from_columns([v], m.ncols)).column(0)
+
+
+def solve(m: RationalMatrix, b: Sequence) -> Vector | None:
+    """One exact solution of m x = b (free variables set to 0), or None."""
+    bv = as_vector(b)
+    if len(bv) != m.nrows:
+        raise ValueError("rhs length does not match row count")
+    n = m.ncols
+    rows = (r + ((n, bv[i]),) for i, r in enumerate(m.transpose().entries))
+    red = SubspaceBasis.from_echelon(echelon(rows), n + 1)
+    if n in red.pivots:
+        return None
+    # a pivot's solution entry is its vector's entry at index n, the last one
+    x = [0] * n
+    for p, col in zip(red.pivots, red.matrix.entries):
+        if col[-1][0] == n:
+            x[p] = col[-1][1]
+    return tuple(x)
 
 
 def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:

@@ -30,10 +30,9 @@ from eqss.linalg import (
     SubspaceBasis,
     complement_in,
     image_basis,
-    solve,
 )
 from eqss.spectral import DeckAction, FilteredComplex, invariant_filtered_complex
-from form_oracles import ExteriorForm, apply, dense_wedge, restricted_kernel
+from form_oracles import ExteriorForm, apply, dense_wedge, restricted_kernel, solve
 from randgen import random_filtered_complex, random_two_step_nilpotent, transported_algebra
 
 

@@ -23,13 +23,12 @@ from eqss.linalg import (
     kernel_and_image,
     kernel_basis,
     rank,
-    solve,
     subspace_sum,
 )
 from eqss.records import Record
 from eqss.spectral import product_model, twist_by_deck
 
-from form_oracles import apply, restricted_kernel
+from form_oracles import apply, restricted_kernel, solve
 from randgen import change_basis, random_unimodular
 
 

@@ -14,11 +14,10 @@ from eqss.linalg import (
     image_basis,
     kernel_basis,
     rank,
-    solve,
 )
 from eqss.obstructions import CupForm, null_hyperplane_search
 
-from form_oracles import apply, bracket, contract, dense_wedge, form_from_vector
+from form_oracles import apply, bracket, contract, dense_wedge, form_from_vector, solve
 from randgen import form_null_on, random_rational, random_symmetric, random_two_step_nilpotent, transported_algebra
 
 INSTANCES = 100

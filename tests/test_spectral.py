@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from eqss import spectral
 from eqss.cohomology import GradedComplex, relative_model, restricted_action
 from eqss.documents import parse_document
 from eqss.liealg import LieAutomorphism, coordinate_subalgebra, so_algebra, su2
@@ -17,7 +19,6 @@ from eqss.linalg import (
     fixed_subspace,
     kernel_and_image,
     kernel_basis,
-    solve,
 )
 from eqss.spectral import (
     DeckAction,
@@ -34,7 +35,7 @@ from eqss.spectral import (
     run_to_stabilization,
     twist_by_deck,
 )
-from form_oracles import apply
+from form_oracles import apply, solve
 from randgen import random_filtered_complex
 
 
@@ -145,6 +146,32 @@ def test_random_complexes_closed_form_vs_inductive():
         inductive = pages_inductive(fc)
         for r, dims in enumerate(inductive):
             assert table.pages[r].dims() == dims, f"page {r} disagrees"
+
+
+def test_inductive_pages_build_each_presentation_once_and_agree_past_stabilization(monkeypatch):
+    # past the top weight no Z space changes, so pages beyond maxw + 2 build nothing new
+    counts = Counter()
+    for name in ("image_basis", "subspace_sum"):
+        def counted(*args, _name=name, _f=getattr(spectral, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(spectral, name, counted)
+    rng = random.Random(109)
+    cases = [random_filtered_complex(rng, max_weight=w)[0] for w in (3, 5) for _ in range(8)]
+    cases += [entry.filtered() for entry in parse_document(builtin_text("models")).complexes.values()]
+    built = Counter()
+    for fc in cases:
+        maxw = fc.max_weight
+        calls = []
+        for rmax in (maxw + 2, maxw + 12):
+            counts.clear()
+            inductive = pages_inductive(fc, rmax=rmax)
+            calls.append(dict(counts))
+        assert calls[0] == calls[1]
+        built.update(calls[0])
+        table = run_to_stabilization(fc, max_page=maxw + 12)
+        assert [page.dims() for page in table.pages] == inductive
+    assert built["image_basis"] and built["subspace_sum"]
 
 
 def test_page_dimensions_non_increasing():
@@ -465,3 +492,34 @@ def test_audit_failure_raises():
     fake = Page(9, (PageEntry(0, 0, 1),))
     with pytest.raises(SpectralAuditError, match="convergence audit failed"):
         _audit_convergence(fc, fake, (0, 0))
+
+
+def test_inductive_audit_sees_a_denominator_outside_the_numerator(monkeypatch):
+    space = spectral._ZChain.space
+
+    def dropping(self, n, p, s):  # Z_s^p for s >= 1 loses its last basis vector
+        got = space(self, n, p, s)
+        return SubspaceBasis(RationalMatrix(got.ambient, got.matrix.entries[:-1])) if s >= 1 else got
+
+    monkeypatch.setattr(spectral._ZChain, "space", dropping)
+    fc = simple_fc((2,), [], ((0, 1),))
+    with pytest.raises(SpectralAuditError, match=r"denominator escaped the numerator at \(n,p,r\)=\(0,0,1\)"):
+        pages_inductive(fc)
+
+
+def test_inductive_audit_sees_a_wrong_rank_of_d_r(monkeypatch):
+    rank = spectral.rank
+    monkeypatch.setattr(spectral, "rank", lambda m: rank(m) + 1)
+    fc = simple_fc((1, 1), [[[1]]], ((0,), (1,)))
+    with pytest.raises(SpectralAuditError, match="prediction disagrees with the page 2 presentation"):
+        pages_inductive(fc)
+
+
+def test_inductive_audit_sees_representatives_outside_the_numerator(monkeypatch):
+    # representatives taken from all of C^n: d e_0 = f_0 has weight 0, outside the target F^1
+    monkeypatch.setattr(
+        spectral, "complement_in", lambda space, sub: complement_in(SubspaceBasis.full(space.ambient), sub)
+    )
+    fc = simple_fc((2, 2), [[[1, 0], [0, 1]]], ((0, 1), (0, 1)))
+    with pytest.raises(SpectralAuditError, match="differential left the page presentation"):
+        pages_inductive(fc)
