@@ -9,9 +9,10 @@ One document carries five optional sections, each a list of named entries:
     actions        name, complex, one square matrix per degree
 
 Rational entries are JSON integers or strings "p/q"; floats are rejected
-because they are not exact.  Canonical serialization renders a rational as
-an integer when the denominator is 1 and as "p/q" otherwise, sorts entries
-by name, and sorts object keys, so serialize(parse(text)) is a fixed point.
+because they are not exact.  This module only reads documents; the
+canonical writer is tools/corpus.py, and `render_rational` (an integer
+when the denominator is 1, "p/q" otherwise) is the one rendering of a
+rational that it and the command line share.
 
 Malformed structure, bad rationals, and unresolved references raise
 DocumentError.  Mathematical validation (Jacobi, closure of a subalgebra,
@@ -26,7 +27,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DocumentError
 from .linalg import GradedComplex, Rational, RationalMatrix, as_fraction
@@ -44,13 +45,10 @@ __all__ = [
     "InputDocument",
     "builtin_names",
     "builtin_text",
-    "cup_to_dict",
-    "document_to_dict",
     "parse_cup_document",
     "parse_document",
     "parse_rational",
     "render_rational",
-    "serialize_document",
 ]
 
 
@@ -136,10 +134,6 @@ def _parse_matrix(value, nrows: int, ncols: int, where: str) -> RationalMatrix:
     return RationalMatrix.from_rows(parsed, ncols)
 
 
-def _matrix_rows(m: RationalMatrix) -> list:
-    return [[render_rational(x) for x in row] for row in m.rows]
-
-
 class ComplexEntry(FrozenRecord):
     """A named cochain complex, optionally carrying filtration weights."""
 
@@ -203,8 +197,14 @@ class InputDocument(FrozenRecord):
 _SECTIONS = ("lie_algebras", "subalgebras", "automorphisms", "complexes", "actions")
 
 
-def _entries(data: dict, section: str) -> list:
-    return _expect_list(data.get(section, []), section)
+def _named_entries(data: dict, section: str, required: Sequence[str],
+                   optional: Sequence[str] = ()) -> Iterator[tuple[str, str, dict]]:
+    """(where, name, entry) for each entry of a section, its name and fields checked."""
+    for k, entry in enumerate(_expect_list(data.get(section, []), section)):
+        where = f"{section}[{k}]"
+        name = _expect_name(entry, where)
+        _fields(entry, ("name", *required), optional, where)
+        yield where, name, entry
 
 
 def _register(table: dict, name: str, value, where: str) -> None:
@@ -235,10 +235,7 @@ def parse_document(text: str) -> InputDocument:
         from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 
     algebras: dict[str, LieAlgebra] = {}
-    for k, entry in enumerate(_entries(data, "lie_algebras")):
-        where = f"lie_algebras[{k}]"
-        name = _expect_name(entry, where)
-        _fields(entry, ("name", "dim", "brackets"), (), where)
+    for where, name, entry in _named_entries(data, "lie_algebras", ("dim", "brackets")):
         dim = _expect_int(entry["dim"], f"{where}.dim")
         _expect(dim >= 1, f"{where}.dim: must be at least 1")
         table = []
@@ -256,10 +253,7 @@ def parse_document(text: str) -> InputDocument:
         _register(algebras, name, g, where)
 
     subalgebras: dict[str, Subalgebra] = {}
-    for k, entry in enumerate(_entries(data, "subalgebras")):
-        where = f"subalgebras[{k}]"
-        name = _expect_name(entry, where)
-        _fields(entry, ("name", "parent", "basis"), (), where)
+    for where, name, entry in _named_entries(data, "subalgebras", ("parent", "basis")):
         g = algebras[_expect_ref(entry, "parent", algebras, "parent algebra", where)]
         vecs = [
             _parse_vector(v, g.dim, f"{where}.basis[{t}]")
@@ -269,19 +263,13 @@ def parse_document(text: str) -> InputDocument:
         _register(subalgebras, name, Subalgebra.span(g, vecs, name), where)
 
     automorphisms: dict[str, LieAutomorphism] = {}
-    for k, entry in enumerate(_entries(data, "automorphisms")):
-        where = f"automorphisms[{k}]"
-        name = _expect_name(entry, where)
-        _fields(entry, ("name", "algebra", "matrix"), (), where)
+    for where, name, entry in _named_entries(data, "automorphisms", ("algebra", "matrix")):
         g = algebras[_expect_ref(entry, "algebra", algebras, "algebra", where)]
         m = _parse_matrix(entry["matrix"], g.dim, g.dim, f"{where}.matrix")
         _register(automorphisms, name, LieAutomorphism.create(g, m, name), where)
 
     complexes: dict[str, ComplexEntry] = {}
-    for k, entry in enumerate(_entries(data, "complexes")):
-        where = f"complexes[{k}]"
-        name = _expect_name(entry, where)
-        _fields(entry, ("name", "dims", "differentials"), ("filtration",), where)
+    for where, name, entry in _named_entries(data, "complexes", ("dims", "differentials"), ("filtration",)):
         dims = [
             _expect_int(d, f"{where}.dims[{t}]")
             for t, d in enumerate(_expect_list(entry["dims"], f"{where}.dims"))
@@ -317,10 +305,7 @@ def parse_document(text: str) -> InputDocument:
         _register(complexes, name, ComplexEntry(name, cx, weights), where)
 
     actions: dict[str, ActionEntry] = {}
-    for k, entry in enumerate(_entries(data, "actions")):
-        where = f"actions[{k}]"
-        name = _expect_name(entry, where)
-        _fields(entry, ("name", "complex", "maps"), (), where)
+    for where, name, entry in _named_entries(data, "actions", ("complex", "maps")):
         target = _expect_ref(entry, "complex", complexes, "complex", where)
         cx = complexes[target].complex
         raw = _expect_list(entry["maps"], f"{where}.maps")
@@ -335,61 +320,6 @@ def parse_document(text: str) -> InputDocument:
         _register(actions, name, ActionEntry(name, target, maps), where)
 
     return InputDocument(algebras, subalgebras, automorphisms, complexes, actions)
-
-
-def document_to_dict(doc: InputDocument) -> dict:
-    """Plain-data form with sorted entries and canonical rationals."""
-    payload: dict = {section: [] for section in _SECTIONS}
-    for name in sorted(doc.algebras):
-        g = doc.algebras[name]
-        payload["lie_algebras"].append(
-            {
-                "name": name,
-                "dim": g.dim,
-                "brackets": [
-                    [i, j, [render_rational(c) for c in coeffs]]
-                    for (i, j), coeffs in g.brackets
-                ],
-            }
-        )
-    for name in sorted(doc.subalgebras):
-        h = doc.subalgebras[name]
-        payload["subalgebras"].append(
-            {
-                "name": name,
-                "parent": h.algebra.name,
-                "basis": [[render_rational(c) for c in v] for v in h.basis.vectors],
-            }
-        )
-    for name in sorted(doc.automorphisms):
-        a = doc.automorphisms[name]
-        payload["automorphisms"].append(
-            {"name": name, "algebra": a.algebra.name, "matrix": _matrix_rows(a.matrix)}
-        )
-    for name in sorted(doc.complexes):
-        entry = doc.complexes[name]
-        item = {
-            "name": name,
-            "dims": list(entry.complex.dims),
-            "differentials": [_matrix_rows(m) for m in entry.complex.differentials],
-        }
-        if entry.weights is not None:
-            item["filtration"] = [list(w) for w in entry.weights]
-        payload["complexes"].append(item)
-    for name in sorted(doc.actions):
-        act = doc.actions[name]
-        payload["actions"].append(
-            {
-                "name": name,
-                "complex": act.complex_name,
-                "maps": [_matrix_rows(m) for m in act.maps],
-            }
-        )
-    return payload
-
-
-def serialize_document(doc: InputDocument) -> str:
-    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +337,6 @@ def parse_cup_document(text: str) -> CupForm:
         for k, m in enumerate(_expect_list(data["matrices"], "matrices"))
     ]
     return CupForm.create(b2, mats)  # symmetry checked by the engine
-
-
-def cup_to_dict(cup: CupForm) -> dict:
-    return {"b2": cup.b2, "matrices": [_matrix_rows(m) for m in cup.matrices]}
 
 
 # ---------------------------------------------------------------------------

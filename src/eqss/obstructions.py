@@ -25,7 +25,7 @@ from math import gcd, isqrt
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .linalg import RationalMatrix, SubspaceBasis, as_fraction, kernel_basis
-from .records import FrozenRecord, Record, set_fields
+from .records import FrozenRecord, set_fields
 
 if TYPE_CHECKING:
     from .liealg import LieAlgebra, Subalgebra
@@ -128,12 +128,11 @@ class LesProblem(FrozenRecord):
         }
 
 
-class LesSolution(Record):
+class LesSolution(FrozenRecord):
     __slots__ = ("assignments", "map_ranks")
 
     def __init__(self, assignments: dict[str, int], map_ranks: tuple[int, ...]) -> None:
-        self.assignments = assignments
-        self.map_ranks = map_ranks
+        set_fields(self, assignments=assignments, map_ranks=map_ranks)
 
     def as_dict(self) -> dict:
         return {
@@ -224,7 +223,7 @@ def verify_exactness(problem: LesProblem, solution: LesSolution) -> bool:
     return True
 
 
-class Verdict(Record):
+class Verdict(FrozenRecord):
     """Outcome of a checker; exclusion claims carry the theorem applied."""
 
     __slots__ = ("excluded", "verdict", "reason", "citation", "completeness", "problem", "witness")
@@ -232,13 +231,8 @@ class Verdict(Record):
     def __init__(self, excluded: bool, verdict: str, reason: str, citation: str = "",
                  completeness: str = "", problem: LesProblem | None = None,
                  witness: object | None = None) -> None:
-        self.excluded = excluded
-        self.verdict = verdict
-        self.reason = reason
-        self.citation = citation
-        self.completeness = completeness
-        self.problem = problem
-        self.witness = witness
+        set_fields(self, excluded=excluded, verdict=verdict, reason=reason, citation=citation,
+                   completeness=completeness, problem=problem, witness=witness)
 
     def as_dict(self) -> dict:
         out = {
@@ -290,7 +284,9 @@ def _total_terms(total_dims: Sequence[int] | None, n: int) -> Callable[[int], Te
     """H^k(M) as a sequence term: the given total dims, which must cover
     degrees 0..n, else the unknowns M0..Mn; zero outside 0..n."""
     total = None
-    if total_dims is not None:
+    if total_dims is None:
+        _check_unknowns(n + 1)  # the labels M0..Mn, before any term is built
+    else:
         total = _check_dims(total_dims, "total dims")
         if len(total) != n + 1:
             raise ValueError(
@@ -356,8 +352,6 @@ def gysin_assemble(
     bt = len(basic) - 1
     n = bt + l
     m_term = _total_terms(total_dims, n)
-    if total_dims is None:
-        _check_unknowns(n + 1)  # the labels M0..Mn, before any term is built
 
     def b_term(j: int) -> Term:
         return Term.known(basic[j] if 0 <= j <= bt else 0)
@@ -421,8 +415,6 @@ def wang_check(
     s = len(gh) - 1
     n = codim + s
     m_term = _total_terms(total_dims, n)
-    if total_dims is None:
-        _check_unknowns(n + 1)  # the labels M0..Mn, before any term is built
 
     def g_term(j: int) -> Term:
         return Term.known(gh[j] if 0 <= j <= s else 0)
@@ -508,15 +500,13 @@ def _vanishes_on(rows: Sequence[Sequence], n: Sequence) -> bool:
     )
 
 
-class NullSearchResult(Record):
+class NullSearchResult(FrozenRecord):
     __slots__ = ("found", "hyperplane", "completeness", "note")
 
     def __init__(self, found: bool, hyperplane: SubspaceBasis | None, completeness: str,
                  note: str = "") -> None:
-        self.found = found
-        self.hyperplane = hyperplane
-        self.completeness = completeness  # "exact" or "bounded-search"
-        self.note = note
+        # completeness: "exact" or "bounded-search"
+        set_fields(self, found=found, hyperplane=hyperplane, completeness=completeness, note=note)
 
 
 def _fraction_sqrt(f: Fraction) -> Fraction | None:

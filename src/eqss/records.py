@@ -3,14 +3,14 @@ fields in `__slots__` and assign them in their own `__init__`.
 
 A record equals only a record of its own class with equal fields, and its
 repr names them: the slots, base classes first, less those starting with an
-underscore (caches), unless the class lists `_fields` itself.  A `Record` is
-mutable and unhashable.  A `FrozenRecord` hashes by its fields and refuses
-assignment and deletion, so its `__init__` assigns through `set_fields` or,
-in the hot records of `linalg` and `liealg`, one `set_field` per field;
-those also spell out `_key`, the field tuple, instead of a loop.
+underscore (caches), unless the class lists `_fields` itself.  It hashes by
+its fields and refuses assignment and deletion, so its `__init__` assigns
+through `set_fields` or, in the hot records of `linalg` and `liealg`, one
+`set_field` per field; those also spell out `_key`, the field tuple,
+instead of a loop.
 """
 
-__all__ = ["FrozenRecord", "Record", "set_field", "set_fields"]
+__all__ = ["FrozenRecord", "set_field", "set_fields"]
 
 set_field = object.__setattr__
 
@@ -20,7 +20,7 @@ def set_fields(record: "FrozenRecord", **fields: object) -> None:
         set_field(record, name, value)
 
 
-class Record:
+class FrozenRecord:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
@@ -35,17 +35,11 @@ class Record:
     def __eq__(self, other: object) -> bool:
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
-    __hash__ = None  # type: ignore[assignment]
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
-
-
-class FrozenRecord(Record):
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

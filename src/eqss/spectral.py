@@ -277,11 +277,12 @@ class _ZChain:
         if p < 0:
             # F^p = C^n for p <= 0; only the constraint target p + s matters.
             return self.space(n, 0, p + s)
-        if s <= 0:
-            return self.fc.level_space(n, p)
-        key = (n, p, s)
+        key = (n, p, max(s, 0))  # Z_s^p = F^p for s <= 0
         got = self._memo.get(key)
         if got is not None:
+            return got
+        if s <= 0:
+            got = self._memo[key] = self.fc.level_space(n, p)
             return got
         prev = self.space(n, p, s - 1)
         rows = [i for i, w in enumerate(self.fc.weights[n + 1]) if w == p + s - 1] if n < cx.top else []
@@ -324,7 +325,7 @@ def pages_inductive(fc: FilteredComplex, rmax: int | None = None) -> list[dict[t
 
     def presentation(n: int, p: int, r: int) -> tuple:
         if r == 0:
-            return presented(fc.level_space(n, p), fc.level_space(n, p + 1))
+            return presented(zc.space(n, p, 0), zc.space(n, p + 1, 0))
         key = (n, zc.space(n, p, r), zc.space(n, p + 1, r - 1), zc.space(n - 1, p - r + 1, r - 1))
         got = built.get(key)
         if got is None:

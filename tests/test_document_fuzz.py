@@ -2,7 +2,8 @@
 
 Generated documents are valid: every parse succeeds, with rationals written
 in canonical and non-canonical forms ("6", "-4/2", "2/6").  Their canonical
-serialization must be a fixed point of parse-then-serialize.  Mutated
+serialization by the corpus writer (tools/corpus.py) must be a fixed point
+of parse-then-serialize.  Mutated
 documents (a node replaced by junk or deleted, or the text cut short) go
 through `eqss cohomology` and `eqss specseq`, which must exit 0, 2 or 3,
 never raise, and write to stdout only on success.  Cup documents get the
@@ -20,7 +21,9 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eqss import cli
-from eqss.documents import cup_to_dict, parse_cup_document, parse_document, serialize_document
+from eqss.documents import parse_cup_document, parse_document
+
+from corpus import cup_to_dict, serialize_document
 
 FUZZ = settings(
     derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow]

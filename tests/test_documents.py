@@ -7,18 +7,11 @@ from pathlib import Path
 import pytest
 
 import eqss
-from eqss.documents import (
-    DocumentError,
-    parse_cup_document,
-    parse_document,
-    parse_rational,
-    render_rational,
-    serialize_document,
-)
+from eqss.documents import DocumentError, parse_cup_document, parse_document, parse_rational, render_rational
 from eqss.library import builtin_names, builtin_text
 from eqss.spectral import DeckAction, invariant_filtered_complex
 
-from corpus import render_all
+from corpus import render_all, serialize_document
 
 HUGE = "9" * 5000  # past the 4300-digit limit of int() on decimal strings
 DEEP = "[" * 200_000 + "]" * 200_000  # deeper than json.loads can recurse

@@ -25,7 +25,7 @@ from eqss.linalg import (
     rank,
     subspace_sum,
 )
-from eqss.records import Record
+from eqss.records import FrozenRecord
 from eqss.spectral import product_model, twist_by_deck
 
 from form_oracles import apply, restricted_kernel, solve
@@ -675,7 +675,7 @@ def numbers(obj):
     str and None is an error, so no field can be skipped unseen."""
     if isinstance(obj, (int, float, Fraction)):
         yield obj
-    elif isinstance(obj, Record):
+    elif isinstance(obj, FrozenRecord):
         for cls in type(obj).__mro__:
             for name in cls.__dict__.get("__slots__", ()):
                 yield from numbers(getattr(obj, name))

@@ -3,9 +3,8 @@
 Each case gives a record class, the keyword arguments of one instance, and
 for each compared field a second valid value.  Equal fields give equal
 records with equal hashes; changing any compared field breaks ==; records
-of different classes never compare equal; frozen records refuse assignment
-and deletion, and the mutable ones have no hash; copy and pickle keep every
-record.
+of different classes never compare equal; records refuse assignment and
+deletion; copy and pickle keep every record.
 """
 
 import copy
@@ -46,9 +45,6 @@ from eqss.spectral import (
     product_model,
     run_to_stabilization,
 )
-
-MUTABLE = {LesSolution, Verdict, NullSearchResult}
-
 
 def zero_complex(dims):
     return GradedComplex.create(dims, [RationalMatrix.zeros(b, a) for a, b in zip(dims, dims[1:])])
@@ -145,12 +141,9 @@ def hashable(values) -> bool:
 def test_equal_fields_give_equal_records_and_hashes(cls, fields, other, hidden):
     a, b = cls(**fields), cls(**fields)
     assert a == b and not a != b
-    if cls in MUTABLE:
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(a)
-    elif hashable(fields[name] for name in other):
+    if hashable(fields[name] for name in other):
         assert hash(a) == hash(b)
-    else:  # a dict field: the record is frozen but cannot be hashed
+    else:  # a dict field: the record cannot be hashed
         with pytest.raises(TypeError, match="unhashable"):
             hash(a)
 
@@ -172,15 +165,11 @@ def test_changing_a_compared_field_breaks_equality(cls, fields, other, hidden):
 def test_frozen_records_refuse_assignment_and_deletion(cls, fields, other, hidden):
     rec = cls(**fields)
     for name, value in {**other, **hidden}.items():
-        if cls in MUTABLE:
+        with pytest.raises(AttributeError):
             setattr(rec, name, value)
-            assert getattr(rec, name) is value
-        else:
-            with pytest.raises(AttributeError):
-                setattr(rec, name, value)
-            with pytest.raises(AttributeError):
-                delattr(rec, name)
-            assert getattr(rec, name) is fields[name]
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+        assert getattr(rec, name) is fields[name]
 
 
 @pytest.mark.parametrize("cls, fields, other, hidden", CASES, ids=IDS)

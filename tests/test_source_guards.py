@@ -45,8 +45,13 @@ number rule of `linalg`), and int / int is a float.  Exact quotients are
 of `documents`.
 
 `library`, which the tests and the corpus build import, loads no form or
-spectral engine.  The benchmark (perfbench/), tools/ladder.py and the
-acceptance tests import only names of eqss that resolve.
+spectral engine.  The benchmark (perfbench/), tools/ladder.py,
+tools/corpus.py and the acceptance tests import only names of eqss that
+resolve.
+
+The engine reads documents and writes none: no eqss module defines a
+document writer (tools/corpus.py holds it), and `documents` never names
+json's `dumps`.
 """
 
 import ast
@@ -509,9 +514,45 @@ def test_import_resolution_guard_sees_every_spelling():
 
 
 @pytest.mark.parametrize("path", [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py",
-                                  ROOT / "tools" / "ladder.py"], ids=lambda path: path.name)
+                                  ROOT / "tools" / "ladder.py", ROOT / "tools" / "corpus.py"],
+                         ids=lambda path: path.name)
 def test_files_outside_the_package_import_names_that_resolve(path):
     assert unresolved_imports(path.read_text()) == set()
+
+
+WRITERS = {"serialize_document", "document_to_dict", "cup_to_dict"}
+
+
+def document_writing(source: str) -> set[str]:
+    """The writers that source defines or assigns, and "dumps" if it names
+    json's dumps at all (an attribute or an import, aliased or not)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif getattr(node, "attr", None) == "dumps" or isinstance(node, ast.alias) and node.name == "dumps":
+            found.add("dumps")
+    return found & (WRITERS | {"dumps"})
+
+
+def test_the_engine_reads_documents_and_writes_none():
+    found = {path.name: document_writing(path.read_text()) for path in SOURCES}
+    assert {name: hits & WRITERS for name, hits in found.items() if hits & WRITERS} == {}
+    assert "dumps" not in found["documents.py"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import json as j\nj.dumps({})\n", {"dumps"}),
+    ("from json import dumps as d\n", {"dumps"}),
+    ("def serialize_document(doc):\n    pass\n", {"serialize_document"}),
+    ("class document_to_dict:\n    pass\n", {"document_to_dict"}),
+    ("cup_to_dict = str\n", {"cup_to_dict"}),
+    ("json.loads('1')\ndef parse_document(text):\n    pass\n", set()),
+])
+def test_writer_guard_sees_every_spelling(source, found):
+    assert document_writing(source) == found
 
 
 def bare_asserts(source: str) -> list[int]:

@@ -151,11 +151,12 @@ def test_random_complexes_closed_form_vs_inductive():
 def test_inductive_pages_build_each_presentation_once_and_agree_past_stabilization(monkeypatch):
     # past the top weight no Z space changes, so pages beyond maxw + 2 build nothing new
     counts = Counter()
-    for name in ("image_basis", "subspace_sum"):
-        def counted(*args, _name=name, _f=getattr(spectral, name)):
+    for owner, name in ((spectral, "image_basis"), (spectral, "subspace_sum"),
+                        (spectral.FilteredComplex, "level_space")):
+        def counted(*args, _name=name, _f=getattr(owner, name)):
             counts[_name] += 1
             return _f(*args)
-        monkeypatch.setattr(spectral, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     rng = random.Random(109)
     cases = [random_filtered_complex(rng, max_weight=w)[0] for w in (3, 5) for _ in range(8)]
     cases += [entry.filtered() for entry in parse_document(builtin_text("models")).complexes.values()]
@@ -171,7 +172,7 @@ def test_inductive_pages_build_each_presentation_once_and_agree_past_stabilizati
         built.update(calls[0])
         table = run_to_stabilization(fc, max_page=maxw + 12)
         assert [page.dims() for page in table.pages] == inductive
-    assert built["image_basis"] and built["subspace_sum"]
+    assert built["image_basis"] and built["subspace_sum"] and built["level_space"]
 
 
 def test_page_dimensions_non_increasing():

@@ -1,4 +1,5 @@
-"""Build the shipped corpus, the JSON files under src/eqss/data, from the engine.
+"""The document writer, and the shipped corpus (the JSON files under
+src/eqss/data) built with it from the engine.
 
     python3 tools/corpus.py [DIR]
 
@@ -6,6 +7,11 @@ writes library.json, models.json and one file per cup example into DIR
 (default: this checkout's src/eqss/data), with this checkout's src, and
 prints each path written.  tests/test_documents.py requires the shipped
 files to equal a fresh build byte for byte.
+
+eqss only reads documents.  `serialize_document` and `cup_to_dict` write
+them canonically, for this corpus, tools/ladder.py and the tests: rationals
+by `render_rational`, entries sorted by name and object keys sorted, so
+serialize(parse(text)) is a fixed point.
 """
 
 from __future__ import annotations
@@ -19,13 +25,49 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
 
 from eqss.cohomology import restricted_action  # noqa: E402
-from eqss.documents import ActionEntry, ComplexEntry, InputDocument, cup_to_dict, serialize_document  # noqa: E402
+from eqss.documents import _SECTIONS, ActionEntry, ComplexEntry, InputDocument, render_rational  # noqa: E402
 from eqss.library import (  # noqa: E402
     builtin_cups, circle_base, double_cover_base, point_base, sheet_swap_maps, so_pair, so_pair_reflection, sphere_base,
 )
 from eqss.liealg import LieAutomorphism, Subalgebra, coordinate_subalgebra, su2, u_algebra  # noqa: E402
 from eqss.linalg import RationalMatrix  # noqa: E402
+from eqss.obstructions import CupForm  # noqa: E402
 from eqss.spectral import product_action, product_model, twist_by_deck  # noqa: E402
+
+
+def _matrix_rows(m: RationalMatrix) -> list:
+    return [[render_rational(x) for x in row] for row in m.rows]
+
+
+def document_to_dict(doc: InputDocument) -> dict:
+    """Plain-data form with sorted entries and canonical rationals."""
+    payload: dict = {section: [] for section in _SECTIONS}
+    for name, g in sorted(doc.algebras.items()):
+        brackets = [[i, j, [render_rational(c) for c in coeffs]] for (i, j), coeffs in g.brackets]
+        payload["lie_algebras"].append({"name": name, "dim": g.dim, "brackets": brackets})
+    for name, h in sorted(doc.subalgebras.items()):
+        basis = [[render_rational(c) for c in v] for v in h.basis.vectors]
+        payload["subalgebras"].append({"name": name, "parent": h.algebra.name, "basis": basis})
+    for name, a in sorted(doc.automorphisms.items()):
+        payload["automorphisms"].append({"name": name, "algebra": a.algebra.name, "matrix": _matrix_rows(a.matrix)})
+    for name, entry in sorted(doc.complexes.items()):
+        differentials = [_matrix_rows(m) for m in entry.complex.differentials]
+        item = {"name": name, "dims": list(entry.complex.dims), "differentials": differentials}
+        if entry.weights is not None:
+            item["filtration"] = [list(w) for w in entry.weights]
+        payload["complexes"].append(item)
+    for name, act in sorted(doc.actions.items()):
+        maps = [_matrix_rows(m) for m in act.maps]
+        payload["actions"].append({"name": name, "complex": act.complex_name, "maps": maps})
+    return payload
+
+
+def serialize_document(doc: InputDocument) -> str:
+    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+
+
+def cup_to_dict(cup: CupForm) -> dict:
+    return {"b2": cup.b2, "matrices": [_matrix_rows(m) for m in cup.matrices]}
 
 
 def builtin_library() -> InputDocument:

@@ -14,8 +14,8 @@ manifolds V(n, 2) = so(n)/so(n-2) and the Grassmannians G2(R^n) =
 so(n)/(so(n-2) + so(2)) for n = 4..6, each pair in the basis of the
 columns of an integer matrix of determinant 1 drawn with the seed
 PAIRS_SEED, and writes bench/BENCH_pairs_LABEL.json.  The documents of
-both are written by `documents.serialize_document`, with this checkout's
-src, into a temporary directory (they are not shipped), and the report
+both are written by `corpus.serialize_document` (tools/corpus.py), with
+this checkout's src, into a temporary directory (they are not shipped), and the report
 records each one's size and sha256.  A refused input exits 3, so its time
 is the cost of reading, parsing and refusing the document.
 
@@ -139,7 +139,7 @@ def write_documents(directory: Path, rung: str) -> list[tuple[list[str], dict]]:
     checkout's src; each case's argv, relative to directory, and the size
     and sha256 of its document."""
     sys.path.insert(0, str(ROOT / "src"))
-    from eqss.documents import serialize_document
+    from corpus import serialize_document
 
     out = []
     for doc, name, options in {"lie": lie_cases, "pairs": pairs_cases}[rung]():
