@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -281,6 +282,9 @@ def _cmd_obstruct_wang(args, inputs: dict):
 # argument parsing and the report envelope
 
 
+# Built once per process.  Each handler is bound (set_defaults) when the
+# parser is built, so a `_cmd_*` function replaced later is not the one called.
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqss",
@@ -359,8 +363,7 @@ def _render(report: dict, lines: list[str], as_json: bool) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(args_list)
+    args = _build_parser().parse_args(args_list)
     inputs: dict[str, str] = {}
     try:
         args.group_bound = _env_count("EQSS_GROUP_BOUND", GROUP_BOUND)

@@ -27,8 +27,10 @@ nonzero index until that index is free, and stored there.  A matrix column
 is already such a vector.  A rank counts the pivots; reduced echelon form is
 insertion plus back substitution; a kernel and an image are one elimination
 of the columns, each carrying the unit vector that records it
-(`kernel_and_image`); and the persistence pairs of a filtration are the
-pivots of its differential's columns (`spectral._pairs`).
+(`kernel_and_image`); the persistence pairs of a filtration are the
+pivots of its differential's columns (`spectral._pairs`); and a quotient
+N/D of subspaces is D's columns then N's inserted into one basis, the N
+columns that take a new pivot representing it (`spectral.pages_inductive`).
 
 Canonical form: every subspace is represented by the reduced echelon basis
 of its span (pivot entries 1, zeros at the other pivots, pivots increasing).
@@ -51,7 +53,6 @@ __all__ = [
     "RationalMatrix",
     "SubspaceBasis",
     "check_chain_map",
-    "complement_in",
     "echelon",
     "enumerate_group",
     "fixed_subspace",
@@ -60,7 +61,6 @@ __all__ = [
     "kernel_and_image",
     "kernel_basis",
     "rank",
-    "subspace_sum",
 ]
 
 Rational = int | Fraction  # under the number rule: a Fraction is never integral
@@ -531,23 +531,6 @@ def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of the column span of m."""
     return SubspaceBasis.from_echelon(echelon(m.entries), m.nrows)
-
-
-def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    if a.ambient != b.ambient:
-        raise ValueError("ambient dimension mismatch")
-    return image_basis(RationalMatrix(a.ambient, a.matrix.entries + b.matrix.entries))
-
-
-def complement_in(space: SubspaceBasis, sub: SubspaceBasis) -> SubspaceBasis:
-    """Canonical complement of sub inside space (earliest-pivot representatives).
-
-    The returned vectors are a basis of space modulo sub; together with sub
-    they span space.
-    """
-    if not space.contains_subspace(sub):
-        raise ValueError("complement of a subspace that is not contained in the space")
-    return image_basis(sub.reduce(space.matrix))
 
 
 def enumerate_group(generators: Sequence[RationalMatrix], bound: int = GROUP_BOUND) -> list[RationalMatrix]:

@@ -15,7 +15,9 @@ with a target of weight b >= a in degree n + 1, which d_{b-a} kills.  Then
 The inductive Ker/Im recursion is also implemented (pages_inductive) as an
 independent cross-check that shares none of the pairing code: E_r^p is
 Z_r^p / (Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1}), each distinct presentation is
-built once, and each d_r is ranked by one elimination.  Every
+one `insert` pass (the denominator's columns, then the numerator's) built
+once, and each d_r is ranked by inserting d of the representatives into a
+copy of the target's kept denominator echelon.  Every
 stabilization run audits convergence: for each total degree n the E-infinity
 dimensions across p+q = n must sum to dim H^n computed directly by ranks.
 An audit failure means an engine bug and raises SpectralAuditError.
@@ -42,14 +44,13 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     check_chain_map,
-    complement_in,
+    echelon,
     enumerate_group,
     fixed_subspace,
     image_basis,
     insert,
     kernel_basis,
     rank,
-    subspace_sum,
 )
 from .records import FrozenRecord, set_fields
 
@@ -302,39 +303,42 @@ class _ZChain:
 def pages_inductive(fc: FilteredComplex, rmax: int | None = None) -> list[dict[tuple[int, int], int]]:
     """Page dimensions by the Ker/Im recursion, for cross-checking.
 
-    E_r in degree n and filtration p is presented as N/D with N = Z_r^p,
-    D = Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1}, and representatives of N mod D.
-    N needs no Z_{r-1}^{p+1} summand: F^{p+1} lies in F^p and both ask
-    da in F^{p+r}, so Z_{r-1}^{p+1} lies in Z_r^p, as do the cocycles
-    d Z_{r-1}^{p-r+1} of F^p; the audit that D lies in N checks this.  The
-    Z spaces stop changing a few pages in, so each distinct presentation
-    is built once per call.  d of the representatives must lie in the
-    target's N', and rank d_r = dim(d(reps) + D') - dim D', one
-    elimination.  The dimensions predicted by rank counting must match
-    the next page's presentation.  A failed audit raises SpectralAuditError.
+    E_r in degree n and filtration p is presented as N/D with N = Z_r^p
+    and D = Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1} (page 0: D = F^{p+1}), in one
+    elimination (`_presented`).  N needs no Z_{r-1}^{p+1} summand: F^{p+1}
+    lies in F^p and both ask da in F^{p+r}, so Z_{r-1}^{p+1} lies in Z_r^p,
+    as do the cocycles d Z_{r-1}^{p-r+1} of F^p; the audit that D lies in N
+    checks dim(D + N) = dim N.  The Z spaces stop changing a few pages in,
+    so each distinct presentation is built once per call.  d of the
+    representatives must lie in the target's N', and rank d_r is the number
+    of new pivots they take in the target's kept echelon of D'.  The
+    dimensions predicted by rank counting must match the next page's
+    presentation.  A failed audit raises SpectralAuditError.
+
+    Refuses, before building any page, to build more than MAX_PAGES pages.
     """
     cx = fc.complex
     maxw = fc.max_weight
     if rmax is None:
         rmax = maxw + 2
+    if rmax + 1 > MAX_PAGES:
+        raise ValueError(f"{rmax + 1} pages requested, more than the limit of {MAX_PAGES}")
     zc = _ZChain(fc)
     built: dict[tuple, tuple] = {}
 
-    def presented(num: SubspaceBasis, den: SubspaceBasis) -> tuple:
-        return num, den, complement_in(num, den) if num.dim > den.dim else None
-
     def presentation(n: int, p: int, r: int) -> tuple:
-        if r == 0:
-            return presented(zc.space(n, p, 0), zc.space(n, p + 1, 0))
-        key = (n, zc.space(n, p, r), zc.space(n, p + 1, r - 1), zc.space(n - 1, p - r + 1, r - 1))
+        src = zc.space(n - 1, p - r + 1, r - 1) if r else None  # page 0: D = F^{p+1}
+        key = (n, zc.space(n, p, r), zc.space(n, p + 1, r - 1), src)
         got = built.get(key)
         if got is None:
-            _, num, den, src = key
-            if src.dim:
-                den = subspace_sum(den, image_basis(cx.differential(n - 1).mul(src.matrix)))
-            if not num.contains_subspace(den):
+            _, num, den, _ = key
+            cols = den.matrix.entries
+            if src is not None and src.dim:
+                cols += cx.differential(n - 1).mul(src.matrix).entries
+            got = _presented(num.matrix.entries, cols)
+            if len(got[0]) != num.dim:  # dim(D + N) = dim D + #reps
                 raise SpectralAuditError(f"denominator escaped the numerator at (n,p,r)=({n},{p},{r})")
-            got = built[key] = presented(num, den)
+            built[key] = got
         return got
 
     out: list[dict[tuple[int, int], int]] = []
@@ -350,24 +354,41 @@ def pages_inductive(fc: FilteredComplex, rmax: int | None = None) -> list[dict[t
         ranks: dict[tuple[int, int], int] = {}
         for (n, p), (_, _, reps) in pres.items():
             target = pres.get((n + 1, p + r))
-            if reps is None or target is None or target[2] is None:
+            if not reps or target is None or not target[2]:
                 continue
             tnum, tden, _ = target
-            img = cx.differential(n).mul(reps.matrix)
-            if tnum.coordinate_matrix(img) is None:
+            img = cx.differential(n).mul(RationalMatrix(cx.dims[n], reps)).entries
+            if _new_pivots(tnum, img):
                 raise SpectralAuditError("differential left the page presentation")
-            m = rank(RationalMatrix(img.nrows, tden.matrix.entries + img.entries)) - tden.dim
+            m = _new_pivots(tden, img)
             if m:
                 ranks[(n, p)] = m
         predicted = _quotient_dims(pres, ranks, r)
     return out
 
 
+def _presented(num: Sequence, den: Sequence) -> tuple[dict, dict, tuple]:
+    """N/D from the columns of N and of D, in one elimination: the echelon
+    basis of D + N, a shallow copy of it taken after D's columns (D's
+    echelon; a stored vector is never changed in place), and the columns of
+    N that take a new pivot after D's, which represent N mod D."""
+    basis = echelon(den)
+    kept = dict(basis)
+    return basis, kept, tuple(col for col in num if insert(basis, col) is not None)
+
+
+def _new_pivots(basis: dict, cols: Sequence) -> int:
+    """How many of cols take a new pivot in a copy of an echelon basis."""
+    basis = dict(basis)
+    return sum(insert(basis, col) is not None for col in cols)
+
+
 def _quotient_dims(pres: dict, ranks: dict[tuple[int, int], int], r: int) -> dict[tuple[int, int], int]:
-    """dim N/D at each (p, q), less the ranks of d_r out of it and into it."""
+    """dim N/D at each (p, q), from the echelon bases of N and of D, less
+    the ranks of d_r out of it and into it."""
     dims = {}
     for (n, p), (num, den, _) in pres.items():
-        d = num.dim - den.dim - ranks.get((n, p), 0) - ranks.get((n - 1, p - r), 0)
+        d = len(num) - len(den) - ranks.get((n, p), 0) - ranks.get((n - 1, p - r), 0)
         if d:
             dims[(p, n - p)] = d
     return dims

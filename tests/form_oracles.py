@@ -34,6 +34,9 @@ isotropy action of h; the two routes build their constraints independently.
 `apply`, a matrix times a dense vector, `normalizer`, of a subalgebra, and
 `solve`, one exact solution of m x = b, were `RationalMatrix.apply`,
 `liealg.normalizer` and `linalg.solve`; only tests call them.
+`subspace_sum` and `complement_in` (a basis of a space modulo a subspace)
+were `linalg`'s, until `spectral.pages_inductive` presented each page by one
+echelon pass; only tests call them.
 
 `restricted_kernel` is the kernel the engine took before
 `linalg.kernel_and_image`: one elimination of the rows with the columns
@@ -281,6 +284,23 @@ def solve(m: RationalMatrix, b: Sequence) -> Vector | None:
         if col[-1][0] == n:
             x[p] = col[-1][1]
     return tuple(x)
+
+
+def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
+    if a.ambient != b.ambient:
+        raise ValueError("ambient dimension mismatch")
+    return image_basis(RationalMatrix(a.ambient, a.matrix.entries + b.matrix.entries))
+
+
+def complement_in(space: SubspaceBasis, sub: SubspaceBasis) -> SubspaceBasis:
+    """Canonical complement of sub inside space (earliest-pivot representatives).
+
+    The returned vectors are a basis of space modulo sub; together with sub
+    they span space.
+    """
+    if not space.contains_subspace(sub):
+        raise ValueError("complement of a subspace that is not contained in the space")
+    return image_basis(sub.reduce(space.matrix))
 
 
 def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:

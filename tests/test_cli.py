@@ -235,6 +235,33 @@ def test_reports_are_deterministic(capsys):
         assert first == second and first[0] == 0
 
 
+def test_the_parser_is_built_once_and_answers_as_a_fresh_one(capsys):
+    commands = (
+        ("--version",),
+        ("cohomology", "builtin:library"),  # --algebra missing: argparse exits 2
+        ("obstruct", "s3-4m", "--betti", "1,0,3,0,1"),
+        ("specseq", "builtin:models", "--complex", "s1_x_su2"),
+    )
+
+    def answer(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:  # argparse exits for --version and argument errors
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+    assert fresh[0][1] == f"eqss {eqss.__version__}\n" and "--algebra" in fresh[1][2]
+    cli._build_parser.cache_clear()
+    assert [answer(argv) for argv in commands * 2] == fresh * 2
+    assert cli._build_parser.cache_info().misses == 1  # one parser built for the eight calls
+
+
 def test_text_report_echoes_command_and_input_hash(capsys):
     code, out, _ = run(capsys, "cohomology", "builtin:library", "--algebra", "su2")
     assert code == 0

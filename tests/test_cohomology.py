@@ -28,11 +28,10 @@ from eqss.linalg import (
     GroupBoundError,
     RationalMatrix,
     SubspaceBasis,
-    complement_in,
     image_basis,
 )
 from eqss.spectral import DeckAction, FilteredComplex, invariant_filtered_complex
-from form_oracles import ExteriorForm, apply, dense_wedge, restricted_kernel, solve
+from form_oracles import ExteriorForm, apply, complement_in, dense_wedge, restricted_kernel, solve
 from randgen import random_filtered_complex, random_two_step_nilpotent, transported_algebra
 
 

@@ -15,7 +15,6 @@ from eqss.linalg import (
     SubspaceBasis,
     as_fraction,
     as_vector,
-    complement_in,
     echelon,
     enumerate_group,
     fixed_subspace,
@@ -23,12 +22,11 @@ from eqss.linalg import (
     kernel_and_image,
     kernel_basis,
     rank,
-    subspace_sum,
 )
 from eqss.records import FrozenRecord
 from eqss.spectral import product_model, twist_by_deck
 
-from form_oracles import apply, restricted_kernel, solve
+from form_oracles import apply, complement_in, restricted_kernel, solve, subspace_sum
 from randgen import change_basis, random_unimodular
 
 

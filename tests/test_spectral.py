@@ -15,7 +15,6 @@ from eqss.linalg import (
     GroupBoundError,
     RationalMatrix,
     SubspaceBasis,
-    complement_in,
     fixed_subspace,
     kernel_and_image,
     kernel_basis,
@@ -35,7 +34,7 @@ from eqss.spectral import (
     run_to_stabilization,
     twist_by_deck,
 )
-from form_oracles import apply, solve
+from form_oracles import apply, complement_in, solve
 from randgen import random_filtered_complex
 
 
@@ -151,7 +150,7 @@ def test_random_complexes_closed_form_vs_inductive():
 def test_inductive_pages_build_each_presentation_once_and_agree_past_stabilization(monkeypatch):
     # past the top weight no Z space changes, so pages beyond maxw + 2 build nothing new
     counts = Counter()
-    for owner, name in ((spectral, "image_basis"), (spectral, "subspace_sum"),
+    for owner, name in ((spectral, "image_basis"), (spectral, "_presented"),
                         (spectral.FilteredComplex, "level_space")):
         def counted(*args, _name=name, _f=getattr(owner, name)):
             counts[_name] += 1
@@ -172,7 +171,7 @@ def test_inductive_pages_build_each_presentation_once_and_agree_past_stabilizati
         built.update(calls[0])
         table = run_to_stabilization(fc, max_page=maxw + 12)
         assert [page.dims() for page in table.pages] == inductive
-    assert built["image_basis"] and built["subspace_sum"] and built["level_space"]
+    assert built["image_basis"] and built["_presented"] and built["level_space"]
 
 
 def test_page_dimensions_non_increasing():
@@ -495,6 +494,26 @@ def test_audit_failure_raises():
         _audit_convergence(fc, fake, (0, 0))
 
 
+def test_page_builders_refuse_past_the_page_limit_before_building(monkeypatch):
+    def never(*args):
+        raise AssertionError("built before the page count was checked")
+
+    limit = spectral.MAX_PAGES
+    fc = simple_fc((1, 1), [[[1]]], ((0,), (1,)))
+    heavy = simple_fc((1,), [], ((10**8,),))
+    monkeypatch.setattr(spectral, "_ZChain", never)
+    monkeypatch.setattr(spectral, "_pairs", never)
+    for build, pages in (
+        (lambda: pages_inductive(fc, rmax=limit), limit + 1),
+        (lambda: pages_inductive(heavy), 10**8 + 3),
+        (lambda: run_to_stabilization(fc, max_page=limit), limit + 1),
+    ):
+        with pytest.raises(ValueError, match=f"^{pages} pages requested, more than the limit of {limit}$"):
+            build()
+    monkeypatch.undo()
+    assert len(pages_inductive(fc, rmax=limit - 1)) == limit
+
+
 def test_inductive_audit_sees_a_denominator_outside_the_numerator(monkeypatch):
     space = spectral._ZChain.space
 
@@ -509,8 +528,13 @@ def test_inductive_audit_sees_a_denominator_outside_the_numerator(monkeypatch):
 
 
 def test_inductive_audit_sees_a_wrong_rank_of_d_r(monkeypatch):
-    rank = spectral.rank
-    monkeypatch.setattr(spectral, "rank", lambda m: rank(m) + 1)
+    new_pivots = spectral._new_pivots
+
+    def off_by_one(basis, cols):  # a nonzero count, which is rank d_r, one too high
+        k = new_pivots(basis, cols)
+        return k + 1 if k else k
+
+    monkeypatch.setattr(spectral, "_new_pivots", off_by_one)
     fc = simple_fc((1, 1), [[[1]]], ((0,), (1,)))
     with pytest.raises(SpectralAuditError, match="prediction disagrees with the page 2 presentation"):
         pages_inductive(fc)
@@ -518,9 +542,13 @@ def test_inductive_audit_sees_a_wrong_rank_of_d_r(monkeypatch):
 
 def test_inductive_audit_sees_representatives_outside_the_numerator(monkeypatch):
     # representatives taken from all of C^n: d e_0 = f_0 has weight 0, outside the target F^1
-    monkeypatch.setattr(
-        spectral, "complement_in", lambda space, sub: complement_in(SubspaceBasis.full(space.ambient), sub)
-    )
+    presented = spectral._presented
+
+    def everywhere(num, den):
+        basis, kept, _ = presented(num, den)
+        return basis, kept, presented(SubspaceBasis.full(2).matrix.entries, den)[2]
+
+    monkeypatch.setattr(spectral, "_presented", everywhere)
     fc = simple_fc((2, 2), [[[1, 0], [0, 1]]], ((0, 1), (0, 1)))
     with pytest.raises(SpectralAuditError, match="differential left the page presentation"):
         pages_inductive(fc)
