@@ -1,7 +1,12 @@
 """Command line entry point: cohomology, spectral pages, exclusion checks.
 
-Each handler imports the engine it runs, so the obstruct checks start
-without the Lie algebra, form and spectral modules.
+Each handler imports the layers it runs, and `_render` imports json only
+for --json.  So `obstruct s3-4m`, `obstruct gysin --l` and `obstruct wang`
+load `obstructions` and no exact-rational engine (`linalg`, `fractions`),
+and `cohomology` and `specseq` do not load `obstructions`.  EQSS_GROUP_BOUND
+and EQSS_SOLVER_CAP are parsed for every command; their defaults
+(`linalg.GROUP_BOUND`, `obstructions.DEFAULT_DIM_CAP`) are applied where
+the values are used.
 
 Reports are deterministic.  Every input file is hashed into the report, no
 timestamps appear anywhere, and --json renders exactly the payload behind
@@ -10,30 +15,19 @@ the text output, so identical invocations produce identical bytes.
 Exit codes: 0 success, 2 malformed input (bad JSON, bad fields, dangling
 references, unreadable files, bad EQSS_* environment values), 3 mathematical
 validation or hypothesis failure (Jacobi, d^2 != 0, non-automorphisms, solver
-bounds, inconsistent check data), 4 internal audit failure in the spectral
-engine.
+and group bounds, inconsistent check data), 4 internal audit failure in the
+spectral engine.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import lru_cache
-from pathlib import Path
 
 from . import __version__
-from .errors import DocumentError, SpectralAuditError
-from .linalg import GROUP_BOUND, GroupBoundError
-from .obstructions import (
-    DEFAULT_DIM_CAP,
-    gysin_assemble,
-    s3_check_4manifold,
-    s3_check_5manifold,
-    solve_les,
-    wang_check,
-)
+from .errors import DocumentError, GroupBoundError, SpectralAuditError
 
 __all__ = ["main"]
 
@@ -43,11 +37,11 @@ EXIT_VALIDATION = 3
 EXIT_AUDIT = 4
 
 
-def _env_count(name: str, default: int) -> int:
-    """A nonnegative integer setting from the environment, else the default."""
+def _env_count(name: str) -> int | None:
+    """A nonnegative integer setting from the environment, or None if unset."""
     raw = os.environ.get(name)
     if raw is None:
-        return default
+        return None
     try:
         value = int(raw)
     except ValueError:
@@ -66,6 +60,8 @@ def _load_text(spec: str, inputs: dict) -> str:
 
         text = builtin_text(spec[len("builtin:"):])
     else:
+        from pathlib import Path
+
         try:
             text = Path(spec).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as e:
@@ -106,6 +102,7 @@ def _subalgebra_of(doc, g, name: str):
 def _cmd_cohomology(args, inputs: dict):
     from .cohomology import cohomology, invariant_cohomology, relative_model, restricted_action
     from .documents import render_rational
+    from .linalg import GROUP_BOUND
 
     doc = _load_document(args.file, inputs)
     g = doc.algebra(args.algebra)
@@ -143,7 +140,8 @@ def _cmd_cohomology(args, inputs: dict):
                     f"automorphism '{name}' acts on '{aut.algebra.name}', not '{g.name}'"
                 )
             gens.append(restricted_action(model, aut))
-        inv = invariant_cohomology(res, gens, bound=args.group_bound)
+        bound = GROUP_BOUND if args.group_bound is None else args.group_bound
+        inv = invariant_cohomology(res, gens, bound=bound)
         results["invariants"] = names
         results["invariant_dims"] = list(inv.dims)
         lines.append(f"invariants under {', '.join(names)}: {_list_text(inv.dims)}")
@@ -196,7 +194,10 @@ def _verdict_lines(verdict) -> list[str]:
 
 def _solve_lines(problem, total, args, results: dict) -> list[str]:
     """Solve the sequence into results; with given totals, say whether they are admitted."""
-    solutions = solve_les(problem, cap=args.solver_cap)
+    from .obstructions import DEFAULT_DIM_CAP, solve_les
+
+    cap = DEFAULT_DIM_CAP if args.solver_cap is None else args.solver_cap
+    solutions = solve_les(problem, cap=cap)
     results["solutions"] = [s.as_dict() for s in solutions]
     results["solution_count"] = len(solutions)
     lines = [f"sequence: {problem.render()}", f"solutions: {len(solutions)}"]
@@ -210,6 +211,8 @@ def _solve_lines(problem, total, args, results: dict) -> list[str]:
 
 
 def _cmd_obstruct_s3_4m(args, inputs: dict):
+    from .obstructions import s3_check_4manifold
+
     betti = _csv_ints(args.betti, "--betti")
     verdict = s3_check_4manifold(betti)
     results = {"check": "s3-4m", "betti": betti, "verdict": verdict.as_dict()}
@@ -218,6 +221,7 @@ def _cmd_obstruct_s3_4m(args, inputs: dict):
 
 def _cmd_obstruct_s3_5m(args, inputs: dict):
     from .documents import parse_cup_document
+    from .obstructions import s3_check_5manifold
 
     cup = parse_cup_document(_load_text(args.cup, inputs))
     verdict = s3_check_5manifold(args.b2, cup, args.sphere_hyperplane)
@@ -231,6 +235,8 @@ def _cmd_obstruct_s3_5m(args, inputs: dict):
 
 
 def _cmd_obstruct_gysin(args, inputs: dict):
+    from .obstructions import gysin_assemble
+
     if args.basic is None:
         raise DocumentError("gysin needs --basic with the base cohomology dims")
     if (args.pair is None) == (args.l is None):
@@ -261,6 +267,8 @@ def _cmd_obstruct_gysin(args, inputs: dict):
 
 
 def _cmd_obstruct_wang(args, inputs: dict):
+    from .obstructions import wang_check
+
     gh = _csv_ints(args.gh, "--gh")
     total = _csv_ints(args.total, "--total") if args.total else None
     verdict = wang_check(args.codim, args.simply_connected, args.oriented, gh, total)
@@ -352,6 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _render(report: dict, lines: list[str], as_json: bool) -> str:
     if as_json:
+        import json
+
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     head = [
         f"eqss {report['engine_version']} :: {' '.join(report['command'])}",
@@ -366,8 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(args_list)
     inputs: dict[str, str] = {}
     try:
-        args.group_bound = _env_count("EQSS_GROUP_BOUND", GROUP_BOUND)
-        args.solver_cap = _env_count("EQSS_SOLVER_CAP", DEFAULT_DIM_CAP)
+        args.group_bound = _env_count("EQSS_GROUP_BOUND")
+        args.solver_cap = _env_count("EQSS_SOLVER_CAP")
         results, lines = args.handler(args, inputs)
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)

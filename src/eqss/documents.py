@@ -31,11 +31,11 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DocumentError
 from .linalg import GradedComplex, Rational, RationalMatrix, as_fraction
-from .obstructions import CupForm
 from .records import FrozenRecord, set_fields
 
 if TYPE_CHECKING:
     from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
+    from .obstructions import CupForm
     from .spectral import FilteredComplex
 
 __all__ = [
@@ -328,6 +328,8 @@ def parse_document(text: str) -> InputDocument:
 
 def parse_cup_document(text: str) -> CupForm:
     """{"b2": int, "matrices": [b2 x b2 symmetric matrices...]}"""
+    from .obstructions import CupForm
+
     data = _load_object(text)
     _fields(data, ("b2", "matrices"), (), "cup document")
     b2 = _expect_int(data["b2"], "b2")

@@ -44,6 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .errors import GroupBoundError
 from .records import FrozenRecord, set_field
 
 __all__ = [
@@ -70,10 +71,6 @@ Vector = tuple[Rational, ...]
 GROUP_BOUND = 10000
 
 _ZERO = 0  # immutable, so one zero fills every dense vector
-
-
-class GroupBoundError(RuntimeError):
-    """Raised when a matrix group closure exceeds the configured bound."""
 
 
 def as_fraction(x) -> Rational:

@@ -14,37 +14,39 @@ dimension-count theorems for SU(2)-type actions on 4- and 5-manifolds.
 
 Verdicts never assert that an action exists; they are either "excluded"
 or "not excluded by this criterion".
+
+The sequence checkers do integer bookkeeping only.  The exact rationals
+(`linalg`, and through it `fractions`) are imported inside the functions
+that read or search a cup form, so the other checks start without them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import merge
 from itertools import product
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .linalg import RationalMatrix, SubspaceBasis, as_fraction, kernel_basis
 from .records import FrozenRecord, set_fields
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .liealg import LieAlgebra, Subalgebra
+    from .linalg import RationalMatrix, SubspaceBasis
 
 __all__ = [
     "CupForm",
     "LesProblem",
     "LesSolution",
     "NullSearchResult",
-    "OrbitType",
     "Term",
     "Verdict",
     "gysin_assemble",
     "null_hyperplane_search",
-    "orbit_table_verify",
     "s3_check_4manifold",
     "s3_check_5manifold",
     "solve_les",
-    "su2_orbit_table",
     "verify_exactness",
     "wang_check",
 ]
@@ -247,6 +249,8 @@ class Verdict(FrozenRecord):
         if self.problem is not None:
             out["problem"] = self.problem.as_dict()
         if self.witness is not None:
+            from .linalg import SubspaceBasis
+
             if isinstance(self.witness, SubspaceBasis):
                 out["witness"] = [[str(a) for a in v] for v in self.witness.vectors]
             else:
@@ -467,6 +471,8 @@ class CupForm(FrozenRecord):
 
     @classmethod
     def create(cls, b2: int, matrices: Sequence) -> "CupForm":
+        from .linalg import RationalMatrix, as_fraction
+
         b2 = int(b2)
         if b2 < 0:
             raise ValueError("inconsistent cup data: b2 must be nonnegative")
@@ -510,6 +516,8 @@ class NullSearchResult(FrozenRecord):
 
 
 def _fraction_sqrt(f: Fraction) -> Fraction | None:
+    from fractions import Fraction
+
     if f < 0:
         return None
     pn, qn = isqrt(f.numerator), isqrt(f.denominator)
@@ -548,6 +556,10 @@ def null_hyperplane_search(cup: CupForm) -> NullSearchResult:
     never as a definitive no.  A search that would try more than
     MAX_NORMALS normals raises ValueError at the limit.
     """
+    from fractions import Fraction
+
+    from .linalg import RationalMatrix, SubspaceBasis, kernel_basis
+
     b2 = cup.b2
     if b2 < 1:
         raise ValueError("the search needs b2 >= 1")
@@ -671,100 +683,4 @@ def s3_check_5manifold(
         " the search is incomplete, so no exclusion is claimed",
         citation=citation,
         completeness="bounded-search",
-    )
-
-
-class OrbitType(FrozenRecord):
-    """One orbit type of an SU(2)-style action, with its expected cohomology;
-    antipodal_invariants: quotient by the normalizer's two components."""
-
-    __slots__ = ("orbit", "isotropy", "orbit_dim", "isotropy_dim", "cohomology", "antipodal_invariants")
-
-    def __init__(self, orbit: str, isotropy: str, orbit_dim: int, isotropy_dim: int,
-                 cohomology: tuple[int, ...], antipodal_invariants: bool = False) -> None:
-        set_fields(self, orbit=orbit, isotropy=isotropy, orbit_dim=orbit_dim, isotropy_dim=isotropy_dim,
-                   cohomology=cohomology, antipodal_invariants=antipodal_invariants)
-
-
-def su2_orbit_table() -> tuple[OrbitType, ...]:
-    return (
-        OrbitType("S^3/Gamma", "finite subgroup", 3, 0, (1, 0, 0, 1)),
-        OrbitType("S^2", "circle subgroup", 2, 1, (1, 0, 1)),
-        OrbitType(
-            "RP^2", "two circles (normalizer of a circle)", 2, 1, (1, 0, 0),
-            antipodal_invariants=True,
-        ),
-        OrbitType("point", "the whole group", 0, 3, (1,)),
-    )
-
-
-def _orbit_cohomology(g: LieAlgebra, entry: OrbitType) -> tuple[int, ...]:
-    from .cohomology import cohomology, invariant_cohomology, lie_cohomology, relative_model, restricted_action
-    from .liealg import LieAutomorphism, Subalgebra, coordinate_subalgebra
-
-    if entry.isotropy_dim == 0:
-        return lie_cohomology(g).dims
-    if entry.isotropy_dim == g.dim:
-        h = Subalgebra.span(g, RationalMatrix.identity(g.dim).columns(), name=g.name)
-        return lie_cohomology(g, h).dims
-    if entry.isotropy_dim == 1:
-        h = coordinate_subalgebra(g, [3], name="e3")
-        model = relative_model(g, h)
-        result = cohomology(model.complex)
-        if not entry.antipodal_invariants:
-            return result.dims
-        refl = LieAutomorphism.create(
-            g, [[1, 0, 0], [0, -1, 0], [0, 0, -1]], name="antipodal"
-        )
-        maps = restricted_action(model, refl)
-        return invariant_cohomology(result, [maps]).dims
-    raise ValueError(f"no subalgebra of dimension {entry.isotropy_dim} in {g.name}")
-
-
-def orbit_table_verify(table: Sequence[OrbitType] | None = None) -> Verdict:
-    """Cross-check the orbit table against the cohomology engine."""
-    from .liealg import su2
-
-    if table is None:
-        table = su2_orbit_table()
-    if not table:
-        return Verdict(
-            False, "ok", "empty table: nothing verified (vacuous)", completeness="warning"
-        )
-    g = su2()
-    for entry in table:
-        if entry.orbit_dim != g.dim - entry.isotropy_dim:
-            return Verdict(
-                False,
-                "mismatch",
-                f"entry {entry.orbit}: orbit dimension {entry.orbit_dim}"
-                f" != {g.dim} - {entry.isotropy_dim}",
-            )
-        try:
-            computed = _orbit_cohomology(g, entry)
-        except ValueError as exc:
-            return Verdict(False, "mismatch", f"entry {entry.orbit}: {exc}")
-        top = entry.orbit_dim
-        if len(entry.cohomology) != top + 1:
-            return Verdict(
-                False,
-                "mismatch",
-                f"entry {entry.orbit}: expected {top + 1} cohomology dims,"
-                f" table has {len(entry.cohomology)}",
-            )
-        if computed[: top + 1] != entry.cohomology or any(computed[top + 1 :]):
-            return Verdict(
-                False,
-                "mismatch",
-                f"entry {entry.orbit}: engine computed {list(computed)},"
-                f" table says {list(entry.cohomology)}",
-            )
-    return Verdict(
-        False,
-        "ok",
-        "all orbit types agree with the cohomology engine",
-        citation=(
-            "orbits of a nontrivial SU(2)-type action are S^3/Gamma, S^2, RP^2,"
-            " or a fixed point"
-        ),
     )

@@ -483,6 +483,19 @@ def test_group_bound_env_is_honored(monkeypatch, capsys):
     assert code == 3 and "bound" in err
 
 
+# One command per subcommand: every command parses both variables, though
+# only some of them use either.
+ENV_COMMANDS = [
+    pytest.param(("cohomology", "builtin:library", "--algebra", "su2"), id="cohomology"),
+    pytest.param(("specseq", "builtin:models", "--complex", "s1_x_su2"), id="specseq"),
+    pytest.param(("obstruct", "s3-4m", "--betti", "1,0,3,0,1"), id="s3-4m"),
+    pytest.param(("obstruct", "s3-5m", "--b2", "2", "--cup", "builtin:cup_definite"), id="s3-5m"),
+    pytest.param(("obstruct", "gysin", "--l", "3", "--basic", "1,1"), id="gysin"),
+    pytest.param(("obstruct", "wang", "--codim", "1", "--gh", "1,0"), id="wang"),
+]
+
+
+@pytest.mark.parametrize("argv", ENV_COMMANDS)
 @pytest.mark.parametrize(
     "name, value",
     [
@@ -493,11 +506,45 @@ def test_group_bound_env_is_honored(monkeypatch, capsys):
         ("EQSS_GROUP_BOUND", "2.5"),
     ],
 )
-def test_exit_2_on_malformed_environment(monkeypatch, capsys, name, value):
+def test_exit_2_on_malformed_environment(monkeypatch, capsys, name, value, argv):
     monkeypatch.setenv(name, value)
-    code, out, err = run(capsys, "obstruct", "s3-4m", "--betti", "1,0,3,0,1")
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert name in err and "nonnegative integer" in err
+
+
+def test_unset_environment_gives_the_engine_defaults(monkeypatch, capsys):
+    import eqss.cohomology
+    import eqss.obstructions
+    from eqss.linalg import GROUP_BOUND
+
+    monkeypatch.delenv("EQSS_GROUP_BOUND", raising=False)
+    monkeypatch.delenv("EQSS_SOLVER_CAP", raising=False)
+    seen = []
+
+    def spy(module, name, keyword):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, kwargs[keyword]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    spy(eqss.cohomology, "invariant_cohomology", "bound")
+    spy(eqss.obstructions, "solve_les", "cap")
+    for argv in (
+        ("cohomology", "builtin:library", "--algebra", "su2", "--relative", "e3", "--invariants", "su2_reflection"),
+        ("obstruct", "gysin", "--l", "1", "--basic", "1,1"),
+        ("obstruct", "wang", "--codim", "2", "--gh", "1,0,1", "--simply-connected", "--oriented"),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert seen == [
+        ("invariant_cohomology", GROUP_BOUND),
+        ("solve_les", eqss.obstructions.DEFAULT_DIM_CAP),
+        ("solve_les", eqss.obstructions.DEFAULT_DIM_CAP),
+    ]
+    assert (GROUP_BOUND, eqss.obstructions.DEFAULT_DIM_CAP) == (10000, 50)
 
 
 def test_solver_cap_env_is_honored(monkeypatch, capsys):

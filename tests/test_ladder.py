@@ -1,7 +1,10 @@
 """tools/ladder.py: a README row's max RSS is the command's own, whatever the
-size of the ladder process that asks for it, and the pairs rung's documents
-are the homogeneous spaces they name."""
+size of the ladder process that asks for it, the pairs rung's documents
+are the homogeneous spaces they name, and the two bytecode modes run the
+given tree with its bytecode cached or compiled from source."""
 
+import hashlib
+import shutil
 from pathlib import Path
 
 import eqss
@@ -54,3 +57,34 @@ def test_pairs_rung_documents_have_the_betti_numbers_of_their_spaces(tmp_path):
         dims = lie_cohomology(g, doc.subalgebra(relative)).dims
         assert dims == tuple(betti.get(k, 0) for k in range(g.dim + 1)), name
     assert ladder.write_documents(tmp_path, "pairs") == cases
+
+
+def test_bytecode_modes_cache_or_compile_the_tree_and_keep_stdout(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(Path(eqss.__file__).parent, src / "eqss", ignore=shutil.ignore_patterns("__pycache__"))
+    argv = next(a for a in ladder.readme_commands(ROOT / "README.md") if a[:2] == ["obstruct", "s3-4m"])
+    where = ["-c", "import eqss; print(eqss.__file__)"]
+    modules = {path.stem for path in (src / "eqss").glob("*.py")}
+    rows = {}
+    for mode in ("cached", "compiled"):
+        env = ladder.prepare_bytecode(src, mode, ladder.child_env(src))
+        caches = sorted(src.rglob("*.pyc"))
+        launcher = ladder.start_launcher(env)
+        try:
+            rows[mode] = [ladder.run_python(launcher, args)[:2] for args in (*ladder.FLOORS, where)]
+            rows[mode].append(ladder.run_once(launcher, argv)[:2])
+        finally:
+            launcher.stdin.close()
+            launcher.wait()
+        assert sorted(src.rglob("*.pyc")) == caches  # no child wrote bytecode
+        if mode == "cached":
+            assert "PYTHONDONTWRITEBYTECODE" not in env
+            assert {path.name.split(".")[0] for path in caches} == modules
+        else:
+            assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+            assert caches == [] and not any(src.rglob("__pycache__"))
+    empty = hashlib.sha256(b"").hexdigest()
+    here = hashlib.sha256(f"{src.resolve() / 'eqss' / '__init__.py'}\n".encode()).hexdigest()
+    assert rows["cached"] == rows["compiled"]
+    assert rows["cached"][:3] == [(0, empty), (0, empty), (0, here)]
+    assert rows["cached"][3][0] == 0

@@ -17,15 +17,12 @@ from eqss.linalg import RationalMatrix
 from eqss.obstructions import (
     CupForm,
     LesProblem,
-    OrbitType,
     Term,
     gysin_assemble,
     null_hyperplane_search,
-    orbit_table_verify,
     s3_check_4manifold,
     s3_check_5manifold,
     solve_les,
-    su2_orbit_table,
     verify_exactness,
     wang_check,
 )
@@ -33,6 +30,7 @@ from eqss.obstructions import _primitive_normals, _vanishes_on
 from eqss.spectral import product_model, run_to_stabilization
 
 from form_oracles import apply, cube_normals, form_vanishes_on_hyperplane
+from orbit_table import OrbitType, orbit_table_verify, su2_orbit_table
 from randgen import form_null_on, random_symmetric
 
 

@@ -30,7 +30,6 @@ from eqss.obstructions import (
     LesProblem,
     LesSolution,
     NullSearchResult,
-    OrbitType,
     Term,
     Verdict,
 )
@@ -45,6 +44,8 @@ from eqss.spectral import (
     product_model,
     run_to_stabilization,
 )
+
+from orbit_table import OrbitType
 
 def zero_complex(dims):
     return GradedComplex.create(dims, [RationalMatrix.zeros(b, a) for a, b in zip(dims, dims[1:])])

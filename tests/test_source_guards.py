@@ -25,13 +25,16 @@ every monomial of a degree, and forms are sparse columns everywhere.
 
 The commands that need no engine load none: the modules `cli`,
 `documents` and `obstructions` import neither `forms`, `cohomology`,
-`spectral` nor `library` when they are imported, and `obstructions` not
-`liealg` either; each handler imports the engine it runs.  So `obstruct
-s3-4m`, `gysin --l` and `wang` load only `cli`, `errors`, `linalg`,
-`obstructions` and `records`, and `s3-5m` adds `documents`.  `spectral`
-imports no Lie algebra module when it is imported (`product_model` and
-`twist_by_deck` import `cohomology` when called), so `specseq` adds
-`documents` and `spectral` and nothing of the Lie algebra engine.  The
+`spectral` nor `library` when they are imported, `cli` neither `linalg`
+nor `obstructions`, `obstructions` neither `liealg` nor `linalg`, and
+`documents` not `obstructions`; each handler imports the layers it runs.
+So `obstruct s3-4m`, `gysin --l` and `wang` load only `cli`, `errors`,
+`obstructions` and `records`, and neither `fractions` nor `decimal`, nor
+`json` unless they print --json; `s3-5m` adds `documents` and `linalg`.
+`spectral` imports no Lie algebra module when it is imported
+(`product_model` and `twist_by_deck` import `cohomology` when called), so
+`specseq` loads `documents`, `linalg` and `spectral` and nothing of the Lie
+algebra engine, and neither it nor `cohomology` loads `obstructions`.  The
 records are plain `__slots__` classes, so no command of the README, heavy
 or light, imports `dataclasses` or, through it, `inspect`.
 
@@ -336,9 +339,9 @@ def test_comb_sized_list_guard_sees_every_spelling():
 
 ENGINE = {"forms", "cohomology", "spectral", "library"}
 LIGHT_MODULES = {
-    "cli.py": ENGINE,
-    "documents.py": ENGINE,
-    "obstructions.py": ENGINE | {"liealg"},
+    "cli.py": ENGINE | {"linalg", "obstructions"},
+    "documents.py": ENGINE | {"obstructions"},
+    "obstructions.py": ENGINE | {"liealg", "linalg"},
     "spectral.py": {"forms", "cohomology", "liealg", "library"},
 }
 
@@ -420,27 +423,38 @@ def test_import_layer_guard_sees_every_spelling():
     }
 
 
-PURE = ["eqss", "eqss.cli", "eqss.errors", "eqss.linalg", "eqss.obstructions", "eqss.records"]
+PURE = ["eqss", "eqss.cli", "eqss.errors", "eqss.obstructions", "eqss.records"]
+DOCUMENTS = ["eqss", "eqss.cli", "eqss.documents", "eqss.errors", "eqss.linalg", "eqss.records"]
+HEAVY_STDLIB = ["fractions", "decimal", "json"]
 LIGHT_COMMANDS = [
-    pytest.param(["obstruct", "s3-4m", "--betti", "1,0,3,0,1"], 0, PURE, id="s3-4m"),
+    pytest.param(["obstruct", "s3-4m", "--betti", "1,0,3,0,1"], 0, PURE, [], id="s3-4m"),
     pytest.param(["obstruct", "s3-5m", "--b2", "2", "--cup", "builtin:cup_definite"], 0,
-                 sorted(PURE + ["eqss.documents"]), id="s3-5m"),
+                 sorted(DOCUMENTS + ["eqss.obstructions"]), HEAVY_STDLIB, id="s3-5m"),
     pytest.param(["obstruct", "gysin", "--l", "3", "--basic", "1,1", "--total", "1,1,0,1,1"], 0,
-                 PURE, id="gysin --l"),
+                 PURE, [], id="gysin --l"),
+    pytest.param(["obstruct", "gysin", "--l", "3", "--basic", "1,1", "--json"], 0, PURE, ["json"],
+                 id="gysin --l --json"),
     pytest.param(["obstruct", "wang", "--codim", "3", "--gh", "1,0,0,1", "--total",
-                  "1,0,0,2,0,0,1", "--simply-connected", "--oriented"], 0, PURE, id="wang"),
-    pytest.param(["obstruct", "gysin", "--l", "3", "--total", "1,1"], 2, PURE, id="gysin exit 2"),
-    pytest.param(["obstruct", "s3-4m", "--betti", "2,0,3,0,1"], 3, PURE, id="s3-4m exit 3"),
+                  "1,0,0,2,0,0,1", "--simply-connected", "--oriented"], 0, PURE, [], id="wang"),
+    pytest.param(["obstruct", "gysin", "--l", "3", "--total", "1,1"], 2, PURE, [], id="gysin exit 2"),
+    pytest.param(["obstruct", "s3-4m", "--betti", "2,0,3,0,1"], 3, PURE, [], id="s3-4m exit 3"),
+    pytest.param(["obstruct", "wang", "--codim", "2", "--gh", "1,0,1"], 3, PURE, [], id="wang exit 3"),
     pytest.param(["specseq", "builtin:models", "--complex", "s1_x_su2"], 0,
-                 sorted(PURE + ["eqss.documents", "eqss.spectral"]), id="specseq"),
+                 sorted(DOCUMENTS + ["eqss.spectral"]), HEAVY_STDLIB, id="specseq"),
+    pytest.param(["cohomology", "builtin:library", "--algebra", "su2"], 0,
+                 sorted(DOCUMENTS + ["eqss.cohomology", "eqss.forms", "eqss.liealg"]), HEAVY_STDLIB,
+                 id="cohomology"),
 ]
 LOADED = (
-    "import contextlib, io, json, sys\n"
+    "import contextlib, io, sys\n"
     "from eqss import cli\n"
     "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
     "    code = cli.main(sys.argv[1:])\n"
-    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'eqss'),\n"
-    "                  [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))\n"
+    "found = [code, sorted(m for m in sys.modules if m.split('.')[0] == 'eqss'),\n"
+    "         [m for m in ('dataclasses', 'inspect') if m in sys.modules],\n"
+    "         [m for m in ('fractions', 'decimal', 'json') if m in sys.modules]]\n"
+    "import json\n"
+    "print(json.dumps(found))\n"
 )
 
 
@@ -458,18 +472,19 @@ def run_fresh(*args: str) -> str:
 
 def loaded(argv: list[str]) -> list:
     """[exit code, the eqss modules loaded, which of dataclasses and inspect
-    are loaded] after `cli.main(argv)` in a fresh interpreter."""
+    are loaded, which of fractions, decimal and json are loaded] after
+    `cli.main(argv)` in a fresh interpreter."""
     return json.loads(run_fresh("-c", LOADED, *argv))
 
 
-@pytest.mark.parametrize("argv, code, modules", LIGHT_COMMANDS)
-def test_light_commands_load_only_their_layer(argv, code, modules):
-    assert loaded(argv) == [code, modules, []]
+@pytest.mark.parametrize("argv, code, modules, numbers", LIGHT_COMMANDS)
+def test_light_commands_load_only_their_layer(argv, code, modules, numbers):
+    assert loaded(argv) == [code, modules, [], numbers]
 
 
 @pytest.mark.parametrize("argv", readme_commands(ROOT / "README.md"), ids=" ".join)
 def test_readme_commands_never_import_dataclasses(argv):
-    code, _, heavy = loaded(argv)
+    code, _, heavy, _ = loaded(argv)
     assert (code, heavy) == (0, [])
 
 

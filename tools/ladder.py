@@ -2,7 +2,7 @@
 included, on three rungs.
 
     python3 tools/ladder.py LABEL [--rung readme|lie|pairs] [--runs N] [--src DIR]
-                            [--base BASE_LABEL BASE_DIR]
+                            [--base BASE_LABEL BASE_DIR] [--bytecode compiled|cached]
 
 The readme rung (the default) reads the commands from the README's
 "Command line" block (its lines that start with `eqss `) and writes
@@ -21,13 +21,20 @@ is the cost of reading, parsing and refusing the document.
 
 Each command runs N times as `python -m eqss.cli ARGS` in a fresh process,
 with DIR (default: this checkout's src) first on PYTHONPATH and no EQSS_*
-variables.  The runs go round-robin over the commands, so drift in machine
-load touches every command alike.  With --base, every run of a command is
-also made with the eqss package under BASE_DIR, the two trees taking turns
-to go first, and a second report is written under BASE_LABEL: a
-before/after pair measured interleaved.  Per command the report holds the
-exit code, the sha256 of its stdout (which must not vary between runs), the
-median wall time, and each child's max RSS from os.wait4.
+variables.  Two floor rows come first in every rung: `python -c pass` (the
+interpreter with `site`) and `python -S -c pass` (without it).  With
+`--bytecode compiled` (the default) every `__pycache__` under DIR is
+removed first and the children run with PYTHONDONTWRITEBYTECODE=1, so each
+compiles the eqss modules it imports from source; with `--bytecode cached`
+compileall writes DIR's bytecode first.  The standard library reads its
+installed bytecode in both modes.  The runs go round-robin over the
+commands, so drift in machine load touches every command alike.  With
+--base, every run of a command is also made with the eqss package under
+BASE_DIR, the two trees taking turns to go first, and a second report is
+written under BASE_LABEL: a before/after pair measured interleaved.  Per
+command the report holds the exit code, the sha256 of its stdout (which
+must not vary between runs), the median wall time, and each child's max
+RSS from os.wait4.
 
 A child's ru_maxrss starts from the resident size of the process that
 forks it (subprocess's vfork shares the forker's memory, and so its peak,
@@ -41,12 +48,14 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
 import platform
 import random
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -150,13 +159,13 @@ def write_documents(directory: Path, rung: str) -> list[tuple[list[str], dict]]:
     return out
 
 
-# Reads one JSON [argv, cwd] per line; forks `python -m eqss.cli ARGV` in cwd
-# with stdin and stderr on /dev/null, and answers with one JSON line
+# Reads one JSON [args, cwd] per line; forks `python ARGS` in cwd with stdin
+# and stderr on /dev/null, and answers with one JSON line
 # [exit code, stdout sha256, wall ms, max RSS in KB].
 LAUNCHER = """
 import hashlib, json, os, sys, time
 for line in sys.stdin:
-    argv, cwd = json.loads(line)
+    args, cwd = json.loads(line)
     r, w = os.pipe()
     start = time.perf_counter()
     pid = os.fork()
@@ -167,7 +176,7 @@ for line in sys.stdin:
             os.dup2(w, 1)
             os.dup2(null, 2)
             os.chdir(cwd or ".")
-            os.execv(sys.executable, [sys.executable, "-m", "eqss.cli", *argv])
+            os.execv(sys.executable, [sys.executable, *args])
         finally:
             os._exit(127)
     os.close(w)
@@ -182,10 +191,31 @@ for line in sys.stdin:
 """
 
 
+# The interpreter arguments of the floor rows.
+FLOORS = (("-c", "pass"), ("-S", "-c", "pass"))
+
+
 def child_env(src: Path) -> dict:
     """This environment less EQSS_* variables, with src first on PYTHONPATH."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("EQSS_")}
     env["PYTHONPATH"] = str(src.resolve()) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def prepare_bytecode(src: Path, bytecode: str, env: dict) -> dict:
+    """env for children that run the package under src with its bytecode
+    "cached" (compileall writes it now) or "compiled" from source (every
+    __pycache__ under src removed, and PYTHONDONTWRITEBYTECODE=1 so that
+    no child writes one)."""
+    env = dict(env)
+    if bytecode == "cached":
+        if not compileall.compile_dir(str(src), quiet=1):
+            raise RuntimeError(f"compileall failed under {src}")
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+    else:
+        for cache in list(src.rglob("__pycache__")):
+            shutil.rmtree(cache)
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     return env
 
 
@@ -194,11 +224,16 @@ def start_launcher(env: dict) -> subprocess.Popen:
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 
 
-def run_once(launcher: subprocess.Popen, argv: list[str], cwd: Path | None = None) -> tuple[int, str, float, int]:
-    """(exit code, stdout sha256, wall ms, max RSS in KB) of one process."""
-    launcher.stdin.write(json.dumps([argv, str(cwd) if cwd else None]) + "\n")
+def run_python(launcher: subprocess.Popen, args, cwd: Path | None = None) -> tuple[int, str, float, int]:
+    """(exit code, stdout sha256, wall ms, max RSS in KB) of one `python ARGS` process."""
+    launcher.stdin.write(json.dumps([list(args), str(cwd) if cwd else None]) + "\n")
     launcher.stdin.flush()
     return tuple(json.loads(launcher.stdout.readline()))
+
+
+def run_once(launcher: subprocess.Popen, argv: list[str], cwd: Path | None = None) -> tuple[int, str, float, int]:
+    """run_python of `python -m eqss.cli ARGV`."""
+    return run_python(launcher, ["-m", "eqss.cli", *argv], cwd)
 
 
 def main() -> int:
@@ -213,6 +248,9 @@ def main() -> int:
     p.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the eqss package")
     p.add_argument("--base", nargs=2, metavar=("BASE_LABEL", "BASE_DIR"),
                    help="also run every command with the eqss package under BASE_DIR, interleaved")
+    p.add_argument("--bytecode", choices=("compiled", "cached"), default="compiled",
+                   help="compile the eqss modules from source in every process (default), "
+                        "or compileall each tree's src first")
     args = p.parse_args()
     if args.runs < 1:
         p.error("--runs must be at least 1")
@@ -221,17 +259,23 @@ def main() -> int:
         if not (src / "eqss" / "cli.py").is_file():
             p.error(f"no eqss package under {src}")
 
-    launchers = [start_launcher(child_env(src)) for _, src in trees]
+    if args.bytecode == "compiled":  # this process imports eqss too, for the lie and pairs documents
+        sys.dont_write_bytecode = True
+    envs = [prepare_bytecode(src, args.bytecode, child_env(src)) for _, src in trees]
+    launchers = [start_launcher(env) for env in envs]
     with tempfile.TemporaryDirectory() as tmp:
         if args.rung != "readme":
-            cwd, cases = Path(tmp), write_documents(Path(tmp), args.rung)
+            cwd, commands = Path(tmp), write_documents(Path(tmp), args.rung)
         else:
-            cwd, cases = None, [(argv, {}) for argv in readme_commands(ROOT / "README.md")]
+            cwd, commands = None, [(argv, {}) for argv in readme_commands(ROOT / "README.md")]
+        # (interpreter arguments, the row's head) per case, the floors first
+        cases = [(floor, {"python": list(floor)}) for floor in FLOORS]
+        cases += [(["-m", "eqss.cli", *argv], {"argv": argv, **facts}) for argv, facts in commands]
         runs = {(t, i): [] for t in range(len(trees)) for i in range(len(cases))}
         for r in range(args.runs):
-            for i, (argv, _) in enumerate(cases):
+            for i, (python_args, _) in enumerate(cases):
                 for t in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
-                    runs[t, i].append(run_once(launchers[t], argv, cwd))
+                    runs[t, i].append(run_python(launchers[t], python_args, cwd))
     for launcher in launchers:
         launcher.stdin.close()
         launcher.wait()
@@ -239,22 +283,21 @@ def main() -> int:
     for t, (label, _) in enumerate(trees):
         print(label)
         rows = []
-        for i, (argv, facts) in enumerate(cases):
+        for i, (_, head) in enumerate(cases):
             codes, digests, walls, rss = zip(*runs[t, i])
+            name = shlex.join(["python", *head["python"]] if "python" in head else ["eqss", *head["argv"]])
             if len(set(codes)) > 1 or len(set(digests)) > 1:
-                print(f"error: eqss {shlex.join(argv)} varies between runs", file=sys.stderr)
+                print(f"error: {name} varies between runs", file=sys.stderr)
                 return 1
             rows.append({
-                "argv": argv,
-                **facts,
+                **head,
                 "exit": codes[0],
                 "stdout_sha256": digests[0],
                 "wall_ms_median": round(statistics.median(walls), 2),
                 "wall_ms": [round(w, 2) for w in walls],
                 "max_rss_kb": list(rss),
             })
-            print(f"{statistics.median(walls):8.1f} ms {max(rss) / 1024:6.1f} MB  exit {codes[0]}  "
-                  f"eqss {shlex.join(argv)}")
+            print(f"{statistics.median(walls):8.1f} ms {max(rss) / 1024:6.1f} MB  exit {codes[0]}  {name}")
         report = {
             "label": label,
             "runs": args.runs,
@@ -262,7 +305,8 @@ def main() -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
-            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "bytecode": args.bytecode,
+            "PYTHONDONTWRITEBYTECODE": envs[t].get("PYTHONDONTWRITEBYTECODE"),
             "commands": rows,
         }
         out = ROOT / "bench" / f"BENCH_{'ladder' if args.rung == 'lie' else args.rung}_{label}.json"
