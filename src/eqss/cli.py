@@ -12,11 +12,17 @@ Reports are deterministic.  Every input file is hashed into the report, no
 timestamps appear anywhere, and --json renders exactly the payload behind
 the text output, so identical invocations produce identical bytes.
 
-Exit codes: 0 success, 2 malformed input (bad JSON, bad fields, dangling
-references, unreadable files, bad EQSS_* environment values), 3 mathematical
-validation or hypothesis failure (Jacobi, d^2 != 0, non-automorphisms, solver
-and group bounds, inconsistent check data), 4 internal audit failure in the
-spectral engine.
+Exit codes: 0 success, 1 stdout closed by its reader before the report was
+written, 2 malformed input (bad JSON, bad fields, dangling references,
+unreadable files, bad EQSS_* environment values), 3 mathematical validation
+or hypothesis failure (Jacobi, d^2 != 0, non-automorphisms, solver and group
+bounds, inconsistent check data), 4 internal audit failure in the spectral
+engine.
+
+The `eqss` command and `python -m eqss.cli` go through `run`, which ends
+the process with os._exit as soon as the report is flushed, skipping the
+interpreter's teardown.  `main` returns the exit code, for callers in
+process.
 """
 
 from __future__ import annotations
@@ -25,13 +31,15 @@ import argparse
 import os
 import sys
 from functools import lru_cache
+from typing import NoReturn
 
 from . import __version__
 from .errors import DocumentError, GroupBoundError, SpectralAuditError
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_AUDIT = 4
@@ -398,5 +406,35 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def run() -> NoReturn:
+    """Run `main` on sys.argv and end the process with its exit code as
+    soon as stdout and stderr are flushed.
+
+    os._exit skips the interpreter's teardown: clearing every module, the
+    exit-time garbage collection, and the atexit hooks that a site
+    customization registers (certifi.where() called from a .pth file
+    registers one, which cleans up only after a zipped install).  eqss
+    registers no atexit hook and writes no file, so nothing of its own is
+    lost; a file that eqss writes one day (a trace file, say) must be closed
+    before `run` exits.  A SystemExit from argparse (usage errors, --help,
+    --version) and any unexpected exception leave through the normal exit,
+    as before.
+
+    If the reader of stdout has gone, the write or the flush raises
+    BrokenPipeError.  As the Python docs advise (signal module, "Note on
+    SIGPIPE"), stdout is then pointed at devnull, so that nothing written
+    to it afterwards can raise again, and the process exits 1 without a
+    traceback.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

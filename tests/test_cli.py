@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,6 +10,10 @@ import pytest
 
 import eqss
 from eqss import cli
+
+from ladder import readme_commands
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -260,6 +266,62 @@ def test_the_parser_is_built_once_and_answers_as_a_fresh_one(capsys):
     cli._build_parser.cache_clear()
     assert [answer(argv) for argv in commands * 2] == fresh * 2
     assert cli._build_parser.cache_info().misses == 1  # one parser built for the eight calls
+
+
+# A report longer than stdout's 8 KiB buffer: without a flush before
+# os._exit, its tail would be lost.
+LONG_REPORT = ["specseq", "builtin:models", "--complex", "s1_x_su2", "--max-page", "30", "--json"]
+FRESH_COMMANDS = readme_commands(ROOT / "README.md") + [
+    ["obstruct", "gysin", "--l", "3", "--total", "1,1"],  # exit 2
+    ["obstruct", "s3-4m", "--betti", "2,0,3,0,1"],  # exit 3
+    ["--version"],  # argparse exits 0
+    ["obstruct", "s3-4m"],  # argparse exits 2
+    LONG_REPORT,
+]
+
+
+def start_fresh(argv, stdout=subprocess.PIPE):
+    """`python -m eqss.cli argv` with this checkout's src first on its path,
+    no EQSS_* variables and stdout block-buffered (PYTHONUNBUFFERED unset),
+    as a shell runs it."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("EQSS_") and k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen([sys.executable, "-m", "eqss.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+def test_fresh_processes_answer_as_main_in_process(capsys):
+    procs = [start_fresh(argv) for argv in FRESH_COMMANDS]
+    codes = []
+    for argv, proc in zip(FRESH_COMMANDS, procs):
+        out, err = proc.communicate(timeout=60)
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:  # argparse's exits take the normal path in both
+            code = e.code
+        captured = capsys.readouterr()
+        assert (proc.returncode, out, err) == (code, captured.out.encode(), captured.err.encode()), argv
+        codes.append(code)
+        if argv is LONG_REPORT:
+            assert len(out) > 8192
+    assert codes[-5:] == [2, 3, 0, 2, 0] and set(codes[:-5]) == {0}
+
+
+@pytest.mark.parametrize("argv", [["obstruct", "s3-4m", "--betti", "1,0,3,0,1"], LONG_REPORT],
+                         ids=["flush", "write"])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before the report is written
+    try:
+        proc = start_fresh(argv, stdout=write)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+def test_the_installed_command_runs_through_run():
+    assert 'eqss = "eqss.cli:run"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
 
 
 def test_text_report_echoes_command_and_input_hash(capsys):
