@@ -498,9 +498,6 @@ class SubspaceBasis(FrozenRecord):
         coords = self._at_pivots(m)
         return coords if self.matrix.mul(coords) == m else None
 
-    def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return self.coordinate_matrix(other.matrix) is not None
-
 
 def kernel_and_image(m: RationalMatrix, cols: Sequence[int]) -> tuple[SubspaceBasis, dict[int, dict[int, int]]]:
     """The canonical basis of {x in Q^ncols supported on cols : m x = 0},

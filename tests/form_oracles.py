@@ -36,7 +36,8 @@ isotropy action of h; the two routes build their constraints independently.
 `liealg.normalizer` and `linalg.solve`; only tests call them.
 `subspace_sum` and `complement_in` (a basis of a space modulo a subspace)
 were `linalg`'s, until `spectral.pages_inductive` presented each page by one
-echelon pass; only tests call them.
+echelon pass; only tests call them.  `contains_subspace` was
+`SubspaceBasis.contains_subspace`; only tests call it.
 
 `restricted_kernel` is the kernel the engine took before
 `linalg.kernel_and_image`: one elimination of the rows with the columns
@@ -286,6 +287,10 @@ def solve(m: RationalMatrix, b: Sequence) -> Vector | None:
     return tuple(x)
 
 
+def contains_subspace(space: SubspaceBasis, sub: SubspaceBasis) -> bool:
+    return space.coordinate_matrix(sub.matrix) is not None
+
+
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient != b.ambient:
         raise ValueError("ambient dimension mismatch")
@@ -298,7 +303,7 @@ def complement_in(space: SubspaceBasis, sub: SubspaceBasis) -> SubspaceBasis:
     The returned vectors are a basis of space modulo sub; together with sub
     they span space.
     """
-    if not space.contains_subspace(sub):
+    if not contains_subspace(space, sub):
         raise ValueError("complement of a subspace that is not contained in the space")
     return image_basis(sub.reduce(space.matrix))
 
@@ -322,7 +327,7 @@ def normalizer(g: LieAlgebra, h: Subalgebra) -> SubspaceBasis:
         ))
         rows.extend(ann.mul(ad).transpose().entries)
     result = kernel_basis(RationalMatrix(n, tuple(rows)).transpose())
-    if not result.contains_subspace(hb):
+    if not contains_subspace(result, hb):
         raise AssertionError("normalizer must contain the subalgebra")
     return result
 

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -10,6 +12,7 @@ import pytest
 
 import eqss
 from eqss import cli
+from eqss.documents import builtin_names, builtin_text
 
 from ladder import readme_commands
 
@@ -275,6 +278,7 @@ FRESH_COMMANDS = readme_commands(ROOT / "README.md") + [
     ["obstruct", "gysin", "--l", "3", "--total", "1,1"],  # exit 2
     ["obstruct", "s3-4m", "--betti", "2,0,3,0,1"],  # exit 3
     ["--version"],  # argparse exits 0
+    ["--help"],  # argparse exits 0
     ["obstruct", "s3-4m"],  # argparse exits 2
     LONG_REPORT,
 ]
@@ -290,25 +294,27 @@ def start_fresh(argv, stdout=subprocess.PIPE):
                             stdout=stdout, stderr=subprocess.PIPE)
 
 
-def test_fresh_processes_answer_as_main_in_process(capsys):
+def test_fresh_processes_answer_as_main_in_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # one --help layout in process and in the children
     procs = [start_fresh(argv) for argv in FRESH_COMMANDS]
     codes = []
     for argv, proc in zip(FRESH_COMMANDS, procs):
         out, err = proc.communicate(timeout=60)
         try:
             code = cli.main(list(argv))
-        except SystemExit as e:  # argparse's exits take the normal path in both
+        except SystemExit as e:  # argparse's exits; `run` ends the child with the same code
             code = e.code
         captured = capsys.readouterr()
         assert (proc.returncode, out, err) == (code, captured.out.encode(), captured.err.encode()), argv
         codes.append(code)
         if argv is LONG_REPORT:
             assert len(out) > 8192
-    assert codes[-5:] == [2, 3, 0, 2, 0] and set(codes[:-5]) == {0}
+    assert codes[-6:] == [2, 3, 0, 0, 2, 0] and set(codes[:-6]) == {0}
 
 
-@pytest.mark.parametrize("argv", [["obstruct", "s3-4m", "--betti", "1,0,3,0,1"], LONG_REPORT],
-                         ids=["flush", "write"])
+@pytest.mark.parametrize("argv", [["obstruct", "s3-4m", "--betti", "1,0,3,0,1"], LONG_REPORT,
+                                  ["--version"], ["--help"]],
+                         ids=["flush", "write", "version", "help"])
 def test_a_closed_stdout_exits_1_without_a_traceback(argv):
     read, write = os.pipe()
     os.close(read)  # the reader has gone before the report is written
@@ -318,6 +324,49 @@ def test_a_closed_stdout_exits_1_without_a_traceback(argv):
         os.close(write)
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+def test_a_usage_error_into_a_closed_stdout_exits_2_with_its_usage(capsys):
+    argv = ["obstruct", "s3-4m"]
+    with pytest.raises(SystemExit):
+        cli.main(argv)
+    usage = capsys.readouterr().err.encode()
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = start_fresh(argv, stdout=write)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, usage)
+
+
+def test_reported_digest_is_the_sha256_of_the_utf8_text(tmp_path, monkeypatch):
+    """On both sides of the built-in hash's size limit: below it the
+    interpreter's own SHA-256 runs, at it hashlib's."""
+    limit = cli._BUILTIN_SHA256_LIMIT
+    texts = {f"builtin:{name}": builtin_text(name) for name in builtin_names()}
+    for name, text in [("empty", ""), ("non-ascii", '{"name": "ℚ-form ∧ é"}'),
+                       ("below", "é" + "x" * (limit - 3)), ("at", "é" + "x" * (limit - 2))]:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.encode("utf-8"))
+        texts[str(path)] = text
+    assert len(texts[str(tmp_path / "below.json")].encode("utf-8")) == limit - 1
+    sizes, sha256 = [], hashlib.sha256
+
+    def counted(data):
+        sizes.append(len(data))
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    inputs = {}
+    for spec, text in texts.items():
+        assert cli._load_text(spec, inputs) == text
+    if any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
+        assert sizes == [limit]  # only the document at the limit went through hashlib
+    else:  # an interpreter built without the built-in hash
+        assert sizes == [len(text.encode("utf-8")) for text in texts.values()]
+    assert inputs == {spec: sha256(text.encode("utf-8")).hexdigest() for spec, text in texts.items()}
 
 
 def test_the_installed_command_runs_through_run():

@@ -26,7 +26,7 @@ from eqss.linalg import (
 from eqss.records import FrozenRecord
 from eqss.spectral import product_model, twist_by_deck
 
-from form_oracles import apply, complement_in, restricted_kernel, solve, subspace_sum
+from form_oracles import apply, complement_in, contains_subspace, restricted_kernel, solve, subspace_sum
 from randgen import change_basis, random_unimodular
 
 
@@ -319,8 +319,8 @@ def check_subspace_operations(rng, s, rows, n):
     extra = [[Fraction(rng.randint(-2, 2), rng.choice([1, 3])) for _ in range(n)] for _ in range(rng.randint(0, 3))]
     total = subspace_sum(s, SubspaceBasis.span(extra, n))
     assert total == dense_span(list(rows) + extra, n)
-    assert total.contains_subspace(s)
-    assert s.contains_subspace(total) == (len(dense_rref(list(rows) + extra, n)[1]) == s.dim)
+    assert contains_subspace(total, s)
+    assert contains_subspace(s, total) == (len(dense_rref(list(rows) + extra, n)[1]) == s.dim)
     red, pivots = dense_rref(rows, n)
     left = [w for w in (dense_reduce(red, pivots, v) for v in total.vectors) if any(w)]
     assert complement_in(total, s) == dense_span(left, n)
@@ -333,7 +333,7 @@ def check_subspace_operations(rng, s, rows, n):
                     if len(dense_rref(list(rows) + [e], n)[1]) > len(pivots)), None)
     if outside is not None:
         assert s.coordinate_matrix(RationalMatrix.from_columns(cols + [outside], n)) is None
-        assert not s.contains_subspace(SubspaceBasis.span([outside], n))
+        assert not contains_subspace(s, SubspaceBasis.span([outside], n))
 
 
 def test_pivot_insertion_matches_dense_elimination_randomized():

@@ -36,7 +36,10 @@ So `obstruct s3-4m`, `gysin --l` and `wang` load only `cli`, `errors`,
 `specseq` loads `documents`, `linalg` and `spectral` and nothing of the Lie
 algebra engine, and neither it nor `cohomology` loads `obstructions`.  The
 records are plain `__slots__` classes, so no command of the README, heavy
-or light, imports `dataclasses` or, through it, `inspect`.
+or light, imports `dataclasses` or, through it, `inspect`.  No command
+loads OpenSSL (`_hashlib`, through `hashlib`): the shipped documents are
+hashed by the interpreter's built-in SHA-256, unless the interpreter was
+built without it (neither `_sha256` nor `_sha2`).
 
 No engine module states a safety check as a bare `assert`: `python -O`
 drops those, so each check raises AssertionError explicitly, and a run
@@ -58,6 +61,7 @@ json's `dumps`.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -445,14 +449,18 @@ LIGHT_COMMANDS = [
                  sorted(DOCUMENTS + ["eqss.cohomology", "eqss.forms", "eqss.liealg"]), HEAVY_STDLIB,
                  id="cohomology"),
 ]
+# The interpreter's built-in SHA-256: `_sha256` up to Python 3.11, `_sha2` after.
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2"))
 LOADED = (
     "import contextlib, io, sys\n"
+    "openssl_before = '_hashlib' in sys.modules\n"
     "from eqss import cli\n"
     "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
     "    code = cli.main(sys.argv[1:])\n"
     "found = [code, sorted(m for m in sys.modules if m.split('.')[0] == 'eqss'),\n"
     "         [m for m in ('dataclasses', 'inspect') if m in sys.modules],\n"
-    "         [m for m in ('fractions', 'decimal', 'json') if m in sys.modules]]\n"
+    "         [m for m in ('fractions', 'decimal', 'json') if m in sys.modules],\n"
+    "         '_hashlib' in sys.modules and not openssl_before]\n"
     "import json\n"
     "print(json.dumps(found))\n"
 )
@@ -472,20 +480,23 @@ def run_fresh(*args: str) -> str:
 
 def loaded(argv: list[str]) -> list:
     """[exit code, the eqss modules loaded, which of dataclasses and inspect
-    are loaded, which of fractions, decimal and json are loaded] after
-    `cli.main(argv)` in a fresh interpreter."""
+    are loaded, which of fractions, decimal and json are loaded, whether
+    OpenSSL's `_hashlib` was loaded by then and not at start] after
+    importing `eqss.cli` and running `cli.main(argv)` in a fresh
+    interpreter."""
     return json.loads(run_fresh("-c", LOADED, *argv))
 
 
 @pytest.mark.parametrize("argv, code, modules, numbers", LIGHT_COMMANDS)
 def test_light_commands_load_only_their_layer(argv, code, modules, numbers):
-    assert loaded(argv) == [code, modules, [], numbers]
+    openssl = not BUILTIN_SHA256 and "eqss.documents" in modules
+    assert loaded(argv) == [code, modules, [], numbers, openssl]
 
 
 @pytest.mark.parametrize("argv", readme_commands(ROOT / "README.md"), ids=" ".join)
 def test_readme_commands_never_import_dataclasses(argv):
-    code, _, heavy, _ = loaded(argv)
-    assert (code, heavy) == (0, [])
+    code, modules, heavy, _, openssl = loaded(argv)
+    assert (code, heavy, openssl) == (0, [], not BUILTIN_SHA256 and "eqss.documents" in modules)
 
 
 def test_library_loads_no_form_or_spectral_engine():
