@@ -57,6 +57,9 @@ NORMAL_HEIGHT = 5
 # The most normals null_hyperplane_search tries: every one at b2 = 5 (78,721
 # normals, 0.9 s in process); b2 = 6 has 877,240.
 MAX_NORMALS = 80_000
+# The most entries of the dense (b2 - 1) x b2 witness a search may build: b2 =
+# 2,000 takes 0.7 s and 322 MB (2.0 s and 655 MB with --json), b2 = 5,000 1.9 GB.
+MAX_WITNESS_ENTRIES = 4_000_000
 
 NOT_EXCLUDED = "not excluded by this criterion"
 
@@ -542,6 +545,23 @@ def _primitive_normals(b2: int, height: int):
                         yield (0,) * z + (x,) + t
 
 
+def _normal_count(b2: int, height: int) -> int:
+    """How many normals _primitive_normals yields: Moebius inversion over the
+    gcd of the nonzero vectors of the cube [-height, height]^b2, halved for sign."""
+    mu = {1: 1}
+    for d in range(2, height + 1):
+        mu[d] = -sum(mu[e] for e in range(1, d) if d % e == 0)
+    return sum(mu[d] * ((2 * (height // d) + 1) ** b2 - 1) for d in mu) // 2
+
+
+def _rank_exceeds_2(m: RationalMatrix) -> bool:
+    """Whether rank m > 2, stopping at the first column that makes a third pivot."""
+    from .linalg import insert
+
+    basis: dict[int, dict[int, int]] = {}
+    return any(insert(basis, col) is not None and len(basis) > 2 for col in m.entries)
+
+
 def null_hyperplane_search(cup: CupForm) -> NullSearchResult:
     """Look for a hyperplane of H^2 on which every cup matrix vanishes.
 
@@ -554,7 +574,10 @@ def null_hyperplane_search(cup: CupForm) -> NullSearchResult:
     For b2 >= 3 a bounded search over primitive integer normals of height
     <= NORMAL_HEIGHT, whose failure is reported as "bounded-search" and
     never as a definitive no.  A search that would try more than
-    MAX_NORMALS normals raises ValueError at the limit.
+    MAX_NORMALS normals raises ValueError at the limit, and one whose
+    witness could pass MAX_WITNESS_ENTRIES raises before it starts.  A form
+    null on n.x = 0 is n l^T + l n^T, of rank <= 2, so a matrix of rank >= 3
+    fails every normal: the search then ends as the walk would, without it.
     """
     from fractions import Fraction
 
@@ -603,22 +626,28 @@ def null_hyperplane_search(cup: CupForm) -> NullSearchResult:
                 return NullSearchResult(True, SubspaceBasis.span([[x, y]], 2), "exact")
         note = "every null line of the first form fails another cup matrix"
         return NullSearchResult(False, None, "exact", note)
-    for count, normal in enumerate(_primitive_normals(b2, NORMAL_HEIGHT)):
-        if count == MAX_NORMALS:
-            raise ValueError(
-                f"the null hyperplane search for b2 = {b2} passed the limit of {MAX_NORMALS} normals"
-            )
-        if all(_vanishes_on(f, normal) for f in forms):
-            break
-    else:
-        return NullSearchResult(
-            False,
-            None,
-            "bounded-search",
-            f"no rational null hyperplane with integer normal of height <= {NORMAL_HEIGHT}",
+    passed = f"the null hyperplane search for b2 = {b2} passed the limit of {MAX_NORMALS} normals"
+    if any(_rank_exceeds_2(m) for m in cup.matrices):  # no normal passes
+        if _normal_count(b2, NORMAL_HEIGHT) > MAX_NORMALS:
+            raise ValueError(passed)
+    elif (b2 - 1) * b2 > MAX_WITNESS_ENTRIES:
+        raise ValueError(
+            f"the null hyperplane search for b2 = {b2} could build a witness of {(b2 - 1) * b2}"
+            f" entries, past the limit of {MAX_WITNESS_ENTRIES}"
         )
-    w = kernel_basis(RationalMatrix.from_rows([normal]))
-    return NullSearchResult(True, w, "exact", f"normal {normal}")
+    else:
+        for count, normal in enumerate(_primitive_normals(b2, NORMAL_HEIGHT)):
+            if count == MAX_NORMALS:
+                raise ValueError(passed)
+            if all(_vanishes_on(f, normal) for f in forms):
+                w = kernel_basis(RationalMatrix.from_rows([normal]))
+                return NullSearchResult(True, w, "exact", f"normal {normal}")
+    return NullSearchResult(
+        False,
+        None,
+        "bounded-search",
+        f"no rational null hyperplane with integer normal of height <= {NORMAL_HEIGHT}",
+    )
 
 
 def s3_check_5manifold(

@@ -778,3 +778,18 @@ def test_exit_3_when_the_normal_search_passes_its_limit(monkeypatch, tmp_path, c
     report = run_json(capsys, "obstruct", "s3-5m", "--b2", "6", "--cup", str(null))
     assert report["results"]["verdict"]["excluded"] is False
     assert report["results"]["verdict"]["completeness"] == "exact"
+
+
+def test_exit_3_when_a_cup_file_asks_for_a_witness_past_its_limit(tmp_path):
+    # a 30-byte file: the first normal passes at once, and its witness would
+    # have 19,999 x 20,000 dense entries
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"b2": 20000, "matrices": []}')
+    for extra in ([], ["--json"]):
+        proc = start_fresh(["obstruct", "s3-5m", "--b2", "20000", "--cup", str(empty), *extra])
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (3, b"")
+        assert err == (
+            b"validation error: the null hyperplane search for b2 = 20000 could build a witness of"
+            b" 399980000 entries, past the limit of 4000000\n"
+        )

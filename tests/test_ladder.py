@@ -1,16 +1,20 @@
 """tools/ladder.py: a README row's max RSS is the command's own, whatever the
 size of the ladder process that asks for it, the pairs rung's documents
-are the homogeneous spaces they name, and the two bytecode modes run the
-given tree with its bytecode cached or compiled from source."""
+are the homogeneous spaces they name, the cup rung's forms have the ranks
+and null hyperplanes they name, and the two bytecode modes run the given
+tree with its bytecode cached or compiled from source."""
 
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
 import eqss
+from eqss import cli
 from eqss.cohomology import lie_cohomology
-from eqss.documents import parse_document
+from eqss.documents import parse_cup_document, parse_document
 from eqss.liealg import so_algebra
+from eqss.linalg import rank
 
 import ladder
 from test_relative import grassmannian_betti, stiefel_betti
@@ -57,6 +61,28 @@ def test_pairs_rung_documents_have_the_betti_numbers_of_their_spaces(tmp_path):
         dims = lie_cohomology(g, doc.subalgebra(relative)).dims
         assert dims == tuple(betti.get(k, 0) for k in range(g.dim + 1)), name
     assert ladder.write_documents(tmp_path, "pairs") == cases
+
+
+def test_cup_rung_forms_have_the_ranks_and_answers_they_name(tmp_path, monkeypatch, capsys):
+    # per b2 = 3..6: definite, rank 1 null on (1, ..., 1).x = 0, rank 2 null only on
+    # normals of height 6, and no matrix
+    cases = ladder.write_documents(tmp_path, "cup")
+    assert len(cases) == 16 and ladder.write_documents(tmp_path, "cup") == cases
+    monkeypatch.chdir(tmp_path)
+    for argv, _ in cases:
+        name, b2 = argv[3], int(argv[-1])
+        kind = name.removeprefix(f"cup{b2}_").removesuffix(".json")
+        cup = parse_cup_document((tmp_path / name).read_text(encoding="utf-8"))
+        ranks = {"definite": [b2], "rank1": [1], "rank2": [2], "empty": []}[kind]
+        assert [rank(m) for m in cup.matrices] == ranks, name
+        code = cli.main([*argv, "--json"])
+        out, err = capsys.readouterr()
+        blocked = kind in ("definite", "rank2")
+        if blocked and b2 == 6:  # past the normal limit, from the rank or by the walk
+            assert (code, out) == (3, "") and "passed the limit of 80000 normals" in err, name
+        else:
+            completeness = "bounded-search" if blocked else "exact"
+            assert code == 0 and json.loads(out)["results"]["verdict"]["completeness"] == completeness, name
 
 
 def test_bytecode_modes_cache_or_compile_the_tree_and_keep_stdout(tmp_path):

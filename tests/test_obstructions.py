@@ -7,16 +7,21 @@ the corresponding product models.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
 
 import pytest
 
+from eqss import obstructions
 from eqss.cohomology import GradedComplex
 from eqss.liealg import coordinate_subalgebra, su2, u_algebra
-from eqss.linalg import RationalMatrix
+from eqss.linalg import RationalMatrix, kernel_basis, rank
 from eqss.obstructions import (
+    NORMAL_HEIGHT,
     CupForm,
     LesProblem,
+    NullSearchResult,
     Term,
     gysin_assemble,
     null_hyperplane_search,
@@ -26,12 +31,12 @@ from eqss.obstructions import (
     verify_exactness,
     wang_check,
 )
-from eqss.obstructions import _primitive_normals, _vanishes_on
+from eqss.obstructions import _normal_count, _primitive_normals, _rank_exceeds_2, _vanishes_on
 from eqss.spectral import product_model, run_to_stabilization
 
 from form_oracles import apply, cube_normals, form_vanishes_on_hyperplane
 from orbit_table import OrbitType, orbit_table_verify, su2_orbit_table
-from randgen import form_null_on, random_symmetric
+from randgen import form_null_on, random_rational, random_symmetric
 
 
 def seq(*entries):
@@ -452,3 +457,140 @@ def test_labels_are_sorted_and_distinct_in_linear_time():
     terms = [Term.unknown(f"x{i % 50000}") for i in range(100000)] + [Term.known(1)]
     labels = LesProblem(tuple(terms)).labels()
     assert len(labels) == 50000 and list(labels) == sorted(labels)
+
+
+@lru_cache(maxsize=None)
+def walked_normals(b2):
+    return tuple(_primitive_normals(b2, NORMAL_HEIGHT))
+
+
+def walk_search(cup):
+    """The b2 >= 3 search as a plain walk over every normal: the first that
+    passes, the limit's message past MAX_NORMALS, or none found.  Each form
+    is scaled to integer entries first, which keeps its null hyperplanes."""
+    forms = []
+    for m in cup.matrices:
+        den = lcm(*(Fraction(x).denominator for row in m.rows for x in row))
+        forms.append([[int(x * den) for x in row] for row in m.rows])
+    for count, normal in enumerate(walked_normals(cup.b2)):
+        if count == obstructions.MAX_NORMALS:
+            return f"the null hyperplane search for b2 = {cup.b2} passed the limit of {count} normals"
+        if all(_vanishes_on(f, normal) for f in forms):
+            return NullSearchResult(True, kernel_basis(RationalMatrix.from_rows([normal])), "exact",
+                                    f"normal {normal}")
+    note = f"no rational null hyperplane with integer normal of height <= {NORMAL_HEIGHT}"
+    return NullSearchResult(False, None, "bounded-search", note)
+
+
+def searched(cup):
+    try:
+        return null_hyperplane_search(cup)
+    except ValueError as exc:
+        return str(exc)
+
+
+def random_cup_matrices(rng, b2):
+    """(kind, matrices) per kind of form: definite, generic, c l l^T, n l^T + l n^T
+    with normals of height <= 5 and > 5, zero, none, mixed lists and Fraction
+    entries (only those at b2 = 5, where each walk takes about 0.25 s)."""
+    def vector(low, high):  # a nonzero vector of height low..high
+        while True:
+            v = [rng.randint(-high, high) for _ in range(b2)]
+            if low <= max(map(abs, v)):
+                return v
+
+    def definite(fractions):
+        m = random_symmetric(rng, b2, fractions)
+        for i in range(b2):
+            m[i][i] = sum(abs(x) for x in m[i]) + rng.randint(1, 3)
+        return m
+
+    def rank1(low, high, fractions):
+        c, l = random_rational(rng, fractions) or 1, vector(low, high)
+        return [[c * x * y for y in l] for x in l]
+
+    def rank2(low, high):
+        n, l = vector(low, high), vector(low, high)
+        return [[a * y + x * b for b, y in zip(n, l)] for a, x in zip(n, l)]
+
+    for fractions in (False, True) if b2 < 5 else (True,):
+        yield "definite", [definite(fractions)]
+        yield "generic", [random_symmetric(rng, b2, fractions)]
+        yield "rank-1, height <= 5", [rank1(1, 5, fractions)]
+        yield "rank-1, height > 5", [rank1(6, 9, fractions)]
+        yield "mixed", [rank1(1, 3, fractions), definite(fractions)]
+    yield "rank-2, height <= 5", [rank2(1, 5)]
+    yield "rank-2, height > 5", [rank2(6, 9)]
+    yield "rank-2, Fraction", [form_null_on(rng, vector(1, 2), True)]
+    n = vector(1, 2)
+    yield "two forms null on one normal", [form_null_on(rng, n), [[x * y for y in n] for x in n]]
+    yield "zero", [[[0] * b2 for _ in range(b2)]]
+    yield "none", []
+    yield "zero and generic", [[[0] * b2 for _ in range(b2)], random_symmetric(rng, b2)]
+
+
+def test_null_search_equals_the_walk_on_every_kind_of_form():
+    rng = random.Random(34)
+    kinds = set()
+    for b2 in range(3, 6):
+        for kind, rows in random_cup_matrices(rng, b2):
+            cup = CupForm.create(b2, rows)
+            for m in cup.matrices:
+                assert _rank_exceeds_2(m) is (rank(m) > 2), (b2, kind, rows)
+            expected = walk_search(cup)
+            assert searched(cup) == expected, (b2, kind, rows)
+            kinds.add((expected.found, any(rank(m) > 2 for m in cup.matrices)))
+    assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def test_null_search_equals_the_walk_at_the_normal_limit(monkeypatch):
+    # b2 = 4 has 6,928 normals: a limit of 6,927 is passed and one of 6,928 is not
+    definite = CupForm.create(4, [[[5 if i == j else 1 for j in range(4)] for i in range(4)]])
+    line = CupForm.create(4, [[[9 if i == j == 3 else 0 for j in range(4)] for i in range(4)]])
+    rank2 = CupForm.create(4, [[[int({i, j} == {0, 3}) * 6 for j in range(4)] for i in range(4)]])
+    outcomes = []
+    for limit in (6927, 6928, 1):
+        monkeypatch.setattr(obstructions, "MAX_NORMALS", limit)
+        for cup in (definite, line, rank2):
+            outcomes.append(searched(cup))
+            assert outcomes[-1] == walk_search(cup), (limit, cup)
+    assert "passed the limit of 6927 normals" in outcomes[0]
+    assert not outcomes[3].found and outcomes[3].completeness == "bounded-search"
+    assert outcomes[1].found and outcomes[2].found and outcomes[8].found  # x4 = 0 is the first normal
+    assert "passed the limit of 1 normals" in outcomes[6]
+
+
+def test_a_matrix_of_rank_3_answers_without_walking_the_normals(monkeypatch):
+    def no_walk(b2, height):
+        raise AssertionError(f"walked the normals at b2 = {b2}")
+
+    monkeypatch.setattr(obstructions, "_primitive_normals", no_walk)
+    definite = CupForm.create(4, [[[7 if i == j else 1 for j in range(4)] for i in range(4)]])
+    result = null_hyperplane_search(definite)
+    assert not result.found and result.completeness == "bounded-search"
+    rank3 = [[int(i == j < 3) for j in range(6)] for i in range(6)]
+    with pytest.raises(ValueError, match="b2 = 6 passed the limit of 80000 normals"):
+        null_hyperplane_search(CupForm.create(6, [[[0] * 6 for _ in range(6)], rank3]))
+    with pytest.raises(AssertionError, match="walked the normals at b2 = 4"):  # rank 2 walks
+        null_hyperplane_search(CupForm.create(4, [[[int(i == j < 2) for j in range(4)] for i in range(4)]]))
+
+
+def test_normal_count_is_the_number_of_walked_normals():
+    for b2 in range(1, 6):
+        for height in range(1, 6):
+            assert _normal_count(b2, height) == sum(1 for _ in _primitive_normals(b2, height)), (b2, height)
+    assert _normal_count(6, NORMAL_HEIGHT) == 877240 > obstructions.MAX_NORMALS
+
+
+def test_witness_limit_refuses_before_any_normal_is_built(monkeypatch):
+    # b2 = 4 builds a 3 x 4 witness: 12 entries
+    monkeypatch.setattr(obstructions, "MAX_WITNESS_ENTRIES", 12)
+    found = null_hyperplane_search(CupForm.create(4, []))
+    assert found.found and found.note == "normal (0, 0, 0, 1)"
+    monkeypatch.setattr(obstructions, "MAX_WITNESS_ENTRIES", 11)
+    monkeypatch.setattr(obstructions, "_primitive_normals", None)
+    with pytest.raises(ValueError, match="b2 = 4 could build a witness of 12 entries, past the limit of 11"):
+        null_hyperplane_search(CupForm.create(4, []))
+    # a matrix of rank >= 3 builds no witness, so the limit does not apply
+    definite = CupForm.create(4, [[[int(i == j) for j in range(4)] for i in range(4)]])
+    assert null_hyperplane_search(definite).completeness == "bounded-search"

@@ -1,7 +1,7 @@
 """The eqss ladder: the end-to-end cost of `eqss` commands, process start
-included, on three rungs.
+included, on four rungs.
 
-    python3 tools/ladder.py LABEL [--rung readme|lie|pairs] [--runs N] [--src DIR]
+    python3 tools/ladder.py LABEL [--rung readme|lie|pairs|cup] [--runs N] [--src DIR]
                             [--base BASE_LABEL BASE_DIR] [--bytecode compiled|cached]
 
 The readme rung (the default) reads the commands from the README's
@@ -13,11 +13,15 @@ l = 2..16, and writes bench/BENCH_ladder_LABEL.json.  The pairs rung runs
 manifolds V(n, 2) = so(n)/so(n-2) and the Grassmannians G2(R^n) =
 so(n)/(so(n-2) + so(2)) for n = 4..6, each pair in the basis of the
 columns of an integer matrix of determinant 1 drawn with the seed
-PAIRS_SEED, and writes bench/BENCH_pairs_LABEL.json.  The documents of
-both are written by `corpus.serialize_document` (tools/corpus.py), with
-this checkout's src, into a temporary directory (they are not shipped), and the report
-records each one's size and sha256.  A refused input exits 3, so its time
-is the cost of reading, parsing and refusing the document.
+PAIRS_SEED, and writes bench/BENCH_pairs_LABEL.json.  The cup rung runs
+`eqss obstruct s3-5m` on four cup forms for each b2 = 3..6 (a definite one,
+one of rank 1 and one of rank 2 with no null hyperplane of small normal,
+and none at all) and writes bench/BENCH_cup_LABEL.json.  The documents of
+the lie and pairs rungs are written by `corpus.serialize_document`
+(tools/corpus.py), with this checkout's src, and those of the cup rung by
+`json.dumps`, into a temporary directory (they are not shipped), and the
+report records each one's size and sha256.  A refused input exits 3, so
+its time is the cost of reading, parsing and refusing the document.
 
 Each command runs N times as `python -m eqss.cli ARGS` in a fresh process,
 with DIR (default: this checkout's src) first on PYTHONPATH and no EQSS_*
@@ -143,19 +147,42 @@ def pairs_cases():
     return cases
 
 
+def cup_cases():
+    """The cup rung's (document, file name, options) cases, for b2 = 3..6:
+    I + J (definite), J = l l^T with l = (1, ..., 1) (null on l.x = 0),
+    n m^T + m n^T with n = 6 e1 + e2 and m = e2 + 6 e3 (null only on
+    normals of height 6), and no matrix (null on every hyperplane)."""
+    cases = []
+    for b2 in range(3, 7):
+        n, m = [6, 1] + [0] * (b2 - 2), [0, 1, 6] + [0] * (b2 - 3)
+        forms = {
+            "definite": [[[1 + (i == j) for j in range(b2)] for i in range(b2)]],
+            "rank1": [[[1] * b2 for _ in range(b2)]],
+            "rank2": [[[n[i] * m[j] + m[i] * n[j] for j in range(b2)] for i in range(b2)]],
+            "empty": [],
+        }
+        for kind, matrices in forms.items():
+            cases.append(({"b2": b2, "matrices": matrices}, f"cup{b2}_{kind}.json", ["--b2", str(b2)]))
+    return cases
+
+
 def write_documents(directory: Path, rung: str) -> list[tuple[list[str], dict]]:
-    """Write the lie or pairs rung's documents into directory with this
+    """Write the lie, pairs or cup rung's documents into directory with this
     checkout's src; each case's argv, relative to directory, and the size
     and sha256 of its document."""
     sys.path.insert(0, str(ROOT / "src"))
     from corpus import serialize_document
 
+    if rung == "cup":
+        command, serialize = ["obstruct", "s3-5m", "--cup"], json.dumps
+    else:
+        command, serialize = ["cohomology"], serialize_document
     out = []
-    for doc, name, options in {"lie": lie_cases, "pairs": pairs_cases}[rung]():
-        data = serialize_document(doc).encode("utf-8")
+    for doc, name, options in {"lie": lie_cases, "pairs": pairs_cases, "cup": cup_cases}[rung]():
+        data = serialize(doc).encode("utf-8")
         (directory / name).write_bytes(data)
         facts = {"document_bytes": len(data), "document_sha256": hashlib.sha256(data).hexdigest()}
-        out.append((["cohomology", name, *options], facts))
+        out.append(([*command, name, *options], facts))
     return out
 
 
@@ -240,10 +267,12 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("label", help="names the output file: bench/BENCH_readme_LABEL.json, "
                                   "bench/BENCH_ladder_LABEL.json for the lie rung, "
-                                  "or bench/BENCH_pairs_LABEL.json for the pairs rung")
-    p.add_argument("--rung", choices=("readme", "lie", "pairs"), default="readme",
+                                  "bench/BENCH_pairs_LABEL.json for the pairs rung, "
+                                  "or bench/BENCH_cup_LABEL.json for the cup rung")
+    p.add_argument("--rung", choices=("readme", "lie", "pairs", "cup"), default="readme",
                    help="the README commands (default), the so(n) and (so(l+1), so(l)) ladder, "
-                        "or the spheres, V(n, 2) and G2(R^n) in a random basis")
+                        "the spheres, V(n, 2) and G2(R^n) in a random basis, "
+                        "or s3-5m on cup forms for b2 = 3..6")
     p.add_argument("--runs", type=int, default=15, help="processes per command (default 15)")
     p.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the eqss package")
     p.add_argument("--base", nargs=2, metavar=("BASE_LABEL", "BASE_DIR"),
