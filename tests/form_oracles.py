@@ -48,9 +48,13 @@ cohomology representatives of the column elimination.
 made for every normal before `obstructions._vanishes_on`: a kernel basis of
 the normal, then the form on each pair of basis vectors.
 
-`cube_normals` is the normal generator the cup-null hyperplane search had
-before `obstructions._primitive_normals` walked only the shell of each
-height: every tuple of the cube, kept when it lies on the shell.
+`primitive_normals` is the walk over integer normals of height <= 5 that
+the cup-null hyperplane search made for b2 >= 3 before it read the
+candidate normals off the first nonzero cup matrix: the shell of each
+height in lexicographic order.  `walk_search` is that search, the
+reference wherever it finds a hyperplane.  `cube_normals` is the generator
+the walk had before it walked only the shell: every tuple of the cube,
+kept when it lies on the shell.
 
 `so_algebra_by_hand` and `u_algebra_over_gaussians` are the constructors
 `liealg` had before `liealg._matrix_algebra`: so(n) with its own sign
@@ -75,8 +79,11 @@ It is the reference for `forms._jacobi_witness`.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from heapq import merge
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from eqss.forms import (
@@ -104,6 +111,7 @@ from eqss.linalg import (
     image_basis,
     kernel_basis,
 )
+from eqss.obstructions import NullSearchResult, _vanishes_on
 
 
 class ContractionError(ValueError):
@@ -605,6 +613,46 @@ def form_vanishes_on_hyperplane(m: RationalMatrix, normal: Sequence) -> bool:
         for i, v in enumerate(vectors)
         for w in vectors[i:]
     )
+
+
+WALK_HEIGHT = 5
+
+
+def primitive_normals(b2: int, height: int):
+    """Primitive integer normals, deduped up to sign, by increasing height h:
+    the shell max |x_i| = h in lexicographic order, so no cube is walked.
+    After z zeros and a first nonzero x > 0 the rest is free if x = h, else
+    the sorted merge of blocks by the position p of its first entry of size h."""
+    for h in range(1, height + 1):
+        inner, full = range(1 - h, h), range(-h, h + 1)
+        for z in range(b2 - 1, -1, -1):
+            k = b2 - z - 1
+            for x in range(1, h + 1):
+                blocks = (product(*[inner] * p, (-h, h), *[full] * (k - p - 1)) for p in range(k))
+                for t in product(full, repeat=k) if x == h else merge(*blocks):
+                    if gcd(x, *t) == 1:
+                        yield (0,) * z + (x,) + t
+
+
+@lru_cache(maxsize=None)
+def walked_normals(b2: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(primitive_normals(b2, WALK_HEIGHT))
+
+
+def walk_search(cup):
+    """The b2 >= 3 search as a plain walk over every normal of height <= 5:
+    the first that passes, or none found.  Each form is scaled to integer
+    entries first, which keeps its null hyperplanes."""
+    forms = []
+    for m in cup.matrices:
+        den = lcm(*(Fraction(x).denominator for row in m.rows for x in row))
+        forms.append([[int(x * den) for x in row] for row in m.rows])
+    for normal in walked_normals(cup.b2):
+        if all(_vanishes_on(f, normal) for f in forms):
+            return NullSearchResult(True, kernel_basis(RationalMatrix.from_rows([normal])), "exact",
+                                    f"normal {normal}")
+    note = f"no rational null hyperplane with integer normal of height <= {WALK_HEIGHT}"
+    return NullSearchResult(False, None, "bounded-search", note)
 
 
 def cube_normals(b2: int, height: int):

@@ -284,12 +284,13 @@ FRESH_COMMANDS = readme_commands(ROOT / "README.md") + [
 ]
 
 
-def start_fresh(argv, stdout=subprocess.PIPE):
+def start_fresh(argv, stdout=subprocess.PIPE, **eqss_env):
     """`python -m eqss.cli argv` with this checkout's src first on its path,
-    no EQSS_* variables and stdout block-buffered (PYTHONUNBUFFERED unset),
-    as a shell runs it."""
+    no EQSS_* variables but the given ones and stdout block-buffered
+    (PYTHONUNBUFFERED unset), as a shell runs it."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("EQSS_") and k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(eqss_env)
     return subprocess.Popen([sys.executable, "-m", "eqss.cli", *argv], env=env,
                             stdout=stdout, stderr=subprocess.PIPE)
 
@@ -667,6 +668,21 @@ def test_solver_cap_env_is_honored(monkeypatch, capsys):
     assert run_json(capsys, *argv)["results"]["solution_count"] == 1
 
 
+def test_a_huge_solver_cap_walks_only_what_the_sequence_allows():
+    # every unknown of this Gysin sequence is followed by a known term, which
+    # bounds it: a cap of 10^8 prints what a cap of 10^5 prints, at once
+    argv = ["obstruct", "gysin", "--l", "3", "--basic", "1,1"]
+    answers = []
+    for cap in ("100000", "100000000"):
+        proc = start_fresh(argv, EQSS_SOLVER_CAP=cap)
+        try:
+            out, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+        answers.append((proc.returncode, out, err))
+    assert answers[0] == answers[1] and answers[0][0] == 0 and answers[0][1]
+
+
 def test_exit_3_on_an_oversized_lie_algebra(tmp_path, capsys):
     from eqss.cohomology import MAX_FORM_ENTRIES
 
@@ -759,25 +775,27 @@ def test_exit_3_on_an_open_wang_problem_past_the_unknown_limit(monkeypatch, caps
     assert err == f"validation error: solver bound exceeded: 100003 unknown labels (max {obstructions.MAX_UNKNOWNS})\n"
 
 
-def test_exit_3_when_the_normal_search_passes_its_limit(monkeypatch, tmp_path, capsys):
-    from eqss import obstructions
+def test_s3_5m_answers_every_b2_6_form_without_a_normal_limit(tmp_path, capsys):
+    def verdict(name, matrices):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"b2": 6, "matrices": matrices}))
+        return run_json(capsys, "obstruct", "s3-5m", "--b2", "6", "--cup", str(path))["results"]["verdict"]
 
-    monkeypatch.setattr(obstructions, "MAX_NORMALS", 100)
-    definite = tmp_path / "definite.json"
-    definite.write_text(json.dumps({"b2": 6, "matrices": [
-        [[7 if i == j else 0 for j in range(6)] for i in range(6)]
-    ]}))
-    code, out, err = run(capsys, "obstruct", "s3-5m", "--b2", "6", "--cup", str(definite))
-    assert code == 3 and out == "" and "Traceback" not in err
-    assert "the null hyperplane search for b2 = 6 passed the limit of 100 normals" in err
-    # e1 e6^T + e6 e1^T vanishes on the hyperplane x6 = 0, the first normal tried
-    null = tmp_path / "null.json"
-    null.write_text(json.dumps({"b2": 6, "matrices": [
-        [[int({i, j} == {0, 5}) for j in range(6)] for i in range(6)]
-    ]}))
-    report = run_json(capsys, "obstruct", "s3-5m", "--b2", "6", "--cup", str(null))
-    assert report["results"]["verdict"]["excluded"] is False
-    assert report["results"]["verdict"]["completeness"] == "exact"
+    # a definite form keeps its bounded-search answer
+    definite = verdict("definite", [[[7 if i == j else 0 for j in range(6)] for i in range(6)]])
+    assert (definite["excluded"], definite["completeness"]) == (False, "bounded-search")
+    # e1 e6^T + e6 e1^T vanishes on x6 = 0, the first normal by height
+    null = verdict("null", [[[int({i, j} == {0, 5}) for j in range(6)] for i in range(6)]])
+    assert (null["excluded"], null["completeness"]) == (False, "exact")
+    assert "(normal (0, 0, 0, 0, 0, 1))" in null["reason"]
+    # n m^T + m n^T with n = 6 e1 + e2 and m = e2 + 6 e3: null only on normals of height 6
+    n, m = [6, 1, 0, 0, 0, 0], [0, 1, 6, 0, 0, 0]
+    rank2 = verdict("rank2", [[[n[i] * m[j] + m[i] * n[j] for j in range(6)] for i in range(6)]])
+    assert (rank2["excluded"], rank2["completeness"]) == (False, "exact")
+    assert "(normal (0, 1, 6, 0, 0, 0))" in rank2["reason"]
+    # x1^2 + x2^2 is semidefinite: no cup-null hyperplane, so the action is excluded
+    semi = verdict("semi", [[[int(i == j < 2) for j in range(6)] for i in range(6)]])
+    assert (semi["excluded"], semi["completeness"]) == (True, "exact")
 
 
 def test_exit_3_when_a_cup_file_asks_for_a_witness_past_its_limit(tmp_path):

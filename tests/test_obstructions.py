@@ -6,10 +6,10 @@ the corresponding product models.
 """
 
 import random
+from ast import literal_eval
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd
 
 import pytest
 
@@ -18,7 +18,6 @@ from eqss.cohomology import GradedComplex
 from eqss.liealg import coordinate_subalgebra, su2, u_algebra
 from eqss.linalg import RationalMatrix, kernel_basis, rank
 from eqss.obstructions import (
-    NORMAL_HEIGHT,
     CupForm,
     LesProblem,
     NullSearchResult,
@@ -31,10 +30,10 @@ from eqss.obstructions import (
     verify_exactness,
     wang_check,
 )
-from eqss.obstructions import _normal_count, _primitive_normals, _rank_exceeds_2, _vanishes_on
+from eqss.obstructions import _pivot_columns, _vanishes_on
 from eqss.spectral import product_model, run_to_stabilization
 
-from form_oracles import apply, cube_normals, form_vanishes_on_hyperplane
+from form_oracles import WALK_HEIGHT, apply, cube_normals, form_vanishes_on_hyperplane, primitive_normals, walk_search
 from orbit_table import OrbitType, orbit_table_verify, su2_orbit_table
 from randgen import form_null_on, random_rational, random_symmetric
 
@@ -335,7 +334,7 @@ def test_vanishes_on_matches_the_kernel_oracle():
     rng = random.Random(14)
     seen = set()
     for b2 in range(2, 6):
-        normals = list(_primitive_normals(b2, 2))
+        normals = list(primitive_normals(b2, 2))
         for fractions in (False, True):
             mats = [random_symmetric(rng, b2, fractions) for _ in range(2)]
             mats.append(form_null_on(rng, rng.choice(normals), fractions))
@@ -434,21 +433,12 @@ def test_problem_render():
     assert prob.render() == "0 -> ?A -> 2 -> ?A -> 0"
 
 
-def test_normal_limit_covers_every_normal_at_b2_5():
-    # answers for b2 <= 5 search every normal of the default height
-    from eqss.obstructions import MAX_NORMALS, NORMAL_HEIGHT
-
-    assert sum(1 for _ in _primitive_normals(5, NORMAL_HEIGHT)) == 78721 <= MAX_NORMALS
-
-
 def test_shell_walk_yields_the_cube_filter_sequence():
-    # the same normals in the same order as filtering the whole cube
-    from eqss.obstructions import NORMAL_HEIGHT
-
+    # the oracle walk's normals, in the same order as filtering the whole cube
     counts = []
     for b2 in range(1, 6):
-        normals = list(_primitive_normals(b2, NORMAL_HEIGHT))
-        assert normals == list(cube_normals(b2, NORMAL_HEIGHT)), b2
+        normals = list(primitive_normals(b2, WALK_HEIGHT))
+        assert normals == list(cube_normals(b2, WALK_HEIGHT)), b2
         counts.append(len(normals))
     assert counts == [1, 40, 577, 6928, 78721]
 
@@ -457,36 +447,6 @@ def test_labels_are_sorted_and_distinct_in_linear_time():
     terms = [Term.unknown(f"x{i % 50000}") for i in range(100000)] + [Term.known(1)]
     labels = LesProblem(tuple(terms)).labels()
     assert len(labels) == 50000 and list(labels) == sorted(labels)
-
-
-@lru_cache(maxsize=None)
-def walked_normals(b2):
-    return tuple(_primitive_normals(b2, NORMAL_HEIGHT))
-
-
-def walk_search(cup):
-    """The b2 >= 3 search as a plain walk over every normal: the first that
-    passes, the limit's message past MAX_NORMALS, or none found.  Each form
-    is scaled to integer entries first, which keeps its null hyperplanes."""
-    forms = []
-    for m in cup.matrices:
-        den = lcm(*(Fraction(x).denominator for row in m.rows for x in row))
-        forms.append([[int(x * den) for x in row] for row in m.rows])
-    for count, normal in enumerate(walked_normals(cup.b2)):
-        if count == obstructions.MAX_NORMALS:
-            return f"the null hyperplane search for b2 = {cup.b2} passed the limit of {count} normals"
-        if all(_vanishes_on(f, normal) for f in forms):
-            return NullSearchResult(True, kernel_basis(RationalMatrix.from_rows([normal])), "exact",
-                                    f"normal {normal}")
-    note = f"no rational null hyperplane with integer normal of height <= {NORMAL_HEIGHT}"
-    return NullSearchResult(False, None, "bounded-search", note)
-
-
-def searched(cup):
-    try:
-        return null_hyperplane_search(cup)
-    except ValueError as exc:
-        return str(exc)
 
 
 def random_cup_matrices(rng, b2):
@@ -529,57 +489,191 @@ def random_cup_matrices(rng, b2):
     yield "zero and generic", [[[0] * b2 for _ in range(b2)], random_symmetric(rng, b2)]
 
 
+def named_normal(cup, result):
+    """The normal that a found answer names, checked against the kernel
+    oracle on every matrix and against the witness."""
+    assert result.found and result.completeness == "exact", result
+    normal = literal_eval(result.note.removeprefix("normal "))
+    assert result.hyperplane == kernel_basis(RationalMatrix.from_rows([normal]))
+    assert all(form_vanishes_on_hyperplane(m, normal) for m in cup.matrices), (cup, normal)
+    return normal
+
+
+def primitive(v):
+    g = gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+    return tuple(x // g for x in v)
+
+
+def walk_first(normals):
+    """The normal the walk over integer normals reaches first: by height, then lexicographically."""
+    return min(normals, key=lambda n: (max(map(abs, n)), n))
+
+
 def test_null_search_equals_the_walk_on_every_kind_of_form():
+    # equal where the walk finds a hyperplane or a matrix has rank >= 3; the
+    # walk misses only the planted normals of height > 5, which are found
     rng = random.Random(34)
     kinds = set()
     for b2 in range(3, 6):
         for kind, rows in random_cup_matrices(rng, b2):
             cup = CupForm.create(b2, rows)
-            for m in cup.matrices:
-                assert _rank_exceeds_2(m) is (rank(m) > 2), (b2, kind, rows)
-            expected = walk_search(cup)
-            assert searched(cup) == expected, (b2, kind, rows)
-            kinds.add((expected.found, any(rank(m) > 2 for m in cup.matrices)))
-    assert kinds == {(True, False), (False, False), (False, True)}
+            ranks = [rank(m) for m in cup.matrices]
+            assert [len(_pivot_columns(m)) for m in cup.matrices] == [min(r, 3) for r in ranks], (b2, kind, rows)
+            expected, result = walk_search(cup), null_hyperplane_search(cup)
+            if expected.found or max(ranks, default=0) > 2:
+                assert result == expected, (b2, kind, rows)
+            else:
+                assert "height > 5" in kind and max(map(abs, named_normal(cup, result))) > 5, (b2, kind, rows)
+            kinds.add((expected.found, result.found, max(ranks, default=0) > 2))
+    assert kinds == {(True, True, False), (False, True, False), (False, False, True)}
 
 
-def test_null_search_equals_the_walk_at_the_normal_limit(monkeypatch):
-    # b2 = 4 has 6,928 normals: a limit of 6,927 is passed and one of 6,928 is not
-    definite = CupForm.create(4, [[[5 if i == j else 1 for j in range(4)] for i in range(4)]])
-    line = CupForm.create(4, [[[9 if i == j == 3 else 0 for j in range(4)] for i in range(4)]])
-    rank2 = CupForm.create(4, [[[int({i, j} == {0, 3}) * 6 for j in range(4)] for i in range(4)]])
-    outcomes = []
-    for limit in (6927, 6928, 1):
-        monkeypatch.setattr(obstructions, "MAX_NORMALS", limit)
-        for cup in (definite, line, rank2):
-            outcomes.append(searched(cup))
-            assert outcomes[-1] == walk_search(cup), (limit, cup)
-    assert "passed the limit of 6927 normals" in outcomes[0]
-    assert not outcomes[3].found and outcomes[3].completeness == "bounded-search"
-    assert outcomes[1].found and outcomes[2].found and outcomes[8].found  # x4 = 0 is the first normal
-    assert "passed the limit of 1 normals" in outcomes[6]
+BOUNDED = NullSearchResult(False, None, "bounded-search",
+                           "no rational null hyperplane with integer normal of height <= 5")
 
 
-def test_a_matrix_of_rank_3_answers_without_walking_the_normals(monkeypatch):
-    def no_walk(b2, height):
-        raise AssertionError(f"walked the normals at b2 = {b2}")
-
-    monkeypatch.setattr(obstructions, "_primitive_normals", no_walk)
+def test_a_matrix_of_rank_3_keeps_the_bounded_search_answer_at_every_b2():
     definite = CupForm.create(4, [[[7 if i == j else 1 for j in range(4)] for i in range(4)]])
-    result = null_hyperplane_search(definite)
-    assert not result.found and result.completeness == "bounded-search"
-    rank3 = [[int(i == j < 3) for j in range(6)] for i in range(6)]
-    with pytest.raises(ValueError, match="b2 = 6 passed the limit of 80000 normals"):
-        null_hyperplane_search(CupForm.create(6, [[[0] * 6 for _ in range(6)], rank3]))
-    with pytest.raises(AssertionError, match="walked the normals at b2 = 4"):  # rank 2 walks
-        null_hyperplane_search(CupForm.create(4, [[[int(i == j < 2) for j in range(4)] for i in range(4)]]))
+    assert null_hyperplane_search(definite) == BOUNDED
+    for b2 in range(3, 9):
+        zero, rank3 = [[0] * b2 for _ in range(b2)], [[int(i == j < 3) for j in range(b2)] for i in range(b2)]
+        line = [[int(i == j == b2 - 1) for j in range(b2)] for i in range(b2)]
+        for mats in ([rank3], [zero, rank3], [line, rank3], [rank3, line]):
+            assert null_hyperplane_search(CupForm.create(b2, mats)) == BOUNDED, (b2, mats)
+        verdict = s3_check_5manifold(b2, CupForm.create(b2, [zero, rank3]), False)
+        assert not verdict.excluded and verdict.completeness == "bounded-search"
+    # rank 2 is decided: diag(1, 1, 0, 0) is semidefinite
+    result = null_hyperplane_search(CupForm.create(4, [[[int(i == j < 2) for j in range(4)] for i in range(4)]]))
+    assert not result.found and result.completeness == "exact"
 
 
-def test_normal_count_is_the_number_of_walked_normals():
-    for b2 in range(1, 6):
-        for height in range(1, 6):
-            assert _normal_count(b2, height) == sum(1 for _ in _primitive_normals(b2, height)), (b2, height)
-    assert _normal_count(6, NORMAL_HEIGHT) == 877240 > obstructions.MAX_NORMALS
+def test_planted_normals_of_height_6_to_50_are_found_at_b2_3_to_8():
+    rng = random.Random(3650)
+
+    def vector(b2):  # primitive, of height 6..50
+        while True:
+            v = primitive([rng.randint(-50, 50) or 1 for _ in range(b2)])
+            if max(map(abs, v)) >= 6:
+                return v
+
+    heights = set()
+    for b2 in range(3, 9):
+        for _ in range(4):
+            n, l = vector(b2), vector(b2)
+            c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+            rank1 = CupForm.create(b2, [[[c * x * y for y in l] for x in l]])
+            assert named_normal(rank1, null_hyperplane_search(rank1)) == l
+            rows = [[c * (a * y + x * b) for b, y in zip(n, l)] for a, x in zip(n, l)]
+            rank2 = CupForm.create(b2, [rows])
+            assert rank(rank2.matrices[0]) == 2
+            assert named_normal(rank2, null_hyperplane_search(rank2)) == walk_first([n, l])
+            # a second matrix null only on n.x = 0 leaves that one
+            both = CupForm.create(b2, [rows, [[x * y for y in n] for x in n]])
+            assert named_normal(both, null_hyperplane_search(both)) == n
+            heights.update(max(map(abs, v)) for v in (n, l))
+    assert min(heights) >= 6 and max(heights) >= 40
+
+
+def test_semidefinite_rank_2_forms_are_excluded_exactly():
+    rng = random.Random(3651)
+    note = "the first nonzero form is semidefinite of rank 2 (negative discriminant)"
+    for b2 in range(3, 7):
+        diag = [[int(i == j < 2) for j in range(b2)] for i in range(b2)]
+        last = [[-int(i == j >= b2 - 2) for j in range(b2)] for i in range(b2)]
+        u, v = (rng.choices([0, 1, -2, Fraction(1, 3), 4], k=b2) for _ in range(2))
+        sign = rng.choice([-1, 1])
+        gram = [[sign * (x * y + w * z) for y, z in zip(u, v)] for x, w in zip(u, v)]  # +-(u u^T + v v^T)
+        for rows in (diag, last, gram):
+            cup = CupForm.create(b2, [[[0] * b2 for _ in range(b2)], rows])
+            if rank(cup.matrices[1]) < 2:
+                continue
+            assert null_hyperplane_search(cup) == NullSearchResult(False, None, "exact", note), rows
+            verdict = s3_check_5manifold(b2, cup, False)
+            assert verdict.excluded and verdict.completeness == "exact"
+
+
+def test_an_irrational_pair_is_found_without_a_witness_at_b2_4():
+    # x^2 - 2 y^2 in coordinates (0, 1) and (1, 3), and u u^T - 2 v v^T, each
+    # with x^2 + y^2 (u u^T + v v^T): rank 2 and not a multiple of it
+    u, v = (1, 2, 0, -1), (0, 1, 3, 1)
+
+    def on(p, r, c):
+        return [[{(p, p): 1, (r, r): c}.get((i, j), 0) for j in range(4)] for i in range(4)]
+
+    def uv(c):
+        return [[a * b + c * w * z for b, z in zip(u, v)] for a, w in zip(u, v)]
+
+    for pell, other in ((on(0, 1, -2), on(0, 1, 1)), (on(1, 3, -2), on(1, 3, 1)), (uv(-2), uv(1))):
+        result = null_hyperplane_search(CupForm.create(4, [pell]))
+        assert result.found and result.completeness == "exact" and result.hyperplane is None, pell
+        assert result.note.startswith("a real null hyperplane exists but its coordinates are irrational")
+        scaled = [[Fraction(-3, 7) * x for x in row] for row in pell]
+        assert null_hyperplane_search(CupForm.create(4, [[[0] * 4] * 4, pell, scaled])) == result
+        assert rank(RationalMatrix.from_rows(other)) == 2
+        assert null_hyperplane_search(CupForm.create(4, [pell, other])) == NullSearchResult(
+            False, None, "exact", "every null hyperplane of the first form fails another cup matrix"
+        ), pell
+    first = null_hyperplane_search(CupForm.create(4, [on(0, 1, -2)]))
+    assert first.note.endswith("(discriminant 2 is not a rational square)")
+
+
+def test_mixed_lists_and_fraction_entries():
+    b2 = 5
+    n, l, m, k = (2, -7, 0, 3, 9), (0, 1, Fraction(1, 2), -4, 6), (1, 1, 1, 1, 1), (3, 0, -1, 1, 2)
+    zero = [[0] * b2 for _ in range(b2)]
+
+    def sym(a, b, c=1):
+        return [[c * (x * z + y * w) for w, z in zip(a, b)] for x, y in zip(a, b)]  # c (a b^T + b a^T)
+
+    found = [
+        ([zero, sym(n, l, Fraction(3, 7)), sym(n, n, Fraction(-1, 2)), zero], n),
+        ([sym(l, l, Fraction(5, 3)), sym(n, l), sym(l, m)], (0, 2, 1, -8, 12)),
+        ([sym(n, l), sym(l, m, Fraction(-2, 9)), zero], (0, 2, 1, -8, 12)),
+        ([sym(m, m, Fraction(1, 3))], m),
+    ]
+    for mats, normal in found:
+        cup = CupForm.create(b2, mats)
+        assert named_normal(cup, null_hyperplane_search(cup)) == normal, mats
+    for mats in ([sym(l, l), sym(n, n)], [sym(n, l), sym(m, m), zero], [zero, sym(n, l), sym(m, k, Fraction(1, 2))]):
+        result = null_hyperplane_search(CupForm.create(b2, mats))
+        assert result == NullSearchResult(
+            False, None, "exact", "every null hyperplane of the first form fails another cup matrix"
+        ), mats
+
+
+# each branch at b2 = 2: (matrices, (found, witness, note)); every answer is exact
+B2_TWO = [
+    ([], (True, [["1", "0"]], "all cup matrices vanish")),
+    ([[[0, 0], [0, 0]]], (True, [["1", "0"]], "all cup matrices vanish")),
+    ([[[4, -6], [-6, 9]]], (True, [["1", "2/3"]], "")),
+    ([[[0, 0], [0, 3]]], (True, [["1", "0"]], "")),
+    ([[[1, 1], [1, 1]], [[0, 1], [1, 0]]], (False, None, "every null line of the first form fails another cup matrix")),
+    ([[[0, 1], [1, 0]]], (True, [["1", "0"]], "")),
+    ([[[0, 2], [2, 3]]], (True, [["1", "0"]], "")),
+    ([[[0, 2], [2, 3]], [[16, 12], [12, 9]]], (True, [["1", "-4/3"]], "")),
+    ([[[-1, 0], [0, 1]]], (True, [["1", "-1"]], "")),  # both lines pass: (-b + root, a) comes first
+    ([[[-1, 0], [0, 1]], [[1, -1], [-1, 1]]], (True, [["1", "1"]], "")),
+    ([[["1/2", "1/3"], ["1/3", 0]]], (True, [["0", "1"]], "")),
+    ([[["1/2", "-1/3"], ["-1/3", "-1/6"]]], (True, None, "a real null line exists but its coordinates are"
+                                                      " irrational (discriminant 7/36 is not a rational square)")),
+    ([[[2, 1], [1, 3]]], (False, None, "the first nonzero form is definite (negative discriminant)")),
+    ([[[1, 0], [0, -2]], [[-3, 0], [0, 6]]], (True, None, "a real null line exists but its coordinates are"
+                                                      " irrational (discriminant 2 is not a rational square)")),
+    ([[[1, 0], [0, -2]], [[1, 0], [0, 0]]], (False, None, "every null line of the first form fails another cup matrix")),
+    ([[[0, 1], [1, 0]], [[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+     (False, None, "every null line of the first form fails another cup matrix")),
+]
+
+
+@pytest.mark.parametrize("mats, expected", B2_TWO)
+def test_each_b2_2_branch_keeps_its_answer(mats, expected):
+    cup = CupForm.create(2, [[[Fraction(x) for x in row] for row in m] for m in mats])
+    result = null_hyperplane_search(cup)
+    witness = result.hyperplane and [[str(x) for x in v] for v in result.hyperplane.vectors]
+    assert (result.found, witness, result.note) == expected
+    assert result.completeness == "exact"
+    if witness:
+        assert_null_witness(cup, result)
 
 
 def test_witness_limit_refuses_before_any_normal_is_built(monkeypatch):
@@ -588,9 +682,60 @@ def test_witness_limit_refuses_before_any_normal_is_built(monkeypatch):
     found = null_hyperplane_search(CupForm.create(4, []))
     assert found.found and found.note == "normal (0, 0, 0, 1)"
     monkeypatch.setattr(obstructions, "MAX_WITNESS_ENTRIES", 11)
-    monkeypatch.setattr(obstructions, "_primitive_normals", None)
     with pytest.raises(ValueError, match="b2 = 4 could build a witness of 12 entries, past the limit of 11"):
         null_hyperplane_search(CupForm.create(4, []))
     # a matrix of rank >= 3 builds no witness, so the limit does not apply
     definite = CupForm.create(4, [[[int(i == j) for j in range(4)] for i in range(4)]])
     assert null_hyperplane_search(definite).completeness == "bounded-search"
+
+
+def unbounded_walk_les(problem, cap):
+    """The solver's walk before it bounded a fresh unknown by the next known
+    term: every value in [incoming, cap], sorted as solve_les sorts."""
+    terms, m = problem.terms, len(problem.terms)
+    forced = frozenset(problem.forced_zero_ranks)
+    out, assign = [], {}
+
+    def walk(i, incoming, ranks):
+        while i < m and (terms[i].is_known or terms[i].label in assign):
+            t = terms[i]
+            incoming = (t.dim if t.is_known else assign[t.label]) - incoming
+            if incoming < 0 or (incoming and i in forced):
+                return
+            ranks.append(incoming)
+            i += 1
+        if i == m:
+            if incoming == 0:
+                out.append((dict(assign), tuple(ranks[:-1])))
+            return
+        label = terms[i].label
+        for v in range(incoming, (min(cap, incoming) if i in forced else cap) + 1):
+            assign[label] = v
+            walk(i + 1, v - incoming, ranks + [v - incoming])
+        assign.pop(label, None)
+
+    walk(0, 0, [])
+    return sorted(out, key=lambda s: tuple(s[0][name] for name in problem.labels()))
+
+
+def test_bounded_walk_matches_the_unbounded_walk_on_random_problems():
+    rng = random.Random(3652)
+    found = 0
+    for _ in range(1500):
+        m = rng.randint(1, 10)
+        terms = tuple(
+            Term.known(rng.randint(0, 4)) if rng.random() < 0.5 else Term.unknown(rng.choice("ABCD"))
+            for _ in range(m)
+        )
+        forced = tuple(i for i in range(m - 1) if rng.random() < 0.2)
+        problem, cap = LesProblem(terms, forced_zero_ranks=forced), rng.randint(0, 9)
+        sols = solve_les(problem, cap=cap)
+        assert [(s.assignments, s.map_ranks) for s in sols] == unbounded_walk_les(problem, cap), problem.render()
+        found += bool(sols)
+    assert found >= 500
+    # Gysin and Wang problems from the command line's assemblers, open totals
+    for cap in range(0, 7):
+        for problem in (gysin_assemble(l=2, basic_dims=[1, 1, 1]), gysin_assemble(l=3, basic_dims=[1, 2, 1]),
+                        wang_check(2, True, True, [1, 0, 1]).problem, wang_check(3, True, True, [1, 0, 0, 1]).problem):
+            sols = solve_les(problem, cap=cap)
+            assert [(s.assignments, s.map_ranks) for s in sols] == unbounded_walk_les(problem, cap)
