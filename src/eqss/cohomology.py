@@ -94,10 +94,6 @@ class CohomologyResult(FrozenRecord):
         return got
 
     @property
-    def coboundaries(self) -> tuple[SubspaceBasis, ...]:
-        return tuple(self.coboundary(k) for k in range(self.complex.top + 1))
-
-    @property
     def representatives(self) -> tuple[tuple[Vector, ...], ...]:
         return tuple(c.vectors for c in self.classes)
 

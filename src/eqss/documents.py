@@ -190,9 +190,6 @@ class InputDocument(FrozenRecord):
     def complex_entry(self, name: str) -> ComplexEntry:
         return self._lookup(self.complexes, "complex", name)
 
-    def action(self, name: str) -> ActionEntry:
-        return self._lookup(self.actions, "action", name)
-
 
 _SECTIONS = ("lie_algebras", "subalgebras", "automorphisms", "complexes", "actions")
 

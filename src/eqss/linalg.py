@@ -18,7 +18,8 @@ coordinates over a basis are combined back into vectors the same way.
 A product, reduction or coordinate matrix with an empty operand or a zero
 basis is answered at once, so degrees of dimension zero cost nothing.
 `GradedComplex` holds every complex the engine builds (Chevalley-Eilenberg,
-relative, fixed, product and twisted).
+relative, fixed, product and twisted).  `RationalMatrix` and `SubspaceBasis`
+spell out `_key` (records.py); no engine path hashes or compares a complex.
 
 One elimination serves the whole engine: `insert` adds a sparse vector to an
 echelon basis keyed by pivot.  The vector is cleared of denominators and
@@ -193,22 +194,15 @@ class RationalMatrix(FrozenRecord):
             return RationalMatrix.zeros(self.nrows, other.ncols)
         return RationalMatrix.from_entries(self.nrows, (acc.items() for acc in _product_columns(self, other)))
 
-    def add(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._plus(other, False)
-
     def sub(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._plus(other, True)
-
-    def _plus(self, other: "RationalMatrix", negate: bool) -> "RationalMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         out = []
         for a, b in zip(self.entries, other.entries):
             acc = dict(a)
             for i, x in b:
-                if negate:
-                    x = -x  # keeps the type; -1 * x would take Fraction's mixed-type path
-                acc[i] = acc[i] + x if i in acc else x
+                # -x keeps the type; -1 * x would take Fraction's mixed-type path
+                acc[i] = acc[i] - x if i in acc else -x
             out.append(acc.items())
         return RationalMatrix.from_entries(self.nrows, out)
 
@@ -344,9 +338,6 @@ class GradedComplex(FrozenRecord):
     def __init__(self, dims: tuple[int, ...], differentials: tuple[RationalMatrix, ...]) -> None:
         set_field(self, "dims", dims)
         set_field(self, "differentials", differentials)
-
-    def _key(self) -> tuple:
-        return (self.dims, self.differentials)
 
     @classmethod
     def create(cls, dims: Sequence[int], differentials: Sequence[RationalMatrix], *,

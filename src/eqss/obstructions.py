@@ -234,7 +234,7 @@ class Verdict(FrozenRecord):
 
     def __init__(self, excluded: bool, verdict: str, reason: str, citation: str = "",
                  completeness: str = "", problem: LesProblem | None = None,
-                 witness: object | None = None) -> None:
+                 witness: SubspaceBasis | None = None) -> None:
         set_fields(self, excluded=excluded, verdict=verdict, reason=reason, citation=citation,
                    completeness=completeness, problem=problem, witness=witness)
 
@@ -251,12 +251,7 @@ class Verdict(FrozenRecord):
         if self.problem is not None:
             out["problem"] = self.problem.as_dict()
         if self.witness is not None:
-            from .linalg import SubspaceBasis
-
-            if isinstance(self.witness, SubspaceBasis):
-                out["witness"] = [[str(a) for a in v] for v in self.witness.vectors]
-            else:
-                out["witness"] = self.witness
+            out["witness"] = [[str(a) for a in v] for v in self.witness.vectors]
         return out
 
 

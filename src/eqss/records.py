@@ -6,8 +6,8 @@ repr names them: the slots, base classes first, less those starting with an
 underscore (caches), unless the class lists `_fields` itself.  It hashes by
 its fields and refuses assignment and deletion, so its `__init__` assigns
 through `set_fields` or, in the hot records of `linalg` and `liealg`, one
-`set_field` per field; those also spell out `_key`, the field tuple,
-instead of a loop.
+`set_field` per field; `RationalMatrix`, `SubspaceBasis` and `LieAlgebra`
+also spell out `_key`, the field tuple, as engine paths hash them.
 """
 
 __all__ = ["FrozenRecord", "set_field", "set_fields"]

@@ -37,7 +37,8 @@ isotropy action of h; the two routes build their constraints independently.
 `subspace_sum` and `complement_in` (a basis of a space modulo a subspace)
 were `linalg`'s, until `spectral.pages_inductive` presented each page by one
 echelon pass; only tests call them.  `contains_subspace` was
-`SubspaceBasis.contains_subspace`; only tests call it.
+`SubspaceBasis.contains_subspace`; only tests call it.  `matrix_sum` is
+`RationalMatrix.add`, spelled as a - (0 - b); no engine path adds matrices.
 
 `restricted_kernel` is the kernel the engine took before
 `linalg.kernel_and_image`: one elimination of the rows with the columns
@@ -275,6 +276,10 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
 def apply(m: RationalMatrix, v: Sequence) -> Vector:
     """m v as a dense vector: the one column of m times the one-column matrix of v."""
     return m.mul(RationalMatrix.from_columns([v], m.ncols)).column(0)
+
+
+def matrix_sum(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    return a.sub(RationalMatrix.zeros(*b.shape).sub(b))
 
 
 def solve(m: RationalMatrix, b: Sequence) -> Vector | None:

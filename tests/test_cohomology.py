@@ -256,10 +256,10 @@ def test_cup_product_rejects_negative_degrees():
 def test_cup_product_representative_independence():
     g = u_algebra(2)
     res = lie_cohomology(g)
-    assert res.coboundaries[3].dim == 3
+    assert res.coboundary(3).dim == 3
     u = res.representatives[1][0]
     w = res.representatives[3][0]
-    shifted = tuple(a + b for a, b in zip(w, res.coboundaries[3].vectors[0]))
+    shifted = tuple(a + b for a, b in zip(w, res.coboundary(3).vectors[0]))
     prod = dense_wedge(ExteriorForm(4, 1, u), ExteriorForm(4, 3, w))
     prod_shifted = dense_wedge(ExteriorForm(4, 1, u), ExteriorForm(4, 3, shifted))
     assert express(res, 4, prod.coeffs) == express(res, 4, prod_shifted.coeffs)
@@ -322,7 +322,7 @@ def test_restricted_kernel_classes_match_the_cocycle_complement():
         res = cohomology(cx)
         for k, (z, b, reps) in enumerate(complement_cohomology(cx)):
             assert res.representatives[k] == reps.vectors
-            assert res.coboundaries[k] == b
+            assert res.coboundary(k) == b
             for _ in range(3):
                 cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in z.vectors]
                 v = apply(z.matrix, cs)

@@ -230,7 +230,7 @@ def test_lookup_errors_name_the_available_entries():
 
 def test_shipped_action_rebuilds_the_twisted_model():
     doc = parse_document(builtin_text("models"))
-    act = doc.action("antipodal_deck")
+    act = doc.actions["antipodal_deck"]
     fc = doc.complex_entry(act.complex_name).filtered()
     deck = DeckAction.create(fc, [act.maps])
     rebuilt, _ = invariant_filtered_complex(fc, deck)

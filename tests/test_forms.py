@@ -38,6 +38,7 @@ from form_oracles import (
     dense_wedge,
     form_from_terms,
     induced_on_forms,
+    matrix_sum,
     multi_indices,
     slot_differentials,
     sort_sign,
@@ -466,7 +467,7 @@ def cayley_so3(rng):
         s = RationalMatrix.from_rows([[0, a, b], [-a, 0, c], [-b, -c, 0]])
         eye = RationalMatrix.identity(3)
         try:
-            return eye.sub(s).inverse().mul(eye.add(s))
+            return eye.sub(s).inverse().mul(matrix_sum(eye, s))
         except ValueError:
             continue
 

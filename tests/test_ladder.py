@@ -2,7 +2,8 @@
 size of the ladder process that asks for it, the pairs rung's documents
 are the homogeneous spaces they name, the cup rung's forms have the ranks
 and null hyperplanes they name, and the two bytecode modes run the given
-tree with its bytecode cached or compiled from source."""
+tree with its bytecode cached or compiled from source, a cached run leaving
+the tree's `__pycache__` directories as it found them."""
 
 import hashlib
 import json
@@ -89,21 +90,26 @@ def test_bytecode_modes_cache_or_compile_the_tree_and_keep_stdout(tmp_path):
     argv = next(a for a in ladder.readme_commands(ROOT / "README.md") if a[:2] == ["obstruct", "s3-4m"])
     where = ["-c", "import eqss; print(eqss.__file__)"]
     modules = {path.stem for path in (src / "eqss").glob("*.py")}
+    kept = src / "kept" / "__pycache__"  # a cache that was there before the run
+    kept.mkdir(parents=True)
+    (kept / "x.pyc").write_bytes(b"")
     rows = {}
     for mode in ("cached", "compiled"):
-        env = ladder.prepare_bytecode(src, mode, ladder.child_env(src))
-        caches = sorted(src.rglob("*.pyc"))
-        launcher = ladder.start_launcher(env)
-        try:
-            rows[mode] = [ladder.run_python(launcher, args)[:2] for args in (*ladder.FLOORS, where)]
-            rows[mode].append(ladder.run_once(launcher, argv)[:2])
-        finally:
-            launcher.stdin.close()
-            launcher.wait()
-        assert sorted(src.rglob("*.pyc")) == caches  # no child wrote bytecode
+        before = set(src.rglob("__pycache__"))
+        with ladder.prepare_bytecode(src, mode, ladder.child_env(src)) as env:
+            caches = sorted(src.rglob("*.pyc"))
+            launcher = ladder.start_launcher(env)
+            try:
+                rows[mode] = [ladder.run_python(launcher, args)[:2] for args in (*ladder.FLOORS, where)]
+                rows[mode].append(ladder.run_once(launcher, argv)[:2])
+            finally:
+                launcher.stdin.close()
+                launcher.wait()
+            assert sorted(src.rglob("*.pyc")) == caches  # no child wrote bytecode
         if mode == "cached":
             assert "PYTHONDONTWRITEBYTECODE" not in env
-            assert {path.name.split(".")[0] for path in caches} == modules
+            assert {path.name.split(".")[0] for path in caches} == modules | {"x"}
+            assert set(src.rglob("__pycache__")) == before == {kept} and (kept / "x.pyc").exists()
         else:
             assert env["PYTHONDONTWRITEBYTECODE"] == "1"
             assert caches == [] and not any(src.rglob("__pycache__"))

@@ -24,6 +24,7 @@ from form_oracles import (
     apply,
     bracket,
     contains_subspace,
+    matrix_sum,
     normalizer,
     so_algebra_by_hand,
     sparse_brackets,
@@ -378,7 +379,7 @@ def exp_ad(g, x):
     ad = RationalMatrix.from_columns([bracket(g, x, unit(g.dim, j)) for j in range(g.dim)])
     n = g.dim
     half = RationalMatrix.from_rows([[Fraction(1, 2) if i == j else 0 for j in range(n)] for i in range(n)])
-    return RationalMatrix.identity(g.dim).add(ad).add(half.mul(ad.mul(ad)))
+    return matrix_sum(matrix_sum(RationalMatrix.identity(g.dim), ad), half.mul(ad.mul(ad)))
 
 
 def transported_with(rng, g, auts):
@@ -424,7 +425,7 @@ def test_is_automorphism_matches_the_dense_definition_randomized():
                                               for b in range(n)] for a in range(n)])
             cols = m.columns()
             cols[j] = cols[i] if i != j else [0] * n
-            for bad in (m.add(bump), m.add(m), RationalMatrix.from_columns(cols), bump):
+            for bad in (matrix_sum(m, bump), matrix_sum(m, m), RationalMatrix.from_columns(cols), bump):
                 got = is_automorphism(g2, bad)
                 assert got == dense_is_automorphism(g2, bad)
                 rejected += not got

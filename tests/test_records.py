@@ -111,7 +111,7 @@ def cases():
         (Verdict, dict(excluded=True, verdict="v", reason="r", citation="", completeness="", problem=None,
                        witness=None),
          dict(excluded=False, verdict="w", reason="s", citation="c", completeness="exact", problem=problem,
-              witness=1), {}),
+              witness=full), {}),
         (CupForm, dict(b2=2, b4=1, matrices=(one,)), dict(b2=1, b4=0, matrices=()), {}),
         (NullSearchResult, dict(found=True, hyperplane=full, completeness="exact", note=""),
          dict(found=False, hyperplane=None, completeness="bounded-search", note="n"), {}),

@@ -400,7 +400,7 @@ def deck_cases():
         for aut in (so_pair_reflection(l), LieAutomorphism.create(g, RationalMatrix.identity(g.dim))):
             out.append(double_cover_twist(g, h, aut))
     doc = parse_document(builtin_text("models"))
-    act = doc.action("antipodal_deck")
+    act = doc.actions["antipodal_deck"]
     out.append((doc.complex_entry(act.complex_name).filtered(), act.maps))
     return out
 

@@ -30,7 +30,9 @@ interpreter with `site`) and `python -S -c pass` (without it).  With
 `--bytecode compiled` (the default) every `__pycache__` under DIR is
 removed first and the children run with PYTHONDONTWRITEBYTECODE=1, so each
 compiles the eqss modules it imports from source; with `--bytecode cached`
-compileall writes DIR's bytecode first.  The standard library reads its
+compileall writes DIR's bytecode first, and the `__pycache__` directories it
+made are removed when the ladder ends, so a later run from DIR (a perfbench
+pair, say) finds its bytecode as it was.  The standard library reads its
 installed bytecode in both modes.  The runs go round-robin over the
 commands, so drift in machine load touches every command alike.  With
 --base, every run of a command is also made with the eqss package under
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import contextlib
 import hashlib
 import json
 import os
@@ -65,6 +68,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -229,21 +233,28 @@ def child_env(src: Path) -> dict:
     return env
 
 
-def prepare_bytecode(src: Path, bytecode: str, env: dict) -> dict:
-    """env for children that run the package under src with its bytecode
-    "cached" (compileall writes it now) or "compiled" from source (every
-    __pycache__ under src removed, and PYTHONDONTWRITEBYTECODE=1 so that
-    no child writes one)."""
+@contextlib.contextmanager
+def prepare_bytecode(src: Path, bytecode: str, env: dict) -> Iterator[dict]:
+    """Yields env for children that run the package under src with its
+    bytecode "cached" (compileall writes it now) or "compiled" from source
+    (every __pycache__ under src removed, and PYTHONDONTWRITEBYTECODE=1 so
+    that no child writes one).  On exit every __pycache__ under src that
+    was not there before is removed."""
+    before = set(src.rglob("__pycache__"))
     env = dict(env)
-    if bytecode == "cached":
-        if not compileall.compile_dir(str(src), quiet=1):
-            raise RuntimeError(f"compileall failed under {src}")
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
-    else:
-        for cache in list(src.rglob("__pycache__")):
+    try:
+        if bytecode == "cached":
+            if not compileall.compile_dir(str(src), quiet=1):
+                raise RuntimeError(f"compileall failed under {src}")
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
+        else:
+            for cache in list(src.rglob("__pycache__")):
+                shutil.rmtree(cache)
+            env["PYTHONDONTWRITEBYTECODE"] = "1"
+        yield env
+    finally:
+        for cache in set(src.rglob("__pycache__")) - before:
             shutil.rmtree(cache)
-        env["PYTHONDONTWRITEBYTECODE"] = "1"
-    return env
 
 
 def start_launcher(env: dict) -> subprocess.Popen:
@@ -290,9 +301,9 @@ def main() -> int:
 
     if args.bytecode == "compiled":  # this process imports eqss too, for the lie and pairs documents
         sys.dont_write_bytecode = True
-    envs = [prepare_bytecode(src, args.bytecode, child_env(src)) for _, src in trees]
-    launchers = [start_launcher(env) for env in envs]
-    with tempfile.TemporaryDirectory() as tmp:
+    with contextlib.ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
+        envs = [stack.enter_context(prepare_bytecode(src, args.bytecode, child_env(src))) for _, src in trees]
+        launchers = [start_launcher(env) for env in envs]
         if args.rung != "readme":
             cwd, commands = Path(tmp), write_documents(Path(tmp), args.rung)
         else:
@@ -305,9 +316,9 @@ def main() -> int:
             for i, (python_args, _) in enumerate(cases):
                 for t in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
                     runs[t, i].append(run_python(launchers[t], python_args, cwd))
-    for launcher in launchers:
-        launcher.stdin.close()
-        launcher.wait()
+        for launcher in launchers:
+            launcher.stdin.close()
+            launcher.wait()
 
     for t, (label, _) in enumerate(trees):
         print(label)
