@@ -33,7 +33,6 @@ __all__ = [
     "LieAlgebra",
     "LieAutomorphism",
     "Subalgebra",
-    "abelian",
     "bracket_terms",
     "coordinate_subalgebra",
     "is_automorphism",
@@ -209,12 +208,6 @@ def su2() -> LieAlgebra:
     )
 
 
-def abelian(n: int, name: str | None = None) -> LieAlgebra:
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
-    return LieAlgebra.from_brackets(name or f"abelian{n}", n, {})
-
-
 def so_pairs(n: int) -> list[tuple[int, int]]:
     """Lexicographic (i, j) index pairs labelling the A_ij basis of so(n)."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -264,8 +257,6 @@ def so_algebra(n: int, name: str | None = None) -> LieAlgebra:
     For n = 3 this differs from the cross-product basis by signs; use su2()
     (or the shipped so3 alias) when the cross-product convention is wanted.
     """
-    if n < 2:
-        return abelian(0, name or f"so{n}")
     return _matrix_algebra(name or f"so{n}", [{(i, j): 1, (j, i): -1} for i, j in so_pairs(n)])
 
 

@@ -6,11 +6,14 @@ is exact iff there are nonnegative arrow ranks with
 
     dim T_i = rank(arrow into T_i) + rank(arrow out of T_i).
 
-Unknown dimensions are enumerated under a cap; an empty solution set means
-the hypothesized dimensions are incompatible with the sequence, which is
-the exclusion mechanism.  The Gysin and Wang assemblers produce such
-problems from basic-cohomology data, and the remaining checkers wrap the
-dimension-count theorems for SU(2)-type actions on 4- and 5-manifolds.
+A term T_i is an int >= 0, its known dimension, or a nonempty str, the
+label of an unknown one; `LesProblem` admits nothing else.  Unknown
+dimensions are enumerated under a cap, and at most MAX_SOLUTIONS solutions
+are listed; an empty solution set means the hypothesized dimensions are
+incompatible with the sequence, which is the exclusion mechanism.  The
+Gysin and Wang assemblers produce such problems from basic-cohomology
+data, and the remaining checkers wrap the dimension-count theorems for
+SU(2)-type actions on 4- and 5-manifolds.
 
 Verdicts never assert that an action exists; they are either "excluded"
 or "not excluded by this criterion".
@@ -38,7 +41,6 @@ __all__ = [
     "LesProblem",
     "LesSolution",
     "NullSearchResult",
-    "Term",
     "Verdict",
     "gysin_assemble",
     "null_hyperplane_search",
@@ -51,40 +53,13 @@ __all__ = [
 
 DEFAULT_DIM_CAP = 50
 MAX_UNKNOWNS = 12
+# The most solutions listed: gysin --l 1 --basic 9,9,9,9,9,9 has 10,000, printed in 0.6 s and 1.2 MB.
+MAX_SOLUTIONS = 10_000
 # The most entries of the dense (b2 - 1) x b2 witness a search may build: b2 =
 # 2,000 takes 0.7 s and 322 MB (2.0 s and 655 MB with --json), b2 = 5,000 1.9 GB.
 MAX_WITNESS_ENTRIES = 4_000_000
 
 NOT_EXCLUDED = "not excluded by this criterion"
-
-
-class Term(FrozenRecord):
-    """One entry of an exact sequence: a known dimension or a labeled unknown."""
-
-    __slots__ = ("dim", "label")
-
-    def __init__(self, dim: int | None = None, label: str | None = None) -> None:
-        set_fields(self, dim=dim, label=label)
-
-    @classmethod
-    def known(cls, dim: int) -> "Term":
-        dim = int(dim)
-        if dim < 0:
-            raise ValueError("dimensions must be nonnegative")
-        return cls(dim=dim)
-
-    @classmethod
-    def unknown(cls, label: str) -> "Term":
-        if not label:
-            raise ValueError("unknown terms need a nonempty label")
-        return cls(label=str(label))
-
-    @property
-    def is_known(self) -> bool:
-        return self.label is None
-
-    def render(self) -> str:
-        return str(self.dim) if self.is_known else f"?{self.label}"
 
 
 class LesProblem(FrozenRecord):
@@ -97,10 +72,13 @@ class LesProblem(FrozenRecord):
 
     __slots__ = ("terms", "period", "degree_range", "forced_zero_ranks", "description")
 
-    def __init__(self, terms: tuple[Term, ...], period: int = 1, degree_range: tuple[int, int] = (0, 0),
+    def __init__(self, terms: tuple[int | str, ...], period: int = 1, degree_range: tuple[int, int] = (0, 0),
                  forced_zero_ranks: tuple[int, ...] = (), description: str = "") -> None:
         if not terms:
             raise ValueError("an exact-sequence problem needs at least one term")
+        for t in terms:
+            if not (type(t) is int and t >= 0 or type(t) is str and t):
+                raise ValueError(f"a sequence term is a dimension >= 0 or a nonempty label, got {t!r}")
         for i in forced_zero_ranks:
             if not 0 <= i < len(terms) - 1:
                 raise ValueError(f"forced arrow index {i} out of range")
@@ -110,16 +88,14 @@ class LesProblem(FrozenRecord):
                    forced_zero_ranks=forced_zero_ranks, description=description)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(sorted({t.label for t in self.terms if t.label is not None}))
+        return tuple(sorted({t for t in self.terms if type(t) is str}))
 
     def render(self) -> str:
-        return "0 -> " + " -> ".join(t.render() for t in self.terms) + " -> 0"
+        return "0 -> " + " -> ".join(str(t) if type(t) is int else f"?{t}" for t in self.terms) + " -> 0"
 
     def as_dict(self) -> dict:
         return {
-            "terms": [
-                {"dim": t.dim} if t.is_known else {"label": t.label} for t in self.terms
-            ],
+            "terms": [{"dim": t} if type(t) is int else {"label": t} for t in self.terms],
             "period": self.period,
             "degree_range": list(self.degree_range),
             "forced_zero_ranks": list(self.forced_zero_ranks),
@@ -149,7 +125,8 @@ def solve_les(problem: LesProblem, cap: int = DEFAULT_DIM_CAP) -> list[LesSoluti
     one, so a solution is determined by its label assignment, and a fresh
     unknown takes only the values whose rank out fits the next term when
     that is known; solutions come back sorted lexicographically in the
-    sorted label order.
+    sorted label order.  More than MAX_SOLUTIONS solutions raise ValueError
+    when the next one is found, before any is sorted or verified.
     """
     labels = problem.labels()
     _check_unknowns(len(labels))
@@ -164,22 +141,24 @@ def solve_les(problem: LesProblem, cap: int = DEFAULT_DIM_CAP) -> list[LesSoluti
     def walk(i: int, incoming: int, ranks: list[int]) -> None:
         # a known or assigned term forces the rank out of it, so only a
         # fresh unknown branches: the recursion is at most one level per label
-        while i < m and (terms[i].is_known or terms[i].label in assign):
+        while i < m and (type(terms[i]) is int or terms[i] in assign):
             t = terms[i]
-            incoming = (t.dim if t.is_known else assign[t.label]) - incoming
+            incoming = (t if type(t) is int else assign[t]) - incoming
             if incoming < 0 or (incoming and i in forced):
                 return
             ranks.append(incoming)
             i += 1
         if i == m:
             if incoming == 0:
+                if len(solutions) == MAX_SOLUTIONS:
+                    raise ValueError(f"solver bound exceeded: more than {MAX_SOLUTIONS} solutions")
                 solutions.append(LesSolution(dict(assign), tuple(ranks[:-1])))
             return
-        label, top = terms[i].label, cap
+        label, top = terms[i], cap
         if i in forced or i == m - 1:  # no rank out
             top = min(cap, incoming)
-        elif terms[i + 1].is_known:  # the rank out is at most the next dimension
-            top = min(cap, incoming + terms[i + 1].dim)
+        elif type(terms[i + 1]) is int:  # the rank out is at most the next dimension
+            top = min(cap, incoming + terms[i + 1])
         for v in range(incoming, top + 1):
             assign[label] = v
             walk(i + 1, v - incoming, ranks + [v - incoming])
@@ -204,14 +183,9 @@ def verify_exactness(problem: LesProblem, solution: LesSolution) -> bool:
     m = len(terms)
     if len(solution.map_ranks) != m - 1:
         return False
-    dims = []
-    for t in terms:
-        if t.is_known:
-            dims.append(t.dim)
-        elif t.label in solution.assignments:
-            dims.append(solution.assignments[t.label])
-        else:
-            return False
+    dims = [t if type(t) is int else solution.assignments.get(t) for t in terms]
+    if None in dims:
+        return False
     ranks = solution.map_ranks
     for i in problem.forced_zero_ranks:
         if ranks[i] != 0:
@@ -281,7 +255,7 @@ def _two_row_gap(g: LieAlgebra, h: Subalgebra | None) -> int:
     return nonzero[1]
 
 
-def _total_terms(total_dims: Sequence[int] | None, n: int) -> Callable[[int], Term]:
+def _total_terms(total_dims: Sequence[int] | None, n: int) -> Callable[[int], int | str]:
     """H^k(M) as a sequence term: the given total dims, which must cover
     degrees 0..n, else the unknowns M0..Mn; zero outside 0..n."""
     total = None
@@ -294,15 +268,15 @@ def _total_terms(total_dims: Sequence[int] | None, n: int) -> Callable[[int], Te
                 f"total dims must cover degrees 0..{n}, got {len(total)} entries"
             )
 
-    def m_term(k: int) -> Term:
+    def m_term(k: int) -> int | str:
         if not 0 <= k <= n:
-            return Term.known(0)
-        return Term.known(total[k]) if total is not None else Term.unknown(f"M{k}")
+            return 0
+        return total[k] if total is not None else f"M{k}"
 
     return m_term
 
 
-def _sequence(n: int, m_term: Callable[[int], Term], x: Callable[[int], Term], y: Callable[[int], Term],
+def _sequence(n: int, m_term: Callable[[int], int | str], x: Callable[[int], int], y: Callable[[int], int],
               description: str, forced: Sequence[int] = ()) -> LesProblem:
     """The period-3 sequence m_term(k), x(k), y(k) for k = -1..n.
 
@@ -354,8 +328,8 @@ def gysin_assemble(
     n = bt + l
     m_term = _total_terms(total_dims, n)
 
-    def b_term(j: int) -> Term:
-        return Term.known(basic[j] if 0 <= j <= bt else 0)
+    def b_term(j: int) -> int:
+        return basic[j] if 0 <= j <= bt else 0
 
     return _sequence(n, m_term, lambda k: b_term(k - l), lambda k: b_term(k + 1),
                      f"Gysin sequence, gap {l}", forced=(1,) if split else ())
@@ -417,8 +391,8 @@ def wang_check(
     n = codim + s
     m_term = _total_terms(total_dims, n)
 
-    def g_term(j: int) -> Term:
-        return Term.known(gh[j] if 0 <= j <= s else 0)
+    def g_term(j: int) -> int:
+        return gh[j] if 0 <= j <= s else 0
 
     problem = _sequence(n, m_term, g_term, lambda k: g_term(k - gap),
                         f"Wang sequence, codimension {codim}")

@@ -64,7 +64,6 @@ __all__ = [
     "FilteredComplexError",
     "MAX_PAGES",
     "Page",
-    "PageEntry",
     "PageTable",
     "ProductComplex",
     "SpectralAuditError",
@@ -148,28 +147,22 @@ class FilteredComplex(FrozenRecord):
         return SubspaceBasis.coordinate(self.complex.dim(n), self.level_indices(n, p))
 
 
-class PageEntry(FrozenRecord):
-    __slots__ = ("p", "q", "dim")
-
-    def __init__(self, p: int, q: int, dim: int) -> None:
-        set_fields(self, p=p, q=q, dim=dim)
-
-
 class Page(FrozenRecord):
+    """E_r: its nonzero dims as (p, q, dim) triples, sorted by p, then p + q."""
+
     __slots__ = ("r", "entries")
 
-    def __init__(self, r: int, entries: tuple[PageEntry, ...]) -> None:
+    def __init__(self, r: int, entries: tuple[tuple[int, int, int], ...]) -> None:
         set_fields(self, r=r, entries=entries)
 
     def dims(self) -> dict[tuple[int, int], int]:
-        return {(e.p, e.q): e.dim for e in self.entries}
+        return {(p, q): dim for p, q, dim in self.entries}
 
     def total_dims(self, top: int) -> tuple[int, ...]:
         sums = [0] * (top + 1)
-        for e in self.entries:
-            n = e.p + e.q
-            if 0 <= n <= top:
-                sums[n] += e.dim
+        for p, q, dim in self.entries:
+            if 0 <= p + q <= top:
+                sums[p + q] += dim
         return tuple(sums)
 
 
@@ -216,7 +209,7 @@ def _page_from_pairs(fc: FilteredComplex, pairs: list[tuple[int, int, int]], r: 
         if b - a < r:
             dims[(a, n)] -= 1
             dims[(b, n + 1)] -= 1
-    return Page(r, tuple(PageEntry(p, n - p, dim) for (p, n), dim in sorted(dims.items()) if dim))
+    return Page(r, tuple((p, n - p, dim) for (p, n), dim in sorted(dims.items()) if dim))
 
 
 def _total_cohomology(cx: GradedComplex) -> tuple[int, ...]:

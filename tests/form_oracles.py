@@ -39,6 +39,8 @@ were `linalg`'s, until `spectral.pages_inductive` presented each page by one
 echelon pass; only tests call them.  `contains_subspace` was
 `SubspaceBasis.contains_subspace`; only tests call it.  `matrix_sum` is
 `RationalMatrix.add`, spelled as a - (0 - b); no engine path adds matrices.
+`abelian`, the abelian Lie algebra of dimension n, was `liealg.abelian`; only
+tests build one.
 
 `restricted_kernel` is the kernel the engine took before
 `linalg.kernel_and_image`: one elimination of the rows with the columns
@@ -98,7 +100,7 @@ from eqss.forms import (
     ce_complex,
     pull_back,
 )
-from eqss.liealg import LieAlgebra, LieAutomorphism, Subalgebra, abelian, bracket_terms, so_pairs
+from eqss.liealg import LieAlgebra, LieAutomorphism, Subalgebra, bracket_terms, so_pairs
 from eqss.linalg import (
     Rational,
     RationalMatrix,
@@ -280,6 +282,12 @@ def apply(m: RationalMatrix, v: Sequence) -> Vector:
 
 def matrix_sum(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return a.sub(RationalMatrix.zeros(*b.shape).sub(b))
+
+
+def abelian(n: int, name: str | None = None) -> LieAlgebra:
+    if n < 0:
+        raise ValueError("dimension must be nonnegative")
+    return LieAlgebra.from_brackets(name or f"abelian{n}", n, {})
 
 
 def solve(m: RationalMatrix, b: Sequence) -> Vector | None:

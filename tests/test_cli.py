@@ -760,6 +760,20 @@ def test_exit_3_on_an_open_gysin_problem_past_the_unknown_limit(capsys):
     assert "total dims must cover degrees 0..1000000001, got 2 entries" in err
 
 
+def test_exit_3_on_a_gysin_problem_past_the_solution_limit():
+    # 6^7 and 10^9 solutions: 34 s and 46 MB of stdout, and a run that did not end
+    # in a minute; the walk stops at the 10,001st, before anything is printed
+    for basic in ("5,5,5,5,5,5,5,5,5", "9,9,9,9,9,9,9,9,9,9,9"):
+        for extra in ([], ["--json"]):
+            proc = start_fresh(["obstruct", "gysin", "--l", "1", "--basic", basic, *extra])
+            try:
+                out, err = proc.communicate(timeout=10)
+            finally:
+                proc.kill()
+            assert (proc.returncode, out) == (3, b""), basic
+            assert err == b"validation error: solver bound exceeded: more than 10000 solutions\n"
+
+
 def test_exit_3_on_an_open_wang_problem_past_the_unknown_limit(monkeypatch, capsys):
     from eqss import obstructions
 

@@ -17,7 +17,6 @@ from eqss.cohomology import (
 from eqss.forms import ce_complex
 from eqss.liealg import (
     LieAutomorphism,
-    abelian,
     coordinate_subalgebra,
     so_algebra,
     su2,
@@ -31,7 +30,7 @@ from eqss.linalg import (
     image_basis,
 )
 from eqss.spectral import DeckAction, FilteredComplex, invariant_filtered_complex
-from form_oracles import ExteriorForm, apply, complement_in, dense_wedge, restricted_kernel, solve
+from form_oracles import ExteriorForm, abelian, apply, complement_in, dense_wedge, restricted_kernel, solve
 from randgen import random_filtered_complex, random_two_step_nilpotent, transported_algebra
 
 

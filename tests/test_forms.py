@@ -17,7 +17,6 @@ from eqss.forms import (
 from eqss.liealg import (
     LieAlgebra,
     LieAutomorphism,
-    abelian,
     coordinate_subalgebra,
     so_algebra,
     su2,
@@ -29,6 +28,7 @@ from form_oracles import (
     ContractionError,
     ExteriorForm,
     _mask,
+    abelian,
     all_degrees_differentials,
     apply,
     basis_form,

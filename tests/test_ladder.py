@@ -1,9 +1,10 @@
 """tools/ladder.py: a README row's max RSS is the command's own, whatever the
 size of the ladder process that asks for it, the pairs rung's documents
 are the homogeneous spaces they name, the cup rung's forms have the ranks
-and null hyperplanes they name, and the two bytecode modes run the given
-tree with its bytecode cached or compiled from source, a cached run leaving
-the tree's `__pycache__` directories as it found them."""
+and null hyperplanes they name, the les rung's sequences have the solution
+counts they name, and the two bytecode modes run the given tree with its
+bytecode cached or compiled from source, a cached run leaving the tree's
+`__pycache__` directories as it found them."""
 
 import hashlib
 import json
@@ -11,7 +12,7 @@ import shutil
 from pathlib import Path
 
 import eqss
-from eqss import cli
+from eqss import cli, obstructions
 from eqss.cohomology import lie_cohomology
 from eqss.documents import parse_cup_document, parse_document
 from eqss.liealg import so_algebra
@@ -82,6 +83,20 @@ def test_cup_rung_forms_have_the_ranks_and_answers_they_name(tmp_path, monkeypat
         verdict = json.loads(out)["results"]["verdict"]
         completeness = "bounded-search" if kind == "definite" else "exact"
         assert (verdict["excluded"], verdict["completeness"]) == (False, completeness), name
+
+
+def test_les_rung_rows_have_6_to_the_k_minus_2_solutions_up_to_the_limit(capsys):
+    # a circle over k basic dims 5, k = 3..9: 6^(k-2) solutions, listed up to
+    # obstructions.MAX_SOLUTIONS (k = 7, 7,776) and refused past it
+    commands = ladder.les_commands()
+    assert commands == [["obstruct", "gysin", "--l", "1", "--basic", ",".join(["5"] * k)] for k in range(3, 10)]
+    for k, argv in zip(range(3, 10), commands):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if 6 ** (k - 2) <= obstructions.MAX_SOLUTIONS:
+            assert code == 0 and f"\nsolutions: {6 ** (k - 2)}\n" in out, k
+        else:
+            assert (code, out) == (3, "") and "more than 10000 solutions" in err, k
 
 
 def test_bytecode_modes_cache_or_compile_the_tree_and_keep_stdout(tmp_path):

@@ -12,7 +12,6 @@ from eqss.liealg import (
     LieAutomorphism,
     Subalgebra,
     _matrix_algebra,
-    abelian,
     coordinate_subalgebra,
     is_automorphism,
     so_algebra,
@@ -21,6 +20,7 @@ from eqss.liealg import (
 )
 
 from form_oracles import (
+    abelian,
     apply,
     bracket,
     contains_subspace,

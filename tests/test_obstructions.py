@@ -21,7 +21,6 @@ from eqss.obstructions import (
     CupForm,
     LesProblem,
     NullSearchResult,
-    Term,
     gysin_assemble,
     null_hyperplane_search,
     s3_check_4manifold,
@@ -39,10 +38,7 @@ from randgen import form_null_on, random_rational, random_symmetric
 
 
 def seq(*entries):
-    terms = []
-    for e in entries:
-        terms.append(Term.unknown(e) if isinstance(e, str) else Term.known(e))
-    return LesProblem(tuple(terms))
+    return LesProblem(tuple(entries))
 
 
 def test_isomorphism_forced():
@@ -82,6 +78,21 @@ def test_solver_label_bound():
         solve_les(prob)
 
 
+def test_solver_lists_at_most_max_solutions(monkeypatch):
+    # 6 basic 9s over a circle: exactly the limit; a 7th 9 has more, refused at the next one found
+    at_limit = gysin_assemble(l=1, basic_dims=[9] * 6)
+    assert len(solve_les(at_limit)) == obstructions.MAX_SOLUTIONS == 10_000
+    monkeypatch.setattr(obstructions, "verify_exactness", lambda problem, solution: False)
+    with pytest.raises(ValueError, match="solver bound exceeded: more than 10000 solutions"):
+        solve_les(gysin_assemble(l=1, basic_dims=[9] * 7))  # refused before any solution is verified
+    monkeypatch.undo()
+    monkeypatch.setattr(obstructions, "MAX_SOLUTIONS", 2)
+    assert len(solve_les(seq("A", 1, 1, "B"))) == 2
+    monkeypatch.setattr(obstructions, "MAX_SOLUTIONS", 1)
+    with pytest.raises(ValueError, match="more than 1 solutions"):
+        solve_les(seq("A", 1, 1, "B"))
+
+
 def test_relabeling_permutes_solutions():
     base = seq("X", 1, 1, "Y")
     renamed = seq("Y", 1, 1, "X")
@@ -118,7 +129,7 @@ def brute_force_les(problem, cap):
         assign = dict(zip(labels, values))
         ranks, incoming = [], 0
         for i, t in enumerate(problem.terms):
-            incoming = (t.dim if t.is_known else assign[t.label]) - incoming
+            incoming = assign.get(t, t) - incoming
             if incoming < 0 or (incoming and i in problem.forced_zero_ranks):
                 break
             ranks.append(incoming)
@@ -134,7 +145,7 @@ def test_solver_matches_brute_force_on_random_problems():
     for _ in range(300):
         m = rng.randint(1, 9)
         terms = tuple(
-            Term.known(rng.randint(0, 3)) if rng.random() < 0.5 else Term.unknown(rng.choice("ABC"))
+            rng.randint(0, 3) if rng.random() < 0.5 else rng.choice("ABC")
             for _ in range(m)
         )
         forced = tuple(i for i in range(m - 1) if rng.random() < 0.25)
@@ -444,7 +455,7 @@ def test_shell_walk_yields_the_cube_filter_sequence():
 
 
 def test_labels_are_sorted_and_distinct_in_linear_time():
-    terms = [Term.unknown(f"x{i % 50000}") for i in range(100000)] + [Term.known(1)]
+    terms = [f"x{i % 50000}" for i in range(100000)] + [1]
     labels = LesProblem(tuple(terms)).labels()
     assert len(labels) == 50000 and list(labels) == sorted(labels)
 
@@ -697,9 +708,9 @@ def unbounded_walk_les(problem, cap):
     out, assign = [], {}
 
     def walk(i, incoming, ranks):
-        while i < m and (terms[i].is_known or terms[i].label in assign):
+        while i < m and (type(terms[i]) is int or terms[i] in assign):
             t = terms[i]
-            incoming = (t.dim if t.is_known else assign[t.label]) - incoming
+            incoming = assign.get(t, t) - incoming
             if incoming < 0 or (incoming and i in forced):
                 return
             ranks.append(incoming)
@@ -708,7 +719,7 @@ def unbounded_walk_les(problem, cap):
             if incoming == 0:
                 out.append((dict(assign), tuple(ranks[:-1])))
             return
-        label = terms[i].label
+        label = terms[i]
         for v in range(incoming, (min(cap, incoming) if i in forced else cap) + 1):
             assign[label] = v
             walk(i + 1, v - incoming, ranks + [v - incoming])
@@ -724,7 +735,7 @@ def test_bounded_walk_matches_the_unbounded_walk_on_random_problems():
     for _ in range(1500):
         m = rng.randint(1, 10)
         terms = tuple(
-            Term.known(rng.randint(0, 4)) if rng.random() < 0.5 else Term.unknown(rng.choice("ABCD"))
+            rng.randint(0, 4) if rng.random() < 0.5 else rng.choice("ABCD")
             for _ in range(m)
         )
         forced = tuple(i for i in range(m - 1) if rng.random() < 0.2)

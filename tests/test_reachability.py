@@ -30,7 +30,6 @@ SOURCES = sorted((ROOT / "src" / "eqss").glob("*.py"))
 # module.qualname -> why no command, corpus build or benchmark job calls it
 ALLOWED = {
     "cli.run": "the console entry point; it runs only in child processes, which the profile cannot see",
-    "liealg.abelian": "a public constructor, which so_algebra(n) calls for n < 2",
     "records.FrozenRecord._key": "== and hash of the records that no command compares or hashes",
     "records.FrozenRecord.__repr__": "the repr protocol",
     "records.FrozenRecord.__setattr__": "refuses assignment to a field",

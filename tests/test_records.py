@@ -10,6 +10,8 @@ deletion; copy and pickle keep every record.
 import copy
 import itertools
 import pickle
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +22,6 @@ from eqss.liealg import (
     LieAlgebra,
     LieAutomorphism,
     Subalgebra,
-    abelian,
     coordinate_subalgebra,
     su2,
 )
@@ -30,7 +31,6 @@ from eqss.obstructions import (
     LesProblem,
     LesSolution,
     NullSearchResult,
-    Term,
     Verdict,
 )
 from eqss.spectral import (
@@ -38,13 +38,13 @@ from eqss.spectral import (
     FilteredComplex,
     FilteredComplexError,
     Page,
-    PageEntry,
     PageTable,
     ProductComplex,
     product_model,
     run_to_stabilization,
 )
 
+from form_oracles import abelian
 from orbit_table import OrbitType
 
 def zero_complex(dims):
@@ -65,7 +65,7 @@ def cases():
     table = run_to_stabilization(fc)
     pc = product_model(circle_base(), g)
     flat = tuple(tuple(0 for _ in ws) for ws in pc.weights)
-    terms = (Term.unknown("A"), Term.known(3))
+    terms = ("A", 3)
     problem = LesProblem(terms)
     aut = LieAutomorphism.create(g, RationalMatrix.identity(3), "id")
     orbit = OrbitType("S^2", "circle subgroup", 2, 1, (1, 0, 1))
@@ -86,8 +86,7 @@ def cases():
         (InvariantCohomology, dict(dims=(2,), bases=(full,)), dict(dims=(0,), bases=(none,)), {}),
         (FilteredComplex, dict(complex=cx, weights=((0,), (0,))),
          dict(complex=cx0, weights=((0,), (1,))), {}),
-        (PageEntry, dict(p=0, q=1, dim=2), dict(p=1, q=0, dim=3), {}),
-        (Page, dict(r=1, entries=(PageEntry(0, 0, 1),)), dict(r=2, entries=()), {}),
+        (Page, dict(r=1, entries=((0, 0, 1),)), dict(r=2, entries=()), {}),
         (PageTable, dict(filtered=fc, pages=table.pages, stabilized_at=table.stabilized_at,
                          einf=table.einf, total_cohomology=table.total_cohomology),
          dict(filtered=FilteredComplex(cx0, ((0,), (0,))), pages=(), stabilized_at=7,
@@ -103,9 +102,8 @@ def cases():
         (InputDocument, dict(algebras={"su2": g}, subalgebras={}, automorphisms={}, complexes={}, actions={}),
          dict(algebras={}, subalgebras={"h": h}, automorphisms={"id": aut}, complexes={"c": entry},
               actions={"a": action}), {}),
-        (Term, dict(dim=3, label=None), dict(dim=4, label="A"), {}),
         (LesProblem, dict(terms=terms, period=1, degree_range=(0, 0), forced_zero_ranks=(), description=""),
-         dict(terms=terms + (Term.known(1),), period=2, degree_range=(1, 2), forced_zero_ranks=(0,),
+         dict(terms=terms + (1,), period=2, degree_range=(1, 2), forced_zero_ranks=(0,),
               description="x"), {}),
         (LesSolution, dict(assignments={"A": 1}, map_ranks=(0, 1)), dict(assignments={}, map_ranks=()), {}),
         (Verdict, dict(excluded=True, verdict="v", reason="r", citation="", completeness="", problem=None,
@@ -127,7 +125,7 @@ IDS = [cls.__name__ for cls, *_ in CASES]
 
 
 def test_every_record_class_has_a_case():
-    assert len(CASES) == len(set(IDS)) == 25
+    assert len(CASES) == len(set(IDS)) == 23
 
 
 def hashable(values) -> bool:
@@ -188,11 +186,11 @@ def test_records_of_different_classes_are_never_equal():
     pc = product_model(circle_base(), su2())
     plain = FilteredComplex(pc.complex, pc.weights)
     assert plain != pc and pc != plain
-    assert PageEntry(0, 1, 2) != (0, 1, 2)
+    assert LesSolution({"A": 1}, (0, 1)) != ({"A": 1}, (0, 1))
 
 
 def test_repr_names_the_compared_fields_in_order():
-    assert repr(PageEntry(0, 1, 2)) == "PageEntry(p=0, q=1, dim=2)"
+    assert repr(LesSolution({}, (0, 1, 2))) == "LesSolution(assignments={}, map_ranks=(0, 1, 2))"
     assert repr(LesSolution({"A": 1}, (0,))) == "LesSolution(assignments={'A': 1}, map_ranks=(0,))"
     res = cohomology(GradedComplex.create((1,), ()))
     assert repr(res) == (
@@ -218,7 +216,7 @@ def test_constructor_checks_run_on_every_construction():
     with pytest.raises(ValueError, match="at least one term"):
         LesProblem(())
     with pytest.raises(ValueError, match="forced arrow index 1 out of range"):
-        LesProblem((Term.known(1), Term.known(1)), forced_zero_ranks=(1,))
+        LesProblem((1, 1), forced_zero_ranks=(1,))
     cx = GradedComplex.create((1, 1), (RationalMatrix.identity(1),))
     with pytest.raises(FilteredComplexError, match="differential lowers filtration"):
         FilteredComplex(cx, ((1,), (0,)))
@@ -226,6 +224,16 @@ def test_constructor_checks_run_on_every_construction():
     with pytest.raises(FilteredComplexError, match="negative filtration weight"):
         ProductComplex(pc.complex, tuple(tuple(-1 for _ in ws) for ws in pc.weights), pc.base, pc.fiber,
                        pc.blocks)
+
+
+@pytest.mark.parametrize("term", [True, -1, "", None, 1.0, Fraction(1)], ids=repr)
+def test_les_problem_admits_only_dimensions_and_labels(term):
+    # an int >= 0 is a known dimension and a nonempty str a label; nothing else,
+    # not even a value equal to one of them
+    assert LesProblem((1, "A")).terms == (1, "A")
+    for terms in ((term,), ("A", term), (term, 3)):
+        with pytest.raises(ValueError, match="a dimension >= 0 or a nonempty label, got " + re.escape(repr(term))):
+            LesProblem(terms)
 
 
 def test_the_bracket_lookup_stays_out_of_equality_and_hash():

@@ -609,12 +609,12 @@ BROKEN_CHECK = (
     "import sys\n"
     "from eqss import cohomology, liealg, linalg, obstructions\n"
     "assert not __debug__, 'run under python -O'\n"
-    "g, term = liealg.su2(), obstructions.Term\n"
+    "g = liealg.su2()\n"
     "h = liealg.coordinate_subalgebra(g, [3])\n"
     "obstructions.verify_exactness = lambda problem, solution: False\n"
     "linalg.SubspaceBasis.coordinate_matrix = lambda self, m: None\n"
     "checks = {\n"
-    "    'solve_les': lambda: obstructions.solve_les(obstructions.LesProblem((term.unknown('A'), term.known(3)))),\n"
+    "    'solve_les': lambda: obstructions.solve_les(obstructions.LesProblem(('A', 3))),\n"
     "    'relative closure': lambda: cohomology.relative_model(g, h),\n"
     "}\n"
     "try:\n"

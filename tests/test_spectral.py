@@ -26,7 +26,6 @@ from eqss.spectral import (
     SpectralAuditError,
     _audit_convergence,
     Page,
-    PageEntry,
     invariant_filtered_complex,
     pages_inductive,
     product_action,
@@ -489,7 +488,7 @@ def test_weight_order_basis_on_permuted_bases():
 
 def test_audit_failure_raises():
     fc = simple_fc((1, 1), [[[1]]], ((0,), (1,)))
-    fake = Page(9, (PageEntry(0, 0, 1),))
+    fake = Page(9, ((0, 0, 1),))
     with pytest.raises(SpectralAuditError, match="convergence audit failed"):
         _audit_convergence(fc, fake, (0, 0))
 

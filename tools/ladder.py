@@ -1,7 +1,7 @@
 """The eqss ladder: the end-to-end cost of `eqss` commands, process start
-included, on four rungs.
+included, on five rungs.
 
-    python3 tools/ladder.py LABEL [--rung readme|lie|pairs|cup] [--runs N] [--src DIR]
+    python3 tools/ladder.py LABEL [--rung readme|lie|pairs|cup|les] [--runs N] [--src DIR]
                             [--base BASE_LABEL BASE_DIR] [--bytecode compiled|cached]
 
 The readme rung (the default) reads the commands from the README's
@@ -16,12 +16,16 @@ columns of an integer matrix of determinant 1 drawn with the seed
 PAIRS_SEED, and writes bench/BENCH_pairs_LABEL.json.  The cup rung runs
 `eqss obstruct s3-5m` on four cup forms for each b2 = 3..6 (a definite one,
 one of rank 1 and one of rank 2 with no null hyperplane of small normal,
-and none at all) and writes bench/BENCH_cup_LABEL.json.  The documents of
-the lie and pairs rungs are written by `corpus.serialize_document`
-(tools/corpus.py), with this checkout's src, and those of the cup rung by
-`json.dumps`, into a temporary directory (they are not shipped), and the
-report records each one's size and sha256.  A refused input exits 3, so
-its time is the cost of reading, parsing and refusing the document.
+and none at all) and writes bench/BENCH_cup_LABEL.json.  The les rung runs
+`eqss obstruct gysin --l 1 --basic` on k fives for k = 3..9, an open
+sequence with 6^(k-2) solutions (6 to 279,936), and writes
+bench/BENCH_les_LABEL.json; a row past `obstructions.MAX_SOLUTIONS`
+solutions exits 3.  The documents of the lie and pairs rungs are written
+by `corpus.serialize_document` (tools/corpus.py), with this checkout's
+src, and those of the cup rung by `json.dumps`, into a temporary directory
+(they are not shipped), and the report records each one's size and
+sha256.  A refused input exits 3, so its time is the cost of reading,
+parsing and refusing the document.
 
 Each command runs N times as `python -m eqss.cli ARGS` in a fresh process,
 with DIR (default: this checkout's src) first on PYTHONPATH and no EQSS_*
@@ -170,6 +174,11 @@ def cup_cases():
     return cases
 
 
+def les_commands() -> list[list[str]]:
+    """The les rung's argv: a circle over a base with k basic dims 5, k = 3..9."""
+    return [["obstruct", "gysin", "--l", "1", "--basic", ",".join(["5"] * k)] for k in range(3, 10)]
+
+
 def write_documents(directory: Path, rung: str) -> list[tuple[list[str], dict]]:
     """Write the lie, pairs or cup rung's documents into directory with this
     checkout's src; each case's argv, relative to directory, and the size
@@ -279,11 +288,13 @@ def main() -> int:
     p.add_argument("label", help="names the output file: bench/BENCH_readme_LABEL.json, "
                                   "bench/BENCH_ladder_LABEL.json for the lie rung, "
                                   "bench/BENCH_pairs_LABEL.json for the pairs rung, "
-                                  "or bench/BENCH_cup_LABEL.json for the cup rung")
-    p.add_argument("--rung", choices=("readme", "lie", "pairs", "cup"), default="readme",
+                                  "bench/BENCH_cup_LABEL.json for the cup rung, "
+                                  "or bench/BENCH_les_LABEL.json for the les rung")
+    p.add_argument("--rung", choices=("readme", "lie", "pairs", "cup", "les"), default="readme",
                    help="the README commands (default), the so(n) and (so(l+1), so(l)) ladder, "
                         "the spheres, V(n, 2) and G2(R^n) in a random basis, "
-                        "or s3-5m on cup forms for b2 = 3..6")
+                        "s3-5m on cup forms for b2 = 3..6, "
+                        "or open Gysin sequences with 3..9 basic dims")
     p.add_argument("--runs", type=int, default=15, help="processes per command (default 15)")
     p.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the eqss package")
     p.add_argument("--base", nargs=2, metavar=("BASE_LABEL", "BASE_DIR"),
@@ -304,10 +315,12 @@ def main() -> int:
     with contextlib.ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
         envs = [stack.enter_context(prepare_bytecode(src, args.bytecode, child_env(src))) for _, src in trees]
         launchers = [start_launcher(env) for env in envs]
-        if args.rung != "readme":
-            cwd, commands = Path(tmp), write_documents(Path(tmp), args.rung)
-        else:
+        if args.rung == "readme":
             cwd, commands = None, [(argv, {}) for argv in readme_commands(ROOT / "README.md")]
+        elif args.rung == "les":
+            cwd, commands = None, [(argv, {}) for argv in les_commands()]
+        else:
+            cwd, commands = Path(tmp), write_documents(Path(tmp), args.rung)
         # (interpreter arguments, the row's head) per case, the floors first
         cases = [(floor, {"python": list(floor)}) for floor in FLOORS]
         cases += [(["-m", "eqss.cli", *argv], {"argv": argv, **facts}) for argv, facts in commands]
