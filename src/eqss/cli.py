@@ -4,9 +4,9 @@ Each handler imports the layers it runs, and `_render` imports json only
 for --json.  So `obstruct s3-4m`, `obstruct gysin --l` and `obstruct wang`
 load `obstructions` and no exact-rational engine (`linalg`, `fractions`),
 and `cohomology` and `specseq` do not load `obstructions`.  EQSS_GROUP_BOUND
-and EQSS_SOLVER_CAP are parsed for every command; their defaults
-(`linalg.GROUP_BOUND`, `obstructions.DEFAULT_DIM_CAP`) are applied where
-the values are used.
+is parsed for every command; its default (`linalg.GROUP_BOUND`) is applied
+where the value is used.  The sequence solver needs no setting: the
+sequence itself bounds every unknown.
 
 Reports are deterministic.  Every input file is hashed into the report, no
 timestamps appear anywhere, and --json renders exactly the payload behind
@@ -227,12 +227,11 @@ def _verdict_lines(verdict) -> list[str]:
     return lines
 
 
-def _solve_lines(problem, total, args, results: dict) -> list[str]:
+def _solve_lines(problem, total, results: dict) -> list[str]:
     """Solve the sequence into results; with given totals, say whether they are admitted."""
-    from .obstructions import DEFAULT_DIM_CAP, solve_les
+    from .obstructions import solve_les
 
-    cap = DEFAULT_DIM_CAP if args.solver_cap is None else args.solver_cap
-    solutions = solve_les(problem, cap=cap)
+    solutions = solve_les(problem)
     results["solutions"] = [s.as_dict() for s in solutions]
     results["solution_count"] = len(solutions)
     lines = [f"sequence: {problem.render()}", f"solutions: {len(solutions)}"]
@@ -298,7 +297,7 @@ def _cmd_obstruct_gysin(args, inputs: dict):
         oriented=args.oriented,
     )
     results = {"check": "gysin", "problem": problem.as_dict()}
-    return results, [problem.description] + _solve_lines(problem, total, args, results)
+    return results, [problem.description] + _solve_lines(problem, total, results)
 
 
 def _cmd_obstruct_wang(args, inputs: dict):
@@ -317,7 +316,7 @@ def _cmd_obstruct_wang(args, inputs: dict):
     }
     lines = [f"check wang at codimension {args.codim}"] + _verdict_lines(verdict)
     if verdict.problem is not None:
-        lines += _solve_lines(verdict.problem, total, args, results)
+        lines += _solve_lines(verdict.problem, total, results)
     return results, lines
 
 
@@ -412,7 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     inputs: dict[str, str] = {}
     try:
         args.group_bound = _env_count("EQSS_GROUP_BOUND")
-        args.solver_cap = _env_count("EQSS_SOLVER_CAP")
         results, lines = args.handler(args, inputs)
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -7,13 +7,13 @@ is exact iff there are nonnegative arrow ranks with
     dim T_i = rank(arrow into T_i) + rank(arrow out of T_i).
 
 A term T_i is an int >= 0, its known dimension, or a nonempty str, the
-label of an unknown one; `LesProblem` admits nothing else.  Unknown
-dimensions are enumerated under a cap, and at most MAX_SOLUTIONS solutions
-are listed; an empty solution set means the hypothesized dimensions are
-incompatible with the sequence, which is the exclusion mechanism.  The
-Gysin and Wang assemblers produce such problems from basic-cohomology
-data, and the remaining checkers wrap the dimension-count theorems for
-SU(2)-type actions on 4- and 5-manifolds.
+label of an unknown one; `LesProblem` admits nothing else, and no label
+twice or right after another, so the sequence bounds every unknown.  At
+most MAX_SOLUTIONS solutions are listed; an empty solution set means the
+hypothesized dimensions are incompatible with the sequence, which is the
+exclusion mechanism.  The Gysin and Wang assemblers produce such problems
+from basic-cohomology data, and the remaining checkers wrap the
+dimension-count theorems for SU(2)-type actions on 4- and 5-manifolds.
 
 Verdicts never assert that an action exists; they are either "excluded"
 or "not excluded by this criterion".
@@ -25,7 +25,8 @@ that read or search a cup form, so the other checks start without them.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
+from itertools import product
+from math import gcd, isqrt, lcm, prod
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .records import FrozenRecord, set_fields
@@ -51,7 +52,6 @@ __all__ = [
     "wang_check",
 ]
 
-DEFAULT_DIM_CAP = 50
 MAX_UNKNOWNS = 12
 # The most solutions listed: gysin --l 1 --basic 9,9,9,9,9,9 has 10,000, printed in 0.6 s and 1.2 MB.
 MAX_SOLUTIONS = 10_000
@@ -66,8 +66,9 @@ class LesProblem(FrozenRecord):
     """A finite exact sequence flanked by zeros on both sides.
 
     terms is the expansion of a pattern of `period` slots per degree over
-    degree_range.  forced_zero_ranks lists arrows whose rank must vanish;
-    arrow i joins terms[i] to terms[i+1].
+    degree_range; each label appears once and is followed by a known
+    dimension or ends the sequence.  forced_zero_ranks lists arrows whose
+    rank must vanish; arrow i joins terms[i] to terms[i+1].
     """
 
     __slots__ = ("terms", "period", "degree_range", "forced_zero_ranks", "description")
@@ -76,9 +77,13 @@ class LesProblem(FrozenRecord):
                  forced_zero_ranks: tuple[int, ...] = (), description: str = "") -> None:
         if not terms:
             raise ValueError("an exact-sequence problem needs at least one term")
-        for t in terms:
+        seen = set()
+        for i, t in enumerate(terms):
             if not (type(t) is int and t >= 0 or type(t) is str and t):
                 raise ValueError(f"a sequence term is a dimension >= 0 or a nonempty label, got {t!r}")
+            if type(t) is str and (t in seen or i and type(terms[i - 1]) is str):
+                raise ValueError(f"a label appears once and not right after another, got {t!r} at term {i}")
+            seen.add(t)
         for i in forced_zero_ranks:
             if not 0 <= i < len(terms) - 1:
                 raise ValueError(f"forced arrow index {i} out of range")
@@ -88,7 +93,7 @@ class LesProblem(FrozenRecord):
                    forced_zero_ranks=forced_zero_ranks, description=description)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(sorted({t for t in self.terms if type(t) is str}))
+        return tuple(sorted(t for t in self.terms if type(t) is str))
 
     def render(self) -> str:
         return "0 -> " + " -> ".join(str(t) if type(t) is int else f"?{t}" for t in self.terms) + " -> 0"
@@ -116,56 +121,49 @@ class LesSolution(FrozenRecord):
         }
 
 
-def solve_les(problem: LesProblem, cap: int = DEFAULT_DIM_CAP) -> list[LesSolution]:
+def solve_les(problem: LesProblem) -> list[LesSolution]:
     """All nonnegative-integer solutions of the exactness constraints.
 
-    Unknown dimensions range over [0, cap]; cap defaults to DEFAULT_DIM_CAP.
-    The environment is not read here: the command line parses EQSS_SOLVER_CAP
-    and passes it as cap.  The walk fixes each arrow rank from the previous
-    one, so a solution is determined by its label assignment, and a fresh
-    unknown takes only the values whose rank out fits the next term when
-    that is known; solutions come back sorted lexicographically in the
-    sorted label order.  More than MAX_SOLUTIONS solutions raise ValueError
-    when the next one is found, before any is sorted or verified.
+    Past a label, the rank out of every term is c + x or c - x, x the rank
+    out of that label, so one pass over the terms bounds each label's x to
+    an interval, whatever came before it, and the solutions are exactly the
+    points of the product of those intervals.  More than MAX_SOLUTIONS of
+    them raise ValueError from that count, before any is built.  A label's
+    value is the rank into it plus its x; solutions come back sorted
+    lexicographically in the sorted label order.
     """
     labels = problem.labels()
     _check_unknowns(len(labels))
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    terms = problem.terms
-    m = len(terms)
+    terms, m = problem.terms, len(problem.terms)
     forced = frozenset(problem.forced_zero_ranks)
+    bounds: dict[str, list[int]] = {}
+    c = s = 0  # the rank out of terms[i] is c + s * x, x the rank out of the last label
+    for i, t in enumerate(terms):
+        if type(t) is str:  # the next term, a known dimension, bounds x, or there is none
+            c, s = 0, 1
+            x = bounds[t] = [0, terms[i + 1] if i + 1 < m else 0]
+        else:
+            c, s = t - c, -s
+        zero = i in forced or i == m - 1  # the rank out must vanish
+        if s:  # the rank out vanishes at x = v and is >= 0 on one side of v
+            v = -s * c
+            if zero or s == 1:
+                x[0] = max(x[0], v)
+            if zero or s == -1:
+                x[1] = min(x[1], v)
+        elif c < 0 or zero and c:
+            return []
+    ranges = [range(lo, hi + 1) for lo, hi in (bounds[name] for name in labels)]
+    if prod(map(len, ranges)) > MAX_SOLUTIONS:
+        raise ValueError(f"solver bound exceeded: more than {MAX_SOLUTIONS} solutions")
     solutions: list[LesSolution] = []
-    assign: dict[str, int] = {}
-
-    def walk(i: int, incoming: int, ranks: list[int]) -> None:
-        # a known or assigned term forces the rank out of it, so only a
-        # fresh unknown branches: the recursion is at most one level per label
-        while i < m and (type(terms[i]) is int or terms[i] in assign):
-            t = terms[i]
-            incoming = (t if type(t) is int else assign[t]) - incoming
-            if incoming < 0 or (incoming and i in forced):
-                return
-            ranks.append(incoming)
-            i += 1
-        if i == m:
-            if incoming == 0:
-                if len(solutions) == MAX_SOLUTIONS:
-                    raise ValueError(f"solver bound exceeded: more than {MAX_SOLUTIONS} solutions")
-                solutions.append(LesSolution(dict(assign), tuple(ranks[:-1])))
-            return
-        label, top = terms[i], cap
-        if i in forced or i == m - 1:  # no rank out
-            top = min(cap, incoming)
-        elif type(terms[i + 1]) is int:  # the rank out is at most the next dimension
-            top = min(cap, incoming + terms[i + 1])
-        for v in range(incoming, top + 1):
-            assign[label] = v
-            walk(i + 1, v - incoming, ranks + [v - incoming])
-        assign.pop(label, None)
-
-    walk(0, 0, [])
-    solutions.sort(key=lambda s: tuple(s.assignments[name] for name in labels))
+    for xs in product(*ranges):
+        out, ranks = dict(zip(labels, xs)), [0]  # ranks[i] is the rank into terms[i]
+        for t in terms:
+            ranks.append(out[t] if type(t) is str else t - ranks[-1])
+        assign = {t: ranks[i] + ranks[i + 1] for i, t in enumerate(terms) if type(t) is str}
+        solutions.append(LesSolution(assign, tuple(ranks[1:-1])))
+    solutions.sort(key=lambda sol: tuple(sol.assignments[name] for name in labels))
     for sol in solutions:
         if not verify_exactness(problem, sol):
             raise AssertionError(f"solver returned a solution that fails the exactness check: {sol}")
@@ -231,9 +229,11 @@ class Verdict(FrozenRecord):
 
 def _check_dims(dims: Sequence[int], what: str) -> tuple[int, ...]:
     try:
-        out = tuple(int(d) for d in dims)
-    except (TypeError, ValueError) as exc:
+        out = tuple(dims)
+    except TypeError as exc:
         raise ValueError(f"malformed {what}: {dims!r}") from exc
+    if any(type(d) is not int for d in out):
+        raise ValueError(f"malformed {what}: {dims!r}")
     if any(d < 0 for d in out):
         raise ValueError(f"malformed {what}: dimensions must be nonnegative")
     if not out:
@@ -312,7 +312,8 @@ def gysin_assemble(
         l = derived
     if l is None:
         raise ValueError("need either the gap l or a (g, h) pair")
-    l = int(l)
+    if type(l) is not int:
+        raise ValueError(f"the gap l must be an int, got {l!r}")
     if l < 1:
         raise ValueError("the gap l must be at least 1")
     if basic_dims is None:
@@ -444,9 +445,8 @@ class CupForm(FrozenRecord):
     def create(cls, b2: int, matrices: Sequence) -> "CupForm":
         from .linalg import RationalMatrix, as_fraction
 
-        b2 = int(b2)
-        if b2 < 0:
-            raise ValueError("inconsistent cup data: b2 must be nonnegative")
+        if type(b2) is not int or b2 < 0:
+            raise ValueError(f"inconsistent cup data: b2 must be an int >= 0, got {b2!r}")
         mats = []
         for m in matrices:
             if not isinstance(m, RationalMatrix):
@@ -601,7 +601,8 @@ def s3_check_5manifold(
     claimed only when the flag is false and the search's negative answer is
     exact; a "bounded-search" answer (a matrix of rank >= 3) is inconclusive.
     """
-    b2 = int(b2)
+    if type(b2) is not int:
+        raise ValueError(f"b2 must be an int, got {b2!r}")
     if b2 < 0:
         raise ValueError("b2 must be nonnegative")
     if cup.b2 != b2:

@@ -595,8 +595,8 @@ def test_group_bound_env_is_honored(monkeypatch, capsys):
     assert code == 3 and "bound" in err
 
 
-# One command per subcommand: every command parses both variables, though
-# only some of them use either.
+# One command per subcommand: every command parses the variable, though
+# only some of them use it.
 ENV_COMMANDS = [
     pytest.param(("cohomology", "builtin:library", "--algebra", "su2"), id="cohomology"),
     pytest.param(("specseq", "builtin:models", "--complex", "s1_x_su2"), id="specseq"),
@@ -611,8 +611,6 @@ ENV_COMMANDS = [
 @pytest.mark.parametrize(
     "name, value",
     [
-        ("EQSS_SOLVER_CAP", "abc"),
-        ("EQSS_SOLVER_CAP", "-1"),
         ("EQSS_GROUP_BOUND", "abc"),
         ("EQSS_GROUP_BOUND", "-1"),
         ("EQSS_GROUP_BOUND", "2.5"),
@@ -627,60 +625,44 @@ def test_exit_2_on_malformed_environment(monkeypatch, capsys, name, value, argv)
 
 def test_unset_environment_gives_the_engine_defaults(monkeypatch, capsys):
     import eqss.cohomology
-    import eqss.obstructions
     from eqss.linalg import GROUP_BOUND
 
     monkeypatch.delenv("EQSS_GROUP_BOUND", raising=False)
-    monkeypatch.delenv("EQSS_SOLVER_CAP", raising=False)
     seen = []
+    original = eqss.cohomology.invariant_cohomology
 
-    def spy(module, name, keyword):
-        original = getattr(module, name)
+    def spy(*args, **kwargs):
+        seen.append(kwargs["bound"])
+        return original(*args, **kwargs)
 
-        def call(*args, **kwargs):
-            seen.append((name, kwargs[keyword]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, call)
-
-    spy(eqss.cohomology, "invariant_cohomology", "bound")
-    spy(eqss.obstructions, "solve_les", "cap")
-    for argv in (
-        ("cohomology", "builtin:library", "--algebra", "su2", "--relative", "e3", "--invariants", "su2_reflection"),
-        ("obstruct", "gysin", "--l", "1", "--basic", "1,1"),
-        ("obstruct", "wang", "--codim", "2", "--gh", "1,0,1", "--simply-connected", "--oriented"),
-    ):
-        assert run(capsys, *argv)[0] == 0
-    assert seen == [
-        ("invariant_cohomology", GROUP_BOUND),
-        ("solve_les", eqss.obstructions.DEFAULT_DIM_CAP),
-        ("solve_les", eqss.obstructions.DEFAULT_DIM_CAP),
-    ]
-    assert (GROUP_BOUND, eqss.obstructions.DEFAULT_DIM_CAP) == (10000, 50)
+    monkeypatch.setattr(eqss.cohomology, "invariant_cohomology", spy)
+    argv = ("cohomology", "builtin:library", "--algebra", "su2", "--relative", "e3", "--invariants", "su2_reflection")
+    assert run(capsys, *argv)[0] == 0
+    assert seen == [GROUP_BOUND] == [10000]
 
 
-def test_solver_cap_env_is_honored(monkeypatch, capsys):
-    # the circle bundle over a base with dims (1, 1) needs M1 = 2
-    argv = ("obstruct", "gysin", "--l", "1", "--basic", "1,1")
-    monkeypatch.setenv("EQSS_SOLVER_CAP", "1")
-    assert run_json(capsys, *argv)["results"]["solution_count"] == 0
-    monkeypatch.setenv("EQSS_SOLVER_CAP", "2")
-    assert run_json(capsys, *argv)["results"]["solution_count"] == 1
+def test_the_sequence_bounds_every_unknown(capsys):
+    # the circle bundle over a base with dims (1, 1) needs M1 = 2, and over a
+    # point with 100 basic classes M0 = M1 = 100: no setting drops either
+    results = run_json(capsys, "obstruct", "gysin", "--l", "1", "--basic", "1,1")["results"]
+    assert [s["assignments"] for s in results["solutions"]] == [{"M0": 1, "M1": 2, "M2": 1}]
+    results = run_json(capsys, "obstruct", "gysin", "--l", "1", "--basic", "100")["results"]
+    assert [s["assignments"] for s in results["solutions"]] == [{"M0": 100, "M1": 100}]
+    # the open answer agrees with the same totals given
+    code, out, _ = run(capsys, "obstruct", "gysin", "--l", "1", "--basic", "100", "--total", "100,100")
+    assert code == 0 and out.endswith("given totals admitted: yes\n")
 
 
-def test_a_huge_solver_cap_walks_only_what_the_sequence_allows():
-    # every unknown of this Gysin sequence is followed by a known term, which
-    # bounds it: a cap of 10^8 prints what a cap of 10^5 prints, at once
-    argv = ["obstruct", "gysin", "--l", "3", "--basic", "1,1"]
-    answers = []
-    for cap in ("100000", "100000000"):
-        proc = start_fresh(argv, EQSS_SOLVER_CAP=cap)
-        try:
-            out, err = proc.communicate(timeout=10)
-        finally:
-            proc.kill()
-        answers.append((proc.returncode, out, err))
-    assert answers[0] == answers[1] and answers[0][0] == 0 and answers[0][1]
+def test_a_billion_basic_classes_are_answered_at_once():
+    # the unknowns range over what the sequence allows, so a dimension of 10^9
+    # costs what a dimension of 1 costs
+    proc = start_fresh(["obstruct", "gysin", "--l", "1", "--basic", "1000000000"])
+    try:
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0 and err == b""
+    assert out.endswith(b"solutions: 1\n  M0=1000000000, M1=1000000000; ranks [0, 0, 1000000000, 0, 0, 0, 1000000000, 0]\n")
 
 
 def test_exit_3_on_an_oversized_lie_algebra(tmp_path, capsys):

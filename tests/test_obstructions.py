@@ -6,6 +6,7 @@ the corresponding product models.
 """
 
 import random
+import re
 from ast import literal_eval
 from fractions import Fraction
 from itertools import product
@@ -60,21 +61,23 @@ def test_inconsistent_dims_give_no_solutions():
 
 
 def test_repeated_label_used_consistently():
-    # 0 -> A -> A -> 0 forces nothing beyond A = A; 0 -> A -> 2 -> A -> 0
-    # forces the outer ranks to split the middle: A + A = 2.
-    sols = solve_les(seq("A", 2, "A"))
-    assert [s.assignments for s in sols] == [{"A": 1}]
+    # a label names one term: 0 -> A -> 2 -> A -> 0 is refused, and with two
+    # labels the outer ranks split the middle, A + B = 2
+    with pytest.raises(ValueError, match="a label appears once and not right after another, got 'A' at term 2"):
+        seq("A", 2, "A")
+    sols = solve_les(seq("A", 2, "B"))
+    assert [s.assignments for s in sols] == [{"A": 0, "B": 2}, {"A": 1, "B": 1}, {"A": 2, "B": 0}]
 
 
 def test_solver_respects_cap():
-    prob = seq("A", 60)
-    assert solve_les(prob) == []
-    assert len(solve_les(prob, cap=60)) == 1
+    # no cap: the known term after an unknown bounds it
+    (only,) = solve_les(seq("A", 60))
+    assert only.assignments == {"A": 60} and only.map_ranks == (60,)
 
 
 def test_solver_label_bound():
-    prob = seq(*[f"L{i}" for i in range(13)])
-    with pytest.raises(ValueError, match="solver bound"):
+    prob = seq(*[t for i in range(13) for t in (f"L{i}", 1)])
+    with pytest.raises(ValueError, match="solver bound exceeded: 13 unknown labels"):
         solve_les(prob)
 
 
@@ -83,8 +86,9 @@ def test_solver_lists_at_most_max_solutions(monkeypatch):
     at_limit = gysin_assemble(l=1, basic_dims=[9] * 6)
     assert len(solve_les(at_limit)) == obstructions.MAX_SOLUTIONS == 10_000
     monkeypatch.setattr(obstructions, "verify_exactness", lambda problem, solution: False)
+    monkeypatch.setattr(obstructions, "LesSolution", None)
     with pytest.raises(ValueError, match="solver bound exceeded: more than 10000 solutions"):
-        solve_les(gysin_assemble(l=1, basic_dims=[9] * 7))  # refused before any solution is verified
+        solve_les(gysin_assemble(l=1, basic_dims=[9] * 7))  # refused before any solution is built
     monkeypatch.undo()
     monkeypatch.setattr(obstructions, "MAX_SOLUTIONS", 2)
     assert len(solve_les(seq("A", 1, 1, "B"))) == 2
@@ -121,6 +125,44 @@ def test_solver_walks_thousands_of_known_terms():
     assert [s.assignments for s in sols] == [{"A": 0, "B": 0}, {"A": 1, "B": 1}]
 
 
+def admissible(terms):
+    """Whether LesProblem admits these terms: no label twice, none right after another."""
+    labels = [t for t in terms if type(t) is str]
+    return len(set(labels)) == len(labels) and not any(
+        type(a) is str and type(b) is str for a, b in zip(terms, terms[1:]))
+
+
+def oracle_cap(problem):
+    """A value is a rank in plus a rank out, each at most a neighbouring known
+    dimension, so twice the largest known dimension bounds every unknown."""
+    return 2 * max((t for t in problem.terms if type(t) is int), default=0)
+
+
+def admissible_terms(rng, top, names, p_forced):
+    """The terms and forced arrows of a problem of 1..10 terms whose labels are
+    distinct, from names, and each followed by a dimension in 0..top or last."""
+    terms, free = [], list(names)
+    for _ in range(rng.randint(1, 10)):
+        if free and not (terms and type(terms[-1]) is str) and rng.random() < 0.4:
+            terms.append(free.pop(rng.randrange(len(free))))
+        else:
+            terms.append(rng.randint(0, top))
+    return tuple(terms), tuple(i for i in range(len(terms) - 1) if rng.random() < p_forced)
+
+
+def matches_oracle(terms, forced, oracle):
+    """Inadmissible terms are refused; an admissible problem's solutions are
+    the oracle's.  Returns whether there are any."""
+    if not admissible(terms):
+        with pytest.raises(ValueError, match="a label appears once and not right after another"):
+            LesProblem(terms, forced_zero_ranks=forced)
+        return False
+    problem = LesProblem(terms, forced_zero_ranks=forced)
+    sols = solve_les(problem)
+    assert [(s.assignments, s.map_ranks) for s in sols] == oracle(problem, oracle_cap(problem)), problem.render()
+    return bool(sols)
+
+
 def brute_force_les(problem, cap):
     """Every assignment of the labels in [0, cap] whose forced ranks are exact, sorted."""
     labels = problem.labels()
@@ -141,7 +183,6 @@ def brute_force_les(problem, cap):
 
 def test_solver_matches_brute_force_on_random_problems():
     rng = random.Random(2202)
-    found = 0
     for _ in range(300):
         m = rng.randint(1, 9)
         terms = tuple(
@@ -149,10 +190,11 @@ def test_solver_matches_brute_force_on_random_problems():
             for _ in range(m)
         )
         forced = tuple(i for i in range(m - 1) if rng.random() < 0.25)
-        problem, cap = LesProblem(terms, forced_zero_ranks=forced), rng.randint(0, 4)
-        sols = solve_les(problem, cap=cap)
-        assert [(s.assignments, s.map_ranks) for s in sols] == brute_force_les(problem, cap), problem.render()
-        found += bool(sols)
+        rng.randint(0, 4)  # the cap the solver once took, drawn so the seed keeps its problems
+        matches_oracle(terms, forced, brute_force_les)
+    found = 0
+    for _ in range(300):
+        found += matches_oracle(*admissible_terms(rng, 3, "ABC", 0.25), brute_force_les)
     assert found >= 100
 
 
@@ -211,6 +253,28 @@ def test_gysin_validation():
         gysin_assemble(l=3, basic_dims=[1, 1], total_dims=[1, 1, 0, 1])
     with pytest.raises(ValueError, match="malformed"):
         gysin_assemble(l=3, basic_dims=[1, -1])
+
+
+NON_INTEGER_CALLS = [
+    (lambda: gysin_assemble(l=1.7, basic_dims=[1, 1]), "the gap l must be an int, got 1.7"),
+    (lambda: gysin_assemble(l=True, basic_dims=[1, 1]), "the gap l must be an int, got True"),
+    (lambda: gysin_assemble(l=1, basic_dims=[1.9, True]), "malformed basic dims: [1.9, True]"),
+    (lambda: gysin_assemble(l=1, basic_dims=[1, 1], total_dims=[1, 2.0, 1]), "malformed total dims: [1, 2.0, 1]"),
+    (lambda: wang_check(2, True, True, [1.0, 0.5, 1]), "malformed pair cohomology dims: [1.0, 0.5, 1]"),
+    (lambda: s3_check_4manifold(["1", "0", "3", "0", "1"]), "malformed Betti numbers: ['1', '0', '3', '0', '1']"),
+    (lambda: s3_check_4manifold(5), "malformed Betti numbers: 5"),
+    (lambda: CupForm.create(2.0, []), "inconsistent cup data: b2 must be an int >= 0, got 2.0"),
+    (lambda: CupForm.create(-1, []), "inconsistent cup data: b2 must be an int >= 0, got -1"),
+    (lambda: s3_check_5manifold(1.5, CupForm.create(1, []), False), "b2 must be an int, got 1.5"),
+    (lambda: s3_check_5manifold(True, CupForm.create(1, []), False), "b2 must be an int, got True"),
+]
+
+
+@pytest.mark.parametrize("call, message", NON_INTEGER_CALLS, ids=[message for _, message in NON_INTEGER_CALLS])
+def test_non_integer_dimensions_gaps_and_b2_are_refused(call, message):
+    # a library caller's 1.7, 1.9, True or 0.5 is refused, not truncated
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_wang_codim1():
@@ -440,8 +504,8 @@ def test_verdict_serialization():
 
 
 def test_problem_render():
-    prob = seq("A", 2, "A")
-    assert prob.render() == "0 -> ?A -> 2 -> ?A -> 0"
+    prob = seq("A", 2, "B")
+    assert prob.render() == "0 -> ?A -> 2 -> ?B -> 0"
 
 
 def test_shell_walk_yields_the_cube_filter_sequence():
@@ -455,9 +519,9 @@ def test_shell_walk_yields_the_cube_filter_sequence():
 
 
 def test_labels_are_sorted_and_distinct_in_linear_time():
-    terms = [f"x{i % 50000}" for i in range(100000)] + [1]
+    terms = [t for i in range(50000) for t in (f"x{i * 7919 % 50000}", 1)]
     labels = LesProblem(tuple(terms)).labels()
-    assert len(labels) == 50000 and list(labels) == sorted(labels)
+    assert len(labels) == len(set(labels)) == 50000 and list(labels) == sorted(labels)
 
 
 def random_cup_matrices(rng, b2):
@@ -731,7 +795,6 @@ def unbounded_walk_les(problem, cap):
 
 def test_bounded_walk_matches_the_unbounded_walk_on_random_problems():
     rng = random.Random(3652)
-    found = 0
     for _ in range(1500):
         m = rng.randint(1, 10)
         terms = tuple(
@@ -739,14 +802,14 @@ def test_bounded_walk_matches_the_unbounded_walk_on_random_problems():
             for _ in range(m)
         )
         forced = tuple(i for i in range(m - 1) if rng.random() < 0.2)
-        problem, cap = LesProblem(terms, forced_zero_ranks=forced), rng.randint(0, 9)
-        sols = solve_les(problem, cap=cap)
-        assert [(s.assignments, s.map_ranks) for s in sols] == unbounded_walk_les(problem, cap), problem.render()
-        found += bool(sols)
+        rng.randint(0, 9)  # the cap the solver once took, drawn so the seed keeps its problems
+        matches_oracle(terms, forced, unbounded_walk_les)
+    found = 0
+    for _ in range(1500):
+        found += matches_oracle(*admissible_terms(rng, 4, "ABCD", 0.2), unbounded_walk_les)
     assert found >= 500
     # Gysin and Wang problems from the command line's assemblers, open totals
-    for cap in range(0, 7):
-        for problem in (gysin_assemble(l=2, basic_dims=[1, 1, 1]), gysin_assemble(l=3, basic_dims=[1, 2, 1]),
-                        wang_check(2, True, True, [1, 0, 1]).problem, wang_check(3, True, True, [1, 0, 0, 1]).problem):
-            sols = solve_les(problem, cap=cap)
-            assert [(s.assignments, s.map_ranks) for s in sols] == unbounded_walk_les(problem, cap)
+    for problem in (gysin_assemble(l=2, basic_dims=[1, 1, 1]), gysin_assemble(l=3, basic_dims=[1, 2, 1]),
+                    wang_check(2, True, True, [1, 0, 1]).problem, wang_check(3, True, True, [1, 0, 0, 1]).problem):
+        sols = solve_les(problem)
+        assert [(s.assignments, s.map_ranks) for s in sols] == unbounded_walk_les(problem, oracle_cap(problem))

@@ -236,6 +236,19 @@ def test_les_problem_admits_only_dimensions_and_labels(term):
             LesProblem(terms)
 
 
+@pytest.mark.parametrize("terms, at", [
+    (("A", "B"), "'B' at term 1"),
+    ((1, "A", "B", 1), "'B' at term 2"),
+    (("A", 1, "A"), "'A' at term 2"),
+    (("A", 1, "B", 0, "A", 2), "'A' at term 4"),
+], ids=repr)
+def test_les_problem_refuses_adjacent_and_repeated_labels(terms, at):
+    # so every unknown is followed by a known dimension or ends the sequence
+    with pytest.raises(ValueError, match=re.escape("a label appears once and not right after another, got " + at)):
+        LesProblem(terms)
+    assert LesProblem(("A", 1, "B")).labels() == ("A", "B")
+
+
 def test_the_bracket_lookup_stays_out_of_equality_and_hash():
     g, fresh = su2(), su2()
     assert g._lookup and g == fresh and hash(g) == hash(fresh)

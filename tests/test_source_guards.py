@@ -58,12 +58,18 @@ resolve.
 The engine reads documents and writes none: no eqss module defines a
 document writer (tools/corpus.py holds it), and `documents` never names
 json's `dumps`.
+
+The README's "### Environment" section names exactly the EQSS_* variables
+that `cli` reads through `_env_count`, so that every variable the command
+honours, and whose bad value exits 2, is documented, and no documented one
+is gone.
 """
 
 import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -629,3 +635,34 @@ def test_safety_checks_hold_under_python_O(check):
     """With the check made to fail, the call still refuses under -O."""
     out = run_fresh("-O", "-c", BROKEN_CHECK, check)
     assert out.startswith("refused:"), out
+
+
+def env_reads(source: str) -> set[str]:
+    """The names of the `_env_count("NAME")` calls."""
+    return {node.args[0].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_env_count"
+            and node.args and isinstance(node.args[0], ast.Constant)}
+
+
+def readme_environment(text: str) -> set[str]:
+    """The EQSS_* names in the README's "### Environment" section."""
+    section = text.split("### Environment\n", 1)[1].split("\n#", 1)[0]
+    return set(re.findall(r"\bEQSS_[A-Z_]+", section))
+
+
+def test_the_readme_names_the_environment_the_command_reads():
+    names = env_reads((ROOT / "src" / "eqss" / "cli.py").read_text())
+    assert names == readme_environment((ROOT / "README.md").read_text()) == {"EQSS_GROUP_BOUND"}
+
+
+def test_environment_guard_sees_every_spelling():
+    source = (
+        "def main(args):\n"
+        "    args.a = _env_count('EQSS_A')\n"
+        "    b = _env_count(\"EQSS_B\") or 1\n"
+        "    os.environ.get('EQSS_C')\n"
+        "    other_count('EQSS_D')\n"
+    )
+    assert env_reads(source) == {"EQSS_A", "EQSS_B"}
+    text = "## Use\nEQSS_X\n### Environment\n\n- `EQSS_A` and EQSS_B.\n\n## Layout\nEQSS_Y\n"
+    assert readme_environment(text) == {"EQSS_A", "EQSS_B"}
