@@ -21,6 +21,7 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
+from .errors import require_count
 from .forms import ce_complex, pull_back, relative_subcomplex, wedge
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra
 from .linalg import (
@@ -240,6 +241,7 @@ def invariant_cohomology(
     """Fixed part of cohomology; GroupBoundError if the group acting on a
     nonzero H^k passes bound.  A degree with H^k = 0 carries the trivial
     group, which no bound refuses, so it needs no enumeration."""
+    require_count(bound, "the group bound")
     acts = [action_on_cohomology(result, maps) for maps in generators]
     bases = []
     for k, dim in enumerate(result.dims):
@@ -270,8 +272,8 @@ def cup_product(
     n = g.dim
     if result.complex.dims != tuple(comb(n, k) for k in range(n + 1)):
         raise ValueError("cup product needs the absolute complex of the algebra")
-    if p < 0 or q < 0:
-        raise ValueError(f"cup product of a class in negative degree {min(p, q)}")
+    require_count(p, "the degree p")
+    require_count(q, "the degree q")
     if p + q > n:
         return ()
     forms = []

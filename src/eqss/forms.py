@@ -46,6 +46,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
+from .errors import require_counts
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, bracket_terms
 from .linalg import (
     GradedComplex,
@@ -240,6 +241,7 @@ def wedge(dim: int, p: int, a: Sequence[tuple[int, Rational]], q: int, b: Ration
     monomial ma of a that misses mb goes to ma | mb; sorting a's indices
     then b's, each index i of mb passes the indices of ma above it.
     """
+    require_counts((dim, p, q), "(dim, p, q)")
     terms = [(_unrank(dim, p, i), c) for i, c in a]
 
     def times(mb: int) -> _Terms:

@@ -10,6 +10,7 @@ so a test can insist the shipped bytes match a fresh build byte for byte.
 from __future__ import annotations
 
 from .documents import builtin_names, builtin_text
+from .errors import require_count
 from .liealg import LieAlgebra, LieAutomorphism, Subalgebra, coordinate_subalgebra, so_algebra, so_pairs
 from .linalg import GradedComplex, RationalMatrix
 from .obstructions import CupForm
@@ -42,8 +43,7 @@ def circle_base() -> GradedComplex:
 
 def sphere_base(k: int) -> GradedComplex:
     """Minimal model of S^k: one generator each in degrees 0 and k."""
-    if k < 1:
-        raise ValueError("sphere dimension must be at least 1")
+    require_count(k, "the sphere dimension k", 1)
     dims = [1] + [0] * (k - 1) + [1]
     diffs = [RationalMatrix.zeros(dims[t + 1], dims[t]) for t in range(k)]
     return GradedComplex.create(dims, diffs)
@@ -69,8 +69,7 @@ def sheet_swap_maps() -> list[RationalMatrix]:
 
 def so_pair(l: int) -> tuple[LieAlgebra, Subalgebra]:
     """(so(l+1), so(l)) with so(l) spanned by the A_ij having i, j <= l."""
-    if l < 2:
-        raise ValueError("the pair needs l >= 2")
+    require_count(l, "the pair's l", 2)
     g = so_algebra(l + 1)
     indices = [k + 1 for k, (i, j) in enumerate(so_pairs(l + 1)) if j <= l]
     return g, coordinate_subalgebra(g, indices, f"so{l}")
@@ -83,7 +82,7 @@ def so_pair_reflection(l: int) -> LieAutomorphism:
     normalizer; on the quotient sphere it acts as the antipodal map.
     A_ij picks up the sign s_i s_j with s = (1, ..., 1, -1, -1).
     """
-    g = so_algebra(l + 1)
+    g = so_algebra(require_count(l, "the pair's l", 2) + 1)
     s = [1] * (l - 1) + [-1, -1]
     pairs = so_pairs(l + 1)
     rows = [

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .errors import require_count, require_counts
 from .linalg import (
     Rational,
     RationalMatrix,
@@ -66,6 +67,7 @@ class LieAlgebra(FrozenRecord):
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, table: dict | Sequence) -> "LieAlgebra":
+        require_count(dim, "dim")
         items = table.items() if isinstance(table, dict) else ((t[0], t[1]) for t in table)
         norm = {}
         for (i, j), coeffs in items:
@@ -137,10 +139,8 @@ class Subalgebra(FrozenRecord):
 
 def coordinate_subalgebra(g: LieAlgebra, indices: Sequence[int], name: str = "") -> Subalgebra:
     """Subalgebra spanned by the 1-based basis elements in `indices`."""
-    for i in indices:
-        if not 1 <= i <= g.dim:
-            raise ValueError(f"basis index {i} out of range")
-    return _closed_span(g, SubspaceBasis.coordinate(g.dim, sorted({i - 1 for i in indices})), name)
+    idx = sorted({i - 1 for i in require_counts(indices, "basis indices", 1)})
+    return _closed_span(g, SubspaceBasis.coordinate(g.dim, idx), name)
 
 
 def _terms(col: Iterable[tuple[int, Rational]]) -> tuple[tuple[int, Rational], ...]:
@@ -257,7 +257,8 @@ def so_algebra(n: int, name: str | None = None) -> LieAlgebra:
     For n = 3 this differs from the cross-product basis by signs; use su2()
     (or the shipped so3 alias) when the cross-product convention is wanted.
     """
-    return _matrix_algebra(name or f"so{n}", [{(i, j): 1, (j, i): -1} for i, j in so_pairs(n)])
+    pairs = so_pairs(require_count(n, "so(n)'s n"))
+    return _matrix_algebra(name or f"so{n}", [{(i, j): 1, (j, i): -1} for i, j in pairs])
 
 
 def u_algebra(n: int, name: str | None = None) -> LieAlgebra:
@@ -265,8 +266,7 @@ def u_algebra(n: int, name: str | None = None) -> LieAlgebra:
     T_ab = i(E_ab + E_ba), realified inside so(2n).  Realification maps
     commutators to commutators, so the structure constants are those of the
     complex matrices."""
-    if n < 1:
-        raise ValueError("u(n) needs n >= 1")
+    require_count(n, "u(n)'s n", 1)
 
     def block(a, b, x, y):  # x + iy at (a, b) as [[x, -y], [y, x]] at rows 2a, 2a+1, columns 2b, 2b+1
         return {(2 * a, 2 * b): x, (2 * a, 2 * b + 1): -y, (2 * a + 1, 2 * b): y, (2 * a + 1, 2 * b + 1): x}

@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import GroupBoundError
+from .errors import GroupBoundError, require_count, require_counts
 from .records import FrozenRecord, set_field
 
 __all__ = [
@@ -348,9 +348,8 @@ class GradedComplex(FrozenRecord):
         of e^I ^ e^(I^c) for k <= L.  It builds d_{top-1-k} = (-1)^(k+1) R S_k
         d_k^T S_{k+1} R, R reversing positions (I -> I^c), and forms only the
         products with a given factor: one of two built ones is +-R S (a formed one)^T S R."""
-        ds = tuple(int(d) for d in dims)
-        if not ds or any(d < 0 for d in ds):
-            raise ValueError("degree dimensions must be a nonempty list of nonnegative ints")
+        ds = require_counts(dims, "degree dimensions")
+        require_count(len(ds), "the number of degree dimensions", 1)
         diffs, top = tuple(differentials), len(ds) - 1
         given = top if duality is None else (top + 1) // 2
         if len(diffs) != given:
@@ -424,7 +423,7 @@ class SubspaceBasis(FrozenRecord):
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence], ambient: int) -> "SubspaceBasis":
-        return image_basis(RationalMatrix.from_columns(vectors, ambient))
+        return image_basis(RationalMatrix.from_columns(vectors, require_count(ambient, "ambient")))
 
     @classmethod
     def from_echelon(cls, basis: dict[int, dict[int, int]], ambient: int) -> "SubspaceBasis":
@@ -446,8 +445,9 @@ class SubspaceBasis(FrozenRecord):
     def coordinate(cls, ambient: int, indices: Sequence[int]) -> "SubspaceBasis":
         """Span of the unit vectors at strictly increasing indices, which are
         already in reduced echelon form."""
-        idx = tuple(indices)
-        if idx != tuple(sorted(set(idx))) or not all(0 <= i < ambient for i in idx):
+        require_count(ambient, "ambient")
+        idx = require_counts(indices, "coordinate indices")
+        if idx != tuple(sorted(set(idx))) or idx and idx[-1] >= ambient:
             raise ValueError(f"coordinate indices {idx} are not increasing in range({ambient})")
         return cls(RationalMatrix(ambient, tuple(((i, 1),) for i in idx)))
 
@@ -525,6 +525,7 @@ def enumerate_group(generators: Sequence[RationalMatrix], bound: int = GROUP_BOU
     the finiteness check for group actions; fixed subspaces need only the
     generators.
     """
+    require_count(bound, "the group bound")
     if not generators:
         raise ValueError("no generators")
     n = generators[0].ncols

@@ -29,6 +29,7 @@ from itertools import product
 from math import gcd, isqrt, lcm, prod
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .errors import require_count, require_counts
 from .records import FrozenRecord, set_fields
 
 if TYPE_CHECKING:
@@ -84,11 +85,10 @@ class LesProblem(FrozenRecord):
             if type(t) is str and (t in seen or i and type(terms[i - 1]) is str):
                 raise ValueError(f"a label appears once and not right after another, got {t!r} at term {i}")
             seen.add(t)
-        for i in forced_zero_ranks:
-            if not 0 <= i < len(terms) - 1:
+        for i in require_counts(forced_zero_ranks, "forced_zero_ranks"):
+            if i >= len(terms) - 1:
                 raise ValueError(f"forced arrow index {i} out of range")
-        if period < 1:
-            raise ValueError("period must be positive")
+        require_count(period, "period", 1)
         set_fields(self, terms=terms, period=period, degree_range=degree_range,
                    forced_zero_ranks=forced_zero_ranks, description=description)
 
@@ -227,20 +227,6 @@ class Verdict(FrozenRecord):
         return out
 
 
-def _check_dims(dims: Sequence[int], what: str) -> tuple[int, ...]:
-    try:
-        out = tuple(dims)
-    except TypeError as exc:
-        raise ValueError(f"malformed {what}: {dims!r}") from exc
-    if any(type(d) is not int for d in out):
-        raise ValueError(f"malformed {what}: {dims!r}")
-    if any(d < 0 for d in out):
-        raise ValueError(f"malformed {what}: dimensions must be nonnegative")
-    if not out:
-        raise ValueError(f"malformed {what}: empty")
-    return out
-
-
 def _two_row_gap(g: LieAlgebra, h: Subalgebra | None) -> int:
     """The l with H^i(g,h) = k for i in {0, l} and 0 elsewhere, or raise."""
     from .cohomology import lie_cohomology
@@ -262,7 +248,7 @@ def _total_terms(total_dims: Sequence[int] | None, n: int) -> Callable[[int], in
     if total_dims is None:
         _check_unknowns(n + 1)  # the labels M0..Mn, before any term is built
     else:
-        total = _check_dims(total_dims, "total dims")
+        total = require_counts(total_dims, "total dims")
         if len(total) != n + 1:
             raise ValueError(
                 f"total dims must cover degrees 0..{n}, got {len(total)} entries"
@@ -304,21 +290,17 @@ def gysin_assemble(
     consistency check.  split forces the connecting maps B -> B to rank 0
     (valid for even l); oriented demands top basic dimension 1.
     """
+    if l is not None:
+        require_count(l, "the gap l", 1)
     if pair is not None:
-        g, h = pair
-        derived = _two_row_gap(g, h)
+        derived = _two_row_gap(*pair)
         if l is not None and l != derived:
             raise ValueError(f"supplied gap {l} but the pair has gap {derived}")
         l = derived
     if l is None:
         raise ValueError("need either the gap l or a (g, h) pair")
-    if type(l) is not int:
-        raise ValueError(f"the gap l must be an int, got {l!r}")
-    if l < 1:
-        raise ValueError("the gap l must be at least 1")
-    if basic_dims is None:
-        raise ValueError("basic_dims is required")
-    basic = _check_dims(basic_dims, "basic dims")
+    basic = require_counts(basic_dims, "basic dims")
+    require_count(len(basic), "the number of basic dims", 1)
     if oriented and basic[-1] != 1:
         raise ValueError(
             f"homological orientability forces top basic dimension 1, got {basic[-1]}"
@@ -352,9 +334,10 @@ def wang_check(
     codim 3 additionally forces H^1(g,h) = 0, and dims violating that are
     reported as an inconsistent hypothesis rather than assembled.
     """
-    if codim not in (1, 2, 3):
+    if require_count(codim, "codim") not in (1, 2, 3):
         raise ValueError(f"unsupported codim {codim}")
-    gh = _check_dims(gh_dims, "pair cohomology dims")
+    gh = require_counts(gh_dims, "pair cohomology dims")
+    require_count(len(gh), "the number of pair cohomology dims", 1)
     if gh[0] != 1:
         raise ValueError("H^0(g,h) is one-dimensional for every pair; got " + str(gh[0]))
     if codim == 1:
@@ -412,7 +395,7 @@ def wang_check(
 
 def s3_check_4manifold(betti: Sequence[int]) -> Verdict:
     """Second-Betti-number exclusion for nonabelian compact group actions in dim 4."""
-    dims = _check_dims(betti, "Betti numbers")
+    dims = require_counts(betti, "Betti numbers")
     if len(dims) != 5:
         raise ValueError(f"expected five Betti numbers b0..b4, got {len(dims)}")
     if dims[0] != 1:
@@ -445,8 +428,7 @@ class CupForm(FrozenRecord):
     def create(cls, b2: int, matrices: Sequence) -> "CupForm":
         from .linalg import RationalMatrix, as_fraction
 
-        if type(b2) is not int or b2 < 0:
-            raise ValueError(f"inconsistent cup data: b2 must be an int >= 0, got {b2!r}")
+        require_count(b2, "inconsistent cup data: b2")
         mats = []
         for m in matrices:
             if not isinstance(m, RationalMatrix):
@@ -533,9 +515,7 @@ def null_hyperplane_search(cup: CupForm) -> NullSearchResult:
     """
     from .linalg import RationalMatrix, SubspaceBasis, kernel_basis
 
-    b2 = cup.b2
-    if b2 < 1:
-        raise ValueError("the search needs b2 >= 1")
+    b2 = require_count(cup.b2, "the searched b2", 1)
     if b2 == 1:
         return NullSearchResult(
             True, SubspaceBasis.zero(1), "exact", "the zero subspace is the only hyperplane"
@@ -601,11 +581,7 @@ def s3_check_5manifold(
     claimed only when the flag is false and the search's negative answer is
     exact; a "bounded-search" answer (a matrix of rank >= 3) is inconclusive.
     """
-    if type(b2) is not int:
-        raise ValueError(f"b2 must be an int, got {b2!r}")
-    if b2 < 0:
-        raise ValueError("b2 must be nonnegative")
-    if cup.b2 != b2:
+    if require_count(b2, "b2") != cup.b2:
         raise ValueError(f"inconsistent cup data: cup.b2 = {cup.b2} but b2 = {b2}")
     citation = (
         "an effective smooth action of a compact connected nonabelian Lie group on a"

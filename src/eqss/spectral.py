@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import SpectralAuditError
+from .errors import SpectralAuditError, require_count, require_counts
 from .linalg import (
     GradedComplex,
     Rational,
@@ -100,9 +100,9 @@ def _lowered_weight(
 class FilteredComplex(FrozenRecord):
     """A cochain complex with a basis-adapted decreasing filtration.
 
-    Construction checks the filtration (one nonnegative weight per basis
-    vector, and d never lowers weight) and raises FilteredComplexError, so
-    every instance is valid.  d^2 = 0 is an invariant of GradedComplex.
+    Construction checks the filtration (one int weight >= 0 per basis
+    vector, by `require_counts`, and d never lowers weight), so every
+    instance is valid.  d^2 = 0 is an invariant of GradedComplex.
     """
 
     __slots__ = ("complex", "weights")
@@ -117,8 +117,7 @@ class FilteredComplex(FrozenRecord):
                 raise FilteredComplexError(
                     f"degree {n} has {cx.dims[n]} basis vectors but {len(degree_ws)} weights"
                 )
-            if any(w < 0 for w in degree_ws):
-                raise FilteredComplexError(f"negative filtration weight in degree {n}")
+            require_counts(degree_ws, f"filtration weights[{n}]")
         for n in range(cx.top):
             hit = _lowered_weight(cx.differential(n), ws[n], ws[n + 1])
             if hit is not None:
@@ -131,7 +130,7 @@ class FilteredComplex(FrozenRecord):
 
     @classmethod
     def create(cls, cx: GradedComplex, weights: Sequence[Sequence[int]]) -> "FilteredComplex":
-        return cls(cx, tuple(tuple(int(w) for w in ws) for ws in weights))
+        return cls(cx, tuple(map(tuple, weights)))
 
     @property
     def max_weight(self) -> int:
@@ -237,7 +236,7 @@ def run_to_stabilization(fc: FilteredComplex, max_page: int | None = None) -> Pa
 
     Refuses, before building any page, to build more than MAX_PAGES pages.
     """
-    rmax = max(fc.max_weight + 2, max_page if max_page is not None else 0)
+    rmax = max(fc.max_weight + 2, 0 if max_page is None else require_count(max_page, "max_page"))
     if rmax + 1 > MAX_PAGES:
         raise ValueError(f"{rmax + 1} pages requested, more than the limit of {MAX_PAGES}")
     pairs = _pairs(fc)
@@ -312,8 +311,7 @@ def pages_inductive(fc: FilteredComplex, rmax: int | None = None) -> list[dict[t
     """
     cx = fc.complex
     maxw = fc.max_weight
-    if rmax is None:
-        rmax = maxw + 2
+    rmax = maxw + 2 if rmax is None else require_count(rmax, "rmax")
     if rmax + 1 > MAX_PAGES:
         raise ValueError(f"{rmax + 1} pages requested, more than the limit of {MAX_PAGES}")
     zc = _ZChain(fc)

@@ -81,6 +81,7 @@ every basis triple in lexicographic order, on the `sparse_brackets` table.
 It is the reference for `forms._jacobi_witness`.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -394,22 +395,19 @@ def induced_on_forms(aut: LieAutomorphism, degree: int, check: bool = True) -> R
 
 
 def sort_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
-    """Sorted tuple and permutation sign, or None on a repeated index."""
-    lst = list(seq)
-    sign = 1
-    # insertion sort; inversion count gives the parity
-    for i in range(1, len(lst)):
-        x = lst[i]
-        j = i - 1
-        while j >= 0 and lst[j] > x:
-            lst[j + 1] = lst[j]
-            j -= 1
-            sign = -sign
-        lst[j + 1] = x
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return None
-    return tuple(lst), sign
+    """Sorted tuple and permutation sign, or None on a repeated index.
+
+    The sign is (-1)^inversions.  Read from the right, each index counts the
+    indices after it that are smaller by a bisect into them, kept sorted.
+    """
+    if len(set(seq)) < len(seq):
+        return None
+    lst, inversions = [], 0
+    for x in reversed(seq):
+        k = bisect_left(lst, x)
+        inversions += k
+        lst.insert(k, x)
+    return tuple(lst), -1 if inversions & 1 else 1
 
 
 def tuple_rank(dim: int, idx: tuple[int, ...]) -> int:

@@ -244,11 +244,11 @@ def test_cup_product_unit():
 def test_cup_product_rejects_negative_degrees():
     g = su2()
     res = lie_cohomology(g)
-    with pytest.raises(ValueError, match="negative degree -1"):
+    with pytest.raises(ValueError, match="the degree p must be an int >= 0, got -1"):
         cup_product(g, res, -1, [1], 3, [1])
-    with pytest.raises(ValueError, match="negative degree -1"):
+    with pytest.raises(ValueError, match="the degree p must be an int >= 0, got -1"):
         cup_product(g, res, -1, [], 3, [1])
-    with pytest.raises(ValueError, match="negative degree -2"):
+    with pytest.raises(ValueError, match="the degree q must be an int >= 0, got -2"):
         cup_product(g, res, 0, [1], -2, [1])
 
 

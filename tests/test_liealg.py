@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import types
 from fractions import Fraction
 
@@ -237,6 +238,23 @@ def test_from_brackets_rejects_repeated_pairs():
     for repeat in ([0, 0, 0], [0, 0, 1], [0, 0, 2]):
         with pytest.raises(ValueError, match=r"\(1,2\) is given more than once"):
             LieAlgebra.from_brackets("su2", 3, table + [((1, 2), repeat)])
+
+
+@pytest.mark.parametrize("dim", [3.0, Fraction(3), True], ids=repr)
+def test_from_brackets_refuses_a_dimension_that_is_not_an_int(dim):
+    # 3.0 used to pass every range and length check and give an algebra whose dim is 3.0
+    table = {(1, 2): [0, 0, 1], (2, 3): [1, 0, 0], (1, 3): [0, -1, 0]}
+    assert LieAlgebra.from_brackets("su2", 3, table) == su2()
+    with pytest.raises(ValueError, match=re.escape(f"dim must be an int >= 0, got {dim!r}")):
+        LieAlgebra.from_brackets("su2", dim, table)
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, Fraction(2), True, 0], ids=repr)
+def test_coordinate_subalgebra_refuses_an_index_that_is_not_an_int_from_1(index):
+    # 1.5 used to be stored as the basis row 0.5, and True read as e1
+    assert coordinate_subalgebra(so_algebra(3), [1]).dim == 1
+    with pytest.raises(ValueError, match=re.escape(f"basis indices[0] must be an int >= 1, got {index!r}")):
+        coordinate_subalgebra(so_algebra(3), [index])
 
 
 def test_from_brackets_gives_one_table_for_every_spelling_of_a_row():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -188,8 +189,22 @@ def test_coordinate_subspace_matches_span_randomized():
 
 @pytest.mark.parametrize("idx", [[1, 0], [0, 0], [3], [-1]])
 def test_coordinate_subspace_rejects_unordered_or_out_of_range(idx):
-    with pytest.raises(ValueError, match="increasing"):
+    message = "coordinate indices[0] must be an int >= 0, got -1" if idx == [-1] else "increasing"
+    with pytest.raises(ValueError, match=re.escape(message)):
         SubspaceBasis.coordinate(3, idx)
+
+
+@pytest.mark.parametrize("ambient, idx, message", [
+    (3, [0.5], "coordinate indices[0] must be an int >= 0, got 0.5"),
+    (3, [0, True], "coordinate indices[1] must be an int >= 0, got True"),
+    (3, [Fraction(2)], "coordinate indices[0] must be an int >= 0, got Fraction(2, 1)"),
+    (3.0, [0], "ambient must be an int >= 0, got 3.0"),
+    (True, [], "ambient must be an int >= 0, got True"),
+], ids=repr)
+def test_coordinate_subspace_refuses_indices_and_ambients_that_are_not_ints(ambient, idx, message):
+    # [0.5] used to be stored as the basis row 0.5, and True as row 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SubspaceBasis.coordinate(ambient, idx)
 
 
 # The dense integer elimination that `insert` replaced, kept as an

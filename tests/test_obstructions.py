@@ -251,22 +251,26 @@ def test_gysin_validation():
         gysin_assemble(l=3, basic_dims=[1, 1], split=True)
     with pytest.raises(ValueError, match="total dims"):
         gysin_assemble(l=3, basic_dims=[1, 1], total_dims=[1, 1, 0, 1])
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(ValueError, match=re.escape("basic dims[1] must be an int >= 0, got -1")):
         gysin_assemble(l=3, basic_dims=[1, -1])
 
 
 NON_INTEGER_CALLS = [
-    (lambda: gysin_assemble(l=1.7, basic_dims=[1, 1]), "the gap l must be an int, got 1.7"),
-    (lambda: gysin_assemble(l=True, basic_dims=[1, 1]), "the gap l must be an int, got True"),
-    (lambda: gysin_assemble(l=1, basic_dims=[1.9, True]), "malformed basic dims: [1.9, True]"),
-    (lambda: gysin_assemble(l=1, basic_dims=[1, 1], total_dims=[1, 2.0, 1]), "malformed total dims: [1, 2.0, 1]"),
-    (lambda: wang_check(2, True, True, [1.0, 0.5, 1]), "malformed pair cohomology dims: [1.0, 0.5, 1]"),
-    (lambda: s3_check_4manifold(["1", "0", "3", "0", "1"]), "malformed Betti numbers: ['1', '0', '3', '0', '1']"),
-    (lambda: s3_check_4manifold(5), "malformed Betti numbers: 5"),
+    (lambda: gysin_assemble(l=1.7, basic_dims=[1, 1]), "the gap l must be an int >= 1, got 1.7"),
+    (lambda: gysin_assemble(l=True, basic_dims=[1, 1]), "the gap l must be an int >= 1, got True"),
+    (lambda: gysin_assemble(l=1, basic_dims=[1.9, True]), "basic dims[0] must be an int >= 0, got 1.9"),
+    (lambda: gysin_assemble(l=1, basic_dims=[1, 1], total_dims=[1, 2.0, 1]),
+     "total dims[1] must be an int >= 0, got 2.0"),
+    (lambda: wang_check(2, True, True, [1.0, 0.5, 1]), "pair cohomology dims[0] must be an int >= 0, got 1.0"),
+    (lambda: s3_check_4manifold(["1", "0", "3", "0", "1"]), "Betti numbers[0] must be an int >= 0, got '1'"),
+    (lambda: s3_check_4manifold(5), "Betti numbers must be a sequence of ints >= 0, got 5"),
     (lambda: CupForm.create(2.0, []), "inconsistent cup data: b2 must be an int >= 0, got 2.0"),
     (lambda: CupForm.create(-1, []), "inconsistent cup data: b2 must be an int >= 0, got -1"),
-    (lambda: s3_check_5manifold(1.5, CupForm.create(1, []), False), "b2 must be an int, got 1.5"),
-    (lambda: s3_check_5manifold(True, CupForm.create(1, []), False), "b2 must be an int, got True"),
+    (lambda: s3_check_5manifold(1.5, CupForm.create(1, []), False), "b2 must be an int >= 0, got 1.5"),
+    (lambda: s3_check_5manifold(True, CupForm.create(1, []), False), "b2 must be an int >= 0, got True"),
+    # codim used to be compared by equality, so True ran as codim 1 and 2.0 reached range()
+    (lambda: wang_check(True, True, True, [1, 0]), "codim must be an int >= 0, got True"),
+    (lambda: wang_check(2.0, True, True, [1, 0, 1]), "codim must be an int >= 0, got 2.0"),
 ]
 
 

@@ -221,7 +221,7 @@ def test_constructor_checks_run_on_every_construction():
     with pytest.raises(FilteredComplexError, match="differential lowers filtration"):
         FilteredComplex(cx, ((1,), (0,)))
     pc = product_model(circle_base(), su2())
-    with pytest.raises(FilteredComplexError, match="negative filtration weight"):
+    with pytest.raises(ValueError, match=re.escape("filtration weights[0][0] must be an int >= 0, got -1")):
         ProductComplex(pc.complex, tuple(tuple(-1 for _ in ws) for ws in pc.weights), pc.base, pc.fiber,
                        pc.blocks)
 

@@ -63,6 +63,12 @@ The README's "### Environment" section names exactly the EQSS_* variables
 that `cli` reads through `_env_count`, so that every variable the command
 honours, and whose bad value exits 2, is documented, and no documented one
 is gone.
+
+No engine function converts with `int(...)`, or passes `int` to a call as
+`map(int, ...)` does: `int(1.7)` is 1, so a size a library caller passes
+goes through `errors.require_count`, which refuses it instead.
+INT_CONVERSIONS names the few that parse text or read an integral rational,
+each with the reason.
 """
 
 import ast
@@ -666,3 +672,58 @@ def test_environment_guard_sees_every_spelling():
     assert env_reads(source) == {"EQSS_A", "EQSS_B"}
     text = "## Use\nEQSS_X\n### Environment\n\n- `EQSS_A` and EQSS_B.\n\n## Layout\nEQSS_Y\n"
     assert readme_environment(text) == {"EQSS_A", "EQSS_B"}
+
+
+# module.function -> why it converts with int(...)
+INT_CONVERSIONS = {
+    "linalg.as_fraction": "an int subclass (a bool) entry of a matrix, under the number rule",
+    "documents.render_rational": "an integral Fraction printed as a JSON integer",
+    "cli._env_count": "parses the text of an environment variable",
+    "cli._csv_ints": "parses the text of a command-line list",
+    "cli._build_parser": "argparse's type=int parses the text of a command-line option",
+    "obstructions._primitive_normal": "an integral Fraction, the normal scaled by its denominators",
+}
+
+
+def int_conversions(source: str, module: str) -> list[str]:
+    """module.qualname of the function (module.<module> at top level) of each
+    int(...) call, and of each call that passes int itself, as map(int, ...)
+    does; isinstance and issubclass only test against it."""
+    found = []
+
+    def visit(node: ast.AST, qualname: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                passed = [a for a in child.args + [k.value for k in child.keywords]
+                          if isinstance(a, ast.Name) and a.id == "int"]
+                if callee == "int" or passed and callee not in ("isinstance", "issubclass"):
+                    found.append(f"{module}.{qualname or '<module>'}")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, (f"{qualname}.{child.name}" if qualname else child.name) if named else qualname)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_no_engine_function_truncates_with_int():
+    # a size is refused by errors.require_count, never converted: int(1.7) is 1
+    found = {hit for path in SOURCES for hit in int_conversions(path.read_text(), path.stem)}
+    assert found == INT_CONVERSIONS.keys(), f"int(...) conversions: {sorted(found)}"
+
+
+def test_int_conversion_guard_sees_every_spelling():
+    source = (
+        "import builtins\n"
+        "n = int('3')\n"
+        "class C:\n"
+        "    @classmethod\n"
+        "    def f(cls, x, ws):\n"
+        "        if isinstance(x, int) and type(x) is int:\n"
+        "            return x\n"
+        "        def inner(w):\n"
+        "            return builtins.int(w)\n"
+        "        return tuple(map(int, ws)), sorted(ws, key=int), {int}, inner\n"
+    )
+    assert int_conversions(source, "m") == ["m.<module>", "m.C.f.inner", "m.C.f", "m.C.f"]
