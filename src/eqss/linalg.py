@@ -7,9 +7,10 @@ ever enters, and every stored rational follows one number rule: an ``int``
 when integral, a ``fractions.Fraction`` otherwise.  `as_vector` and `insert`
 apply it once per vector: one type scan passes a vector of ints as it is, and
 only any other vector goes through `as_fraction` entry by entry.
-`RationalMatrix.from_entries` calls `as_fraction` per entry, as its columns
-are short.  So integral matrices multiply and eliminate in ``int``
-arithmetic.  ``Fraction(3) == 3`` and the two hash alike.
+`RationalMatrix.from_entries` applies it per entry, as its columns are
+short: an int passes as it is, any other value goes through `as_fraction`.
+So integral matrices multiply and eliminate in ``int`` arithmetic.
+``Fraction(3) == 3`` and the two hash alike.
 
 A `RationalMatrix` keeps only its nonzero entries, column by column, and a
 `SubspaceBasis` is the matrix whose columns are its reduced echelon basis,
@@ -25,13 +26,18 @@ One elimination serves the whole engine: `insert` adds a sparse vector to an
 echelon basis keyed by pivot.  The vector is cleared of denominators and
 made primitive by its gcd, then reduced by the stored vector at its lowest
 nonzero index until that index is free, and stored there.  A matrix column
-is already such a vector.  A rank counts the pivots; reduced echelon form is
-insertion plus back substitution; a kernel and an image are one elimination
-of the columns, each carrying the unit vector that records it
-(`kernel_and_image`); the persistence pairs of a filtration are the
-pivots of its differential's columns (`spectral._pairs`); and a quotient
-N/D of subspaces is D's columns then N's inserted into one basis, the N
-columns that take a new pivot representing it (`spectral.pages_inductive`).
+is already such a vector.  The reduction works in place on the dict that
+`insert` built from the entries, which nothing else holds.  A stored vector
+is never changed in place, so a shallow copy of a basis (`dict(basis)`, as
+`spectral._presented` keeps one) stays valid while more vectors go in.
+
+A rank counts the pivots; reduced echelon form is insertion plus back
+substitution; a kernel and an image are one elimination of the columns,
+each carrying the unit vector that records it (`kernel_and_image`); the
+persistence pairs of a filtration are the pivots of its differential's
+columns (`spectral._pairs`); and a quotient N/D of subspaces is D's
+columns then N's inserted into one basis, the N columns that take a new
+pivot representing it (`spectral.pages_inductive`).
 
 Canonical form: every subspace is represented by the reduced echelon basis
 of its span (pivot entries 1, zeros at the other pivots, pivots increasing).
@@ -133,10 +139,11 @@ class RationalMatrix(FrozenRecord):
     @classmethod
     def from_entries(cls, nrows: int, columns: Iterable[Iterable[tuple[int, Rational]]]) -> "RationalMatrix":
         """From each column's (row, value) pairs, rows distinct and in any
-        order; zero values are dropped and each value goes through
-        `as_fraction` (most columns hold one or two entries, too few for a
-        type scan to pay)."""
-        return cls(nrows, tuple(tuple(sorted((i, as_fraction(x)) for i, x in col if x)) for col in columns))
+        order; zero values are dropped and each value that is not an int goes
+        through `as_fraction` (most columns hold one or two entries, too few
+        for a type scan to pay)."""
+        return cls(nrows, tuple(tuple(sorted((i, x if type(x) is int else as_fraction(x)) for i, x in col if x))
+                                for col in columns))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ncols: int | None = None) -> "RationalMatrix":
@@ -251,32 +258,48 @@ def insert(basis: dict[int, dict[int, int]], entries: Iterable[tuple[int, Ration
 
     basis maps each pivot to the stored integer vector whose lowest nonzero
     index it is.  The vector is scaled to a primitive integer dict (clearing
-    denominators only if a value is not an int), reduced by the stored vector
-    at its lowest nonzero index until that index is free, and stored there.
-    Returns the pivot, or None if the vector reduces to zero (it lay in the span).
+    denominators only if a value is not an int), reduced in place by the
+    stored vector at its lowest nonzero index until that index is free, and
+    stored there; no stored vector changes.  Returns the pivot, or None if
+    the vector reduces to zero (it lay in the span).
     """
     v = {k: x for k, x in entries if x}
-    if not _all_int(v.values()):
-        den = lcm(*(x.denominator for x in v.values()))
-        v = {k: x.numerator * (den // x.denominator) for k, x in v.items()}
-    v = _primitive(v)
-    while v:
+    if not v:
+        return None
+    for x in v.values():  # a loop, not `_all_int`: most vectors hold one or two entries
+        if type(x) is not int:
+            den = lcm(*(x.denominator for x in v.values()))
+            v = {k: x.numerator * (den // x.denominator) for k, x in v.items()}
+            break
+    # v is this call's own dict, never a stored one, so it is scaled and reduced in place
+    while True:
+        g = gcd(*v.values())
+        if g != 1:
+            for k, x in v.items():
+                v[k] = x // g
         p = min(v)
         w = basis.get(p)
         if w is None:
             basis[p] = v
             return p
-        v = _eliminate(v, w, p)
-    return None
-
-
-def _primitive(v: dict[int, int]) -> dict[int, int]:
-    g = gcd(*v.values())
-    return v if g == 1 else {k: x // g for k, x in v.items()}
+        g = gcd(w[p], v[p])
+        a, b = w[p] // g, v[p] // g
+        if a != 1:
+            for k, x in v.items():
+                v[k] = a * x
+        for k, x in w.items():
+            y = v.get(k, 0) - b * x
+            if y:
+                v[k] = y
+            else:
+                del v[k]
+        if not v:
+            return None
 
 
 def _eliminate(v: dict[int, int], w: dict[int, int], p: int) -> dict[int, int]:
-    """The primitive integer combination of v and w that is zero at p."""
+    """The primitive integer combination of v and w that is zero at p, as a
+    new dict: `insert`'s step, for back substitution of stored vectors."""
     g = gcd(w[p], v[p])
     a, b = w[p] // g, v[p] // g
     out = {k: a * x for k, x in v.items()} if a != 1 else dict(v)
@@ -286,7 +309,8 @@ def _eliminate(v: dict[int, int], w: dict[int, int], p: int) -> dict[int, int]:
             out[k] = y
         else:
             del out[k]
-    return _primitive(out) if out else out
+    g = gcd(*out.values())
+    return out if g == 1 else {k: x // g for k, x in out.items()}
 
 
 def _back_substitute(basis: dict[int, dict[int, int]]) -> None:

@@ -89,6 +89,8 @@ class LesProblem(FrozenRecord):
             if i >= len(terms) - 1:
                 raise ValueError(f"forced arrow index {i} out of range")
         require_count(period, "period", 1)
+        if type(degree_range) is not tuple or len(degree_range) != 2 or not all(type(d) is int for d in degree_range):
+            raise ValueError(f"degree_range must be a tuple of two ints, got {degree_range!r}")
         set_fields(self, terms=terms, period=period, degree_range=degree_range,
                    forced_zero_ranks=forced_zero_ranks, description=description)
 
@@ -340,6 +342,8 @@ def wang_check(
     require_count(len(gh), "the number of pair cohomology dims", 1)
     if gh[0] != 1:
         raise ValueError("H^0(g,h) is one-dimensional for every pair; got " + str(gh[0]))
+    if total_dims is not None:  # refused when malformed, also by the verdicts that never read them
+        require_counts(total_dims, "total dims")
     if codim == 1:
         if simply_connected and oriented:
             return Verdict(

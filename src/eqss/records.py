@@ -8,6 +8,11 @@ its fields and refuses assignment and deletion, so its `__init__` assigns
 through `set_fields` or, in the hot records of `linalg` and `liealg`, one
 `set_field` per field; `RationalMatrix`, `SubspaceBasis` and `LieAlgebra`
 also spell out `_key`, the field tuple, as engine paths hash them.
+
+A record never changes, so its hash is computed once and cached in the
+base's `_hash` slot (a record with a dict field still refuses to hash, and
+caches nothing).  Copy and pickle leave the cached hash behind: a str field
+hashes differently under another PYTHONHASHSEED, so a copy computes its own.
 """
 
 __all__ = ["FrozenRecord", "set_field", "set_fields"]
@@ -21,7 +26,7 @@ def set_fields(record: "FrozenRecord", **fields: object) -> None:
 
 
 class FrozenRecord:
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
@@ -36,7 +41,12 @@ class FrozenRecord:
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._key())
+            set_field(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
@@ -47,6 +57,11 @@ class FrozenRecord:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __setstate__(self, state: tuple) -> None:  # copy and pickle pass (None, {slot: value})
+    def __getstate__(self) -> tuple:
+        """(None, {slot: value}) of the slots set, less the cached hash."""
+        names = (name for c in type(self).__mro__ for name in c.__dict__.get("__slots__", ()) if name != "_hash")
+        return None, {name: getattr(self, name) for name in names if hasattr(self, name)}
+
+    def __setstate__(self, state: tuple) -> None:
         for name, value in state[1].items():
             set_field(self, name, value)

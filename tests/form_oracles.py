@@ -47,6 +47,10 @@ tests build one.
 reversed, then back substitution.  It is the reference for the kernels and
 cohomology representatives of the column elimination.
 
+`copying_insert` is `linalg.insert` as it was before it reduced in place:
+every reduction step builds a new dict, and a second one to divide out the
+gcd.  It is the reference for the pivots and stored vectors of `insert`.
+
 `form_vanishes_on_hyperplane` is the test the cup-null hyperplane search
 made for every normal before `obstructions._vanishes_on`: a kernel basis of
 the normal, then the form on each pair of basis vectors.
@@ -614,6 +618,38 @@ def restricted_kernel(m: RationalMatrix, cols: Sequence[int]) -> SubspaceBasis:
             if f != p:
                 solutions[f][cols[last - p]] = _quotient(-x, w[p])
     return SubspaceBasis(RationalMatrix(ambient, tuple(tuple(sorted(sol.items())) for sol in solutions.values())))
+
+
+def copying_insert(basis: dict[int, dict[int, int]], entries) -> int | None:
+    """Insert a sparse rational vector into a pivot-keyed echelon basis,
+    each step a new primitive integer dict; the pivot, or None."""
+    v = {k: x for k, x in entries if x}
+    if any(type(x) is not int for x in v.values()):
+        den = lcm(*(x.denominator for x in v.values()))
+        v = {k: x.numerator * (den // x.denominator) for k, x in v.items()}
+    v = _primitive(v)
+    while v:
+        p = min(v)
+        w = basis.get(p)
+        if w is None:
+            basis[p] = v
+            return p
+        g = gcd(w[p], v[p])
+        a, b = w[p] // g, v[p] // g
+        out = {k: a * x for k, x in v.items()} if a != 1 else dict(v)
+        for k, x in w.items():
+            y = out.get(k, 0) - b * x
+            if y:
+                out[k] = y
+            else:
+                del out[k]
+        v = _primitive(out) if out else out
+    return None
+
+
+def _primitive(v: dict[int, int]) -> dict[int, int]:
+    g = gcd(*v.values())
+    return v if g == 1 else {k: x // g for k, x in v.items()}
 
 
 def form_vanishes_on_hyperplane(m: RationalMatrix, normal: Sequence) -> bool:

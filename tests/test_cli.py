@@ -217,6 +217,16 @@ def test_obstruct_wang_verdicts(capsys):
     assert codim3["results"]["solution_count"] == 1
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["--codim", "1", "--gh", "1,0", "--total", "-5"], "total dims[0] must be an int >= 0, got -5"),
+    (["--codim", "3", "--gh", "1,1,0,1", "--total", "1,-1,0,0,0,0,1"], "total dims[1] must be an int >= 0, got -1"),
+], ids=["codim 1", "inconsistent codim 3"])
+def test_obstruct_wang_refuses_malformed_totals_where_no_verdict_reads_them(capsys, argv, bad):
+    # a negative total used to pass, and the command exited 0 with "excluded" or "inconsistent hypothesis"
+    code, out, err = run(capsys, "obstruct", "wang", *argv, "--simply-connected", "--oriented")
+    assert (code, out, err) == (3, "", f"validation error: {bad}\n")
+
+
 def test_obstruct_sequences_of_hundreds_of_terms_exit_cleanly(capsys):
     # S^400 over a point: H(M) = 1 in degrees 0 and 400
     total = ",".join(["1"] + ["0"] * 399 + ["1"])

@@ -9,6 +9,7 @@ from eqss import linalg
 from eqss.cohomology import cohomology, relative_model, restricted_action
 from eqss.forms import ce_complex, wedge
 from eqss.library import double_cover_base, sheet_swap_maps, so_pair, so_pair_reflection
+from eqss.liealg import Subalgebra, so_algebra, so_pairs
 from eqss.linalg import (
     GradedComplex,
     GroupBoundError,
@@ -20,6 +21,7 @@ from eqss.linalg import (
     enumerate_group,
     fixed_subspace,
     image_basis,
+    insert,
     kernel_and_image,
     kernel_basis,
     rank,
@@ -28,9 +30,9 @@ from eqss.records import FrozenRecord
 from eqss.spectral import product_model, twist_by_deck
 
 from form_oracles import (
-    apply, complement_in, contains_subspace, matrix_sum, restricted_kernel, solve, subspace_sum,
+    apply, complement_in, contains_subspace, copying_insert, matrix_sum, restricted_kernel, solve, subspace_sum,
 )
-from randgen import change_basis, random_unimodular
+from randgen import change_basis, random_unimodular, transported_pair
 
 
 def M(rows, ncols=None):
@@ -671,6 +673,69 @@ def test_number_rule_fast_lane_matches_the_general_path(kinds, monkeypatch):
         assert {1, -1, 3} <= entries
 
 
+INSERT_MIXES = [("int",), ("int", "proper Fraction"), ("proper Fraction",)]
+
+
+@pytest.mark.parametrize("kinds", INSERT_MIXES, ids="+".join)
+def test_in_place_insert_matches_the_copying_path(kinds):
+    # up to twice as many vectors as the width, so later ones reduce to zero
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        new, old = {}, {}
+        for _ in range(rng.randint(1, 2 * n)):
+            col = random_pairs(rng, n, kinds)
+            assert insert(new, col) == copying_insert(old, col)
+            assert new == old  # after every insert, so a stray in-place write shows before it compounds
+        assert all(type(x) is int for w in new.values() for x in w.values())
+
+
+@pytest.mark.parametrize("kinds", INSERT_MIXES, ids="+".join)
+def test_a_copy_taken_midway_is_unchanged_by_later_inserts(kinds):
+    # spectral._presented keeps such a shallow copy and _new_pivots inserts into one
+    rng = random.Random(38)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        cols = [random_pairs(rng, n, kinds) for _ in range(2 * n)]
+        basis = echelon(cols[:n])
+        kept, frozen = dict(basis), {p: dict(w) for p, w in basis.items()}
+        other = dict(basis)
+        for col in cols[n:]:
+            insert(basis, col)
+            insert(other, col)
+        assert kept == frozen and all(basis[p] is w and other[p] is w for p, w in kept.items())
+
+
+def coordinate_pair(case):
+    """(so(4), 0); (so(n+1), so(n)) for the sphere S^n; or so(n) over its coordinate so(n-2) for V(n, 2)."""
+    if case == "so(4)":
+        return so_algebra(4), []
+    if case.startswith("S^"):
+        g, h = so_pair(int(case[2:]))
+        return g, h.basis.vectors
+    n = int(case[2])
+    return so_algebra(n), [[int(k == j) for k in range(n * (n - 1) // 2)]
+                           for j, (_, b) in enumerate(so_pairs(n)) if b <= n - 2]
+
+
+@pytest.mark.parametrize("case", ["so(4)", "S^3", "V(4,2)", "V(5,2)"])
+def test_kernels_and_images_match_the_copying_path_on_random_basis_pairs(case, monkeypatch):
+    # each pair in the random bases of seeds 95-97: the relative model, and the kernel
+    # and image of each of its differentials and their transposes, under either insert
+    g, h = coordinate_pair(case)
+    for seed in (95, 96, 97):
+        g2, vectors = transported_pair(random.Random(seed), g, h)
+        h2 = Subalgebra.span(g2, vectors, "h")
+        model = relative_model(g2, h2)
+        mats = [m for d in model.complex.differentials for m in (d, d.transpose())]
+        new = [(kernel_basis(m), image_basis(m)) for m in mats]
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "insert", copying_insert)
+            assert [(kernel_basis(m), image_basis(m)) for m in mats] == new
+            assert relative_model(g2, h2) == model
+        assert any(i.dim for _, i in new) != case.startswith("S^")  # a sphere's d is zero
+
+
 def test_number_rule_at_the_boundary():
     assert [as_fraction(x) for x in (3, Fraction(6, 2), "6/3", " -4/2 ")] == [3, 3, 2, -2]
     assert all(type(as_fraction(x)) is int for x in (3, Fraction(6, 2), "6/3", True))
@@ -693,7 +758,10 @@ def numbers(obj):
     elif isinstance(obj, FrozenRecord):
         for cls in type(obj).__mro__:
             for name in cls.__dict__.get("__slots__", ()):
-                yield from numbers(getattr(obj, name))
+                if name == "_hash":  # the cached hash: unset, or an int that is no rational of the record
+                    assert type(getattr(obj, name, 0)) is int
+                else:
+                    yield from numbers(getattr(obj, name))
     elif isinstance(obj, (tuple, list)):
         for x in obj:
             yield from numbers(x)
@@ -707,6 +775,8 @@ def numbers(obj):
 
 def test_number_walk_sees_every_slot_and_refuses_unknown_types():
     m = RationalMatrix(2, ((), ((0, 0.5), (1, Fraction(1, 3)))))
+    assert list(numbers(m)) == [2, 0, 0.5, 1, Fraction(1, 3)]
+    hash(m)  # caches the hash in the base's slot, which the walk passes over
     assert list(numbers(m)) == [2, 0, 0.5, 1, Fraction(1, 3)]
     res = cohomology(GradedComplex.create((1, 1), (RationalMatrix.zeros(1, 1),)))
     before = list(numbers(res))

@@ -320,6 +320,30 @@ def test_wang_validation():
         wang_check(2, True, True, [2, 0, 0, 1])
 
 
+@pytest.mark.parametrize("codim", [1, 2, 3])
+@pytest.mark.parametrize("total, message", [
+    ([1, -5], "total dims[1] must be an int >= 0, got -5"),
+    ([True, -5, 2.5], "total dims[0] must be an int >= 0, got True"),
+    (5, "total dims must be a sequence of ints >= 0, got 5"),
+], ids=["negative", "bool", "not a sequence"])
+def test_wang_gates_the_totals_at_every_codim(codim, total, message):
+    # codim 1 and an inconsistent codim 3 read no totals, but malformed ones are refused there too
+    with pytest.raises(ValueError, match=re.escape(message)):
+        wang_check(codim, True, True, [1, 0], total_dims=total)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        wang_check(codim, True, True, [1, 1], total_dims=total)
+    assert wang_check(1, True, True, [1, 0], total_dims=[1, 0, 1]).verdict == "excluded"
+
+
+@pytest.mark.parametrize("degree_range", [(True, 2), (0, 2.0), (Fraction(0), 1), (0,), (0, 1, 2), [0, 1], None],
+                         ids=repr)
+def test_les_problem_degree_range_is_two_ints(degree_range):
+    # rendered by as_dict, so --json would print a bool or float as given
+    with pytest.raises(ValueError, match=re.escape(f"degree_range must be a tuple of two ints, got {degree_range!r}")):
+        LesProblem((1,), degree_range=degree_range)
+    assert LesProblem((1,), degree_range=(-1, 3)).as_dict()["degree_range"] == [-1, 3]
+
+
 def test_4manifold_thresholds():
     assert s3_check_4manifold([1, 0, 3, 0, 1]).excluded
     assert not s3_check_4manifold([1, 0, 2, 0, 1]).excluded

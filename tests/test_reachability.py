@@ -34,6 +34,7 @@ ALLOWED = {
     "records.FrozenRecord.__repr__": "the repr protocol",
     "records.FrozenRecord.__setattr__": "refuses assignment to a field",
     "records.FrozenRecord.__delattr__": "refuses deletion of a field",
+    "records.FrozenRecord.__getstate__": "the copy and pickle protocols, which leave the cached hash behind",
     "records.FrozenRecord.__setstate__": "the copy and pickle protocols",
 }
 

@@ -4,17 +4,22 @@ Each case gives a record class, the keyword arguments of one instance, and
 for each compared field a second valid value.  Equal fields give equal
 records with equal hashes; changing any compared field breaks ==; records
 of different classes never compare equal; records refuse assignment and
-deletion; copy and pickle keep every record.
+deletion; copy and pickle keep every record and leave its cached hash behind.
 """
 
 import copy
 import itertools
+import os
 import pickle
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import eqss
 from eqss.cohomology import CohomologyResult, InvariantCohomology, RelativeModel, cohomology, relative_model
 from eqss.documents import ActionEntry, ComplexEntry, InputDocument
 from eqss.library import circle_base
@@ -177,6 +182,46 @@ def test_records_survive_copy_and_pickle(cls, fields, other, hidden):
     for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
         assert type(twin) is cls and twin == rec
         assert all(getattr(twin, name) == value for name, value in fields.items())
+
+
+@pytest.mark.parametrize("cls, fields, other, hidden", CASES, ids=IDS)
+def test_the_hash_is_cached_once_and_left_behind_by_copy_and_pickle(cls, fields, other, hidden):
+    rec, fresh = cls(**fields), cls(**fields)
+    if not hashable(fields[name] for name in other):  # a dict field: nothing to cache
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(rec)
+        assert not hasattr(rec, "_hash")
+        return
+    assert not hasattr(rec, "_hash")
+    h = hash(rec)
+    assert rec._hash == h == hash(rec) == hash(fresh)
+    for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert not hasattr(twin, "_hash")
+        assert twin == fresh and hash(twin) == hash(fresh)
+
+
+UNPICKLE = (
+    "import pickle, sys\n"
+    "from eqss.liealg import su2\n"
+    "g = pickle.loads(sys.stdin.buffer.read())\n"
+    "print(hasattr(g, '_hash'), hash(g) == hash(su2()), hash(su2()))\n"
+)
+
+
+def test_an_unpickled_record_hashes_under_the_reading_interpreters_seed():
+    # the name "su2" is a str, whose hash depends on PYTHONHASHSEED: a hash carried
+    # through the pickle would disagree with a fresh su2() in the reading interpreter
+    g = su2()
+    hash(g)
+    data = pickle.dumps(g)
+    env = {**os.environ, "PYTHONPATH": str(Path(eqss.__file__).parents[1])}
+    fresh = set()
+    for seed in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", UNPICKLE], input=data, capture_output=True,
+                             env={**env, "PYTHONHASHSEED": seed}, check=True).stdout.split()
+        assert out[:2] == [b"False", b"True"]
+        fresh.add(int(out[2]))
+    assert len(fresh) == 2  # the seeds hash su2() apart, so one carried hash could not match both
 
 
 def test_records_of_different_classes_are_never_equal():

@@ -209,7 +209,8 @@ EXEMPT_PARAMETERS = {
     "linalg.GradedComplex.create": {"duality": "parities forms.ce_complex computes for the Chevalley-Eilenberg "
                                                "complex, read on the build path"},
     "obstructions.LesProblem": {"degree_range": "a label of the degrees the terms span, rendered by as_dict "
-                                                "and never computed with; a degree may be negative"},
+                                                "and never computed with; its type is gated (a tuple of two "
+                                                "ints), but a degree may be negative"},
 }
 
 
