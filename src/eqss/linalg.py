@@ -271,46 +271,40 @@ def insert(basis: dict[int, dict[int, int]], entries: Iterable[tuple[int, Ration
             den = lcm(*(x.denominator for x in v.values()))
             v = {k: x.numerator * (den // x.denominator) for k, x in v.items()}
             break
-    # v is this call's own dict, never a stored one, so it is scaled and reduced in place
+    g = gcd(*v.values())
+    if g != 1:
+        for k, x in v.items():
+            v[k] = x // g
+    # v is this call's own dict, never a stored one, so it is reduced in place
     while True:
-        g = gcd(*v.values())
-        if g != 1:
-            for k, x in v.items():
-                v[k] = x // g
         p = min(v)
         w = basis.get(p)
         if w is None:
             basis[p] = v
             return p
-        g = gcd(w[p], v[p])
-        a, b = w[p] // g, v[p] // g
-        if a != 1:
-            for k, x in v.items():
-                v[k] = a * x
-        for k, x in w.items():
-            y = v.get(k, 0) - b * x
-            if y:
-                v[k] = y
-            else:
-                del v[k]
+        _reduce(v, w, p)
         if not v:
             return None
 
 
-def _eliminate(v: dict[int, int], w: dict[int, int], p: int) -> dict[int, int]:
-    """The primitive integer combination of v and w that is zero at p, as a
-    new dict: `insert`'s step, for back substitution of stored vectors."""
+def _reduce(v: dict[int, int], w: dict[int, int], p: int) -> None:
+    """Replace v, in place, by the primitive integer combination of v and w
+    that is zero at p; w is left as it is."""
     g = gcd(w[p], v[p])
     a, b = w[p] // g, v[p] // g
-    out = {k: a * x for k, x in v.items()} if a != 1 else dict(v)
+    if a != 1:
+        for k, x in v.items():
+            v[k] = a * x
     for k, x in w.items():
-        y = out.get(k, 0) - b * x
+        y = v.get(k, 0) - b * x
         if y:
-            out[k] = y
+            v[k] = y
         else:
-            del out[k]
-    g = gcd(*out.values())
-    return out if g == 1 else {k: x // g for k, x in out.items()}
+            del v[k]
+    g = gcd(*v.values())
+    if g > 1:
+        for k, x in v.items():
+            v[k] = x // g
 
 
 def _back_substitute(basis: dict[int, dict[int, int]]) -> None:
@@ -321,9 +315,12 @@ def _back_substitute(basis: dict[int, dict[int, int]]) -> None:
     """
     for p in sorted(basis, reverse=True):
         v = basis[p]
-        for q in sorted(k for k in v if k != p and k in basis):
-            v = _eliminate(v, basis[q], q)
-        basis[p] = v
+        qs = sorted(k for k in v if k != p and k in basis)
+        if qs:
+            v = dict(v)  # a copy, as a stored vector never changes in place
+            for q in qs:
+                _reduce(v, basis[q], q)
+            basis[p] = v
 
 
 def echelon(rows: Iterable[Iterable[tuple[int, Rational]]]) -> dict[int, dict[int, int]]:

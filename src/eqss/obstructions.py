@@ -243,18 +243,16 @@ def _two_row_gap(g: LieAlgebra, h: Subalgebra | None) -> int:
     return nonzero[1]
 
 
-def _total_terms(total_dims: Sequence[int] | None, n: int) -> Callable[[int], int | str]:
-    """H^k(M) as a sequence term: the given total dims, which must cover
-    degrees 0..n, else the unknowns M0..Mn; zero outside 0..n."""
-    total = None
-    if total_dims is None:
+def _total_terms(total: tuple[int, ...] | None, n: int) -> Callable[[int], int | str]:
+    """H^k(M) as a sequence term: the given total dims (gated by the
+    caller), which must cover degrees 0..n, else the unknowns M0..Mn; zero
+    outside 0..n."""
+    if total is None:
         _check_unknowns(n + 1)  # the labels M0..Mn, before any term is built
-    else:
-        total = require_counts(total_dims, "total dims")
-        if len(total) != n + 1:
-            raise ValueError(
-                f"total dims must cover degrees 0..{n}, got {len(total)} entries"
-            )
+    elif len(total) != n + 1:
+        raise ValueError(
+            f"total dims must cover degrees 0..{n}, got {len(total)} entries"
+        )
 
     def m_term(k: int) -> int | str:
         if not 0 <= k <= n:
@@ -311,7 +309,8 @@ def gysin_assemble(
         raise ValueError("the splitting constraint applies to even gaps only")
     bt = len(basic) - 1
     n = bt + l
-    m_term = _total_terms(total_dims, n)
+    total = None if total_dims is None else require_counts(total_dims, "total dims")
+    m_term = _total_terms(total, n)
 
     def b_term(j: int) -> int:
         return basic[j] if 0 <= j <= bt else 0
@@ -342,8 +341,8 @@ def wang_check(
     require_count(len(gh), "the number of pair cohomology dims", 1)
     if gh[0] != 1:
         raise ValueError("H^0(g,h) is one-dimensional for every pair; got " + str(gh[0]))
-    if total_dims is not None:  # refused when malformed, also by the verdicts that never read them
-        require_counts(total_dims, "total dims")
+    # refused when malformed, also by the verdicts that never read them
+    total = None if total_dims is None else require_counts(total_dims, "total dims")
     if codim == 1:
         if simply_connected and oriented:
             return Verdict(
@@ -377,7 +376,7 @@ def wang_check(
     gap = codim - 1
     s = len(gh) - 1
     n = codim + s
-    m_term = _total_terms(total_dims, n)
+    m_term = _total_terms(total, n)
 
     def g_term(j: int) -> int:
         return gh[j] if 0 <= j <= s else 0

@@ -2,17 +2,16 @@
 base revision, in alternating pairs of perfbench runs.
 
     python3 tools/claim.py LABEL --workload WORKLOAD --pairs N --base REV
-                           [--seconds S] [--bytecode compiled|cached]
 
 `git archive REV` is unpacked into a temporary directory, and each tree's
 own perfbench/run.py (the base's, and this checkout's with its working-tree
-files) runs N times with `--trace 0`.  Pair i runs both trees on the seed
-`seed_base(LABEL) + i`, the base first in even pairs and this checkout
-first in odd ones, so drift in machine load touches both sides alike.  With
-`--bytecode compiled` (the default, as a fresh checkout runs) every
-`__pycache__` under each tree's src and perfbench is removed first and the
-runs set PYTHONDONTWRITEBYTECODE=1; with `--bytecode cached` compileall
-writes the bytecode first (tools/ladder.py's `prepare_bytecode`).
+files) runs N times with `--trace 0`, each run as long as BENCHMARK.json's
+`run_seconds`.  Pair i runs both trees on the seed `seed_base(LABEL) + i`,
+the base first in even pairs and this checkout first in odd ones, so drift
+in machine load touches both sides alike.  Every module is compiled from
+source in every process, as in a fresh checkout: every `__pycache__` under
+each tree's src and perfbench is removed first and the runs set
+PYTHONDONTWRITEBYTECODE=1 (tools/ladder.py's `prepare_bytecode`).
 
 bench/BENCH_claim_LABEL.json holds every run (seed, side, order, exit code,
 whether its jobs were correct, and its metrics) and, for each end-to-end
@@ -116,10 +115,6 @@ def main() -> int:
     p.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
     p.add_argument("--pairs", type=int, required=True, help="pairs of runs, at least 2")
     p.add_argument("--base", required=True, help="the base revision, unpacked with git archive")
-    p.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's run_seconds)")
-    p.add_argument("--bytecode", choices=("compiled", "cached"), default="compiled",
-                   help="compile every module from source in every process (default), "
-                        "or compileall each tree first")
     args = p.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
@@ -128,7 +123,7 @@ def main() -> int:
         p.error(f"unknown workload {args.workload!r}")
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     first = seed_base(args.label)
 
     runs = []
@@ -139,7 +134,7 @@ def main() -> int:
         for side, tree in trees.items():
             env = child_env(tree / "src")
             for sub in ("src", "perfbench"):
-                env = stack.enter_context(prepare_bytecode(tree / sub, args.bytecode, env))
+                env = stack.enter_context(prepare_bytecode(tree / sub, "compiled", env))
             envs[side] = env
         for i in range(args.pairs):
             seed = first + i
@@ -165,7 +160,7 @@ def main() -> int:
         "seeds": [first + i for i in range(args.pairs)],
         "base": {"rev": args.base, "commit": base_commit},
         "change": {"head": head.strip(), "working_tree_changes": bool(dirty.strip())},
-        "bytecode": args.bytecode,
+        "bytecode": "compiled",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
