@@ -706,6 +706,20 @@ def test_a_copy_taken_midway_is_unchanged_by_later_inserts(kinds):
         assert kept == frozen and all(basis[p] is w and other[p] is w for p, w in kept.items())
 
 
+def test_back_substitution_replaces_stored_vectors_and_changes_none_in_place():
+    # cohomology keeps each degree's echelon basis, which from_echelon rewrites
+    rng = random.Random(39)
+    rewritten = 0
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        basis = echelon(random_pairs(rng, n, ("int", "proper Fraction")) for _ in range(n))
+        kept, frozen = dict(basis), {p: dict(w) for p, w in basis.items()}
+        SubspaceBasis.from_echelon(basis, n)
+        assert kept == frozen
+        rewritten += basis != frozen
+    assert rewritten > 100
+
+
 def coordinate_pair(case):
     """(so(4), 0); (so(n+1), so(n)) for the sphere S^n; or so(n) over its coordinate so(n-2) for V(n, 2)."""
     if case == "so(4)":
