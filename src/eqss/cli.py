@@ -45,16 +45,22 @@ EXIT_VALIDATION = 3
 EXIT_AUDIT = 4
 
 
+def _decimal(text: str) -> int:
+    """An integer in ASCII digits after at most a '-', which a later gate may
+    refuse; int() alone also reads spaces, '+', '_' and other scripts' digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
 def _env_count(name: str) -> int | None:
     """A nonnegative integer setting from the environment, or None if unset."""
     raw = os.environ.get(name)
-    if raw is None:
-        return None
     try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
+        value = None if raw is None else _decimal(raw)
+    except argparse.ArgumentTypeError:
+        value = -1  # refused below, as a negative value is
+    if value is not None and value < 0:
         raise DocumentError(f"{name} must be a nonnegative integer, got {raw!r}")
     return value
 
@@ -117,8 +123,8 @@ def _list_text(values) -> str:
 
 def _csv_ints(text: str, what: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
+        return [_decimal(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise DocumentError(f"{what}: expected comma-separated integers, got {text!r}") from None
 
 
@@ -346,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("specseq", help="spectral sequence of a filtered complex")
     p.add_argument("file", help="input document path, or builtin:NAME")
     p.add_argument("--complex", required=True, help="filtered complex name in the document")
-    p.add_argument("--max-page", type=int, default=None, help="compute at least this many pages")
+    p.add_argument("--max-page", type=_decimal, default=None, help="compute at least this many pages")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.set_defaults(handler=_cmd_specseq)
 
@@ -359,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_obstruct_s3_4m)
 
     q = ob.add_parser("s3-5m", help="5-manifold hyperplane check")
-    q.add_argument("--b2", type=int, required=True, help="second Betti number")
+    q.add_argument("--b2", type=_decimal, required=True, help="second Betti number")
     q.add_argument("--cup", required=True, help="cup form document path, or builtin:NAME")
     q.add_argument(
         "--sphere-hyperplane",
@@ -370,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_obstruct_s3_5m)
 
     q = ob.add_parser("gysin", help="sphere-bundle long exact sequence solver")
-    q.add_argument("--l", type=int, default=None, help="fiber sphere dimension")
+    q.add_argument("--l", type=_decimal, default=None, help="fiber sphere dimension")
     q.add_argument("--basic", help="comma-separated base cohomology dims")
     q.add_argument("--total", help="comma-separated total space dims to test")
     q.add_argument("--pair", help="ALGEBRA,SUBALGEBRA giving a two-row base")
@@ -381,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_obstruct_gysin)
 
     q = ob.add_parser("wang", help="low-codimension orbit sequence check")
-    q.add_argument("--codim", type=int, required=True, help="orbit codimension (1, 2, or 3)")
+    q.add_argument("--codim", type=_decimal, required=True, help="orbit codimension (1, 2, or 3)")
     q.add_argument("--gh", required=True, help="comma-separated pair cohomology dims")
     q.add_argument("--total", help="comma-separated total space dims to test")
     q.add_argument("--simply-connected", action="store_true")

@@ -21,10 +21,12 @@ routine: it peels off the lowest index, d(e^i ^ e^rest) = de^i ^ e^rest -
 e^i ^ d(e^rest), reading d(e^rest) from a memo of the degree below; every
 memo lives for one call.  It also decides the Jacobi identity, as
 d(d e^k) = 0 on the generators (`_jacobi_witness`), and builds d on C(g, h)
-in `relative_subcomplex` from the free part of the bracket (`_free_part`),
-so d is built once per route.  `ce_complex` returns a `GradedComplex`, the
-type of every complex, built degree by degree through one mask -> position
-table per degree (`_positions`), and keeps the last few in a bounded cache.
+from the free part of the bracket (`_free_part`), so d is built once per
+route; `relative_subcomplex` first lifts the kernel of `_constraint`, h's
+isotropy action, and raises AssertionError if d leaves the next basis.
+`ce_complex` returns a `GradedComplex`, the type of every complex, built
+degree by degree through one mask -> position table per degree
+(`_positions`), and keeps the last few in a bounded cache.
 
 Forms are the columns of a `RationalMatrix` everywhere, indexed by
 monomial position, and every routine that maps forms (`pull_back`, `wedge`,
@@ -318,22 +320,42 @@ def _isotropy_action(g: LieAlgebra, h: Subalgebra):
     return action, duals
 
 
-def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> tuple[list[SubspaceBasis], list[RationalMatrix | None]]:
-    """Per-degree bases of C(g, h) = (Lambda(g/h)*)^h inside the k-forms on g,
-    and d_k in them (None where an image leaves the next basis).
+def _constraint(action, horizontal: Sequence[int]) -> RationalMatrix:
+    """The stacked L_{f_p} on the horizontal monomials m, a column each: a
+    term with a != c moves f^c to f^a past the indices of m between them,
+    alone at its row and under the number rule (`_free_part`); only the sums
+    of the a = c terms, which keep m, need `as_fraction`.  A (p, monomial)
+    row is numbered at its first nonzero entry; the kernel ignores order."""
+    row_of, cols = {}, []
+    for m in horizontal:
+        col, stay = [], {}
+        for c, terms in action.items():
+            if m & c:
+                for key, a, between, v in terms:
+                    if a == c:
+                        stay[key] = stay.get(key, 0) + v
+                    elif not m & a:
+                        row = row_of.setdefault(key | m ^ c | a, len(row_of))
+                        col.append((row, -v if (m & between).bit_count() & 1 else v))
+        col += [(row_of.setdefault(key | m, len(row_of)), as_fraction(v)) for key, v in stay.items() if v]
+        cols.append(tuple(sorted(col)))
+    return RationalMatrix(len(row_of), tuple(cols))
+
+
+def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> tuple[list[SubspaceBasis], list[RationalMatrix]]:
+    """Per-degree bases of C(g, h) = (Lambda(g/h)*)^h in the k-forms, and d_k.
 
     These are the horizontal forms w (iota_X w = 0 for X in h) killed by
     the isotropy action of h, since iota_X dw = L_X w for a horizontal w.
     In a basis f adapted to h (the echelon basis of h at its pivot columns,
     unit vectors elsewhere) the horizontal k-forms are spanned by the
     monomials m in the free f^c, at most C(dim g - dim h, k) of them.  The
-    derivation L_{f_p} moves f^c to f^a in place, past the indices of m
-    strictly between a and c; the a = c terms keep m.  The kernel of the
-    stacked L_{f_p} is carried back to the monomials in the e^i.  A basic
+    kernel of `_constraint` is lifted to the monomials in the e^i.  A basic
     form kills h, so on C(g, h) d f^c = -sum_{a<b free} f^c([e_a, e_b]) f^a
     ^ f^b (Chevalley-Eilenberg, Koszul); as f^m = e^m + terms at h's pivots,
     a form's f^m-coordinates are its entries at the free m.  Their d is
-    lifted like the kernel and read in the next basis, the closure check.
+    lifted like the kernel and read in the next basis, the closure check,
+    which raises AssertionError naming the degree an image leaves.
     """
     if h.algebra != g:
         raise ValueError("subalgebra belongs to a different algebra")
@@ -350,24 +372,7 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> tuple[list[SubspaceBasi
             spaces.append(SubspaceBasis.zero(comb(n, k)))
             diffs.append(RationalMatrix.zeros(0, spaces[-2].dim))
             continue
-        # one column per horizontal monomial: L_{f_p} f^m, one row per
-        # (pivot p, monomial), numbered as first seen; the kernel ignores row order
-        row_of: dict[int, int] = {}
-        cols = []
-        for m in horizontal:
-            col, stay = [], {}
-            for c, terms in action.items():
-                if m & c:
-                    for key, a, between, v in terms:
-                        if a == c:  # the only terms of a column that share a target
-                            stay[key] = stay.get(key, 0) + v
-                        elif not m & a:
-                            row = row_of.setdefault(key | m ^ c | a, len(row_of))
-                            col.append((row, -v if (m & between).bit_count() & 1 else v))
-            col += [(row_of.setdefault(key | m, len(row_of)), v) for key, v in stay.items()]
-            cols.append(col)
-        constraint = RationalMatrix.from_entries(len(row_of), cols)
-        lifted = _images(kernel_basis(constraint).matrix, horizontal.__getitem__, n, k,
+        lifted = _images(kernel_basis(_constraint(action, horizontal)).matrix, horizontal.__getitem__, n, k,
                          lambda m: _wedge_images(images, m, memo))
         spaces.append(image_basis(lifted))
         if k:  # d of the degree below, read at its free monomials
@@ -377,6 +382,8 @@ def relative_subcomplex(g: LieAlgebra, h: Subalgebra) -> tuple[list[SubspaceBasi
                         lambda m: _d_column(dgen, m, dmemo))
             diffs.append(spaces[-1].coordinate_matrix(
                 _images(d, lambda i: _unrank(n, k, i), n, k, lambda m: _wedge_images(images, m, memo))))
+            if diffs[-1] is None:
+                raise AssertionError(f"relative subcomplex is not closed under d: d_{k - 1} leaves degree {k}")
         below = horizontal
     return spaces, diffs
 

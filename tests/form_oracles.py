@@ -51,6 +51,11 @@ cohomology representatives of the column elimination.
 every reduction step builds a new dict, and a second one to divide out the
 gcd.  It is the reference for the pivots and stored vectors of `insert`.
 
+`listed_constraint` is the isotropy constraint of `relative_subcomplex`
+before `forms._constraint` built each column once in its final form: list
+columns through `RationalMatrix.from_entries`, with a row numbered for
+every a = c sum, zero or not.  It is the reference for `_constraint`.
+
 `form_vanishes_on_hyperplane` is the test the cup-null hyperplane search
 made for every normal before `obstructions._vanishes_on`: a kernel basis of
 the normal, then the form on each pair of basis vectors.
@@ -650,6 +655,28 @@ def copying_insert(basis: dict[int, dict[int, int]], entries) -> int | None:
 def _primitive(v: dict[int, int]) -> dict[int, int]:
     g = gcd(*v.values())
     return v if g == 1 else {k: x // g for k, x in v.items()}
+
+
+def listed_constraint(action, horizontal: Sequence[int]) -> RationalMatrix:
+    """The isotropy constraint as `relative_subcomplex` built it before
+    `forms._constraint`: list columns with a row for every (pivot, monomial)
+    that a term reaches, a zero sum of the a = c terms included, numbered as
+    first seen and handed to `RationalMatrix.from_entries`."""
+    row_of: dict[int, int] = {}
+    cols = []
+    for m in horizontal:
+        col, stay = [], {}
+        for c, terms in action.items():
+            if m & c:
+                for key, a, between, v in terms:
+                    if a == c:
+                        stay[key] = stay.get(key, 0) + v
+                    elif not m & a:
+                        row = row_of.setdefault(key | m ^ c | a, len(row_of))
+                        col.append((row, -v if (m & between).bit_count() & 1 else v))
+        col += [(row_of.setdefault(key | m, len(row_of)), v) for key, v in stay.items()]
+        cols.append(col)
+    return RationalMatrix.from_entries(len(row_of), cols)
 
 
 def form_vanishes_on_hyperplane(m: RationalMatrix, normal: Sequence) -> bool:

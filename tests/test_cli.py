@@ -605,6 +605,9 @@ def test_group_bound_env_is_honored(monkeypatch, capsys):
     assert code == 3 and "bound" in err
 
 
+# int() reads the first seven of these spellings, and none is ASCII decimal
+ODD_INTEGERS = ["1_0", "+3", " 7 ", "7 ", "\u0661\u0662", "\u0661", "\uff17", "0x10", "", "-", "--1", "1.0"]
+
 # One command per subcommand: every command parses the variable, though
 # only some of them use it.
 ENV_COMMANDS = [
@@ -624,6 +627,7 @@ ENV_COMMANDS = [
         ("EQSS_GROUP_BOUND", "abc"),
         ("EQSS_GROUP_BOUND", "-1"),
         ("EQSS_GROUP_BOUND", "2.5"),
+        *(("EQSS_GROUP_BOUND", value) for value in ODD_INTEGERS),
     ],
 )
 def test_exit_2_on_malformed_environment(monkeypatch, capsys, name, value, argv):
@@ -631,6 +635,48 @@ def test_exit_2_on_malformed_environment(monkeypatch, capsys, name, value, argv)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert name in err and "nonnegative integer" in err
+
+
+def main_exit(capsys, *argv):
+    """The exit code of cli.main, whose argparse errors leave by SystemExit, and its stdout and stderr."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# each integer option and list, with the value put in for {}
+INTEGER_ARGUMENTS = [
+    pytest.param(("obstruct", "s3-4m", "--betti", "1,0,3,0,{}"), id="--betti"),
+    pytest.param(("obstruct", "gysin", "--l", "{}", "--basic", "1,1"), id="--l"),
+    pytest.param(("obstruct", "gysin", "--l", "3", "--basic", "1,{}"), id="--basic"),
+    pytest.param(("obstruct", "gysin", "--l", "3", "--basic", "1,1", "--total", "1,0,0,{}"), id="gysin --total"),
+    pytest.param(("obstruct", "wang", "--codim", "{}", "--gh", "1,0"), id="--codim"),
+    pytest.param(("obstruct", "wang", "--codim", "1", "--gh", "1,{}"), id="--gh"),
+    pytest.param(("obstruct", "wang", "--codim", "1", "--gh", "1,0", "--total", "1,{}"), id="wang --total"),
+    pytest.param(("obstruct", "s3-5m", "--b2", "{}", "--cup", "builtin:cup_definite"), id="--b2"),
+    pytest.param(("specseq", "builtin:models", "--complex", "s1_x_su2", "--max-page", "{}"), id="--max-page"),
+]
+
+
+@pytest.mark.parametrize("value", ODD_INTEGERS)
+@pytest.mark.parametrize("argv", INTEGER_ARGUMENTS)
+def test_exit_2_on_an_integer_that_is_not_ascii_decimal_on_the_command_line(capsys, argv, value):
+    # `--betti 1,0,3,0,1_0` used to exit 0 with b4 = 10, and `--l \u0661` ran with l = 1
+    option = argv[next(i for i, a in enumerate(argv) if "{}" in a) - 1]
+    code, out, err = main_exit(capsys, *(a.format(value) for a in argv))
+    assert (code, out) == (2, ""), err
+    assert option in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", INTEGER_ARGUMENTS)
+def test_a_negative_integer_reaches_the_gate_of_its_value(capsys, argv):
+    # a leading '-' is read, and the value is refused where it is used: exit 2 or 3, never a parse error
+    code, out, err = main_exit(capsys, *(a.format("-2") for a in argv))
+    assert code in (2, 3) and out == "" and "-2" in err
+    assert "decimal integer" not in err and "comma-separated integers" not in err
 
 
 def test_unset_environment_gives_the_engine_defaults(monkeypatch, capsys):

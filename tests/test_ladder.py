@@ -2,9 +2,10 @@
 size of the ladder process that asks for it, the pairs rung's documents
 are the homogeneous spaces they name, the cup rung's forms have the ranks
 and null hyperplanes they name, the les rung's sequences have the solution
-counts they name, and the two bytecode modes run the given tree with its
+counts they name, the two bytecode modes run the given tree with its
 bytecode cached or compiled from source, a cached run leaving the tree's
-`__pycache__` directories as it found them."""
+`__pycache__` directories as it found them, and a row measured against a
+base tree carries claim.compare's paired statistics of the wall times."""
 
 import hashlib
 import json
@@ -18,6 +19,7 @@ from eqss.documents import parse_cup_document, parse_document
 from eqss.liealg import so_algebra
 from eqss.linalg import rank
 
+import claim
 import ladder
 from test_relative import grassmannian_betti, stiefel_betti
 
@@ -133,3 +135,21 @@ def test_bytecode_modes_cache_or_compile_the_tree_and_keep_stdout(tmp_path):
     assert rows["cached"] == rows["compiled"]
     assert rows["cached"][:3] == [(0, empty), (0, empty), (0, here)]
     assert rows["cached"][3][0] == 0
+
+
+def test_a_two_tree_row_carries_the_paired_fields_of_claim():
+    # four rounds; the change is faster in rounds 0, 1 and 3 and ties in round 2
+    head = {"argv": ["obstruct", "s3-4m", "--betti", "1,0,3,0,1"]}
+    change = [(0, "ab", 50.004, 16000), (0, "ab", 48.0, 16100), (0, "ab", 55.0, 16050), (0, "ab", 47.0, 16000)]
+    base = [(0, "ab", 52.0, 16200), (0, "ab", 51.0, 16100), (0, "ab", 55.0, 16000), (0, "ab", 60.0, 16300)]
+    alone = ladder.command_row(head, change)
+    assert alone == {**head, "exit": 0, "stdout_sha256": "ab", "wall_ms_median": 49.0,
+                     "wall_ms": [50.0, 48.0, 55.0, 47.0], "max_rss_kb": [16000, 16100, 16050, 16000]}
+    row = ladder.command_row(head, change, base)
+    assert {k: v for k, v in row.items() if k != "paired"} == alone
+    paired = row["paired"]
+    assert paired == claim.compare([52.0, 51.0, 55.0, 60.0], [50.0, 48.0, 55.0, 47.0], "lower")
+    assert (paired["base"]["median"], paired["change"]["median"], paired["gap"]) == (53.5, 49.0, -4.5)
+    assert (paired["wins"], paired["pairs"], paired["improved"]) == (3, 4, True)
+    # base quartiles 51.75 and 56.25: the gap of 4.5 is the base IQR, not past it
+    assert (paired["base"]["iqr"], paired["gap_exceeds_base_iqr"]) == (4.5, False)

@@ -9,6 +9,7 @@ from the horizontal monomials of a basis adapted to h.
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -27,6 +28,7 @@ from form_oracles import (
     ExteriorForm,
     contract,
     contract_matrix,
+    listed_constraint,
     multi_indices,
     slot_differential_images,
     slot_differentials,
@@ -339,3 +341,62 @@ def test_relative_differentials_match_the_old_route(family, n, seed):
     model = relative_model(*differential_case(family, n, seed))
     images = slot_differential_images(model.algebra, [s.matrix for s in model.bases[:-1]])
     assert list(model.complex.differentials) == [s.coordinate_matrix(m) for s, m in zip(model.bases[1:], images)]
+
+
+def constraint_inputs(g, h):
+    """The isotropy action of h and the horizontal monomials of each degree
+    0..dim g/h, as `relative_subcomplex` hands them to `forms._constraint`."""
+    action, duals = forms._isotropy_action(g, h)
+    free = [1 << (c - 1) for c in sorted(duals)]
+    return action, [[sum(c) for c in combinations(free, k)] for k in range(len(free) + 1)]
+
+
+def nonempty_rows(m):
+    return sorted(row for row in m.transpose().entries if row)
+
+
+@pytest.mark.parametrize("family, n, seed", DIFFERENTIAL_CASES)
+def test_constraint_matches_the_listed_build(family, n, seed):
+    # the old build numbered a row for every a = c sum, so it may carry empty rows
+    action, degrees = constraint_inputs(*differential_case(family, n, seed))
+    for k, horizontal in enumerate(degrees):
+        built, listed = forms._constraint(action, horizontal), listed_constraint(action, horizontal)
+        assert kernel_basis(built) == kernel_basis(listed), k
+        assert nonempty_rows(built) == nonempty_rows(listed), k
+        assert all(built.transpose().entries), k
+        assert built == RationalMatrix.from_entries(built.nrows, built.entries), k  # sorted by row
+        # the number rule, which == does not see: Fraction(-1) == -1
+        assert all(type(x) is int or x.denominator != 1 for col in built.entries for _, x in col), k
+
+
+def test_the_listed_build_carried_empty_rows_that_the_constraint_drops():
+    # so3/so2 in a random basis: on the top form of g/h the a = c terms of h's
+    # action are its diagonal, nonzero, and they sum to its trace, 0
+    action, degrees = constraint_inputs(*differential_case("sphere", 2, 96))
+    assert any(a == c for c, terms in action.items() for _, a, _, _ in terms)
+    listed, built = listed_constraint(action, degrees[2]), forms._constraint(action, degrees[2])
+    assert (listed.nrows, listed.entries, built.nrows, built.entries) == (1, ((),), 0, ((),))
+
+
+def renumbered(m, order):
+    """m with row r moved to row order[r]."""
+    return RationalMatrix(m.nrows, tuple(tuple(sorted((order[r], x) for r, x in col)) for col in m.entries))
+
+
+ROW_ORDER_CASES = [
+    *(("sphere", l, seed) for l in range(2, 7) for seed in (None, 95)),
+    *((family, n, seed) for family in ("stiefel", "grassmannian") for n in (4, 5) for seed in (None, 95)),
+]
+
+
+@pytest.mark.parametrize("family, n, seed", ROW_ORDER_CASES)
+def test_the_kernel_ignores_the_row_order_of_the_constraint(family, n, seed):
+    # the premise of a fill-reducing row order: only the work depends on the numbering
+    action, degrees = constraint_inputs(*differential_case(family, n, seed))
+    for k, horizontal in enumerate(degrees):
+        m = forms._constraint(action, horizontal)
+        shuffled = list(range(m.nrows))
+        random.Random(k).shuffle(shuffled)
+        kernel = kernel_basis(m)
+        assert kernel_basis(renumbered(m, range(m.nrows)[::-1])) == kernel, k
+        assert kernel_basis(renumbered(m, shuffled)) == kernel, k

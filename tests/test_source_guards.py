@@ -678,9 +678,7 @@ def test_environment_guard_sees_every_spelling():
 INT_CONVERSIONS = {
     "linalg.as_fraction": "an int subclass (a bool) entry of a matrix, under the number rule",
     "documents.render_rational": "an integral Fraction printed as a JSON integer",
-    "cli._env_count": "parses the text of an environment variable",
-    "cli._csv_ints": "parses the text of a command-line list",
-    "cli._build_parser": "argparse's type=int parses the text of a command-line option",
+    "cli._decimal": "parses the ASCII digits of a command-line option or list or an environment variable",
     "obstructions._primitive_normal": "an integral Fraction, the normal scaled by its denominators",
 }
 

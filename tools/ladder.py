@@ -44,7 +44,10 @@ BASE_DIR, the two trees taking turns to go first, and a second report is
 written under BASE_LABEL: a before/after pair measured interleaved.  Per
 command the report holds the exit code, the sha256 of its stdout (which
 must not vary between runs), the median wall time, and each child's max
-RSS from os.wait4.
+RSS from os.wait4; with --base (and at least two runs), each row of LABEL's
+report also holds `paired`, tools/claim.py's `compare` of the base's and
+this tree's wall times run by run: medians, quartiles, wins and whether the
+gap exceeds the base's interquartile range.
 
 A child's ru_maxrss starts from the resident size of the process that
 forks it (subprocess's vfork shares the forker's memory, and so its peak,
@@ -283,6 +286,28 @@ def run_once(launcher: subprocess.Popen, argv: list[str], cwd: Path | None = Non
     return run_python(launcher, ["-m", "eqss.cli", *argv], cwd)
 
 
+def command_row(head: dict, runs: list, base_runs: list | None = None) -> dict:
+    """A report row: head, then the exit code and stdout sha256 of the first
+    run, and the median, every wall time and every max RSS of the runs, each
+    (exit code, stdout sha256, wall ms, max RSS in KB).  Given the base tree's
+    runs of the same rounds, `paired` holds `claim.compare` of the two trees'
+    wall times, lower being better."""
+    codes, digests, walls, rss = zip(*runs)
+    row = {
+        **head,
+        "exit": codes[0],
+        "stdout_sha256": digests[0],
+        "wall_ms_median": round(statistics.median(walls), 2),
+        "wall_ms": [round(w, 2) for w in walls],
+        "max_rss_kb": list(rss),
+    }
+    if base_runs is not None:
+        from claim import compare  # imported here: claim imports this module
+
+        row["paired"] = compare([round(r[2], 2) for r in base_runs], row["wall_ms"], "lower")
+    return row
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("label", help="names the output file: bench/BENCH_readme_LABEL.json, "
@@ -303,8 +328,8 @@ def main() -> int:
                    help="compile the eqss modules from source in every process (default), "
                         "or compileall each tree's src first")
     args = p.parse_args()
-    if args.runs < 1:
-        p.error("--runs must be at least 1")
+    if args.runs < 1 or args.base and args.runs < 2:
+        p.error("--runs must be at least 1, and at least 2 with --base")
     trees = [(args.label, args.src)] + ([(args.base[0], Path(args.base[1]))] if args.base else [])
     for _, src in trees:
         if not (src / "eqss" / "cli.py").is_file():
@@ -337,20 +362,16 @@ def main() -> int:
         print(label)
         rows = []
         for i, (_, head) in enumerate(cases):
-            codes, digests, walls, rss = zip(*runs[t, i])
             name = shlex.join(["python", *head["python"]] if "python" in head else ["eqss", *head["argv"]])
-            if len(set(codes)) > 1 or len(set(digests)) > 1:
+            if len({(code, digest) for code, digest, _, _ in runs[t, i]}) > 1:
                 print(f"error: {name} varies between runs", file=sys.stderr)
                 return 1
-            rows.append({
-                **head,
-                "exit": codes[0],
-                "stdout_sha256": digests[0],
-                "wall_ms_median": round(statistics.median(walls), 2),
-                "wall_ms": [round(w, 2) for w in walls],
-                "max_rss_kb": list(rss),
-            })
-            print(f"{statistics.median(walls):8.1f} ms {max(rss) / 1024:6.1f} MB  exit {codes[0]}  {name}")
+            row = command_row(head, runs[t, i], runs[1, i] if t == 0 and args.base else None)
+            rows.append(row)
+            paired = row.get("paired")
+            versus = f"  wins {paired['wins']}/{paired['pairs']} gap {paired['gap']:+.1f} ms" if paired else ""
+            print(f"{row['wall_ms_median']:8.1f} ms {max(row['max_rss_kb']) / 1024:6.1f} MB"
+                  f"  exit {row['exit']}{versus}  {name}")
         report = {
             "label": label,
             "runs": args.runs,
